@@ -34,6 +34,7 @@ from .errors import DomainError, InputFormatError, MomalgError
 from .experiments import DEFAULT_TOLERANCES, random_config, run_verification
 from .serialization import (
     SCHEMA,
+    context_from_dict,
     load_json,
     mmap_from_dict,
     mmap_to_dict,
@@ -49,7 +50,6 @@ from .weakvalues import (
     simultaneous_weak_value,
     thermal_E,
 )
-from .serialization import context_from_dict
 
 SCENARIO_ALIASES = {
     "thm1": "sequential-per-subset",

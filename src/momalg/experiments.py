@@ -39,6 +39,7 @@ from .quantum import (
 )
 from .weakvalues import (
     WeakValueContext,
+    free_energy_jet,
     free_energy_susceptibility,
     script_D_mmap,
     script_D_monte_carlo,
@@ -248,14 +249,6 @@ def _reduced_unitaries(unitaries, labels, dim):
     return out
 
 
-def _readout_product(pointers, dims, labels) -> np.ndarray:
-    """prod_{j in labels} r_j embedded in the system+pointers space."""
-    out = np.eye(int(np.prod(dims)), dtype=complex)
-    for j in labels:
-        out = out @ embed(np.asarray(pointers[j - 1].r), dims, j)
-    return out
-
-
 def per_subset_moment_mmap(config: ExperimentConfig) -> MMap:
     """z(a) = x(a)/y(a): a separate pipeline per subset, with only the
     pointers in `a` coupled (the thm1 scenario)."""
@@ -283,10 +276,8 @@ def per_subset_moment_mmap(config: ExperimentConfig) -> MMap:
         readout = np.eye(int(np.prod(dims)), dtype=complex)
         for pos, p in enumerate(sub_pointers, start=1):
             readout = readout @ embed(np.asarray(p.r), dims, pos)
-        r_jet = JetMatrix.from_terms({(): readout}, pf.shape[0], n, caps)
-        num = (r_jet @ pf_jet @ rho).trace()
-        den = (pf_jet @ rho).trace()
-        entries[a] = num / den
+        projected = pf_jet @ rho
+        entries[a] = projected.trace_with(readout) / projected.trace()
     return MMap(n, entries, caps)
 
 
@@ -297,8 +288,7 @@ def _pointer_space_moments(eta: JetMatrix, pointers, n: int, caps) -> MMap:
         readout = np.eye(int(np.prod(pdims)), dtype=complex)
         for j in a.support:
             readout = readout @ embed(np.asarray(pointers[j - 1].r), pdims, j - 1)
-        r_jet = JetMatrix.from_terms({(): readout}, readout.shape[0], n, caps)
-        entries[a] = (eta @ r_jet).trace()
+        entries[a] = eta.trace_with(readout)
     return MMap(n, entries, caps)
 
 
@@ -366,15 +356,14 @@ def thermal_moment_mmap(config: ExperimentConfig) -> MMap:
             np.asarray(config.pointers[j - 1].s), j, dims)
     full_dim = int(np.prod(dims))
     boltz = jet_matrix_exp(JetMatrix.from_terms(terms, full_dim, n, caps))
-    z = boltz.trace()
+    z_inv = boltz.trace().inverse()
     entries = {}
     for a in multiset_lattice(n, caps):
         readout = np.eye(full_dim, dtype=complex)
         for j in a.support:
             readout = readout @ embed(np.asarray(config.pointers[j - 1].r),
                                       dims, j)
-        r_jet = JetMatrix.from_terms({(): readout}, full_dim, n, caps)
-        entries[a] = (boltz @ r_jet).trace() / z
+        entries[a] = boltz.trace_with(readout) * z_inv
     return MMap(n, entries, caps)
 
 
@@ -650,13 +639,14 @@ def verify_thermal(config: ExperimentConfig) -> VerificationReport:
     n = config.n_pointers
     caps = (1,) * n
     le = log_star(thermal_E_mmap(ctx, caps))
+    f_jet = free_energy_jet(ctx, caps)
     records = []
     mutual_worst = 0.0
     for a in _targets(config):
         lhs = Jet.ensure(lm(a), n, caps).coefficient(a)
         xi = xi_thermal(config.pointers, a)
         rhs_e = complex(xi * le(a))                      # no real part taken
-        susc = free_energy_susceptibility(ctx, a)
+        susc = f_jet.derivative(a)
         rhs_f = complex(-config.beta * xi * susc)
         mutual = abs(rhs_e - rhs_f)
         mutual_worst = max(mutual_worst, mutual)

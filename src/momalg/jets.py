@@ -1,19 +1,27 @@
 """Truncated multivariate polynomials (jets) in the coupling strengths.
 
-A jet stores the monomial coefficients of a polynomial in gamma_1..gamma_n
+A jet holds the monomial coefficients of a polynomial in gamma_1..gamma_n
 truncated by per-variable degree caps; products drop any monomial that
 exceeds a cap.  Mixed partial derivatives at gamma = 0 are then exact ring
 reads: the derivative equals the monomial coefficient times the product of
 multiplicity factorials.  Multilinear jets (all caps 1) multiply exactly
 like moment-algebra convolution of their coefficient maps.
 
+Storage is dense: one complex vector over the multiset lattice of the caps,
+in the canonical lattice order (the empty monomial, i.e. the constant part,
+first).  Every (a, b) pair of lattice monomials whose sum stays within the
+caps is enumerated once per caps into index arrays (ia, ib, ic); a product
+is then the gather x[ia] * y[ib] scattered onto ic by a bincount, and sums,
+scalings, exp, log and inverse are vector operations.  `Jet.coeffs` is a
+read-only view of the nonzero monomial coefficients.
+
 JetMatrix holds a square matrix with jet entries as a stack of dense
-complex coefficient blocks, one per lattice multiset, so matrix products
-reduce to a short list of ordinary BLAS products.  jet_matrix_exp is the
-scaling-and-squaring exponential in this ring; its multilinear coefficient
-of prod_{j in a} gamma_j equals the permutation-summed simplex integral of
-the Dyson expansion, which is what every 'lowest joint order' statement
-consumes.
+complex coefficient blocks in the same lattice order, so matrix products
+reduce to one BLAS product per pair-table triple whose blocks are both
+nonzero.  jet_matrix_exp is the scaling-and-squaring exponential in this
+ring; its multilinear coefficient of prod_{j in a} gamma_j equals the
+permutation-summed simplex integral of the Dyson expansion, which is what
+every 'lowest joint order' statement consumes.
 """
 
 from __future__ import annotations
@@ -21,6 +29,8 @@ from __future__ import annotations
 import cmath
 import math
 from functools import lru_cache
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,9 +41,19 @@ _TAYLOR_DEGREE = 20
 _SCALE_TARGET = 0.5
 
 
+class _PairTable(NamedTuple):
+    """A caps lattice, its index, and every pair (ia, ib) -> ic whose
+    multiset sum lattice[ia] + lattice[ib] = lattice[ic] stays within caps."""
+
+    lattice: tuple[Multiset, ...]
+    index: dict[Multiset, int]
+    ia: np.ndarray
+    ib: np.ndarray
+    ic: np.ndarray
+
+
 @lru_cache(maxsize=None)
-def _pair_table(caps: tuple[int, ...]):
-    """All (a, b) lattice pairs whose multiset sum stays within caps."""
+def _pair_table(caps: tuple[int, ...]) -> _PairTable:
     lattice = multiset_lattice(len(caps), caps)
     index = {a: i for i, a in enumerate(lattice)}
     triples = []
@@ -42,7 +62,20 @@ def _pair_table(caps: tuple[int, ...]):
             s = a + b
             if s.fits(caps):
                 triples.append((index[a], index[b], index[s]))
-    return lattice, index, tuple(triples)
+    ia, ib, ic = np.array(triples, dtype=np.intp).reshape(-1, 3).T.copy()
+    for arr in (ia, ib, ic):
+        arr.setflags(write=False)   # shared by every caller through the cache
+    return _PairTable(lattice, index, ia, ib, ic)
+
+
+def _ring_product(table: _PairTable, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Truncated product of two lattice-ordered coefficient vectors."""
+    prod = x[table.ia] * y[table.ib]
+    size = len(table.lattice)
+    out = np.empty(size, dtype=complex)
+    out.real = np.bincount(table.ic, prod.real, size)
+    out.imag = np.bincount(table.ic, prod.imag, size)
+    return out
 
 
 def _mult_factorial(a: Multiset) -> int:
@@ -52,26 +85,41 @@ def _mult_factorial(a: Multiset) -> int:
     return out
 
 
+def _unit(size: int, value=1.0) -> np.ndarray:
+    vec = np.zeros(size, dtype=complex)
+    vec[0] = value
+    return vec
+
+
 class Jet:
     """Truncated polynomial; coefficients are monomial-convention complex."""
 
-    __slots__ = ("n", "caps", "coeffs")
+    __slots__ = ("n", "caps", "_vec")
 
     def __init__(self, n: int, caps: tuple[int, ...], coeffs=None):
         self.n = int(n)
         self.caps = tuple(caps)
         if len(self.caps) != self.n:
             raise DomainError("caps length must equal number of variables")
-        self.coeffs: dict[Multiset, complex] = {}
+        index = _pair_table(self.caps).index
+        self._vec = np.zeros(len(index), dtype=complex)
         if coeffs:
             for a, c in dict(coeffs).items():
                 if not isinstance(a, Multiset):
                     a = Multiset(a)
                 if not a.fits(self.caps):
                     raise CapExceededError(f"monomial {a} exceeds caps {self.caps}")
-                c = complex(c)
-                if c != 0:
-                    self.coeffs[a] = c
+                self._vec[index[a]] = complex(c)
+
+    @classmethod
+    def _dense(cls, n: int, caps: tuple[int, ...], vec: np.ndarray) -> "Jet":
+        """Wrap a lattice-ordered complex vector; no copy, no checks."""
+        out = cls.__new__(cls)
+        out.n, out.caps, out._vec = n, caps, vec
+        return out
+
+    def _like(self, vec: np.ndarray) -> "Jet":
+        return Jet._dense(self.n, self.caps, vec)
 
     # -- constructors ------------------------------------------------------
 
@@ -97,14 +145,21 @@ class Jet:
     # -- reads -------------------------------------------------------------
 
     @property
+    def coeffs(self):
+        """Read-only {monomial: coefficient} of the nonzero coefficients."""
+        lattice = _pair_table(self.caps).lattice
+        return MappingProxyType({lattice[i]: complex(self._vec[i])
+                                 for i in np.flatnonzero(self._vec)})
+
+    @property
     def constant(self) -> complex:
-        return self.coeffs.get(EMPTY, 0j)
+        return complex(self._vec[0])
 
     def coefficient(self, a: Multiset) -> complex:
         """Monomial coefficient of prod gamma^mult."""
         if not a.fits(self.caps):
             raise CapExceededError(f"monomial {a} exceeds caps {self.caps}")
-        return self.coeffs.get(a, 0j)
+        return complex(self._vec[_pair_table(self.caps).index[a]])
 
     def derivative(self, a: Multiset) -> complex:
         """Mixed partial at gamma = 0: coefficient times prod(mult!)."""
@@ -112,113 +167,103 @@ class Jet:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _wrap(self, other) -> "Jet | None":
+    def _check(self, other: "Jet") -> None:
+        if other.caps != self.caps:
+            raise DomainError("jet shape mismatch")
+
+    def _operand(self, other) -> np.ndarray | None:
+        """Coefficient vector of a jet or scalar operand, None otherwise."""
         if isinstance(other, Jet):
-            if other.n != self.n or other.caps != self.caps:
-                raise DomainError("jet shape mismatch")
-            return other
+            self._check(other)
+            return other._vec
         if isinstance(other, (int, float, complex)):
-            return Jet.scalar(other, self.n, self.caps)
+            return _unit(len(self._vec), other)
         return None
 
     def __add__(self, other):
-        other = self._wrap(other)
-        if other is None:
+        vec = self._operand(other)
+        if vec is None:
             return NotImplemented
-        out = dict(self.coeffs)
-        for a, c in other.coeffs.items():
-            out[a] = out.get(a, 0j) + c
-        return Jet(self.n, self.caps, out)
+        return self._like(self._vec + vec)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(self.n, self.caps, {a: -c for a, c in self.coeffs.items()})
+        return self._like(-self._vec)
 
     def __sub__(self, other):
-        other = self._wrap(other)
-        if other is None:
+        vec = self._operand(other)
+        if vec is None:
             return NotImplemented
-        return self + (-other)
+        return self._like(self._vec - vec)
 
     def __rsub__(self, other):
         return -(self - other)
 
     def __mul__(self, other):
-        other = self._wrap(other)
-        if other is None:
+        if isinstance(other, (int, float, complex)):
+            return self._like(self._vec * other)
+        if not isinstance(other, Jet):
             return NotImplemented
-        caps = self.caps
-        out: dict[Multiset, complex] = {}
-        for a, ca in self.coeffs.items():
-            for b, cb in other.coeffs.items():
-                s = a + b
-                if s.fits(caps):
-                    out[s] = out.get(s, 0j) + ca * cb
-        return Jet(self.n, caps, out)
+        self._check(other)
+        return self._like(_ring_product(_pair_table(self.caps), self._vec,
+                                        other._vec))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._wrap(other)
-        if other is None:
+        vec = self._operand(other)
+        if vec is None:
             return NotImplemented
-        return self * other.inverse()
+        return self * self._like(vec).inverse()
 
     def __rtruediv__(self, other):
         return self.inverse() * other
 
     # -- transcendental ----------------------------------------------------
 
-    def _nilpotent(self) -> "Jet":
-        out = dict(self.coeffs)
-        out.pop(EMPTY, None)
-        return Jet(self.n, self.caps, out)
+    def _series(self, start, coeff, u: np.ndarray) -> "Jet":
+        """start + sum_{k>=1} coeff(k) u^k for nilpotent u; the sum stops at
+        the first power that vanishes, at the latest at total degree
+        sum(caps)."""
+        table = _pair_table(self.caps)
+        acc = _unit(len(u), start)
+        term = _unit(len(u))
+        for k in range(1, sum(self.caps) + 1):
+            term = _ring_product(table, term, u)
+            if not term.any():
+                break
+            acc = acc + term * coeff(k)
+        return self._like(acc)
 
     def exp(self) -> "Jet":
         """exp(c + N) = e^c sum_k N^k / k!, the sum finite by nilpotency."""
-        nil = self._nilpotent()
-        acc = Jet.scalar(1.0, self.n, self.caps)
-        term = acc
-        for k in range(1, sum(self.caps) + 1):
-            term = term * nil * (1.0 / k)
-            if not term.coeffs:
-                break
-            acc = acc + term
-        return acc * cmath.exp(self.constant)
+        nil = self._vec.copy()
+        nil[0] = 0.0
+        return self._series(1.0, lambda k: 1.0 / math.factorial(k), nil) \
+            * cmath.exp(self.constant)
 
     def log(self) -> "Jet":
-        if self.constant == 0:
+        c = self.constant
+        if c == 0:
             raise NonInvertibleError("log of a jet with zero constant part")
-        u = self * (1.0 / self.constant) - 1.0
-        acc = Jet.scalar(cmath.log(self.constant), self.n, self.caps)
-        term = Jet.scalar(1.0, self.n, self.caps)
-        for k in range(1, sum(self.caps) + 1):
-            term = term * u
-            if not term.coeffs:
-                break
-            acc = acc + term * ((-1.0) ** (k + 1) / k)
-        return acc
+        u = self._vec * (1.0 / c)
+        u[0] -= 1.0
+        return self._series(cmath.log(c), lambda k: (-1.0) ** (k + 1) / k, u)
 
     def inverse(self) -> "Jet":
-        if self.constant == 0:
+        c = self.constant
+        if c == 0:
             raise NonInvertibleError("inverse of a jet with zero constant part")
-        u = 1.0 - self * (1.0 / self.constant)
-        acc = Jet.scalar(1.0, self.n, self.caps)
-        term = acc
-        for _ in range(sum(self.caps)):
-            term = term * u
-            if not term.coeffs:
-                break
-            acc = acc + term
-        return acc * (1.0 / self.constant)
+        u = self._vec * (-1.0 / c)
+        u[0] += 1.0
+        return self._series(1.0, lambda k: 1.0, u) * (1.0 / c)
 
     # -- comparisons -------------------------------------------------------
 
     def max_abs_diff(self, other: "Jet") -> float:
-        keys = set(self.coeffs) | set(other.coeffs)
-        return max((abs(self.coeffs.get(a, 0j) - other.coeffs.get(a, 0j))
-                    for a in keys), default=0.0)
+        self._check(other)
+        return float(np.max(np.abs(self._vec - other._vec)))
 
     def allclose(self, other: "Jet", tol: float = 1e-12) -> bool:
         return self.max_abs_diff(other) <= tol
@@ -226,7 +271,7 @@ class Jet:
     def __repr__(self) -> str:
         body = " + ".join(
             f"({c:.6g})*g{a}" if not a.is_empty else f"({c:.6g})"
-            for a, c in sorted(self.coeffs.items(), key=lambda kv: kv[0].sort_key)
+            for a, c in self.coeffs.items()
         )
         return f"Jet[{body or '0'}]"
 
@@ -243,7 +288,8 @@ class JetMatrix:
     def __init__(self, n: int, caps: tuple[int, ...], blocks: np.ndarray):
         self.n = int(n)
         self.caps = tuple(caps)
-        self.lattice, self.index, _ = _pair_table(self.caps)
+        table = _pair_table(self.caps)
+        self.lattice, self.index = table.lattice, table.index
         blocks = np.asarray(blocks, dtype=complex)
         if blocks.ndim != 3 or blocks.shape[0] != len(self.lattice):
             raise DomainError("blocks must have shape (lattice, d, d)")
@@ -284,6 +330,12 @@ class JetMatrix:
         if self.caps != other.caps or self.dim != other.dim:
             raise DomainError("jet matrix shape mismatch")
 
+    def _nonzero_blocks(self) -> np.ndarray:
+        return self.blocks.reshape(len(self.lattice), -1).any(axis=1)
+
+    def _jet(self, vec: np.ndarray) -> Jet:
+        return Jet._dense(self.n, self.caps, vec)
+
     def __add__(self, other: "JetMatrix") -> "JetMatrix":
         self._check(other)
         return JetMatrix(self.n, self.caps, self.blocks + other.blocks)
@@ -301,27 +353,26 @@ class JetMatrix:
 
     def __matmul__(self, other: "JetMatrix") -> "JetMatrix":
         self._check(other)
-        _, _, triples = _pair_table(self.caps)
-        out = np.zeros_like(self.blocks)
-        for ia, ib, ic in triples:
-            a = self.blocks[ia]
-            if not a.any():
-                continue
-            b = other.blocks[ib]
-            if not b.any():
-                continue
-            out[ic] += a @ b
+        table = _pair_table(self.caps)
+        keep = (self._nonzero_blocks()[table.ia]
+                & other._nonzero_blocks()[table.ib])
+        a, b = self.blocks, other.blocks
+        out = np.zeros_like(a)
+        for ia, ib, ic in zip(table.ia[keep].tolist(), table.ib[keep].tolist(),
+                              table.ic[keep].tolist()):
+            out[ic] += a[ia] @ b[ib]
         return JetMatrix(self.n, self.caps, out)
 
     def scale_by_jet(self, jet: Jet) -> "JetMatrix":
-        if jet.n != self.n or jet.caps != self.caps:
+        if jet.caps != self.caps:
             raise DomainError("jet matrix shape mismatch")
+        table = _pair_table(self.caps)
+        coeffs = jet._vec
+        keep = (coeffs[table.ia] != 0) & self._nonzero_blocks()[table.ib]
         out = np.zeros_like(self.blocks)
-        for a, c in jet.coeffs.items():
-            for b in self.lattice:
-                s = a + b
-                if s.fits(self.caps):
-                    out[self.index[s]] += c * self.blocks[self.index[b]]
+        for ia, ib, ic in zip(table.ia[keep].tolist(), table.ib[keep].tolist(),
+                              table.ic[keep].tolist()):
+            out[ic] += coeffs[ia] * self.blocks[ib]
         return JetMatrix(self.n, self.caps, out)
 
     def dagger(self) -> "JetMatrix":
@@ -331,20 +382,22 @@ class JetMatrix:
                          np.conj(np.transpose(self.blocks, (0, 2, 1))))
 
     def trace(self) -> Jet:
-        return Jet(self.n, self.caps,
-                   {a: np.trace(self.blocks[i]) for i, a in enumerate(self.lattice)})
+        return self._jet(np.trace(self.blocks, axis1=1, axis2=2))
+
+    def trace_with(self, mat: np.ndarray) -> Jet:
+        """tr(M @ mat) as a jet, for a constant matrix `mat`, contracted
+        directly instead of forming the jet-matrix product."""
+        return self._jet(np.einsum("kij,ji->k", self.blocks,
+                                   np.asarray(mat, dtype=complex)))
 
     def bilinear(self, bra: np.ndarray, ket: np.ndarray) -> Jet:
         """<bra| M |ket> as a jet (bra is conjugated)."""
         bra = np.asarray(bra, dtype=complex).conj()
         ket = np.asarray(ket, dtype=complex)
-        vals = np.einsum("i,kij,j->k", bra, self.blocks, ket)
-        return Jet(self.n, self.caps,
-                   {a: vals[i] for i, a in enumerate(self.lattice)})
+        return self._jet(np.einsum("i,kij,j->k", bra, self.blocks, ket))
 
     def entry(self, i: int, j: int) -> Jet:
-        return Jet(self.n, self.caps,
-                   {a: self.blocks[k][i, j] for k, a in enumerate(self.lattice)})
+        return self._jet(self.blocks[:, i, j].copy())
 
 
 def jet_matrix_exp(m: JetMatrix) -> JetMatrix:

@@ -100,8 +100,6 @@ def array_to_dict(arr: np.ndarray) -> dict:
     flat = arr.reshape(-1)
     data[0::2] = flat.real
     data[1::2] = flat.imag
-    if arr.ndim == 1:
-        return {"dim": arr.shape[0], "data": data.tolist()}
     return {"dim": arr.shape[0], "data": data.tolist()}
 
 

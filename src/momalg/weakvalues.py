@@ -318,12 +318,18 @@ def thermal_E_mmap(ctx: WeakValueContext, caps) -> MMap:
     return MMap(ctx.n, entries, tuple(caps))
 
 
+def free_energy_jet(ctx: WeakValueContext, caps) -> Jet:
+    """F = -(1/beta) log tr e^{-beta H_C} as a jet in the gammas, by the jet
+    logarithm of the jet trace.  Every susceptibility whose multiset fits
+    `caps` is one derivative read of it: truncating to smaller caps is a
+    ring homomorphism, so the coefficients do not depend on the caps."""
+    return thermal_partition_jet(ctx, caps).log() * (-1.0 / ctx.beta)
+
+
 def free_energy_susceptibility(ctx: WeakValueContext, a: Multiset) -> complex:
-    """d^gamma_a F at gamma = 0, F = -(1/beta) log tr e^{-beta H_C},
-    by the jet logarithm of the jet trace."""
-    z = thermal_partition_jet(ctx, ctx.caps_for(a))
-    f_jet = z.log() * (-1.0 / ctx.beta)
-    return f_jet.derivative(a)
+    """d^gamma_a F at gamma = 0, read from `free_energy_jet` on the caps
+    of `a`."""
+    return free_energy_jet(ctx, ctx.caps_for(a)).derivative(a)
 
 
 def imaginary_time_weak_value(ctx: WeakValueContext, order, taus) -> complex:

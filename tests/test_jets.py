@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momalg.algebra import MMap, convolve
 from momalg.combinatorics import EMPTY, Multiset, multiset_lattice
@@ -208,3 +210,129 @@ def test_jet_matrix_trace_and_bilinear():
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     bl = jm.bilinear(u, v)
     assert bl.coefficient(M([1])) == pytest.approx(u.conj() @ blocks[(1,)] @ v)
+
+
+# ---------------------------------------------------------------------------
+# dense storage against dict/Multiset references kept only here
+
+caps_strategy = st.lists(st.integers(0, 2), min_size=1, max_size=3).map(tuple)
+property_settings = settings(max_examples=40, deadline=None)
+
+
+def reference_product(x, y):
+    """The monomial-by-monomial product the dense pair-table product replaced."""
+    out = {}
+    for a, ca in x.coeffs.items():
+        for b, cb in y.coeffs.items():
+            s = a + b
+            if s.fits(x.caps):
+                out[s] = out.get(s, 0j) + ca * cb
+    return out
+
+
+def sparse_jet(rng, caps, const=None):
+    """Random jet with about a third of its monomials exactly zero."""
+    coeffs = {a: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+              for a in multiset_lattice(len(caps), caps) if rng.uniform() < 0.7}
+    if const is not None:
+        coeffs[EMPTY] = const
+    return Jet(len(caps), caps, coeffs)
+
+
+@property_settings
+@given(caps=caps_strategy, seed=st.integers(0, 2**32 - 1))
+def test_dense_product_matches_reference_product(caps, seed):
+    rng = np.random.default_rng(seed)
+    x, y = sparse_jet(rng, caps), sparse_jet(rng, caps)
+    ref = reference_product(x, y)
+    got = x * y
+    for a in multiset_lattice(len(caps), caps):
+        assert abs(got.coefficient(a) - ref.get(a, 0j)) <= 1e-13
+    assert set(got.coeffs) <= set(ref)
+
+
+@property_settings
+@given(caps=caps_strategy, seed=st.integers(0, 2**32 - 1))
+def test_ring_laws(caps, seed):
+    rng = np.random.default_rng(seed)
+    x, y, z = (sparse_jet(rng, caps) for _ in range(3))
+    one = Jet.scalar(1.0, len(caps), caps)
+    assert ((x * y) * z).allclose(x * (y * z), 1e-12)
+    assert (x * y).allclose(y * x, 1e-12)
+    assert (x * (y + z)).allclose(x * y + x * z, 1e-12)
+    assert (x * one).allclose(x, 0.0)
+    assert (x - x).coeffs == {}
+    assert (x * 2.5).allclose(x * Jet.scalar(2.5, len(caps), caps), 1e-15)
+
+
+@property_settings
+@given(caps=caps_strategy, seed=st.integers(0, 2**32 - 1))
+def test_exp_log_and_inverse_roundtrips(caps, seed):
+    rng = np.random.default_rng(seed)
+    const = complex(rng.uniform(0.5, 2.0), rng.uniform(-1, 1))
+    j = sparse_jet(rng, caps, const=const)
+    one = Jet.scalar(1.0, len(caps), caps)
+    assert j.log().exp().allclose(j, 1e-12)
+    assert (j * j.inverse()).allclose(one, 1e-12)
+
+
+def test_coeffs_is_a_read_only_view_of_nonzero_monomials():
+    j = Jet(2, (1, 1), {M([1]): 2.0, M([2]): 0.0})
+    assert dict(j.coeffs) == {M([1]): 2.0}
+    with pytest.raises(TypeError):
+        j.coeffs[EMPTY] = 1.0
+
+
+def explicit_matmul(x, y):
+    """Per-pair block products over every lattice pair, zero blocks included."""
+    out = np.zeros_like(x.blocks)
+    for a in x.lattice:
+        for b in x.lattice:
+            s = a + b
+            if s.fits(x.caps):
+                out[x.index[s]] += x.blocks[x.index[a]] @ y.blocks[y.index[b]]
+    return out
+
+
+def random_jet_matrix(rng, d, caps, zero_frac=0.4):
+    """Random blocks, each set exactly to zero with probability zero_frac."""
+    size = len(multiset_lattice(len(caps), caps))
+    blocks = (rng.standard_normal((size, d, d))
+              + 1j * rng.standard_normal((size, d, d)))
+    blocks[rng.uniform(size=size) < zero_frac] = 0.0
+    return JetMatrix(len(caps), caps, blocks)
+
+
+@property_settings
+@given(caps=caps_strategy, d=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_jet_matrix_product_matches_explicit_loop_with_zero_blocks(caps, d, seed):
+    rng = np.random.default_rng(seed)
+    x, y = random_jet_matrix(rng, d, caps), random_jet_matrix(rng, d, caps)
+    assert np.array_equal((x @ y).blocks, explicit_matmul(x, y))
+
+
+@property_settings
+@given(caps=caps_strategy, d=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_scale_by_jet_is_entrywise_jet_product(caps, d, seed):
+    rng = np.random.default_rng(seed)
+    m = random_jet_matrix(rng, d, caps)
+    j = sparse_jet(rng, caps)
+    scaled = m * j
+    for p in range(d):
+        for q in range(d):
+            assert scaled.entry(p, q).allclose(m.entry(p, q) * j, 1e-13)
+
+
+def test_trace_with_matches_trace_of_product():
+    rng = np.random.default_rng(24)
+    d, caps = 6, (1, 1, 1)
+    terms = {(): random_complex_matrix(rng, d, 0.5)}
+    for i in range(1, 4):
+        terms[(i,)] = random_complex_matrix(rng, d, 0.5)
+    boltz = jet_matrix_exp(JetMatrix.from_terms(terms, d, 3, caps))
+    readout = random_complex_matrix(rng, d)
+    r_jet = JetMatrix.from_terms({(): readout}, d, 3, caps)
+    want = (boltz @ r_jet).trace()
+    got = boltz.trace_with(readout)
+    scale = max(abs(c) for c in want.coeffs.values())
+    assert got.allclose(want, 1e-13 * scale)

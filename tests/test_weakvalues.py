@@ -11,6 +11,7 @@ from momalg.quantum import matrix_exp, random_hermitian, random_state, random_un
 from momalg.weakvalues import (
     WeakValueContext,
     evolution_weak_value,
+    free_energy_jet,
     free_energy_susceptibility,
     imaginary_time_weak_value,
     script_D,
@@ -265,6 +266,15 @@ def test_thermal_cumulant_is_minus_beta_susceptibility():
         for a in [M([1]), M([2]), M([1, 2])]:
             susc = free_energy_susceptibility(ctx, a)
             assert abs(le(a) - (-ctx.beta * susc)) < 1e-9
+
+
+def test_free_energy_jet_on_full_caps_matches_per_multiset_reads():
+    # truncating to the caps of `a` is a ring homomorphism
+    rng = np.random.default_rng(119)
+    ctx = random_thermal_ctx(rng, d=3, n=3)
+    f_jet = free_energy_jet(ctx, (2, 1, 1))
+    for a in [M([1]), M([3]), M([1, 1]), M([1, 2]), M([1, 1, 2, 3])]:
+        assert abs(f_jet.derivative(a) - free_energy_susceptibility(ctx, a)) < 1e-12
 
 
 def test_thermal_cumulant_identity_with_repeated_labels():
