@@ -40,12 +40,12 @@ from .quantum import (
 from .weakvalues import (
     WeakValueContext,
     free_energy_jet,
-    free_energy_susceptibility,
     script_D_mmap,
     script_D_monte_carlo,
     sequential_weak_value_mmap,
     simultaneous_weak_value,
     thermal_E_mmap,
+    thermal_partition_jet,
 )
 
 M = Multiset
@@ -273,23 +273,22 @@ def per_subset_moment_mmap(config: ExperimentConfig) -> MMap:
         dims = [d_sys] + [p.dim for p in sub_pointers]
         pf = embed(np.outer(config.psi_f, config.psi_f.conj()), dims, 0)
         pf_jet = JetMatrix.from_terms({(): pf}, pf.shape[0], n, caps)
-        readout = np.eye(int(np.prod(dims)), dtype=complex)
-        for pos, p in enumerate(sub_pointers, start=1):
-            readout = readout @ embed(np.asarray(p.r), dims, pos)
+        readout = kron(np.eye(d_sys), *[p.r for p in sub_pointers])
         projected = pf_jet @ rho
         entries[a] = projected.trace_with(readout) / projected.trace()
     return MMap(n, entries, caps)
 
 
+def _readout(pointers, labels, sys_dim: int = 1) -> np.ndarray:
+    """prod_{j in labels} r_j on 1_sys (x) pointers, built as the one
+    Kronecker product 1_sys (x) f_1 (x) ... (x) f_n, f_j = r_j or 1."""
+    return kron(np.eye(sys_dim), *[p.r if j in labels else np.eye(p.dim)
+                                   for j, p in enumerate(pointers, start=1)])
+
+
 def _pointer_space_moments(eta: JetMatrix, pointers, n: int, caps) -> MMap:
-    pdims = [p.dim for p in pointers]
-    entries = {}
-    for a in multiset_lattice(n, caps):
-        readout = np.eye(int(np.prod(pdims)), dtype=complex)
-        for j in a.support:
-            readout = readout @ embed(np.asarray(pointers[j - 1].r), pdims, j - 1)
-        entries[a] = eta.trace_with(readout)
-    return MMap(n, entries, caps)
+    return MMap(n, {a: eta.trace_with(_readout(pointers, a.support))
+                    for a in multiset_lattice(n, caps)}, caps)
 
 
 def all_coupled_moment_mmap(config: ExperimentConfig) -> MMap:
@@ -357,13 +356,9 @@ def thermal_moment_mmap(config: ExperimentConfig) -> MMap:
     full_dim = int(np.prod(dims))
     boltz = jet_matrix_exp(JetMatrix.from_terms(terms, full_dim, n, caps))
     z_inv = boltz.trace().inverse()
-    entries = {}
-    for a in multiset_lattice(n, caps):
-        readout = np.eye(full_dim, dtype=complex)
-        for j in a.support:
-            readout = readout @ embed(np.asarray(config.pointers[j - 1].r),
-                                      dims, j)
-        entries[a] = boltz.trace_with(readout) * z_inv
+    entries = {a: boltz.trace_with(_readout(config.pointers, a.support,
+                                            config.system_dim)) * z_inv
+               for a in multiset_lattice(n, caps)}
     return MMap(n, entries, caps)
 
 
@@ -638,8 +633,11 @@ def verify_thermal(config: ExperimentConfig) -> VerificationReport:
                                    config.observables)
     n = config.n_pointers
     caps = (1,) * n
-    le = log_star(thermal_E_mmap(ctx, caps))
-    f_jet = free_energy_jet(ctx, caps)
+    # one partition jet feeds both routes: log* of its derivative map
+    # (partition sums) and the jet logarithm (free energy)
+    z = thermal_partition_jet(ctx, caps)
+    le = log_star(thermal_E_mmap(z))
+    f_jet = free_energy_jet(z, ctx.beta)
     records = []
     mutual_worst = 0.0
     for a in _targets(config):
@@ -732,11 +730,12 @@ def verify_multiset(config: ExperimentConfig) -> VerificationReport:
                        for _ in range(m)])
         base_ctx = WeakValueContext.thermal(config.hamiltonian, config.beta,
                                             config.observables)
-        susc = free_energy_susceptibility(base_ctx, collapsed)
+        z = thermal_partition_jet(base_ctx, tuple(copies))
+        susc = free_energy_jet(z, base_ctx.beta).derivative(collapsed)
         rhs_t = complex(-config.beta * xi_t * susc)
         rec = _record(full, lhs_t, rhs_t, tol, xi=xi_t,
                       label="thermal-susceptibility")
-        le_multi = log_star(thermal_E_mmap(base_ctx, tuple(copies)))
+        le_multi = log_star(thermal_E_mmap(z))
         rec.rhs_alt = complex(xi_t * le_multi(collapsed))
         rec.alt_error = abs(lhs_t - rec.rhs_alt)
         rec.passed = rec.passed and rec.alt_error <= tol

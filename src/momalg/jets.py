@@ -18,10 +18,14 @@ read-only view of the nonzero monomial coefficients.
 JetMatrix holds a square matrix with jet entries as a stack of dense
 complex coefficient blocks in the same lattice order, so matrix products
 reduce to one BLAS product per pair-table triple whose blocks are both
-nonzero.  jet_matrix_exp is the scaling-and-squaring exponential in this
-ring; its multilinear coefficient of prod_{j in a} gamma_j equals the
-permutation-summed simplex integral of the Dyson expansion, which is what
-every 'lowest joint order' statement consumes.
+nonzero.  jet_matrix_exp is the exponential in this ring; its multilinear
+coefficient of prod_{j in a} gamma_j equals the permutation-summed simplex
+integral of the Dyson expansion, which is what every 'lowest joint order'
+statement consumes.  It first rescales the gammas by an exact power of two
+so that the couplings weigh no more than the constant block, then scales
+and squares with a Taylor degree chosen from the norm (Higham, SIAM J.
+Matrix Anal. Appl. 26, 2005), evaluated by Paterson-Stockmeyer (SIAM J.
+Comput. 2, 1973); see its docstring for the degree bound.
 """
 
 from __future__ import annotations
@@ -37,16 +41,18 @@ import numpy as np
 from .combinatorics import EMPTY, Multiset, multiset_lattice
 from .errors import CapExceededError, DomainError, NonInvertibleError
 
-_TAYLOR_DEGREE = 20
-_SCALE_TARGET = 0.5
+_THETA = 0.5               # ring-norm bound of the scaled exponential argument
+_UNIT_ROUNDOFF = 2.0 ** -53
 
 
 class _PairTable(NamedTuple):
-    """A caps lattice, its index, and every pair (ia, ib) -> ic whose
-    multiset sum lattice[ia] + lattice[ib] = lattice[ic] stays within caps."""
+    """A caps lattice, its index, the total degree |a| of each monomial,
+    and every pair (ia, ib) -> ic whose multiset sum
+    lattice[ia] + lattice[ib] = lattice[ic] stays within caps."""
 
     lattice: tuple[Multiset, ...]
     index: dict[Multiset, int]
+    grade: np.ndarray
     ia: np.ndarray
     ib: np.ndarray
     ic: np.ndarray
@@ -63,9 +69,10 @@ def _pair_table(caps: tuple[int, ...]) -> _PairTable:
             if s.fits(caps):
                 triples.append((index[a], index[b], index[s]))
     ia, ib, ic = np.array(triples, dtype=np.intp).reshape(-1, 3).T.copy()
-    for arr in (ia, ib, ic):
+    grade = np.array([a.size for a in lattice], dtype=np.intp)
+    for arr in (grade, ia, ib, ic):
         arr.setflags(write=False)   # shared by every caller through the cache
-    return _PairTable(lattice, index, ia, ib, ic)
+    return _PairTable(lattice, index, grade, ia, ib, ic)
 
 
 def _ring_product(table: _PairTable, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -303,12 +310,6 @@ class JetMatrix:
         return cls(n, caps, np.zeros((len(lattice), dim, dim), dtype=complex))
 
     @classmethod
-    def identity(cls, dim: int, n: int, caps: tuple[int, ...]) -> "JetMatrix":
-        out = cls.zeros(dim, n, caps)
-        out.blocks[out.index[EMPTY]] = np.eye(dim, dtype=complex)
-        return out
-
-    @classmethod
     def from_terms(cls, terms: dict, dim: int, n: int,
                    caps: tuple[int, ...]) -> "JetMatrix":
         out = cls.zeros(dim, n, caps)
@@ -403,20 +404,80 @@ class JetMatrix:
 def jet_matrix_exp(m: JetMatrix) -> JetMatrix:
     """Matrix exponential in the truncated polynomial ring.
 
-    Scaling and squaring: halve until the total block 1-norm (an upper
-    bound for the algebra norm, submultiplicative by the Cauchy product)
-    is at most 0.5, run the degree-20 Taylor polynomial, square back.
+    Write X = sum_a X_a gamma^a, G = sum(caps) for the top grade, |a| for
+    the grade of monomial a, and ||.|| for the block 1-norm.  The ring
+    norm sum_a ||X_a|| is submultiplicative under the truncated product.
+
+    1. Grade rescaling.  gamma -> 2^-k gamma multiplies block a by
+       2^(-k|a|).  It is a ring automorphism, so it commutes with exp, and
+       powers of two make it exact in floating point.  k is the smallest
+       integer with sum_{a != 0} 2^(-k|a|) ||X_a|| <= max(||X_0||, theta),
+       theta = 0.5: the couplings stop driving the squarings.
+    2. Scaling.  With nu the ring norm of the rescaled X', s = max(0,
+       ceil(log2(nu / theta))) and Y = X' / 2^s has ring norm <= theta.
+    3. Degree.  Let P(t) = sum_g (sum_{|a|=g} ||Y_a||) t^g = mu + Q(t),
+       mu = ||Y_0||.  The grade-g part of Y^j is bounded by [t^g] P^j, and
+       since Q starts at t^1,
+           [t^g] sum_{j>m} P^j / j!  <=  mu^(m-g+1) / (m-g+1)! * [t^g] e^P,
+       where [t^g] e^P bounds the grade-g part of e^Y.  Remainder and e^Y
+       commute, so s squarings leave the grade-g error at most
+       (1 + eps)^(2^s) - 1 ~ 2^s eps, eps = mu^(m-G+1) / (m-G+1)!, of the
+       grade-g bound [t^g] e^(2^s P) on exp(X').  Undoing the rescaling
+       multiplies the grade-g parts of the error and of that bound alike by
+       2^(k g), so the same relative bound holds for every grade of exp(X).
+       m is the smallest degree with 2^s eps <= 2^-53.  A zero constant
+       block (mu = 0) makes X nilpotent and m = G exact.
+    4. Evaluation (Paterson-Stockmeyer).  Split the Taylor polynomial into
+       c chunks of q coefficients, the top chunk taking q + 1, so that
+       T_m(Y) = sum_i Y^(iq) C_i with C_i = sum_j Y^j / (iq + j)!.  Form
+       Y^2..Y^q, run Horner in Y^q over the chunks, square s times and
+       multiply block a by 2^(k|a|).  That is q - 1 + c - 1 products plus
+       s squarings; q minimises the products (ties: fewer stored powers,
+       q ~ sqrt m), and m is raised to c q, which the same products reach.
     """
-    total = sum(np.linalg.norm(b, 1) for b in m.blocks)
-    squarings = 0
-    if total > _SCALE_TARGET:
-        squarings = max(0, math.ceil(math.log2(total / _SCALE_TARGET)))
-    scaled = m * (2.0 ** -squarings)
-    acc = JetMatrix.identity(m.dim, m.n, m.caps)
-    term = acc
-    for k in range(1, _TAYLOR_DEGREE + 1):
-        term = (term @ scaled) * (1.0 / k)
-        acc = acc + term
-    for _ in range(squarings):
+    table = _pair_table(m.caps)
+    norms = np.abs(m.blocks).sum(axis=1).max(axis=1)      # block 1-norms
+    if not np.isfinite(norms).all():
+        raise DomainError("jet_matrix_exp needs finite blocks")
+    top = int(table.grade.max())
+    by_grade = np.bincount(table.grade, norms, minlength=top + 1)
+    const, graded = by_grade[0], by_grade[1:]
+    grades = np.arange(1, top + 1)
+    k = 0
+    while graded @ 2.0 ** (-k * grades) > max(const, _THETA):
+        k += 1
+    ring_norm = const + graded @ 2.0 ** (-k * grades)
+    s = max(0, math.ceil(math.log2(ring_norm / _THETA))) if ring_norm else 0
+    mu = const * 2.0 ** -s
+    tail = 1                       # m - G + 1 in the bound above
+    while 2 ** s * mu ** tail / math.factorial(tail) > _UNIT_ROUNDOFF:
+        tail += 1
+    degree = max(top + tail - 1, 1)
+    # fewest products (q - 1 powers, then one per chunk after the first),
+    # then fewest stored powers; the last chunk is filled up to q terms
+    q = min(range(1, degree + 1), key=lambda p: (p + -(-degree // p), p))
+    degree = q * -(-degree // q)
+
+    y = JetMatrix(m.n, m.caps,
+                  m.blocks * (2.0 ** -(k * table.grade + s))[:, None, None])
+    powers = [y]
+    for _ in range(q - 1):
+        powers.append(powers[-1] @ y)
+
+    def add_chunk(blocks: np.ndarray, lo: int, hi: int) -> None:
+        """blocks += sum_{j=lo}^{hi} Y^(j-lo) / j!, in place."""
+        blocks[0] += np.eye(m.dim) * (1.0 / math.factorial(lo))
+        for j in range(lo + 1, hi + 1):
+            blocks += powers[j - lo - 1].blocks * (1.0 / math.factorial(j))
+
+    acc = JetMatrix.zeros(m.dim, m.n, m.caps)
+    add_chunk(acc.blocks, degree - q, degree)
+    for lo in range(degree - 2 * q, -1, -q):
+        acc = acc @ powers[-1]
+        add_chunk(acc.blocks, lo, lo + q - 1)
+    del powers, y                  # the squarings need only acc
+    for _ in range(s):
         acc = acc @ acc
+    if k:
+        acc.blocks *= (2.0 ** (k * table.grade))[:, None, None]
     return acc

@@ -103,24 +103,6 @@ def partial_trace(rho, dims, keep) -> np.ndarray:
     return t.reshape(d_keep, d_keep)
 
 
-def matrix_exp(m, t: float | complex = 1.0) -> np.ndarray:
-    """exp(t * M) by scaling and squaring with a degree-20 Taylor core."""
-    a = _as_array(m) * t
-    norm = np.linalg.norm(a, 1)
-    squarings = 0
-    if norm > 0.5:
-        squarings = max(0, math.ceil(math.log2(norm / 0.5)))
-    a = a * (2.0 ** -squarings)
-    acc = np.eye(a.shape[0], dtype=complex)
-    term = acc
-    for k in range(1, 21):
-        term = (term @ a) / k
-        acc = acc + term
-    for _ in range(squarings):
-        acc = acc @ acc
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # seeded random instances
 

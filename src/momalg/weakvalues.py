@@ -309,27 +309,28 @@ def thermal_E(ctx: WeakValueContext, a: Multiset) -> complex:
     return z.derivative(a) / z.coefficient(EMPTY)
 
 
-def thermal_E_mmap(ctx: WeakValueContext, caps) -> MMap:
-    """E over the whole lattice from a single jet exponential."""
-    z = thermal_partition_jet(ctx, caps)
+def thermal_E_mmap(z: Jet) -> MMap:
+    """E over the whole lattice of the partition jet `z`
+    (`thermal_partition_jet`), read off its derivatives."""
     z0 = z.coefficient(EMPTY)
-    entries = {a: z.derivative(a) / z0
-               for a in multiset_lattice(ctx.n, tuple(caps))}
-    return MMap(ctx.n, entries, tuple(caps))
+    entries = {a: z.derivative(a) / z0 for a in multiset_lattice(z.n, z.caps)}
+    return MMap(z.n, entries, z.caps)
 
 
-def free_energy_jet(ctx: WeakValueContext, caps) -> Jet:
+def free_energy_jet(z: Jet, beta: float) -> Jet:
     """F = -(1/beta) log tr e^{-beta H_C} as a jet in the gammas, by the jet
-    logarithm of the jet trace.  Every susceptibility whose multiset fits
-    `caps` is one derivative read of it: truncating to smaller caps is a
-    ring homomorphism, so the coefficients do not depend on the caps."""
-    return thermal_partition_jet(ctx, caps).log() * (-1.0 / ctx.beta)
+    logarithm of the partition jet `z` (`thermal_partition_jet`).  Every
+    susceptibility whose multiset fits the caps of `z` is one derivative
+    read of it: truncating to smaller caps is a ring homomorphism, so the
+    coefficients do not depend on the caps."""
+    return z.log() * (-1.0 / beta)
 
 
 def free_energy_susceptibility(ctx: WeakValueContext, a: Multiset) -> complex:
     """d^gamma_a F at gamma = 0, read from `free_energy_jet` on the caps
     of `a`."""
-    return free_energy_jet(ctx, ctx.caps_for(a)).derivative(a)
+    z = thermal_partition_jet(ctx, ctx.caps_for(a))
+    return free_energy_jet(z, ctx.beta).derivative(a)
 
 
 def imaginary_time_weak_value(ctx: WeakValueContext, order, taus) -> complex:

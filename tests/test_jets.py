@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from momalg.algebra import MMap, convolve
 from momalg.combinatorics import EMPTY, Multiset, multiset_lattice
-from momalg.errors import CapExceededError, NonInvertibleError
+from momalg.errors import CapExceededError, DomainError, NonInvertibleError
 from momalg.jets import Jet, JetMatrix, jet_matrix_exp
-from momalg.quantum import matrix_exp
+from oracles import expm_mp
 
 M = Multiset
 
@@ -113,7 +113,7 @@ def test_jet_matrix_exp_constant_only_matches_dense():
     a = random_complex_matrix(rng, d)
     jm = JetMatrix.from_terms({(): a}, d, 2, (1, 1))
     got = jet_matrix_exp(jm)
-    dense = matrix_exp(a)
+    dense = expm_mp(a)
     assert np.max(np.abs(got.constant - dense)) < 1e-12
     for ms in multiset_lattice(2, (1, 1)):
         if not ms.is_empty:
@@ -144,7 +144,7 @@ def test_jet_matrix_exp_first_order_vs_finite_differences():
     got = jet_matrix_exp(jm)
     h = 1e-5
     for i, x in enumerate(xs, start=1):
-        fd = (matrix_exp(y + h * x) - matrix_exp(y - h * x)) / (2 * h)
+        fd = (expm_mp(y + h * x) - expm_mp(y - h * x)) / (2 * h)
         block = got.blocks[got.index[M([i])]]
         assert np.max(np.abs(block - fd)) < 1e-8
 
@@ -157,9 +157,17 @@ def test_jet_matrix_exp_commuting_blocks_factorize():
     poly = np.eye(d) * 0.3 + 0.5 * diag + 0.2 * diag @ diag   # commutes with diag
     jm = JetMatrix.from_terms({(): diag, (1,): poly}, d, 1, (1,))
     got = jet_matrix_exp(jm)
-    ed = matrix_exp(diag)
+    ed = expm_mp(diag)
     assert np.max(np.abs(got.constant - ed)) < 1e-11
     assert np.max(np.abs(got.blocks[got.index[M([1])]] - ed @ poly)) < 1e-11
+
+
+def test_jet_matrix_exp_rejects_non_finite_blocks():
+    for bad in (np.inf, np.nan):
+        jm = JetMatrix.from_terms({(): np.eye(2), (1,): np.full((2, 2), bad)},
+                                  2, 1, (1,))
+        with pytest.raises(DomainError):
+            jet_matrix_exp(jm)
 
 
 def test_jet_matrix_exp_second_order_vs_monte_carlo_simplex():
@@ -336,3 +344,64 @@ def test_trace_with_matches_trace_of_product():
     got = boltz.trace_with(readout)
     scale = max(abs(c) for c in want.coeffs.values())
     assert got.allclose(want, 1e-13 * scale)
+
+
+# ---------------------------------------------------------------------------
+# jet exponential against the regular representation of the jet ring
+
+
+def regular_representation(terms, caps, d):
+    """Left multiplication by sum_a terms[a] gamma^a on the jet ring, as an
+    (L d) x (L d) block matrix: block (c, b) is terms[a] where a + b = c
+    fits the caps.  Also returns the row-block position of each monomial."""
+    lattice = multiset_lattice(len(caps), caps)
+    pos = {a: i for i, a in enumerate(lattice)}
+    rep = np.zeros((len(lattice) * d, len(lattice) * d), dtype=complex)
+    for a, block in terms.items():
+        for b in lattice:
+            c = a + b
+            if c.fits(caps):
+                rep[pos[c] * d:(pos[c] + 1) * d, pos[b] * d:(pos[b] + 1) * d] += block
+    return rep, pos
+
+
+def hermitian(rng, d, norm):
+    """Random Hermitian d x d matrix with matrix 1-norm `norm`."""
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    h = a + a.conj().T
+    return h * (norm / np.linalg.norm(h, 1))
+
+
+@st.composite
+def exponential_cases(draw):
+    caps = draw(caps_strategy)
+    size = len(multiset_lattice(len(caps), caps))
+    d = draw(st.integers(1, max(1, 12 // size)))
+    return (caps, d, draw(st.sampled_from(["thermal", "evolution"])),
+            draw(st.sampled_from([0.0, 0.3, 1.5, 3.0])),
+            draw(st.floats(0.05, 60.0)), draw(st.booleans()),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=exponential_cases())
+def test_jet_matrix_exp_matches_regular_representation_oracle(case):
+    # exp of the regular representation, taken by mpmath at 30 digits; its
+    # block column at the constant monomial holds the jet exponential
+    caps, d, kind, const_norm, coupling_norm, every_monomial, seed = case
+    rng = np.random.default_rng(seed)
+    n = len(caps)
+    phase = -1.0 if kind == "thermal" else -1j     # Hermitian or anti-Hermitian
+    terms = {EMPTY: phase * hermitian(rng, d, const_norm)}
+    for a in multiset_lattice(n, caps):
+        if a.size == 1 or (every_monomial and a.size > 1):
+            terms[a] = phase * hermitian(rng, d, coupling_norm / a.size)
+    got = jet_matrix_exp(JetMatrix.from_terms(terms, d, n, caps))
+    rep, pos = regular_representation(terms, caps, d)
+    unit = pos[EMPTY] * d
+    column = expm_mp(rep)[:, unit:unit + d]
+    for g in {a.size for a in pos}:
+        grade = [a for a in pos if a.size == g]
+        want = np.stack([column[pos[a] * d:(pos[a] + 1) * d] for a in grade])
+        diff = np.stack([got.blocks[got.index[a]] for a in grade]) - want
+        assert np.abs(diff).max() <= 1e-13 * np.abs(want).max(), (g, case)

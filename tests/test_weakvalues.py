@@ -7,7 +7,7 @@ import pytest
 
 from momalg.combinatorics import EMPTY, Multiset
 from momalg.errors import DomainError, SingularPostselectionError
-from momalg.quantum import matrix_exp, random_hermitian, random_state, random_unitary
+from momalg.quantum import random_hermitian, random_state, random_unitary
 from momalg.weakvalues import (
     WeakValueContext,
     evolution_weak_value,
@@ -22,8 +22,10 @@ from momalg.weakvalues import (
     thermal_E,
     thermal_E_mmap,
     thermal_E_monte_carlo,
+    thermal_partition_jet,
 )
 from momalg.algebra import log_star
+from oracles import expm_eigh
 
 M = Multiset
 
@@ -261,7 +263,7 @@ def test_thermal_cumulant_is_minus_beta_susceptibility():
     rng = np.random.default_rng(116)
     for _ in range(5):
         ctx = random_thermal_ctx(rng)
-        emap = thermal_E_mmap(ctx, (1, 1))
+        emap = thermal_E_mmap(thermal_partition_jet(ctx, (1, 1)))
         le = log_star(emap)
         for a in [M([1]), M([2]), M([1, 2])]:
             susc = free_energy_susceptibility(ctx, a)
@@ -272,7 +274,7 @@ def test_free_energy_jet_on_full_caps_matches_per_multiset_reads():
     # truncating to the caps of `a` is a ring homomorphism
     rng = np.random.default_rng(119)
     ctx = random_thermal_ctx(rng, d=3, n=3)
-    f_jet = free_energy_jet(ctx, (2, 1, 1))
+    f_jet = free_energy_jet(thermal_partition_jet(ctx, (2, 1, 1)), ctx.beta)
     for a in [M([1]), M([3]), M([1, 1]), M([1, 2]), M([1, 1, 2, 3])]:
         assert abs(f_jet.derivative(a) - free_energy_susceptibility(ctx, a)) < 1e-12
 
@@ -280,7 +282,7 @@ def test_free_energy_jet_on_full_caps_matches_per_multiset_reads():
 def test_thermal_cumulant_identity_with_repeated_labels():
     rng = np.random.default_rng(117)
     ctx = random_thermal_ctx(rng, d=3, n=1, beta=0.9)
-    emap = thermal_E_mmap(ctx, (2,))
+    emap = thermal_E_mmap(thermal_partition_jet(ctx, (2,)))
     le = log_star(emap)
     a = M([1, 1])
     assert abs(le(a) - (-ctx.beta * free_energy_susceptibility(ctx, a))) < 1e-9
@@ -307,11 +309,11 @@ def test_imaginary_time_weak_value_matches_dense():
     ctx = random_thermal_ctx(rng, d=3, n=2, beta=1.2)
     taus = [0.3, 0.5, 0.4]
     got = imaginary_time_weak_value(ctx, [2, 1], taus)
-    e1 = matrix_exp(ctx.hamiltonian, -taus[0])
-    e2 = matrix_exp(ctx.hamiltonian, -taus[1])
-    e3 = matrix_exp(ctx.hamiltonian, -taus[2])
+    e1 = expm_eigh(ctx.hamiltonian, -taus[0])
+    e2 = expm_eigh(ctx.hamiltonian, -taus[1])
+    e3 = expm_eigh(ctx.hamiltonian, -taus[2])
     num = np.trace(e3 @ ctx.observables[0] @ e2 @ ctx.observables[1] @ e1)
-    den = np.trace(matrix_exp(ctx.hamiltonian, -ctx.beta))
+    den = np.trace(expm_eigh(ctx.hamiltonian, -ctx.beta))
     assert got == pytest.approx(num / den, abs=1e-10)
 
 
