@@ -12,6 +12,7 @@ full command.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -325,14 +326,12 @@ def cmd_report(args) -> int:
     payload = load_json(args.report)
     rows = list(report_rows_from_json(payload))
     if args.csv:
-        directory = os.path.dirname(os.path.abspath(args.csv))
-        os.makedirs(directory, exist_ok=True)
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=REPORT_CSV_COLUMNS)
-            writer.writeheader()
-            writer.writerows(rows)
+        os.makedirs(os.path.dirname(os.path.abspath(args.csv)), exist_ok=True)
+        stream = open(args.csv, "w", encoding="utf-8", newline="")
     else:
-        writer = csv.DictWriter(sys.stdout, fieldnames=REPORT_CSV_COLUMNS)
+        stream = contextlib.nullcontext(sys.stdout)
+    with stream as fh:
+        writer = csv.DictWriter(fh, fieldnames=REPORT_CSV_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)
     return 0

@@ -7,6 +7,13 @@ compares it with the identity's right-hand side.  No small-coupling limit
 is ever taken numerically: the theorems are statements about a single
 Taylor coefficient and jets produce that coefficient exactly.
 
+There is one state pipeline per coupling kind (sequential kicks, finite
+window, thermal), and it always couples every pointer.  Per-subset
+coupling (the moment of a measured with only the pointers in a coupled)
+is not a separate pipeline: "pointer j uncoupled" is gamma_j = 0, a ring
+homomorphism, so that moment is the all-coupled one restricted to the
+monomials inside a (Jet.restrict).
+
 Verifiers never raise on a tolerance miss; misses land in the report.
 Singular-postselection instances are reported with a distinct status and
 skipped.
@@ -20,17 +27,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import MMap, log_star
-from .combinatorics import EMPTY, Multiset, multiset_lattice
+from .combinatorics import Multiset, multiset_lattice
 from .errors import DomainError, SingularPostselectionError
 from .jets import Jet, JetMatrix, jet_matrix_exp
 from .quantum import (
     PointerSpec,
-    chain_amplitude,
     embed,
     embed_two,
-    evolved_joint_state,
     kron,
-    partial_trace,
+    postselect_pointers,
     postselected_pointer_state,
     random_hermitian,
     random_pointer,
@@ -232,51 +237,8 @@ def xi_thermal_literal(pointers, a: Multiset) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# moment-map pipelines
-
-
-def _reduced_unitaries(unitaries, labels, dim):
-    """Compose the evolution between the surviving coupling slots."""
-    out = []
-    acc = np.eye(dim, dtype=complex)
-    n = len(unitaries) - 1
-    for j in range(1, n + 1):
-        acc = unitaries[j - 1] @ acc
-        if j in labels:
-            out.append(acc)
-            acc = np.eye(dim, dtype=complex)
-    out.append(unitaries[n] @ acc)
-    return out
-
-
-def per_subset_moment_mmap(config: ExperimentConfig) -> MMap:
-    """z(a) = x(a)/y(a): a separate pipeline per subset, with only the
-    pointers in `a` coupled (the thm1 scenario)."""
-    n = config.n_pointers
-    caps = (1,) * n
-    amp = chain_amplitude(config.psi_i, config.psi_f, config.unitaries)
-    if abs(amp) <= config.floor:
-        raise SingularPostselectionError(
-            f"postselection amplitude {abs(amp):.3e} at or below floor")
-    d_sys = config.system_dim
-    entries: dict[Multiset, object] = {EMPTY: Jet.scalar(1.0, n, caps)}
-    for a in multiset_lattice(n, caps):
-        if a.is_empty:
-            continue
-        labels = list(a.support)
-        sub_pointers = [config.pointers[j - 1] for j in labels]
-        sub_obs = [config.observables[j - 1] for j in labels]
-        sub_unitaries = _reduced_unitaries(config.unitaries, set(labels), d_sys)
-        couplings = {pos: lab for pos, lab in enumerate(labels, start=1)}
-        rho = evolved_joint_state(config.psi_i, sub_unitaries, sub_pointers,
-                                  sub_obs, couplings, caps)
-        dims = [d_sys] + [p.dim for p in sub_pointers]
-        pf = embed(np.outer(config.psi_f, config.psi_f.conj()), dims, 0)
-        pf_jet = JetMatrix.from_terms({(): pf}, pf.shape[0], n, caps)
-        readout = kron(np.eye(d_sys), *[p.r for p in sub_pointers])
-        projected = pf_jet @ rho
-        entries[a] = projected.trace_with(readout) / projected.trace()
-    return MMap(n, entries, caps)
+# moment-map pipelines: one state per coupling kind (sequential kicks,
+# finite window, thermal), every pointer coupled
 
 
 def _readout(pointers, labels, sys_dim: int = 1) -> np.ndarray:
@@ -291,49 +253,51 @@ def _pointer_space_moments(eta: JetMatrix, pointers, n: int, caps) -> MMap:
                     for a in multiset_lattice(n, caps)}, caps)
 
 
+def _per_subset(moments: MMap) -> MMap:
+    """Entry a at gamma_j = 0 for every j outside a: the moment of the
+    experiment that couples only the pointers in a.  Zeroing couplings is a
+    ring homomorphism, so it commutes with the products, traces and jet
+    division that built each entry."""
+    n, caps = moments.n, moments.caps
+    return MMap(n, {a: Jet.ensure(moments(a), n, caps).restrict(a)
+                    for a in moments.domain()}, caps)
+
+
 def all_coupled_moment_mmap(config: ExperimentConfig) -> MMap:
     """<prod_{j in a} r_j> under the single all-pointers-coupled state eta
     (the thm3 scenario)."""
     n = config.n_pointers
-    caps = (1,) * n
     eta = postselected_pointer_state(
         config.psi_i, config.psi_f, config.unitaries, config.pointers,
-        config.observables, caps=caps, floor=config.floor)
-    return _pointer_space_moments(eta, config.pointers, n, caps)
+        config.observables, floor=config.floor)
+    return _pointer_space_moments(eta, config.pointers, n, (1,) * n)
 
 
-def _sigma_state(config: ExperimentConfig, coupled=None) -> JetMatrix:
+def per_subset_moment_mmap(config: ExperimentConfig) -> MMap:
+    """z(a) with only the pointers in `a` coupled (the thm1 scenario), read
+    from the all-coupled moments by restriction."""
+    return _per_subset(all_coupled_moment_mmap(config))
+
+
+def _sigma_state(config: ExperimentConfig) -> JetMatrix:
     """Postselected pointer state for the finite-window coupling
     H = 1 (x) H_S + sum gamma_k (s_k / tau) (x) A_k over a window tau."""
     n = config.n_pointers
-    caps = tuple(1 if (coupled is None or j in coupled) else 0
-                 for j in range(1, n + 1))
+    caps = (1,) * n
     dims = [config.system_dim] + [p.dim for p in config.pointers]
     terms = {(): -1j * config.tau * embed(config.hamiltonian, dims, 0)}
     for j in range(1, n + 1):
-        if coupled is None or j in coupled:
-            terms[(j,)] = -1j * embed_two(
-                np.asarray(config.observables[j - 1]), 0,
-                np.asarray(config.pointers[j - 1].s), j, dims)
+        terms[(j,)] = -1j * embed_two(
+            np.asarray(config.observables[j - 1]), 0,
+            np.asarray(config.pointers[j - 1].s), j, dims)
     full_dim = int(np.prod(dims))
     evol = jet_matrix_exp(JetMatrix.from_terms(terms, full_dim, n, caps))
     psi0 = kron(config.psi_i, *[np.asarray(p.phi) for p in config.pointers])
     rho0 = JetMatrix.from_terms({(): np.outer(psi0, psi0.conj())},
                                 full_dim, n, caps)
     rho = evol @ rho0 @ evol.dagger()
-    pf = embed(np.outer(config.psi_f, config.psi_f.conj()), dims, 0)
-    pf_jet = JetMatrix.from_terms({(): pf}, full_dim, n, caps)
-    projected = pf_jet @ rho
-    blocks = np.stack([
-        partial_trace(b, dims, keep=list(range(1, n + 1)))
-        for b in projected.blocks
-    ])
-    sigma = JetMatrix(n, caps, blocks)
-    norm = sigma.trace()
-    if abs(norm.coefficient(EMPTY)) <= config.floor ** 2:
-        raise SingularPostselectionError(
-            "postselection probability at or below floor^2")
-    return sigma.scale_by_jet(norm.inverse())
+    return postselect_pointers(rho, config.psi_f, dims,
+                               min_probability=config.floor ** 2)
 
 
 def sigma_moment_mmap(config: ExperimentConfig) -> MMap:
@@ -542,7 +506,7 @@ def verify_theorem3(config: ExperimentConfig) -> VerificationReport:
     try:
         eta = postselected_pointer_state(
             config.psi_i, config.psi_f, config.unitaries, config.pointers,
-            config.observables, caps=caps, floor=config.floor)
+            config.observables, floor=config.floor)
     except SingularPostselectionError as exc:
         return _finish(config.scenario, config.seed, [], meta | {
             "reason": str(exc)}, t0, status="singular-postselection")
@@ -684,7 +648,8 @@ def verify_multiset(config: ExperimentConfig) -> VerificationReport:
         hamiltonian=np.zeros((d_sys, d_sys)), tau=config.tau or 1.0,
         seed=config.seed, tolerance=tol, floor=config.floor)
     try:
-        lm = log_star(sigma_moment_mmap(pair_cfg))
+        moments = sigma_moment_mmap(pair_cfg)
+        lm = log_star(moments)
         wv_ctx = WeakValueContext.sequential(
             config.psi_i, config.psi_f,
             [np.eye(d_sys)] * 2, [a_op], floor=config.floor)
@@ -700,7 +665,8 @@ def verify_multiset(config: ExperimentConfig) -> VerificationReport:
 
         # same display from per-subset coupling with the
         # difference-of-products xi (both readings of the printed identity)
-        per_lhs = _per_subset_simultaneous_pair_cumulant(pair_cfg)
+        per_lhs = Jet.ensure(log_star(_per_subset(moments))(pair), 2,
+                             (1, 1)).coefficient(pair)
         xi_ps = xi_difference_of_products(pair_cfg.pointers, pair)
         rhs_ps = complex((xi_ps * kappa2).real)
         records.append(_record(pair, per_lhs, rhs_ps, tol, xi=xi_ps,
@@ -743,24 +709,6 @@ def verify_multiset(config: ExperimentConfig) -> VerificationReport:
         records.append(rec)
 
     return _finish(config.scenario, config.seed, records, meta, t0)
-
-
-def _per_subset_simultaneous_pair_cumulant(pair_cfg: ExperimentConfig) -> complex:
-    """gamma1 gamma2 coefficient of <r1 r2> - <r1><r2> with each moment
-    taken from its own experiment (only that subset coupled)."""
-    n = 2
-    caps = (1, 1)
-    entries = {EMPTY: Jet.scalar(1.0, n, caps)}
-    for a in multiset_lattice(n, caps):
-        if a.is_empty:
-            continue
-        sigma = _sigma_state(pair_cfg, coupled=set(a.support))
-        sub = _pointer_space_moments(sigma, pair_cfg.pointers, n,
-                                     sigma.caps)
-        entries[a] = Jet(n, caps, dict(Jet.ensure(sub(a), n, sigma.caps).coeffs))
-    zmap = MMap(n, entries, caps)
-    pair = M([1, 2])
-    return Jet.ensure(log_star(zmap)(pair), n, caps).coefficient(pair)
 
 
 def verify_generating_function(config: ExperimentConfig) -> VerificationReport:

@@ -172,6 +172,21 @@ class Jet:
         """Mixed partial at gamma = 0: coefficient times prod(mult!)."""
         return self.coefficient(a) * _mult_factorial(a)
 
+    def restrict(self, a: Multiset) -> "Jet":
+        """This jet at gamma_j = 0 for every label j outside `a`: monomials
+        whose labels all lie in `a` are kept, every other one is zeroed.
+
+        Setting variables to zero is a ring homomorphism, so restriction
+        commutes with sums, products, inverse, exp and log (jet division
+        included).  On a multilinear jet it keeps exactly the monomials
+        contained in `a`.
+        """
+        keep = set(a.support)
+        lattice = _pair_table(self.caps).lattice
+        mask = np.fromiter((keep.issuperset(b.support) for b in lattice),
+                           dtype=bool, count=len(lattice))
+        return self._like(np.where(mask, self._vec, 0))
+
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: "Jet") -> None:

@@ -1,10 +1,10 @@
 """Dense finite-dimensional Hilbert-space machinery.
 
-States, observables, tensor products, the plain matrix exponential, seeded
-random instances, and the sequential weak-measurement pipeline that
-produces the postselected pointer state (possibly jet-valued in the
-coupling strengths).  The full space is ordered system first, then the
-pointers in label order.
+States, observables, tensor products, random states and operators, the
+sequential weak-measurement pipeline, and the postselection that turns a
+joint density into the pointer state (jet-valued in the coupling
+strengths).  The full space is ordered system first, then the pointers in
+label order.
 """
 
 from __future__ import annotations
@@ -123,25 +123,6 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-@dataclass(frozen=True)
-class RandomInstance:
-    states: list[np.ndarray]
-    hermitians: list[np.ndarray]
-    unitaries: list[np.ndarray]
-
-
-def random_instance(seed: int, dims) -> RandomInstance:
-    """One state, hermitian and unitary per requested dimension,
-    deterministically derived from the seed."""
-    rng = np.random.default_rng(seed)
-    dims = list(dims)
-    return RandomInstance(
-        states=[random_state(rng, d) for d in dims],
-        hermitians=[random_hermitian(rng, d) for d in dims],
-        unitaries=[random_unitary(rng, d) for d in dims],
-    )
-
-
 # ---------------------------------------------------------------------------
 # pointers and the sequential pipeline
 
@@ -211,76 +192,77 @@ def chain_amplitude(psi_i, psi_f, unitaries) -> complex:
     return complex(np.vdot(_as_array(psi_f), amp))
 
 
-def evolved_joint_state(psi_i, unitaries, pointers, observables, couplings,
-                        caps: tuple[int, ...]) -> JetMatrix:
+def evolved_joint_state(psi_i, unitaries, pointers, observables) -> JetMatrix:
     """Evolve |psi_i><psi_i| (x) prod |phi><phi| through the kick chain.
 
-    Step j applies unitaries[j-1] on the system and then, if j is a key of
-    `couplings`, the impulsive kick exp(-i gamma_v s_j (x) A_j) where v =
-    couplings[j] is the jet variable carrying that strength and A_j =
-    observables[j-1]; unitaries[n] closes the chain.  Returns the
-    full-space jet density (system tensor factor first).
+    Step j applies unitaries[j-1] on the system and then the impulsive kick
+    exp(-i gamma_j s_j (x) A_j), A_j = observables[j-1], with gamma_j as
+    jet variable j (multilinear caps); unitaries[n] closes the chain.
+    Returns the full-space jet density (system tensor factor first).
     """
     psi_i = _as_array(psi_i)
     n = len(pointers)
     if len(unitaries) != n + 1:
         raise ShapeMismatchError("need n+1 unitaries for n pointers")
-    nvars = len(caps)
+    caps = (1,) * n
     dims = [psi_i.shape[0]] + [p.dim for p in pointers]
 
     psi0 = kron(psi_i, *[np.asarray(p.phi, dtype=complex) for p in pointers])
     rho = JetMatrix.from_terms({(): np.outer(psi0, psi0.conj())},
-                               psi0.shape[0], nvars, caps)
+                               psi0.shape[0], n, caps)
     for j, pointer in enumerate(pointers, start=1):
         u_full = embed(unitaries[j - 1], dims, 0)
-        u_jet = JetMatrix.from_terms({(): u_full}, u_full.shape[0], nvars, caps)
+        u_jet = JetMatrix.from_terms({(): u_full}, u_full.shape[0], n, caps)
         rho = u_jet @ rho @ u_jet.dagger()
-        var = couplings.get(j)
-        if var is not None:
-            h_full = embed_two(np.asarray(observables[j - 1]), 0,
-                               np.asarray(pointer.s), j, dims)
-            kick = coupling_kick(h_full, var, nvars, caps)
-            rho = kick @ rho @ kick.dagger()
+        h_full = embed_two(np.asarray(observables[j - 1]), 0,
+                           np.asarray(pointer.s), j, dims)
+        kick = coupling_kick(h_full, j, n, caps)
+        rho = kick @ rho @ kick.dagger()
     u_last = embed(unitaries[n], dims, 0)
-    u_jet = JetMatrix.from_terms({(): u_last}, u_last.shape[0], nvars, caps)
+    u_jet = JetMatrix.from_terms({(): u_last}, u_last.shape[0], n, caps)
     return u_jet @ rho @ u_jet.dagger()
 
 
+def postselect_pointers(rho: JetMatrix, psi_f, dims,
+                        min_probability: float = 0.0) -> JetMatrix:
+    """Pointer state of the joint jet density `rho` (tensor factors `dims`,
+    system first) postselected on |psi_f>: project on |psi_f><psi_f| (x) 1,
+    trace out the system, normalise to unit trace.  Raises
+    SingularPostselectionError when the gamma = 0 postselection
+    probability is at or below `min_probability`."""
+    psi_f = _as_array(psi_f)
+    pf = embed(np.outer(psi_f, psi_f.conj()), dims, 0)
+    pf_jet = JetMatrix.from_terms({(): pf}, pf.shape[0], rho.n, rho.caps)
+    projected = pf_jet @ rho
+    eta_blocks = np.stack([
+        partial_trace(block, dims, keep=list(range(1, len(dims))))
+        for block in projected.blocks
+    ])
+    eta = JetMatrix(rho.n, rho.caps, eta_blocks)
+    norm = eta.trace()
+    if abs(norm.constant) <= min_probability:
+        raise SingularPostselectionError(
+            f"postselection probability {abs(norm.constant):.3e} at or "
+            f"below {min_probability:.3e}")
+    return eta.scale_by_jet(norm.inverse())
+
+
 def postselected_pointer_state(psi_i, psi_f, unitaries, pointers, observables,
-                               coupled=None, caps=None,
                                floor: float = DEFAULT_FLOOR) -> JetMatrix:
     """Pointer-space density operator after interaction and postselection.
 
     Pointer j couples through H_j = s_j (x) A_j (A_j = observables[j-1])
-    as an exact impulsive kick, with gamma_j as jet variable j; `coupled`
-    selects which pointers actually couple (default: all).  The result has
-    unit trace at gamma = 0.  Raises SingularPostselectionError when the
+    as an exact impulsive kick, with gamma_j as jet variable j; a pointer
+    left uncoupled is gamma_j = 0 (see Jet.restrict).  The result has unit
+    trace at gamma = 0.  Raises SingularPostselectionError when the
     amplitude <psi_f|U_{n+1}...U_1|psi_i> is at or below the floor.
     """
     psi_i = _as_array(psi_i)
-    psi_f = _as_array(psi_f)
-    n = len(pointers)
-    if coupled is None:
-        coupled = tuple(range(1, n + 1))
-    coupled = tuple(sorted(coupled))
-    if caps is None:
-        caps = tuple(1 if j in coupled else 0 for j in range(1, n + 1))
-
     amp = chain_amplitude(psi_i, psi_f, unitaries)
     if abs(amp) <= floor:
         raise SingularPostselectionError(
             f"postselection amplitude {abs(amp):.3e} at or below floor {floor:.3e}")
 
-    couplings = {j: j for j in coupled}
-    rho = evolved_joint_state(psi_i, unitaries, pointers, observables,
-                              couplings, caps)
+    rho = evolved_joint_state(psi_i, unitaries, pointers, observables)
     dims = [psi_i.shape[0]] + [p.dim for p in pointers]
-    pf = embed(np.outer(psi_f, psi_f.conj()), dims, 0)
-    pf_jet = JetMatrix.from_terms({(): pf}, pf.shape[0], len(caps), caps)
-    projected = pf_jet @ rho
-    eta_blocks = np.stack([
-        partial_trace(block, dims, keep=list(range(1, n + 1)))
-        for block in projected.blocks
-    ])
-    eta = JetMatrix(len(caps), caps, eta_blocks)
-    return eta.scale_by_jet(eta.trace().inverse())
+    return postselect_pointers(rho, psi_f, dims)

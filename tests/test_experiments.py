@@ -100,12 +100,22 @@ def test_theorem3_zero_covariance_pointer_kills_subsets():
 
 
 def test_per_subset_and_all_coupled_agree_on_full_set():
+    # independent route for every subset a: the all-coupled pipeline on a
+    # copy whose pointers outside a have s_j = 0, so their kicks are the
+    # identity and only the pointers in a couple
     cfg = random_config("sequential-per-subset", 17, n_pointers=3,
                         system_dim=2)
-    full = M([1, 2, 3])
     z = per_subset_moment_mmap(cfg)
-    m = all_coupled_moment_mmap(cfg)
-    assert value_allclose(z(full), m(full), 1e-12)
+    for a in multiset_lattice(3, (1, 1, 1)):
+        quiet = ExperimentConfig(
+            scenario=cfg.scenario, observables=cfg.observables,
+            psi_i=cfg.psi_i, psi_f=cfg.psi_f, unitaries=cfg.unitaries,
+            pointers=tuple(p if a.mult(j) else PointerSpec(
+                phi=p.phi, s=np.zeros((p.dim, p.dim)), r=p.r)
+                for j, p in enumerate(cfg.pointers, start=1)))
+        assert value_allclose(z(a), all_coupled_moment_mmap(quiet)(a), 1e-12)
+    full = M([1, 2, 3])
+    assert value_allclose(z(full), all_coupled_moment_mmap(cfg)(full), 1e-12)
 
 
 def test_uncoupled_moments_are_pointer_products():

@@ -284,6 +284,61 @@ def test_exp_log_and_inverse_roundtrips(caps, seed):
     assert (j * j.inverse()).allclose(one, 1e-12)
 
 
+def evaluate(jet, gammas):
+    """The jet as a polynomial, evaluated at the point gammas."""
+    return sum(c * math.prod(gammas[j - 1] ** m for j, m in a.items)
+               for a, c in jet.coeffs.items())
+
+
+def random_labels(rng, n):
+    return M([j for j in range(1, n + 1) if rng.uniform() < 0.5])
+
+
+@property_settings
+@given(caps=caps_strategy, seed=st.integers(0, 2**32 - 1))
+def test_restrict_is_evaluation_with_outside_gammas_zero(caps, seed):
+    rng = np.random.default_rng(seed)
+    n = len(caps)
+    x, a = sparse_jet(rng, caps), random_labels(rng, n)
+    gammas = rng.uniform(-1, 1, n)
+    zeroed = [g if j in a.support else 0.0 for j, g in enumerate(gammas, 1)]
+    got = x.restrict(a)
+    assert abs(evaluate(got, gammas) - evaluate(x, zeroed)) <= 1e-12
+    for b in multiset_lattice(n, caps):
+        inside = set(b.support) <= set(a.support)
+        assert got.coefficient(b) == (x.coefficient(b) if inside else 0)
+
+
+@property_settings
+@given(caps=caps_strategy, seed=st.integers(0, 2**32 - 1))
+def test_restrict_preserves_sums_products_inverse_and_log(caps, seed):
+    rng = np.random.default_rng(seed)
+    x, y = sparse_jet(rng, caps), sparse_jet(rng, caps)
+    u = sparse_jet(rng, caps, const=complex(rng.uniform(0.5, 2.0),
+                                            rng.uniform(-1, 1)))
+    a = random_labels(rng, len(caps))
+
+    def r(j):
+        return j.restrict(a)
+
+    assert r(x + y).allclose(r(x) + r(y), 0.0)
+    assert r(x * y).allclose(r(x) * r(y), 1e-13)
+    assert r(u.inverse()).allclose(r(u).inverse(), 1e-12)
+    assert r(u.log()).allclose(r(u).log(), 1e-12)
+    assert r(x / u).allclose(r(x) / r(u), 1e-12)
+
+
+@property_settings
+@given(caps=caps_strategy, seed=st.integers(0, 2**32 - 1))
+def test_restrict_is_idempotent_and_the_full_set_is_the_identity(caps, seed):
+    rng = np.random.default_rng(seed)
+    n = len(caps)
+    x, a = sparse_jet(rng, caps), random_labels(rng, n)
+    assert x.restrict(a).restrict(a).allclose(x.restrict(a), 0.0)
+    assert x.restrict(M(range(1, n + 1))).allclose(x, 0.0)
+    assert x.restrict(EMPTY).coeffs == ({EMPTY: x.constant} if x.constant else {})
+
+
 def test_coeffs_is_a_read_only_view_of_nonzero_monomials():
     j = Jet(2, (1, 1), {M([1]): 2.0, M([2]): 0.0})
     assert dict(j.coeffs) == {M([1]): 2.0}

@@ -7,6 +7,7 @@ from momalg.combinatorics import EMPTY, Multiset
 from momalg.errors import DomainError, SingularPostselectionError
 from momalg.jets import JetMatrix, jet_matrix_exp
 from momalg.quantum import (
+    PointerSpec,
     QOperator,
     QState,
     chain_amplitude,
@@ -16,7 +17,6 @@ from momalg.quantum import (
     partial_trace,
     postselected_pointer_state,
     random_hermitian,
-    random_instance,
     random_pointer,
     random_state,
     random_unitary,
@@ -84,16 +84,23 @@ def test_matrix_exp_of_hermitian_is_unitary():
 
 
 def test_random_instance_is_deterministic_and_flagged():
-    one = random_instance(42, [2, 3])
-    two = random_instance(42, [2, 3])
-    for x, y in zip(one.states + one.hermitians + one.unitaries,
-                    two.states + two.hermitians + two.unitaries):
+    def instance(seed, dims):
+        """One state, hermitian and unitary per dimension, in that order,
+        from one seeded generator."""
+        rng = np.random.default_rng(seed)
+        return ([random_state(rng, d) for d in dims],
+                [random_hermitian(rng, d) for d in dims],
+                [random_unitary(rng, d) for d in dims])
+
+    states, hermitians, unitaries = instance(42, [2, 3])
+    again = instance(42, [2, 3])
+    for x, y in zip(states + hermitians + unitaries, sum(again, [])):
         assert np.array_equal(x, y)
-    for h in one.hermitians:
+    for h in hermitians:
         QOperator(h, hermitian=True)
-    for u in one.unitaries:
+    for u in unitaries:
         QOperator(u, unitary=True)
-    for s in one.states:
+    for s in states:
         assert np.linalg.norm(s) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -120,13 +127,17 @@ def _trivial_context(rng, d_sys=2, n_pointers=2):
 
 
 def test_uncoupled_pointer_state_is_product_state():
+    # s_j = 0: every kick is the identity, so no block depends on gamma
     rng = np.random.default_rng(6)
     psi, unitaries, pointers, observables = _trivial_context(rng)
+    pointers = [PointerSpec(phi=p.phi, s=np.zeros((p.dim, p.dim)), r=p.r)
+                for p in pointers]
     eta = postselected_pointer_state(psi, psi, unitaries, pointers,
-                                     observables, coupled=())
-    expected = np.outer(kron(pointers[0].phi, pointers[1].phi),
-                        kron(pointers[0].phi, pointers[1].phi).conj())
-    assert np.max(np.abs(eta.constant - expected)) < 1e-12
+                                     observables)
+    product = kron(pointers[0].phi, pointers[1].phi)
+    expected = JetMatrix.from_terms({(): np.outer(product, product.conj())},
+                                    4, 2, (1, 1))
+    assert np.max(np.abs(eta.blocks - expected.blocks)) < 1e-12
 
 
 def test_eta_constant_part_is_valid_state():
