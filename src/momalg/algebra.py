@@ -1,167 +1,184 @@
 """M-maps on a multiset lattice and the star operations of the moment algebra.
 
-An M-map assigns a coefficient-ring value to every multiset over the
-ground set 1..n (per-label multiplicities bounded by `caps`; plain subsets
-are caps = 1).  The convolution product, the lifted functions (log*, exp*,
-the inverse, general F*), the power series and the raising operator are
-all partition or bipartition sums over :mod:`momalg.combinatorics`.
+An M-map assigns a complex or jet value to every multiset over 1..n with
+per-label multiplicities bounded by `caps` (plain subsets: caps = 1).  It
+is one dense complex array in the lattice order of `jets._pair_table`, in
+the exponential-generating-function normalisation (row a holds
+f(a) / prod(mult!)), so the binomial-weighted convolution is the plain
+truncated product.  Jet values add a trailing jet-lattice axis; a scalar
+map is the jet over caps = ().  A product is one gather over the M-map
+pairs times the jet pairs and one scatter by ``np.bincount``.  log*, exp*,
+the inverse and every F* are one Taylor series sum_k F^(k)(c)/k! N^k of
+the nilpotent part N = f - c, shared with the jet ring.
 
-The coefficient ring is duck-typed.  Complex numbers work out of the box;
-:class:`momalg.jets.Jet` values work because they implement the same
-arithmetic plus ``exp``/``log``/``inverse`` methods and expose their
-constant part.  One implementation therefore serves both plain numeric
-moments and coupling-strength expansions.
+The paper's partition-sum formulas stay as two reference functions,
+`partition_fstar` and `bipartition_convolve`, in plain arithmetic on any
+values (Fraction included).  They are independent oracles, used by tests
+and by the partition-sum sides of the thermal, multiset and
+generating-function verifiers only.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from functools import lru_cache
 from math import factorial
 from typing import Callable, Iterable
+
+import numpy as np
 
 from .combinatorics import (
     EMPTY,
     Multiset,
-    multiset_lattice,
     ordered_bipartitions_of,
     partitions_of,
 )
 from .errors import (
     CapExceededError,
     DomainError,
-    NonInvertibleError,
     NotBipartitionError,
     SeriesDivergenceError,
     ShapeMismatchError,
+)
+from .jets import (
+    Jet,
+    _PAIR_BYTES,
+    _PairTable,
+    _check_size,
+    _exp,
+    _inverse,
+    _log,
+    _pair_table,
+    _ring_product,
+    _series,
 )
 
 DEFAULT_TOL = 1e-10
 
 
-# ---------------------------------------------------------------------------
-# coefficient-ring helpers (complex scalars or jets, dispatched by duck type)
-
-def ring_exp(x):
-    return x.exp() if hasattr(x, "exp") else cmath.exp(x)
-
-
-def ring_log(x):
-    return x.log() if hasattr(x, "log") else cmath.log(x)
-
-
-def ring_inv(x):
-    return x.inverse() if hasattr(x, "inverse") else 1.0 / x
-
-
-def constant_part(x) -> complex:
-    """The scalar 'value at zero coupling' of a ring element."""
-    return complex(x.constant) if hasattr(x, "constant") else complex(x)
-
-
 def value_allclose(x, y, tol: float = DEFAULT_TOL) -> bool:
     """Entrywise absolute-error comparison, mixing scalars and jets freely."""
-    jx, jy = hasattr(x, "coeffs"), hasattr(y, "coeffs")
-    if jx or jy:
-        if jx and not jy:
-            return x.allclose(x.promote(y), tol)
-        if jy and not jx:
-            return y.allclose(y.promote(x), tol)
-        return x.allclose(y, tol)
+    if isinstance(x, Jet) or isinstance(y, Jet):
+        jet = x if isinstance(x, Jet) else y
+        return Jet.ensure(x, jet.n, jet.caps).allclose(
+            Jet.ensure(y, jet.n, jet.caps), tol)
     return abs(x - y) <= tol
 
 
-def _sum_terms(terms: list):
-    """Sum partition-sum terms; compensated (fsum) for plain scalars."""
-    if not terms:
-        return 0.0
-    if all(isinstance(t, (int, float, complex)) for t in terms):
-        return complex(
-            math.fsum(t.real for t in map(complex, terms)),
-            math.fsum(t.imag for t in map(complex, terms)),
-        )
-    acc = terms[0]
-    for t in terms[1:]:
-        acc = acc + t
-    return acc
+@lru_cache(maxsize=None)
+def _ring(caps: tuple[int, ...], jet_caps: tuple[int, ...]):
+    """Pair table of M-maps with jet values: every M-map pair times every
+    jet pair, on the row-major flattened (lattice, jet lattice) array."""
+    rows, cols = _pair_table(caps), _pair_table(jet_caps)
+    _check_size("M-map pairs", len(rows.ia) * len(cols.ia), _PAIR_BYTES)
+    width = len(cols.lattice)
 
+    def flat(r: np.ndarray, c: np.ndarray) -> np.ndarray:
+        return (r[:, None] * width + c[None, :]).ravel()
 
-# ---------------------------------------------------------------------------
+    return _PairTable(lattice=None, index=None, grade=None, weight=None,
+                      ia=flat(rows.ia, cols.ia), ib=flat(rows.ib, cols.ib),
+                      ic=flat(rows.ic, cols.ic))
 
 
 class MMap:
-    """Total mapping from the multiset lattice to coefficient-ring values.
+    """Total mapping from the multiset lattice to complex or jet values.
 
     Missing entries read as zero.  Instances are treated as immutable;
     every operation returns a new map.
     """
 
-    __slots__ = ("n", "caps", "_entries")
+    __slots__ = ("n", "caps", "jet_caps", "_data")
 
     def __init__(self, n: int, entries=None, caps: tuple[int, ...] | None = None):
         self.n = int(n)
         self.caps = tuple(caps) if caps is not None else (1,) * self.n
         if len(self.caps) != self.n:
             raise ShapeMismatchError("caps length must equal ground size")
-        self._entries = {}
-        if entries:
-            for a, v in dict(entries).items():
-                if not isinstance(a, Multiset):
-                    a = Multiset(a)
-                if not a.fits(self.caps):
-                    raise CapExceededError(f"multiset {a} exceeds caps {self.caps}")
-                self._entries[a] = v
+        entries = {a if isinstance(a, Multiset) else Multiset(a): v
+                   for a, v in dict(entries or {}).items()}
+        self.jet_caps = next((v.caps for v in entries.values()
+                              if isinstance(v, Jet)), ())
+        _check_size("M-map entries",
+                    math.prod(c + 1 for c in self.caps + self.jet_caps), 16)
+        self._data = np.zeros((len(_pair_table(self.caps).lattice),
+                               len(_pair_table(self.jet_caps).lattice)),
+                              dtype=complex)
+        for a, v in entries.items():
+            self._set(a, v)
+
+    def _set(self, a: Multiset, value) -> None:
+        if not a.fits(self.caps):
+            raise CapExceededError(f"multiset {a} exceeds caps {self.caps}")
+        table = _pair_table(self.caps)
+        i = table.index[a]
+        self._data[i] = 0.0
+        if isinstance(value, Jet):
+            if value.caps != self.jet_caps:
+                raise ShapeMismatchError(
+                    f"jet value of caps {value.caps} in a map of jet caps "
+                    f"{self.jet_caps}")
+            self._data[i] = value._vec / table.weight[i]
+        else:
+            self._data[i, 0] = complex(value) / table.weight[i]
+
+    def _like(self, data: np.ndarray) -> "MMap":
+        """A map of this shape over `data` (any shape of the same size)."""
+        out = MMap.__new__(MMap)
+        out.n, out.caps, out.jet_caps = self.n, self.caps, self.jet_caps
+        out._data = data.reshape(self._data.shape)
+        return out
+
+    def _lift(self, fn) -> "MMap":
+        """fn(pair table, flat data, total degree) as a map of this shape;
+        powers of the nilpotent part vanish beyond the total degree."""
+        return self._like(fn(_ring(self.caps, self.jet_caps), self._data.ravel(),
+                             sum(self.caps) + sum(self.jet_caps)))
 
     @classmethod
     def from_function(cls, n, fn: Callable[[Multiset], object], caps=None) -> "MMap":
-        caps = tuple(caps) if caps is not None else (1,) * n
-        return cls(n, {a: fn(a) for a in multiset_lattice(n, caps)}, caps)
+        out = cls(n, None, caps)
+        for a in out.domain():
+            out._set(a, fn(a))
+        return out
 
     def __call__(self, a: Multiset):
-        return self._entries.get(a, 0.0)
+        i = _pair_table(self.caps).index.get(a)
+        if i is None:
+            return 0.0
+        row = self._data[i] * _pair_table(self.caps).weight[i]
+        if not self.jet_caps:
+            return complex(row[0])
+        return Jet._dense(len(self.jet_caps), self.jet_caps, row)
 
     def domain(self) -> tuple[Multiset, ...]:
-        return multiset_lattice(self.n, self.caps)
-
-    def entries(self) -> dict:
-        return dict(self._entries)
+        return _pair_table(self.caps).lattice
 
     def replace(self, a: Multiset, value) -> "MMap":
-        new = dict(self._entries)
-        new[a] = value
-        return MMap(self.n, new, self.caps)
-
-    def map_values(self, fn) -> "MMap":
-        return MMap(self.n, {a: fn(v) for a, v in self._entries.items()}, self.caps)
+        new = self._like(self._data.copy())
+        new._set(a, value)
+        return new
 
     def allclose(self, other: "MMap", tol: float = DEFAULT_TOL) -> bool:
-        _check_shapes(self, other)
-        return all(value_allclose(self(a), other(a), tol) for a in self.domain())
+        return self.max_abs_diff(other) <= tol
 
     def max_abs_diff(self, other: "MMap") -> float:
         _check_shapes(self, other)
-        worst = 0.0
-        for a in self.domain():
-            x, y = self(a), other(a)
-            if hasattr(x, "coeffs") or hasattr(y, "coeffs"):
-                jx = x if hasattr(x, "coeffs") else y.promote(x)
-                jy = y if hasattr(y, "coeffs") else x.promote(y)
-                worst = max(worst, jx.max_abs_diff(jy))
-            else:
-                worst = max(worst, abs(x - y))
-        return worst
+        diff = (self._data - other._data) * _pair_table(self.caps).weight[:, None]
+        return float(np.max(np.abs(diff), initial=0.0))
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{a}: {v}" for a, v in sorted(
-            self._entries.items(), key=lambda kv: kv[0].sort_key))
+        body = ", ".join(f"{a}: {self(a)}" for a, row in
+                         zip(self.domain(), self._data) if row.any())
         return f"MMap(n={self.n}, caps={self.caps}, {{{body}}})"
 
 
 def _check_shapes(f: MMap, g: MMap) -> None:
-    if f.n != g.n or f.caps != g.caps:
+    if (f.n, f.caps, f.jet_caps) != (g.n, g.caps, g.jet_caps):
         raise ShapeMismatchError(
-            f"shape mismatch: (n={f.n}, caps={f.caps}) vs (n={g.n}, caps={g.caps})"
-        )
+            f"shape mismatch: (n={f.n}, caps={f.caps}, jet caps={f.jet_caps})"
+            f" vs (n={g.n}, caps={g.caps}, jet caps={g.jet_caps})")
 
 
 def identity_mmap(n: int, caps=None) -> MMap:
@@ -176,101 +193,45 @@ def scalar_mmap(alpha, n: int, caps=None) -> MMap:
 
 def convolve(f: MMap, g: MMap) -> MMap:
     """Convolution product (f*g)(a) = sum over ordered bipartitions of
-    weight * f(a1) * g(a2); at the empty multiset, f(0)g(0)."""
+    weight * f(a1) * g(a2): the truncated product of the normalised arrays."""
     _check_shapes(f, g)
-    out = {}
-    for a in f.domain():
-        terms = [bp.weight * f(bp.first) * g(bp.second)
-                 for bp in ordered_bipartitions_of(a)]
-        out[a] = _sum_terms(terms)
-    return MMap(f.n, out, f.caps)
-
-
-def _partition_sum(f: MMap, a: Multiset, prefactor) -> object:
-    """sum over partitions p of a of coeff(p) * prefactor(|p|) * prod f(c).
-
-    Partitions are consumed in descending block-count order to limit
-    cancellation; scalar sums are compensated.
-    """
-    parts = sorted(partitions_of(a), key=lambda pc: -pc[0].part_count)
-    terms = []
-    for part, coeff in parts:
-        t = coeff * prefactor(part.part_count)
-        for c in part.blocks:
-            t = t * f(c)
-        terms.append(t)
-    return _sum_terms(terms)
-
-
-def _inv_const_powers(f: MMap, top: int) -> list:
-    c = f(EMPTY)
-    if constant_part(c) == 0:
-        raise NonInvertibleError("f(empty) is not invertible")
-    inv = ring_inv(c)
-    powers = [1.0, inv]
-    for _ in range(top - 1):
-        powers.append(powers[-1] * inv)
-    return powers
+    return f._lift(lambda table, x, _: _ring_product(table, x, g._data.ravel()))
 
 
 def apply_fstar(derivs: Callable[[int, object], object], f: MMap) -> MMap:
-    """Lift a scalar function F to the algebra: (F*f)(a) is the partition
-    sum of F^(|p|)(f(empty)) times the block product.
+    """Lift a scalar function F to the algebra: F*(f) = sum_k F^(k)(c)/k! N^k
+    with c the scalar constant of f and N = f - c nilpotent.
 
-    `derivs(k, x)` must return the k-th derivative of F at x, for k from 0
-    up to the largest multiset size in the lattice.  Satisfies the
+    On scalar maps this is the partition sum of F^(|p|)(f(empty)) times the
+    block product.  `derivs(k, x)` must return the k-th derivative of F at
+    the scalar x for k from 0 up to the total degree (the largest multiset
+    size plus, for jet values, the largest jet degree).  Satisfies the
     composition law (FG)* = F* G*.
     """
-    c = f(EMPTY)
-    out = {EMPTY: derivs(0, c)}
-    for a in f.domain():
-        if a.is_empty:
-            continue
-        out[a] = _partition_sum(f, a, lambda k: derivs(k, c))
-    return MMap(f.n, out, f.caps)
+    c = complex(f._data[0, 0])
+
+    def series(table, vec: np.ndarray, top: int) -> np.ndarray:
+        nil = vec.copy()
+        nil[0] = 0.0
+        return _series(table, derivs(0, c),
+                       lambda k: derivs(k, c) / factorial(k), nil, top)
+
+    return f._lift(series)
 
 
 def log_star(f: MMap) -> MMap:
-    """The cumulant: signed partition sum with (|p|-1)! (-1)^(|p|-1) and
-    division by f(empty)^|p|; log f(empty) at the empty multiset."""
-    top = max(a.size for a in f.domain())
-    inv_pow = _inv_const_powers(f, top)
-    out = {EMPTY: ring_log(f(EMPTY))}
-    for a in f.domain():
-        if a.is_empty:
-            continue
-        out[a] = _partition_sum(
-            f, a,
-            lambda k: factorial(k - 1) * (-1) ** (k - 1) * inv_pow[k],
-        )
-    return MMap(f.n, out, f.caps)
+    """The cumulant, log* f = log c + sum_k (-1)^(k+1) (N/c)^k / k."""
+    return f._lift(_log)
 
 
 def exp_star(f: MMap) -> MMap:
-    """The anticumulant, inverse of log_star: e^f(empty) times the plain
-    partition sum of block products."""
-    scale = ring_exp(f(EMPTY))
-    out = {EMPTY: scale}
-    for a in f.domain():
-        if a.is_empty:
-            continue
-        out[a] = scale * _partition_sum(f, a, lambda k: 1.0)
-    return MMap(f.n, out, f.caps)
+    """The anticumulant, inverse of log_star: e^c sum_k N^k / k!."""
+    return f._lift(_exp)
 
 
 def inverse_star(f: MMap) -> MMap:
-    """Convolution inverse: partition sum with |p|! (-1)^|p| / f(empty)^(|p|+1)."""
-    top = max(a.size for a in f.domain())
-    inv_pow = _inv_const_powers(f, top + 1)
-    out = {EMPTY: inv_pow[1]}
-    for a in f.domain():
-        if a.is_empty:
-            continue
-        out[a] = _partition_sum(
-            f, a,
-            lambda k: factorial(k) * (-1) ** k * inv_pow[k + 1],
-        )
-    return MMap(f.n, out, f.caps)
+    """Convolution inverse (1/c) sum_k (-N/c)^k."""
+    return f._lift(_inverse)
 
 
 def log1p_series(f: MMap, depth: int, with_deltas: bool = False):
@@ -283,47 +244,39 @@ def log1p_series(f: MMap, depth: int, with_deltas: bool = False):
     """
     if depth < 1:
         raise DomainError("depth must be >= 1")
-    if abs(constant_part(f(EMPTY))) >= 1.0:
+    if abs(f._data[0, 0]) >= 1.0:
         raise SeriesDivergenceError(
-            "series requires |f(empty)| < 1, got "
-            f"{abs(constant_part(f(EMPTY))):.6g}"
-        )
-    acc = {a: f(a) for a in f.domain()}
-    last = dict(acc)
-    power = f
+            f"series requires |f(empty)| < 1, got {abs(f._data[0, 0]):.6g}")
+    ring, x = _ring(f.caps, f.jet_caps), f._data.ravel()
+    acc = power = last = x
     for k in range(2, depth + 1):
-        power = convolve(power, f)
-        sign = (-1) ** (k + 1)
-        last = {a: power(a) * (sign / k) for a in f.domain()}
-        acc = {a: acc[a] + last[a] for a in f.domain()}
-    result = MMap(f.n, acc, f.caps)
+        power = _ring_product(ring, power, x)
+        last = power * ((-1) ** (k + 1) / k)
+        acc = acc + last
+    result = f._like(acc)
     if not with_deltas:
         return result
-    deltas = {a: _value_magnitude(v) for a, v in last.items()}
-    return result, deltas
-
-
-def _value_magnitude(v) -> float:
-    if hasattr(v, "coeffs"):
-        return max((abs(c) for c in v.coeffs.values()), default=0.0)
-    return abs(v)
+    size = np.abs(last.reshape(f._data.shape)
+                  * _pair_table(f.caps).weight[:, None]).max(axis=1)
+    return result, dict(zip(f.domain(), size.tolist()))
 
 
 def raise_label(f: MMap, i: int) -> MMap:
     """Raising operator: (d_i* f)(a) = f(a + {i}).
 
-    Entries at the cap boundary (multiplicity of i already at its cap)
-    would need values beyond the stored lattice; they read as zero, so the
-    raised map is faithful only below the boundary.
+    On the normalised array that is a shift along label i times the new
+    multiplicity.  Entries at the cap boundary (multiplicity of i already
+    at its cap) would need values beyond the stored lattice; they read as
+    zero, so the raised map is faithful only below the boundary.
     """
     if not (1 <= i <= f.n):
         raise CapExceededError(f"label {i} outside ground set 1..{f.n}")
-    out = {}
-    for a in f.domain():
-        lifted = a.add(i)
-        if lifted.fits(f.caps):
-            out[a] = f(lifted)
-    return MMap(f.n, out, f.caps)
+    index = _pair_table(f.caps).index
+    out = np.zeros_like(f._data)
+    for p, a in enumerate(f.domain()):
+        if a.mult(i) < f.caps[i - 1]:
+            out[p] = f._data[index[a.add(i)]] * (a.mult(i) + 1)
+    return f._like(out)
 
 
 def is_factorizing(f: MMap, part_a: Iterable[int], part_b: Iterable[int],
@@ -340,3 +293,40 @@ def is_factorizing(f: MMap, part_a: Iterable[int], part_b: Iterable[int],
         if not value_allclose(f(c), prod, tol):
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# reference partition sums: independent oracles for the ring above
+
+
+def log_derivative(k: int, x):
+    """k-th derivative of log at x: log x, then (-1)^(k-1) (k-1)! / x^k."""
+    if k == 0:
+        return cmath.log(x)
+    return (-1) ** (k - 1) * factorial(k - 1) / x ** k
+
+
+def partition_fstar(derivs: Callable[[int, object], object], f: Callable,
+                    at: Iterable[Multiset]) -> dict:
+    """Reference F*: (F*f)(a) = sum over partitions p of a of coeff(p)
+    F^(|p|)(f(empty)) prod_{b in p} f(b), for each multiset in `at`.
+
+    `f` is any callable on multisets (an MMap, or a dict's ``get``); values
+    may be complex, Fraction or jets, with `derivs` evaluated at f(empty).
+    With `log_derivative` this is the cumulant.
+    """
+    f = lru_cache(maxsize=None)(f)     # each block value is read once
+    c = f(EMPTY)
+    return {a: derivs(0, c) if a.is_empty else
+            sum(coeff * derivs(part.part_count, c) * math.prod(map(f, part.blocks))
+                for part, coeff in partitions_of(a))
+            for a in at}
+
+
+def bipartition_convolve(f: Callable, g: Callable,
+                         at: Iterable[Multiset]) -> dict:
+    """Reference convolution: (f*g)(a) = sum over ordered bipartitions
+    (a1, a2) of a of the binomial weight times f(a1) g(a2)."""
+    return {a: sum(bp.weight * f(bp.first) * g(bp.second)
+                   for bp in ordered_bipartitions_of(a))
+            for a in at}

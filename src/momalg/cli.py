@@ -149,20 +149,13 @@ def _emit(payload: dict, output: str | None) -> None:
 def cmd_algebra(args) -> int:
     op = args.op
     f = _load_mmap(args.inputs[0])
-    if op == "convolve":
-        if len(args.inputs) != 2:
-            raise InputFormatError("convolve needs exactly two inputs")
-        g = _load_mmap(args.inputs[1])
-        _emit(mmap_to_dict(convolve(f, g)), args.output)
-        return 0
-    if op == "log":
-        _emit(mmap_to_dict(log_star(f)), args.output)
-        return 0
-    if op == "exp":
-        _emit(mmap_to_dict(exp_star(f)), args.output)
-        return 0
-    if op == "inverse":
-        _emit(mmap_to_dict(inverse_star(f)), args.output)
+    if op == "convolve" and len(args.inputs) != 2:
+        raise InputFormatError("convolve needs exactly two inputs")
+    maps = {"log": log_star, "exp": exp_star, "inverse": inverse_star,
+            "raise": lambda g: raise_label(g, args.label),
+            "convolve": lambda g: convolve(g, _load_mmap(args.inputs[1]))}
+    if op in maps:
+        _emit(mmap_to_dict(maps[op](f)), args.output)
         return 0
     if op == "series":
         result, deltas = log1p_series(f, args.depth, with_deltas=True)
@@ -170,9 +163,6 @@ def cmd_algebra(args) -> int:
         payload["truncation_delta"] = [
             {"m": list(a.elements()), "abs": d} for a, d in deltas.items()]
         _emit(payload, args.output)
-        return 0
-    if op == "raise":
-        _emit(mmap_to_dict(raise_label(f, args.label)), args.output)
         return 0
     # factorizing-check
     if not args.cut:

@@ -1,15 +1,16 @@
 """Multisets over a finite ground set and the partition-style enumerations.
 
-Everything downstream (convolution, cumulants, inverses) is a sum over one
-of three index families enumerated here: multiset partitions with integer
-coefficients, ordered bipartitions with binomial weights, and plain
-sub-multisets.  Ground-set labels are positive integers 1..n; a plain
-subset is the multiplicity-1 special case.
+`multiset_lattice` is the common domain of M-maps and jets; the dense
+lattice ring (`momalg.jets`, `momalg.algebra`) indexes it and needs nothing
+else from here.  Multiset partitions with integer coefficients and ordered
+bipartitions with binomial weights serve the reference partition sums that
+check that ring (`algebra.partition_fstar`, `algebra.bipartition_convolve`).
+Ground-set labels are positive integers 1..n; a plain subset is the
+multiplicity-1 special case.
 
 All enumerations are deterministic: identical inputs yield identical
 orderings (canonical order sorts by total size, then by the expanded
-element tuple).  Results are cached per multiset, so repeated partition
-sums over the same lattice do not re-enumerate.
+element tuple), and results are cached per multiset.
 """
 
 from __future__ import annotations

@@ -1,11 +1,14 @@
 """End-to-end verification of the weak-measurement cumulant identities.
 
 Each verifier builds one scenario, computes the pointer-moment M-map with
-jet-valued entries, takes its cumulant by the partition-sum formula (jet
-division included), extracts the lowest-joint-order coefficient, and
-compares it with the identity's right-hand side.  No small-coupling limit
-is ever taken numerically: the theorems are statements about a single
-Taylor coefficient and jets produce that coefficient exactly.
+jet-valued entries, takes its cumulant by the ring log* (jet division
+included), extracts the lowest-joint-order coefficient, and compares it
+with the identity's right-hand side.  Where a right-hand side is itself a
+cumulant map (thermal E, the multiset copies, the generating function), it
+is taken by the reference partition sum, so the two sides share no ring
+code.  No small-coupling limit is ever taken numerically: the theorems are
+statements about a single Taylor coefficient and jets produce that
+coefficient exactly.
 
 There is one state pipeline per coupling kind (sequential kicks, finite
 window, thermal), and it always couples every pointer.  Per-subset
@@ -26,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import MMap, log_star
+from .algebra import MMap, log_derivative, log_star, partition_fstar
 from .combinatorics import Multiset, multiset_lattice
 from .errors import DomainError, SingularPostselectionError
 from .jets import Jet, JetMatrix, jet_matrix_exp
@@ -258,9 +261,8 @@ def _per_subset(moments: MMap) -> MMap:
     experiment that couples only the pointers in a.  Zeroing couplings is a
     ring homomorphism, so it commutes with the products, traces and jet
     division that built each entry."""
-    n, caps = moments.n, moments.caps
-    return MMap(n, {a: Jet.ensure(moments(a), n, caps).restrict(a)
-                    for a in moments.domain()}, caps)
+    return MMap(moments.n, {a: moments(a).restrict(a)
+                            for a in moments.domain()}, moments.caps)
 
 
 def all_coupled_moment_mmap(config: ExperimentConfig) -> MMap:
@@ -357,6 +359,14 @@ class SubsetRecord:
     label: str = ""
     extras: dict = field(default_factory=dict)
 
+    def core_fields(self) -> dict:
+        """The fields every report format carries, in report-JSON order."""
+        return {"subset": self.subset, "label": self.label,
+                "lhs_re": self.lhs.real, "lhs_im": self.lhs.imag,
+                "rhs_re": self.rhs.real, "rhs_im": self.rhs.imag,
+                "abs_error": self.abs_error, "rel_error": self.rel_error,
+                "passed": self.passed}
+
 
 @dataclass
 class VerificationReport:
@@ -372,15 +382,7 @@ class VerificationReport:
     def to_json_dict(self) -> dict:
         recs = []
         for r in self.records:
-            item = {
-                "subset": r.subset,
-                "label": r.label,
-                "lhs_re": r.lhs.real, "lhs_im": r.lhs.imag,
-                "rhs_re": r.rhs.real, "rhs_im": r.rhs.imag,
-                "abs_error": r.abs_error,
-                "rel_error": r.rel_error,
-                "passed": r.passed,
-            }
+            item = r.core_fields()
             if r.xi is not None:
                 item["xi_re"], item["xi_im"] = r.xi.real, r.xi.imag
             if r.rhs_alt is not None:
@@ -404,17 +406,9 @@ class VerificationReport:
 
     def csv_rows(self):
         for r in self.records:
-            yield {
-                "scenario": self.scenario,
-                "seed": "" if self.seed is None else self.seed,
-                "label": r.label,
-                "subset": r.subset,
-                "lhs_re": r.lhs.real, "lhs_im": r.lhs.imag,
-                "rhs_re": r.rhs.real, "rhs_im": r.rhs.imag,
-                "abs_error": r.abs_error,
-                "rel_error": r.rel_error,
-                "passed": r.passed,
-            }
+            yield {"scenario": self.scenario,
+                   "seed": "" if self.seed is None else self.seed,
+                   **r.core_fields()}
 
 
 def _jsonable(v):
@@ -451,14 +445,11 @@ def _finish(scenario, seed, records, metadata, t0,
         runtime_s=time.perf_counter() - t0, status=status)
 
 
-def _nonempty_subsets(n):
-    return [a for a in multiset_lattice(n, (1,) * n) if not a.is_empty]
-
-
 def _targets(config: ExperimentConfig):
     if config.targets:
         return [t if isinstance(t, Multiset) else M(t) for t in config.targets]
-    return _nonempty_subsets(config.n_pointers)
+    n = config.n_pointers
+    return [a for a in multiset_lattice(n, (1,) * n) if not a.is_empty]
 
 
 # ---------------------------------------------------------------------------
@@ -480,10 +471,9 @@ def verify_theorem1(config: ExperimentConfig) -> VerificationReport:
                                       config.unitaries, config.observables,
                                       floor=config.floor)
     law = log_star(sequential_weak_value_mmap(ctx))
-    n = config.n_pointers
     records = []
     for a in _targets(config):
-        lhs = Jet.ensure(lz(a), n, (1,) * n).coefficient(a)
+        lhs = lz(a).coefficient(a)
         xi = xi_difference_of_products(config.pointers, a)
         rhs = complex((xi * law(a)).real)
         records.append(_record(a, lhs, rhs, config.tolerance, xi=xi))
@@ -525,10 +515,10 @@ def verify_theorem3(config: ExperimentConfig) -> VerificationReport:
     records = []
     worst_sub = 0.0
     for a in _targets(config):
-        lhs = Jet.ensure(lm(a), n, caps).coefficient(a)
+        lhs = lm(a).coefficient(a)
         xi = xi_product_of_differences(config.pointers, a)
         rhs = complex((xi * law(a)).real)
-        cum_centered = Jet.ensure(lc(a), n, caps)
+        cum_centered = lc(a)
         sub = max((abs(cum_centered.coefficient(b))
                    for b in multiset_lattice(n, caps)
                    if any(a.mult(j) > b.mult(j) for j in a.support)),
@@ -558,12 +548,11 @@ def verify_theorem4(config: ExperimentConfig) -> VerificationReport:
             "reason": str(exc)}, t0, status="singular-postselection")
     lm = log_star(moments)
     ld = log_star(dmap)
-    n = config.n_pointers
     zero_h = bool(np.max(np.abs(config.hamiltonian)) == 0)
     meta["theorem2_regime"] = zero_h
     records = []
     for a in _targets(config):
-        lhs = Jet.ensure(lm(a), n, (1,) * n).coefficient(a)
+        lhs = lm(a).coefficient(a)
         xi = xi_product_of_differences(config.pointers, a)
         rhs = complex((xi * ld(a)).real)
         rec = _record(a, lhs, rhs, config.tolerance, xi=xi)
@@ -597,17 +586,18 @@ def verify_thermal(config: ExperimentConfig) -> VerificationReport:
                                    config.observables)
     n = config.n_pointers
     caps = (1,) * n
-    # one partition jet feeds both routes: log* of its derivative map
-    # (partition sums) and the jet logarithm (free energy)
+    # one partition jet feeds both routes: the reference partition sum of
+    # its derivative map and the jet logarithm (free energy)
     z = thermal_partition_jet(ctx, caps)
-    le = log_star(thermal_E_mmap(z))
+    targets = _targets(config)
+    le = partition_fstar(log_derivative, thermal_E_mmap(z), targets)
     f_jet = free_energy_jet(z, ctx.beta)
     records = []
     mutual_worst = 0.0
-    for a in _targets(config):
-        lhs = Jet.ensure(lm(a), n, caps).coefficient(a)
+    for a in targets:
+        lhs = lm(a).coefficient(a)
         xi = xi_thermal(config.pointers, a)
-        rhs_e = complex(xi * le(a))                      # no real part taken
+        rhs_e = complex(xi * le[a])                      # no real part taken
         susc = f_jet.derivative(a)
         rhs_f = complex(-config.beta * xi * susc)
         mutual = abs(rhs_e - rhs_f)
@@ -618,9 +608,9 @@ def verify_thermal(config: ExperimentConfig) -> VerificationReport:
             and mutual <= config.mutual_tolerance
         xi_lit = xi_thermal_literal(config.pointers, a)
         rec.extras["xi_literal"] = xi_lit
-        rec.extras["rhs_with_literal_xi"] = complex(xi_lit * le(a))
+        rec.extras["rhs_with_literal_xi"] = complex(xi_lit * le[a])
         if abs(lhs) > 0:
-            rec.extras["literal_over_lhs_ratio"] = complex(xi_lit * le(a)) / lhs
+            rec.extras["literal_over_lhs_ratio"] = complex(xi_lit * le[a]) / lhs
         rec.extras["mutual_error"] = mutual
         records.append(rec)
     meta["max_mutual_error"] = mutual_worst
@@ -656,7 +646,7 @@ def verify_multiset(config: ExperimentConfig) -> VerificationReport:
         kappa2 = simultaneous_weak_value(wv_ctx, M([1, 1])) - \
             simultaneous_weak_value(wv_ctx, M([1])) ** 2
         pair = M([1, 2])
-        lhs = Jet.ensure(lm(pair), 2, (1, 1)).coefficient(pair)
+        lhs = lm(pair).coefficient(pair)
         xi = xi_product_of_differences(pair_cfg.pointers, pair)
         rhs = complex((xi * kappa2).real)
         rec = _record(pair, lhs, rhs, tol, xi=xi, label="pair-variance")
@@ -665,8 +655,7 @@ def verify_multiset(config: ExperimentConfig) -> VerificationReport:
 
         # same display from per-subset coupling with the
         # difference-of-products xi (both readings of the printed identity)
-        per_lhs = Jet.ensure(log_star(_per_subset(moments))(pair), 2,
-                             (1, 1)).coefficient(pair)
+        per_lhs = log_star(_per_subset(moments))(pair).coefficient(pair)
         xi_ps = xi_difference_of_products(pair_cfg.pointers, pair)
         rhs_ps = complex((xi_ps * kappa2).real)
         records.append(_record(pair, per_lhs, rhs_ps, tol, xi=xi_ps,
@@ -690,7 +679,7 @@ def verify_multiset(config: ExperimentConfig) -> VerificationReport:
         lm_t = log_star(thermal_moment_mmap(thermal_cfg))
         n_exp = len(expanded_obs)
         full = M(range(1, n_exp + 1))
-        lhs_t = Jet.ensure(lm_t(full), n_exp, (1,) * n_exp).coefficient(full)
+        lhs_t = lm_t(full).coefficient(full)
         xi_t = xi_thermal(thermal_cfg.pointers, full)
         collapsed = M([j for j, m in enumerate(copies, start=1)
                        for _ in range(m)])
@@ -701,8 +690,9 @@ def verify_multiset(config: ExperimentConfig) -> VerificationReport:
         rhs_t = complex(-config.beta * xi_t * susc)
         rec = _record(full, lhs_t, rhs_t, tol, xi=xi_t,
                       label="thermal-susceptibility")
-        le_multi = log_star(thermal_E_mmap(z))
-        rec.rhs_alt = complex(xi_t * le_multi(collapsed))
+        le_multi = partition_fstar(log_derivative, thermal_E_mmap(z),
+                                   [collapsed])
+        rec.rhs_alt = complex(xi_t * le_multi[collapsed])
         rec.alt_error = abs(lhs_t - rec.rhs_alt)
         rec.passed = rec.passed and rec.alt_error <= tol
         rec.extras["collapsed_multiset"] = str(collapsed)
@@ -736,9 +726,6 @@ def verify_generating_function(config: ExperimentConfig) -> VerificationReport:
                 prod = prod * grid[j - 1] ** a.mult(j)
         return float(np.sum(probs * prod))
 
-    f = MMap.from_function(n, moment, caps=caps)
-    lf = log_star(f)
-
     # independent route: jet-log of the moment generating function
     h = Jet(n, caps)
     for idx in range(probs.shape[0]):
@@ -749,9 +736,10 @@ def verify_generating_function(config: ExperimentConfig) -> VerificationReport:
     targets = [t if isinstance(t, Multiset) else M(t) for t in config.targets] \
         if config.targets else \
         [a for a in multiset_lattice(n, caps) if not a.is_empty and a.size <= 4]
+    lf = partition_fstar(log_derivative, moment, targets)
     records = []
     for a in targets:
-        lhs = complex(lf(a))
+        lhs = complex(lf[a])
         rhs = lh.derivative(a)
         records.append(_record(a, lhs, rhs, config.tolerance))
 

@@ -10,7 +10,8 @@ like moment-algebra convolution of their coefficient maps.
 Storage is dense: one complex vector over the multiset lattice of the caps,
 in the canonical lattice order (the empty monomial, i.e. the constant part,
 first).  Every (a, b) pair of lattice monomials whose sum stays within the
-caps is enumerated once per caps into index arrays (ia, ib, ic); a product
+caps is listed once per caps, by mixed-radix index arithmetic, in index
+arrays (ia, ib, ic), which M-maps (`momalg.algebra`) share; a product
 is then the gather x[ia] * y[ib] scattered onto ic by a bincount, and sums,
 scalings, exp, log and inverse are vector operations.  `Jet.coeffs` is a
 read-only view of the nonzero monomial coefficients.
@@ -43,16 +44,19 @@ from .errors import CapExceededError, DomainError, NonInvertibleError
 
 _THETA = 0.5               # ring-norm bound of the scaled exponential argument
 _UNIT_ROUNDOFF = 2.0 ** -53
+MAX_DENSE_BYTES = 2 ** 28  # largest dense lattice array or pair table built
+_PAIR_BYTES = 72           # per pair: 3 index arrays, 3 complex temporaries
 
 
 class _PairTable(NamedTuple):
-    """A caps lattice, its index, the total degree |a| of each monomial,
-    and every pair (ia, ib) -> ic whose multiset sum
+    """A caps lattice, its index, the total degree |a| and prod(mult!) of
+    each monomial, and every pair (ia, ib) -> ic whose multiset sum
     lattice[ia] + lattice[ib] = lattice[ic] stays within caps."""
 
     lattice: tuple[Multiset, ...]
     index: dict[Multiset, int]
     grade: np.ndarray
+    weight: np.ndarray
     ia: np.ndarray
     ib: np.ndarray
     ic: np.ndarray
@@ -60,36 +64,101 @@ class _PairTable(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _pair_table(caps: tuple[int, ...]) -> _PairTable:
+    """Built by mixed-radix index arithmetic: a monomial's radix code is
+    sum_j mult_j * stride_j, a sum of monomials within caps adds codes
+    without carries, so the pairs are the per-label digit pairs (d, e) with
+    d + e <= cap, combined label by label.  Pairs are sorted by (ia, ib)."""
+    _check_size("lattice pairs",
+                math.prod((c + 1) * (c + 2) // 2 for c in caps), _PAIR_BYTES)
     lattice = multiset_lattice(len(caps), caps)
     index = {a: i for i, a in enumerate(lattice)}
-    triples = []
-    for a in lattice:
-        for b in lattice:
-            s = a + b
-            if s.fits(caps):
-                triples.append((index[a], index[b], index[s]))
-    ia, ib, ic = np.array(triples, dtype=np.intp).reshape(-1, 3).T.copy()
+    strides = [math.prod(c + 1 for c in caps[:j]) for j in range(len(caps))]
+    codes = [sum(m * strides[lab - 1] for lab, m in a.items) for a in lattice]
+    position = np.empty(len(lattice), dtype=np.intp)
+    position[codes] = np.arange(len(lattice))
+    ra = rb = np.zeros(1, dtype=np.intp)
+    for cap, stride in zip(caps, strides):
+        d, e = np.array([(d, e) for d in range(cap + 1)
+                         for e in range(cap + 1 - d)],
+                        dtype=np.intp).reshape(-1, 2).T
+        ra = (ra[:, None] + d * stride).ravel()
+        rb = (rb[:, None] + e * stride).ravel()
+    ia, ib, ic = position[ra], position[rb], position[ra + rb]
+    order = np.lexsort((ib, ia))
+    ia, ib, ic = ia[order], ib[order], ic[order]
     grade = np.array([a.size for a in lattice], dtype=np.intp)
-    for arr in (grade, ia, ib, ic):
+    weight = np.array([_mult_factorial(a) for a in lattice], dtype=float)
+    for arr in (grade, weight, ia, ib, ic):
         arr.setflags(write=False)   # shared by every caller through the cache
-    return _PairTable(lattice, index, grade, ia, ib, ic)
+    return _PairTable(lattice, index, grade, weight, ia, ib, ic)
 
 
-def _ring_product(table: _PairTable, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Truncated product of two lattice-ordered coefficient vectors."""
+def _check_size(what: str, count: int, nbytes_each: int) -> None:
+    """Refuse, before allocating, `count` items of `nbytes_each` bytes."""
+    if count * nbytes_each > MAX_DENSE_BYTES:
+        raise DomainError(
+            f"{count} {what} need about {count * nbytes_each / 2 ** 20:.4g} "
+            f"MiB, above the {MAX_DENSE_BYTES / 2 ** 20:.0f} MiB size limit")
+
+
+def _ring_product(table, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Truncated product of two coefficient vectors ordered like the
+    (ia, ib, ic) pair arrays of `table`."""
     prod = x[table.ia] * y[table.ib]
-    size = len(table.lattice)
+    size = len(x)
     out = np.empty(size, dtype=complex)
     out.real = np.bincount(table.ic, prod.real, size)
     out.imag = np.bincount(table.ic, prod.imag, size)
     return out
 
 
+def _series(table, start, coeff, u: np.ndarray, top: int) -> np.ndarray:
+    """start + sum_{k>=1} coeff(k) u^k for nilpotent u; the sum stops at the
+    first power that vanishes, at the latest at total degree `top`."""
+    acc = _unit(len(u), start)
+    term = u
+    for k in range(1, top + 1):
+        if k > 1:
+            term = _ring_product(table, term, u)
+        if not term.any():
+            break
+        acc = acc + term * coeff(k)
+    return acc
+
+
+def _exp(table, vec: np.ndarray, top: int) -> np.ndarray:
+    """exp(c + N) = e^c sum_k N^k / k!, the sum finite by nilpotency."""
+    nil = vec.copy()
+    nil[0] = 0.0
+    return _series(table, 1.0, lambda k: 1.0 / math.factorial(k), nil, top) \
+        * cmath.exp(vec[0])
+
+
+def _log(table, vec: np.ndarray, top: int) -> np.ndarray:
+    """log(c + N) = log c + sum_k (-1)^(k+1) (N/c)^k / k."""
+    c = _invertible(vec)
+    u = vec * (1.0 / c)
+    u[0] -= 1.0
+    return _series(table, cmath.log(c), lambda k: (-1.0) ** (k + 1) / k, u, top)
+
+
+def _inverse(table, vec: np.ndarray, top: int) -> np.ndarray:
+    """1/(c + N) = (1/c) sum_k (-N/c)^k."""
+    c = _invertible(vec)
+    u = vec * (-1.0 / c)
+    u[0] += 1.0
+    return _series(table, 1.0, lambda k: 1.0, u, top) * (1.0 / c)
+
+
+def _invertible(vec: np.ndarray) -> complex:
+    """The constant part, which must be nonzero for log and inverse."""
+    if vec[0] == 0:
+        raise NonInvertibleError("zero constant part: not invertible")
+    return complex(vec[0])
+
+
 def _mult_factorial(a: Multiset) -> int:
-    out = 1
-    for _, m in a.items:
-        out *= math.factorial(m)
-    return out
+    return math.prod(math.factorial(m) for _, m in a.items)
 
 
 def _unit(size: int, value=1.0) -> np.ndarray:
@@ -145,9 +214,6 @@ class Jet:
         if isinstance(value, Jet):
             return value
         return cls.scalar(value, n, caps)
-
-    def promote(self, scalar) -> "Jet":
-        return Jet.scalar(scalar, self.n, self.caps)
 
     # -- reads -------------------------------------------------------------
 
@@ -244,42 +310,17 @@ class Jet:
 
     # -- transcendental ----------------------------------------------------
 
-    def _series(self, start, coeff, u: np.ndarray) -> "Jet":
-        """start + sum_{k>=1} coeff(k) u^k for nilpotent u; the sum stops at
-        the first power that vanishes, at the latest at total degree
-        sum(caps)."""
-        table = _pair_table(self.caps)
-        acc = _unit(len(u), start)
-        term = _unit(len(u))
-        for k in range(1, sum(self.caps) + 1):
-            term = _ring_product(table, term, u)
-            if not term.any():
-                break
-            acc = acc + term * coeff(k)
-        return self._like(acc)
+    def _lift(self, fn) -> "Jet":
+        return self._like(fn(_pair_table(self.caps), self._vec, sum(self.caps)))
 
     def exp(self) -> "Jet":
-        """exp(c + N) = e^c sum_k N^k / k!, the sum finite by nilpotency."""
-        nil = self._vec.copy()
-        nil[0] = 0.0
-        return self._series(1.0, lambda k: 1.0 / math.factorial(k), nil) \
-            * cmath.exp(self.constant)
+        return self._lift(_exp)
 
     def log(self) -> "Jet":
-        c = self.constant
-        if c == 0:
-            raise NonInvertibleError("log of a jet with zero constant part")
-        u = self._vec * (1.0 / c)
-        u[0] -= 1.0
-        return self._series(cmath.log(c), lambda k: (-1.0) ** (k + 1) / k, u)
+        return self._lift(_log)
 
     def inverse(self) -> "Jet":
-        c = self.constant
-        if c == 0:
-            raise NonInvertibleError("inverse of a jet with zero constant part")
-        u = self._vec * (-1.0 / c)
-        u[0] += 1.0
-        return self._series(1.0, lambda k: 1.0, u) * (1.0 / c)
+        return self._lift(_inverse)
 
     # -- comparisons -------------------------------------------------------
 
@@ -373,10 +414,11 @@ class JetMatrix:
         keep = (self._nonzero_blocks()[table.ia]
                 & other._nonzero_blocks()[table.ib])
         a, b = self.blocks, other.blocks
-        out = np.zeros_like(a)
+        out = np.zeros(a.shape, dtype=complex)
+        prod = np.empty(a.shape[1:], dtype=complex)    # reused per triple
         for ia, ib, ic in zip(table.ia[keep].tolist(), table.ib[keep].tolist(),
                               table.ic[keep].tolist()):
-            out[ic] += a[ia] @ b[ib]
+            out[ic] += np.matmul(a[ia], b[ib], out=prod)
         return JetMatrix(self.n, self.caps, out)
 
     def scale_by_jet(self, jet: Jet) -> "JetMatrix":
@@ -385,10 +427,11 @@ class JetMatrix:
         table = _pair_table(self.caps)
         coeffs = jet._vec
         keep = (coeffs[table.ia] != 0) & self._nonzero_blocks()[table.ib]
-        out = np.zeros_like(self.blocks)
+        out = np.zeros(self.blocks.shape, dtype=complex)
+        prod = np.empty(self.blocks.shape[1:], dtype=complex)
         for ia, ib, ic in zip(table.ia[keep].tolist(), table.ib[keep].tolist(),
                               table.ic[keep].tolist()):
-            out[ic] += coeffs[ia] * self.blocks[ib]
+            out[ic] += np.multiply(coeffs[ia], self.blocks[ib], out=prod)
         return JetMatrix(self.n, self.caps, out)
 
     def dagger(self) -> "JetMatrix":

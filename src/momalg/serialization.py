@@ -18,7 +18,7 @@ import numpy as np
 
 from .algebra import MMap
 from .combinatorics import Multiset
-from .errors import InputFormatError
+from .errors import CapExceededError, InputFormatError, ShapeMismatchError
 from .experiments import ExperimentConfig
 from .quantum import PointerSpec, QOperator, QState
 from .weakvalues import WeakValueContext
@@ -86,7 +86,7 @@ def mmap_from_dict(payload: dict, where: str = "mmap") -> MMap:
                              float(item.get("im", 0.0)))
     try:
         return MMap(n, entries, caps)
-    except Exception as exc:
+    except (ShapeMismatchError, CapExceededError) as exc:
         raise InputFormatError(f"{where}: {exc}") from exc
 
 

@@ -128,13 +128,7 @@ def sequential_weak_value(ctx: WeakValueContext, a: Multiset) -> complex:
 
 def sequential_weak_value_mmap(ctx: WeakValueContext) -> MMap:
     """The subset map a -> A_w(a); A_w(empty) = 1."""
-    den = _sequential_numerator(ctx, EMPTY)
-    if abs(den) <= ctx.floor:
-        raise SingularPostselectionError(
-            f"postselection amplitude {abs(den):.3e} below floor")
-    entries = {a: _sequential_numerator(ctx, a) / den
-               for a in multiset_lattice(ctx.n, (1,) * ctx.n)}
-    return MMap(ctx.n, entries)
+    return MMap.from_function(ctx.n, lambda a: sequential_weak_value(ctx, a))
 
 
 def simultaneous_weak_value(ctx: WeakValueContext, a: Multiset) -> complex:
@@ -205,15 +199,7 @@ def script_D(ctx: WeakValueContext, a: Multiset) -> complex:
     element, normalized by the free amplitude; by the Dyson-series lemma
     this equals the simplex integral definition.
     """
-    if a.is_empty:
-        return 1.0
-    caps = ctx.caps_for(a)
-    gen = _evolution_generating_jet(ctx, caps)
-    den = gen.coefficient(EMPTY)
-    if abs(den) <= ctx.floor:
-        raise SingularPostselectionError(
-            f"postselection amplitude {abs(den):.3e} below floor")
-    return (1j) ** a.size * gen.derivative(a) / den
+    return 1.0 if a.is_empty else script_D_mmap(ctx, ctx.caps_for(a))(a)
 
 
 def script_D_mmap(ctx: WeakValueContext, caps=None) -> MMap:

@@ -2,13 +2,17 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momalg.algebra import (
     MMap,
     apply_fstar,
+    bipartition_convolve,
     convolve,
     exp_star,
     identity_mmap,
@@ -16,6 +20,7 @@ from momalg.algebra import (
     is_factorizing,
     log1p_series,
     log_star,
+    partition_fstar,
     raise_label,
     scalar_mmap,
 )
@@ -460,3 +465,186 @@ def test_star_operations_match_sympy_formal_derivatives():
         want = read_table(sym_expr)
         for a in f.domain():
             assert abs(got(a) - want[a]) < 1e-9, (op.__name__, str(a))
+
+
+# ---------------------------------------------------------------------------
+# the dense ring against the reference partition sums
+
+
+EPS = 2.0 ** -53
+
+
+def exact_derivs(name):
+    """F^(k)(x) for exact rational x; log's k = 0 term is checked apart."""
+    if name == "log":
+        return lambda k, x: Fraction(0) if k == 0 else \
+            Fraction((-1) ** (k - 1) * math.factorial(k - 1)) / x ** k
+    if name == "inverse":
+        return lambda k, x: Fraction((-1) ** k * math.factorial(k)) / x ** (k + 1)
+    return lambda k, x: Fraction(1)                 # exp, at f(empty) = 0
+
+
+@pytest.mark.parametrize("n,caps", [(k, (1,) * k) for k in range(1, 7)]
+                         + [(3, (2, 2, 2))])
+def test_star_operations_match_exact_rational_partition_sums(n, caps):
+    # Values are exact binary fractions, so the oracle sees the same input
+    # as the ring.  M(a) is the partition sum of absolute values, the scale
+    # every rounding error of the ring is measured against; the measured
+    # worst case is about 5 eps M(a), asserted with room: 2 (G + 2) eps M(a),
+    # G the total degree sum(caps).
+    rng = np.random.default_rng(100 + n + sum(caps))
+    bound = 2 * (sum(caps) + 2) * EPS
+    for _ in range(3):
+        values = {a: float(np.round(rng.uniform(-1, 1), 6))
+                  for a in multiset_lattice(n, caps)}
+        for name, op in (("log", log_star), ("inverse", inverse_star),
+                         ("exp", exp_star)):
+            values[EMPTY] = 0.0 if name == "exp" else \
+                1.0 + float(np.round(rng.uniform(-0.5, 0.5), 6))
+            f = MMap(n, values, caps)
+            got = op(f)
+            exact = {a: Fraction(v) for a, v in values.items()}
+            d = exact_derivs(name)
+            want = partition_fstar(d, exact.get, f.domain())
+            scale = partition_fstar(lambda k, x: abs(d(k, x)),
+                                    lambda a: abs(exact[a]), f.domain())
+            for a in f.domain():
+                if a.is_empty and name == "log":
+                    assert abs(got(a) - cmath.log(values[EMPTY])) <= 2 * EPS
+                    continue
+                err = abs(Fraction(got(a).real) - want[a]) + abs(got(a).imag)
+                assert err <= Fraction(bound) * scale[a], (name, str(a))
+
+
+def test_convolution_matches_bipartition_reference():
+    rng = np.random.default_rng(70)
+    for n, caps in ((3, (1, 1, 1)), (3, (2, 1, 2)), (2, (3, 2))):
+        f = random_mmap(rng, n, caps)
+        g = random_mmap(rng, n, caps)
+        want = bipartition_convolve(f, g, f.domain())
+        got = convolve(f, g)
+        assert max(abs(got(a) - want[a]) for a in f.domain()) < 1e-13
+
+
+def jet_log_derivs(k, x):
+    """log derivatives at a jet x, by jet arithmetic."""
+    if k == 0:
+        return x.log()
+    inv = x.inverse()
+    out = inv
+    for _ in range(k - 1):
+        out = out * inv
+    return out * ((-1) ** (k - 1) * math.factorial(k - 1))
+
+
+def test_jet_valued_maps_match_reference():
+    rng = np.random.default_rng(79)
+    for caps in ((1, 1, 1), (2, 1)):
+        f = random_jet_mmap(rng, len(caps), caps)
+        g = random_jet_mmap(rng, len(caps), caps)
+        want = partition_fstar(jet_log_derivs, f, f.domain())
+        got = log_star(f)
+        conv = bipartition_convolve(f, g, f.domain())
+        fg = convolve(f, g)
+        for a in f.domain():
+            assert got(a).max_abs_diff(want[a]) < 1e-11
+            assert fg(a).max_abs_diff(conv[a]) < 1e-12
+
+
+@given(caps=st.lists(st.integers(1, 2), min_size=1, max_size=3).map(tuple),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_mmap_and_jet_rings_are_isomorphic(caps, seed):
+    # f(a) / a! are the coefficients of a jet J, and every star operation on
+    # f is the jet operation on J read back by derivative
+    rng = np.random.default_rng(seed)
+    n = len(caps)
+    f, g = random_mmap(rng, n, caps), random_mmap(rng, n, caps)
+
+    def jet(h):
+        return Jet(n, caps, {a: h(a) / math.prod(math.factorial(m)
+                                                  for _, m in a.items)
+                             for a in h.domain()})
+
+    jf, jg = jet(f), jet(g)
+    for star, ring in ((log_star(f), jf.log()), (exp_star(f), jf.exp()),
+                       (inverse_star(f), jf.inverse()),
+                       (convolve(f, g), jf * jg)):
+        for a in f.domain():
+            assert abs(star(a) - ring.derivative(a)) < 1e-9
+
+
+def add(f, g):
+    return MMap(f.n, {a: f(a) + g(a) for a in f.domain()}, f.caps)
+
+
+@given(caps=st.lists(st.integers(1, 2), min_size=1, max_size=3).map(tuple),
+       jets=st.booleans(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_mmap_ring_laws(caps, jets, seed):
+    rng = np.random.default_rng(seed)
+    n = len(caps)
+    make = random_jet_mmap if jets else random_mmap
+    f, g, h = (make(rng, n, caps) for _ in range(3))
+    one = MMap(n, {EMPTY: Jet.scalar(1.0, 2, (1, 1)) if jets else 1.0}, caps)
+    assert convolve(f, one).allclose(f, 1e-13)
+    assert convolve(f, g).allclose(convolve(g, f), 1e-12)
+    assert convolve(convolve(f, g), h).allclose(convolve(f, convolve(g, h)),
+                                                1e-10)
+    assert convolve(f, add(g, h)).allclose(
+        add(convolve(f, g), convolve(f, h)), 1e-11)
+    assert convolve(f, inverse_star(f)).allclose(one, 1e-9)
+    assert exp_star(log_star(f)).allclose(f, 1e-9)
+    assert log_star(convolve(f, g)).allclose(add(log_star(f), log_star(g)),
+                                             1e-9)
+
+
+def test_fstar_composition_law():
+    # (F o G)* = F* G* for F(x) = x^2, G = exp (F o G = e^{2x}) and for
+    # F = log, G = exp (F o G the identity), on scalar and jet values
+    def square(k, x):
+        return [x * x, 2 * x, 2.0][k] if k <= 2 else 0.0
+
+    def exp_d(k, x):
+        return cmath.exp(x)
+
+    def exp2(k, x):
+        return 2.0 ** k * cmath.exp(2 * x)
+
+    def ident(k, x):
+        return [x, 1.0][k] if k <= 1 else 0.0
+
+    def log_d(k, x):
+        return cmath.log(x) if k == 0 else \
+            (-1) ** (k - 1) * math.factorial(k - 1) / x ** k
+
+    rng = np.random.default_rng(90)
+    for f in (random_mmap(rng, 3, (2, 1, 1), spread=0.3),
+              random_jet_mmap(rng, 2)):
+        assert apply_fstar(square, apply_fstar(exp_d, f)).allclose(
+            apply_fstar(exp2, f), 1e-10)
+        assert apply_fstar(log_d, apply_fstar(exp_d, f)).allclose(
+            apply_fstar(ident, f), 1e-10)
+
+
+def test_corrupted_ring_product_fails_the_oracle_verifiers(monkeypatch):
+    # genfun and thermal compare the ring against partition sums that share
+    # no ring code; a wrong ring product must make both FAIL
+    from momalg import jets as jets_module
+    from momalg import algebra as algebra_module
+    from momalg.experiments import random_config, run_verification
+
+    configs = [random_config("genfun", 1, n_vars=2),
+               random_config("thermal", 1, n_pointers=3)]
+    assert all(run_verification(c).passed for c in configs)
+    real = jets_module._ring_product
+
+    def corrupted(table, x, y):
+        out = real(table, x, y)
+        out[1:] *= 1.001
+        return out
+
+    monkeypatch.setattr(jets_module, "_ring_product", corrupted)
+    monkeypatch.setattr(algebra_module, "_ring_product", corrupted)
+    for c in configs:
+        assert run_verification(c).passed is False, c.scenario

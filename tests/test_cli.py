@@ -279,3 +279,34 @@ def test_verify_accepts_explicit_config_file(tmp_path):
     back = config_from_dict(json.loads(json.dumps(payload)))
     assert np.allclose(back.psi_i, cfg.psi_i)
     assert np.allclose(back.observables[0], cfg.observables[0])
+
+
+def test_exit_codes_of_algebra_preconditions(tmp_path):
+    zero = write(tmp_path / "zero.json", {
+        "schema": 1, "n": 1, "entries": [{"m": [1], "re": 1.0}]})
+    assert main(["algebra", "inverse", zero]) == 3     # f(empty) = 0
+    big = write(tmp_path / "big.json", {
+        "schema": 1, "n": 1, "entries": [{"m": [], "re": 1.5}]})
+    assert main(["algebra", "series", big]) == 3       # |f(empty)| >= 1
+    over = write(tmp_path / "over.json", {
+        "schema": 1, "n": 2, "entries": [{"m": [1, 1], "re": 1.0}]})
+    assert main(["algebra", "log", over]) == 2         # entry over its cap
+
+
+def test_exit_code_3_on_oversized_mmap_before_allocating(tmp_path, monkeypatch,
+                                                         capsys):
+    # 2^40 subsets: the size preflight must refuse the map before any
+    # lattice is enumerated or allocated
+    import time
+    from momalg import jets
+
+    def no_lattice(*args):
+        raise AssertionError("lattice enumerated despite the size preflight")
+
+    monkeypatch.setattr(jets, "multiset_lattice", no_lattice)
+    src = write(tmp_path / "n40.json", {
+        "schema": 1, "n": 40, "entries": [{"m": [1], "re": 1.0}]})
+    start = time.perf_counter()
+    assert main(["algebra", "log", src]) == 3
+    assert time.perf_counter() - start < 1.0
+    assert "MiB" in capsys.readouterr().err

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from momalg.algebra import MMap, convolve
 from momalg.combinatorics import EMPTY, Multiset, multiset_lattice
 from momalg.errors import CapExceededError, DomainError, NonInvertibleError
-from momalg.jets import Jet, JetMatrix, jet_matrix_exp
+from momalg.jets import Jet, JetMatrix, _pair_table, jet_matrix_exp
 from oracles import expm_mp
 
 M = Multiset
@@ -460,3 +460,22 @@ def test_jet_matrix_exp_matches_regular_representation_oracle(case):
         want = np.stack([column[pos[a] * d:(pos[a] + 1) * d] for a in grade])
         diff = np.stack([got.blocks[got.index[a]] for a in grade]) - want
         assert np.abs(diff).max() <= 1e-13 * np.abs(want).max(), (g, case)
+
+
+@pytest.mark.parametrize("caps", [(), (1,), (2,), (1, 1, 1), (2, 1, 3),
+                                  (0, 2), (1,) * 5])
+def test_pair_table_matches_multiset_loop(caps):
+    # the mixed-radix table lists exactly the pairs of the double loop over
+    # Multiset sums, in the same (ia, ib) order
+    table = _pair_table(caps)
+    lattice = multiset_lattice(len(caps), caps)
+    assert table.lattice == lattice
+    loop = [(i, j, lattice.index(a + b)) for i, a in enumerate(lattice)
+            for j, b in enumerate(lattice) if (a + b).fits(caps)]
+    assert [tuple(t) for t in zip(table.ia.tolist(), table.ib.tolist(),
+                                  table.ic.tolist())] == loop
+
+
+def test_pair_table_preflight_refuses_huge_caps():
+    with pytest.raises(DomainError, match="MiB"):
+        Jet(20, (1,) * 20)
