@@ -1,12 +1,13 @@
 """Command-line surface: algebra ops on M-map files, weak-value queries,
 theorem-verification batches, and report projection.
 
-Exit codes: 0 success, 1 verification failure, 2 malformed input,
-3 domain error (message names the violated precondition).  The default
-comparison tolerance can be overridden with the MOMALG_TOL environment
-variable.  Batch runs are reproducible: every random object derives from
-the per-run seed through fixed substreams, and the manifest records the
-full command.
+Exit codes: 0 success, 1 verification failure, 2 malformed input (naming
+the field), 3 domain error (naming the violated precondition).  `verify`
+takes its scenarios, their aliases, default tolerances (MOMALG_TOL in the
+environment overrides them) and sweep axes (--tau, --beta) from the
+scenario table of `momalg.experiments`.  Batch runs are reproducible:
+every random object derives from the per-run seed through fixed
+substreams, and the manifest records the full command.
 """
 
 from __future__ import annotations
@@ -32,9 +33,10 @@ from .algebra import (
 )
 from .combinatorics import Multiset
 from .errors import DomainError, InputFormatError, MomalgError
-from .experiments import DEFAULT_TOLERANCES, random_config, run_verification
+from .experiments import SCENARIOS, random_config, run_verification
 from .serialization import (
     SCHEMA,
+    config_from_dict,
     context_from_dict,
     load_json,
     mmap_from_dict,
@@ -52,22 +54,8 @@ from .weakvalues import (
     thermal_E,
 )
 
-SCENARIO_ALIASES = {
-    "thm1": "sequential-per-subset",
-    "thm2": "simultaneous-evolution",   # forced H_S = 0
-    "thm3": "sequential-all-coupled",
-    "thm4": "simultaneous-evolution",
-    "thermal": "thermal",
-    "multiset": "multiset",
-    "genfun": "genfun",
-}
-
-
-def _default_tol(scenario: str) -> float:
-    env = os.environ.get("MOMALG_TOL")
-    if env:
-        return float(env)
-    return DEFAULT_TOLERANCES[scenario]
+SCENARIO_ALIASES = {alias: name for name, row in SCENARIOS.items()
+                    for alias in row.aliases}
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -215,59 +203,38 @@ def cmd_weak_values(args) -> int:
 
 
 def _verify_configs(args):
+    """(swept values, config) for each report: the --config file, or one
+    generated instance per seed and value of the scenario's sweep axis."""
     scenario = SCENARIO_ALIASES[args.scenario]
-    tol = args.tol if args.tol is not None else _default_tol(scenario)
-    zero_h = args.hs == "zero" or args.scenario == "thm2"
-    for seed in _parse_seeds(args.seeds):
-        if scenario == "simultaneous-evolution":
-            for tau in args.tau:
-                yield {"tau": tau}, random_config(
-                    scenario, seed, n_pointers=args.pointers,
-                    system_dim=args.sysdim, pointer_dim=args.pointer_dim,
-                    tau=tau, zero_hamiltonian=zero_h, tolerance=tol,
-                    mc_samples=args.samples)
-        elif scenario == "thermal":
-            for beta in args.beta:
-                yield {"beta": beta}, random_config(
-                    scenario, seed, n_pointers=args.pointers,
-                    system_dim=args.sysdim, pointer_dim=args.pointer_dim,
-                    beta=beta, tolerance=tol)
-        elif scenario == "multiset":
-            yield {}, random_config(
-                scenario, seed, system_dim=args.sysdim,
-                pointer_dim=args.pointer_dim, beta=args.beta[0],
-                tau=args.tau[0], copies=(args.copies,), tolerance=tol)
-        elif scenario == "genfun":
-            yield {}, random_config(scenario, seed, n_vars=args.vars,
-                                    tolerance=tol)
-        else:
-            yield {}, random_config(
-                scenario, seed, n_pointers=args.pointers,
-                system_dim=args.sysdim, pointer_dim=args.pointer_dim,
-                tolerance=tol)
-
-
-def _config_iter(args):
     if args.config:
-        from .serialization import config_from_dict
-        payload = load_json(args.config)
-        cfg = config_from_dict(payload, where=args.config)
-        expected = SCENARIO_ALIASES[args.scenario]
-        if cfg.scenario != expected:
+        cfg = config_from_dict(load_json(args.config), where=args.config)
+        if cfg.scenario != scenario:
             raise InputFormatError(
                 f"{args.config}: scenario {cfg.scenario!r} does not match "
-                f"requested {expected!r}")
+                f"requested {scenario!r}")
         if args.tol is not None:
             cfg.tolerance = args.tol
         yield {}, cfg
         return
-    yield from _verify_configs(args)
+    tol = args.tol if args.tol is not None else \
+        float(os.environ.get("MOMALG_TOL") or SCENARIOS[scenario].tolerance)
+    zero_h = args.hs == "zero" or args.scenario == "thm2"
+    axis = SCENARIOS[scenario].sweep
+    for seed in _parse_seeds(args.seeds):
+        for value in getattr(args, axis) if axis else [None]:
+            swept = {axis: value} if axis else {}
+            yield swept, random_config(
+                scenario, seed, n_pointers=args.pointers,
+                system_dim=args.sysdim, pointer_dim=args.pointer_dim,
+                **{"tau": args.tau[0], "beta": args.beta[0], **swept},
+                zero_hamiltonian=zero_h, copies=(args.copies,),
+                n_vars=args.vars, tolerance=tol, mc_samples=args.samples)
 
 
 def cmd_verify(args) -> int:
     reports = []
     paths = []
-    for extras, cfg in _config_iter(args):
+    for extras, cfg in _verify_configs(args):
         rep = run_verification(cfg)
         reports.append(rep)
         tag = "_".join([f"seed{cfg.seed}"] +

@@ -18,8 +18,14 @@ import numpy as np
 
 from .algebra import MMap
 from .combinatorics import Multiset
-from .errors import CapExceededError, InputFormatError, ShapeMismatchError
+from .errors import (
+    CapExceededError,
+    DomainError,
+    InputFormatError,
+    ShapeMismatchError,
+)
 from .experiments import ExperimentConfig
+from .jets import _pair_table
 from .quantum import PointerSpec, QOperator, QState
 from .weakvalues import WeakValueContext
 
@@ -55,9 +61,20 @@ def save_json(path: str, payload: dict) -> None:
 
 
 def _require(payload: dict, key: str, where: str):
+    if not isinstance(payload, dict):
+        raise InputFormatError(f"{where}: expected an object")
     if key not in payload:
         raise InputFormatError(f"{where}: missing required field {key!r}")
     return payload[key]
+
+
+def _parse(convert, value, field: str):
+    """convert(value); a value it cannot take is malformed input naming
+    `field`."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, DomainError) as exc:
+        raise InputFormatError(f"{field}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -65,25 +82,29 @@ def _require(payload: dict, key: str, where: str):
 
 
 def mmap_to_dict(f: MMap) -> dict:
-    entries = []
-    for a in f.domain():
-        v = f(a)
-        v = complex(v)
-        if v == 0:
-            continue
-        entries.append({"m": list(a.elements()), "re": v.real, "im": v.imag})
+    """The nonzero entries, read in one pass over the dense array; maps with
+    jet values have no JSON form."""
+    if f.jet_caps:
+        raise TypeError("jet-valued M-maps are not serialisable")
+    values = f._data[:, 0] * _pair_table(f.caps).weight
+    entries = [{"m": list(a.elements()), "re": v.real, "im": v.imag}
+               for a, v in zip(f.domain(), values.tolist()) if v != 0]
     return {"schema": SCHEMA, "n": f.n, "caps": list(f.caps),
             "entries": entries}
 
 
 def mmap_from_dict(payload: dict, where: str = "mmap") -> MMap:
-    n = int(_require(payload, "n", where))
-    caps = tuple(int(c) for c in payload.get("caps", [1] * n))
+    n = _parse(int, _require(payload, "n", where), f"{where}.n")
+    caps = _parse(lambda v: tuple(int(c) for c in v),
+                  payload.get("caps", [1] * n), f"{where}.caps")
     entries = {}
-    for item in _require(payload, "entries", where):
-        m = Multiset(_require(item, "m", where))
-        entries[m] = complex(float(item.get("re", 0.0)),
-                             float(item.get("im", 0.0)))
+    items = _parse(list, _require(payload, "entries", where), f"{where}.entries")
+    for i, item in enumerate(items):
+        at = f"{where}.entries[{i}]"
+        m = _parse(Multiset, _require(item, "m", at), f"{at}.m")
+        entries[m] = _parse(lambda it: complex(float(it.get("re", 0.0)),
+                                               float(it.get("im", 0.0))),
+                            item, at)
     try:
         return MMap(n, entries, caps)
     except (ShapeMismatchError, CapExceededError) as exc:
@@ -104,8 +125,9 @@ def array_to_dict(arr: np.ndarray) -> dict:
 
 
 def vector_from_dict(payload: dict, where: str = "state") -> np.ndarray:
-    dim = int(_require(payload, "dim", where))
-    data = np.asarray(_require(payload, "data", where), dtype=float)
+    dim = _parse(int, _require(payload, "dim", where), f"{where}.dim")
+    data = _parse(lambda v: np.asarray(v, dtype=float),
+                  _require(payload, "data", where), f"{where}.data")
     if data.shape[0] != 2 * dim:
         raise InputFormatError(f"{where}: expected {2 * dim} reals, "
                                f"got {data.shape[0]}")
@@ -117,8 +139,9 @@ def vector_from_dict(payload: dict, where: str = "state") -> np.ndarray:
 
 
 def matrix_from_dict(payload: dict, where: str = "operator") -> np.ndarray:
-    dim = int(_require(payload, "dim", where))
-    data = np.asarray(_require(payload, "data", where), dtype=float)
+    dim = _parse(int, _require(payload, "dim", where), f"{where}.dim")
+    data = _parse(lambda v: np.asarray(v, dtype=float),
+                  _require(payload, "data", where), f"{where}.data")
     if data.shape[0] != 2 * dim * dim:
         raise InputFormatError(f"{where}: expected {2 * dim * dim} reals, "
                                f"got {data.shape[0]}")
@@ -264,43 +287,35 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return out
 
 
+def _listed(parse):
+    """A list field parsed element by element, each named by its index."""
+    return lambda values, at: tuple(parse(v, f"{at}[{i}]")
+                                    for i, v in enumerate(values))
+
+
+_CONFIG_FIELDS = {
+    "psi_i": vector_from_dict, "psi_f": vector_from_dict,
+    "unitaries": _listed(matrix_from_dict), "hamiltonian": matrix_from_dict,
+    "pointers": _listed(pointer_from_dict),
+    "observables": _listed(matrix_from_dict),
+    "outcome_values": _listed(lambda v, at: np.asarray(v, dtype=float)),
+    "probabilities": lambda v, at: np.asarray(v, dtype=float),
+    "targets": _listed(lambda v, at: Multiset(v)),
+    **dict.fromkeys(("tau", "beta", "tolerance", "mutual_tolerance", "floor"),
+                    lambda v, at: float(v)),
+    "seed": lambda v, at: int(v), "mc_samples": lambda v, at: int(v),
+    "copies": lambda v, at: tuple(int(c) for c in v),
+}
+
+
 def config_from_dict(payload: dict, where: str = "config") -> ExperimentConfig:
-    scenario = _require(payload, "scenario", where)
-    kwargs = {"scenario": scenario}
-    if "psi_i" in payload:
-        kwargs["psi_i"] = vector_from_dict(payload["psi_i"], f"{where}.psi_i")
-    if "psi_f" in payload:
-        kwargs["psi_f"] = vector_from_dict(payload["psi_f"], f"{where}.psi_f")
-    if "unitaries" in payload:
-        kwargs["unitaries"] = tuple(
-            matrix_from_dict(u, f"{where}.unitaries[{i}]")
-            for i, u in enumerate(payload["unitaries"]))
-    if "hamiltonian" in payload:
-        kwargs["hamiltonian"] = matrix_from_dict(payload["hamiltonian"],
-                                                 f"{where}.hamiltonian")
-    if "pointers" in payload:
-        kwargs["pointers"] = tuple(
-            pointer_from_dict(p, f"{where}.pointers[{i}]")
-            for i, p in enumerate(payload["pointers"]))
-    if "observables" in payload:
-        kwargs["observables"] = tuple(
-            matrix_from_dict(a, f"{where}.observables[{i}]")
-            for i, a in enumerate(payload["observables"]))
+    kwargs = {"scenario": _require(payload, "scenario", where)}
     if "outcome_values" in payload:
-        kwargs["outcome_values"] = tuple(
-            np.asarray(v, dtype=float) for v in payload["outcome_values"])
-        kwargs["probabilities"] = np.asarray(
-            _require(payload, "probabilities", where), dtype=float)
-    if "targets" in payload:
-        kwargs["targets"] = tuple(Multiset(t) for t in payload["targets"])
-    for key in ("tau", "beta", "tolerance", "mutual_tolerance", "floor"):
+        _require(payload, "probabilities", where)
+    for key, parse in _CONFIG_FIELDS.items():
         if key in payload:
-            kwargs[key] = float(payload[key])
-    for key in ("seed", "mc_samples"):
-        if key in payload:
-            kwargs[key] = int(payload[key])
-    if "copies" in payload:
-        kwargs["copies"] = tuple(int(c) for c in payload["copies"])
+            at = f"{where}.{key}"
+            kwargs[key] = _parse(lambda v: parse(v, at), payload[key], at)
     try:
         return ExperimentConfig(**kwargs)
     except InputFormatError:

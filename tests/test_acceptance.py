@@ -22,7 +22,7 @@ from momalg.algebra import (
     log_star,
 )
 from momalg.combinatorics import EMPTY, Multiset, multiset_lattice
-from momalg.experiments import random_config, run_verification, verify_theorem4
+from momalg.experiments import random_config, run_verification
 from momalg.jets import JetMatrix, jet_matrix_exp
 from momalg.quantum import random_hermitian
 from momalg.weakvalues import (
@@ -193,7 +193,7 @@ def test_criterion_06_theorem4():
         cfg = random_config("simultaneous-evolution", seed, n_pointers=2,
                             system_dim=2, zero_hamiltonian=True,
                             tolerance=tol)
-        rep = verify_theorem4(cfg)
+        rep = run_verification(cfg)
         assert rep.passed and rep.metadata["theorem2_regime"]
         for rec in rep.records:
             assert rec.extras["d_vs_symmetrized"] <= 1e-10

@@ -310,3 +310,76 @@ def test_exit_code_3_on_oversized_mmap_before_allocating(tmp_path, monkeypatch,
     assert main(["algebra", "log", src]) == 3
     assert time.perf_counter() - start < 1.0
     assert "MiB" in capsys.readouterr().err
+
+
+SUBSETS3 = ["[1]", "[2]", "[3]", "[1,2]", "[1,3]", "[2,3]", "[1,2,3]"]
+
+
+@pytest.mark.parametrize("argv, reports", [
+    (["thm1"], {"report_thm1_seed1.json": [("", s) for s in SUBSETS3]}),
+    (["thm4", "--tau", "0.5", "1.0"],
+     {f"report_thm4_seed1_tau{t}.json": [("", s) for s in SUBSETS3]
+      for t in ("0.5", "1")}),
+    (["thermal", "--beta", "0.5", "2"],
+     {f"report_thermal_seed1_beta{b}.json": [("", s) for s in SUBSETS3]
+      for b in ("0.5", "2")}),
+    (["multiset", "--copies", "3"],
+     {"report_multiset_seed1.json": [
+         ("pair-variance", "[1,2]"), ("pair-variance-per-subset", "[1,2]"),
+         ("thermal-susceptibility", "[1,2,3]")]}),
+    (["genfun", "--vars", "2"],
+     {"report_genfun_seed1.json": [
+         ("", s) for s in ("[1]", "[2]", "[1,1]", "[1,2]", "[2,2]",
+                           "[1,1,2]", "[1,2,2]", "[1,1,2,2]")] +
+      [("standard-expansion", "[1,2]"), ("standard-expansion", "[1,1]")]}),
+])
+def test_verify_surface_per_scenario(tmp_path, argv, reports):
+    # file names from the swept axis, manifest, CSV rows and the records
+    # (label, subset) of every report, per CLI alias
+    out = tmp_path / "reports"
+    assert main(["verify", *argv, "--out", str(out)]) == 0
+    alias = argv[0]
+    manifest = load_json(str(out / f"manifest_{alias}.json"))
+    assert manifest["reports"] == list(reports)
+    assert manifest["csv"] == f"report_{alias}.csv"
+    csv_lines = (out / manifest["csv"]).read_text().strip().splitlines()
+    assert len(csv_lines) == 1 + sum(len(r) for r in reports.values())
+    for name, records in reports.items():
+        rep = load_json(str(out / name))
+        assert [(r["label"], r["subset"]) for r in rep["records"]] == records
+
+
+def _config_payload(scenario, **fields):
+    from momalg.experiments import random_config
+    from momalg.serialization import config_to_dict
+
+    return {**config_to_dict(random_config(scenario, 3, n_pointers=2)),
+            **fields}
+
+
+@pytest.mark.parametrize("argv, payload, field", [
+    (["algebra", "log"], {**LOG_FIXTURE, "n": "x"}, ".n:"),
+    (["algebra", "log"], {**LOG_FIXTURE, "caps": "zz"}, ".caps:"),
+    (["algebra", "log"], {**LOG_FIXTURE, "entries": 5}, ".entries:"),
+    (["algebra", "log"], {**LOG_FIXTURE, "entries": [5]}, ".entries[0]:"),
+    (["algebra", "log"], {**LOG_FIXTURE, "entries": [{"m": [1], "re": "a"}]},
+     ".entries[0]:"),
+    (["algebra", "log"], {**LOG_FIXTURE, "entries": [{"m": [0], "re": 1.0}]},
+     ".entries[0].m:"),
+    (["verify", "thermal", "--config"],
+     _config_payload("thermal", beta="hot"), ".beta:"),
+    (["verify", "genfun", "--config"], _config_payload("genfun", seed="s"),
+     ".seed:"),
+    (["verify", "thm3", "--config"],
+     _config_payload("sequential-all-coupled", targets=[[0]]), ".targets:"),
+], ids=["n", "caps", "entries", "entry", "re", "label0", "beta", "seed",
+        "targets"])
+def test_exit_code_2_on_malformed_fields(tmp_path, capsys, argv, payload,
+                                         field):
+    # a field that cannot be converted is malformed input named in the
+    # message, never a traceback (exit 1) or a domain error (exit 3)
+    src = write(tmp_path / "in.json", payload)
+    assert main([*argv, src, "--out" if argv[0] == "verify" else "-o",
+                 str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and field in err

@@ -1,5 +1,7 @@
 """Scenario verifiers: structure checks, invariances, edge constructions."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,12 +17,6 @@ from momalg.experiments import (
     run_verification,
     sigma_moment_mmap,
     thermal_moment_mmap,
-    verify_generating_function,
-    verify_multiset,
-    verify_theorem1,
-    verify_theorem3,
-    verify_theorem4,
-    verify_thermal,
     xi_thermal,
     xi_thermal_literal,
 )
@@ -32,8 +28,8 @@ M = Multiset
 
 def test_theorem1_small_batch():
     for seed in (1, 2, 3):
-        rep = verify_theorem1(random_config("sequential-per-subset", seed,
-                                            n_pointers=2, system_dim=3))
+        rep = run_verification(random_config("sequential-per-subset", seed,
+                                             n_pointers=2, system_dim=3))
         assert rep.passed
         assert rep.max_abs_error <= 1e-9
 
@@ -41,7 +37,7 @@ def test_theorem1_small_batch():
 def test_theorem1_singleton_reduces_to_first_order_formula():
     cfg = random_config("sequential-per-subset", 7, n_pointers=1,
                         system_dim=2)
-    rep = verify_theorem1(cfg)
+    rep = run_verification(cfg)
     assert rep.passed and len(rep.records) == 1
     assert rep.records[0].subset == "[1]"
 
@@ -53,7 +49,7 @@ def test_theorem1_trivial_coupling_operators_vanish():
                         system_dim=2)
     cfg.pointers = tuple(PointerSpec(phi=p.phi, s=np.eye(2), r=p.r)
                          for p in cfg.pointers)
-    rep = verify_theorem1(cfg)
+    rep = run_verification(cfg)
     assert rep.passed
     for rec in rep.records:
         assert abs(rec.xi) < 1e-14
@@ -63,8 +59,8 @@ def test_theorem1_trivial_coupling_operators_vanish():
 
 def test_theorem3_batch_and_sub_support_structure():
     for seed in (4, 5):
-        rep = verify_theorem3(random_config("sequential-all-coupled", seed,
-                                            n_pointers=3, system_dim=2))
+        rep = run_verification(random_config("sequential-all-coupled", seed,
+                                             n_pointers=3, system_dim=2))
         assert rep.passed
         assert rep.metadata["max_sub_support_coeff"] <= 1e-10
 
@@ -72,11 +68,11 @@ def test_theorem3_batch_and_sub_support_structure():
 def test_theorem3_singleton_xi_matches_theorem1():
     cfg = random_config("sequential-all-coupled", 9, n_pointers=2,
                         system_dim=2)
-    rep1 = verify_theorem1(ExperimentConfig(
+    rep1 = run_verification(ExperimentConfig(
         scenario="sequential-per-subset", pointers=cfg.pointers,
         observables=cfg.observables, psi_i=cfg.psi_i, psi_f=cfg.psi_f,
         unitaries=cfg.unitaries, seed=cfg.seed, tolerance=cfg.tolerance))
-    rep3 = verify_theorem3(cfg)
+    rep3 = run_verification(cfg)
     for r1, r3 in zip(rep1.records, rep3.records):
         if len(M.parse(r1.subset).elements()) == 1:
             assert r1.rhs == pytest.approx(r3.rhs, abs=1e-12)
@@ -91,7 +87,7 @@ def test_theorem3_zero_covariance_pointer_kills_subsets():
     quiet = PointerSpec(phi=phi, s=np.diag([0.7, -0.2]),
                         r=np.diag([1.3, 0.4]))
     cfg.pointers = (quiet, cfg.pointers[1])
-    rep = verify_theorem3(cfg)
+    rep = run_verification(cfg)
     assert rep.passed
     for rec in rep.records:
         if M.parse(rec.subset).mult(1):
@@ -164,13 +160,13 @@ def test_scalar_mmap_scaling_leaves_cumulants_alone():
 def test_postselection_phase_leaves_report_unchanged():
     cfg = random_config("sequential-all-coupled", 31, n_pointers=2,
                         system_dim=2)
-    rep = verify_theorem3(cfg)
+    rep = run_verification(cfg)
     phased = ExperimentConfig(
         scenario=cfg.scenario, pointers=cfg.pointers,
         observables=cfg.observables, psi_i=cfg.psi_i,
         psi_f=np.exp(1.3j) * cfg.psi_f, unitaries=cfg.unitaries,
         seed=cfg.seed, tolerance=cfg.tolerance)
-    rep2 = verify_theorem3(phased)
+    rep2 = run_verification(phased)
     for r1, r2 in zip(rep.records, rep2.records):
         assert r1.lhs == pytest.approx(r2.lhs, abs=1e-11)
         assert r1.rhs == pytest.approx(r2.rhs, abs=1e-11)
@@ -182,21 +178,21 @@ def test_singular_postselection_is_skipped_not_raised():
     cfg.psi_f = np.array([cfg.psi_i[1].conjugate(),
                           -cfg.psi_i[0].conjugate()])  # orthogonal to psi_i
     cfg.unitaries = (np.eye(2),) * 3
-    rep = verify_theorem1(cfg)
+    rep = run_verification(cfg)
     assert rep.status == "singular-postselection"
     assert rep.passed is None
     assert rep.records == []
-    rep3 = verify_theorem3(cfg)
+    rep3 = run_verification(replace(cfg, scenario="sequential-all-coupled"))
     assert rep3.status == "singular-postselection"
 
 
 def test_theorem4_batch_and_theorem2_regime():
     for seed in (6, 7):
-        rep = verify_theorem4(random_config("simultaneous-evolution", seed,
-                                            n_pointers=2, system_dim=2,
-                                            tau=0.8))
+        rep = run_verification(random_config("simultaneous-evolution", seed,
+                                             n_pointers=2, system_dim=2,
+                                             tau=0.8))
         assert rep.passed and rep.max_abs_error < 1e-8
-    rep0 = verify_theorem4(random_config("simultaneous-evolution", 8,
+    rep0 = run_verification(random_config("simultaneous-evolution", 8,
                                          n_pointers=2, system_dim=2,
                                          zero_hamiltonian=True))
     assert rep0.passed
@@ -208,7 +204,7 @@ def test_theorem4_batch_and_theorem2_regime():
 def test_theorem4_includes_mc_cross_check_when_asked():
     cfg = random_config("simultaneous-evolution", 10, n_pointers=2,
                         system_dim=2, tau=1.0, mc_samples=20_000)
-    rep = verify_theorem4(cfg)
+    rep = run_verification(cfg)
     assert rep.passed
     checked = [r for r in rep.records if "mc_estimate" in r.extras]
     assert checked
@@ -218,9 +214,9 @@ def test_theorem4_includes_mc_cross_check_when_asked():
 def test_thermal_batch_two_rhs_forms_and_ratio_surfaced():
     for seed in (12, 14):
         for beta in (0.3, 3.0):
-            rep = verify_thermal(random_config("thermal", seed,
-                                               n_pointers=2, system_dim=3,
-                                               beta=beta))
+            rep = run_verification(random_config("thermal", seed,
+                                                 n_pointers=2, system_dim=3,
+                                                 beta=beta))
             assert rep.passed
             assert rep.metadata["max_mutual_error"] <= 1e-10
             for rec in rep.records:
@@ -238,7 +234,7 @@ def test_thermal_traceless_pointers_show_systematic_dimension_ratio():
         s = np.asarray(p.s) - np.trace(p.s) / p.dim * np.eye(p.dim)
         traceless.append(PointerSpec(phi=p.phi, s=s, r=r))
     cfg.pointers = tuple(traceless)
-    rep = verify_thermal(cfg)
+    rep = run_verification(cfg)
     assert rep.passed
     for rec in rep.records:
         a = M.parse(rec.subset)
@@ -265,8 +261,8 @@ def test_thermal_gamma_free_moments_are_maximally_mixed():
 
 def test_multiset_pair_variance_and_susceptibility():
     for seed in (20, 22):
-        rep = verify_multiset(random_config("multiset", seed, system_dim=2,
-                                            beta=0.9))
+        rep = run_verification(random_config("multiset", seed, system_dim=2,
+                                             beta=0.9))
         assert rep.passed
         labels = {r.label for r in rep.records}
         assert labels == {"pair-variance", "pair-variance-per-subset",
@@ -277,7 +273,7 @@ def test_multiset_eigenstate_projector_gives_zero_weak_variance():
     cfg = random_config("multiset", 24, system_dim=2, beta=0.9)
     proj = np.outer(cfg.psi_i, cfg.psi_i.conj())
     cfg.observables = (proj,)
-    rep = verify_multiset(cfg)
+    rep = run_verification(cfg)
     assert rep.passed
     pair = [r for r in rep.records if r.label == "pair-variance"][0]
     assert abs(pair.extras["kappa2_weak"]) < 1e-12
@@ -287,7 +283,7 @@ def test_multiset_eigenstate_projector_gives_zero_weak_variance():
 def test_multiset_three_copies_susceptibility():
     cfg = random_config("multiset", 26, system_dim=2, beta=0.7,
                         copies=(3,))
-    rep = verify_multiset(cfg)
+    rep = run_verification(cfg)
     assert rep.passed
     rec = [r for r in rep.records if r.label == "thermal-susceptibility"][0]
     assert rec.extras["collapsed_multiset"] == "[1,1,1]"
@@ -303,7 +299,7 @@ def test_genfun_independent_variables_have_zero_joint_cumulant():
     cfg = ExperimentConfig(scenario="genfun", outcome_values=(xs, ys),
                            probabilities=probs, seed=0, tolerance=1e-10,
                            targets=(M([1, 2]), M([1, 1, 2])))
-    rep = verify_generating_function(cfg)
+    rep = run_verification(cfg)
     assert rep.passed
     for rec in rep.records:
         if rec.label == "":
@@ -318,7 +314,7 @@ def test_genfun_two_point_correlated_distribution():
     cfg = ExperimentConfig(scenario="genfun", outcome_values=vals,
                            probabilities=probs, seed=0, tolerance=1e-10,
                            targets=(M([1, 2]),))
-    rep = verify_generating_function(cfg)
+    rep = run_verification(cfg)
     assert rep.passed
     main = [r for r in rep.records if r.label == ""][0]
     assert main.lhs == pytest.approx(1.0, abs=1e-12)   # <XY> - <X><Y> = 1
@@ -326,8 +322,7 @@ def test_genfun_two_point_correlated_distribution():
 
 def test_genfun_random_batch_with_multisets():
     for seed in (40, 41, 42):
-        rep = verify_generating_function(random_config("genfun", seed,
-                                                       n_vars=3))
+        rep = run_verification(random_config("genfun", seed, n_vars=3))
         assert rep.passed
         subsets = {r.subset for r in rep.records}
         assert "[1,1,2]" in subsets
@@ -338,7 +333,7 @@ def test_genfun_rejects_bad_probabilities():
                            outcome_values=(np.array([0.0, 1.0]),),
                            probabilities=np.array([0.5, 0.6]), seed=0)
     with pytest.raises(DomainError):
-        verify_generating_function(cfg)
+        run_verification(cfg)
 
 
 def test_reports_are_deterministic_in_the_seed():
