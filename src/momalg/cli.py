@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import json
 import os
 import sys
@@ -36,6 +37,8 @@ from .errors import DomainError, InputFormatError, MomalgError
 from .experiments import SCENARIOS, random_config, run_verification
 from .serialization import (
     SCHEMA,
+    _parse,
+    _require,
     config_from_dict,
     context_from_dict,
     load_json,
@@ -65,7 +68,11 @@ def _parse_seeds(text: str) -> list[int]:
     return [int(t) for t in text.split(",")]
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The `momalg` parser, built once per process (argparse spends about a
+    millisecond building it).  Parsed namespaces share the parser's default
+    lists (--tau, --beta); callers read them and never mutate them."""
     parser = argparse.ArgumentParser(
         prog="momalg",
         description="moment-algebra operations and weak-measurement "
@@ -165,23 +172,33 @@ def cmd_algebra(args) -> int:
     return 0
 
 
+WEAK_VALUE_MODES = ("auto", "sequential", "simultaneous", "jet", "thermal",
+                    "mc")
+
+
+def _weak_value_mode(value) -> str:
+    if value not in WEAK_VALUE_MODES:
+        raise ValueError(f"unknown mode {value!r}")
+    return value
+
+
 def cmd_weak_values(args) -> int:
-    payload = load_json(args.query)
+    where = args.query
+    payload = load_json(where)
+    subsets = _parse(list, _require(payload, "subsets", where),
+                     f"{where}.subsets")
     ctx = context_from_dict(payload.get("context", {}))
-    mode = payload.get("mode", "auto")
-    samples = int(payload.get("samples", 100_000))
-    seed = int(payload.get("seed", 0))
-    subsets = payload.get("subsets")
-    if subsets is None:
-        raise InputFormatError(f"{args.query}: missing 'subsets'")
+    mode = _parse(_weak_value_mode, payload.get("mode", "auto"),
+                  f"{where}.mode")
+    samples = _parse(int, payload.get("samples", 100_000), f"{where}.samples")
+    seed = _parse(int, payload.get("seed", 0), f"{where}.seed")
+    use = mode if mode != "auto" else {
+        "sequential": "sequential", "evolution": "jet",
+        "thermal": "thermal"}[ctx.kind]
     values = []
-    for raw in subsets:
-        a = Multiset(raw)
+    for i, raw in enumerate(subsets):
+        a = _parse(Multiset, raw, f"{where}.subsets[{i}]")
         entry = {"m": list(a.elements())}
-        use = mode
-        if mode == "auto":
-            use = {"sequential": "sequential", "evolution": "jet",
-                   "thermal": "thermal"}[ctx.kind]
         if use == "sequential":
             v = sequential_weak_value(ctx, a)
         elif use == "simultaneous":
@@ -190,11 +207,9 @@ def cmd_weak_values(args) -> int:
             v = script_D(ctx, a)
         elif use == "thermal":
             v = thermal_E(ctx, a)
-        elif use == "mc":
+        else:
             v, se = script_D_monte_carlo(ctx, a, samples, seed)
             entry["se"] = se
-        else:
-            raise InputFormatError(f"unknown mode {use!r}")
         entry["re"], entry["im"] = v.real, v.imag
         values.append(entry)
     _emit({"schema": SCHEMA, "kind": ctx.kind, "values": values},

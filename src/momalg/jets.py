@@ -26,7 +26,10 @@ statement consumes.  It first rescales the gammas by an exact power of two
 so that the couplings weigh no more than the constant block, then scales
 and squares with a Taylor degree chosen from the norm (Higham, SIAM J.
 Matrix Anal. Appl. 26, 2005), evaluated by Paterson-Stockmeyer (SIAM J.
-Comput. 2, 1973); see its docstring for the degree bound.
+Comput. 2, 1973) over one stack of the powers Y..Y^q; see its docstring
+for the degree bound.  A generator whose blocks are all exactly Hermitian
+(the thermal e^(-beta H)) is squared from half the block pairs, since the
+pairs (a, b) and (b, a) of a square then give P and P^H.
 """
 
 from __future__ import annotations
@@ -362,7 +365,11 @@ class JetMatrix:
 
     @classmethod
     def zeros(cls, dim: int, n: int, caps: tuple[int, ...]) -> "JetMatrix":
+        """The zero matrix; a block stack above MAX_DENSE_BYTES is refused
+        before it is allocated."""
         lattice = multiset_lattice(n, caps)
+        _check_size(f"jet-matrix blocks of dimension {dim}", len(lattice),
+                    16 * dim * dim)
         return cls(n, caps, np.zeros((len(lattice), dim, dim), dtype=complex))
 
     @classmethod
@@ -387,9 +394,6 @@ class JetMatrix:
         if self.caps != other.caps or self.dim != other.dim:
             raise DomainError("jet matrix shape mismatch")
 
-    def _nonzero_blocks(self) -> np.ndarray:
-        return self.blocks.reshape(len(self.lattice), -1).any(axis=1)
-
     def _jet(self, vec: np.ndarray) -> Jet:
         return Jet._dense(self.n, self.caps, vec)
 
@@ -410,15 +414,8 @@ class JetMatrix:
 
     def __matmul__(self, other: "JetMatrix") -> "JetMatrix":
         self._check(other)
-        table = _pair_table(self.caps)
-        keep = (self._nonzero_blocks()[table.ia]
-                & other._nonzero_blocks()[table.ib])
-        a, b = self.blocks, other.blocks
-        out = np.zeros(a.shape, dtype=complex)
-        prod = np.empty(a.shape[1:], dtype=complex)    # reused per triple
-        for ia, ib, ic in zip(table.ia[keep].tolist(), table.ib[keep].tolist(),
-                              table.ic[keep].tolist()):
-            out[ic] += np.matmul(a[ia], b[ib], out=prod)
+        out = np.zeros(self.blocks.shape, dtype=complex)
+        _block_products(_pair_table(self.caps), self.blocks, other.blocks, out)
         return JetMatrix(self.n, self.caps, out)
 
     def scale_by_jet(self, jet: Jet) -> "JetMatrix":
@@ -426,7 +423,7 @@ class JetMatrix:
             raise DomainError("jet matrix shape mismatch")
         table = _pair_table(self.caps)
         coeffs = jet._vec
-        keep = (coeffs[table.ia] != 0) & self._nonzero_blocks()[table.ib]
+        keep = (coeffs[table.ia] != 0) & _nonzero(self.blocks)[table.ib]
         out = np.zeros(self.blocks.shape, dtype=complex)
         prod = np.empty(self.blocks.shape[1:], dtype=complex)
         for ia, ib, ic in zip(table.ia[keep].tolist(), table.ib[keep].tolist(),
@@ -459,6 +456,41 @@ class JetMatrix:
         return self._jet(self.blocks[:, i, j].copy())
 
 
+def _nonzero(blocks: np.ndarray) -> np.ndarray:
+    """Which blocks of a (lattice, d, d) stack hold a nonzero entry."""
+    return blocks.reshape(len(blocks), -1).any(axis=1)
+
+
+def _adjoint(blocks: np.ndarray) -> np.ndarray:
+    """Blockwise conjugate transpose of a (lattice, d, d) stack."""
+    return np.conj(blocks.transpose(0, 2, 1))
+
+
+def _block_products(table, a: np.ndarray, b: np.ndarray, out: np.ndarray,
+                    hermitian: bool = False) -> None:
+    """out += a @ b for block stacks in the lattice order of `table`: one
+    BLAS product per pair-table triple whose two blocks are nonzero.
+
+    hermitian: b is a, every block of a is Hermitian and out starts at zero.
+    Pairs (i, j) and (j, i) then give a_i a_j and its adjoint, so only the
+    pairs i <= j are multiplied into W = sum_{i<j} a_i a_j + sum_i a_i a_i
+    / 2, and out = W + W^H is exactly Hermitian."""
+    ia, ib, ic = table.ia, table.ib, table.ic
+    if hermitian:
+        half = ia <= ib
+        ia, ib, ic = ia[half], ib[half], ic[half]
+    keep = _nonzero(a)[ia] & _nonzero(b)[ib]
+    prod = np.empty(a.shape[1:], dtype=complex)    # reused per triple
+    for i, j, c in zip(ia[keep].tolist(), ib[keep].tolist(),
+                       ic[keep].tolist()):
+        np.matmul(a[i], b[j], out=prod)
+        if hermitian and i == j:
+            prod *= 0.5
+        out[c] += prod
+    if hermitian:
+        out += _adjoint(out)
+
+
 def jet_matrix_exp(m: JetMatrix) -> JetMatrix:
     """Matrix exponential in the truncated polynomial ring.
 
@@ -488,15 +520,30 @@ def jet_matrix_exp(m: JetMatrix) -> JetMatrix:
     4. Evaluation (Paterson-Stockmeyer).  Split the Taylor polynomial into
        c chunks of q coefficients, the top chunk taking q + 1, so that
        T_m(Y) = sum_i Y^(iq) C_i with C_i = sum_j Y^j / (iq + j)!.  Form
-       Y^2..Y^q, run Horner in Y^q over the chunks, square s times and
-       multiply block a by 2^(k|a|).  That is q - 1 + c - 1 products plus
-       s squarings; q minimises the products (ties: fewer stored powers,
-       q ~ sqrt m), and m is raised to c q, which the same products reach.
+       Y..Y^q in one (q, lattice, d, d) stack, run Horner in Y^q over the
+       chunks, square s times and multiply block a by 2^(k|a|).  That is
+       q - 1 + c - 1 products plus s squarings; q minimises the products
+       (ties: fewer stored powers, q ~ sqrt m), and m is raised to c q,
+       which the same products reach.
+    5. Hermitian X.  If every block of X is exactly Hermitian (one exact
+       test on X, no tolerance), so is every block of every real
+       polynomial in Y.  In a square the block pairs (a, b) and (b, a)
+       then give P and P^H, so one product serves both (`_block_products`):
+       multilinear caps need (3^n + 1) / 2 products per square instead of
+       3^n.  This covers the s squarings and the even powers, taken as
+       Y^(2j) = (Y^j)^2.  Each chunk is one contraction of the power stack
+       with its coefficients.  A square comes out exactly Hermitian, and
+       with no squaring the Horner result is made so, so exp(X) is too.
+       Any other X (e.g. -i tau H) keeps the full products and adds a
+       chunk's powers one at a time, in a fixed order: the postselected
+       values it feeds (thm4) move by up to 1e-13 relative when that sum is
+       reordered, e.g. into the contraction.
     """
     table = _pair_table(m.caps)
     norms = np.abs(m.blocks).sum(axis=1).max(axis=1)      # block 1-norms
     if not np.isfinite(norms).all():
         raise DomainError("jet_matrix_exp needs finite blocks")
+    hermitian = np.array_equal(m.blocks, _adjoint(m.blocks))
     top = int(table.grade.max())
     by_grade = np.bincount(table.grade, norms, minlength=top + 1)
     const, graded = by_grade[0], by_grade[1:]
@@ -516,26 +563,41 @@ def jet_matrix_exp(m: JetMatrix) -> JetMatrix:
     q = min(range(1, degree + 1), key=lambda p: (p + -(-degree // p), p))
     degree = q * -(-degree // q)
 
-    y = JetMatrix(m.n, m.caps,
-                  m.blocks * (2.0 ** -(k * table.grade + s))[:, None, None])
-    powers = [y]
-    for _ in range(q - 1):
-        powers.append(powers[-1] @ y)
+    powers = np.zeros((q, *m.blocks.shape), dtype=complex)    # Y^1..Y^q
+    np.multiply(m.blocks, (2.0 ** -(k * table.grade + s))[:, None, None],
+                out=powers[0])
+    for j in range(2, q + 1):
+        if hermitian and j % 2 == 0:                     # (Y^(j/2))^2
+            i = j // 2 - 1
+            _block_products(table, powers[i], powers[i], powers[j - 1], True)
+        else:
+            _block_products(table, powers[j - 2], powers[0], powers[j - 1])
 
     def add_chunk(blocks: np.ndarray, lo: int, hi: int) -> None:
-        """blocks += sum_{j=lo}^{hi} Y^(j-lo) / j!, in place."""
+        """blocks += sum_{j=lo}^{hi} Y^(j-lo) / j!, in place (step 5)."""
         blocks[0] += np.eye(m.dim) * (1.0 / math.factorial(lo))
-        for j in range(lo + 1, hi + 1):
-            blocks += powers[j - lo - 1].blocks * (1.0 / math.factorial(j))
+        coeffs = [1.0 / math.factorial(j) for j in range(lo + 1, hi + 1)]
+        if hermitian:
+            blocks += np.tensordot(coeffs, powers[:len(coeffs)], axes=1)
+        else:
+            for c, power in zip(coeffs, powers):
+                blocks += power * c
 
-    acc = JetMatrix.zeros(m.dim, m.n, m.caps)
-    add_chunk(acc.blocks, degree - q, degree)
+    def product(a: np.ndarray, b: np.ndarray, hermitian_square=False):
+        out = np.zeros_like(a)
+        _block_products(table, a, b, out, hermitian_square)
+        return out
+
+    acc = np.zeros_like(powers[0])
+    add_chunk(acc, degree - q, degree)
     for lo in range(degree - 2 * q, -1, -q):
-        acc = acc @ powers[-1]
-        add_chunk(acc.blocks, lo, lo + q - 1)
-    del powers, y                  # the squarings need only acc
+        acc = product(acc, powers[-1])
+        add_chunk(acc, lo, lo + q - 1)
+    del powers                     # the squarings need only acc
+    if hermitian and not s:        # squarings would make it exactly Hermitian
+        acc = (acc + _adjoint(acc)) * 0.5
     for _ in range(s):
-        acc = acc @ acc
+        acc = product(acc, acc, hermitian)
     if k:
-        acc.blocks *= (2.0 ** (k * table.grade))[:, None, None]
-    return acc
+        acc *= (2.0 ** (k * table.grade))[:, None, None]
+    return JetMatrix(m.n, m.caps, acc)

@@ -160,15 +160,18 @@ def matrix_from_dict(payload: dict, where: str = "operator") -> np.ndarray:
 def context_from_dict(payload: dict) -> WeakValueContext:
     kind = _require(payload, "kind", "context")
     observables = [matrix_from_dict(o, f"context.observables[{i}]")
-                   for i, o in enumerate(_require(payload, "observables",
-                                                  "context"))]
-    floor = float(payload.get("floor", 1e-8))
+                   for i, o in enumerate(_parse(
+                       list, _require(payload, "observables", "context"),
+                       "context.observables"))]
+    floor = _parse(float, payload.get("floor", 1e-8), "context.floor")
     if kind == "sequential":
         return WeakValueContext.sequential(
             vector_from_dict(_require(payload, "psi_i", "context"), "psi_i"),
             vector_from_dict(_require(payload, "psi_f", "context"), "psi_f"),
             [matrix_from_dict(u, f"context.unitaries[{i}]")
-             for i, u in enumerate(_require(payload, "unitaries", "context"))],
+             for i, u in enumerate(_parse(
+                 list, _require(payload, "unitaries", "context"),
+                 "context.unitaries"))],
             observables, floor=floor)
     if kind == "evolution":
         return WeakValueContext.evolution(
@@ -176,13 +179,14 @@ def context_from_dict(payload: dict) -> WeakValueContext:
             vector_from_dict(_require(payload, "psi_f", "context"), "psi_f"),
             matrix_from_dict(_require(payload, "hamiltonian", "context"),
                              "hamiltonian"),
-            float(_require(payload, "tau", "context")),
+            _parse(float, _require(payload, "tau", "context"), "context.tau"),
             observables, floor=floor)
     if kind == "thermal":
         return WeakValueContext.thermal(
             matrix_from_dict(_require(payload, "hamiltonian", "context"),
                              "hamiltonian"),
-            float(_require(payload, "beta", "context")),
+            _parse(float, _require(payload, "beta", "context"),
+                   "context.beta"),
             observables)
     raise InputFormatError(f"context: unknown kind {kind!r}")
 

@@ -1,11 +1,15 @@
 """CLI surface: file round trips, exit codes, batch verification runs."""
 
 import json
+import os
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from momalg.cli import main
+from momalg.cli import build_parser, main
 from momalg.serialization import (
     array_to_dict,
     load_json,
@@ -357,6 +361,14 @@ def _config_payload(scenario, **fields):
             **fields}
 
 
+def _thermal_query(context=(), **fields):
+    ctx = {"kind": "thermal", "beta": 0.8,
+           "hamiltonian": array_to_dict(np.diag([0.0, 1.0])),
+           "observables": [array_to_dict(np.array([[0.0, 1.0], [1.0, 0.0]]))]}
+    return {"schema": 1, "context": {**ctx, **dict(context)},
+            "subsets": [[1]], **fields}
+
+
 @pytest.mark.parametrize("argv, payload, field", [
     (["algebra", "log"], {**LOG_FIXTURE, "n": "x"}, ".n:"),
     (["algebra", "log"], {**LOG_FIXTURE, "caps": "zz"}, ".caps:"),
@@ -372,8 +384,18 @@ def _config_payload(scenario, **fields):
      ".seed:"),
     (["verify", "thm3", "--config"],
      _config_payload("sequential-all-coupled", targets=[[0]]), ".targets:"),
+    (["weak-values"], _thermal_query({"beta": "hot"}), "context.beta:"),
+    (["weak-values"], _thermal_query({"floor": "low"}), "context.floor:"),
+    (["weak-values"], _thermal_query({"observables": 5}),
+     "context.observables:"),
+    (["weak-values"], _thermal_query(samples="x"), ".samples:"),
+    (["weak-values"], _thermal_query(seed="s"), ".seed:"),
+    (["weak-values"], _thermal_query(mode="fast"), ".mode:"),
+    (["weak-values"], _thermal_query(subsets=[[0]]), ".subsets[0]:"),
+    (["weak-values"], [_thermal_query()], ": expected an object"),
 ], ids=["n", "caps", "entries", "entry", "re", "label0", "beta", "seed",
-        "targets"])
+        "targets", "wv-beta", "wv-floor", "wv-observables", "wv-samples",
+        "wv-seed", "wv-mode", "wv-subset0", "wv-list"])
 def test_exit_code_2_on_malformed_fields(tmp_path, capsys, argv, payload,
                                          field):
     # a field that cannot be converted is malformed input named in the
@@ -383,3 +405,31 @@ def test_exit_code_2_on_malformed_fields(tmp_path, capsys, argv, payload,
                  str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error:") and field in err
+
+
+@pytest.mark.parametrize("scenario", ["thermal", "thm1"])
+def test_verify_refuses_an_oversized_simulation_before_allocating(
+        tmp_path, scenario):
+    # 8 pointers of dimension 2 on a qubit: 2^8 blocks of 512 x 512, 1 GiB
+    # per jet matrix.  Run in a child whose address space is capped, so that
+    # a missing preflight ends in a MemoryError, not in the host's memory
+    # (one BLAS thread keeps the child's own buffers well under the cap).
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))
+
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "momalg", "verify", scenario, "--pointers", "8",
+         "--out", str(tmp_path)], capture_output=True, text=True,
+        preexec_fn=cap_memory, timeout=60, env=env)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("domain error:") and "1024 MiB" in proc.stderr
+
+
+def test_parser_is_built_once_and_keeps_its_default_lists(tmp_path):
+    assert build_parser() is build_parser()
+    assert main(["verify", "thermal", "--pointers", "2", "--beta", "0.5", "2",
+                 "--out", str(tmp_path)]) == 0
+    args = build_parser().parse_args(["verify", "thermal"])
+    assert args.beta == [1.0] and args.tau == [1.0]

@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 from momalg.algebra import MMap, convolve
 from momalg.combinatorics import EMPTY, Multiset, multiset_lattice
 from momalg.errors import CapExceededError, DomainError, NonInvertibleError
-from momalg.jets import Jet, JetMatrix, _pair_table, jet_matrix_exp
+from momalg import jets
+from momalg.jets import (
+    Jet,
+    JetMatrix,
+    _block_products,
+    _pair_table,
+    jet_matrix_exp,
+)
 from oracles import expm_mp
 
 M = Multiset
@@ -452,14 +459,91 @@ def test_jet_matrix_exp_matches_regular_representation_oracle(case):
         if a.size == 1 or (every_monomial and a.size > 1):
             terms[a] = phase * hermitian(rng, d, coupling_norm / a.size)
     got = jet_matrix_exp(JetMatrix.from_terms(terms, d, n, caps))
+    assert_matches_oracle(got, terms, caps, d, case)
+
+
+def assert_matches_oracle(got, terms, caps, d, case):
+    """Each grade of `got` within 1e-13 of the 30-digit oracle, in units of
+    the terms that make up that grade: the same grade of the exponential of
+    the entrywise-absolute generator, which bounds every term of the series
+    (the [t^g] e^P of the jet_matrix_exp docstring).  A grade whose terms
+    cancel is then not held to a precision its terms never had."""
     rep, pos = regular_representation(terms, caps, d)
+    size, _ = regular_representation({a: np.abs(t) for a, t in terms.items()},
+                                     caps, d)
     unit = pos[EMPTY] * d
     column = expm_mp(rep)[:, unit:unit + d]
+    scale = expm_mp(size)[:, unit:unit + d].real
     for g in {a.size for a in pos}:
         grade = [a for a in pos if a.size == g]
         want = np.stack([column[pos[a] * d:(pos[a] + 1) * d] for a in grade])
+        bound = np.stack([scale[pos[a] * d:(pos[a] + 1) * d] for a in grade])
         diff = np.stack([got.blocks[got.index[a]] for a in grade]) - want
-        assert np.abs(diff).max() <= 1e-13 * np.abs(want).max(), (g, case)
+        assert np.abs(diff).max() <= 1e-13 * bound.max(), (g, case)
+
+
+def is_hermitian(blocks):
+    return np.array_equal(blocks, np.conj(blocks.transpose(0, 2, 1)))
+
+
+@pytest.fixture
+def squarings(monkeypatch):
+    """The `hermitian` flag of every block product jet_matrix_exp makes."""
+    flags, real = [], jets._block_products
+
+    def spy(table, a, b, out, hermitian=False):
+        flags.append(hermitian)
+        real(table, a, b, out, hermitian)
+    monkeypatch.setattr(jets, "_block_products", spy)
+    return flags
+
+
+@pytest.mark.parametrize("caps", [(1, 1, 1), (2, 1)])
+@pytest.mark.parametrize("const_norm, coupling_norm", [(0.1, 0.05), (6.0, 2.0)])
+def test_exp_of_a_hermitian_generator_has_exactly_hermitian_blocks(
+        squarings, caps, const_norm, coupling_norm):
+    # with no squaring (ring norm <= 0.5) and with several
+    rng = np.random.default_rng(31)
+    d, n = 4, len(caps)
+    terms = {EMPTY: -hermitian(rng, d, const_norm)}
+    for a in multiset_lattice(n, caps):
+        if a.size == 1:
+            terms[a] = -hermitian(rng, d, coupling_norm)
+    got = jet_matrix_exp(JetMatrix.from_terms(terms, d, n, caps))
+    assert is_hermitian(got.blocks)
+    assert any(squarings)
+    assert_matches_oracle(got, terms, caps, d, (caps, const_norm))
+
+
+def test_one_non_hermitian_coupling_block_takes_the_general_path(squarings):
+    rng = np.random.default_rng(32)
+    d, caps = 3, (1, 1)
+    terms = {EMPTY: -hermitian(rng, d, 2.0), M([1]): -hermitian(rng, d, 1.0),
+             M([2]): random_complex_matrix(rng, d, 0.3)}
+    got = jet_matrix_exp(JetMatrix.from_terms(terms, d, 2, caps))
+    assert squarings and not any(squarings)
+    assert_matches_oracle(got, terms, caps, d, "non-Hermitian coupling")
+
+
+@pytest.mark.parametrize("caps", [(1, 1, 1), (2, 1)])
+def test_hermitian_square_matches_the_full_pair_loop(caps):
+    rng = np.random.default_rng(33)
+    d, n = 5, len(caps)
+    terms = {a: hermitian(rng, d, 1.0) for a in multiset_lattice(n, caps)}
+    m = JetMatrix.from_terms(terms, d, n, caps)
+    want = (m @ m).blocks
+    got = np.zeros_like(want)
+    _block_products(_pair_table(caps), m.blocks, m.blocks, got, hermitian=True)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    assert is_hermitian(got)
+
+
+def test_jet_matrix_preflight_refuses_huge_block_stacks():
+    # 2^8 monomials of 512 x 512 complex blocks: 1 GiB, refused unallocated
+    with pytest.raises(DomainError, match="1024 MiB"):
+        JetMatrix.zeros(512, 8, (1,) * 8)
+    with pytest.raises(DomainError, match="1024 MiB"):
+        JetMatrix.from_terms({(): np.eye(512)}, 512, 8, (1,) * 8)
 
 
 @pytest.mark.parametrize("caps", [(), (1,), (2,), (1, 1, 1), (2, 1, 3),
