@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import functools
 import json
 import os
 import sys
@@ -68,11 +67,7 @@ def _parse_seeds(text: str) -> list[int]:
     return [int(t) for t in text.split(",")]
 
 
-@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
-    """The `momalg` parser, built once per process (argparse spends about a
-    millisecond building it).  Parsed namespaces share the parser's default
-    lists (--tau, --beta); callers read them and never mutate them."""
     parser = argparse.ArgumentParser(
         prog="momalg",
         description="moment-algebra operations and weak-measurement "
@@ -172,44 +167,34 @@ def cmd_algebra(args) -> int:
     return 0
 
 
-WEAK_VALUE_MODES = ("auto", "sequential", "simultaneous", "jet", "thermal",
-                    "mc")
-
-
-def _weak_value_mode(value) -> str:
-    if value not in WEAK_VALUE_MODES:
-        raise ValueError(f"unknown mode {value!r}")
-    return value
-
-
 def cmd_weak_values(args) -> int:
     where = args.query
     payload = load_json(where)
     subsets = _parse(list, _require(payload, "subsets", where),
                      f"{where}.subsets")
     ctx = context_from_dict(payload.get("context", {}))
-    mode = _parse(_weak_value_mode, payload.get("mode", "auto"),
-                  f"{where}.mode")
     samples = _parse(int, payload.get("samples", 100_000), f"{where}.samples")
     seed = _parse(int, payload.get("seed", 0), f"{where}.seed")
-    use = mode if mode != "auto" else {
-        "sequential": "sequential", "evolution": "jet",
-        "thermal": "thermal"}[ctx.kind]
+    weak_value = {
+        "sequential": sequential_weak_value,
+        "simultaneous": simultaneous_weak_value,
+        "jet": script_D,
+        "thermal": thermal_E,
+        "mc": lambda c, a: script_D_monte_carlo(c, a, samples, seed),
+    }
+    weak_value["auto"] = weak_value[{"sequential": "sequential",
+                                     "evolution": "jet",
+                                     "thermal": "thermal"}[ctx.kind]]
+    mode = payload.get("mode", "auto")
+    if not isinstance(mode, str) or mode not in weak_value:
+        raise InputFormatError(f"{where}.mode: unknown mode {mode!r}")
     values = []
     for i, raw in enumerate(subsets):
         a = _parse(Multiset, raw, f"{where}.subsets[{i}]")
         entry = {"m": list(a.elements())}
-        if use == "sequential":
-            v = sequential_weak_value(ctx, a)
-        elif use == "simultaneous":
-            v = simultaneous_weak_value(ctx, a)
-        elif use == "jet":
-            v = script_D(ctx, a)
-        elif use == "thermal":
-            v = thermal_E(ctx, a)
-        else:
-            v, se = script_D_monte_carlo(ctx, a, samples, seed)
-            entry["se"] = se
+        v = weak_value[mode](ctx, a)
+        if mode == "mc":
+            v, entry["se"] = v
         entry["re"], entry["im"] = v.real, v.imag
         values.append(entry)
     _emit({"schema": SCHEMA, "kind": ctx.kind, "values": values},

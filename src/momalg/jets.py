@@ -531,13 +531,12 @@ def jet_matrix_exp(m: JetMatrix) -> JetMatrix:
        then give P and P^H, so one product serves both (`_block_products`):
        multilinear caps need (3^n + 1) / 2 products per square instead of
        3^n.  This covers the s squarings and the even powers, taken as
-       Y^(2j) = (Y^j)^2.  Each chunk is one contraction of the power stack
-       with its coefficients.  A square comes out exactly Hermitian, and
-       with no squaring the Horner result is made so, so exp(X) is too.
-       Any other X (e.g. -i tau H) keeps the full products and adds a
-       chunk's powers one at a time, in a fixed order: the postselected
-       values it feeds (thm4) move by up to 1e-13 relative when that sum is
-       reordered, e.g. into the contraction.
+       Y^(2j) = (Y^j)^2.  A square comes out exactly Hermitian, and with
+       no squaring the Horner result is made so, so exp(X) is too.  Any
+       other X (e.g. -i tau H) keeps the full products.  On both paths a
+       chunk adds its powers one at a time, in a fixed order: the
+       postselected values thm4 feeds move by up to 1e-13 relative when
+       that sum is reordered (e.g. into one tensordot over the stack).
     """
     table = _pair_table(m.caps)
     norms = np.abs(m.blocks).sum(axis=1).max(axis=1)      # block 1-norms
@@ -574,14 +573,10 @@ def jet_matrix_exp(m: JetMatrix) -> JetMatrix:
             _block_products(table, powers[j - 2], powers[0], powers[j - 1])
 
     def add_chunk(blocks: np.ndarray, lo: int, hi: int) -> None:
-        """blocks += sum_{j=lo}^{hi} Y^(j-lo) / j!, in place (step 5)."""
+        """blocks += sum_{j=lo}^{hi} Y^(j-lo) / j!, in place."""
         blocks[0] += np.eye(m.dim) * (1.0 / math.factorial(lo))
-        coeffs = [1.0 / math.factorial(j) for j in range(lo + 1, hi + 1)]
-        if hermitian:
-            blocks += np.tensordot(coeffs, powers[:len(coeffs)], axes=1)
-        else:
-            for c, power in zip(coeffs, powers):
-                blocks += power * c
+        for j in range(lo + 1, hi + 1):
+            blocks += powers[j - lo - 1] * (1.0 / math.factorial(j))
 
     def product(a: np.ndarray, b: np.ndarray, hermitian_square=False):
         out = np.zeros_like(a)

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from momalg.cli import build_parser, main
+from momalg.cli import main
 from momalg.serialization import (
     array_to_dict,
     load_json,
@@ -425,11 +425,3 @@ def test_verify_refuses_an_oversized_simulation_before_allocating(
         preexec_fn=cap_memory, timeout=60, env=env)
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("domain error:") and "1024 MiB" in proc.stderr
-
-
-def test_parser_is_built_once_and_keeps_its_default_lists(tmp_path):
-    assert build_parser() is build_parser()
-    assert main(["verify", "thermal", "--pointers", "2", "--beta", "0.5", "2",
-                 "--out", str(tmp_path)]) == 0
-    args = build_parser().parse_args(["verify", "thermal"])
-    assert args.beta == [1.0] and args.tau == [1.0]
