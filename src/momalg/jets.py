@@ -22,19 +22,25 @@ reduce to one BLAS product per pair-table triple whose blocks are both
 nonzero.  jet_matrix_exp is the exponential in this ring; its multilinear
 coefficient of prod_{j in a} gamma_j equals the permutation-summed simplex
 integral of the Dyson expansion, which is what every 'lowest joint order'
-statement consumes.  It first rescales the gammas by an exact power of two
-so that the couplings weigh no more than the constant block, then scales
-and squares with a Taylor degree chosen from the norm (Higham, SIAM J.
-Matrix Anal. Appl. 26, 2005), evaluated by Paterson-Stockmeyer (SIAM J.
-Comput. 2, 1973) over one stack of the powers Y..Y^q; see its docstring
-for the degree bound.  A generator whose blocks are all exactly Hermitian
-(the thermal e^(-beta H)) is squared from half the block pairs, since the
-pairs (a, b) and (b, a) of a square then give P and P^H.
+statement consumes.  It has two routes.  The Taylor route rescales the
+gammas by an exact power of two so that the couplings weigh no more than
+the constant block, then scales and squares with a Taylor degree chosen
+from the norm (Higham, SIAM J. Matrix Anal. Appl. 26, 2005), evaluated by
+Paterson-Stockmeyer (SIAM J. Comput. 2, 1973) over one stack of the powers
+Y..Y^q; a generator whose blocks are all exactly Hermitian is squared from
+half the block pairs, since the pairs (a, b) and (b, a) of a square then
+give P and P^H.  The spectral route serves a large, exactly Hermitian
+constant block with few distinct eigenvalues, such as the thermal
+-beta H_S (x) 1: in the eigenbasis, the Dyson expansion ends after G =
+sum(caps) factors of the nilpotent graded part and is summed with divided
+differences of exp, taken from Opitz matrices.  The routes are chosen by a
+cost model from the shapes alone; see the docstring of jet_matrix_exp.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from functools import lru_cache
 from types import MappingProxyType
@@ -49,6 +55,13 @@ _THETA = 0.5               # ring-norm bound of the scaled exponential argument
 _UNIT_ROUNDOFF = 2.0 ** -53
 MAX_DENSE_BYTES = 2 ** 28  # largest dense lattice array or pair table built
 _PAIR_BYTES = 72           # per pair: 3 index arrays, 3 complex temporaries
+# Route model of jet_matrix_exp (its docstring, step 7), in complex
+# multiply-adds (madds); fitted to both routes' times on one BLAS thread
+_SPECTRAL_MIN_DIM = 64     # smaller blocks stay on the Taylor route
+_STEP_MADDS = 2 ** 15      # a Python-level step: a BLAS call or a block pass
+_ENTRY_MADDS = 32          # one entry of a block pass
+_EIGH_PRODUCTS = 32        # eigh and the route's set-up, in d x d products
+_OPITZ_PRODUCTS = 16       # the Opitz exponential, in products of its size
 
 
 class _PairTable(NamedTuple):
@@ -458,7 +471,7 @@ class JetMatrix:
 
 def _nonzero(blocks: np.ndarray) -> np.ndarray:
     """Which blocks of a (lattice, d, d) stack hold a nonzero entry."""
-    return blocks.reshape(len(blocks), -1).any(axis=1)
+    return blocks.any(axis=(1, 2))
 
 
 def _adjoint(blocks: np.ndarray) -> np.ndarray:
@@ -469,7 +482,8 @@ def _adjoint(blocks: np.ndarray) -> np.ndarray:
 def _block_products(table, a: np.ndarray, b: np.ndarray, out: np.ndarray,
                     hermitian: bool = False) -> None:
     """out += a @ b for block stacks in the lattice order of `table`: one
-    BLAS product per pair-table triple whose two blocks are nonzero.
+    BLAS product per pair-table triple whose two blocks are nonzero.  The
+    blocks may be rectangular: (lattice, r, p) times (lattice, p, c).
 
     hermitian: b is a, every block of a is Hermitian and out starts at zero.
     Pairs (i, j) and (j, i) then give a_i a_j and its adjoint, so only the
@@ -480,7 +494,7 @@ def _block_products(table, a: np.ndarray, b: np.ndarray, out: np.ndarray,
         half = ia <= ib
         ia, ib, ic = ia[half], ib[half], ic[half]
     keep = _nonzero(a)[ia] & _nonzero(b)[ib]
-    prod = np.empty(a.shape[1:], dtype=complex)    # reused per triple
+    prod = np.empty((a.shape[1], b.shape[2]), dtype=complex)  # reused
     for i, j, c in zip(ia[keep].tolist(), ib[keep].tolist(),
                        ic[keep].tolist()):
         np.matmul(a[i], b[j], out=prod)
@@ -492,7 +506,8 @@ def _block_products(table, a: np.ndarray, b: np.ndarray, out: np.ndarray,
 
 
 def jet_matrix_exp(m: JetMatrix) -> JetMatrix:
-    """Matrix exponential in the truncated polynomial ring.
+    """Matrix exponential in the truncated polynomial ring, by one of two
+    routes: Taylor (steps 1-5) or spectral (step 6), picked by step 7.
 
     Write X = sum_a X_a gamma^a, G = sum(caps) for the top grade, |a| for
     the grade of monomial a, and ||.|| for the block 1-norm.  The ring
@@ -537,12 +552,106 @@ def jet_matrix_exp(m: JetMatrix) -> JetMatrix:
        chunk adds its powers one at a time, in a fixed order: the
        postselected values thm4 feeds move by up to 1e-13 relative when
        that sum is reordered (e.g. into one tensordot over the stack).
+    6. Spectral route.  Let the constant block X_0 be exactly Hermitian
+       (one exact test, no tolerance), X_0 = sum_c l_c P_c with spectral
+       projectors P_c, and N = X - X_0.  Expanding exp(X_0 + N) in powers
+       of N (Dyson) and integrating each term over its simplex gives
+           exp(X) = sum_k sum_{c_0..c_k} exp[l_c0, ..., l_ck]
+                        P_c0 N P_c1 N ... N P_ck,
+       with exp[...] the divided differences of exp (Higham, Functions of
+       Matrices, SIAM 2008, sec. 3.2).  N is nilpotent in the ring: every
+       block of N has grade >= 1, so a product of G + 1 of them has grade
+       above G and is truncated away.  The sum therefore ends at k = G and
+       is exact, not a truncated series.  The route:
+       a. X_0 = U diag(w) U^H by eigh, with U made unitary to working
+          precision by one Newton-Schulz step, U <- U (3 - U^H U) / 2:
+          eigh's U is unitary only to about d eps, and U^H stands for its
+          inverse in the changes of basis.
+       b. Consecutive eigenvalues closer than 8 d eps max(1, max|w|), about
+          eigh's own backward error, form one cluster, with their mean as
+          its point l_c.  The bound comes from the input, not a setting;
+          moving each eigenvalue to its cluster point perturbs X_0 by at
+          most the cluster's width, (size - 1) times the bound, the size of
+          eigh's error.  It makes H_S (x) 1 count as its d_s eigenvalues,
+          not d.
+       c. In the eigenbasis (blocks U^H X_a U) a P_c is an index range.
+          Divided differences are symmetric, so every order of the middle
+          clusters c_1..c_(k-1) shares one weight per end pair (c_0, c_k).
+          The sum is a recursion over the multiset M of middle clusters:
+          T(empty) = N, T(M) = sum_{c in M} T(M - c) P_c N, each term a
+          ring product of cluster sub-blocks, (lattice, d, n_c) by
+          (lattice, n_c, d), through `_block_products`.  T(M) has grades
+          above |M| only and holds just those blocks.  It enters the
+          result weighted entrywise by exp[l_a, l_M, l_b], a and b the
+          clusters of row and column.  Divided differences come from
+          Opitz's theorem: for the bidiagonal J with diagonal x_0..x_r and
+          ones above it, exp(J)[0, r] = exp[x_0, ..., x_r], repeated points
+          included.  J is exponentiated by steps 1-4, which scale and
+          square it; McCurdy, Ng & Parlett (Math. Comp. 43, 1984) show that
+          this keeps divided differences at close points accurate, where
+          the quotient formula cancels.
+       d. Back to the input basis, U (.) U^H.  If every block of X is
+          Hermitian the result is averaged with its adjoint, so that it
+          is exactly Hermitian, as on the Taylor route.
+       Work: eigh, 2 products for the Newton-Schulz step, 2 per nonzero
+       graded block and 2 per result block for the changes of basis, and
+       per multiset M and pair-table pair sub-block products worth one
+       d x d product: about 36 products of 128 x 128 blocks at caps
+       (1, 1, 1) with two clusters, against 176-190 on the Taylor route.
+    7. Routing, from what is known before any product: whether X_0 is
+       exactly Hermitian, the block dimension d, the pair table, the
+       Taylor schedule (k, s, q, m) and the clusters.  Any other X_0 (e.g.
+       -i tau H) takes the Taylor route.  Otherwise each route's time is
+       modelled in complex multiply-adds (madds): the madds of its
+       products, plus 2^15 per Python-level step (a BLAS call or a pass
+       over a block) and 32 per entry of each block pass, with eigh and
+       the route's set-up as 32 products and the Opitz matrix as 16
+       products of its own size.  These constants were fitted to both
+       routes' times at d = 48-128, caps (1, 1) to (1, 1, 1, 1, 1) and
+       (2, 1), 1 to 8 clusters (rms error of the fit about 20%; one
+       OpenBLAS thread, 2-vCPU Xeon).  The spectral route is taken if it models cheaper
+       and its states fit in MAX_DENSE_BYTES: first with one cluster, so
+       that no eigh is spent where even that loses, then with the
+       clusters eigh finds.  Many clusters lose, as the states grow like
+       multisets of up to G - 1 clusters.  Blocks with d < 64 stay on the
+       Taylor route, where the model leaves out fixed costs that rule
+       there.  Measured with two clusters, spectral over Taylor time:
+       0.9-1.8 at d = 16, 0.5-1.0 at d = 32, 0.4-0.7 at d = 48, 0.36-0.47
+       at d = 64 and 0.25-0.40 at d = 128 (caps (1, 1), (1, 1, 1),
+       (1, 1, 1, 1), (2, 1)).  So the crossover lies between d = 16 and
+       48, lower with more couplings; moving d = 32-48 to the spectral
+       route needs those fixed costs in the model.  Each route refuses,
+       before allocating, to hold more than MAX_DENSE_BYTES: the Taylor
+       route q + 2 block stacks, the spectral route N, the sum, the
+       result and two levels of states.
     """
     table = _pair_table(m.caps)
-    norms = np.abs(m.blocks).sum(axis=1).max(axis=1)      # block 1-norms
+    norms = _block_norms(m.blocks)
     if not np.isfinite(norms).all():
         raise DomainError("jet_matrix_exp needs finite blocks")
+    schedule = _taylor_schedule(table, norms)
     hermitian = np.array_equal(m.blocks, _adjoint(m.blocks))
+    eigen = _spectral_pays(table, m.blocks, schedule, hermitian)
+    if eigen is not None:
+        return _spectral_exp(m, table, *eigen, hermitian)
+    return _taylor_exp(m, table, schedule, hermitian)
+
+
+def _block_norms(blocks: np.ndarray) -> np.ndarray:
+    """The 1-norm of every block of a (lattice, d, d) stack."""
+    return np.abs(blocks).sum(axis=1).max(axis=1)
+
+
+class _Schedule(NamedTuple):
+    """Taylor route parameters (docstring of jet_matrix_exp, steps 1-4)."""
+
+    k: int        # couplings rescaled by 2^-k
+    s: int        # squarings
+    q: int        # powers Y..Y^q held
+    degree: int   # Taylor degree, a multiple of q
+
+
+def _taylor_schedule(table, norms: np.ndarray) -> _Schedule:
     top = int(table.grade.max())
     by_grade = np.bincount(table.grade, norms, minlength=top + 1)
     const, graded = by_grade[0], by_grade[1:]
@@ -560,8 +669,17 @@ def jet_matrix_exp(m: JetMatrix) -> JetMatrix:
     # fewest products (q - 1 powers, then one per chunk after the first),
     # then fewest stored powers; the last chunk is filled up to q terms
     q = min(range(1, degree + 1), key=lambda p: (p + -(-degree // p), p))
-    degree = q * -(-degree // q)
+    return _Schedule(k, s, q, q * -(-degree // q))
 
+
+def _taylor_exp(m: JetMatrix, table, schedule: _Schedule,
+                hermitian: bool) -> JetMatrix:
+    """Steps 1-5 of the jet_matrix_exp docstring."""
+    k, s, q, degree = schedule
+    # Y..Y^q, the Horner accumulator and one product's output
+    _check_size(f"jet-matrix blocks of dimension {m.dim} held by the "
+                f"Taylor exponential", (q + 2) * len(m.blocks),
+                16 * m.dim * m.dim)
     powers = np.zeros((q, *m.blocks.shape), dtype=complex)    # Y^1..Y^q
     np.multiply(m.blocks, (2.0 ** -(k * table.grade + s))[:, None, None],
                 out=powers[0])
@@ -596,3 +714,200 @@ def jet_matrix_exp(m: JetMatrix) -> JetMatrix:
     if k:
         acc *= (2.0 ** (k * table.grade))[:, None, None]
     return JetMatrix(m.n, m.caps, acc)
+
+
+def _spectral_pays(table, blocks: np.ndarray, schedule: _Schedule,
+                   hermitian: bool):
+    """(w, u, bounds): the eigenvalues, eigenvectors and cluster bounds of
+    the constant block, if it is exactly Hermitian, the spectral route is
+    modelled to cost less than the Taylor route and its states fit in
+    MAX_DENSE_BYTES (docstring of jet_matrix_exp, step 7); else None.  No
+    eigendecomposition is taken when even one cluster would cost more."""
+    dim, const = blocks.shape[1], blocks[0]
+    if dim < _SPECTRAL_MIN_DIM or not np.array_equal(const, const.conj().T):
+        return None
+    nil = _nonzero(blocks) & (table.grade > 0)
+    taylor = _taylor_cost(table, schedule, hermitian, dim)
+    if _spectral_cost(table, nil, 1, dim) >= taylor:
+        return None
+    w, u = np.linalg.eigh(const)
+    bounds = _clusters(w)
+    count = len(bounds) - 1
+    if (_spectral_cost(table, nil, count, dim) >= taylor
+            or _spectral_blocks(table, count) * const.nbytes > MAX_DENSE_BYTES):
+        return None
+    return w, u, bounds
+
+
+def _route_cost(flops: float, steps: int, passes: int, dim: int) -> float:
+    """Modelled time of a route, in complex multiply-adds (madds): `flops`
+    madds of BLAS work, `steps` Python-level steps (a BLAS call or one pass
+    over a block) and `passes` passes over a dim x dim block (an
+    allocation, a weighting, an accumulation)."""
+    return flops + steps * _STEP_MADDS + passes * dim * dim * _ENTRY_MADDS
+
+
+def _taylor_cost(table, schedule: _Schedule, hermitian: bool,
+                 dim: int) -> float:
+    """Modelled time of the Taylor route: its products taken over every
+    pair of the table, a Hermitian square over the pairs i <= j."""
+    _, s, q, degree = schedule
+    squares = s + q // 2 if hermitian else 0
+    products = ((q + degree // q + s - 2 - squares) * len(table.ia)
+                + squares * int(np.count_nonzero(table.ia <= table.ib)))
+    allocated = q + 2 + degree // q + s
+    passes = products + len(table.grade) * (degree + allocated)
+    return _route_cost(products * dim ** 3, products + passes, passes, dim)
+
+
+def _spectral_cost(table, nil: np.ndarray, count: int, dim: int) -> float:
+    """Modelled time of the spectral route with `count` clusters; nil marks
+    the nonzero graded blocks of the generator."""
+    top = int(table.grade.max())
+    size = len(table.grade)
+    products = 2 * int(np.count_nonzero(nil)) + 2 * size   # basis changes
+    flops = (_EIGH_PRODUCTS + products) * dim ** 3
+    steps, passes, opitz = products, products + 3 * size, 0
+    for g in range(1, top + 1):
+        states = math.comb(count + g - 2, g - 1)   # middle multisets, g - 1
+        weighted = states * int(np.count_nonzero(table.grade >= g))
+        steps += weighted
+        passes += weighted
+        opitz += states * (2 * count + g - 1)
+        if g < top:
+            pairs = states * int(np.count_nonzero(
+                (table.grade[table.ia] >= g) & nil[table.ib]))
+            flops += pairs * dim ** 3
+            steps += pairs * count
+            passes += pairs * count + math.comb(count + g - 1, g) * int(
+                np.count_nonzero(table.grade > g))
+    return (_route_cost(flops, steps, passes, dim)
+            + _OPITZ_PRODUCTS * opitz ** 3)
+
+
+def _clusters(w: np.ndarray) -> np.ndarray:
+    """Cluster boundaries of the ascending eigenvalues w: 0, the index of
+    every gap wider than eigh's backward error 8 d eps max(1, |w|), len(w)."""
+    tol = 8 * len(w) * np.finfo(float).eps * max(1.0, float(np.abs(w).max()))
+    gaps = np.flatnonzero(np.diff(w) > tol) + 1
+    return np.concatenate(([0], gaps, [len(w)]))
+
+
+def _spectral_exp(m: JetMatrix, table, w: np.ndarray, u: np.ndarray,
+                  bounds: np.ndarray, hermitian: bool) -> JetMatrix:
+    """Step 6 of the jet_matrix_exp docstring: the divided-difference
+    expansion of exp(X) in the eigenbasis u of the constant block, whose
+    ascending eigenvalues w are split into clusters at `bounds`."""
+    top = int(table.grade.max())
+    sizes = np.diff(bounds)
+    clusters = range(len(sizes))
+    _check_size(f"jet-matrix blocks of dimension {m.dim} held by the "
+                f"spectral exponential", _spectral_blocks(table, len(sizes)),
+                16 * m.dim * m.dim)
+    labels = np.repeat(np.arange(len(sizes)), sizes)
+    lam = np.add.reduceat(w, bounds[:-1]) / sizes   # one point per cluster
+    mids = [mid for g in range(top)
+            for mid in itertools.combinations_with_replacement(clusters, g)]
+    dd = _exp_divided_differences(lam, mids) if mids else {}
+    work = np.empty((m.dim, m.dim), dtype=complex)    # reused per block
+
+    def change_basis(blocks, left, right, out, first=0):
+        """out[i] = left @ blocks[i] @ right for the nonzero blocks i >=
+        first, one BLAS product at a time."""
+        for i in np.flatnonzero(_nonzero(blocks[first:])).tolist():
+            np.matmul(blocks[first + i], right, out=work)
+            np.matmul(left, work, out=out[first + i])
+
+    # one Newton-Schulz step makes u unitary to working precision (eigh's
+    # is so only to ~d eps), so that u^H inverts it in the changes of basis
+    u = u @ (1.5 * np.eye(m.dim) - 0.5 * (u.conj().T @ u))
+    uh = u.conj().T
+    nil = np.zeros_like(m.blocks)              # N = X - X_0 in the eigenbasis
+    change_basis(m.blocks, uh, u, nil, first=1)
+    acc = np.zeros_like(m.blocks)
+    acc[0] = np.diag(np.exp(lam)[labels])
+    # level: a multiset M of g - 1 middle clusters -> T(M) (docstring, step
+    # 6c); T(M) has grades >= g only, so it holds the blocks from lattice
+    # index `start` on (the lattice is sorted by grade)
+    level, start = {(): nil}, 0
+    for g in range(1, top + 1):
+        for mid, paths in level.items():
+            weight = dd[mid][labels[:, None], labels]
+            for i in np.flatnonzero(_nonzero(paths)).tolist():
+                acc[start + i] += np.multiply(paths[i], weight, out=work)
+        if g == top:
+            break
+        first = int(np.searchsorted(table.grade, g + 1))
+        keep = (table.ia >= start) & (table.ic >= first)
+        pairs = table._replace(ia=table.ia[keep] - start, ib=table.ib[keep],
+                               ic=table.ic[keep] - first)
+        longer = {mid: np.zeros((len(nil) - first, *nil.shape[1:]),
+                                dtype=complex)
+                  for mid in itertools.combinations_with_replacement(
+                      clusters, g)}
+        for mid, paths in longer.items():
+            for c in sorted(set(mid)):         # the last middle cluster
+                i = mid.index(c)
+                rows = slice(bounds[c], bounds[c + 1])
+                _block_products(pairs, level[mid[:i] + mid[i + 1:]][:, :, rows],
+                                nil[:, rows], paths)
+        level, start = longer, first
+    del level, nil
+    out = np.zeros_like(acc)
+    change_basis(acc, u, uh, out)
+    if hermitian:                              # (out + out^H) / 2, in place
+        for block in out:
+            block += np.conj(block.T, out=work)
+            block *= 0.5
+    return JetMatrix(m.n, m.caps, out)
+
+
+def _spectral_blocks(table, count: int) -> int:
+    """Blocks of the generator's size the spectral route holds at once with
+    `count` clusters: N, the sum and the result, and two levels of states,
+    one per multiset of g middle clusters, each holding the grades above
+    g."""
+    top = int(table.grade.max())
+    states = [0] + [math.comb(count + g - 1, g)
+                    * int(np.count_nonzero(table.grade > g))
+                    for g in range(1, top)]
+    return 3 * len(table.grade) + max(
+        a + b for a, b in zip(states, states[1:] + [0]))
+
+
+def _exp_divided_differences(lam: np.ndarray, mids: list) -> dict:
+    """For each tuple `mid` of cluster indices, the table exp[lam_a,
+    lam_mid[0], ..., lam_mid[-1], lam_b] over all pairs (a, b) of clusters,
+    as an array indexed [a, b].
+
+    Opitz: for the bidiagonal J with diagonal x_0..x_r and ones above it,
+    exp(J)[0, r] = exp[x_0, ..., x_r], repeated points included.  One
+    block-bidiagonal J per mid covers every pair (a, b) at once: diagonal
+    lam, lam[mid], lam, and ones from each point of the first block to the
+    first middle point, along the middle points, and from the last middle
+    point to each point of the last block (from the first block straight
+    to the last if mid is empty).  exp(J)[a, b], b in the last block, sums
+    the one path a, mid..., b: the corner entry of that sequence's Opitz
+    matrix.  The J of all mids, shifted by the mid-range mu of lam, are
+    exponentiated at once, as one block-diagonal matrix, by the Taylor
+    route; exp[x + mu] = e^mu exp[x] undoes the shift."""
+    count = len(lam)
+    mu = (lam.max() + lam.min()) / 2
+    sizes = [2 * count + len(mid) for mid in mids]
+    opitz = np.zeros((sum(sizes), sum(sizes)), dtype=complex)
+    starts = np.cumsum([0] + sizes[:-1])
+    for mid, size, at in zip(mids, sizes, starts):
+        block = opitz[at:at + size, at:at + size]
+        block[np.diag_indices(size)] = np.concatenate(
+            (lam, lam[list(mid)], lam)) - mu
+        heads = np.arange(count)
+        for nxt in [[count + i] for i in range(len(mid))] + [
+                np.arange(count + len(mid), size)]:
+            block[np.ix_(heads, nxt)] = 1.0
+            heads = nxt
+    table = _pair_table(())
+    gen = JetMatrix(0, (), opitz[None])
+    exp_j = _taylor_exp(gen, table, _taylor_schedule(
+        table, _block_norms(gen.blocks)), False).blocks[0].real * np.exp(mu)
+    return {mid: exp_j[at:at + count, at + size - count:at + size]
+            for mid, size, at in zip(mids, sizes, starts)}

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+from momalg import jets
 from momalg.cli import main
 from momalg.serialization import (
     array_to_dict,
@@ -425,3 +426,52 @@ def test_verify_refuses_an_oversized_simulation_before_allocating(
         preexec_fn=cap_memory, timeout=60, env=env)
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("domain error:") and "1024 MiB" in proc.stderr
+
+
+@pytest.mark.parametrize("scenario", ["thermal", "thm4"])
+def test_verify_refuses_an_oversized_exponential_before_allocating(
+        tmp_path, scenario):
+    # 7 pointers of dimension 2 on a qubit: 2^7 blocks of 256 x 256, 128 MiB
+    # per jet matrix, within the limit, but the Taylor exponential holds
+    # q + 2 such stacks (and the spectral route's states would not fit
+    # either).  The child's address space is capped at 768 MiB, below what
+    # the exponential would allocate, so a missing preflight ends in a
+    # MemoryError, not in the host's memory.
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (3 * 2 ** 28, 3 * 2 ** 28))
+
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "momalg", "verify", scenario, "--pointers", "7",
+         "--out", str(tmp_path)], capture_output=True, text=True,
+        preexec_fn=cap_memory, timeout=60, env=env)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("domain error:")
+    assert "held by the Taylor exponential" in proc.stderr
+
+
+def test_thermal_fails_when_the_taylor_hermitian_square_drops_its_adjoint(
+        tmp_path, monkeypatch):
+    # At this shape the 128-dim joint-space Boltzmann jet (lhs) takes the
+    # spectral route and the 2-dim system-side jet (rhs and rhs_alt) the
+    # Taylor route.  A Taylor Hermitian square that keeps W but drops W^H
+    # then moves only the right-hand sides, and every seed fails; with all
+    # three routes on the Taylor route it passed 22 of 25 such runs.
+    real = jets._block_products
+
+    def without_adjoint(table, a, b, out, hermitian=False):
+        if not hermitian:
+            return real(table, a, b, out)
+        for i, j, c in zip(table.ia, table.ib, table.ic):
+            if i <= j:
+                out[c] += a[i] @ b[j] * (0.5 if i == j else 1.0)
+
+    monkeypatch.setattr(jets, "_block_products", without_adjoint)
+    out = tmp_path / "reports"
+    assert main(["verify", "thermal", "--pointers", "3", "--sysdim", "2",
+                 "--pointer-dim", "4", "--seeds", "1..5",
+                 "--out", str(out)]) == 1
+    names = load_json(str(out / "manifest_thermal.json"))["reports"]
+    assert len(names) == 5
+    assert not any(load_json(str(out / name))["passed"] for name in names)

@@ -353,32 +353,48 @@ def test_coeffs_is_a_read_only_view_of_nonzero_monomials():
         j.coeffs[EMPTY] = 1.0
 
 
-def explicit_matmul(x, y):
-    """Per-pair block products over every lattice pair, zero blocks included."""
-    out = np.zeros_like(x.blocks)
-    for a in x.lattice:
-        for b in x.lattice:
+def explicit_matmul(x, y, caps):
+    """Per-pair block products of two block stacks over every lattice pair,
+    zero blocks included."""
+    lattice = multiset_lattice(len(caps), caps)
+    index = {a: i for i, a in enumerate(lattice)}
+    out = np.zeros((len(lattice), x.shape[1], y.shape[2]), dtype=complex)
+    for a in lattice:
+        for b in lattice:
             s = a + b
-            if s.fits(x.caps):
-                out[x.index[s]] += x.blocks[x.index[a]] @ y.blocks[y.index[b]]
+            if s.fits(caps):
+                out[index[s]] += x[index[a]] @ y[index[b]]
     return out
 
 
-def random_jet_matrix(rng, d, caps, zero_frac=0.4):
+def random_blocks(rng, shape, caps, zero_frac=0.4):
     """Random blocks, each set exactly to zero with probability zero_frac."""
     size = len(multiset_lattice(len(caps), caps))
-    blocks = (rng.standard_normal((size, d, d))
-              + 1j * rng.standard_normal((size, d, d)))
+    blocks = (rng.standard_normal((size, *shape))
+              + 1j * rng.standard_normal((size, *shape)))
     blocks[rng.uniform(size=size) < zero_frac] = 0.0
-    return JetMatrix(len(caps), caps, blocks)
+    return blocks
+
+
+def random_jet_matrix(rng, d, caps, zero_frac=0.4):
+    return JetMatrix(len(caps), caps, random_blocks(rng, (d, d), caps, zero_frac))
 
 
 @property_settings
-@given(caps=caps_strategy, d=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
-def test_jet_matrix_product_matches_explicit_loop_with_zero_blocks(caps, d, seed):
+@given(caps=caps_strategy, d=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       rows=st.integers(1, 4), cols=st.integers(1, 4))
+def test_jet_matrix_product_matches_explicit_loop_with_zero_blocks(
+        caps, d, seed, rows, cols):
     rng = np.random.default_rng(seed)
     x, y = random_jet_matrix(rng, d, caps), random_jet_matrix(rng, d, caps)
-    assert np.array_equal((x @ y).blocks, explicit_matmul(x, y))
+    assert np.array_equal((x @ y).blocks, explicit_matmul(x.blocks, y.blocks, caps))
+    # rectangular blocks, (lattice, rows, d) by (lattice, d, cols), as the
+    # spectral exponential multiplies cluster sub-blocks
+    a = random_blocks(rng, (rows, d), caps)
+    b = random_blocks(rng, (d, cols), caps)
+    out = np.zeros((len(a), rows, cols), dtype=complex)
+    _block_products(_pair_table(caps), a, b, out)
+    assert np.array_equal(out, explicit_matmul(a, b, caps))
 
 
 @property_settings
@@ -536,6 +552,145 @@ def test_hermitian_square_matches_the_full_pair_loop(caps):
     _block_products(_pair_table(caps), m.blocks, m.blocks, got, hermitian=True)
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
     assert is_hermitian(got)
+
+
+# ---------------------------------------------------------------------------
+# the spectral route of the jet exponential
+
+
+def spectral_exp(m):
+    """jet_matrix_exp's spectral route, called directly at any block size."""
+    w, u = np.linalg.eigh(m.constant)
+    return jets._spectral_exp(m, _pair_table(m.caps), w, u, jets._clusters(w),
+                              is_hermitian(m.blocks))
+
+
+def unitary(rng, d):
+    return np.linalg.qr(rng.standard_normal((d, d))
+                        + 1j * rng.standard_normal((d, d)))[0]
+
+
+def spectral_terms(rng, caps, d, constant, couplings="hermitian"):
+    """-constant plus coupling blocks on every monomial of grade 1 and, with
+    caps (2, 1), the grade-2 monomial gamma_1^2."""
+    terms = {EMPTY: -constant}
+    for a in multiset_lattice(len(caps), caps):
+        if a.size == 1 or a == M([1, 1]):
+            if couplings == "hermitian":
+                terms[a] = -hermitian(rng, d, 1.5 / a.size)
+            else:
+                terms[a] = random_complex_matrix(rng, d, 0.4)
+    return terms
+
+
+def clustered(rng, d, system):
+    """A (x) 1 for a random Hermitian A on `system` dimensions: `system`
+    eigenvalues, each d / system times."""
+    return np.kron(hermitian(rng, system, 3.0), np.eye(d // system))
+
+
+def near_degenerate(rng, d, gap):
+    """Eigenvalue pairs `gap` apart, in a random basis (exactly Hermitian)."""
+    w = np.repeat(rng.uniform(-2, 2, d // 2), 2) + np.tile([0.0, gap], d // 2)
+    u = unitary(rng, d)
+    h = (u * w) @ u.conj().T
+    return (h + h.conj().T) / 2
+
+
+SPECTRAL_CASES = {
+    "A (x) 1_3, caps (1, 1)": ((1, 1), 6, lambda rng: clustered(rng, 6, 2)),
+    "A (x) 1_2, A 3 x 3, caps (1, 1)":
+        ((1, 1), 6, lambda rng: clustered(rng, 6, 3)),
+    "A (x) 1_3, caps (1, 1), non-Hermitian couplings":
+        ((1, 1), 6, lambda rng: clustered(rng, 6, 2), "complex"),
+    "A (x) 1_2, caps (2, 1), grade-2 block":
+        ((2, 1), 4, lambda rng: clustered(rng, 4, 2)),
+    "A (x) 1_3, caps (1, 1, 1)":
+        ((1, 1, 1), 3, lambda rng: clustered(rng, 3, 1)),
+    "random Hermitian, caps (1, 1, 1)":
+        ((1, 1, 1), 3, lambda rng: hermitian(rng, 3, 4.0)),
+    "random Hermitian, caps (2, 1)":
+        ((2, 1), 4, lambda rng: hermitian(rng, 4, 4.0)),
+    "zero constant, caps (1, 1, 1)": ((1, 1, 1), 3, lambda rng: np.zeros((3, 3))),
+    **{f"gaps {gap:g}, caps (1, 1)":
+       ((1, 1), 4, lambda rng, gap=gap: near_degenerate(rng, 4, gap))
+       for gap in (1e-15, 1e-13, 1e-11, 1e-9, 1e-7, 1e-4)},
+}
+
+
+@pytest.mark.parametrize("case", SPECTRAL_CASES)
+def test_spectral_route_matches_regular_representation_oracle(case):
+    caps, d, constant, *couplings = SPECTRAL_CASES[case]
+    rng = np.random.default_rng(41)
+    terms = spectral_terms(rng, caps, d, constant(rng), *couplings)
+    m = JetMatrix.from_terms(terms, d, len(caps), caps)
+    got = spectral_exp(m)
+    assert_matches_oracle(got, terms, caps, d, case)
+    if is_hermitian(m.blocks):
+        assert is_hermitian(got.blocks)
+
+
+def test_clusters_split_at_eighs_backward_error():
+    # gaps below 8 d eps max(1, |w|) join a cluster, wider ones split it
+    tol = 8 * 4 * np.finfo(float).eps * 3.0
+    w = np.array([-3.0, -3.0 + 0.5 * tol, 1.0, 1.0 + 2 * tol])
+    assert jets._clusters(w).tolist() == [0, 2, 3, 4]
+    assert jets._clusters(np.zeros(5)).tolist() == [0, 5]
+
+
+def boltzmann(rng, d, caps, constant=None):
+    """The thermal scenario's generator: -beta H_S (x) 1 on a d-dim joint
+    space (a qubit system) and Hermitian couplings."""
+    if constant is None:
+        constant = clustered(rng, d, min(d, 2))
+    return JetMatrix.from_terms(spectral_terms(rng, caps, d, constant), d,
+                                len(caps), caps)
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """The route of every exponential jet_matrix_exp takes, in call order
+    (the spectral route's divided differences then add one Taylor call)."""
+    taken = []
+    for name in ("_taylor_exp", "_spectral_exp"):
+        def spy(*args, _real=getattr(jets, name), _name=name):
+            taken.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(jets, name, spy)
+    return taken
+
+
+@pytest.mark.parametrize("d, caps, constant, route", [
+    (128, (1, 1, 1), None, "_spectral_exp"),          # dense-hilbert's lhs
+    (32, (1, 1, 1, 1), None, "_taylor_exp"),          # jet-ring's lhs
+    (16, (1, 1, 1), None, "_taylor_exp"),             # thermal defaults
+    (2, (1, 1, 1), None, "_taylor_exp"),              # every system side
+    (128, (1, 1, 1), "anti-Hermitian", "_taylor_exp"),
+    (128, (1, 1, 1), "non-Hermitian", "_taylor_exp"),
+    (128, (1, 1, 1), "128 eigenvalues", "_taylor_exp"),
+])
+def test_route_choice(routes, d, caps, constant, route):
+    rng = np.random.default_rng(42)
+    made = {None: None,
+            "anti-Hermitian": 1j * clustered(rng, d, 2),
+            "non-Hermitian": clustered(rng, d, 2) + 0.1 * np.triu(np.ones((d, d)), 1),
+            "128 eigenvalues": hermitian(rng, d, 3.0)}[constant]
+    jet_matrix_exp(boltzmann(rng, d, caps, made))
+    assert routes[0] == route
+
+
+def test_spectral_route_preflight_refuses_its_states():
+    # 16 zero blocks of 512 x 512 (64 MiB, pages never touched), two
+    # clusters, caps (1, 1, 1, 1): N, the sum and the result (48 blocks) and
+    # the states of one and two middle clusters (2 x 11 and 3 x 5 blocks of
+    # grades above 1 and 2) come to 85 blocks, 340 MiB, refused before any
+    # is allocated
+    caps = (1, 1, 1, 1)
+    m = JetMatrix(4, caps, np.zeros((16, 512, 512), dtype=complex))
+    with pytest.raises(DomainError, match="85 jet-matrix blocks of dimension 512 "
+                       "held by the spectral exponential need about 340 MiB"):
+        jets._spectral_exp(m, _pair_table(caps), np.zeros(512), np.eye(512),
+                           np.array([0, 256, 512]), True)
 
 
 def test_jet_matrix_preflight_refuses_huge_block_stacks():
