@@ -43,3 +43,6 @@ class NotBipartitionError(DomainError):
 
 class SingularPostselectionError(DomainError):
     """Postselection amplitude below the configured floor; weak values blow up."""
+
+
+DEFAULT_FLOOR = 1e-8  # postselection amplitudes at or below it are singular

@@ -17,11 +17,18 @@ statements about a single Taylor coefficient and jets produce that
 coefficient exactly.
 
 There is one state pipeline per coupling kind (sequential kicks, finite
-window, thermal), and it always couples every pointer.  Per-subset
-coupling (the moment of a measured with only the pointers in a coupled)
-is not a separate pipeline: "pointer j uncoupled" is gamma_j = 0, a ring
-homomorphism, so that moment is the all-coupled one restricted to the
-monomials inside a (Jet.restrict).
+window, thermal), and it always couples every pointer.  The kick chain
+and the window start from a pure product state, so both carry the pure
+joint jet vector (the chain kick by kick, the window as e^X applied to the
+initial vector) and postselect it with `quantum.postselect_pointers`; no
+joint density is formed.  The window and thermal generators H_S (x) 1 and
+A_j (x) s_j come from one builder.  Before the kick chain builds its
+state, the jet-valued ring that takes the cumulant of its moments is
+checked against the dense size limit.  Per-subset coupling (the moment
+of a measured with only the pointers in a coupled) is not a separate
+pipeline: "pointer j uncoupled" is gamma_j = 0, a ring homomorphism, so
+that moment is the all-coupled one restricted to the monomials inside a
+(Jet.restrict).
 
 A tolerance miss never raises; misses land in the report.
 Singular-postselection instances are reported with a distinct status and
@@ -37,14 +44,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import MMap, log_derivative, log_star, partition_fstar
+from .algebra import MMap, _ring, log_derivative, log_star, partition_fstar
 from .combinatorics import Multiset, multiset_lattice
-from .errors import DomainError, SingularPostselectionError
+from .errors import DEFAULT_FLOOR, DomainError, SingularPostselectionError
 from .jets import Jet, JetMatrix, jet_matrix_exp
 from .quantum import (
     PointerSpec,
     embed,
-    embed_two,
     kron,
     postselect_pointers,
     postselected_pointer_state,
@@ -88,7 +94,7 @@ class ExperimentConfig:
     seed: int | None = None
     tolerance: float = 1e-8
     mutual_tolerance: float = 1e-10
-    floor: float = 1e-8
+    floor: float = DEFAULT_FLOOR
     mc_samples: int = 0
 
     def __post_init__(self):
@@ -232,14 +238,24 @@ def _per_subset(moments: MMap) -> MMap:
                             for a in moments.domain()}, moments.caps)
 
 
+def _sequential_state(config: ExperimentConfig) -> JetMatrix:
+    """The postselected pointer state of the kick chain, every pointer
+    coupled.  First, before any state is built, the jet-valued ring that
+    takes the cumulant of its moments is refused if it would not fit in
+    MAX_DENSE_BYTES (algebra._ring raises DomainError)."""
+    caps = (1,) * config.n_pointers
+    _ring(caps, caps)
+    return postselected_pointer_state(
+        config.psi_i, config.psi_f, config.unitaries, config.pointers,
+        config.observables, floor=config.floor)
+
+
 def all_coupled_moment_mmap(config: ExperimentConfig) -> MMap:
     """<prod_{j in a} r_j> under the single all-pointers-coupled state eta
     (the thm3 scenario)."""
     n = config.n_pointers
-    eta = postselected_pointer_state(
-        config.psi_i, config.psi_f, config.unitaries, config.pointers,
-        config.observables, floor=config.floor)
-    return _pointer_space_moments(eta, config.pointers, n, (1,) * n)
+    return _pointer_space_moments(_sequential_state(config), config.pointers,
+                                  n, (1,) * n)
 
 
 def per_subset_moment_mmap(config: ExperimentConfig) -> MMap:
@@ -248,24 +264,28 @@ def per_subset_moment_mmap(config: ExperimentConfig) -> MMap:
     return _per_subset(all_coupled_moment_mmap(config))
 
 
+def _coupled_generator(config: ExperimentConfig, c: complex,
+                       k: complex) -> JetMatrix:
+    """The joint-space jet {(): c H_S (x) 1, (j,): k A_j (x) s_j}, system
+    tensor factor first: the generator of the window and thermal states."""
+    n = config.n_pointers
+    dims = [config.system_dim] + [p.dim for p in config.pointers]
+    terms = {(): c * embed(config.hamiltonian, dims, 0)}
+    for j in range(1, n + 1):
+        terms[(j,)] = k * embed(config.observables[j - 1], dims, 0,
+                                (config.pointers[j - 1].s, j))
+    return JetMatrix.from_terms(terms, int(np.prod(dims)), n, (1,) * n)
+
+
 def _sigma_state(config: ExperimentConfig) -> JetMatrix:
     """Postselected pointer state for the finite-window coupling
-    H = 1 (x) H_S + sum gamma_k (s_k / tau) (x) A_k over a window tau."""
-    n = config.n_pointers
-    caps = (1,) * n
-    dims = [config.system_dim] + [p.dim for p in config.pointers]
-    terms = {(): -1j * config.tau * embed(config.hamiltonian, dims, 0)}
-    for j in range(1, n + 1):
-        terms[(j,)] = -1j * embed_two(
-            np.asarray(config.observables[j - 1]), 0,
-            np.asarray(config.pointers[j - 1].s), j, dims)
-    full_dim = int(np.prod(dims))
-    evol = jet_matrix_exp(JetMatrix.from_terms(terms, full_dim, n, caps))
-    psi0 = kron(config.psi_i, *[np.asarray(p.phi) for p in config.pointers])
-    rho0 = JetMatrix.from_terms({(): np.outer(psi0, psi0.conj())},
-                                full_dim, n, caps)
-    rho = evol @ rho0 @ evol.dagger()
-    return postselect_pointers(rho, config.psi_f, dims,
+    H = H_S (x) 1 + sum gamma_k A_k (x) (s_k / tau) over a window tau: the
+    pure joint jet vector e^{-i tau H} |psi_i, phi_1, ..., phi_n>,
+    postselected on psi_f."""
+    evol = jet_matrix_exp(_coupled_generator(config, -1j * config.tau, -1j))
+    psi0 = kron(config.psi_i, *[p.phi for p in config.pointers])
+    return postselect_pointers(evol.blocks @ psi0, config.psi_f,
+                               config.n_pointers,
                                min_probability=config.floor ** 2)
 
 
@@ -277,17 +297,10 @@ def sigma_moment_mmap(config: ExperimentConfig) -> MMap:
 
 def thermal_moment_mmap(config: ExperimentConfig) -> MMap:
     """<prod r_j> under rho = e^{-beta H}/tr e^{-beta H},
-    H = 1 (x) H_S + sum gamma_j (s_j / beta) (x) A_j."""
+    H = H_S (x) 1 + sum gamma_j A_j (x) (s_j / beta)."""
     n = config.n_pointers
     caps = (1,) * n
-    dims = [config.system_dim] + [p.dim for p in config.pointers]
-    terms = {(): -config.beta * embed(config.hamiltonian, dims, 0)}
-    for j in range(1, n + 1):
-        terms[(j,)] = -embed_two(
-            np.asarray(config.observables[j - 1]), 0,
-            np.asarray(config.pointers[j - 1].s), j, dims)
-    full_dim = int(np.prod(dims))
-    boltz = jet_matrix_exp(JetMatrix.from_terms(terms, full_dim, n, caps))
+    boltz = jet_matrix_exp(_coupled_generator(config, -config.beta, -1))
     z_inv = boltz.trace().inverse()
     entries = {a: boltz.trace_with(_readout(config.pointers, a.support,
                                             config.system_dim)) * z_inv
@@ -477,9 +490,7 @@ def _all_coupled_claims(config: ExperimentConfig, meta: dict) -> list:
     """
     n = config.n_pointers
     caps = (1,) * n
-    eta = postselected_pointer_state(
-        config.psi_i, config.psi_f, config.unitaries, config.pointers,
-        config.observables, floor=config.floor)
+    eta = _sequential_state(config)
     moments = _pointer_space_moments(eta, config.pointers, n, caps)
     centered_pointers = tuple(
         PointerSpec(phi=p.phi, s=p.s,

@@ -444,12 +444,6 @@ class JetMatrix:
             out[ic] += np.multiply(coeffs[ia], self.blocks[ib], out=prod)
         return JetMatrix(self.n, self.caps, out)
 
-    def dagger(self) -> "JetMatrix":
-        """Conjugate transpose; the gammas are formal real variables, so
-        only the matrix blocks are conjugated."""
-        return JetMatrix(self.n, self.caps,
-                         np.conj(np.transpose(self.blocks, (0, 2, 1))))
-
     def trace(self) -> Jet:
         return self._jet(np.trace(self.blocks, axis1=1, axis2=2))
 

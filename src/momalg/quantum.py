@@ -2,25 +2,34 @@
 
 States, observables, tensor products, random states and operators, the
 sequential weak-measurement pipeline, and the postselection that turns a
-joint density into the pointer state (jet-valued in the coupling
-strengths).  The full space is ordered system first, then the pointers in
-label order.
+pure joint state into the pointer state (jet-valued in the coupling
+strengths).  System and pointers start in a pure product state and every
+step is a unitary that depends on the gammas, so the joint state is a pure
+jet vector psi(gamma), a (lattice, d_sys, d_1, ..., d_n) stack of
+coefficient tensors; no joint density is formed.  Postselecting on
+|psi_f> contracts <psi_f| with the system axis, chi = (<psi_f| (x) 1) psi,
+and the pointer state is chi chi^dagger / <chi|chi> as a jet matrix.  The
+full space is ordered system first, then the pointers in label order.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
-from .errors import DomainError, ShapeMismatchError, SingularPostselectionError
-from .jets import JetMatrix
+from .combinatorics import Multiset
+from .errors import (
+    DEFAULT_FLOOR,
+    DomainError,
+    ShapeMismatchError,
+    SingularPostselectionError,
+)
+from .jets import JetMatrix, _block_products, _pair_table
 
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-10
-DEFAULT_FLOOR = 1e-8
 
 
 def _as_array(x) -> np.ndarray:
@@ -78,31 +87,6 @@ def kron(*factors) -> np.ndarray:
     return reduce(np.kron, arrays)
 
 
-def dagger(m) -> np.ndarray:
-    return _as_array(m).conj().T
-
-
-def partial_trace(rho, dims, keep) -> np.ndarray:
-    """Trace out every tensor factor not listed in `keep` (indices into dims)."""
-    rho = _as_array(rho)
-    dims = list(dims)
-    k = len(dims)
-    if rho.shape != (int(np.prod(dims)),) * 2:
-        raise ShapeMismatchError("density matrix does not match dims")
-    keep = sorted(keep)
-    t = rho.reshape(dims + dims)
-    traced = 0
-    for site in range(k):
-        if site in keep:
-            continue
-        axis = site - traced
-        ndim = t.ndim // 2
-        t = np.trace(t, axis1=axis, axis2=axis + ndim)
-        traced += 1
-    d_keep = int(np.prod([dims[s] for s in keep])) if keep else 1
-    return t.reshape(d_keep, d_keep)
-
-
 # ---------------------------------------------------------------------------
 # seeded random instances
 
@@ -157,32 +141,13 @@ def random_pointer(rng: np.random.Generator, dim: int = 2) -> PointerSpec:
     )
 
 
-def embed(op: np.ndarray, dims, site: int) -> np.ndarray:
-    """Place `op` at tensor slot `site`, identity elsewhere."""
+def embed(op: np.ndarray, dims, site: int, *more) -> np.ndarray:
+    """Place `op` at tensor slot `site`, and each further (op, site) pair of
+    `more` at its slot, identity elsewhere."""
     factors = [np.eye(d, dtype=complex) for d in dims]
-    factors[site] = np.asarray(op, dtype=complex)
+    for factor, slot in ((op, site), *more):
+        factors[slot] = np.asarray(factor, dtype=complex)
     return kron(*factors)
-
-
-def embed_two(op_a: np.ndarray, site_a: int, op_b: np.ndarray, site_b: int,
-              dims) -> np.ndarray:
-    factors = [np.eye(d, dtype=complex) for d in dims]
-    factors[site_a] = np.asarray(op_a, dtype=complex)
-    factors[site_b] = np.asarray(op_b, dtype=complex)
-    return kron(*factors)
-
-
-def coupling_kick(h_full: np.ndarray, var: int, n: int,
-                  caps: tuple[int, ...]) -> JetMatrix:
-    """exp(-i gamma_var H) truncated at the variable's cap (exact)."""
-    dim = h_full.shape[0]
-    cap = caps[var - 1]
-    terms = {(): np.eye(dim, dtype=complex)}
-    power = np.eye(dim, dtype=complex)
-    for p in range(1, cap + 1):
-        power = power @ h_full
-        terms[tuple([var] * p)] = ((-1j) ** p / math.factorial(p)) * power
-    return JetMatrix.from_terms(terms, dim, n, caps)
 
 
 def chain_amplitude(psi_i, psi_f, unitaries) -> complex:
@@ -192,53 +157,54 @@ def chain_amplitude(psi_i, psi_f, unitaries) -> complex:
     return complex(np.vdot(_as_array(psi_f), amp))
 
 
-def evolved_joint_state(psi_i, unitaries, pointers, observables) -> JetMatrix:
-    """Evolve |psi_i><psi_i| (x) prod |phi><phi| through the kick chain.
+def _on_axis(op, psi: np.ndarray, axis: int) -> np.ndarray:
+    """The matrix `op` applied to tensor axis `axis` of `psi`."""
+    return np.moveaxis(np.tensordot(_as_array(op), psi, axes=(1, axis)), 0, axis)
+
+
+def evolved_joint_state(psi_i, unitaries, pointers, observables) -> np.ndarray:
+    """Evolve |psi_i> (x) |phi_1> (x) ... (x) |phi_n> through the kick chain.
 
     Step j applies unitaries[j-1] on the system and then the impulsive kick
-    exp(-i gamma_j s_j (x) A_j), A_j = observables[j-1], with gamma_j as
-    jet variable j (multilinear caps); unitaries[n] closes the chain.
-    Returns the full-space jet density (system tensor factor first).
+    exp(-i gamma_j A_j (x) s_j), A_j = observables[j-1], with gamma_j as jet
+    variable j; unitaries[n] closes the chain.  At multilinear caps the kick
+    is exactly 1 - i gamma_j A_j (x) s_j: it adds -i (A_j (x) s_j) psi_c to
+    row c + {j} for every monomial c without j, the (c, {j}) pairs of the
+    pair table.  Returns the pure joint jet vector, a (lattice, d_sys, d_1,
+    ..., d_n) stack of coefficient tensors in the lattice order of caps
+    (1,) * n.
     """
     psi_i = _as_array(psi_i)
     n = len(pointers)
     if len(unitaries) != n + 1:
         raise ShapeMismatchError("need n+1 unitaries for n pointers")
-    caps = (1,) * n
-    dims = [psi_i.shape[0]] + [p.dim for p in pointers]
-
-    psi0 = kron(psi_i, *[np.asarray(p.phi, dtype=complex) for p in pointers])
-    rho = JetMatrix.from_terms({(): np.outer(psi0, psi0.conj())},
-                               psi0.shape[0], n, caps)
+    table = _pair_table((1,) * n)
+    factors = [psi_i] + [np.asarray(p.phi, dtype=complex) for p in pointers]
+    psi = np.zeros((len(table.lattice), *[f.shape[0] for f in factors]),
+                   dtype=complex)
+    psi[0] = reduce(np.multiply.outer, factors)
     for j, pointer in enumerate(pointers, start=1):
-        u_full = embed(unitaries[j - 1], dims, 0)
-        u_jet = JetMatrix.from_terms({(): u_full}, u_full.shape[0], n, caps)
-        rho = u_jet @ rho @ u_jet.dagger()
-        h_full = embed_two(np.asarray(observables[j - 1]), 0,
-                           np.asarray(pointer.s), j, dims)
-        kick = coupling_kick(h_full, j, n, caps)
-        rho = kick @ rho @ kick.dagger()
-    u_last = embed(unitaries[n], dims, 0)
-    u_jet = JetMatrix.from_terms({(): u_last}, u_last.shape[0], n, caps)
-    return u_jet @ rho @ u_jet.dagger()
+        psi = _on_axis(unitaries[j - 1], psi, 1)
+        kick = table.ib == table.index[Multiset([j])]
+        ia, ic = table.ia[kick], table.ic[kick]
+        psi[ic] += -1j * _on_axis(pointer.s, _on_axis(observables[j - 1],
+                                                       psi[ia], 1), j + 1)
+    return _on_axis(unitaries[n], psi, 1)
 
 
-def postselect_pointers(rho: JetMatrix, psi_f, dims,
+def postselect_pointers(psi: np.ndarray, psi_f, n: int,
                         min_probability: float = 0.0) -> JetMatrix:
-    """Pointer state of the joint jet density `rho` (tensor factors `dims`,
-    system first) postselected on |psi_f>: project on |psi_f><psi_f| (x) 1,
-    trace out the system, normalise to unit trace.  Raises
+    """Pointer state of the pure joint jet vector `psi` (lattice order of
+    caps (1,) * n, system tensor factor first, pointers flattened or not)
+    postselected on |psi_f>: chi = (<psi_f| (x) 1) psi, then eta = chi
+    chi^dagger as one jet product, normalised to unit trace.  Raises
     SingularPostselectionError when the gamma = 0 postselection
     probability is at or below `min_probability`."""
     psi_f = _as_array(psi_f)
-    pf = embed(np.outer(psi_f, psi_f.conj()), dims, 0)
-    pf_jet = JetMatrix.from_terms({(): pf}, pf.shape[0], rho.n, rho.caps)
-    projected = pf_jet @ rho
-    eta_blocks = np.stack([
-        partial_trace(block, dims, keep=list(range(1, len(dims))))
-        for block in projected.blocks
-    ])
-    eta = JetMatrix(rho.n, rho.caps, eta_blocks)
+    chi = psi_f.conj() @ psi.reshape(len(psi), psi_f.shape[0], -1)
+    eta = JetMatrix.zeros(chi.shape[1], n, (1,) * n)
+    _block_products(_pair_table(eta.caps), chi[:, :, None],
+                    chi.conj()[:, None, :], eta.blocks)
     norm = eta.trace()
     if abs(norm.constant) <= min_probability:
         raise SingularPostselectionError(
@@ -251,18 +217,15 @@ def postselected_pointer_state(psi_i, psi_f, unitaries, pointers, observables,
                                floor: float = DEFAULT_FLOOR) -> JetMatrix:
     """Pointer-space density operator after interaction and postselection.
 
-    Pointer j couples through H_j = s_j (x) A_j (A_j = observables[j-1])
+    Pointer j couples through H_j = A_j (x) s_j (A_j = observables[j-1])
     as an exact impulsive kick, with gamma_j as jet variable j; a pointer
     left uncoupled is gamma_j = 0 (see Jet.restrict).  The result has unit
     trace at gamma = 0.  Raises SingularPostselectionError when the
     amplitude <psi_f|U_{n+1}...U_1|psi_i> is at or below the floor.
     """
-    psi_i = _as_array(psi_i)
     amp = chain_amplitude(psi_i, psi_f, unitaries)
     if abs(amp) <= floor:
         raise SingularPostselectionError(
             f"postselection amplitude {abs(amp):.3e} at or below floor {floor:.3e}")
-
-    rho = evolved_joint_state(psi_i, unitaries, pointers, observables)
-    dims = [psi_i.shape[0]] + [p.dim for p in pointers]
-    return postselect_pointers(rho, psi_f, dims)
+    psi = evolved_joint_state(psi_i, unitaries, pointers, observables)
+    return postselect_pointers(psi, psi_f, len(pointers))

@@ -19,6 +19,7 @@ import numpy as np
 from .algebra import MMap
 from .combinatorics import Multiset
 from .errors import (
+    DEFAULT_FLOOR,
     CapExceededError,
     DomainError,
     InputFormatError,
@@ -163,7 +164,7 @@ def context_from_dict(payload: dict) -> WeakValueContext:
                    for i, o in enumerate(_parse(
                        list, _require(payload, "observables", "context"),
                        "context.observables"))]
-    floor = _parse(float, payload.get("floor", 1e-8), "context.floor")
+    floor = _parse(float, payload.get("floor", DEFAULT_FLOOR), "context.floor")
     if kind == "sequential":
         return WeakValueContext.sequential(
             vector_from_dict(_require(payload, "psi_i", "context"), "psi_i"),

@@ -31,10 +31,13 @@ import numpy as np
 
 from .algebra import MMap
 from .combinatorics import EMPTY, Multiset, multiset_lattice
-from .errors import DomainError, ShapeMismatchError, SingularPostselectionError
+from .errors import (
+    DEFAULT_FLOOR,
+    DomainError,
+    ShapeMismatchError,
+    SingularPostselectionError,
+)
 from .jets import Jet, JetMatrix, jet_matrix_exp
-
-DEFAULT_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from momalg import jets
+from momalg import jets, quantum
 from momalg.cli import main
 from momalg.serialization import (
     array_to_dict,
@@ -412,9 +412,12 @@ def test_exit_code_2_on_malformed_fields(tmp_path, capsys, argv, payload,
 def test_verify_refuses_an_oversized_simulation_before_allocating(
         tmp_path, scenario):
     # 8 pointers of dimension 2 on a qubit: 2^8 blocks of 512 x 512, 1 GiB
-    # per jet matrix.  Run in a child whose address space is capped, so that
-    # a missing preflight ends in a MemoryError, not in the host's memory
-    # (one BLAS thread keeps the child's own buffers well under the cap).
+    # per jet matrix for thermal; thm1 carries a pure jet vector, and the
+    # jet-valued cumulant ring of its moments (3^16 pairs) is refused first.
+    # Run in a child whose address space is capped, so that a missing
+    # preflight ends in a MemoryError, not in the host's memory (one BLAS
+    # thread keeps the child's own buffers well under the cap).
+    figure = {"thermal": "1024 MiB", "thm1": "2956 MiB"}[scenario]
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))
 
@@ -425,7 +428,22 @@ def test_verify_refuses_an_oversized_simulation_before_allocating(
          "--out", str(tmp_path)], capture_output=True, text=True,
         preexec_fn=cap_memory, timeout=60, env=env)
     assert proc.returncode == 3, proc.stderr
-    assert proc.stderr.startswith("domain error:") and "1024 MiB" in proc.stderr
+    assert proc.stderr.startswith("domain error:") and figure in proc.stderr
+
+
+@pytest.mark.parametrize("scenario", ["thm1", "thm3"])
+def test_verify_refuses_the_sequential_cumulant_ring_before_any_state(
+        tmp_path, monkeypatch, capsys, scenario):
+    # 7 pointers: the jet-valued cumulant ring of the moments would hold
+    # 3^14 M-map pairs (328 MiB), so the run is refused before the kick
+    # chain is evolved
+    def no_state(*args):
+        raise AssertionError("joint state built despite the ring preflight")
+
+    monkeypatch.setattr(quantum, "evolved_joint_state", no_state)
+    assert main(["verify", scenario, "--pointers", "7",
+                 "--out", str(tmp_path)]) == 3
+    assert "M-map pairs" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("scenario", ["thermal", "thm4"])

@@ -11,16 +11,15 @@ from momalg.quantum import (
     QOperator,
     QState,
     chain_amplitude,
-    dagger,
     embed,
     kron,
-    partial_trace,
     postselected_pointer_state,
     random_hermitian,
     random_pointer,
     random_state,
     random_unitary,
 )
+from oracles import postselected_pointer_jet
 
 M = Multiset
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -41,23 +40,9 @@ def test_kron_identities():
 
 
 def test_dagger_and_embed():
-    rng = np.random.default_rng(2)
-    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    assert np.allclose(dagger(a), a.conj().T)
     e = embed(SX, [2, 2, 2], 1)
     assert e.shape == (8, 8)
     assert np.allclose(e, kron(np.eye(2), SX, np.eye(2)))
-
-
-def test_partial_trace_of_product_state():
-    rng = np.random.default_rng(3)
-    psi = random_state(rng, 2)
-    phi = random_state(rng, 3)
-    rho = np.outer(kron(psi, phi), kron(psi, phi).conj())
-    reduced = partial_trace(rho, [2, 3], keep=[0])
-    assert np.allclose(reduced, np.outer(psi, psi.conj()), atol=1e-12)
-    reduced_b = partial_trace(rho, [2, 3], keep=[1])
-    assert np.allclose(reduced_b, np.outer(phi, phi.conj()), atol=1e-12)
 
 
 def test_matrix_exp_basics():
@@ -167,8 +152,6 @@ def test_eta_first_order_reproduces_weak_value_formula():
         unitaries = [np.eye(2), np.eye(2)]
         eta = postselected_pointer_state(psi_i, psi_f, unitaries, [pointer],
                                          [a_op])
-        r_exp = eta.scale_by_jet(
-            JetMatrix.from_terms({(): pointer.r}, 2, 1, (1,)).trace())
         moment = (eta @ JetMatrix.from_terms({(): pointer.r}, 2, 1, (1,))).trace()
         a_w = (psi_f.conj() @ a_op @ psi_i) / (psi_f.conj() @ psi_i)
         xi = -2j * pointer.rs_covariance
@@ -177,7 +160,6 @@ def test_eta_first_order_reproduces_weak_value_formula():
         assert abs(got.imag) < 1e-10
         assert moment.coefficient(EMPTY) == pytest.approx(
             pointer.expect(pointer.r), abs=1e-12)
-        _ = r_exp
 
 
 def test_jet_valued_eta_constant_matches_plain_computation():
@@ -209,3 +191,24 @@ def test_singular_postselection_raises():
         postselected_pointer_state(psi_i, psi_f, [np.eye(2)] * 2, pointers,
                                    observables)
     assert chain_amplitude(psi_i, psi_f, [np.eye(2)] * 2) == 0
+
+
+@pytest.mark.parametrize("d_sys", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_postselected_pointer_state_matches_joint_density_oracle(n, d_sys):
+    # the pure jet-vector pipeline against the joint density evaluated at
+    # gamma in {-1, 0, 1}^n (tests/oracles.py), pointers of dimension 2 and 3
+    rng = np.random.default_rng(100 + 10 * n + d_sys)
+    psi_i = random_state(rng, d_sys)
+    psi_f = random_state(rng, d_sys)
+    unitaries = [random_unitary(rng, d_sys) for _ in range(n + 1)]
+    pointers = [random_pointer(rng, 2 + j % 2) for j in range(n)]
+    observables = [random_hermitian(rng, d_sys) for _ in range(n)]
+    eta = postselected_pointer_state(psi_i, psi_f, unitaries, pointers,
+                                     observables)
+    want = postselected_pointer_jet(psi_i, psi_f, unitaries, pointers,
+                                    observables)
+    assert len(want) == len(eta.lattice) == 2 ** n
+    for a, block in want.items():
+        got = eta.blocks[eta.index[M(a)]]
+        assert np.max(np.abs(got - block)) <= 1e-12 * max(1.0, np.max(np.abs(block)))
