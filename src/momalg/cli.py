@@ -13,8 +13,6 @@ substreams, and the manifest records the full command.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import csv
 import json
 import os
 import sys
@@ -43,10 +41,9 @@ from .serialization import (
     load_json,
     mmap_from_dict,
     mmap_to_dict,
-    report_rows_from_json,
     reports_to_csv,
     save_json,
-    REPORT_CSV_COLUMNS,
+    write_report_rows,
 )
 from .weakvalues import (
     script_D,
@@ -63,8 +60,25 @@ SCENARIO_ALIASES = {alias: name for name, row in SCENARIOS.items()
 def _parse_seeds(text: str) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        seeds = list(range(int(lo), int(hi) + 1))
+        if not seeds:
+            raise ValueError(f"empty seed range {text!r}")
+        return seeds
     return [int(t) for t in text.split(",")]
+
+
+def _positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+    return int(text)
+
+
+def _tolerance(args, default: float) -> float:
+    """--tol, else MOMALG_TOL from the environment, else `default`."""
+    if args.tol is not None:
+        return args.tol
+    env = os.environ.get("MOMALG_TOL")
+    return _parse(float, env, "MOMALG_TOL") if env else default
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -96,15 +110,15 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run theorem verification batches")
     ver.add_argument("scenario", choices=sorted(SCENARIO_ALIASES))
     ver.add_argument("--seeds", default="1", help="N, N,M,... or A..B")
-    ver.add_argument("--pointers", type=int, default=3)
-    ver.add_argument("--sysdim", type=int, default=2)
-    ver.add_argument("--pointer-dim", type=int, default=2)
+    ver.add_argument("--pointers", type=_positive_int, default=3)
+    ver.add_argument("--sysdim", type=_positive_int, default=2)
+    ver.add_argument("--pointer-dim", type=_positive_int, default=2)
     ver.add_argument("--tau", type=float, nargs="+", default=[1.0])
     ver.add_argument("--beta", type=float, nargs="+", default=[1.0])
     ver.add_argument("--hs", choices=["random", "zero"], default="random")
-    ver.add_argument("--copies", type=int, default=2,
+    ver.add_argument("--copies", type=_positive_int, default=2,
                      help="pointer copies per observable (multiset)")
-    ver.add_argument("--vars", type=int, default=3,
+    ver.add_argument("--vars", type=_positive_int, default=3,
                      help="number of variables (genfun)")
     ver.add_argument("--samples", type=int, default=0,
                      help="Monte-Carlo cross-check samples (thm4)")
@@ -157,10 +171,9 @@ def cmd_algebra(args) -> int:
     # factorizing-check
     if not args.cut:
         raise InputFormatError("factorizing-check needs --cut LABELS")
-    side = {int(t) for t in args.cut.split(",")}
+    side = _parse(lambda t: {int(v) for v in t.split(",")}, args.cut, "--cut")
     other = set(range(1, f.n + 1)) - side
-    tol = args.tol if args.tol is not None else \
-        float(os.environ.get("MOMALG_TOL", "1e-10"))
+    tol = _tolerance(args, 1e-10)
     verdict = is_factorizing(f, side, other, tol)
     _emit({"schema": SCHEMA, "factorizing": bool(verdict),
            "cut": sorted(side), "tol": tol}, args.output)
@@ -216,11 +229,10 @@ def _verify_configs(args):
             cfg.tolerance = args.tol
         yield {}, cfg
         return
-    tol = args.tol if args.tol is not None else \
-        float(os.environ.get("MOMALG_TOL") or SCENARIOS[scenario].tolerance)
+    tol = _tolerance(args, SCENARIOS[scenario].tolerance)
     zero_h = args.hs == "zero" or args.scenario == "thm2"
     axis = SCENARIOS[scenario].sweep
-    for seed in _parse_seeds(args.seeds):
+    for seed in _parse(_parse_seeds, args.seeds, "--seeds"):
         for value in getattr(args, axis) if axis else [None]:
             swept = {axis: value} if axis else {}
             yield swept, random_config(
@@ -235,12 +247,11 @@ def cmd_verify(args) -> int:
     reports = []
     paths = []
     for extras, cfg in _verify_configs(args):
-        rep = run_verification(cfg)
-        reports.append(rep)
+        reports.append(run_verification(cfg).to_json_dict())
         tag = "_".join([f"seed{cfg.seed}"] +
                        [f"{k}{v:g}" for k, v in extras.items()])
         path = os.path.join(args.out, f"report_{args.scenario}_{tag}.json")
-        save_json(path, rep.to_json_dict())
+        save_json(path, reports[-1])
         paths.append(path)
 
     csv_path = os.path.join(args.out, f"report_{args.scenario}.csv")
@@ -262,17 +273,17 @@ def cmd_verify(args) -> int:
     print("-" * len(header))
     n_fail = n_skip = 0
     for rep in reports:
-        if rep.status != "ok":
+        if rep["status"] != "ok":
             n_skip += 1
             verdict = "SKIP"
-        elif rep.passed:
+        elif rep["passed"]:
             verdict = "pass"
         else:
             n_fail += 1
             verdict = "FAIL"
-        print(f"{args.scenario:10s} {str(rep.seed):>6s} {rep.status:24s} "
-              f"{len(rep.records):>7d} {rep.max_abs_error:>12.3e} "
-              f"{verdict:>7s}")
+        print(f"{args.scenario:10s} {str(rep['seed']):>6s} "
+              f"{rep['status']:24s} {len(rep['records']):>7d} "
+              f"{rep['max_abs_error']:>12.3e} {verdict:>7s}")
     print(f"\n{len(reports)} run(s): {len(reports) - n_fail - n_skip} "
           f"passed, {n_fail} failed, {n_skip} skipped "
           f"-> reports in {args.out}/")
@@ -281,16 +292,10 @@ def cmd_verify(args) -> int:
 
 def cmd_report(args) -> int:
     payload = load_json(args.report)
-    rows = list(report_rows_from_json(payload))
     if args.csv:
-        os.makedirs(os.path.dirname(os.path.abspath(args.csv)), exist_ok=True)
-        stream = open(args.csv, "w", encoding="utf-8", newline="")
+        reports_to_csv([payload], args.csv)
     else:
-        stream = contextlib.nullcontext(sys.stdout)
-    with stream as fh:
-        writer = csv.DictWriter(fh, fieldnames=REPORT_CSV_COLUMNS)
-        writer.writeheader()
-        writer.writerows(rows)
+        write_report_rows(sys.stdout, [payload])
     return 0
 
 

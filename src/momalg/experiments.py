@@ -21,8 +21,12 @@ window, thermal), and it always couples every pointer.  The kick chain
 and the window start from a pure product state, so both carry the pure
 joint jet vector (the chain kick by kick, the window as e^X applied to the
 initial vector) and postselect it with `quantum.postselect_pointers`; no
-joint density is formed.  The window and thermal generators H_S (x) 1 and
-A_j (x) s_j come from one builder.  Before the kick chain builds its
+joint density is formed.  The window and thermal generators come from
+`quantum.coupled_generator`.  Every pipeline reads its pointer moments
+with the one reader `quantum.readout_moments`: the normalised pointer
+state of the chain and the window as it is, the thermal Boltzmann jet
+divided by its own empty-subset moment (its trace).  This module never
+sees the joint-space tensor layout.  Before the kick chain builds its
 state, the jet-valued ring that takes the cumulant of its moments is
 checked against the dense size limit.  Per-subset coupling (the moment
 of a measured with only the pointers in a coupled) is not a separate
@@ -44,20 +48,28 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import MMap, _ring, log_derivative, log_star, partition_fstar
-from .combinatorics import Multiset, multiset_lattice
+from .algebra import (
+    MMap,
+    _ring,
+    convolve,
+    log_derivative,
+    log_star,
+    partition_fstar,
+    scalar_mmap,
+)
+from .combinatorics import EMPTY, Multiset, multiset_lattice
 from .errors import DEFAULT_FLOOR, DomainError, SingularPostselectionError
 from .jets import Jet, JetMatrix, jet_matrix_exp
 from .quantum import (
-    PointerSpec,
-    embed,
-    kron,
+    coupled_generator,
     postselect_pointers,
     postselected_pointer_state,
+    product_state,
     random_hermitian,
     random_pointer,
     random_state,
     random_unitary,
+    readout_moments,
 )
 from .weakvalues import (
     WeakValueContext,
@@ -217,16 +229,13 @@ def xi_thermal_literal(pointers, a: Multiset) -> complex:
 # finite window, thermal), every pointer coupled
 
 
-def _readout(pointers, labels, sys_dim: int = 1) -> np.ndarray:
-    """prod_{j in labels} r_j on 1_sys (x) pointers, built as the one
-    Kronecker product 1_sys (x) f_1 (x) ... (x) f_n, f_j = r_j or 1."""
-    return kron(np.eye(sys_dim), *[p.r if j in labels else np.eye(p.dim)
-                                   for j, p in enumerate(pointers, start=1)])
-
-
-def _pointer_space_moments(eta: JetMatrix, pointers, n: int, caps) -> MMap:
-    return MMap(n, {a: eta.trace_with(_readout(pointers, a.support))
-                    for a in multiset_lattice(n, caps)}, caps)
+def _moment_mmap(state: JetMatrix, readouts, sys_dim: int = 1) -> MMap:
+    """a -> tr(state (1_sys (x) prod_{j in a} r_j)) for every subset a of
+    the pointers, as an M-map of multilinear jets (quantum.readout_moments)."""
+    n, caps = state.n, state.caps
+    return MMap(n, {a: Jet._dense(n, caps, row) for a, row in zip(
+        multiset_lattice(n, caps),
+        readout_moments(state.blocks, sys_dim, readouts))}, caps)
 
 
 def _per_subset(moments: MMap) -> MMap:
@@ -253,9 +262,8 @@ def _sequential_state(config: ExperimentConfig) -> JetMatrix:
 def all_coupled_moment_mmap(config: ExperimentConfig) -> MMap:
     """<prod_{j in a} r_j> under the single all-pointers-coupled state eta
     (the thm3 scenario)."""
-    n = config.n_pointers
-    return _pointer_space_moments(_sequential_state(config), config.pointers,
-                                  n, (1,) * n)
+    return _moment_mmap(_sequential_state(config),
+                        [p.r for p in config.pointers])
 
 
 def per_subset_moment_mmap(config: ExperimentConfig) -> MMap:
@@ -264,48 +272,34 @@ def per_subset_moment_mmap(config: ExperimentConfig) -> MMap:
     return _per_subset(all_coupled_moment_mmap(config))
 
 
-def _coupled_generator(config: ExperimentConfig, c: complex,
-                       k: complex) -> JetMatrix:
-    """The joint-space jet {(): c H_S (x) 1, (j,): k A_j (x) s_j}, system
-    tensor factor first: the generator of the window and thermal states."""
-    n = config.n_pointers
-    dims = [config.system_dim] + [p.dim for p in config.pointers]
-    terms = {(): c * embed(config.hamiltonian, dims, 0)}
-    for j in range(1, n + 1):
-        terms[(j,)] = k * embed(config.observables[j - 1], dims, 0,
-                                (config.pointers[j - 1].s, j))
-    return JetMatrix.from_terms(terms, int(np.prod(dims)), n, (1,) * n)
-
-
 def _sigma_state(config: ExperimentConfig) -> JetMatrix:
     """Postselected pointer state for the finite-window coupling
     H = H_S (x) 1 + sum gamma_k A_k (x) (s_k / tau) over a window tau: the
     pure joint jet vector e^{-i tau H} |psi_i, phi_1, ..., phi_n>,
     postselected on psi_f."""
-    evol = jet_matrix_exp(_coupled_generator(config, -1j * config.tau, -1j))
-    psi0 = kron(config.psi_i, *[p.phi for p in config.pointers])
+    evol = jet_matrix_exp(coupled_generator(
+        config.hamiltonian, config.observables, config.pointers,
+        -1j * config.tau, -1j))
+    psi0 = product_state(config.psi_i, config.pointers).reshape(-1)
     return postselect_pointers(evol.blocks @ psi0, config.psi_f,
                                config.n_pointers,
                                min_probability=config.floor ** 2)
 
 
 def sigma_moment_mmap(config: ExperimentConfig) -> MMap:
-    n = config.n_pointers
-    sigma = _sigma_state(config)
-    return _pointer_space_moments(sigma, config.pointers, n, (1,) * n)
+    return _moment_mmap(_sigma_state(config), [p.r for p in config.pointers])
 
 
 def thermal_moment_mmap(config: ExperimentConfig) -> MMap:
     """<prod r_j> under rho = e^{-beta H}/tr e^{-beta H},
-    H = H_S (x) 1 + sum gamma_j A_j (x) (s_j / beta)."""
-    n = config.n_pointers
-    caps = (1,) * n
-    boltz = jet_matrix_exp(_coupled_generator(config, -config.beta, -1))
-    z_inv = boltz.trace().inverse()
-    entries = {a: boltz.trace_with(_readout(config.pointers, a.support,
-                                            config.system_dim)) * z_inv
-               for a in multiset_lattice(n, caps)}
-    return MMap(n, entries, caps)
+    H = H_S (x) 1 + sum gamma_j A_j (x) (s_j / beta): the Boltzmann jet's
+    moments times the scalar 1/tr e^{-beta H}, its empty-subset moment."""
+    boltz = jet_matrix_exp(coupled_generator(
+        config.hamiltonian, config.observables, config.pointers,
+        -config.beta, -1))
+    raw = _moment_mmap(boltz, [p.r for p in config.pointers],
+                       config.system_dim)
+    return convolve(raw, scalar_mmap(raw(EMPTY).inverse(), raw.n))
 
 
 # ---------------------------------------------------------------------------
@@ -326,14 +320,6 @@ class SubsetRecord:
     label: str = ""
     extras: dict = field(default_factory=dict)
 
-    def core_fields(self) -> dict:
-        """The fields every report format carries, in report-JSON order."""
-        return {"subset": self.subset, "label": self.label,
-                "lhs_re": self.lhs.real, "lhs_im": self.lhs.imag,
-                "rhs_re": self.rhs.real, "rhs_im": self.rhs.imag,
-                "abs_error": self.abs_error, "rel_error": self.rel_error,
-                "passed": self.passed}
-
 
 @dataclass
 class VerificationReport:
@@ -349,7 +335,11 @@ class VerificationReport:
     def to_json_dict(self) -> dict:
         recs = []
         for r in self.records:
-            item = r.core_fields()
+            item = {"subset": r.subset, "label": r.label,
+                    "lhs_re": r.lhs.real, "lhs_im": r.lhs.imag,
+                    "rhs_re": r.rhs.real, "rhs_im": r.rhs.imag,
+                    "abs_error": r.abs_error, "rel_error": r.rel_error,
+                    "passed": r.passed}
             if r.xi is not None:
                 item["xi_re"], item["xi_im"] = r.xi.real, r.xi.imag
             if r.rhs_alt is not None:
@@ -370,12 +360,6 @@ class VerificationReport:
             "metadata": {k: _jsonable(v) for k, v in self.metadata.items()},
             "records": recs,
         }
-
-    def csv_rows(self):
-        for r in self.records:
-            yield {"scenario": self.scenario,
-                   "seed": "" if self.seed is None else self.seed,
-                   **r.core_fields()}
 
 
 def _jsonable(v):
@@ -491,12 +475,10 @@ def _all_coupled_claims(config: ExperimentConfig, meta: dict) -> list:
     n = config.n_pointers
     caps = (1,) * n
     eta = _sequential_state(config)
-    moments = _pointer_space_moments(eta, config.pointers, n, caps)
-    centered_pointers = tuple(
-        PointerSpec(phi=p.phi, s=p.s,
-                    r=np.asarray(p.r) - p.expect(p.r) * np.eye(p.dim))
-        for p in config.pointers)
-    lc = log_star(_pointer_space_moments(eta, centered_pointers, n, caps))
+    moments = _moment_mmap(eta, [p.r for p in config.pointers])
+    lc = log_star(_moment_mmap(eta, [
+        np.asarray(p.r) - p.expect(p.r) * np.eye(p.dim)
+        for p in config.pointers]))
 
     def sub_support(rec, a):
         cum_centered = lc(a)

@@ -447,12 +447,6 @@ class JetMatrix:
     def trace(self) -> Jet:
         return self._jet(np.trace(self.blocks, axis1=1, axis2=2))
 
-    def trace_with(self, mat: np.ndarray) -> Jet:
-        """tr(M @ mat) as a jet, for a constant matrix `mat`, contracted
-        directly instead of forming the jet-matrix product."""
-        return self._jet(np.einsum("kij,ji->k", self.blocks,
-                                   np.asarray(mat, dtype=complex)))
-
     def bilinear(self, bra: np.ndarray, ket: np.ndarray) -> Jet:
         """<bra| M |ket> as a jet (bra is conjugated)."""
         bra = np.asarray(bra, dtype=complex).conj()

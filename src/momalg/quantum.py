@@ -1,15 +1,22 @@
 """Dense finite-dimensional Hilbert-space machinery.
 
 States, observables, tensor products, random states and operators, the
-sequential weak-measurement pipeline, and the postselection that turns a
-pure joint state into the pointer state (jet-valued in the coupling
-strengths).  System and pointers start in a pure product state and every
-step is a unitary that depends on the gammas, so the joint state is a pure
-jet vector psi(gamma), a (lattice, d_sys, d_1, ..., d_n) stack of
-coefficient tensors; no joint density is formed.  Postselecting on
-|psi_f> contracts <psi_f| with the system axis, chi = (<psi_f| (x) 1) psi,
-and the pointer state is chi chi^dagger / <chi|chi> as a jet matrix.  The
-full space is ordered system first, then the pointers in label order.
+joint-space pieces every pipeline starts from (the product state and the
+window and thermal generator), the sequential weak-measurement pipeline,
+the postselection that turns a pure joint state into the pointer state
+(jet-valued in the coupling strengths), and the one reader of pointer
+moments.  The full space is ordered system first, then the pointers in
+label order; this module is the only one that knows that layout.
+
+System and pointers start in a pure product state and every step is a
+unitary that depends on the gammas, so the joint state is a pure jet
+vector psi(gamma), a (lattice, d_sys, d_1, ..., d_n) stack of coefficient
+tensors; no joint density is formed.  Postselecting on |psi_f> contracts
+<psi_f| with the system axis, chi = (<psi_f| (x) 1) psi, and the pointer
+state is chi chi^dagger / <chi|chi> as a jet matrix.  `readout_moments`
+reads tr(rho (1_sys (x) prod_{j in a} r_j)) for every subset a off a block
+stack by contracting the tensor axes pointer by pointer, without forming
+any readout on the full space.
 """
 
 from __future__ import annotations
@@ -150,6 +157,47 @@ def embed(op: np.ndarray, dims, site: int, *more) -> np.ndarray:
     return kron(*factors)
 
 
+def product_state(psi_i, pointers) -> np.ndarray:
+    """|psi_i> (x) |phi_1> (x) ... (x) |phi_n> as a (d_sys, d_1, ..., d_n)
+    tensor."""
+    return reduce(np.multiply.outer, [_as_array(psi_i)] + [
+        np.asarray(p.phi, dtype=complex) for p in pointers])
+
+
+def coupled_generator(hamiltonian, observables, pointers, c: complex,
+                      k: complex) -> JetMatrix:
+    """The joint-space jet {(): c H_S (x) 1, (j,): k A_j (x) s_j}, A_j =
+    observables[j-1]: the generator of the window and thermal states."""
+    n = len(pointers)
+    dims = [np.shape(hamiltonian)[0]] + [p.dim for p in pointers]
+    terms = {(j,): k * embed(observables[j - 1], dims, 0, (p.s, j))
+             for j, p in enumerate(pointers, start=1)}
+    terms[()] = c * embed(hamiltonian, dims, 0)
+    return JetMatrix.from_terms(terms, int(np.prod(dims)), n, (1,) * n)
+
+
+def readout_moments(blocks: np.ndarray, sys_dim: int, readouts) -> np.ndarray:
+    """tr(B (1_sys (x) f_1 (x) ... (x) f_n)), f_j = r_j for j in a and 1
+    otherwise, for every block B of the (L, D, D) stack `blocks` (system
+    first, then the pointers of `readouts` = (r_1, ..., r_n), D = sys_dim
+    d_1 ... d_n) and every subset a.  Returns a (2^n, L) array: row k holds
+    the moment jet of the k-th subset in the lattice order of caps (1,) * n.
+
+    The stack is viewed as (L, d_s, d_1..d_n, d_s, d_1..d_n) and the system
+    axis pair traced; then each pointer's (row, column) axes are contracted
+    with the stack [1, r_j^T], which appends that pointer's subset bit."""
+    n = len(readouts)
+    dims = [sys_dim] + [np.shape(r)[0] for r in readouts]
+    x = np.trace(blocks.reshape(len(blocks), *dims, *dims),
+                 axis1=1, axis2=n + 2)
+    for left, r in zip(range(n, 0, -1), readouts):
+        pair = np.stack([np.eye(len(r)), np.transpose(r)])
+        x = np.tensordot(x, pair, axes=([1, 1 + left], [1, 2]))
+    bits = x.reshape(len(blocks), -1).T
+    return bits[[sum(1 << (n - j) for j in a.support)
+                 for a in _pair_table((1,) * n).lattice]]
+
+
 def chain_amplitude(psi_i, psi_f, unitaries) -> complex:
     amp = _as_array(psi_i)
     for u in unitaries:
@@ -174,15 +222,13 @@ def evolved_joint_state(psi_i, unitaries, pointers, observables) -> np.ndarray:
     ..., d_n) stack of coefficient tensors in the lattice order of caps
     (1,) * n.
     """
-    psi_i = _as_array(psi_i)
     n = len(pointers)
     if len(unitaries) != n + 1:
         raise ShapeMismatchError("need n+1 unitaries for n pointers")
     table = _pair_table((1,) * n)
-    factors = [psi_i] + [np.asarray(p.phi, dtype=complex) for p in pointers]
-    psi = np.zeros((len(table.lattice), *[f.shape[0] for f in factors]),
-                   dtype=complex)
-    psi[0] = reduce(np.multiply.outer, factors)
+    psi0 = product_state(psi_i, pointers)
+    psi = np.zeros((len(table.lattice), *psi0.shape), dtype=complex)
+    psi[0] = psi0
     for j, pointer in enumerate(pointers, start=1):
         psi = _on_axis(unitaries[j - 1], psi, 1)
         kick = table.ib == table.index[Multiset([j])]

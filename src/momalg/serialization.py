@@ -9,6 +9,7 @@ round trip bit-exactly for finite values (json uses shortest repr).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import os
@@ -45,20 +46,27 @@ def load_json(path: str) -> dict:
             f"{exc.msg}") from exc
 
 
-def save_json(path: str, payload: dict) -> None:
-    """Atomic write: temp file in the target directory, then replace."""
+@contextlib.contextmanager
+def _atomic_open(path: str):
+    """A text stream for `path` on a temp file in the target directory: it
+    replaces `path` when the block ends and is removed if the block raises."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def save_json(path: str, payload: dict) -> None:
+    with _atomic_open(path) as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
 
 
 def _require(payload: dict, key: str, where: str):
@@ -218,38 +226,25 @@ REPORT_CSV_COLUMNS = ("scenario", "seed", "label", "subset", "lhs_re",
                       "passed")
 
 
-def reports_to_csv(reports, path: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=REPORT_CSV_COLUMNS)
-            writer.writeheader()
-            for rep in reports:
-                for row in rep.csv_rows():
-                    writer.writerow(row)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def write_report_rows(fh, payloads) -> None:
+    """The CSV projection of serialized reports to the stream `fh`."""
+    writer = csv.DictWriter(fh, fieldnames=REPORT_CSV_COLUMNS)
+    writer.writeheader()
+    for payload in payloads:
+        writer.writerows(report_rows_from_json(payload))
+
+
+def reports_to_csv(payloads, path: str) -> None:
+    with _atomic_open(path) as fh:
+        write_report_rows(fh, payloads)
 
 
 def report_rows_from_json(payload: dict):
-    """CSV projection of an already-serialized report."""
+    """CSV rows of a serialized report, one per record; a missing field is
+    written empty."""
     for r in payload.get("records", []):
-        yield {
-            "scenario": payload.get("scenario", ""),
-            "seed": payload.get("seed", ""),
-            "label": r.get("label", ""),
-            "subset": r.get("subset", ""),
-            "lhs_re": r.get("lhs_re"), "lhs_im": r.get("lhs_im"),
-            "rhs_re": r.get("rhs_re"), "rhs_im": r.get("rhs_im"),
-            "abs_error": r.get("abs_error"),
-            "rel_error": r.get("rel_error"),
-            "passed": r.get("passed"),
-        }
+        yield {"scenario": payload.get("scenario"), "seed": payload.get("seed"),
+               **{key: r.get(key) for key in REPORT_CSV_COLUMNS[2:]}}
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from momalg.serialization import (
     load_json,
     mmap_from_dict,
     mmap_to_dict,
+    reports_to_csv,
     save_json,
 )
 from momalg.algebra import MMap, exp_star, log_star
@@ -406,6 +407,53 @@ def test_exit_code_2_on_malformed_fields(tmp_path, capsys, argv, payload,
                  str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("input error:") and field in err
+
+
+@pytest.mark.parametrize("argv, env, flag", [
+    (["verify", "thm1", "--pointers", "0"], {}, "--pointers"),
+    (["verify", "thermal", "--pointers", "-1"], {}, "--pointers"),
+    (["verify", "thermal", "--sysdim", "0"], {}, "--sysdim"),
+    (["verify", "thermal", "--pointer-dim", "0"], {}, "--pointer-dim"),
+    (["verify", "genfun", "--vars", "0"], {}, "--vars"),
+    (["verify", "multiset", "--copies", "0"], {}, "--copies"),
+    (["verify", "thermal", "--seeds", "5..x"], {}, "--seeds"),
+    (["verify", "thermal", "--seeds", "3..1"], {}, "--seeds"),
+    (["verify", "thermal"], {"MOMALG_TOL": "abc"}, "MOMALG_TOL"),
+    (["algebra", "factorizing-check", "{fixture}", "--cut", "x"], {}, "--cut"),
+], ids=["pointers0", "pointers-neg", "sysdim0", "pointer-dim0", "vars0",
+        "copies0", "seeds-text", "seeds-empty", "env-tol", "cut-text"])
+def test_malformed_arguments_exit_2_naming_the_flag(tmp_path, monkeypatch,
+                                                    capsys, argv, env, flag):
+    # argparse refuses a bad flag with SystemExit(2); a value parsed later
+    # is an InputFormatError, exit 2 as well, never a traceback or a run
+    # over zero seeds
+    for key, value in env.items():
+        monkeypatch.setenv(key, value)
+    fixture = write(tmp_path / "f.json", LOG_FIXTURE)
+    argv = [fixture if a == "{fixture}" else a for a in argv]
+    out = ["--out", str(tmp_path / "out")] if argv[0] == "verify" else []
+    try:
+        code = main(argv + out)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert flag in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("write_file", [
+    lambda path: save_json(path, {"value": object()}),
+    lambda path: reports_to_csv([{"records": []}, None], path),
+], ids=["save_json", "reports_to_csv"])
+def test_atomic_writers_remove_the_temp_file_on_failure(tmp_path, write_file):
+    # the writer fails after writing part of its output: the temp file goes
+    # and the old target stays as it was
+    target = tmp_path / "out" / "target"
+    target.parent.mkdir()
+    target.write_text("old")
+    with pytest.raises((TypeError, AttributeError)):
+        write_file(str(target))
+    assert os.listdir(target.parent) == ["target"]
+    assert target.read_text() == "old"
 
 
 @pytest.mark.parametrize("scenario", ["thermal", "thm1"])

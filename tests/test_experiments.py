@@ -22,6 +22,7 @@ from momalg.experiments import (
 )
 from momalg.jets import Jet
 from momalg.quantum import PointerSpec
+from momalg.serialization import report_rows_from_json
 
 M = Multiset
 
@@ -364,6 +365,6 @@ def test_report_json_projection_roundtrip():
     assert payload["schema"] == 1
     assert payload["passed"] is True
     assert len(payload["records"]) == len(rep.records)
-    rows = list(rep.csv_rows())
+    rows = list(report_rows_from_json(payload))
     assert len(rows) == len(rep.records)
     assert all(set(r) >= {"scenario", "subset", "abs_error"} for r in rows)

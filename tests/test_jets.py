@@ -409,21 +409,6 @@ def test_scale_by_jet_is_entrywise_jet_product(caps, d, seed):
             assert scaled.entry(p, q).allclose(m.entry(p, q) * j, 1e-13)
 
 
-def test_trace_with_matches_trace_of_product():
-    rng = np.random.default_rng(24)
-    d, caps = 6, (1, 1, 1)
-    terms = {(): random_complex_matrix(rng, d, 0.5)}
-    for i in range(1, 4):
-        terms[(i,)] = random_complex_matrix(rng, d, 0.5)
-    boltz = jet_matrix_exp(JetMatrix.from_terms(terms, d, 3, caps))
-    readout = random_complex_matrix(rng, d)
-    r_jet = JetMatrix.from_terms({(): readout}, d, 3, caps)
-    want = (boltz @ r_jet).trace()
-    got = boltz.trace_with(readout)
-    scale = max(abs(c) for c in want.coeffs.values())
-    assert got.allclose(want, 1e-13 * scale)
-
-
 # ---------------------------------------------------------------------------
 # jet exponential against the regular representation of the jet ring
 

@@ -1,9 +1,11 @@
 """Hilbert-space machinery and the postselected pointer state."""
 
+from functools import reduce
+
 import numpy as np
 import pytest
 
-from momalg.combinatorics import EMPTY, Multiset
+from momalg.combinatorics import EMPTY, Multiset, multiset_lattice
 from momalg.errors import DomainError, SingularPostselectionError
 from momalg.jets import JetMatrix, jet_matrix_exp
 from momalg.quantum import (
@@ -18,6 +20,7 @@ from momalg.quantum import (
     random_pointer,
     random_state,
     random_unitary,
+    readout_moments,
 )
 from oracles import postselected_pointer_jet
 
@@ -212,3 +215,28 @@ def test_postselected_pointer_state_matches_joint_density_oracle(n, d_sys):
     for a, block in want.items():
         got = eta.blocks[eta.index[M(a)]]
         assert np.max(np.abs(got - block)) <= 1e-12 * max(1.0, np.max(np.abs(block)))
+
+
+@pytest.mark.parametrize("pointer_dims", [(), (3,), (2, 3), (2, 3, 2)])
+@pytest.mark.parametrize("sys_dim", [1, 2, 3])
+def test_readout_moments_match_kronecker_readouts(sys_dim, pointer_dims):
+    # oracle: tr(B (1_sys (x) f_1 (x) ... (x) f_n)), f_j = r_j on the subset
+    # and 1 elsewhere, one Kronecker product per subset; non-Hermitian
+    # blocks and readouts, and 3 blocks, so that no transposition or axis
+    # mix-up cancels
+    rng = np.random.default_rng(17 * sys_dim + len(pointer_dims))
+    n = len(pointer_dims)
+    dim = sys_dim * int(np.prod(pointer_dims))
+    blocks = rng.standard_normal((3, dim, dim)) + \
+        1j * rng.standard_normal((3, dim, dim))
+    readouts = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                for d in pointer_dims]
+    got = readout_moments(blocks, sys_dim, readouts)
+    lattice = multiset_lattice(n, (1,) * n)
+    assert got.shape == (len(lattice), len(blocks))
+    for row, a in zip(got, lattice):
+        readout = reduce(np.kron, [r if j in a.support else np.eye(len(r))
+                                   for j, r in enumerate(readouts, start=1)],
+                         np.eye(sys_dim))
+        want = np.trace(blocks @ readout, axis1=1, axis2=2)
+        assert np.max(np.abs(row - want)) <= 1e-12 * max(1, np.max(np.abs(want)))
