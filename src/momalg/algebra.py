@@ -123,12 +123,19 @@ class MMap:
         else:
             self._data[i, 0] = complex(value) / table.weight[i]
 
+    @classmethod
+    def _dense(cls, n: int, caps: tuple[int, ...], jet_caps: tuple[int, ...],
+               data: np.ndarray) -> "MMap":
+        """Wrap a (lattice, jet lattice) array, in the lattice orders and
+        the normalisation of `_data`; no copy, no checks."""
+        out = cls.__new__(cls)
+        out.n, out.caps, out.jet_caps, out._data = n, caps, jet_caps, data
+        return out
+
     def _like(self, data: np.ndarray) -> "MMap":
         """A map of this shape over `data` (any shape of the same size)."""
-        out = MMap.__new__(MMap)
-        out.n, out.caps, out.jet_caps = self.n, self.caps, self.jet_caps
-        out._data = data.reshape(self._data.shape)
-        return out
+        return MMap._dense(self.n, self.caps, self.jet_caps,
+                           data.reshape(self._data.shape))
 
     def _lift(self, fn) -> "MMap":
         """fn(pair table, flat data, total degree) as a map of this shape;

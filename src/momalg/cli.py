@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -73,12 +74,20 @@ def _positive_int(text: str) -> int:
     return int(text)
 
 
+def _finite_tolerance(text: str) -> float:
+    tol = float(text)
+    if not 0 <= tol < math.inf:          # NaN fails both comparisons
+        raise ValueError(f"{text!r} is not a finite non-negative number")
+    return tol
+
+
 def _tolerance(args, default: float) -> float:
-    """--tol, else MOMALG_TOL from the environment, else `default`."""
+    """--tol, else MOMALG_TOL from the environment, else `default`; NaN,
+    infinite and negative values are malformed input."""
     if args.tol is not None:
-        return args.tol
+        return _parse(_finite_tolerance, args.tol, "--tol")
     env = os.environ.get("MOMALG_TOL")
-    return _parse(float, env, "MOMALG_TOL") if env else default
+    return _parse(_finite_tolerance, env, "MOMALG_TOL") if env else default
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -101,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     alg.add_argument("--cut", default="",
                      help="comma-separated labels of one side of the "
                           "bipartition for factorizing-check")
-    alg.add_argument("--tol", type=float, default=None)
+    alg.add_argument("--tol", default=None)
 
     wv = sub.add_parser("weak-values", help="evaluate weak-value queries")
     wv.add_argument("query", help="query JSON file")
@@ -122,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="number of variables (genfun)")
     ver.add_argument("--samples", type=int, default=0,
                      help="Monte-Carlo cross-check samples (thm4)")
-    ver.add_argument("--tol", type=float, default=None)
+    ver.add_argument("--tol", default=None)
     ver.add_argument("--config", default=None,
                      help="explicit config JSON (matrices instead of "
                           "generator seeds); other instance flags ignored")
@@ -226,7 +235,7 @@ def _verify_configs(args):
                 f"{args.config}: scenario {cfg.scenario!r} does not match "
                 f"requested {scenario!r}")
         if args.tol is not None:
-            cfg.tolerance = args.tol
+            cfg.tolerance = _tolerance(args, cfg.tolerance)
         yield {}, cfg
         return
     tol = _tolerance(args, SCENARIOS[scenario].tolerance)

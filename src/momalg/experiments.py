@@ -23,11 +23,14 @@ joint jet vector (the chain kick by kick, the window as e^X applied to the
 initial vector) and postselect it with `quantum.postselect_pointers`; no
 joint density is formed.  The window and thermal generators come from
 `quantum.coupled_generator`.  Every pipeline reads its pointer moments
-with the one reader `quantum.readout_moments`: the normalised pointer
-state of the chain and the window as it is, the thermal Boltzmann jet
-divided by its own empty-subset moment (its trace).  This module never
-sees the joint-space tensor layout.  Before the kick chain builds its
-state, the jet-valued ring that takes the cumulant of its moments is
+with the one reader `quantum.readout_moments`, off an unnormalised block
+stack: the postselected pointer state of the chain and the window, the
+thermal Boltzmann jet.  `_moment_mmap` then divides every moment by the
+empty-subset one, the trace (the postselection probability or the
+partition function), in the jet ring; scaling by a scalar changes log*
+only at the empty set, so this is the one normalisation.  This module
+never sees the joint-space tensor layout.  Before the kick chain builds
+its state, the jet-valued ring that takes the cumulant of its moments is
 checked against the dense size limit.  Per-subset coupling (the moment
 of a measured with only the pointers in a coupled) is not a separate
 pipeline: "pointer j uncoupled" is gamma_j = 0, a ring homomorphism, so
@@ -48,18 +51,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import (
-    MMap,
-    _ring,
-    convolve,
-    log_derivative,
-    log_star,
-    partition_fstar,
-    scalar_mmap,
-)
-from .combinatorics import EMPTY, Multiset, multiset_lattice
+from .algebra import MMap, _ring, log_derivative, log_star, partition_fstar
+from .combinatorics import Multiset, multiset_lattice
 from .errors import DEFAULT_FLOOR, DomainError, SingularPostselectionError
-from .jets import Jet, JetMatrix, jet_matrix_exp
+from .jets import Jet, _inverse, _pair_table, _ring_product, jet_matrix_exp
 from .quantum import (
     coupled_generator,
     postselect_pointers,
@@ -229,13 +224,19 @@ def xi_thermal_literal(pointers, a: Multiset) -> complex:
 # finite window, thermal), every pointer coupled
 
 
-def _moment_mmap(state: JetMatrix, readouts, sys_dim: int = 1) -> MMap:
-    """a -> tr(state (1_sys (x) prod_{j in a} r_j)) for every subset a of
-    the pointers, as an M-map of multilinear jets (quantum.readout_moments)."""
-    n, caps = state.n, state.caps
-    return MMap(n, {a: Jet._dense(n, caps, row) for a, row in zip(
-        multiset_lattice(n, caps),
-        readout_moments(state.blocks, sys_dim, readouts))}, caps)
+def _moment_mmap(blocks: np.ndarray, readouts, sys_dim: int = 1) -> MMap:
+    """a -> tr(B (1_sys (x) prod_{j in a} r_j)) / tr B for every subset a of
+    the pointers, B the unnormalised state held in the (lattice, D, D) block
+    stack `blocks`: an M-map of multilinear jets.  The raw moment rows come
+    from quantum.readout_moments; each is divided by the empty-subset row,
+    tr B, in the jet ring (its inverse, then one truncated product per row),
+    the one place where a state is normalised."""
+    n = len(readouts)
+    caps = (1,) * n
+    table = _pair_table(caps)
+    rows = readout_moments(blocks, sys_dim, readouts)
+    return MMap._dense(n, caps, caps, _ring_product(
+        table, rows, _inverse(table, rows[0], n)))
 
 
 def _per_subset(moments: MMap) -> MMap:
@@ -247,11 +248,12 @@ def _per_subset(moments: MMap) -> MMap:
                             for a in moments.domain()}, moments.caps)
 
 
-def _sequential_state(config: ExperimentConfig) -> JetMatrix:
-    """The postselected pointer state of the kick chain, every pointer
-    coupled.  First, before any state is built, the jet-valued ring that
-    takes the cumulant of its moments is refused if it would not fit in
-    MAX_DENSE_BYTES (algebra._ring raises DomainError)."""
+def _sequential_state(config: ExperimentConfig) -> np.ndarray:
+    """The unnormalised postselected pointer state of the kick chain, every
+    pointer coupled, as a block stack.  First, before any state is built,
+    the jet-valued ring that takes the cumulant of its moments is refused
+    if it would not fit in MAX_DENSE_BYTES (algebra._ring raises
+    DomainError)."""
     caps = (1,) * config.n_pointers
     _ring(caps, caps)
     return postselected_pointer_state(
@@ -272,11 +274,11 @@ def per_subset_moment_mmap(config: ExperimentConfig) -> MMap:
     return _per_subset(all_coupled_moment_mmap(config))
 
 
-def _sigma_state(config: ExperimentConfig) -> JetMatrix:
-    """Postselected pointer state for the finite-window coupling
-    H = H_S (x) 1 + sum gamma_k A_k (x) (s_k / tau) over a window tau: the
-    pure joint jet vector e^{-i tau H} |psi_i, phi_1, ..., phi_n>,
-    postselected on psi_f."""
+def _sigma_state(config: ExperimentConfig) -> np.ndarray:
+    """Unnormalised postselected pointer state (a block stack) for the
+    finite-window coupling H = H_S (x) 1 + sum gamma_k A_k (x) (s_k / tau)
+    over a window tau: the pure joint jet vector e^{-i tau H} |psi_i,
+    phi_1, ..., phi_n>, postselected on psi_f."""
     evol = jet_matrix_exp(coupled_generator(
         config.hamiltonian, config.observables, config.pointers,
         -1j * config.tau, -1j))
@@ -292,14 +294,13 @@ def sigma_moment_mmap(config: ExperimentConfig) -> MMap:
 
 def thermal_moment_mmap(config: ExperimentConfig) -> MMap:
     """<prod r_j> under rho = e^{-beta H}/tr e^{-beta H},
-    H = H_S (x) 1 + sum gamma_j A_j (x) (s_j / beta): the Boltzmann jet's
-    moments times the scalar 1/tr e^{-beta H}, its empty-subset moment."""
+    H = H_S (x) 1 + sum gamma_j A_j (x) (s_j / beta), read off the
+    Boltzmann jet e^{-beta H}."""
     boltz = jet_matrix_exp(coupled_generator(
         config.hamiltonian, config.observables, config.pointers,
         -config.beta, -1))
-    raw = _moment_mmap(boltz, [p.r for p in config.pointers],
-                       config.system_dim)
-    return convolve(raw, scalar_mmap(raw(EMPTY).inverse(), raw.n))
+    return _moment_mmap(boltz.blocks, [p.r for p in config.pointers],
+                        config.system_dim)
 
 
 # ---------------------------------------------------------------------------

@@ -119,13 +119,16 @@ def _check_size(what: str, count: int, nbytes_each: int) -> None:
 
 def _ring_product(table, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Truncated product of two coefficient vectors ordered like the
-    (ia, ib, ic) pair arrays of `table`."""
-    prod = x[table.ia] * y[table.ib]
-    size = len(x)
-    out = np.empty(size, dtype=complex)
-    out.real = np.bincount(table.ic, prod.real, size)
-    out.imag = np.bincount(table.ic, prod.imag, size)
-    return out
+    (ia, ib, ic) pair arrays of `table`; a (k, size) stack x gives the k
+    products of its rows with y.  Each coefficient sums its pair products
+    in the order of the pair arrays."""
+    prod = (x[..., table.ia] * y[table.ib]).ravel()
+    bins = table.ic if x.ndim == 1 else \
+        (table.ic + x.shape[1] * np.arange(len(x))[:, None]).ravel()
+    out = np.empty(x.size, dtype=complex)
+    out.real = np.bincount(bins, prod.real, x.size)
+    out.imag = np.bincount(bins, prod.imag, x.size)
+    return out.reshape(x.shape)
 
 
 def _series(table, start, coeff, u: np.ndarray, top: int) -> np.ndarray:
@@ -419,8 +422,6 @@ class JetMatrix:
         return JetMatrix(self.n, self.caps, self.blocks - other.blocks)
 
     def __mul__(self, scalar) -> "JetMatrix":
-        if isinstance(scalar, Jet):
-            return self.scale_by_jet(scalar)
         return JetMatrix(self.n, self.caps, self.blocks * complex(scalar))
 
     __rmul__ = __mul__
@@ -431,19 +432,6 @@ class JetMatrix:
         _block_products(_pair_table(self.caps), self.blocks, other.blocks, out)
         return JetMatrix(self.n, self.caps, out)
 
-    def scale_by_jet(self, jet: Jet) -> "JetMatrix":
-        if jet.caps != self.caps:
-            raise DomainError("jet matrix shape mismatch")
-        table = _pair_table(self.caps)
-        coeffs = jet._vec
-        keep = (coeffs[table.ia] != 0) & _nonzero(self.blocks)[table.ib]
-        out = np.zeros(self.blocks.shape, dtype=complex)
-        prod = np.empty(self.blocks.shape[1:], dtype=complex)
-        for ia, ib, ic in zip(table.ia[keep].tolist(), table.ib[keep].tolist(),
-                              table.ic[keep].tolist()):
-            out[ic] += np.multiply(coeffs[ia], self.blocks[ib], out=prod)
-        return JetMatrix(self.n, self.caps, out)
-
     def trace(self) -> Jet:
         return self._jet(np.trace(self.blocks, axis1=1, axis2=2))
 
@@ -452,9 +440,6 @@ class JetMatrix:
         bra = np.asarray(bra, dtype=complex).conj()
         ket = np.asarray(ket, dtype=complex)
         return self._jet(np.einsum("i,kij,j->k", bra, self.blocks, ket))
-
-    def entry(self, i: int, j: int) -> Jet:
-        return self._jet(self.blocks[:, i, j].copy())
 
 
 def _nonzero(blocks: np.ndarray) -> np.ndarray:

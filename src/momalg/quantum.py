@@ -13,10 +13,11 @@ unitary that depends on the gammas, so the joint state is a pure jet
 vector psi(gamma), a (lattice, d_sys, d_1, ..., d_n) stack of coefficient
 tensors; no joint density is formed.  Postselecting on |psi_f> contracts
 <psi_f| with the system axis, chi = (<psi_f| (x) 1) psi, and the pointer
-state is chi chi^dagger / <chi|chi> as a jet matrix.  `readout_moments`
-reads tr(rho (1_sys (x) prod_{j in a} r_j)) for every subset a off a block
-stack by contracting the tensor axes pointer by pointer, without forming
-any readout on the full space.
+state is the block stack of eta = chi chi^dagger, left unnormalised: its
+trace, the postselection probability, is divided out of the moments, not
+out of the state.  `readout_moments` reads tr(rho (1_sys (x) prod_{j in a}
+r_j)) for every subset a off a block stack by contracting the tensor axes
+pointer by pointer, without forming any readout on the full space.
 """
 
 from __future__ import annotations
@@ -239,35 +240,37 @@ def evolved_joint_state(psi_i, unitaries, pointers, observables) -> np.ndarray:
 
 
 def postselect_pointers(psi: np.ndarray, psi_f, n: int,
-                        min_probability: float = 0.0) -> JetMatrix:
+                        min_probability: float = 0.0) -> np.ndarray:
     """Pointer state of the pure joint jet vector `psi` (lattice order of
     caps (1,) * n, system tensor factor first, pointers flattened or not)
     postselected on |psi_f>: chi = (<psi_f| (x) 1) psi, then eta = chi
-    chi^dagger as one jet product, normalised to unit trace.  Raises
-    SingularPostselectionError when the gamma = 0 postselection
-    probability is at or below `min_probability`."""
+    chi^dagger as one jet product, returned as its (lattice, D_p, D_p) block
+    stack, unnormalised: its trace is the postselection probability.
+    Raises SingularPostselectionError, before eta is formed, when the gamma
+    = 0 probability |chi_0|^2 is at or below `min_probability`."""
     psi_f = _as_array(psi_f)
     chi = psi_f.conj() @ psi.reshape(len(psi), psi_f.shape[0], -1)
-    eta = JetMatrix.zeros(chi.shape[1], n, (1,) * n)
-    _block_products(_pair_table(eta.caps), chi[:, :, None],
-                    chi.conj()[:, None, :], eta.blocks)
-    norm = eta.trace()
-    if abs(norm.constant) <= min_probability:
+    probability = np.vdot(chi[0], chi[0]).real
+    if probability <= min_probability:
         raise SingularPostselectionError(
-            f"postselection probability {abs(norm.constant):.3e} at or "
+            f"postselection probability {probability:.3e} at or "
             f"below {min_probability:.3e}")
-    return eta.scale_by_jet(norm.inverse())
+    eta = JetMatrix.zeros(chi.shape[1], n, (1,) * n).blocks
+    _block_products(_pair_table((1,) * n), chi[:, :, None],
+                    chi.conj()[:, None, :], eta)
+    return eta
 
 
 def postselected_pointer_state(psi_i, psi_f, unitaries, pointers, observables,
-                               floor: float = DEFAULT_FLOOR) -> JetMatrix:
-    """Pointer-space density operator after interaction and postselection.
+                               floor: float = DEFAULT_FLOOR) -> np.ndarray:
+    """Pointer-space density operator after interaction and postselection,
+    unnormalised, as the block stack of `postselect_pointers`.
 
     Pointer j couples through H_j = A_j (x) s_j (A_j = observables[j-1])
     as an exact impulsive kick, with gamma_j as jet variable j; a pointer
-    left uncoupled is gamma_j = 0 (see Jet.restrict).  The result has unit
-    trace at gamma = 0.  Raises SingularPostselectionError when the
-    amplitude <psi_f|U_{n+1}...U_1|psi_i> is at or below the floor.
+    left uncoupled is gamma_j = 0 (see Jet.restrict).  Raises
+    SingularPostselectionError when the amplitude <psi_f|U_{n+1}...U_1|psi_i>
+    is at or below the floor.
     """
     amp = chain_amplitude(psi_i, psi_f, unitaries)
     if abs(amp) <= floor:

@@ -5,9 +5,9 @@ The evolution-weighted average D(a) and the thermal Taylor-coefficient map
 E(a) are computed exactly through jets: the Dyson-series lemma makes the
 mixed gamma-derivative of a matrix exponential equal to the permutation-
 summed simplex integral, so extracting a jet coefficient IS evaluating
-that integral, with no sampling noise.  The Monte-Carlo samplers of the
-simplex integrals are kept as independent oracles, never the production
-path.
+that integral, with no sampling noise.  The Monte-Carlo sampler of D's
+simplex integral is kept as an independent cross-check (`momalg verify
+--samples`), never the production path.
 
 Conventions fixed here (and exercised by the tests):
 
@@ -184,15 +184,20 @@ def evolution_weak_value(ctx: WeakValueContext, order, taus) -> complex:
     return complex(np.vdot(ctx.psi_f, v)) / den
 
 
+def _system_generator(ctx: WeakValueContext, caps, c: complex,
+                      k: complex) -> JetMatrix:
+    """The system-space jet {(): c H, (j,): k A_j for every j with cap_j >=
+    1}: the generator of the D map and of the partition jet."""
+    terms = {(j,): k * ctx.observables[j - 1]
+             for j, cap in enumerate(caps, start=1) if cap}
+    terms[()] = c * ctx.hamiltonian
+    return JetMatrix.from_terms(terms, ctx.dim, len(caps), tuple(caps))
+
+
 def _evolution_generating_jet(ctx: WeakValueContext, caps) -> Jet:
     """<psi_f| exp(-i tau H - i sum gamma_j A_j) |psi_i> as a jet."""
-    d = ctx.dim
-    terms = {(): -1j * ctx.tau * ctx.hamiltonian}
-    for j, cap in enumerate(caps, start=1):
-        if cap:
-            terms[(j,)] = -1j * ctx.observables[j - 1]
-    jm = JetMatrix.from_terms(terms, d, len(caps), tuple(caps))
-    return jet_matrix_exp(jm).bilinear(ctx.psi_f, ctx.psi_i)
+    return jet_matrix_exp(_system_generator(ctx, caps, -1j * ctx.tau, -1j)
+                          ).bilinear(ctx.psi_f, ctx.psi_i)
 
 
 def script_D(ctx: WeakValueContext, a: Multiset) -> complex:
@@ -281,13 +286,7 @@ def script_D_monte_carlo(ctx: WeakValueContext, a: Multiset, samples: int,
 
 def thermal_partition_jet(ctx: WeakValueContext, caps) -> Jet:
     """tr exp(-beta H - sum gamma_j A_j) as a jet in the gammas."""
-    d = ctx.dim
-    terms = {(): -ctx.beta * ctx.hamiltonian}
-    for j, cap in enumerate(caps, start=1):
-        if cap:
-            terms[(j,)] = -ctx.observables[j - 1]
-    jm = JetMatrix.from_terms(terms, d, len(caps), tuple(caps))
-    return jet_matrix_exp(jm).trace()
+    return jet_matrix_exp(_system_generator(ctx, caps, -ctx.beta, -1)).trace()
 
 
 def thermal_E(ctx: WeakValueContext, a: Multiset) -> complex:
@@ -320,60 +319,3 @@ def free_energy_susceptibility(ctx: WeakValueContext, a: Multiset) -> complex:
     of `a`."""
     z = thermal_partition_jet(ctx, ctx.caps_for(a))
     return free_energy_jet(z, ctx.beta).derivative(a)
-
-
-def imaginary_time_weak_value(ctx: WeakValueContext, order, taus) -> complex:
-    """tr[e^{-tau_{k+1} H} A_{o_k} ... A_{o_1} e^{-tau_1 H}] / tr e^{-beta H}."""
-    w, vecs = np.linalg.eigh(ctx.hamiltonian)
-    z = np.sum(np.exp(-ctx.beta * w))
-    herm_obs = [vecs.conj().T @ a @ vecs for a in ctx.observables]
-    mat = np.diag(np.exp(-w * taus[0]))
-    for lab, t in zip(order, taus[1:]):
-        mat = herm_obs[lab - 1] @ mat
-        mat = np.exp(-w * t)[:, None] * mat
-    return complex(np.trace(mat) / z)
-
-
-def thermal_E_monte_carlo(ctx: WeakValueContext, a: Multiset, samples: int,
-                          seed: int) -> tuple[complex, float]:
-    """Estimate E(a) by sampling the imaginary-time simplex expansion.
-
-    The sampled average of tr[e^{-tau H} A ... A e^{-tau H}]/Z carries one
-    (-1) per insertion relative to the -A_j couplings in the partition
-    function, so the estimator multiplies the sample mean by (-1)^|a|.
-    """
-    elements = a.elements()
-    k = len(elements)
-    if k == 0:
-        return 1.0, 0.0
-    rng = np.random.default_rng(seed)
-    w, vecs = np.linalg.eigh(ctx.hamiltonian)
-    z = np.sum(np.exp(-ctx.beta * w))
-    herm_obs = [vecs.conj().T @ ob @ vecs for ob in ctx.observables]
-    d = ctx.dim
-
-    times = _dirichlet_times(rng, ctx.beta, k + 1, samples)
-    orders = list(itertools.permutations(elements))
-    order_idx = rng.integers(0, len(orders), samples)
-
-    vals = np.empty(samples, dtype=complex)
-    eye_idx = np.arange(d)
-    for oi, order in enumerate(orders):
-        mask = order_idx == oi
-        m = int(mask.sum())
-        if m == 0:
-            continue
-        t = times[mask]
-        mats = np.zeros((m, d, d), dtype=complex)
-        mats[:, eye_idx, eye_idx] = np.exp(-np.outer(t[:, 0], w))
-        for step in range(k):
-            mats = np.einsum("ij,njk->nik", herm_obs[order[step] - 1], mats)
-            mats = np.exp(-np.outer(t[:, step + 1], w))[:, :, None] * mats
-        vals[mask] = np.einsum("nii->n", mats) / z
-    vals = vals * ((-1.0) ** k)
-    est = complex(vals.mean())
-    if samples == 1:
-        return est, 0.0
-    var = vals.real.var(ddof=1) + vals.imag.var(ddof=1)
-    return est, math.sqrt(var / samples)
-

@@ -5,9 +5,13 @@ eigendecomposition; `expm_mp` exponentiates any matrix with mpmath at 30
 significant digits and rounds the result to complex doubles.
 `postselected_pointer_jet` takes the kick chain's postselected pointer
 state by the joint-density route, in numpy alone.
+`imaginary_time_weak_value` evaluates one imaginary-time ordered trace by
+eigendecomposition, and `thermal_E_monte_carlo` samples the thermal
+E(a) from its imaginary-time simplex expansion.
 """
 
 import itertools
+import math
 
 import mpmath
 import numpy as np
@@ -28,8 +32,8 @@ def expm_mp(a) -> np.ndarray:
 
 def postselected_pointer_jet(psi_i, psi_f, unitaries, pointers,
                              observables) -> dict:
-    """The multilinear jet in gamma of the postselected pointer state,
-    {sorted tuple of pointer labels: coefficient matrix}, unit trace.
+    """The multilinear jet in gamma of the unnormalised postselected
+    pointer state, {sorted tuple of pointer labels: coefficient matrix}.
 
     The joint density rho(gamma) is evolved at every gamma in {-1, 0, 1}^n
     through the system unitaries and the truncated kicks 1 - i gamma_j
@@ -37,8 +41,7 @@ def postselected_pointer_jet(psi_i, psi_f, unitaries, pointers,
     |psi_f> and partial-traced over the system.  gamma_j enters through
     K_j and K_j^dagger only, so the result is a polynomial of degree at
     most 2 in each gamma_j, and the 3-point stencil p(0) and
-    (p(1) - p(-1)) / 2 reads its constant and linear parts exactly.  The
-    unit-trace jet N solves N tr(eta) = eta subset by subset.
+    (p(1) - p(-1)) / 2 reads its constant and linear parts exactly.
     """
     n = len(pointers)
     dims = [len(psi_i)] + [len(p.phi) for p in pointers]
@@ -80,12 +83,68 @@ def postselected_pointer_jet(psi_i, psi_f, unitaries, pointers,
                 gamma[j - 1] = sign
             total = total + np.prod(signs) / 2 ** len(a) * values[tuple(gamma)]
         coeff[a] = total
-    trace = {a: np.trace(c) for a, c in coeff.items()}
-    state = {}
-    for a in subsets:
-        rest = coeff[a] - sum(
-            (state[b] * trace[tuple(j for j in a if j not in b)]
-             for k in range(len(a))
-             for b in itertools.combinations(a, k)), np.zeros_like(coeff[a]))
-        state[a] = rest / trace[()]
-    return state
+    return coeff
+
+
+def imaginary_time_weak_value(hamiltonian, beta, observables, order,
+                              taus) -> complex:
+    """tr[e^{-tau_{k+1} H} A_{o_k} ... A_{o_1} e^{-tau_1 H}] / tr e^{-beta H}."""
+    w, vecs = np.linalg.eigh(hamiltonian)
+    z = np.sum(np.exp(-beta * w))
+    herm_obs = [vecs.conj().T @ a @ vecs for a in observables]
+    mat = np.diag(np.exp(-w * taus[0]))
+    for lab, t in zip(order, taus[1:]):
+        mat = herm_obs[lab - 1] @ mat
+        mat = np.exp(-w * t)[:, None] * mat
+    return complex(np.trace(mat) / z)
+
+
+def _dirichlet_times(rng, total, parts, samples):
+    """Uniform simplex samples via exponential spacings."""
+    spacings = rng.exponential(1.0, (samples, parts))
+    return total * spacings / spacings.sum(axis=1, keepdims=True)
+
+
+def thermal_E_monte_carlo(hamiltonian, beta, observables, elements,
+                          samples: int, seed: int) -> tuple[complex, float]:
+    """Estimate E(a), a the multiset of labels `elements` (repeated labels
+    listed once per copy), by sampling the imaginary-time simplex expansion.
+
+    The sampled average of tr[e^{-tau H} A ... A e^{-tau H}]/Z carries one
+    (-1) per insertion relative to the -A_j couplings in the partition
+    function, so the estimator multiplies the sample mean by (-1)^|a|.
+    Returns (estimate, standard error).
+    """
+    k = len(elements)
+    if k == 0:
+        return 1.0, 0.0
+    rng = np.random.default_rng(seed)
+    w, vecs = np.linalg.eigh(hamiltonian)
+    z = np.sum(np.exp(-beta * w))
+    herm_obs = [vecs.conj().T @ ob @ vecs for ob in observables]
+    d = len(w)
+
+    times = _dirichlet_times(rng, beta, k + 1, samples)
+    orders = list(itertools.permutations(elements))
+    order_idx = rng.integers(0, len(orders), samples)
+
+    vals = np.empty(samples, dtype=complex)
+    eye_idx = np.arange(d)
+    for oi, order in enumerate(orders):
+        mask = order_idx == oi
+        m = int(mask.sum())
+        if m == 0:
+            continue
+        t = times[mask]
+        mats = np.zeros((m, d, d), dtype=complex)
+        mats[:, eye_idx, eye_idx] = np.exp(-np.outer(t[:, 0], w))
+        for step in range(k):
+            mats = np.einsum("ij,njk->nik", herm_obs[order[step] - 1], mats)
+            mats = np.exp(-np.outer(t[:, step + 1], w))[:, :, None] * mats
+        vals[mask] = np.einsum("nii->n", mats) / z
+    vals = vals * ((-1.0) ** k)
+    est = complex(vals.mean())
+    if samples == 1:
+        return est, 0.0
+    var = vals.real.var(ddof=1) + vals.imag.var(ddof=1)
+    return est, math.sqrt(var / samples)

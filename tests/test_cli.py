@@ -409,6 +409,10 @@ def test_exit_code_2_on_malformed_fields(tmp_path, capsys, argv, payload,
     assert err.startswith("input error:") and field in err
 
 
+# no record can pass a NaN or negative gate, and an infinite one passes all
+BAD_TOLS = ("nan", "inf", "-inf", "-1")
+
+
 @pytest.mark.parametrize("argv, env, flag", [
     (["verify", "thm1", "--pointers", "0"], {}, "--pointers"),
     (["verify", "thermal", "--pointers", "-1"], {}, "--pointers"),
@@ -420,8 +424,15 @@ def test_exit_code_2_on_malformed_fields(tmp_path, capsys, argv, payload,
     (["verify", "thermal", "--seeds", "3..1"], {}, "--seeds"),
     (["verify", "thermal"], {"MOMALG_TOL": "abc"}, "MOMALG_TOL"),
     (["algebra", "factorizing-check", "{fixture}", "--cut", "x"], {}, "--cut"),
+    *[(["verify", "thermal", f"--tol={v}"], {}, "--tol") for v in BAD_TOLS],
+    *[(["algebra", "factorizing-check", "{fixture}", "--cut", "1",
+        f"--tol={v}"], {}, "--tol") for v in BAD_TOLS],
+    *[(["verify", "thermal"], {"MOMALG_TOL": v}, "MOMALG_TOL")
+      for v in BAD_TOLS],
 ], ids=["pointers0", "pointers-neg", "sysdim0", "pointer-dim0", "vars0",
-        "copies0", "seeds-text", "seeds-empty", "env-tol", "cut-text"])
+        "copies0", "seeds-text", "seeds-empty", "env-tol", "cut-text",
+        *[f"{where}-tol-{v}" for where in ("verify", "algebra", "env")
+          for v in BAD_TOLS]])
 def test_malformed_arguments_exit_2_naming_the_flag(tmp_path, monkeypatch,
                                                     capsys, argv, env, flag):
     # argparse refuses a bad flag with SystemExit(2); a value parsed later

@@ -5,7 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from momalg.algebra import convolve, log_star, scalar_mmap, value_allclose
+from momalg import experiments
+from momalg.algebra import MMap, convolve, log_star, scalar_mmap, value_allclose
 from momalg.combinatorics import EMPTY, Multiset, multiset_lattice
 from momalg.errors import DomainError
 from momalg.experiments import (
@@ -156,6 +157,27 @@ def test_scalar_mmap_scaling_leaves_cumulants_alone():
     for a in moments.domain():
         if not a.is_empty:
             assert value_allclose(lm(a), lms(a), 1e-10)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_moment_normaliser_equals_the_scalar_map_convolution(monkeypatch, n):
+    # _moment_mmap divides every raw moment row by the empty-subset row;
+    # bit for bit, that is the convolution with the scalar map of the
+    # inverse empty-subset jet, on random multilinear jet rows
+    caps = (1,) * n
+    lattice = multiset_lattice(n, caps)
+    rng = np.random.default_rng(40 + n)
+    for _ in range(5):
+        rows = rng.standard_normal((2 ** n, 2 ** n)) + \
+            1j * rng.standard_normal((2 ** n, 2 ** n))
+        monkeypatch.setattr(experiments, "readout_moments",
+                            lambda *_, rows=rows: rows.copy())
+        got = experiments._moment_mmap(None, [None] * n)
+        raw = MMap(n, {a: Jet(n, caps, dict(zip(lattice, row)))
+                       for a, row in zip(lattice, rows)}, caps)
+        want = convolve(raw, scalar_mmap(raw(EMPTY).inverse(), n))
+        assert got.jet_caps == want.jet_caps == caps
+        assert np.array_equal(got._data, want._data)
 
 
 def test_postselection_phase_leaves_report_unchanged():

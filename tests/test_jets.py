@@ -397,18 +397,6 @@ def test_jet_matrix_product_matches_explicit_loop_with_zero_blocks(
     assert np.array_equal(out, explicit_matmul(a, b, caps))
 
 
-@property_settings
-@given(caps=caps_strategy, d=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
-def test_scale_by_jet_is_entrywise_jet_product(caps, d, seed):
-    rng = np.random.default_rng(seed)
-    m = random_jet_matrix(rng, d, caps)
-    j = sparse_jet(rng, caps)
-    scaled = m * j
-    for p in range(d):
-        for q in range(d):
-            assert scaled.entry(p, q).allclose(m.entry(p, q) * j, 1e-13)
-
-
 # ---------------------------------------------------------------------------
 # jet exponential against the regular representation of the jet ring
 

@@ -7,7 +7,7 @@ import pytest
 
 from momalg.combinatorics import EMPTY, Multiset, multiset_lattice
 from momalg.errors import DomainError, SingularPostselectionError
-from momalg.jets import JetMatrix, jet_matrix_exp
+from momalg.jets import Jet, JetMatrix, jet_matrix_exp
 from momalg.quantum import (
     PointerSpec,
     QOperator,
@@ -125,7 +125,7 @@ def test_uncoupled_pointer_state_is_product_state():
     product = kron(pointers[0].phi, pointers[1].phi)
     expected = JetMatrix.from_terms({(): np.outer(product, product.conj())},
                                     4, 2, (1, 1))
-    assert np.max(np.abs(eta.blocks - expected.blocks)) < 1e-12
+    assert np.max(np.abs(eta - expected.blocks)) < 1e-12
 
 
 def test_eta_constant_part_is_valid_state():
@@ -137,8 +137,10 @@ def test_eta_constant_part_is_valid_state():
     observables = [random_hermitian(rng, 3) for _ in range(2)]
     eta = postselected_pointer_state(psi_i, psi_f, unitaries, pointers,
                                      observables)
-    c = eta.constant
-    assert np.trace(c).real == pytest.approx(1.0, abs=1e-10)
+    # unnormalised: the trace is the postselection probability
+    c = eta[0]
+    assert np.trace(c).real == pytest.approx(
+        abs(chain_amplitude(psi_i, psi_f, unitaries)) ** 2, abs=1e-10)
     assert abs(np.trace(c).imag) < 1e-12
     assert np.max(np.abs(c - c.conj().T)) < 1e-10
     assert np.min(np.linalg.eigvalsh((c + c.conj().T) / 2)) > -1e-10
@@ -155,7 +157,10 @@ def test_eta_first_order_reproduces_weak_value_formula():
         unitaries = [np.eye(2), np.eye(2)]
         eta = postselected_pointer_state(psi_i, psi_f, unitaries, [pointer],
                                          [a_op])
-        moment = (eta @ JetMatrix.from_terms({(): pointer.r}, 2, 1, (1,))).trace()
+        # rows: the jets tr(eta) and tr(eta r), then <r> = tr(eta r) / tr(eta)
+        trace, raw = (Jet(1, (1,), {(): row[0], (1,): row[1]})
+                      for row in readout_moments(eta, 1, [pointer.r]))
+        moment = raw / trace
         a_w = (psi_f.conj() @ a_op @ psi_i) / (psi_f.conj() @ psi_i)
         xi = -2j * pointer.rs_covariance
         got = moment.coefficient(M([1]))
@@ -180,8 +185,7 @@ def test_jet_valued_eta_constant_matches_plain_computation():
     amp = psi_f.conj() @ chain @ psi_i
     pointer_state = kron(pointers[0].phi, pointers[1].phi)
     plain = np.outer(pointer_state, pointer_state.conj()) * abs(amp) ** 2
-    plain = plain / np.trace(plain)
-    assert np.max(np.abs(eta.constant - plain)) < 1e-12
+    assert np.max(np.abs(eta[0] - plain)) < 1e-12
 
 
 def test_singular_postselection_raises():
@@ -211,9 +215,10 @@ def test_postselected_pointer_state_matches_joint_density_oracle(n, d_sys):
                                      observables)
     want = postselected_pointer_jet(psi_i, psi_f, unitaries, pointers,
                                     observables)
-    assert len(want) == len(eta.lattice) == 2 ** n
+    lattice = multiset_lattice(n, (1,) * n)
+    assert len(want) == len(eta) == len(lattice) == 2 ** n
     for a, block in want.items():
-        got = eta.blocks[eta.index[M(a)]]
+        got = eta[lattice.index(M(a))]
         assert np.max(np.abs(got - block)) <= 1e-12 * max(1.0, np.max(np.abs(block)))
 
 

@@ -13,7 +13,6 @@ from momalg.weakvalues import (
     evolution_weak_value,
     free_energy_jet,
     free_energy_susceptibility,
-    imaginary_time_weak_value,
     script_D,
     script_D_monte_carlo,
     sequential_weak_value,
@@ -21,11 +20,14 @@ from momalg.weakvalues import (
     simultaneous_weak_value,
     thermal_E,
     thermal_E_mmap,
-    thermal_E_monte_carlo,
     thermal_partition_jet,
 )
 from momalg.algebra import log_star
-from oracles import expm_eigh
+from oracles import (
+    expm_eigh,
+    imaginary_time_weak_value,
+    thermal_E_monte_carlo,
+)
 
 M = Multiset
 
@@ -300,7 +302,9 @@ def test_thermal_monte_carlo_oracle():
     ctx = random_thermal_ctx(rng, d=2, n=2, beta=0.8)
     for a in [M([1]), M([1, 2])]:
         exact = thermal_E(ctx, a)
-        est, se = thermal_E_monte_carlo(ctx, a, samples=60_000, seed=11)
+        est, se = thermal_E_monte_carlo(ctx.hamiltonian, ctx.beta,
+                                        ctx.observables, a.elements(),
+                                        samples=60_000, seed=11)
         assert abs(est - exact) <= 3 * se + 1e-12
 
 
@@ -308,7 +312,8 @@ def test_imaginary_time_weak_value_matches_dense():
     rng = np.random.default_rng(120)
     ctx = random_thermal_ctx(rng, d=3, n=2, beta=1.2)
     taus = [0.3, 0.5, 0.4]
-    got = imaginary_time_weak_value(ctx, [2, 1], taus)
+    got = imaginary_time_weak_value(ctx.hamiltonian, ctx.beta,
+                                    ctx.observables, [2, 1], taus)
     e1 = expm_eigh(ctx.hamiltonian, -taus[0])
     e2 = expm_eigh(ctx.hamiltonian, -taus[1])
     e3 = expm_eigh(ctx.hamiltonian, -taus[2])
