@@ -2,14 +2,18 @@
 
 An M-map assigns a complex or jet value to every multiset over 1..n with
 per-label multiplicities bounded by `caps` (plain subsets: caps = 1).  It
-is one dense complex array in the lattice order of `jets._pair_table`, in
-the exponential-generating-function normalisation (row a holds
-f(a) / prod(mult!)), so the binomial-weighted convolution is the plain
-truncated product.  Jet values add a trailing jet-lattice axis; a scalar
-map is the jet over caps = ().  A product is one gather over the M-map
-pairs times the jet pairs and one scatter by ``np.bincount``.  log*, exp*,
-the inverse and every F* are one Taylor series sum_k F^(k)(c)/k! N^k of
-the nilpotent part N = f - c, shared with the jet ring.
+is one dense complex array in the storage order of `jets._pair_table`
+(mixed-radix C order, label 1 slowest), in the
+exponential-generating-function normalisation (row a holds f(a) /
+prod(mult!)), so the binomial-weighted convolution is the plain truncated
+product.  Jet values add a trailing jet-lattice axis; a scalar map has jet
+caps ().  In C order the raveled (lattice, jet lattice) array is the jet
+over caps + jet caps, so every ring operation on a map is the jet ring's
+on `_pair_table(caps + jet_caps)`: a product is one gather over its pairs
+and one scatter by ``np.bincount``, and log*, exp*, the inverse and every
+F* are one Taylor series sum_k F^(k)(c)/k! N^k of the nilpotent part N =
+f - c.  Enumeration (`MMap.domain`) stays by size, in the order of
+`combinatorics.multiset_lattice`.
 
 The paper's partition-sum formulas stay as two reference functions,
 `partition_fstar` and `bipartition_convolve`, in plain arithmetic on any
@@ -31,6 +35,7 @@ import numpy as np
 from .combinatorics import (
     EMPTY,
     Multiset,
+    multiset_lattice,
     ordered_bipartitions_of,
     partitions_of,
 )
@@ -43,8 +48,6 @@ from .errors import (
 )
 from .jets import (
     Jet,
-    _PAIR_BYTES,
-    _PairTable,
     _check_size,
     _exp,
     _inverse,
@@ -64,22 +67,6 @@ def value_allclose(x, y, tol: float = DEFAULT_TOL) -> bool:
         return Jet.ensure(x, jet.n, jet.caps).allclose(
             Jet.ensure(y, jet.n, jet.caps), tol)
     return abs(x - y) <= tol
-
-
-@lru_cache(maxsize=None)
-def _ring(caps: tuple[int, ...], jet_caps: tuple[int, ...]):
-    """Pair table of M-maps with jet values: every M-map pair times every
-    jet pair, on the row-major flattened (lattice, jet lattice) array."""
-    rows, cols = _pair_table(caps), _pair_table(jet_caps)
-    _check_size("M-map pairs", len(rows.ia) * len(cols.ia), _PAIR_BYTES)
-    width = len(cols.lattice)
-
-    def flat(r: np.ndarray, c: np.ndarray) -> np.ndarray:
-        return (r[:, None] * width + c[None, :]).ravel()
-
-    return _PairTable(lattice=None, index=None, grade=None, weight=None,
-                      ia=flat(rows.ia, cols.ia), ib=flat(rows.ib, cols.ib),
-                      ic=flat(rows.ic, cols.ic))
 
 
 class MMap:
@@ -126,7 +113,7 @@ class MMap:
     @classmethod
     def _dense(cls, n: int, caps: tuple[int, ...], jet_caps: tuple[int, ...],
                data: np.ndarray) -> "MMap":
-        """Wrap a (lattice, jet lattice) array, in the lattice orders and
+        """Wrap a (lattice, jet lattice) array, in the storage order and
         the normalisation of `_data`; no copy, no checks."""
         out = cls.__new__(cls)
         out.n, out.caps, out.jet_caps, out._data = n, caps, jet_caps, data
@@ -138,10 +125,11 @@ class MMap:
                            data.reshape(self._data.shape))
 
     def _lift(self, fn) -> "MMap":
-        """fn(pair table, flat data, total degree) as a map of this shape;
-        powers of the nilpotent part vanish beyond the total degree."""
-        return self._like(fn(_ring(self.caps, self.jet_caps), self._data.ravel(),
-                             sum(self.caps) + sum(self.jet_caps)))
+        """fn(pair table, jet, total degree) as a map of this shape, on the
+        jet over caps + jet caps that the raveled array is; powers of the
+        nilpotent part vanish beyond the total degree."""
+        caps = self.caps + self.jet_caps
+        return self._like(fn(_pair_table(caps), self._data.ravel(), sum(caps)))
 
     @classmethod
     def from_function(cls, n, fn: Callable[[Multiset], object], caps=None) -> "MMap":
@@ -160,7 +148,8 @@ class MMap:
         return Jet._dense(len(self.jet_caps), self.jet_caps, row)
 
     def domain(self) -> tuple[Multiset, ...]:
-        return _pair_table(self.caps).lattice
+        """The lattice by size, as `multiset_lattice` enumerates it."""
+        return multiset_lattice(self.n, self.caps)
 
     def replace(self, a: Multiset, value) -> "MMap":
         new = self._like(self._data.copy())
@@ -176,8 +165,9 @@ class MMap:
         return float(np.max(np.abs(diff), initial=0.0))
 
     def __repr__(self) -> str:
-        body = ", ".join(f"{a}: {self(a)}" for a, row in
-                         zip(self.domain(), self._data) if row.any())
+        index = _pair_table(self.caps).index
+        body = ", ".join(f"{a}: {self(a)}" for a in self.domain()
+                         if self._data[index[a]].any())
         return f"MMap(n={self.n}, caps={self.caps}, {{{body}}})"
 
 
@@ -254,7 +244,7 @@ def log1p_series(f: MMap, depth: int, with_deltas: bool = False):
     if abs(f._data[0, 0]) >= 1.0:
         raise SeriesDivergenceError(
             f"series requires |f(empty)| < 1, got {abs(f._data[0, 0]):.6g}")
-    ring, x = _ring(f.caps, f.jet_caps), f._data.ravel()
+    ring, x = _pair_table(f.caps + f.jet_caps), f._data.ravel()
     acc = power = last = x
     for k in range(2, depth + 1):
         power = _ring_product(ring, power, x)
@@ -263,27 +253,28 @@ def log1p_series(f: MMap, depth: int, with_deltas: bool = False):
     result = f._like(acc)
     if not with_deltas:
         return result
+    table = _pair_table(f.caps)
     size = np.abs(last.reshape(f._data.shape)
-                  * _pair_table(f.caps).weight[:, None]).max(axis=1)
-    return result, dict(zip(f.domain(), size.tolist()))
+                  * table.weight[:, None]).max(axis=1).tolist()
+    return result, {a: size[table.index[a]] for a in f.domain()}
 
 
 def raise_label(f: MMap, i: int) -> MMap:
     """Raising operator: (d_i* f)(a) = f(a + {i}).
 
-    On the normalised array that is a shift along label i times the new
-    multiplicity.  Entries at the cap boundary (multiplicity of i already
-    at its cap) would need values beyond the stored lattice; they read as
-    zero, so the raised map is faithful only below the boundary.
+    On the normalised array, the tensor over (c_1 + 1, ..., c_n + 1), that
+    is a shift along axis i times the new multiplicity.  Entries at the cap
+    boundary (multiplicity of i already at its cap) would need values
+    beyond the stored lattice; they read as zero, so the raised map is
+    faithful only below the boundary.
     """
     if not (1 <= i <= f.n):
         raise CapExceededError(f"label {i} outside ground set 1..{f.n}")
-    index = _pair_table(f.caps).index
-    out = np.zeros_like(f._data)
-    for p, a in enumerate(f.domain()):
-        if a.mult(i) < f.caps[i - 1]:
-            out[p] = f._data[index[a.add(i)]] * (a.mult(i) + 1)
-    return f._like(out)
+    data = np.moveaxis(f._data.reshape(*(c + 1 for c in f.caps), -1), i - 1, 0)
+    out = np.zeros_like(data)
+    out[:-1] = data[1:] * np.arange(1, len(data)).reshape(
+        -1, *[1] * (data.ndim - 1))
+    return f._like(np.moveaxis(out, 0, i - 1))
 
 
 def is_factorizing(f: MMap, part_a: Iterable[int], part_b: Iterable[int],

@@ -82,10 +82,11 @@ def _finite_tolerance(text: str) -> float:
 
 
 def _tolerance(args, default: float) -> float:
-    """--tol, else MOMALG_TOL from the environment, else `default`; NaN,
-    infinite and negative values are malformed input."""
+    """--tol (already checked by `_finite_tolerance`), else MOMALG_TOL from
+    the environment, else `default`; a NaN, infinite or negative MOMALG_TOL
+    is malformed input."""
     if args.tol is not None:
-        return _parse(_finite_tolerance, args.tol, "--tol")
+        return args.tol
     env = os.environ.get("MOMALG_TOL")
     return _parse(_finite_tolerance, env, "MOMALG_TOL") if env else default
 
@@ -110,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     alg.add_argument("--cut", default="",
                      help="comma-separated labels of one side of the "
                           "bipartition for factorizing-check")
-    alg.add_argument("--tol", default=None)
+    alg.add_argument("--tol", type=_finite_tolerance, default=None)
 
     wv = sub.add_parser("weak-values", help="evaluate weak-value queries")
     wv.add_argument("query", help="query JSON file")
@@ -131,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="number of variables (genfun)")
     ver.add_argument("--samples", type=int, default=0,
                      help="Monte-Carlo cross-check samples (thm4)")
-    ver.add_argument("--tol", default=None)
+    ver.add_argument("--tol", type=_finite_tolerance, default=None)
     ver.add_argument("--config", default=None,
                      help="explicit config JSON (matrices instead of "
                           "generator seeds); other instance flags ignored")
@@ -235,7 +236,7 @@ def _verify_configs(args):
                 f"{args.config}: scenario {cfg.scenario!r} does not match "
                 f"requested {scenario!r}")
         if args.tol is not None:
-            cfg.tolerance = _tolerance(args, cfg.tolerance)
+            cfg.tolerance = args.tol
         yield {}, cfg
         return
     tol = _tolerance(args, SCENARIOS[scenario].tolerance)

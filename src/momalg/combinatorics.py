@@ -50,6 +50,14 @@ class Multiset:
         return m
 
     @classmethod
+    def _sorted(cls, items: tuple[tuple[int, int], ...]) -> "Multiset":
+        """Wrap (label, multiplicity) pairs already sorted by label, each
+        multiplicity positive; no copy, no checks."""
+        m = cls.__new__(cls)
+        m._items = items
+        return m
+
+    @classmethod
     def parse(cls, text: str) -> "Multiset":
         text = text.strip()
         if not (text.startswith("[") and text.endswith("]")):

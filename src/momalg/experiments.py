@@ -8,13 +8,12 @@ it builds the scenario's claims, walks their targets and records each
 comparison.  What differs between scenarios is one row of the table
 `SCENARIOS`: the CLI aliases, the default tolerance, the claims builder
 (moment map, weak-value cumulant, xi, whether the real part is taken,
-side checks and report metadata), the pointer-moment builder and the CLI
-sweep axis.  Where a right-hand side is itself a cumulant map (thermal E,
-the multiset copies, the generating function), it is taken by the
-reference partition sum, so the two sides share no ring code.  No
-small-coupling limit is ever taken numerically: the theorems are
-statements about a single Taylor coefficient and jets produce that
-coefficient exactly.
+side checks and report metadata) and the CLI sweep axis.  Where a
+right-hand side is itself a cumulant map (thermal E, the multiset copies,
+the generating function), it is taken by the reference partition sum, so
+the two sides share no ring code.  No small-coupling limit is ever taken
+numerically: the theorems are statements about a single Taylor
+coefficient and jets produce that coefficient exactly.
 
 There is one state pipeline per coupling kind (sequential kicks, finite
 window, thermal), and it always couples every pointer.  The kick chain
@@ -30,12 +29,12 @@ empty-subset one, the trace (the postselection probability or the
 partition function), in the jet ring; scaling by a scalar changes log*
 only at the empty set, so this is the one normalisation.  This module
 never sees the joint-space tensor layout.  Before the kick chain builds
-its state, the jet-valued ring that takes the cumulant of its moments is
-checked against the dense size limit.  Per-subset coupling (the moment
-of a measured with only the pointers in a coupled) is not a separate
-pipeline: "pointer j uncoupled" is gamma_j = 0, a ring homomorphism, so
-that moment is the all-coupled one restricted to the monomials inside a
-(Jet.restrict).
+its state, the pair table of the jet-valued ring that takes the cumulant
+of its moments, `_pair_table(caps + caps)`, is checked against the dense
+size limit.  Per-subset coupling (the moment of a measured with only the
+pointers in a coupled) is not a separate pipeline: "pointer j uncoupled"
+is gamma_j = 0, a ring homomorphism, so that moment is the all-coupled
+one restricted to the monomials inside a (Jet.restrict).
 
 A tolerance miss never raises; misses land in the report.
 Singular-postselection instances are reported with a distinct status and
@@ -51,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import MMap, _ring, log_derivative, log_star, partition_fstar
+from .algebra import MMap, log_derivative, log_star, partition_fstar
 from .combinatorics import Multiset, multiset_lattice
 from .errors import DEFAULT_FLOOR, DomainError, SingularPostselectionError
 from .jets import Jet, _inverse, _pair_table, _ring_product, jet_matrix_exp
@@ -251,11 +250,10 @@ def _per_subset(moments: MMap) -> MMap:
 def _sequential_state(config: ExperimentConfig) -> np.ndarray:
     """The unnormalised postselected pointer state of the kick chain, every
     pointer coupled, as a block stack.  First, before any state is built,
-    the jet-valued ring that takes the cumulant of its moments is refused
-    if it would not fit in MAX_DENSE_BYTES (algebra._ring raises
-    DomainError)."""
-    caps = (1,) * config.n_pointers
-    _ring(caps, caps)
+    the pair table of the jet-valued ring that takes the cumulant of its
+    moments is refused if it would not fit in MAX_DENSE_BYTES
+    (jets._pair_table raises DomainError)."""
+    _pair_table((1,) * (2 * config.n_pointers))
     return postselected_pointer_state(
         config.psi_i, config.psi_f, config.unitaries, config.pointers,
         config.observables, floor=config.floor)
@@ -284,8 +282,7 @@ def _sigma_state(config: ExperimentConfig) -> np.ndarray:
         -1j * config.tau, -1j))
     psi0 = product_state(config.psi_i, config.pointers).reshape(-1)
     return postselect_pointers(evol.blocks @ psi0, config.psi_f,
-                               config.n_pointers,
-                               min_probability=config.floor ** 2)
+                               config.n_pointers, config.floor)
 
 
 def sigma_moment_mmap(config: ExperimentConfig) -> MMap:
@@ -675,38 +672,19 @@ class Scenario(NamedTuple):
     aliases: tuple                   # CLI names
     tolerance: float                 # default comparison tolerance
     claims: Callable                 # (config, metadata) -> [Claim]
-    moments: Callable | None = None  # config -> pointer-moment M-map
     sweep: str | None = None         # CLI axis swept for each seed
 
 
-# Rows name public callees inside function bodies: each call reaches what the
-# module global holds at call time (a tracing wrapper, a test's patch).
 SCENARIOS = {
-    "sequential-per-subset": Scenario(
-        ("thm1",), 1e-8, _per_subset_claims,
-        lambda c: per_subset_moment_mmap(c)),
-    "sequential-all-coupled": Scenario(
-        ("thm3",), 1e-8, _all_coupled_claims,
-        lambda c: all_coupled_moment_mmap(c)),
+    "sequential-per-subset": Scenario(("thm1",), 1e-8, _per_subset_claims),
+    "sequential-all-coupled": Scenario(("thm3",), 1e-8, _all_coupled_claims),
     "simultaneous-evolution": Scenario(          # thm2: thm4 at H_S = 0
-        ("thm4", "thm2"), 1e-7, _window_claims,
-        lambda c: sigma_moment_mmap(c), sweep="tau"),
-    "thermal": Scenario(
-        ("thermal",), 1e-8, _thermal_claims,
-        lambda c: thermal_moment_mmap(c), sweep="beta"),
+        ("thm4", "thm2"), 1e-7, _window_claims, sweep="tau"),
+    "thermal": Scenario(("thermal",), 1e-8, _thermal_claims, sweep="beta"),
     "multiset": Scenario(                        # repeated-pointer identities
-        ("multiset",), 1e-8, _multiset_claims,
-        lambda c: thermal_moment_mmap(c)),
+        ("multiset",), 1e-8, _multiset_claims),
     "genfun": Scenario(("genfun",), 1e-10, _genfun_claims),
 }
-
-
-def pointer_moment_mmap(config: ExperimentConfig) -> MMap:
-    """The scenario's pointer-moment map, built as its table row says."""
-    moments = SCENARIOS[config.scenario].moments
-    if moments is None:
-        raise DomainError(f"no pointer pipeline for scenario {config.scenario!r}")
-    return moments(config)
 
 
 def run_verification(config: ExperimentConfig) -> VerificationReport:

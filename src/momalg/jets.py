@@ -8,13 +8,18 @@ multiplicity factorials.  Multilinear jets (all caps 1) multiply exactly
 like moment-algebra convolution of their coefficient maps.
 
 Storage is dense: one complex vector over the multiset lattice of the caps,
-in the canonical lattice order (the empty monomial, i.e. the constant part,
-first).  Every (a, b) pair of lattice monomials whose sum stays within the
-caps is listed once per caps, by mixed-radix index arithmetic, in index
-arrays (ia, ib, ic), which M-maps (`momalg.algebra`) share; a product
-is then the gather x[ia] * y[ib] scattered onto ic by a bincount, and sums,
-scalings, exp, log and inverse are vector operations.  `Jet.coeffs` is a
-read-only view of the nonzero monomial coefficients.
+in mixed-radix C order with label 1 slowest, so a jet over caps is the
+raveled C-order tensor of shape (c_1 + 1, ..., c_n + 1) indexed by the
+multiplicities, the empty monomial (the constant part) first.  Every
+lattice-indexed array of the package is stored in this one order.  Every
+(a, b) pair of lattice monomials whose sum stays within the caps is listed
+once per caps, by digit arithmetic, in index arrays (ia, ib, ic), each
+output's pairs in increasing ia; a product is then the gather x[ia] * y[ib]
+scattered onto ic by a bincount, and sums, scalings, exp, log and inverse
+are vector operations.  M-maps (`momalg.algebra`) share the tables: the
+array of a jet-valued M-map over caps with jet caps is the jet over
+caps + jet caps.  `Jet.coeffs` is a read-only view of the nonzero monomial
+coefficients, in storage order.
 
 JetMatrix holds a square matrix with jet entries as a stack of dense
 complex coefficient blocks in the same lattice order, so matrix products
@@ -48,7 +53,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .combinatorics import EMPTY, Multiset, multiset_lattice
+from .combinatorics import EMPTY, Multiset
 from .errors import CapExceededError, DomainError, NonInvertibleError
 
 _THETA = 0.5               # ring-norm bound of the scaled exponential argument
@@ -65,9 +70,9 @@ _OPITZ_PRODUCTS = 16       # the Opitz exponential, in products of its size
 
 
 class _PairTable(NamedTuple):
-    """A caps lattice, its index, the total degree |a| and prod(mult!) of
-    each monomial, and every pair (ia, ib) -> ic whose multiset sum
-    lattice[ia] + lattice[ib] = lattice[ic] stays within caps."""
+    """A caps lattice in storage order, its index, the total degree |a| and
+    prod(mult!) of each monomial, and every pair (ia, ib) -> ic whose multiset
+    sum lattice[ia] + lattice[ib] = lattice[ic] stays within caps."""
 
     lattice: tuple[Multiset, ...]
     index: dict[Multiset, int]
@@ -80,33 +85,52 @@ class _PairTable(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _pair_table(caps: tuple[int, ...]) -> _PairTable:
-    """Built by mixed-radix index arithmetic: a monomial's radix code is
-    sum_j mult_j * stride_j, a sum of monomials within caps adds codes
-    without carries, so the pairs are the per-label digit pairs (d, e) with
-    d + e <= cap, combined label by label.  Pairs are sorted by (ia, ib)."""
+    """The storage order is mixed-radix C order, label 1 slowest: the
+    monomial of multiplicities (m_1, ..., m_n) sits at the C-order position
+    of (m_1, ..., m_n) in a tensor of shape (c_1 + 1, ..., c_n + 1), so the
+    empty monomial comes first.  A sum of monomials within caps adds their
+    digits without carries, so the table of several labels is the product
+    of the tables of its two halves, built by digit arithmetic: a position
+    is (left position) * (right size) + (right position), and a pair is a
+    left pair with a right pair.  The pairs of each output then come in
+    increasing ia, the order in which products accumulate."""
     _check_size("lattice pairs",
                 math.prod((c + 1) * (c + 2) // 2 for c in caps), _PAIR_BYTES)
-    lattice = multiset_lattice(len(caps), caps)
-    index = {a: i for i, a in enumerate(lattice)}
-    strides = [math.prod(c + 1 for c in caps[:j]) for j in range(len(caps))]
-    codes = [sum(m * strides[lab - 1] for lab, m in a.items) for a in lattice]
-    position = np.empty(len(lattice), dtype=np.intp)
-    position[codes] = np.arange(len(lattice))
-    ra = rb = np.zeros(1, dtype=np.intp)
-    for cap, stride in zip(caps, strides):
-        d, e = np.array([(d, e) for d in range(cap + 1)
-                         for e in range(cap + 1 - d)],
-                        dtype=np.intp).reshape(-1, 2).T
-        ra = (ra[:, None] + d * stride).ravel()
-        rb = (rb[:, None] + e * stride).ravel()
-    ia, ib, ic = position[ra], position[rb], position[ra + rb]
-    order = np.lexsort((ib, ia))
-    ia, ib, ic = ia[order], ib[order], ic[order]
-    grade = np.array([a.size for a in lattice], dtype=np.intp)
-    weight = np.array([_mult_factorial(a) for a in lattice], dtype=float)
-    for arr in (grade, weight, ia, ib, ic):
-        arr.setflags(write=False)   # shared by every caller through the cache
-    return _PairTable(lattice, index, grade, weight, ia, ib, ic)
+    if len(caps) > 1:
+        return _joined(_pair_table(caps[:len(caps) // 2]),
+                       _pair_table(caps[len(caps) // 2:]), len(caps) // 2)
+    cap = caps[0] if caps else 0
+    lattice = tuple(Multiset([1] * m) for m in range(cap + 1))
+    ia, ib = (np.array(x, dtype=np.intp) for x in zip(
+        *[(d, e) for d in range(cap + 1) for e in range(cap + 1 - d)]))
+    return _frozen(lattice, np.arange(cap + 1),
+                   np.array([math.factorial(m) for m in range(cap + 1)],
+                            dtype=float), ia, ib, ia + ib)
+
+
+def _joined(left: _PairTable, right: _PairTable, shift: int) -> _PairTable:
+    """The table of the labels of `left` followed by those of `right`,
+    renumbered from shift + 1 on."""
+    width = len(right.lattice)
+    tails = [tuple((lab + shift, m) for lab, m in b.items)
+             for b in right.lattice]
+    return _frozen(
+        tuple(map(Multiset._sorted, [a.items + tail for a in left.lattice
+                                     for tail in tails])),
+        np.add.outer(left.grade, right.grade).ravel(),
+        np.multiply.outer(left.weight, right.weight).ravel(),
+        *(np.add.outer(x * width, y).ravel()
+          for x, y in ((left.ia, right.ia), (left.ib, right.ib),
+                       (left.ic, right.ic))))
+
+
+def _frozen(lattice, grade, weight, ia, ib, ic) -> _PairTable:
+    # shared by every caller through the cache; ic stays writeable, because
+    # np.bincount copies a read-only index array on every call
+    for arr in (grade, weight, ia, ib):
+        arr.setflags(write=False)
+    return _PairTable(lattice, dict(zip(lattice, range(len(lattice)))),
+                      grade, weight, ia, ib, ic)
 
 
 def _check_size(what: str, count: int, nbytes_each: int) -> None:
@@ -383,10 +407,10 @@ class JetMatrix:
     def zeros(cls, dim: int, n: int, caps: tuple[int, ...]) -> "JetMatrix":
         """The zero matrix; a block stack above MAX_DENSE_BYTES is refused
         before it is allocated."""
-        lattice = multiset_lattice(n, caps)
-        _check_size(f"jet-matrix blocks of dimension {dim}", len(lattice),
+        size = math.prod(c + 1 for c in caps)
+        _check_size(f"jet-matrix blocks of dimension {dim}", size,
                     16 * dim * dim)
-        return cls(n, caps, np.zeros((len(lattice), dim, dim), dtype=complex))
+        return cls(n, caps, np.zeros((size, dim, dim), dtype=complex))
 
     @classmethod
     def from_terms(cls, terms: dict, dim: int, n: int,
@@ -800,21 +824,23 @@ def _spectral_exp(m: JetMatrix, table, w: np.ndarray, u: np.ndarray,
     acc = np.zeros_like(m.blocks)
     acc[0] = np.diag(np.exp(lam)[labels])
     # level: a multiset M of g - 1 middle clusters -> T(M) (docstring, step
-    # 6c); T(M) has grades >= g only, so it holds the blocks from lattice
-    # index `start` on (the lattice is sorted by grade)
-    level, start = {(): nil}, 0
+    # 6c); T(M) has grades >= g only, so it holds just the lattice blocks
+    # marked in `held`, in lattice order
+    level, held = {(): nil}, np.ones(len(nil), dtype=bool)
     for g in range(1, top + 1):
+        at = np.flatnonzero(held)
         for mid, paths in level.items():
             weight = dd[mid][labels[:, None], labels]
             for i in np.flatnonzero(_nonzero(paths)).tolist():
-                acc[start + i] += np.multiply(paths[i], weight, out=work)
+                acc[at[i]] += np.multiply(paths[i], weight, out=work)
         if g == top:
             break
-        first = int(np.searchsorted(table.grade, g + 1))
-        keep = (table.ia >= start) & (table.ic >= first)
-        pairs = table._replace(ia=table.ia[keep] - start, ib=table.ib[keep],
-                               ic=table.ic[keep] - first)
-        longer = {mid: np.zeros((len(nil) - first, *nil.shape[1:]),
+        deeper = table.grade > g
+        keep = held[table.ia] & deeper[table.ic]
+        pairs = table._replace(ia=(np.cumsum(held) - 1)[table.ia[keep]],
+                               ib=table.ib[keep],
+                               ic=(np.cumsum(deeper) - 1)[table.ic[keep]])
+        longer = {mid: np.zeros((np.count_nonzero(deeper), *nil.shape[1:]),
                                 dtype=complex)
                   for mid in itertools.combinations_with_replacement(
                       clusters, g)}
@@ -824,7 +850,7 @@ def _spectral_exp(m: JetMatrix, table, w: np.ndarray, u: np.ndarray,
                 rows = slice(bounds[c], bounds[c + 1])
                 _block_products(pairs, level[mid[:i] + mid[i + 1:]][:, :, rows],
                                 nil[:, rows], paths)
-        level, start = longer, first
+        level, held = longer, deeper
     del level, nil
     out = np.zeros_like(acc)
     change_basis(acc, u, uh, out)

@@ -182,11 +182,12 @@ def readout_moments(blocks: np.ndarray, sys_dim: int, readouts) -> np.ndarray:
     otherwise, for every block B of the (L, D, D) stack `blocks` (system
     first, then the pointers of `readouts` = (r_1, ..., r_n), D = sys_dim
     d_1 ... d_n) and every subset a.  Returns a (2^n, L) array: row k holds
-    the moment jet of the k-th subset in the lattice order of caps (1,) * n.
+    the moment jet of the k-th subset in the storage order of caps (1,) * n.
 
     The stack is viewed as (L, d_s, d_1..d_n, d_s, d_1..d_n) and the system
     axis pair traced; then each pointer's (row, column) axes are contracted
-    with the stack [1, r_j^T], which appends that pointer's subset bit."""
+    with the stack [1, r_j^T], which appends that pointer's subset bit.  The
+    bits come out with pointer 1 slowest, which is the storage order."""
     n = len(readouts)
     dims = [sys_dim] + [np.shape(r)[0] for r in readouts]
     x = np.trace(blocks.reshape(len(blocks), *dims, *dims),
@@ -194,16 +195,7 @@ def readout_moments(blocks: np.ndarray, sys_dim: int, readouts) -> np.ndarray:
     for left, r in zip(range(n, 0, -1), readouts):
         pair = np.stack([np.eye(len(r)), np.transpose(r)])
         x = np.tensordot(x, pair, axes=([1, 1 + left], [1, 2]))
-    bits = x.reshape(len(blocks), -1).T
-    return bits[[sum(1 << (n - j) for j in a.support)
-                 for a in _pair_table((1,) * n).lattice]]
-
-
-def chain_amplitude(psi_i, psi_f, unitaries) -> complex:
-    amp = _as_array(psi_i)
-    for u in unitaries:
-        amp = _as_array(u) @ amp
-    return complex(np.vdot(_as_array(psi_f), amp))
+    return x.reshape(len(blocks), -1).T
 
 
 def _on_axis(op, psi: np.ndarray, axis: int) -> np.ndarray:
@@ -220,7 +212,7 @@ def evolved_joint_state(psi_i, unitaries, pointers, observables) -> np.ndarray:
     is exactly 1 - i gamma_j A_j (x) s_j: it adds -i (A_j (x) s_j) psi_c to
     row c + {j} for every monomial c without j, the (c, {j}) pairs of the
     pair table.  Returns the pure joint jet vector, a (lattice, d_sys, d_1,
-    ..., d_n) stack of coefficient tensors in the lattice order of caps
+    ..., d_n) stack of coefficient tensors in the storage order of caps
     (1,) * n.
     """
     n = len(pointers)
@@ -240,21 +232,23 @@ def evolved_joint_state(psi_i, unitaries, pointers, observables) -> np.ndarray:
 
 
 def postselect_pointers(psi: np.ndarray, psi_f, n: int,
-                        min_probability: float = 0.0) -> np.ndarray:
-    """Pointer state of the pure joint jet vector `psi` (lattice order of
+                        floor: float) -> np.ndarray:
+    """Pointer state of the pure joint jet vector `psi` (storage order of
     caps (1,) * n, system tensor factor first, pointers flattened or not)
     postselected on |psi_f>: chi = (<psi_f| (x) 1) psi, then eta = chi
     chi^dagger as one jet product, returned as its (lattice, D_p, D_p) block
     stack, unnormalised: its trace is the postselection probability.
     Raises SingularPostselectionError, before eta is formed, when the gamma
-    = 0 probability |chi_0|^2 is at or below `min_probability`."""
+    = 0 probability |chi_0|^2 is at or below floor^2.  For normalised
+    pointer states |chi_0| = |<psi_f|U|psi_i>|, U the uncoupled system
+    evolution, so `floor` bounds the postselection amplitude."""
     psi_f = _as_array(psi_f)
     chi = psi_f.conj() @ psi.reshape(len(psi), psi_f.shape[0], -1)
     probability = np.vdot(chi[0], chi[0]).real
-    if probability <= min_probability:
+    if probability <= floor ** 2:
         raise SingularPostselectionError(
-            f"postselection probability {probability:.3e} at or "
-            f"below {min_probability:.3e}")
+            f"postselection probability {probability:.3e} at or below "
+            f"floor^2 = {floor ** 2:.3e}")
     eta = JetMatrix.zeros(chi.shape[1], n, (1,) * n).blocks
     _block_products(_pair_table((1,) * n), chi[:, :, None],
                     chi.conj()[:, None, :], eta)
@@ -270,11 +264,7 @@ def postselected_pointer_state(psi_i, psi_f, unitaries, pointers, observables,
     as an exact impulsive kick, with gamma_j as jet variable j; a pointer
     left uncoupled is gamma_j = 0 (see Jet.restrict).  Raises
     SingularPostselectionError when the amplitude <psi_f|U_{n+1}...U_1|psi_i>
-    is at or below the floor.
+    is at or below the floor (`postselect_pointers`).
     """
-    amp = chain_amplitude(psi_i, psi_f, unitaries)
-    if abs(amp) <= floor:
-        raise SingularPostselectionError(
-            f"postselection amplitude {abs(amp):.3e} at or below floor {floor:.3e}")
     psi = evolved_joint_state(psi_i, unitaries, pointers, observables)
-    return postselect_pointers(psi, psi_f, len(pointers))
+    return postselect_pointers(psi, psi_f, len(pointers), floor)

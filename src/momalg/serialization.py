@@ -91,13 +91,14 @@ def _parse(convert, value, field: str):
 
 
 def mmap_to_dict(f: MMap) -> dict:
-    """The nonzero entries, read in one pass over the dense array; maps with
-    jet values have no JSON form."""
+    """The nonzero entries by size, read in one pass over the dense array;
+    maps with jet values have no JSON form."""
     if f.jet_caps:
         raise TypeError("jet-valued M-maps are not serialisable")
-    values = f._data[:, 0] * _pair_table(f.caps).weight
+    table = _pair_table(f.caps)
+    values = (f._data[:, 0] * table.weight).tolist()
     entries = [{"m": list(a.elements()), "re": v.real, "im": v.imag}
-               for a, v in zip(f.domain(), values.tolist()) if v != 0]
+               for a in f.domain() if (v := values[table.index[a]]) != 0]
     return {"schema": SCHEMA, "n": f.n, "caps": list(f.caps),
             "entries": entries}
 

@@ -574,6 +574,33 @@ def test_mmap_and_jet_rings_are_isomorphic(caps, seed):
             assert abs(star(a) - ring.derivative(a)) < 1e-9
 
 
+@given(caps=st.lists(st.integers(0, 2), min_size=1, max_size=3).map(tuple),
+       jet_caps=st.lists(st.integers(1, 2), min_size=1, max_size=2).map(tuple),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=30, deadline=None)
+def test_jet_valued_map_is_the_jet_over_the_joined_caps(caps, jet_caps, seed):
+    # a jet-valued map's raveled array is the jet over caps + jet caps, so
+    # every star operation is that jet's ring operation, bit for bit
+    rng = np.random.default_rng(seed)
+    n, joined = len(caps), caps + jet_caps
+
+    def random_map():
+        entries = {a: Jet(len(jet_caps), jet_caps, {
+            b: complex(*rng.uniform(-1, 1, 2))
+            for b in multiset_lattice(len(jet_caps), jet_caps)})
+            for a in multiset_lattice(n, caps)}
+        entries[EMPTY] = entries[EMPTY] + 2.0
+        return MMap(n, entries, caps)
+
+    f, g = random_map(), random_map()
+    jf, jg = (Jet._dense(len(joined), joined, h._data.ravel()) for h in (f, g))
+    for star, ring in ((log_star(f), jf.log()), (exp_star(f), jf.exp()),
+                       (inverse_star(f), jf.inverse()),
+                       (convolve(f, g), jf * jg)):
+        assert star.jet_caps == jet_caps
+        assert np.array_equal(star._data.ravel(), ring._vec)
+
+
 def add(f, g):
     return MMap(f.n, {a: f(a) + g(a) for a in f.domain()}, f.caps)
 

@@ -304,12 +304,13 @@ def test_exit_code_3_on_oversized_mmap_before_allocating(tmp_path, monkeypatch,
     # 2^40 subsets: the size preflight must refuse the map before any
     # lattice is enumerated or allocated
     import time
-    from momalg import jets
+    from momalg import algebra
 
     def no_lattice(*args):
         raise AssertionError("lattice enumerated despite the size preflight")
 
-    monkeypatch.setattr(jets, "multiset_lattice", no_lattice)
+    monkeypatch.setattr(algebra, "multiset_lattice", no_lattice)
+    monkeypatch.setattr(algebra, "_pair_table", no_lattice)
     src = write(tmp_path / "n40.json", {
         "schema": 1, "n": 40, "entries": [{"m": [1], "re": 1.0}]})
     start = time.perf_counter()
@@ -429,10 +430,13 @@ BAD_TOLS = ("nan", "inf", "-inf", "-1")
         f"--tol={v}"], {}, "--tol") for v in BAD_TOLS],
     *[(["verify", "thermal"], {"MOMALG_TOL": v}, "MOMALG_TOL")
       for v in BAD_TOLS],
+    *[(["algebra", "log", "{fixture}", f"--tol={v}"], {}, "--tol")
+      for v in ("nan", "-1", "abc")],
 ], ids=["pointers0", "pointers-neg", "sysdim0", "pointer-dim0", "vars0",
         "copies0", "seeds-text", "seeds-empty", "env-tol", "cut-text",
         *[f"{where}-tol-{v}" for where in ("verify", "algebra", "env")
-          for v in BAD_TOLS]])
+          for v in BAD_TOLS],
+        *[f"algebra-log-tol-{v}" for v in ("nan", "-1", "abc")]])
 def test_malformed_arguments_exit_2_naming_the_flag(tmp_path, monkeypatch,
                                                     capsys, argv, env, flag):
     # argparse refuses a bad flag with SystemExit(2); a value parsed later
@@ -494,7 +498,7 @@ def test_verify_refuses_an_oversized_simulation_before_allocating(
 def test_verify_refuses_the_sequential_cumulant_ring_before_any_state(
         tmp_path, monkeypatch, capsys, scenario):
     # 7 pointers: the jet-valued cumulant ring of the moments would hold
-    # 3^14 M-map pairs (328 MiB), so the run is refused before the kick
+    # 3^14 lattice pairs (328 MiB), so the run is refused before the kick
     # chain is evolved
     def no_state(*args):
         raise AssertionError("joint state built despite the ring preflight")
@@ -502,7 +506,7 @@ def test_verify_refuses_the_sequential_cumulant_ring_before_any_state(
     monkeypatch.setattr(quantum, "evolved_joint_state", no_state)
     assert main(["verify", scenario, "--pointers", "7",
                  "--out", str(tmp_path)]) == 3
-    assert "M-map pairs" in capsys.readouterr().err
+    assert "lattice pairs" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("scenario", ["thermal", "thm4"])

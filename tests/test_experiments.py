@@ -13,15 +13,13 @@ from momalg.experiments import (
     ExperimentConfig,
     all_coupled_moment_mmap,
     per_subset_moment_mmap,
-    pointer_moment_mmap,
     random_config,
     run_verification,
-    sigma_moment_mmap,
     thermal_moment_mmap,
     xi_thermal,
     xi_thermal_literal,
 )
-from momalg.jets import Jet
+from momalg.jets import Jet, _pair_table
 from momalg.quantum import PointerSpec
 from momalg.serialization import report_rows_from_json
 
@@ -165,7 +163,7 @@ def test_moment_normaliser_equals_the_scalar_map_convolution(monkeypatch, n):
     # bit for bit, that is the convolution with the scalar map of the
     # inverse empty-subset jet, on random multilinear jet rows
     caps = (1,) * n
-    lattice = multiset_lattice(n, caps)
+    lattice = _pair_table(caps).lattice     # the rows' storage order
     rng = np.random.default_rng(40 + n)
     for _ in range(5):
         rows = rng.standard_normal((2 ** n, 2 ** n)) + \
@@ -368,17 +366,6 @@ def test_reports_are_deterministic_in_the_seed():
         assert r1.lhs == r2.lhs
         assert r1.rhs == r2.rhs
         assert r1.abs_error == r2.abs_error
-
-
-def test_pointer_moment_mmap_dispatch():
-    cfg = random_config("sequential-per-subset", 46, n_pointers=2,
-                        system_dim=2)
-    assert pointer_moment_mmap(cfg).domain() == \
-        multiset_lattice(2, (1, 1))
-    cfg4 = random_config("simultaneous-evolution", 46, n_pointers=2,
-                         system_dim=2)
-    m = pointer_moment_mmap(cfg4)
-    assert value_allclose(m(EMPTY), sigma_moment_mmap(cfg4)(EMPTY), 1e-14)
 
 
 def test_report_json_projection_roundtrip():

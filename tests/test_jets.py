@@ -355,9 +355,9 @@ def test_coeffs_is_a_read_only_view_of_nonzero_monomials():
 
 def explicit_matmul(x, y, caps):
     """Per-pair block products of two block stacks over every lattice pair,
-    zero blocks included."""
-    lattice = multiset_lattice(len(caps), caps)
-    index = {a: i for i, a in enumerate(lattice)}
+    zero blocks included, at the storage positions of the lattice."""
+    table = _pair_table(caps)
+    lattice, index = table.lattice, table.index
     out = np.zeros((len(lattice), x.shape[1], y.shape[2]), dtype=complex)
     for a in lattice:
         for b in lattice:
@@ -675,17 +675,28 @@ def test_jet_matrix_preflight_refuses_huge_block_stacks():
 
 
 @pytest.mark.parametrize("caps", [(), (1,), (2,), (1, 1, 1), (2, 1, 3),
-                                  (0, 2), (1,) * 5])
+                                  (0, 2), (1,) * 5, (1, 2, 0, 1, 1)])
 def test_pair_table_matches_multiset_loop(caps):
-    # the mixed-radix table lists exactly the pairs of the double loop over
-    # Multiset sums, in the same (ia, ib) order
+    # the lattice is multiset_lattice's, each monomial at its mixed-radix C
+    # position (label 1 slowest); the table lists every pair of the double
+    # loop over Multiset sums exactly once, each output's pairs in
+    # increasing ia, the order in which products accumulate
     table = _pair_table(caps)
-    lattice = multiset_lattice(len(caps), caps)
-    assert table.lattice == lattice
-    loop = [(i, j, lattice.index(a + b)) for i, a in enumerate(lattice)
-            for j, b in enumerate(lattice) if (a + b).fits(caps)]
-    assert [tuple(t) for t in zip(table.ia.tolist(), table.ib.tolist(),
-                                  table.ic.tolist())] == loop
+    lattice = table.lattice
+    assert set(lattice) == set(multiset_lattice(len(caps), caps))
+    for i, a in enumerate(lattice):
+        assert table.index[a] == i == sum(
+            a.mult(j) * math.prod(c + 1 for c in caps[j:])
+            for j in range(1, len(caps) + 1))
+        assert table.grade[i] == a.size
+        assert table.weight[i] == math.prod(math.factorial(m) for _, m in a.items)
+    loop = {(i, j, lattice.index(a + b)) for i, a in enumerate(lattice)
+            for j, b in enumerate(lattice) if (a + b).fits(caps)}
+    got = list(zip(table.ia.tolist(), table.ib.tolist(), table.ic.tolist()))
+    assert len(got) == len(set(got)) and set(got) == loop
+    for c in range(len(lattice)):
+        ia = table.ia[table.ic == c]
+        assert np.all(np.diff(ia) > 0)
 
 
 def test_pair_table_preflight_refuses_huge_caps():
