@@ -12,8 +12,6 @@ from .combinatorics import (
     multiset_lattice,
     ordered_bipartitions_of,
     partitions_of,
-    permutations_of,
-    sub_multisets_of,
 )
 from .algebra import (
     MMap,
@@ -52,8 +50,6 @@ __all__ = [
     "multiset_lattice",
     "ordered_bipartitions_of",
     "partitions_of",
-    "permutations_of",
     "raise_label",
     "scalar_mmap",
-    "sub_multisets_of",
 ]

@@ -52,7 +52,9 @@ from .jets import (
     _exp,
     _inverse,
     _log,
+    _monomials,
     _pair_table,
+    _position,
     _ring_product,
     _series,
 )
@@ -89,17 +91,15 @@ class MMap:
                               if isinstance(v, Jet)), ())
         _check_size("M-map entries",
                     math.prod(c + 1 for c in self.caps + self.jet_caps), 16)
-        self._data = np.zeros((len(_pair_table(self.caps).lattice),
-                               len(_pair_table(self.jet_caps).lattice)),
+        self._data = np.zeros((len(_pair_table(self.caps).grade),
+                               len(_pair_table(self.jet_caps).grade)),
                               dtype=complex)
         for a, v in entries.items():
             self._set(a, v)
 
     def _set(self, a: Multiset, value) -> None:
-        if not a.fits(self.caps):
-            raise CapExceededError(f"multiset {a} exceeds caps {self.caps}")
+        i = _position(self.caps, a)
         table = _pair_table(self.caps)
-        i = table.index[a]
         self._data[i] = 0.0
         if isinstance(value, Jet):
             if value.caps != self.jet_caps:
@@ -139,9 +139,9 @@ class MMap:
         return out
 
     def __call__(self, a: Multiset):
-        i = _pair_table(self.caps).index.get(a)
-        if i is None:
+        if not a.fits(self.caps):
             return 0.0
+        i = _position(self.caps, a)
         row = self._data[i] * _pair_table(self.caps).weight[i]
         if not self.jet_caps:
             return complex(row[0])
@@ -165,9 +165,8 @@ class MMap:
         return float(np.max(np.abs(diff), initial=0.0))
 
     def __repr__(self) -> str:
-        index = _pair_table(self.caps).index
-        body = ", ".join(f"{a}: {self(a)}" for a in self.domain()
-                         if self._data[index[a]].any())
+        body = ", ".join(f"{a}: {self(a)}" for a, row in zip(
+            _monomials(self.caps), self._data) if row.any())
         return f"MMap(n={self.n}, caps={self.caps}, {{{body}}})"
 
 
@@ -253,10 +252,9 @@ def log1p_series(f: MMap, depth: int, with_deltas: bool = False):
     result = f._like(acc)
     if not with_deltas:
         return result
-    table = _pair_table(f.caps)
     size = np.abs(last.reshape(f._data.shape)
-                  * table.weight[:, None]).max(axis=1).tolist()
-    return result, {a: size[table.index[a]] for a in f.domain()}
+                  * _pair_table(f.caps).weight[:, None]).max(axis=1).tolist()
+    return result, {a: size[_position(f.caps, a)] for a in f.domain()}
 
 
 def raise_label(f: MMap, i: int) -> MMap:

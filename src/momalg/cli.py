@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -35,6 +34,8 @@ from .errors import DomainError, InputFormatError, MomalgError
 from .experiments import SCENARIOS, random_config, run_verification
 from .serialization import (
     SCHEMA,
+    _finite,
+    _finite_tolerance,
     _parse,
     _require,
     config_from_dict,
@@ -68,17 +69,14 @@ def _parse_seeds(text: str) -> list[int]:
     return [int(t) for t in text.split(",")]
 
 
-def _positive_int(text: str) -> int:
-    if int(text) < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
-    return int(text)
-
-
-def _finite_tolerance(text: str) -> float:
-    tol = float(text)
-    if not 0 <= tol < math.inf:          # NaN fails both comparisons
-        raise ValueError(f"{text!r} is not a finite non-negative number")
-    return tol
+def _at_least(low: int):
+    """The argparse type of an integer flag that must be >= low."""
+    def integer(text: str) -> int:
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not an integer >= {low}")
+        return int(text)
+    return integer
 
 
 def _tolerance(args, default: float) -> float:
@@ -120,17 +118,17 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run theorem verification batches")
     ver.add_argument("scenario", choices=sorted(SCENARIO_ALIASES))
     ver.add_argument("--seeds", default="1", help="N, N,M,... or A..B")
-    ver.add_argument("--pointers", type=_positive_int, default=3)
-    ver.add_argument("--sysdim", type=_positive_int, default=2)
-    ver.add_argument("--pointer-dim", type=_positive_int, default=2)
-    ver.add_argument("--tau", type=float, nargs="+", default=[1.0])
-    ver.add_argument("--beta", type=float, nargs="+", default=[1.0])
+    ver.add_argument("--pointers", type=_at_least(1), default=3)
+    ver.add_argument("--sysdim", type=_at_least(1), default=2)
+    ver.add_argument("--pointer-dim", type=_at_least(1), default=2)
+    ver.add_argument("--tau", type=_finite, nargs="+", default=[1.0])
+    ver.add_argument("--beta", type=_finite, nargs="+", default=[1.0])
     ver.add_argument("--hs", choices=["random", "zero"], default="random")
-    ver.add_argument("--copies", type=_positive_int, default=2,
+    ver.add_argument("--copies", type=_at_least(1), default=2,
                      help="pointer copies per observable (multiset)")
-    ver.add_argument("--vars", type=_positive_int, default=3,
+    ver.add_argument("--vars", type=_at_least(1), default=3,
                      help="number of variables (genfun)")
-    ver.add_argument("--samples", type=int, default=0,
+    ver.add_argument("--samples", type=_at_least(0), default=0,
                      help="Monte-Carlo cross-check samples (thm4)")
     ver.add_argument("--tol", type=_finite_tolerance, default=None)
     ver.add_argument("--config", default=None,

@@ -1,8 +1,8 @@
 """Multisets over a finite ground set and the partition-style enumerations.
 
-`multiset_lattice` is the common domain of M-maps and jets; the dense
-lattice ring (`momalg.jets`, `momalg.algebra`) indexes it and needs nothing
-else from here.  Multiset partitions with integer coefficients and ordered
+`multiset_lattice` is the common domain of M-maps and jets, enumerated by
+size; the dense lattice ring (`momalg.jets`, `momalg.algebra`) stores it in
+its own digit order and takes only `Multiset` from here.  Multiset partitions with integer coefficients and ordered
 bipartitions with binomial weights serve the reference partition sums that
 check that ring (`algebra.partition_fstar`, `algebra.bipartition_convolve`).
 Ground-set labels are positive integers 1..n; a plain subset is the
@@ -47,14 +47,6 @@ class Multiset:
     def from_counts(cls, counts: dict[int, int]) -> "Multiset":
         m = cls.__new__(cls)
         m._items = tuple(sorted((k, v) for k, v in counts.items() if v > 0))
-        return m
-
-    @classmethod
-    def _sorted(cls, items: tuple[tuple[int, int], ...]) -> "Multiset":
-        """Wrap (label, multiplicity) pairs already sorted by label, each
-        multiplicity positive; no copy, no checks."""
-        m = cls.__new__(cls)
-        m._items = items
         return m
 
     @classmethod
@@ -235,13 +227,6 @@ def ordered_bipartitions_of(a: Multiset) -> Iterator[OrderedBipartition]:
     yield from _bipartitions_cached(a)
 
 
-def permutations_of(k: int) -> Iterator[tuple[int, ...]]:
-    """All k! orderings of 1..k, lexicographically; k = 0 yields ()."""
-    if k < 0:
-        raise DomainError("k must be >= 0")
-    yield from itertools.permutations(range(1, k + 1))
-
-
 @lru_cache(maxsize=None)
 def _sub_multisets_cached(a: Multiset) -> tuple[Multiset, ...]:
     items = a.items
@@ -251,11 +236,6 @@ def _sub_multisets_cached(a: Multiset) -> tuple[Multiset, ...]:
     ]
     out.sort(key=lambda b: b.sort_key)
     return tuple(out)
-
-
-def sub_multisets_of(a: Multiset) -> Iterator[Multiset]:
-    """Every b with per-label multiplicity <= that of `a`, from empty to `a`."""
-    yield from _sub_multisets_cached(a)
 
 
 @lru_cache(maxsize=None)

@@ -34,7 +34,9 @@ of its moments, `_pair_table(caps + caps)`, is checked against the dense
 size limit.  Per-subset coupling (the moment of a measured with only the
 pointers in a coupled) is not a separate pipeline: "pointer j uncoupled"
 is gamma_j = 0, a ring homomorphism, so that moment is the all-coupled
-one restricted to the monomials inside a (Jet.restrict).
+one restricted to the monomials inside a.  On multilinear caps a storage
+position is the bit set of its labels, so that restriction is one mask
+over (subset, monomial) positions, as is the sub-support read of thm3.
 
 A tolerance miss never raises; misses land in the report.
 Singular-postselection instances are reported with a distinct status and
@@ -53,7 +55,14 @@ import numpy as np
 from .algebra import MMap, log_derivative, log_star, partition_fstar
 from .combinatorics import Multiset, multiset_lattice
 from .errors import DEFAULT_FLOOR, DomainError, SingularPostselectionError
-from .jets import Jet, _inverse, _pair_table, _ring_product, jet_matrix_exp
+from .jets import (
+    Jet,
+    _inverse,
+    _pair_table,
+    _position,
+    _ring_product,
+    jet_matrix_exp,
+)
 from .quantum import (
     coupled_generator,
     postselect_pointers,
@@ -242,9 +251,13 @@ def _per_subset(moments: MMap) -> MMap:
     """Entry a at gamma_j = 0 for every j outside a: the moment of the
     experiment that couples only the pointers in a.  Zeroing couplings is a
     ring homomorphism, so it commutes with the products, traces and jet
-    division that built each entry."""
-    return MMap(moments.n, {a: moments(a).restrict(a)
-                            for a in moments.domain()}, moments.caps)
+    division that built each entry.  The map is multilinear in both its
+    subsets and its jets, so a position is the bit set of its labels and
+    entry a keeps the monomial b iff pos_b & ~pos_a == 0 (Jet.restrict on
+    every entry at once)."""
+    pos = np.arange(len(moments._data))
+    keep = (pos & ~pos[:, None]) == 0            # [a, b]: b inside a
+    return moments._like(np.where(keep, moments._data, 0))
 
 
 def _sequential_state(config: ExperimentConfig) -> np.ndarray:
@@ -470,19 +483,19 @@ def _all_coupled_claims(config: ExperimentConfig, meta: dict) -> list:
     equals at top order): every jet coefficient of the cumulant whose
     support misses part of `a` must vanish.
     """
-    n = config.n_pointers
-    caps = (1,) * n
     eta = _sequential_state(config)
     moments = _moment_mmap(eta, [p.r for p in config.pointers])
     lc = log_star(_moment_mmap(eta, [
         np.asarray(p.r) - p.expect(p.r) * np.eye(p.dim)
         for p in config.pointers]))
+    pos = np.arange(len(lc._data))
 
     def sub_support(rec, a):
-        cum_centered = lc(a)
-        sub = max((abs(cum_centered.coefficient(b))
-                   for b in multiset_lattice(n, caps)
-                   if any(a.mult(j) > b.mult(j) for j in a.support)),
+        # row a of the multilinear map is the jet lc(a); positions are label
+        # bit sets, so the monomials b that miss a label of a are those
+        # with pos_a & ~pos_b != 0 (Python abs: numpy's rounds differently)
+        at = _position(lc.caps, a)
+        sub = max(map(abs, lc._data[at, (at & ~pos) != 0].tolist()),
                   default=0.0)
         meta["max_sub_support_coeff"] = max(meta["max_sub_support_coeff"], sub)
         rec.extras["max_sub_support_coeff"] = sub

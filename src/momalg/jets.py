@@ -11,10 +11,14 @@ Storage is dense: one complex vector over the multiset lattice of the caps,
 in mixed-radix C order with label 1 slowest, so a jet over caps is the
 raveled C-order tensor of shape (c_1 + 1, ..., c_n + 1) indexed by the
 multiplicities, the empty monomial (the constant part) first.  Every
-lattice-indexed array of the package is stored in this one order.  Every
-(a, b) pair of lattice monomials whose sum stays within the caps is listed
-once per caps, by digit arithmetic, in index arrays (ia, ib, ic), each
-output's pairs in increasing ia; a product is then the gather x[ia] * y[ib]
+lattice-indexed array of the package is stored in this one order, so a
+position is digit arithmetic: `_position` is the one map from a multiset
+to its position, and `_monomials` lists the multisets in storage order for
+the readers that hand out Multiset keys (`Jet.coeffs`, the reprs,
+`JetMatrix.lattice`).  Every (a, b) pair of lattice monomials whose sum
+stays within the caps is listed once per caps, by digit arithmetic, in
+position arrays (ia, ib, ic), each output's pairs in increasing ia; a
+table holds no Multiset.  A product is then the gather x[ia] * y[ib]
 scattered onto ic by a bincount, and sums, scalings, exp, log and inverse
 are vector operations.  M-maps (`momalg.algebra`) share the tables: the
 array of a jet-valued M-map over caps with jet caps is the jet over
@@ -70,12 +74,10 @@ _OPITZ_PRODUCTS = 16       # the Opitz exponential, in products of its size
 
 
 class _PairTable(NamedTuple):
-    """A caps lattice in storage order, its index, the total degree |a| and
-    prod(mult!) of each monomial, and every pair (ia, ib) -> ic whose multiset
-    sum lattice[ia] + lattice[ib] = lattice[ic] stays within caps."""
+    """The total degree |a| and prod(mult!) of each monomial of a caps
+    lattice, in storage order, and every pair (ia, ib) -> ic of positions
+    whose monomial sum a + b = c stays within caps."""
 
-    lattice: tuple[Multiset, ...]
-    index: dict[Multiset, int]
     grade: np.ndarray
     weight: np.ndarray
     ia: np.ndarray
@@ -87,36 +89,31 @@ class _PairTable(NamedTuple):
 def _pair_table(caps: tuple[int, ...]) -> _PairTable:
     """The storage order is mixed-radix C order, label 1 slowest: the
     monomial of multiplicities (m_1, ..., m_n) sits at the C-order position
-    of (m_1, ..., m_n) in a tensor of shape (c_1 + 1, ..., c_n + 1), so the
-    empty monomial comes first.  A sum of monomials within caps adds their
-    digits without carries, so the table of several labels is the product
-    of the tables of its two halves, built by digit arithmetic: a position
-    is (left position) * (right size) + (right position), and a pair is a
-    left pair with a right pair.  The pairs of each output then come in
-    increasing ia, the order in which products accumulate."""
+    of (m_1, ..., m_n) in a tensor of shape (c_1 + 1, ..., c_n + 1)
+    (`_position`), so the empty monomial comes first.  A sum of monomials
+    within caps adds their digits without carries, so the table of several
+    labels is the product of the tables of its two halves, built by digit
+    arithmetic: a position is (left position) * (right size) + (right
+    position), and a pair is a left pair with a right pair.  The pairs of
+    each output then come in increasing ia, the order in which products
+    accumulate."""
     _check_size("lattice pairs",
                 math.prod((c + 1) * (c + 2) // 2 for c in caps), _PAIR_BYTES)
     if len(caps) > 1:
         return _joined(_pair_table(caps[:len(caps) // 2]),
-                       _pair_table(caps[len(caps) // 2:]), len(caps) // 2)
+                       _pair_table(caps[len(caps) // 2:]))
     cap = caps[0] if caps else 0
-    lattice = tuple(Multiset([1] * m) for m in range(cap + 1))
     ia, ib = (np.array(x, dtype=np.intp) for x in zip(
         *[(d, e) for d in range(cap + 1) for e in range(cap + 1 - d)]))
-    return _frozen(lattice, np.arange(cap + 1),
+    return _frozen(np.arange(cap + 1),
                    np.array([math.factorial(m) for m in range(cap + 1)],
                             dtype=float), ia, ib, ia + ib)
 
 
-def _joined(left: _PairTable, right: _PairTable, shift: int) -> _PairTable:
-    """The table of the labels of `left` followed by those of `right`,
-    renumbered from shift + 1 on."""
-    width = len(right.lattice)
-    tails = [tuple((lab + shift, m) for lab, m in b.items)
-             for b in right.lattice]
+def _joined(left: _PairTable, right: _PairTable) -> _PairTable:
+    """The table of the labels of `left` followed by those of `right`."""
+    width = len(right.grade)
     return _frozen(
-        tuple(map(Multiset._sorted, [a.items + tail for a in left.lattice
-                                     for tail in tails])),
         np.add.outer(left.grade, right.grade).ravel(),
         np.multiply.outer(left.weight, right.weight).ravel(),
         *(np.add.outer(x * width, y).ravel()
@@ -124,13 +121,34 @@ def _joined(left: _PairTable, right: _PairTable, shift: int) -> _PairTable:
                        (left.ic, right.ic))))
 
 
-def _frozen(lattice, grade, weight, ia, ib, ic) -> _PairTable:
+def _frozen(*arrays) -> _PairTable:
     # shared by every caller through the cache; ic stays writeable, because
     # np.bincount copies a read-only index array on every call
-    for arr in (grade, weight, ia, ib):
+    for arr in arrays[:-1]:
         arr.setflags(write=False)
-    return _PairTable(lattice, dict(zip(lattice, range(len(lattice)))),
-                      grade, weight, ia, ib, ic)
+    return _PairTable(*arrays)
+
+
+def _position(caps: tuple[int, ...], a) -> int:
+    """The storage position of the monomial `a` (a Multiset or its labels):
+    its multiplicities read as the digits of a mixed-radix number, label 1
+    slowest.  A multiset that does not fit the caps is refused."""
+    a = a if isinstance(a, Multiset) else Multiset(a)
+    if not a.fits(caps):
+        raise CapExceededError(f"multiset {a} exceeds caps {caps}")
+    counts, pos = dict(a.items), 0
+    for label, cap in enumerate(caps, start=1):
+        pos = pos * (cap + 1) + counts.get(label, 0)
+    return pos
+
+
+@lru_cache(maxsize=None)
+def _monomials(caps: tuple[int, ...]) -> tuple[Multiset, ...]:
+    """The monomials of the caps lattice in storage order, for the readers
+    that hand out Multiset keys."""
+    return tuple(Multiset.from_counts(dict(enumerate(digits, start=1)))
+                 for digits in itertools.product(*(range(c + 1)
+                                                   for c in caps)))
 
 
 def _check_size(what: str, count: int, nbytes_each: int) -> None:
@@ -220,15 +238,9 @@ class Jet:
         self.caps = tuple(caps)
         if len(self.caps) != self.n:
             raise DomainError("caps length must equal number of variables")
-        index = _pair_table(self.caps).index
-        self._vec = np.zeros(len(index), dtype=complex)
-        if coeffs:
-            for a, c in dict(coeffs).items():
-                if not isinstance(a, Multiset):
-                    a = Multiset(a)
-                if not a.fits(self.caps):
-                    raise CapExceededError(f"monomial {a} exceeds caps {self.caps}")
-                self._vec[index[a]] = complex(c)
+        self._vec = np.zeros(len(_pair_table(self.caps).grade), dtype=complex)
+        for a, c in dict(coeffs or {}).items():
+            self._vec[_position(self.caps, a)] = complex(c)
 
     @classmethod
     def _dense(cls, n: int, caps: tuple[int, ...], vec: np.ndarray) -> "Jet":
@@ -263,7 +275,7 @@ class Jet:
     @property
     def coeffs(self):
         """Read-only {monomial: coefficient} of the nonzero coefficients."""
-        lattice = _pair_table(self.caps).lattice
+        lattice = _monomials(self.caps)
         return MappingProxyType({lattice[i]: complex(self._vec[i])
                                  for i in np.flatnonzero(self._vec)})
 
@@ -273,9 +285,7 @@ class Jet:
 
     def coefficient(self, a: Multiset) -> complex:
         """Monomial coefficient of prod gamma^mult."""
-        if not a.fits(self.caps):
-            raise CapExceededError(f"monomial {a} exceeds caps {self.caps}")
-        return complex(self._vec[_pair_table(self.caps).index[a]])
+        return complex(self._vec[_position(self.caps, a)])
 
     def derivative(self, a: Multiset) -> complex:
         """Mixed partial at gamma = 0: coefficient times prod(mult!)."""
@@ -288,13 +298,15 @@ class Jet:
         Setting variables to zero is a ring homomorphism, so restriction
         commutes with sums, products, inverse, exp and log (jet division
         included).  On a multilinear jet it keeps exactly the monomials
-        contained in `a`.
+        contained in `a`.  In the tensor of the storage order that is the
+        slice at multiplicity 0 along every axis outside `a`.
         """
-        keep = set(a.support)
-        lattice = _pair_table(self.caps).lattice
-        mask = np.fromiter((keep.issuperset(b.support) for b in lattice),
-                           dtype=bool, count=len(lattice))
-        return self._like(np.where(mask, self._vec, 0))
+        shape = tuple(c + 1 for c in self.caps)
+        kept = tuple(slice(None) if j in a.support else 0
+                     for j in range(1, self.n + 1))
+        vec = np.zeros_like(self._vec)
+        vec.reshape(shape)[kept] = self._vec.reshape(shape)[kept]
+        return self._like(vec)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -389,15 +401,14 @@ class JetMatrix:
     monomial; blocks[0] (the empty multiset) is the constant part.
     """
 
-    __slots__ = ("n", "caps", "lattice", "index", "blocks")
+    __slots__ = ("n", "caps", "blocks")
 
     def __init__(self, n: int, caps: tuple[int, ...], blocks: np.ndarray):
         self.n = int(n)
         self.caps = tuple(caps)
-        table = _pair_table(self.caps)
-        self.lattice, self.index = table.lattice, table.index
         blocks = np.asarray(blocks, dtype=complex)
-        if blocks.ndim != 3 or blocks.shape[0] != len(self.lattice):
+        if (blocks.ndim != 3
+                or blocks.shape[0] != len(_pair_table(self.caps).grade)):
             raise DomainError("blocks must have shape (lattice, d, d)")
         if blocks.shape[1] != blocks.shape[2]:
             raise DomainError("jet matrices must be square")
@@ -417,10 +428,13 @@ class JetMatrix:
                    caps: tuple[int, ...]) -> "JetMatrix":
         out = cls.zeros(dim, n, caps)
         for a, mat in terms.items():
-            if not isinstance(a, Multiset):
-                a = Multiset(a)
-            out.blocks[out.index[a]] += np.asarray(mat, dtype=complex)
+            out.blocks[_position(out.caps, a)] += np.asarray(mat, dtype=complex)
         return out
+
+    @property
+    def lattice(self) -> tuple[Multiset, ...]:
+        """The monomial of each block, in storage order."""
+        return _monomials(self.caps)
 
     @property
     def dim(self) -> int:
@@ -428,7 +442,7 @@ class JetMatrix:
 
     @property
     def constant(self) -> np.ndarray:
-        return self.blocks[self.index[EMPTY]]
+        return self.blocks[0]
 
     def _check(self, other: "JetMatrix") -> None:
         if self.caps != other.caps or self.dim != other.dim:

@@ -27,14 +27,13 @@ from functools import reduce
 
 import numpy as np
 
-from .combinatorics import Multiset
 from .errors import (
     DEFAULT_FLOOR,
     DomainError,
     ShapeMismatchError,
     SingularPostselectionError,
 )
-from .jets import JetMatrix, _block_products, _pair_table
+from .jets import JetMatrix, _block_products, _pair_table, _position
 
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-10
@@ -218,13 +217,14 @@ def evolved_joint_state(psi_i, unitaries, pointers, observables) -> np.ndarray:
     n = len(pointers)
     if len(unitaries) != n + 1:
         raise ShapeMismatchError("need n+1 unitaries for n pointers")
-    table = _pair_table((1,) * n)
+    caps = (1,) * n
+    table = _pair_table(caps)
     psi0 = product_state(psi_i, pointers)
-    psi = np.zeros((len(table.lattice), *psi0.shape), dtype=complex)
+    psi = np.zeros((len(table.grade), *psi0.shape), dtype=complex)
     psi[0] = psi0
     for j, pointer in enumerate(pointers, start=1):
         psi = _on_axis(unitaries[j - 1], psi, 1)
-        kick = table.ib == table.index[Multiset([j])]
+        kick = table.ib == _position(caps, [j])
         ia, ic = table.ia[kick], table.ic[kick]
         psi[ic] += -1j * _on_axis(pointer.s, _on_axis(observables[j - 1],
                                                        psi[ia], 1), j + 1)

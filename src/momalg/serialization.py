@@ -12,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import math
 import os
 import tempfile
 
@@ -27,7 +28,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .experiments import ExperimentConfig
-from .jets import _pair_table
+from .jets import _pair_table, _position
 from .quantum import PointerSpec, QOperator, QState
 from .weakvalues import WeakValueContext
 
@@ -86,6 +87,23 @@ def _parse(convert, value, field: str):
         raise InputFormatError(f"{field}: {exc}") from exc
 
 
+def _finite(value) -> float:
+    """float(value), refusing NaN and +-inf."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{value!r} is not a finite number")
+    return number
+
+
+def _finite_tolerance(value) -> float:
+    """A finite number >= 0: no record passes a NaN or negative gate, and
+    every record passes an infinite one."""
+    tol = _finite(value)
+    if tol < 0:
+        raise ValueError(f"{value!r} is not a finite non-negative number")
+    return tol
+
+
 # ---------------------------------------------------------------------------
 # M-maps
 
@@ -95,10 +113,9 @@ def mmap_to_dict(f: MMap) -> dict:
     maps with jet values have no JSON form."""
     if f.jet_caps:
         raise TypeError("jet-valued M-maps are not serialisable")
-    table = _pair_table(f.caps)
-    values = (f._data[:, 0] * table.weight).tolist()
+    values = (f._data[:, 0] * _pair_table(f.caps).weight).tolist()
     entries = [{"m": list(a.elements()), "re": v.real, "im": v.imag}
-               for a in f.domain() if (v := values[table.index[a]]) != 0]
+               for a in f.domain() if (v := values[_position(f.caps, a)]) != 0]
     return {"schema": SCHEMA, "n": f.n, "caps": list(f.caps),
             "entries": entries}
 
@@ -173,7 +190,8 @@ def context_from_dict(payload: dict) -> WeakValueContext:
                    for i, o in enumerate(_parse(
                        list, _require(payload, "observables", "context"),
                        "context.observables"))]
-    floor = _parse(float, payload.get("floor", DEFAULT_FLOOR), "context.floor")
+    floor = _parse(_finite_tolerance, payload.get("floor", DEFAULT_FLOOR),
+                   "context.floor")
     if kind == "sequential":
         return WeakValueContext.sequential(
             vector_from_dict(_require(payload, "psi_i", "context"), "psi_i"),
@@ -189,13 +207,13 @@ def context_from_dict(payload: dict) -> WeakValueContext:
             vector_from_dict(_require(payload, "psi_f", "context"), "psi_f"),
             matrix_from_dict(_require(payload, "hamiltonian", "context"),
                              "hamiltonian"),
-            _parse(float, _require(payload, "tau", "context"), "context.tau"),
+            _parse(_finite, _require(payload, "tau", "context"), "context.tau"),
             observables, floor=floor)
     if kind == "thermal":
         return WeakValueContext.thermal(
             matrix_from_dict(_require(payload, "hamiltonian", "context"),
                              "hamiltonian"),
-            _parse(float, _require(payload, "beta", "context"),
+            _parse(_finite, _require(payload, "beta", "context"),
                    "context.beta"),
             observables)
     raise InputFormatError(f"context: unknown kind {kind!r}")
@@ -302,8 +320,9 @@ _CONFIG_FIELDS = {
     "outcome_values": _listed(lambda v, at: np.asarray(v, dtype=float)),
     "probabilities": lambda v, at: np.asarray(v, dtype=float),
     "targets": _listed(lambda v, at: Multiset(v)),
-    **dict.fromkeys(("tau", "beta", "tolerance", "mutual_tolerance", "floor"),
-                    lambda v, at: float(v)),
+    **dict.fromkeys(("tau", "beta"), lambda v, at: _finite(v)),
+    **dict.fromkeys(("tolerance", "mutual_tolerance", "floor"),
+                    lambda v, at: _finite_tolerance(v)),
     "seed": lambda v, at: int(v), "mc_samples": lambda v, at: int(v),
     "copies": lambda v, at: tuple(int(c) for c in v),
 }

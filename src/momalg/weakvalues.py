@@ -30,14 +30,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import MMap
-from .combinatorics import EMPTY, Multiset, multiset_lattice
+from .combinatorics import EMPTY, Multiset
 from .errors import (
     DEFAULT_FLOOR,
     DomainError,
     ShapeMismatchError,
     SingularPostselectionError,
 )
-from .jets import Jet, JetMatrix, jet_matrix_exp
+from .jets import Jet, JetMatrix, _pair_table, jet_matrix_exp
+
+_I_POWERS = np.array([1, 1j, -1, -1j])    # i^k at k mod 4, exactly
 
 
 @dataclass(frozen=True)
@@ -211,16 +213,17 @@ def script_D(ctx: WeakValueContext, a: Multiset) -> complex:
 
 
 def script_D_mmap(ctx: WeakValueContext, caps=None) -> MMap:
-    """D over the whole lattice from a single jet exponential."""
+    """D over the whole lattice from a single jet exponential: the jet of
+    the generating matrix element, monomial a scaled by i^|a| and by the
+    free amplitude, is the map's normalised array."""
     caps = tuple(caps) if caps is not None else (1,) * ctx.n
     gen = _evolution_generating_jet(ctx, caps)
-    den = gen.coefficient(EMPTY)
+    den = gen.constant
     if abs(den) <= ctx.floor:
         raise SingularPostselectionError(
             f"postselection amplitude {abs(den):.3e} below floor")
-    entries = {a: (1j) ** a.size * gen.derivative(a) / den
-               for a in multiset_lattice(ctx.n, caps)}
-    return MMap(ctx.n, entries, caps)
+    phases = _I_POWERS[_pair_table(caps).grade % 4]
+    return MMap._dense(ctx.n, caps, (), (phases * gen._vec / den)[:, None])
 
 
 def _dirichlet_times(rng, total, parts, samples):
@@ -299,10 +302,9 @@ def thermal_E(ctx: WeakValueContext, a: Multiset) -> complex:
 
 def thermal_E_mmap(z: Jet) -> MMap:
     """E over the whole lattice of the partition jet `z`
-    (`thermal_partition_jet`), read off its derivatives."""
-    z0 = z.coefficient(EMPTY)
-    entries = {a: z.derivative(a) / z0 for a in multiset_lattice(z.n, z.caps)}
-    return MMap(z.n, entries, z.caps)
+    (`thermal_partition_jet`): z scaled by its constant is the map's
+    normalised array."""
+    return MMap._dense(z.n, z.caps, (), (z._vec / z.constant)[:, None])
 
 
 def free_energy_jet(z: Jet, beta: float) -> Jet:

@@ -23,7 +23,7 @@ from momalg.algebra import (
 )
 from momalg.combinatorics import EMPTY, Multiset, multiset_lattice
 from momalg.experiments import random_config, run_verification
-from momalg.jets import JetMatrix, jet_matrix_exp
+from momalg.jets import JetMatrix, _position, jet_matrix_exp
 from momalg.quantum import random_hermitian
 from momalg.weakvalues import (
     WeakValueContext,
@@ -315,7 +315,7 @@ def test_criterion_11_numerical_kernels():
         for i, x in enumerate(xs, start=1):
             fd = (expm_mp(y + step * x) - expm_mp(y - step * x)) \
                 / (2 * step)
-            block = got.blocks[got.index[M([i])]]
+            block = got.blocks[_position(got.caps, M([i]))]
             worst_fd = max(worst_fd, float(np.max(np.abs(block - fd))))
     assert worst_fd <= fd_tol, f"finite-difference residual {worst_fd:.3e}"
 

@@ -1,6 +1,7 @@
 """CLI surface: file round trips, exit codes, batch verification runs."""
 
 import json
+import math
 import os
 import resource
 import subprocess
@@ -372,6 +373,17 @@ def _thermal_query(context=(), **fields):
             "subsets": [[1]], **fields}
 
 
+SCENARIO_NAMES = {"thm3": "sequential-all-coupled", "thm4":
+                  "simultaneous-evolution", "thermal": "thermal"}
+BAD_CONFIG_NUMBERS = [
+    ("thm3", "tolerance", math.nan), ("thm3", "tolerance", -1.0),
+    ("thm3", "tolerance", math.inf), ("thermal", "mutual_tolerance", math.nan),
+    ("thermal", "mutual_tolerance", -1.0), ("thm3", "floor", -math.inf),
+    ("thm3", "floor", math.nan), ("thermal", "beta", math.inf),
+    ("thermal", "beta", math.nan), ("thm4", "tau", -math.inf),
+    ("thm4", "tau", math.nan)]
+
+
 @pytest.mark.parametrize("argv, payload, field", [
     (["algebra", "log"], {**LOG_FIXTURE, "n": "x"}, ".n:"),
     (["algebra", "log"], {**LOG_FIXTURE, "caps": "zz"}, ".caps:"),
@@ -396,9 +408,18 @@ def _thermal_query(context=(), **fields):
     (["weak-values"], _thermal_query(mode="fast"), ".mode:"),
     (["weak-values"], _thermal_query(subsets=[[0]]), ".subsets[0]:"),
     (["weak-values"], [_thermal_query()], ": expected an object"),
+    # gates must be finite and >= 0, tau and beta finite
+    *[(["verify", scenario, "--config"],
+       _config_payload(SCENARIO_NAMES[scenario], **{key: value}), f".{key}:")
+      for scenario, key, value in BAD_CONFIG_NUMBERS],
+    (["weak-values"], _thermal_query({"beta": math.inf}), "context.beta:"),
+    (["weak-values"], _thermal_query({"beta": math.nan}), "context.beta:"),
+    (["weak-values"], _thermal_query({"floor": -1.0}), "context.floor:"),
 ], ids=["n", "caps", "entries", "entry", "re", "label0", "beta", "seed",
         "targets", "wv-beta", "wv-floor", "wv-observables", "wv-samples",
-        "wv-seed", "wv-mode", "wv-subset0", "wv-list"])
+        "wv-seed", "wv-mode", "wv-subset0", "wv-list",
+        *[f"{key}-{value}" for _, key, value in BAD_CONFIG_NUMBERS],
+        "wv-beta-inf", "wv-beta-nan", "wv-floor-neg"])
 def test_exit_code_2_on_malformed_fields(tmp_path, capsys, argv, payload,
                                          field):
     # a field that cannot be converted is malformed input named in the
@@ -432,11 +453,19 @@ BAD_TOLS = ("nan", "inf", "-inf", "-1")
       for v in BAD_TOLS],
     *[(["algebra", "log", "{fixture}", f"--tol={v}"], {}, "--tol")
       for v in ("nan", "-1", "abc")],
+    *[(["verify", scenario, f"--{flag}={v}"], {}, f"--{flag}")
+      for scenario, flag in (("thermal", "beta"), ("thm4", "tau"))
+      for v in ("nan", "inf", "-inf")],
+    *[(["verify", scenario, "--samples=-3"], {}, "--samples")
+      for scenario in ("thm4", "thm1")],
 ], ids=["pointers0", "pointers-neg", "sysdim0", "pointer-dim0", "vars0",
         "copies0", "seeds-text", "seeds-empty", "env-tol", "cut-text",
         *[f"{where}-tol-{v}" for where in ("verify", "algebra", "env")
           for v in BAD_TOLS],
-        *[f"algebra-log-tol-{v}" for v in ("nan", "-1", "abc")]])
+        *[f"algebra-log-tol-{v}" for v in ("nan", "-1", "abc")],
+        *[f"{flag}-{v}" for flag in ("beta", "tau")
+          for v in ("nan", "inf", "-inf")],
+        "thm4-samples-neg", "thm1-samples-neg"])
 def test_malformed_arguments_exit_2_naming_the_flag(tmp_path, monkeypatch,
                                                     capsys, argv, env, flag):
     # argparse refuses a bad flag with SystemExit(2); a value parsed later

@@ -19,7 +19,7 @@ from momalg.experiments import (
     xi_thermal,
     xi_thermal_literal,
 )
-from momalg.jets import Jet, _pair_table
+from momalg.jets import Jet, _monomials
 from momalg.quantum import PointerSpec
 from momalg.serialization import report_rows_from_json
 
@@ -114,6 +114,66 @@ def test_per_subset_and_all_coupled_agree_on_full_set():
     assert value_allclose(z(full), all_coupled_moment_mmap(cfg)(full), 1e-12)
 
 
+def restricted_entry_by_entry(moments):
+    """The per-subset map by its definition: entry a restricted to the
+    labels of a, one Jet.restrict per entry."""
+    return MMap(moments.n, {a: moments(a).restrict(a)
+                            for a in moments.domain()}, moments.caps)
+
+
+def pair_moments(seed):
+    """The multiset scenario's pair: one pointer twice, through one
+    observable, coupled simultaneously with H_S = 0."""
+    cfg = random_config("multiset", seed)
+    d = cfg.system_dim
+    return experiments.sigma_moment_mmap(replace(
+        cfg, scenario="simultaneous-evolution", pointers=cfg.pointers[:1] * 2,
+        observables=cfg.observables[:1] * 2, hamiltonian=np.zeros((d, d))))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, "pair"])
+def test_per_subset_mask_equals_restricting_every_entry(n):
+    # bit for bit, on dense random jet rows (every monomial nonzero) and on
+    # the multiset scenario's pair moments
+    if n == "pair":
+        maps = [pair_moments(seed) for seed in (1, 2)]
+    else:
+        rng = np.random.default_rng(70 + n)
+        caps = (1,) * n
+        maps = [MMap._dense(n, caps, caps, rng.standard_normal((2 ** n, 2 ** n))
+                            + 1j * rng.standard_normal((2 ** n, 2 ** n)))
+                for _ in range(3)]
+    for moments in maps:
+        got = experiments._per_subset(moments)
+        want = restricted_entry_by_entry(moments)
+        assert got.jet_caps == want.jet_caps == moments.caps
+        assert np.array_equal(got._data, want._data)
+
+
+@pytest.mark.parametrize("n, seeds", [(1, (1, 2)), (2, (3, 4)), (3, (5, 6)),
+                                      (4, (7,))])
+def test_max_sub_support_coeff_equals_the_double_loop(n, seeds):
+    # reference: for each target a, the largest |coefficient| of the
+    # centered cumulant jet lc(a) over the monomials b that miss a label of
+    # a, by a double loop over Multisets; it must match bit for bit
+    for seed in seeds:
+        cfg = random_config("sequential-all-coupled", seed, n_pointers=n)
+        rep = run_verification(cfg)
+        lc = log_star(experiments._moment_mmap(
+            experiments._sequential_state(cfg),
+            [np.asarray(p.r) - p.expect(p.r) * np.eye(p.dim)
+             for p in cfg.pointers]))
+        lattice = multiset_lattice(n, (1,) * n)
+        for rec in rep.records:
+            a = M.parse(rec.subset)
+            want = max((abs(lc(a).coefficient(b)) for b in lattice
+                        if any(a.mult(j) > b.mult(j) for j in a.support)),
+                       default=0.0)
+            assert rec.extras["max_sub_support_coeff"] == want
+        assert rep.metadata["max_sub_support_coeff"] == max(
+            r.extras["max_sub_support_coeff"] for r in rep.records)
+
+
 def test_uncoupled_moments_are_pointer_products():
     cfg = random_config("sequential-all-coupled", 19, n_pointers=2,
                         system_dim=2)
@@ -163,7 +223,7 @@ def test_moment_normaliser_equals_the_scalar_map_convolution(monkeypatch, n):
     # bit for bit, that is the convolution with the scalar map of the
     # inverse empty-subset jet, on random multilinear jet rows
     caps = (1,) * n
-    lattice = _pair_table(caps).lattice     # the rows' storage order
+    lattice = _monomials(caps)     # the rows' storage order
     rng = np.random.default_rng(40 + n)
     for _ in range(5):
         rows = rng.standard_normal((2 ** n, 2 ** n)) + \

@@ -1,5 +1,6 @@
 """Jet arithmetic and the jet-valued matrix exponential against oracles."""
 
+import itertools
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from momalg.jets import (
     JetMatrix,
     _block_products,
     _pair_table,
+    _position,
     jet_matrix_exp,
 )
 from oracles import expm_mp
@@ -124,7 +126,7 @@ def test_jet_matrix_exp_constant_only_matches_dense():
     assert np.max(np.abs(got.constant - dense)) < 1e-12
     for ms in multiset_lattice(2, (1, 1)):
         if not ms.is_empty:
-            assert np.max(np.abs(got.blocks[got.index[ms]])) == 0.0
+            assert np.max(np.abs(got.blocks[_position(got.caps, ms)])) == 0.0
 
 
 def test_jet_matrix_exp_scalar_first_order_closed_form():
@@ -138,7 +140,7 @@ def test_jet_matrix_exp_scalar_first_order_closed_form():
             {(): tau * np.array([[y]]), (1,): tau * np.array([[x]])}, 1, 1, (1,))
         got = jet_matrix_exp(jm)
         expect = tau * x * np.exp(tau * y)
-        assert abs(got.blocks[got.index[M([1])]][0, 0] - expect) < 1e-12
+        assert abs(got.blocks[_position(got.caps, M([1]))][0, 0] - expect) < 1e-12
 
 
 def test_jet_matrix_exp_first_order_vs_finite_differences():
@@ -152,7 +154,7 @@ def test_jet_matrix_exp_first_order_vs_finite_differences():
     h = 1e-5
     for i, x in enumerate(xs, start=1):
         fd = (expm_mp(y + h * x) - expm_mp(y - h * x)) / (2 * h)
-        block = got.blocks[got.index[M([i])]]
+        block = got.blocks[_position(got.caps, M([i]))]
         assert np.max(np.abs(block - fd)) < 1e-8
 
 
@@ -166,7 +168,8 @@ def test_jet_matrix_exp_commuting_blocks_factorize():
     got = jet_matrix_exp(jm)
     ed = expm_mp(diag)
     assert np.max(np.abs(got.constant - ed)) < 1e-11
-    assert np.max(np.abs(got.blocks[got.index[M([1])]] - ed @ poly)) < 1e-11
+    block = got.blocks[_position(got.caps, M([1]))]
+    assert np.max(np.abs(block - ed @ poly)) < 1e-11
 
 
 def test_jet_matrix_exp_rejects_non_finite_blocks():
@@ -189,7 +192,7 @@ def test_jet_matrix_exp_second_order_vs_monte_carlo_simplex():
     jm = JetMatrix.from_terms(
         {(): tau * y, (1,): tau * x1, (2,): tau * x2}, d, 2, (1, 1))
     exp_jm = jet_matrix_exp(jm)
-    block = exp_jm.blocks[exp_jm.index[M([1, 2])]]
+    block = exp_jm.blocks[_position(exp_jm.caps, M([1, 2]))]
 
     evals, vecs = np.linalg.eig(y)
     vinv = np.linalg.inv(vecs)
@@ -356,14 +359,14 @@ def test_coeffs_is_a_read_only_view_of_nonzero_monomials():
 def explicit_matmul(x, y, caps):
     """Per-pair block products of two block stacks over every lattice pair,
     zero blocks included, at the storage positions of the lattice."""
-    table = _pair_table(caps)
-    lattice, index = table.lattice, table.index
+    lattice = multiset_lattice(len(caps), caps)
     out = np.zeros((len(lattice), x.shape[1], y.shape[2]), dtype=complex)
-    for a in lattice:
+    for a in sorted(lattice, key=lambda a: _position(caps, a)):
         for b in lattice:
             s = a + b
             if s.fits(caps):
-                out[index[s]] += x[index[a]] @ y[index[b]]
+                out[_position(caps, s)] += \
+                    x[_position(caps, a)] @ y[_position(caps, b)]
     return out
 
 
@@ -467,7 +470,7 @@ def assert_matches_oracle(got, terms, caps, d, case):
         grade = [a for a in pos if a.size == g]
         want = np.stack([column[pos[a] * d:(pos[a] + 1) * d] for a in grade])
         bound = np.stack([scale[pos[a] * d:(pos[a] + 1) * d] for a in grade])
-        diff = np.stack([got.blocks[got.index[a]] for a in grade]) - want
+        diff = np.stack([got.blocks[_position(caps, a)] for a in grade]) - want
         assert np.abs(diff).max() <= 1e-13 * bound.max(), (g, case)
 
 
@@ -682,10 +685,10 @@ def test_pair_table_matches_multiset_loop(caps):
     # loop over Multiset sums exactly once, each output's pairs in
     # increasing ia, the order in which products accumulate
     table = _pair_table(caps)
-    lattice = table.lattice
+    lattice = jets._monomials(caps)
     assert set(lattice) == set(multiset_lattice(len(caps), caps))
     for i, a in enumerate(lattice):
-        assert table.index[a] == i == sum(
+        assert _position(caps, a) == i == sum(
             a.mult(j) * math.prod(c + 1 for c in caps[j:])
             for j in range(1, len(caps) + 1))
         assert table.grade[i] == a.size
@@ -697,6 +700,37 @@ def test_pair_table_matches_multiset_loop(caps):
     for c in range(len(lattice)):
         ia = table.ia[table.ic == c]
         assert np.all(np.diff(ia) > 0)
+
+
+@pytest.mark.parametrize("caps", [(), (0,), (3,), (1, 0, 3), (3, 3),
+                                  (2, 3, 0, 1), (0, 1, 2, 3), (1,) * 5])
+def test_position_is_the_mixed_radix_index(caps):
+    # every multiset within caps sits at np.ravel_multi_index of its
+    # multiplicities over the shape (c_1 + 1, ..., c_n + 1), and
+    # _monomials lists it there; a multiset over a cap is refused
+    shape = tuple(c + 1 for c in caps)
+    lattice = jets._monomials(caps)
+    assert len(lattice) == math.prod(shape)
+    for digits in itertools.product(*(range(s) for s in shape)):
+        a = M([j for j, m in enumerate(digits, start=1) for _ in range(m)])
+        at = int(np.ravel_multi_index(digits, shape))
+        assert _position(caps, a) == at
+        assert lattice[at] == a
+    for j, c in enumerate(caps, start=1):
+        with pytest.raises(CapExceededError):
+            _position(caps, M([j] * (c + 1)))
+    with pytest.raises(CapExceededError):
+        _position(caps, M([len(caps) + 1]))
+
+
+def test_pair_table_builds_no_multiset(monkeypatch):
+    # a table is position arrays only: built cold with the name Multiset
+    # gone from the module, it still matches its digit arithmetic
+    monkeypatch.setattr(jets, "Multiset", None)
+    _pair_table.cache_clear()
+    table = _pair_table((1,) * 12)
+    assert len(table.grade) == 2 ** 12 and len(table.ia) == 3 ** 12
+    assert np.array_equal(table.ic, table.ia + table.ib)
 
 
 def test_pair_table_preflight_refuses_huge_caps():

@@ -7,7 +7,7 @@ import pytest
 
 from momalg.combinatorics import EMPTY, Multiset
 from momalg.errors import DomainError, SingularPostselectionError
-from momalg.jets import Jet, JetMatrix, _pair_table, jet_matrix_exp
+from momalg.jets import Jet, JetMatrix, _monomials, _position, jet_matrix_exp
 from momalg.quantum import (
     PointerSpec,
     QOperator,
@@ -214,10 +214,9 @@ def test_postselected_pointer_state_matches_joint_density_oracle(n, d_sys):
                                      observables)
     want = postselected_pointer_jet(psi_i, psi_f, unitaries, pointers,
                                     observables)
-    index = _pair_table((1,) * n).index
-    assert len(want) == len(eta) == len(index) == 2 ** n
+    assert len(want) == len(eta) == 2 ** n
     for a, block in want.items():
-        got = eta[index[M(a)]]
+        got = eta[_position((1,) * n, M(a))]
         assert np.max(np.abs(got - block)) <= 1e-12 * max(1.0, np.max(np.abs(block)))
 
 
@@ -236,7 +235,7 @@ def test_readout_moments_match_kronecker_readouts(sys_dim, pointer_dims):
     readouts = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
                 for d in pointer_dims]
     got = readout_moments(blocks, sys_dim, readouts)
-    lattice = _pair_table((1,) * n).lattice     # rows in storage order
+    lattice = _monomials((1,) * n)     # rows in storage order
     assert got.shape == (len(lattice), len(blocks))
     for row, a in zip(got, lattice):
         readout = reduce(np.kron, [r if j in a.support else np.eye(len(r))
