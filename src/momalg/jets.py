@@ -38,12 +38,18 @@ from the norm (Higham, SIAM J. Matrix Anal. Appl. 26, 2005), evaluated by
 Paterson-Stockmeyer (SIAM J. Comput. 2, 1973) over one stack of the powers
 Y..Y^q; a generator whose blocks are all exactly Hermitian is squared from
 half the block pairs, since the pairs (a, b) and (b, a) of a square then
-give P and P^H.  The spectral route serves a large, exactly Hermitian
-constant block with few distinct eigenvalues, such as the thermal
--beta H_S (x) 1: in the eigenbasis, the Dyson expansion ends after G =
-sum(caps) factors of the nilpotent graded part and is summed with divided
-differences of exp, taken from Opitz matrices.  The routes are chosen by a
-cost model from the shapes alone; see the docstring of jet_matrix_exp.
+give P and P^H.  The spectral route serves an exactly Hermitian constant
+block with few distinct eigenvalues, such as the thermal -beta H_S (x) 1:
+in the eigenbasis, the Dyson expansion ends after G = sum(caps) factors of
+the nilpotent graded part and is summed with divided differences of exp,
+taken from Opitz matrices.  The routes are chosen by a cost model from the
+shapes alone, with no dimension floor: it counts the fixed costs that do
+not grow like d^3 (Python steps, eigh's set-up, the Opitz exponential), so
+small blocks, such as the 2-dim system side of the thermal check with up
+to four pointers, stay on the Taylor route, while its 32-dim joint space
+of four qubit pointers takes the spectral one; see the docstring of
+jet_matrix_exp.  A result that overflows the double range is refused with
+a DomainError.
 """
 
 from __future__ import annotations
@@ -66,11 +72,13 @@ MAX_DENSE_BYTES = 2 ** 28  # largest dense lattice array or pair table built
 _PAIR_BYTES = 72           # per pair: 3 index arrays, 3 complex temporaries
 # Route model of jet_matrix_exp (its docstring, step 7), in complex
 # multiply-adds (madds); fitted to both routes' times on one BLAS thread
-_SPECTRAL_MIN_DIM = 64     # smaller blocks stay on the Taylor route
-_STEP_MADDS = 2 ** 15      # a Python-level step: a BLAS call or a block pass
-_ENTRY_MADDS = 32          # one entry of a block pass
-_EIGH_PRODUCTS = 32        # eigh and the route's set-up, in d x d products
-_OPITZ_PRODUCTS = 16       # the Opitz exponential, in products of its size
+_STEP_MADDS = 2 ** 13      # a Python-level step: a BLAS call or a block pass
+_ENTRY_MADDS = 16          # one entry of a block pass
+_EIGH_PRODUCTS = 8         # eigh, in d x d products
+_OPITZ_PRODUCTS = 12       # the Opitz exponential, in products of its size
+_CALL_STEPS = 20           # a _block_products call's own steps
+_SPECTRAL_STEPS = 512      # the spectral route's set-up, in steps
+_STATE_STEPS = 80          # each middle multiset's own steps
 
 
 class _PairTable(NamedTuple):
@@ -614,27 +622,57 @@ def jet_matrix_exp(m: JetMatrix) -> JetMatrix:
        Taylor schedule (k, s, q, m) and the clusters.  Any other X_0 (e.g.
        -i tau H) takes the Taylor route.  Otherwise each route's time is
        modelled in complex multiply-adds (madds): the madds of its
-       products, plus 2^15 per Python-level step (a BLAS call or a pass
-       over a block) and 32 per entry of each block pass, with eigh and
-       the route's set-up as 32 products and the Opitz matrix as 16
-       products of its own size.  These constants were fitted to both
-       routes' times at d = 48-128, caps (1, 1) to (1, 1, 1, 1, 1) and
-       (2, 1), 1 to 8 clusters (rms error of the fit about 20%; one
-       OpenBLAS thread, 2-vCPU Xeon).  The spectral route is taken if it models cheaper
-       and its states fit in MAX_DENSE_BYTES: first with one cluster, so
-       that no eigh is spent where even that loses, then with the
-       clusters eigh finds.  Many clusters lose, as the states grow like
-       multisets of up to G - 1 clusters.  Blocks with d < 64 stay on the
-       Taylor route, where the model leaves out fixed costs that rule
-       there.  Measured with two clusters, spectral over Taylor time:
-       0.9-1.8 at d = 16, 0.5-1.0 at d = 32, 0.4-0.7 at d = 48, 0.36-0.47
-       at d = 64 and 0.25-0.40 at d = 128 (caps (1, 1), (1, 1, 1),
-       (1, 1, 1, 1), (2, 1)).  So the crossover lies between d = 16 and
-       48, lower with more couplings; moving d = 32-48 to the spectral
-       route needs those fixed costs in the model.  Each route refuses,
-       before allocating, to hold more than MAX_DENSE_BYTES: the Taylor
-       route q + 2 block stacks, the spectral route N, the sum, the
-       result and two levels of states.
+       products, plus 2^13 per Python-level step (a BLAS call or a pass
+       over a block) and 16 per entry of each block pass, with eigh as 8
+       products and the Opitz matrix as 12 products of its own size.  The
+       work that does not grow like d^3 is counted in steps too: 20 per
+       `_block_products` call on either route, and on the spectral route
+       a fixed 512 for its set-up (the eigh call, the clusters, the
+       Newton-Schulz step, the Opitz matrix's Taylor exponential) and 80
+       per middle multiset (its Opitz block, weight table and state).
+       There is no dimension floor.  The constants were fitted, by least
+       squares on log time, to both routes' times on the generators of
+       `verify thermal`: the joint-space lhs and the system-side rhs,
+       seeds 1-5, 50 shapes with d = 2-512, 1-6 couplings and 2-16
+       clusters, measured twice (rms error of the fit 24%; one OpenBLAS
+       thread, 2-vCPU Xeon).  The spectral route is taken if it models
+       cheaper and its states fit in MAX_DENSE_BYTES.  So that no eigh
+       is spent where the route loses anyway, its set-up alone is
+       compared first (this rejects the smallest blocks), then its cost
+       with the fewest clusters X_0 can have (two if the spread of its
+       eigenvalues, bounded below by their standard deviation, is wider
+       than one cluster), and only then with the clusters eigh finds.
+       Many clusters lose, as the states and the Opitz matrix grow like
+       multisets of up to G - 1 clusters.  Measured spectral over Taylor
+       time (median over the seeds, both runs) and the model's:
+
+           couplings   d  clusters  measured   model   route
+               1      32     2        1.45      1.31   Taylor
+               2       8     2        1.65      1.84   Taylor
+               3      16     2     1.07-1.24    1.20   Taylor
+               2      32     2     0.97-1.03    0.96   spectral
+               3      32     4     3.46-3.91    2.86   Taylor
+               4      32     2     0.55-0.59    0.54   spectral
+               2      64     4     0.62-0.65    0.55   spectral
+               5      64     2        0.27      0.27   spectral
+               4      64     4     2.67-3.15    3.12   Taylor
+               3     128     2        0.27      0.27   spectral
+             1-4       2     2     1.08-2.14 1.19-2.13 Taylor
+              5, 6     2     2     0.76-1.02 0.76-0.85 spectral
+
+       So with two clusters the crossover lies near d = 32 and falls as
+       couplings are added: at d = 32 four couplings (the thermal lhs of
+       four qubit pointers) take the spectral route, two are a tie and
+       one stays on Taylor; every d <= 16 stays on Taylor.  A 2-dim
+       system side stays on Taylor up to four couplings; at five and six
+       the routes are within the model's error of each other and it picks
+       the spectral one.
+       Each route refuses, before allocating, to hold more than
+       MAX_DENSE_BYTES: the Taylor route q + 2 block stacks, the spectral
+       route N, the sum, the result and two levels of states.  After
+       either route, a result that left the double range (an inf or a nan
+       from an overflow, such as e^(-beta E) at a large beta) is refused
+       with a DomainError.
     """
     table = _pair_table(m.caps)
     norms = _block_norms(m.blocks)
@@ -643,9 +681,16 @@ def jet_matrix_exp(m: JetMatrix) -> JetMatrix:
     schedule = _taylor_schedule(table, norms)
     hermitian = np.array_equal(m.blocks, _adjoint(m.blocks))
     eigen = _spectral_pays(table, m.blocks, schedule, hermitian)
-    if eigen is not None:
-        return _spectral_exp(m, table, *eigen, hermitian)
-    return _taylor_exp(m, table, schedule, hermitian)
+    # an overflow leaves an inf or a nan in the result, which is refused
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _taylor_exp(m, table, schedule, hermitian) if eigen is None \
+            else _spectral_exp(m, table, *eigen, hermitian)
+    if not np.isfinite(out.blocks).all():
+        raise DomainError(
+            "jet_matrix_exp overflows: exp of this jet matrix leaves the "
+            f"double range (|x| <= {np.finfo(float).max:.3g}); e.g. a "
+            "Boltzmann factor e^(-beta E) at too large a beta")
+    return out
 
 
 def _block_norms(blocks: np.ndarray) -> np.ndarray:
@@ -733,13 +778,16 @@ def _spectral_pays(table, blocks: np.ndarray, schedule: _Schedule,
     the constant block, if it is exactly Hermitian, the spectral route is
     modelled to cost less than the Taylor route and its states fit in
     MAX_DENSE_BYTES (docstring of jet_matrix_exp, step 7); else None.  No
-    eigendecomposition is taken when even one cluster would cost more."""
+    eigendecomposition is taken when even the route's set-up, or the fewest
+    clusters the constant block can have, would cost more."""
     dim, const = blocks.shape[1], blocks[0]
-    if dim < _SPECTRAL_MIN_DIM or not np.array_equal(const, const.conj().T):
+    if not (hermitian or np.array_equal(const, const.conj().T)):
+        return None
+    taylor = _taylor_cost(table, schedule, hermitian, dim)
+    if _route_cost(0, _SPECTRAL_STEPS, 0, dim) >= taylor:
         return None
     nil = _nonzero(blocks) & (table.grade > 0)
-    taylor = _taylor_cost(table, schedule, hermitian, dim)
-    if _spectral_cost(table, nil, 1, dim) >= taylor:
+    if _spectral_cost(table, nil, _fewest_clusters(const), dim) >= taylor:
         return None
     w, u = np.linalg.eigh(const)
     bounds = _clusters(w)
@@ -748,6 +796,22 @@ def _spectral_pays(table, blocks: np.ndarray, schedule: _Schedule,
             or _spectral_blocks(table, count) * const.nbytes > MAX_DENSE_BYTES):
         return None
     return w, u, bounds
+
+
+def _fewest_clusters(const: np.ndarray) -> int:
+    """A lower bound, without eigh, on the clusters `_clusters` finds in the
+    Hermitian `const`: 2 if its eigenvalues spread wider than one cluster
+    can, else 1.  Their standard deviation is ||const - mean 1||_F /
+    sqrt(d), mean = tr(const) / d, and their range is at least twice that
+    (Popoviciu); one cluster spans at most d - 1 gaps of 8 d eps max(1,
+    |w|), and |w| <= ||const||_F.  The factor 2 leaves room for eigh's
+    error."""
+    dim = len(const)
+    centred = const - np.eye(dim) * (const.trace().real / dim)
+    spread = 2 * math.sqrt(np.vdot(centred, centred).real / dim)
+    gap = 16 * dim * _UNIT_ROUNDOFF * max(           # 8 d eps max(1, |w|)
+        1.0, math.sqrt(np.vdot(const, const).real))
+    return 2 if spread > 2 * (dim - 1) * gap else 1
 
 
 def _route_cost(flops: float, steps: int, passes: int, dim: int) -> float:
@@ -760,38 +824,50 @@ def _route_cost(flops: float, steps: int, passes: int, dim: int) -> float:
 
 def _taylor_cost(table, schedule: _Schedule, hermitian: bool,
                  dim: int) -> float:
-    """Modelled time of the Taylor route: its products taken over every
-    pair of the table, a Hermitian square over the pairs i <= j."""
+    """Modelled time of the Taylor route: its jet-matrix products, one
+    `_block_products` call each, taken over every pair of the table, a
+    Hermitian square over the pairs i <= j."""
     _, s, q, degree = schedule
+    calls = q + degree // q + s - 2        # powers, Horner steps, squarings
     squares = s + q // 2 if hermitian else 0
-    products = ((q + degree // q + s - 2 - squares) * len(table.ia)
+    products = ((calls - squares) * len(table.ia)
                 + squares * int(np.count_nonzero(table.ia <= table.ib)))
-    allocated = q + 2 + degree // q + s
+    allocated = calls + 4
     passes = products + len(table.grade) * (degree + allocated)
-    return _route_cost(products * dim ** 3, products + passes, passes, dim)
+    return _route_cost(products * dim ** 3,
+                       products + passes + calls * _CALL_STEPS, passes, dim)
 
 
 def _spectral_cost(table, nil: np.ndarray, count: int, dim: int) -> float:
     """Modelled time of the spectral route with `count` clusters; nil marks
-    the nonzero graded blocks of the generator."""
+    the nonzero graded blocks of the generator.  Beside its products it
+    counts the route's set-up, each middle multiset's own steps and each
+    `_block_products` call (docstring of jet_matrix_exp, step 7)."""
     top = int(table.grade.max())
     size = len(table.grade)
-    products = 2 * int(np.count_nonzero(nil)) + 2 * size   # basis changes
+
+    def from_grade(grades):             # [g]: how many of grades are >= g
+        return np.cumsum(np.bincount(grades, minlength=top + 2)[::-1])[::-1]
+
+    blocks_from = from_grade(table.grade).tolist()
+    # pairs (a, b) of a state's block a and a nonzero graded block N_b
+    pairs_from = from_grade(table.grade[table.ia[nil[table.ib]]]).tolist()
+    # Newton-Schulz, then the changes of basis
+    products = 2 + 2 * int(np.count_nonzero(nil)) + 2 * size
     flops = (_EIGH_PRODUCTS + products) * dim ** 3
-    steps, passes, opitz = products, products + 3 * size, 0
+    steps, passes, opitz = _SPECTRAL_STEPS + products, products + 3 * size, 0
     for g in range(1, top + 1):
         states = math.comb(count + g - 2, g - 1)   # middle multisets, g - 1
-        weighted = states * int(np.count_nonzero(table.grade >= g))
-        steps += weighted
-        passes += weighted
+        weighted = states * blocks_from[g]
+        steps += weighted + states * _STATE_STEPS
+        passes += weighted + states                # + each weight table
         opitz += states * (2 * count + g - 1)
         if g < top:
-            pairs = states * int(np.count_nonzero(
-                (table.grade[table.ia] >= g) & nil[table.ib]))
+            pairs = states * pairs_from[g]
             flops += pairs * dim ** 3
-            steps += pairs * count
-            passes += pairs * count + math.comb(count + g - 1, g) * int(
-                np.count_nonzero(table.grade > g))
+            steps += (pairs + states * _CALL_STEPS) * count
+            passes += (pairs * count
+                       + math.comb(count + g - 1, g) * blocks_from[g + 1])
     return (_route_cost(flops, steps, passes, dim)
             + _OPITZ_PRODUCTS * opitz ** 3)
 
@@ -909,15 +985,32 @@ def _exp_divided_differences(lam: np.ndarray, mids: list) -> dict:
     sizes = [2 * count + len(mid) for mid in mids]
     opitz = np.zeros((sum(sizes), sum(sizes)), dtype=complex)
     starts = np.cumsum([0] + sizes[:-1])
-    for mid, size, at in zip(mids, sizes, starts):
-        block = opitz[at:at + size, at:at + size]
-        block[np.diag_indices(size)] = np.concatenate(
-            (lam, lam[list(mid)], lam)) - mu
-        heads = np.arange(count)
-        for nxt in [[count + i] for i in range(len(mid))] + [
-                np.arange(count + len(mid), size)]:
-            block[np.ix_(heads, nxt)] = 1.0
-            heads = nxt
+    # the J of every mid of r middle points has the same pattern: set the
+    # diagonals and the ones of all of them with one assignment each
+    ends = np.arange(count)
+    heads, tails, diag, points = [], [], [], []
+    for r in sorted(set(map(len, mids))):
+        group = [i for i, mid in enumerate(mids) if len(mid) == r]
+        if r:      # first block -> middle points, in order -> last block
+            chain = count + np.arange(r)
+            froms = np.concatenate((ends, chain[:-1],
+                                    np.full(count, chain[-1])))
+            tos = np.concatenate((np.full(count, count), chain[1:],
+                                  count + r + ends))
+        else:      # first block -> last block
+            froms, tos = np.repeat(ends, count), count + np.tile(ends, count)
+        at = starts[group][:, None]
+        heads.append((at + froms).ravel())
+        tails.append((at + tos).ravel())
+        diag.append((at + np.arange(2 * count + r)).ravel())
+        lam_mid = lam[np.array([mids[i] for i in group],
+                               dtype=np.intp).reshape(len(group), r)]
+        lam_ends = np.broadcast_to(lam, (len(group), count))
+        points.append(np.concatenate((lam_ends, lam_mid, lam_ends),
+                                     axis=1).ravel())
+    opitz[np.concatenate(heads), np.concatenate(tails)] = 1.0
+    diag = np.concatenate(diag)
+    opitz[diag, diag] = np.concatenate(points) - mu
     table = _pair_table(())
     gen = JetMatrix(0, (), opitz[None])
     exp_j = _taylor_exp(gen, table, _taylor_schedule(

@@ -561,13 +561,26 @@ def test_verify_refuses_an_oversized_exponential_before_allocating(
     assert "held by the Taylor exponential" in proc.stderr
 
 
+JET_RING = ("--pointers", "4", "--sysdim", "2", "--pointer-dim", "2")
+DENSE_HILBERT = ("--pointers", "3", "--sysdim", "2", "--pointer-dim", "4")
+
+
+def verdicts(out):
+    """The passed flag of every report a verify run wrote to `out`."""
+    names = load_json(str(out / "manifest_thermal.json"))["reports"]
+    return [load_json(str(out / name))["passed"] for name in names]
+
+
+@pytest.mark.parametrize("shape, seeds", [(DENSE_HILBERT, 5), (JET_RING, 25)],
+                         ids=["dense-hilbert", "jet-ring"])
 def test_thermal_fails_when_the_taylor_hermitian_square_drops_its_adjoint(
-        tmp_path, monkeypatch):
-    # At this shape the 128-dim joint-space Boltzmann jet (lhs) takes the
-    # spectral route and the 2-dim system-side jet (rhs and rhs_alt) the
-    # Taylor route.  A Taylor Hermitian square that keeps W but drops W^H
-    # then moves only the right-hand sides, and every seed fails; with all
-    # three routes on the Taylor route it passed 22 of 25 such runs.
+        tmp_path, monkeypatch, shape, seeds):
+    # At these shapes the 128- and 32-dim joint-space Boltzmann jets (lhs)
+    # take the spectral route and the 2-dim system-side jet (rhs and
+    # rhs_alt) the Taylor route.  A Taylor Hermitian square that keeps W
+    # but drops W^H then moves only the right-hand sides, and every seed
+    # fails; with all three on the Taylor route, 22 of 25 such runs passed
+    # at the dense-hilbert shape and 24 of 25 at the jet-ring shape.
     real = jets._block_products
 
     def without_adjoint(table, a, b, out, hermitian=False):
@@ -579,9 +592,53 @@ def test_thermal_fails_when_the_taylor_hermitian_square_drops_its_adjoint(
 
     monkeypatch.setattr(jets, "_block_products", without_adjoint)
     out = tmp_path / "reports"
-    assert main(["verify", "thermal", "--pointers", "3", "--sysdim", "2",
-                 "--pointer-dim", "4", "--seeds", "1..5",
+    assert main(["verify", "thermal", *shape, "--seeds", f"1..{seeds}",
                  "--out", str(out)]) == 1
-    names = load_json(str(out / "manifest_thermal.json"))["reports"]
-    assert len(names) == 5
-    assert not any(load_json(str(out / name))["passed"] for name in names)
+    assert verdicts(out) == [False] * seeds
+
+
+def test_thermal_fails_when_a_spectral_divided_difference_is_off(
+        tmp_path, monkeypatch):
+    # The mirror case at the jet-ring shape: a defect of the spectral route
+    # moves only the lhs, since the rhs stays on the Taylor route, and every
+    # seed fails.  The defect scales one divided difference by 1 + 1e-6:
+    # exp[l, l] = e^l at the top cluster l of -beta H_S, the ground state's,
+    # which weighs most in e^(-beta H).
+    real = jets._exp_divided_differences
+
+    def off(lam, mids):
+        table = real(lam, mids)
+        table[()][-1, -1] *= 1 + 1e-6
+        return table
+
+    monkeypatch.setattr(jets, "_exp_divided_differences", off)
+    out = tmp_path / "reports"
+    assert main(["verify", "thermal", *JET_RING, "--seeds", "1..25",
+                 "--out", str(out)]) == 1
+    assert verdicts(out) == [False] * 25
+
+
+@pytest.mark.parametrize("shape, beta, seeds, code, route", [
+    ((), "500", "1", 3, "_spectral_exp"),
+    (("--sysdim", "4"), "500", "1", 3, "_taylor_exp"),
+    (JET_RING, "300", "2", 3, "_spectral_exp"),
+    (JET_RING, "200", "1..5", 0, None)],
+    ids=["defaults-500", "sysdim4-500", "jet-ring-300", "jet-ring-200"])
+def test_verify_thermal_refuses_a_boltzmann_jet_beyond_double_range(
+        tmp_path, monkeypatch, capsys, shape, beta, seeds, code, route):
+    # e^(-beta H) leaves the double range at these beta: a domain error
+    # naming the overflow, exit 3, from whichever route the exponential
+    # took, not a FloatingPointError traceback; beta 200 still passes
+    taken = []
+    for name in ("_taylor_exp", "_spectral_exp"):
+        def spy(m, *args, _real=getattr(jets, name), _name=name):
+            if m.caps:                    # not an Opitz matrix's exponential
+                taken.append(_name)
+            return _real(m, *args)
+        monkeypatch.setattr(jets, name, spy)
+    assert main(["verify", "thermal", *shape, "--beta", beta, "--seeds", seeds,
+                 "--out", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    assert ("overflows" in err) == (code == 3)
+    if route:
+        assert taken[-1] == route

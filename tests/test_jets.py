@@ -20,6 +20,9 @@ from momalg.jets import (
     _position,
     jet_matrix_exp,
 )
+from momalg.experiments import random_config
+from momalg.quantum import coupled_generator
+from momalg.weakvalues import WeakValueContext, _system_generator
 from oracles import expm_mp
 
 M = Multiset
@@ -606,12 +609,65 @@ def test_spectral_route_matches_regular_representation_oracle(case):
         assert is_hermitian(got.blocks)
 
 
+@pytest.mark.parametrize("count, top", [(1, 3), (2, 1), (2, 4), (3, 3)])
+def test_opitz_matrix_matches_the_per_mid_loop(monkeypatch, count, top):
+    # the block-diagonal J of all mids, set with one assignment per pattern,
+    # equals the one built block by block, point by point and edge by edge
+    lam = np.sort(np.random.default_rng(45).normal(size=count) * 3)
+    mids = [mid for g in range(top) for mid in
+            itertools.combinations_with_replacement(range(count), g)]
+    seen, real = [], jets._taylor_exp
+
+    def spy(m, *args):
+        seen.append(m.blocks[0])
+        return real(m, *args)
+
+    monkeypatch.setattr(jets, "_taylor_exp", spy)
+    jets._exp_divided_differences(lam, mids)
+    mu = (lam.max() + lam.min()) / 2
+    blocks = []
+    for mid in mids:
+        size = 2 * count + len(mid)
+        block = np.zeros((size, size), dtype=complex)
+        points = list(lam) + [lam[c] for c in mid] + list(lam)
+        for i, x in enumerate(points):
+            block[i, i] = x - mu
+        heads = range(count)
+        for nxt in [[count + i] for i in range(len(mid))] + [
+                range(count + len(mid), size)]:
+            for i, j in itertools.product(heads, nxt):
+                block[i, j] = 1.0
+            heads = nxt
+        blocks.append(block)
+    want = np.zeros((sum(map(len, blocks)),) * 2, dtype=complex)
+    at = 0
+    for block in blocks:
+        want[at:at + len(block), at:at + len(block)] = block
+        at += len(block)
+    assert np.array_equal(seen[0], want)
+
+
 def test_clusters_split_at_eighs_backward_error():
     # gaps below 8 d eps max(1, |w|) join a cluster, wider ones split it
     tol = 8 * 4 * np.finfo(float).eps * 3.0
     w = np.array([-3.0, -3.0 + 0.5 * tol, 1.0, 1.0 + 2 * tol])
     assert jets._clusters(w).tolist() == [0, 2, 3, 4]
     assert jets._clusters(np.zeros(5)).tolist() == [0, 5]
+
+
+def test_fewest_clusters_bounds_the_clusters_from_below():
+    # the bound that lets routing skip eigh never exceeds the clusters eigh
+    # and _clusters find, and sees the two energies of A (x) 1
+    rng = np.random.default_rng(46)
+    cases = [np.zeros((4, 4)), 3.7 * np.eye(5), clustered(rng, 8, 2),
+             clustered(rng, 6, 3), hermitian(rng, 5, 2.0),
+             *(near_degenerate(rng, 4, gap) for gap in (1e-15, 1e-12, 1e-9))]
+    for const in cases:
+        w = np.linalg.eigh(const)[0]
+        assert jets._fewest_clusters(const) <= len(jets._clusters(w)) - 1
+    assert jets._fewest_clusters(clustered(rng, 16, 2)) == 2
+    near_scalar = np.eye(16) + 1e-16 * hermitian(rng, 16, 1.0)
+    assert jets._fewest_clusters(near_scalar) == 1
 
 
 def boltzmann(rng, d, caps, constant=None):
@@ -638,21 +694,106 @@ def routes(monkeypatch):
 
 @pytest.mark.parametrize("d, caps, constant, route", [
     (128, (1, 1, 1), None, "_spectral_exp"),          # dense-hilbert's lhs
-    (32, (1, 1, 1, 1), None, "_taylor_exp"),          # jet-ring's lhs
+    (32, (1, 1, 1, 1), None, "_spectral_exp"),        # jet-ring's lhs
     (16, (1, 1, 1), None, "_taylor_exp"),             # thermal defaults
-    (2, (1, 1, 1), None, "_taylor_exp"),              # every system side
+    (2, (1, 1, 1), None, "_taylor_exp"),              # a system side
     (128, (1, 1, 1), "anti-Hermitian", "_taylor_exp"),
     (128, (1, 1, 1), "non-Hermitian", "_taylor_exp"),
     (128, (1, 1, 1), "128 eigenvalues", "_taylor_exp"),
+    (32, (1,), None, "_taylor_exp"),                  # one coupling
+    (32, (1, 1, 1), "4 clusters", "_taylor_exp"),
+    (8, (1, 1), None, "_taylor_exp"),                 # thermal, 2 pointers
+    (2, (1,), None, "_taylor_exp"),                   # the other system
+    (2, (1, 1), None, "_taylor_exp"),                 # sides of up to four
+    (2, (1, 1, 1, 1), None, "_taylor_exp"),           # pointers
 ])
 def test_route_choice(routes, d, caps, constant, route):
     rng = np.random.default_rng(42)
     made = {None: None,
             "anti-Hermitian": 1j * clustered(rng, d, 2),
             "non-Hermitian": clustered(rng, d, 2) + 0.1 * np.triu(np.ones((d, d)), 1),
-            "128 eigenvalues": hermitian(rng, d, 3.0)}[constant]
+            "128 eigenvalues": hermitian(rng, d, 3.0),
+            "4 clusters": clustered(rng, d, 4)}[constant]
     jet_matrix_exp(boltzmann(rng, d, caps, made))
     assert routes[0] == route
+
+
+def thermal_generator(n, sys_dim, pointer_dim, seed):
+    """The generator of `verify thermal`'s Boltzmann jet on the joint space
+    of n pointers of dimension pointer_dim, or with pointer_dim None that of
+    its system-side partition jet."""
+    cfg = random_config("thermal", seed, n_pointers=n, system_dim=sys_dim,
+                        pointer_dim=pointer_dim or 2)
+    if pointer_dim is None:
+        ctx = WeakValueContext.thermal(cfg.hamiltonian, cfg.beta,
+                                       cfg.observables)
+        return _system_generator(ctx, (1,) * n, -ctx.beta, -1)
+    return coupled_generator(cfg.hamiltonian, cfg.observables, cfg.pointers,
+                             -cfg.beta, -1)
+
+
+# (pointers, system dim, pointer dim) -> the route measured faster on the
+# thermal generators of `verify thermal`, seeds 1-5, where the two differ by
+# more than 10% (docstring of jet_matrix_exp, step 7); pointer dim None is
+# the system-side partition jet
+MEASURED_ROUTES = {
+    (1, 2, 16): "_taylor_exp",     # 1.45
+    (2, 2, 2): "_taylor_exp",      # 1.65, seed-sweep
+    (3, 2, 2): "_taylor_exp",      # 1.07-1.24, thermal defaults
+    (3, 4, 2): "_taylor_exp",      # 3.5-3.9
+    (4, 2, 2): "_spectral_exp",    # 0.55-0.59, jet-ring
+    (2, 4, 4): "_spectral_exp",    # 0.62-0.65
+    (5, 2, 2): "_spectral_exp",    # 0.27
+    (4, 4, 2): "_taylor_exp",      # 2.7-3.2
+    (3, 2, 4): "_spectral_exp",    # 0.27, dense-hilbert
+    **{(n, 2, None): "_taylor_exp" for n in (1, 2, 3, 4)},   # 1.1-2.1
+}
+
+
+@pytest.mark.parametrize("shape", MEASURED_ROUTES,
+                         ids=lambda shape: "n{}-s{}-p{}".format(*shape))
+def test_route_model_takes_the_measured_faster_route(routes, shape):
+    for seed in range(1, 6):
+        routes.clear()
+        jet_matrix_exp(thermal_generator(*shape, seed))
+        assert routes[0] == MEASURED_ROUTES[shape], seed
+
+
+@pytest.mark.parametrize("n, pointer_dim", [(3, 2), (2, 2), (3, None),
+                                            (4, None)])
+def test_small_thermal_blocks_take_the_taylor_route_without_eigh(
+        monkeypatch, n, pointer_dim):
+    # the thermal defaults' 16-dim lhs, the 8-dim lhs of two pointers and
+    # the 2-dim system sides lose on the spectral route's set-up alone or
+    # with the two clusters their constant block must have, so routing
+    # spends no eigendecomposition on them
+    def no_eigh(*args):
+        raise AssertionError("eigh taken for a block the model rejects")
+
+    m = thermal_generator(n, 2, pointer_dim, 1)
+    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+    jet_matrix_exp(m)
+
+
+@pytest.mark.parametrize("shift, route", [(0.1, "_taylor_exp"),
+                                          (0.0, "_spectral_exp")])
+def test_exponential_refuses_a_result_beyond_double_range(routes, shift,
+                                                          route):
+    # e^800 overflows: on either route a domain error that names it, not an
+    # inf in the result, nor a FloatingPointError where numpy raises (a
+    # constant block that is not Hermitian takes the Taylor route)
+    rng = np.random.default_rng(44)
+    d = 32
+    energies = np.kron(np.diag([-800.0, 0.0]), np.eye(d // 2)) \
+        + shift * np.triu(np.ones((d, d)), 1)
+    m = boltzmann(rng, d, (1, 1, 1, 1), energies)
+    for errors in ("ignore", "raise"):
+        routes.clear()
+        with np.errstate(all=errors, under="ignore"), \
+                pytest.raises(DomainError, match="overflows"):
+            jet_matrix_exp(m)
+        assert routes[0] == route
+    jet_matrix_exp(boltzmann(rng, d, (1, 1, 1, 1), energies / 4))   # e^200
 
 
 def test_spectral_route_preflight_refuses_its_states():
