@@ -7,12 +7,19 @@ takes its scenarios, their aliases, default tolerances (MOMALG_TOL in the
 environment overrides them) and sweep axes (--tau, --beta) from the
 scenario table of `momalg.experiments`.  Batch runs are reproducible:
 every random object derives from the per-run seed through fixed
-substreams, and the manifest records the full command.
+substreams, and the manifest records the full command, the argv `main`
+parsed.  An output path that cannot be written is malformed input.
+
+`main` may be called many times in one process (a seed sweep, a test
+suite): the parser is built once per process, and numpy's floating-point
+error state (raise on everything but underflow) holds only for the
+duration of a call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -41,6 +48,7 @@ from .serialization import (
     config_from_dict,
     context_from_dict,
     load_json,
+    make_directory,
     mmap_from_dict,
     mmap_to_dict,
     reports_to_csv,
@@ -89,7 +97,9 @@ def _tolerance(args, default: float) -> float:
     return _parse(_finite_tolerance, env, "MOMALG_TOL") if env else default
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared after it."""
     parser = argparse.ArgumentParser(
         prog="momalg",
         description="moment-algebra operations and weak-measurement "
@@ -251,7 +261,8 @@ def _verify_configs(args):
                 n_vars=args.vars, tolerance=tol, mc_samples=args.samples)
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, argv: list) -> int:
+    make_directory(args.out)
     reports = []
     paths = []
     for extras, cfg in _verify_configs(args):
@@ -267,7 +278,7 @@ def cmd_verify(args) -> int:
     manifest = {
         "schema": SCHEMA,
         "command": ["verify", args.scenario, "--seeds", args.seeds],
-        "argv": sys.argv[1:],
+        "argv": argv,
         "scenario": SCENARIO_ALIASES[args.scenario],
         "reports": [os.path.basename(p) for p in paths],
         "csv": os.path.basename(csv_path),
@@ -308,17 +319,18 @@ def cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
-    np.seterr(all="raise", under="ignore")
     try:
-        if args.command == "algebra":
-            return cmd_algebra(args)
-        if args.command == "weak-values":
-            return cmd_weak_values(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "report":
-            return cmd_report(args)
+        with np.errstate(all="raise", under="ignore"):
+            if args.command == "algebra":
+                return cmd_algebra(args)
+            if args.command == "weak-values":
+                return cmd_weak_values(args)
+            if args.command == "verify":
+                return cmd_verify(args, argv)
+            if args.command == "report":
+                return cmd_report(args)
         raise InputFormatError(f"unknown command {args.command!r}")
     except InputFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)

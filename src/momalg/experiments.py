@@ -210,10 +210,7 @@ def xi_thermal(pointers, a: Multiset) -> complex:
     the gamma = 0 thermal pointer state (normalized traces)."""
     out = 1.0 + 0j
     for j in a.elements():
-        p = pointers[j - 1]
-        d = p.dim
-        rs = np.trace(np.asarray(p.r) @ np.asarray(p.s)) / d
-        out *= rs - np.trace(p.r) / d * np.trace(p.s) / d
+        out *= pointers[j - 1].mixed_covariance
     return complex(out)
 
 
@@ -221,9 +218,7 @@ def xi_thermal_literal(pointers, a: Multiset) -> complex:
     """The same factor with raw (unnormalized) traces, as printed."""
     out = 1.0 + 0j
     for j in a.elements():
-        p = pointers[j - 1]
-        out *= np.trace(np.asarray(p.r) @ np.asarray(p.s)) - \
-            np.trace(p.r) * np.trace(p.s)
+        out *= pointers[j - 1].trace_covariance
     return complex(out)
 
 

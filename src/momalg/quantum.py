@@ -23,7 +23,7 @@ pointer by pointer, without forming any readout on the full space.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -87,11 +87,33 @@ class QOperator:
 
 
 def kron(*factors) -> np.ndarray:
-    """Tensor product of operators and/or state vectors, left to right."""
+    """Tensor product of operators or of state vectors, left to right.
+
+    One outer-product chain, then one transpose (row axes first) and
+    reshape: every entry is the product reduce(np.kron) forms, in the same
+    association, without its n - 1 intermediate matrices."""
     arrays = [_as_array(f) for f in factors]
     if not arrays:
         raise DomainError("kron of nothing")
-    return reduce(np.kron, arrays)
+    ndim = arrays[0].ndim
+    if ndim not in (1, 2) or any(a.ndim != ndim for a in arrays):
+        raise ShapeMismatchError("kron takes all state vectors or all "
+                                 "operators")
+    out = reduce(_outer, arrays)
+    if ndim == 1:
+        return out.reshape(-1)
+    rows = [a.shape[0] for a in arrays]
+    out = out.transpose([*range(0, out.ndim, 2), *range(1, out.ndim, 2)])
+    return out.reshape(int(np.prod(rows)), -1)
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.multiply.outer(a, b) with both operands at the result's rank, as
+    np.kron multiplies them: numpy then picks np.kron's multiply loop, which
+    rounds a product of two 1-entry factors differently from the mixed-rank
+    broadcast of np.multiply.outer."""
+    return (a.reshape(a.shape + (1,) * b.ndim)
+            * b.reshape((1,) * a.ndim + b.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -133,11 +155,28 @@ class PointerSpec:
         phi = np.asarray(self.phi, dtype=complex)
         return complex(np.vdot(phi, np.asarray(op) @ phi))
 
-    @property
+    # The xi factors of one pointer, computed once per pointer: the arrays
+    # of a PointerSpec are never changed in place.
+
+    @cached_property
     def rs_covariance(self) -> complex:
         """<r s>_phi - <r>_phi <s>_phi, the xi factor of one pointer."""
         return self.expect(np.asarray(self.r) @ np.asarray(self.s)) - \
             self.expect(self.r) * self.expect(self.s)
+
+    @cached_property
+    def mixed_covariance(self) -> complex:
+        """tr(r s)/d - tr(r)/d tr(s)/d: the covariance under the maximally
+        mixed state, the thermal xi factor of one pointer."""
+        d = self.dim
+        rs = np.trace(np.asarray(self.r) @ np.asarray(self.s)) / d
+        return rs - np.trace(self.r) / d * np.trace(self.s) / d
+
+    @cached_property
+    def trace_covariance(self) -> complex:
+        """tr(r s) - tr(r) tr(s), the thermal xi factor with raw traces."""
+        return np.trace(np.asarray(self.r) @ np.asarray(self.s)) - \
+            np.trace(self.r) * np.trace(self.s)
 
 
 def random_pointer(rng: np.random.Generator, dim: int = 2) -> PointerSpec:

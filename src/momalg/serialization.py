@@ -47,20 +47,40 @@ def load_json(path: str) -> dict:
             f"{exc.msg}") from exc
 
 
+def _unwritable(path: str, exc: OSError) -> InputFormatError:
+    return InputFormatError(
+        f"{path}: cannot write to this path: {exc.strerror or exc}")
+
+
+def make_directory(path: str) -> None:
+    """os.makedirs(path, exist_ok=True); a path that cannot be a directory
+    (an existing file, or a file among its parents) is malformed input
+    naming it."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise _unwritable(path, exc) from exc
+
+
 @contextlib.contextmanager
 def _atomic_open(path: str):
     """A text stream for `path` on a temp file in the target directory: it
-    replaces `path` when the block ends and is removed if the block raises."""
+    replaces `path` when the block ends and is removed if the block raises.
+    A path that cannot be written (a directory, or under a file) is
+    malformed input naming it."""
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise _unwritable(path, exc) from exc
         raise
 
 

@@ -5,6 +5,7 @@ eigendecomposition; `expm_mp` exponentiates any matrix with mpmath at 30
 significant digits and rounds the result to complex doubles.
 `postselected_pointer_jet` takes the kick chain's postselected pointer
 state by the joint-density route, in numpy alone.
+`kron_chain` is the tensor product as a left-to-right chain of np.kron.
 `imaginary_time_weak_value` evaluates one imaginary-time ordered trace by
 eigendecomposition, and `thermal_E_monte_carlo` samples the thermal
 E(a) from its imaginary-time simplex expansion.
@@ -28,6 +29,14 @@ def expm_mp(a) -> np.ndarray:
     with mpmath.workdps(30):
         e = mpmath.expm(mpmath.matrix(np.asarray(a, dtype=complex).tolist()))
         return np.array(e.tolist(), dtype=complex)
+
+
+def kron_chain(*factors) -> np.ndarray:
+    """f_1 (x) f_2 (x) ... (x) f_n as ((f_1 (x) f_2) (x) ...) (x) f_n."""
+    out = np.asarray(factors[0], dtype=complex)
+    for f in factors[1:]:
+        out = np.kron(out, np.asarray(f, dtype=complex))
+    return out
 
 
 def postselected_pointer_jet(psi_i, psi_f, unitaries, pointers,

@@ -10,8 +10,8 @@ import sys
 import numpy as np
 import pytest
 
-from momalg import jets, quantum
-from momalg.cli import main
+from momalg import cli, jets, quantum
+from momalg.cli import build_parser, main
 from momalg.serialization import (
     array_to_dict,
     load_json,
@@ -498,6 +498,89 @@ def test_atomic_writers_remove_the_temp_file_on_failure(tmp_path, write_file):
         write_file(str(target))
     assert os.listdir(target.parent) == ["target"]
     assert target.read_text() == "old"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "genfun", "--seeds", "1..3", "--out", "{file}"],
+    ["verify", "genfun", "--out", "{file}/sub"],
+    ["algebra", "log", "{fixture}", "-o", "{dir}"],
+    ["algebra", "log", "{fixture}", "-o", "{file}/out.json"],
+], ids=["verify-out-file", "verify-out-under-file", "algebra-o-dir",
+        "algebra-o-under-file"])
+def test_unwritable_output_paths_exit_2_naming_the_path(tmp_path, monkeypatch,
+                                                       capsys, argv):
+    # a file where a directory must be, or a directory where a file must
+    # be, is malformed input naming the path, not a traceback (exit 1);
+    # verify refuses its --out before the first verification
+    (tmp_path / "file").write_text("keep")
+    (tmp_path / "dir").mkdir()
+    names = {"{file}": str(tmp_path / "file"), "{dir}": str(tmp_path / "dir"),
+             "{fixture}": write(tmp_path / "f.json", LOG_FIXTURE)}
+    for key, value in names.items():
+        argv = [a.replace(key, value) for a in argv]
+
+    def refused(cfg):
+        raise AssertionError("verification ran before --out was checked")
+    monkeypatch.setattr(cli, "run_verification", refused)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and argv[-1] in err
+    assert (tmp_path / "file").read_text() == "keep"
+    assert os.listdir(tmp_path / "dir") == []
+
+
+def test_in_process_calls_share_no_state(tmp_path):
+    # the parser is built once per process; one call's flags, or a flag
+    # argparse refuses, leave nothing behind for the next call
+    assert build_parser() is build_parser()
+    assert main(["verify", "thermal", "--pointers", "2",
+                 "--out", str(tmp_path / "two")]) == 0
+    with pytest.raises(SystemExit) as refused:
+        main(["verify", "thermal", "--pointers", "x"])
+    assert refused.value.code == 2
+    assert main(["verify", "thermal", "--out", str(tmp_path / "default")]) == 0
+    rep = load_json(str(tmp_path / "default" /
+                        "report_thermal_seed1_beta1.json"))
+    assert len(rep["records"]) == 7
+
+
+def test_main_scopes_numpy_error_state_to_the_call(tmp_path, monkeypatch):
+    # floating-point errors raise inside a call, and the caller's error
+    # state is back as it was after it, whatever the exit code
+    seen = []
+    real = cli.run_verification
+
+    def spy(cfg):
+        seen.append(np.geterr())
+        return real(cfg)
+    monkeypatch.setattr(cli, "run_verification", spy)
+    src = write(tmp_path / "f.json", {
+        "schema": 1, "n": 1, "caps": [1],
+        "entries": [{"m": [1], "re": 1.0, "im": 0.0}]})
+    with np.errstate(all="warn"):
+        before = np.geterr()
+        assert main(["verify", "genfun", "--vars", "2",
+                     "--out", str(tmp_path)]) == 0
+        assert np.geterr() == before
+        assert main(["algebra", "log", src]) == 3
+        assert np.geterr() == before
+    assert seen == [{"divide": "raise", "over": "raise", "under": "ignore",
+                     "invalid": "raise"}]
+
+
+def test_manifest_records_the_argv_main_parsed(tmp_path, monkeypatch):
+    # an in-process call records its own argv, not the host process's
+    monkeypatch.setattr(sys, "argv", ["host", "--host-flag"])
+    argv = ["verify", "genfun", "--vars", "2", "--out", str(tmp_path / "a")]
+    assert main(argv) == 0
+    assert load_json(str(tmp_path / "a" / "manifest_genfun.json"))[
+        "argv"] == argv
+    # without an argv, main parses and records sys.argv[1:]
+    argv = ["verify", "genfun", "--vars", "2", "--out", str(tmp_path / "b")]
+    monkeypatch.setattr(sys, "argv", ["momalg", *argv])
+    assert main() == 0
+    assert load_json(str(tmp_path / "b" / "manifest_genfun.json"))[
+        "argv"] == argv
 
 
 @pytest.mark.parametrize("scenario", ["thermal", "thm1"])

@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from momalg.combinatorics import EMPTY, Multiset
-from momalg.errors import DomainError, SingularPostselectionError
+from momalg.errors import (
+    DomainError,
+    ShapeMismatchError,
+    SingularPostselectionError,
+)
 from momalg.jets import Jet, JetMatrix, _monomials, _position, jet_matrix_exp
 from momalg.quantum import (
     PointerSpec,
@@ -21,7 +25,7 @@ from momalg.quantum import (
     random_unitary,
     readout_moments,
 )
-from oracles import postselected_pointer_jet
+from oracles import kron_chain, postselected_pointer_jet
 
 M = Multiset
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -45,6 +49,53 @@ def test_dagger_and_embed():
     e = embed(SX, [2, 2, 2], 1)
     assert e.shape == (8, 8)
     assert np.allclose(e, kron(np.eye(2), SX, np.eye(2)))
+
+
+@pytest.mark.parametrize("dims", [(3,), (2, 3), (4, 2, 3), (2, 3, 4, 2),
+                                  (3, 1, 1, 2), (1, 1, 4), (1, 1, 1)])
+def test_kron_and_embed_match_the_np_kron_chain_bit_for_bit(dims):
+    # one outer-product chain forms the same products, in the same
+    # association, as np.kron factor by factor, 1-dim factors included
+    rng = np.random.default_rng(sum(dims) * 7 + len(dims))
+    ops = [random_hermitian(rng, d) + 1j * random_hermitian(rng, d)
+           for d in dims]
+    vecs = [random_state(rng, d) for d in dims]
+    assert np.array_equal(kron(*ops), kron_chain(*ops))
+    assert np.array_equal(kron(*vecs), kron_chain(*vecs))
+    last = len(dims) - 1
+    coupling = [ops[0] if k == 0 else ops[k] if k == last else np.eye(d)
+                for k, d in enumerate(dims)]
+    assert np.array_equal(embed(ops[0], dims, 0, (ops[last], last)),
+                          kron_chain(*coupling))
+    single = [ops[k] if k == last else np.eye(d) for k, d in enumerate(dims)]
+    assert np.array_equal(embed(ops[last], dims, last), kron_chain(*single))
+
+
+def test_kron_refuses_mixed_vectors_and_operators():
+    with pytest.raises(ShapeMismatchError):
+        kron(np.ones(2), np.eye(2))
+    with pytest.raises(DomainError):
+        kron()
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_pointer_xi_factors_are_the_per_element_expressions(dim):
+    # each factor is computed once per pointer and cached, bit-equal to
+    # the expression xi_thermal and xi_thermal_literal evaluated per element
+    rng = np.random.default_rng(dim)
+    p = random_pointer(rng, dim)
+    d = p.dim
+    rs = np.trace(np.asarray(p.r) @ np.asarray(p.s))
+    mixed = rs / d - np.trace(p.r) / d * np.trace(p.s) / d
+    raw = rs - np.trace(p.r) * np.trace(p.s)
+    phi = np.asarray(p.phi)
+    sandwich = lambda op: complex(np.vdot(phi, op @ phi))
+    covariance = sandwich(p.r @ p.s) - sandwich(p.r) * sandwich(p.s)
+    for _ in range(2):
+        assert p.mixed_covariance == mixed
+        assert p.trace_covariance == raw
+        assert p.rs_covariance == covariance
+    assert "mixed_covariance" in vars(p)
 
 
 def test_matrix_exp_basics():
