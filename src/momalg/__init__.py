@@ -26,7 +26,7 @@ from .algebra import (
     raise_label,
     scalar_mmap,
 )
-from .jets import Jet, JetMatrix, jet_matrix_exp
+from .jets import Jet, JetMatrix, jet_matrix_exp, spectral_jet_matrix_exp
 
 __version__ = "0.1.0"
 
@@ -52,4 +52,5 @@ __all__ = [
     "partitions_of",
     "raise_label",
     "scalar_mmap",
+    "spectral_jet_matrix_exp",
 ]

@@ -62,6 +62,7 @@ from .jets import (
     _position,
     _ring_product,
     jet_matrix_exp,
+    spectral_jet_matrix_exp,
 )
 from .quantum import (
     coupled_generator,
@@ -300,8 +301,10 @@ def sigma_moment_mmap(config: ExperimentConfig) -> MMap:
 def thermal_moment_mmap(config: ExperimentConfig) -> MMap:
     """<prod r_j> under rho = e^{-beta H}/tr e^{-beta H},
     H = H_S (x) 1 + sum gamma_j A_j (x) (s_j / beta), read off the
-    Boltzmann jet e^{-beta H}."""
-    boltz = jet_matrix_exp(coupled_generator(
+    Boltzmann jet e^{-beta H}.  The jet takes the spectral route, and the
+    system-side partition jet of the right-hand sides the Taylor route, so
+    that the two sides share no exponential algorithm."""
+    boltz = spectral_jet_matrix_exp(coupled_generator(
         config.hamiltonian, config.observables, config.pointers,
         -config.beta, -1))
     return _moment_mmap(boltz.blocks, [p.r for p in config.pointers],

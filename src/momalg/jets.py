@@ -28,28 +28,29 @@ coefficients, in storage order.
 JetMatrix holds a square matrix with jet entries as a stack of dense
 complex coefficient blocks in the same lattice order, so matrix products
 reduce to one BLAS product per pair-table triple whose blocks are both
-nonzero.  jet_matrix_exp is the exponential in this ring; its multilinear
-coefficient of prod_{j in a} gamma_j equals the permutation-summed simplex
-integral of the Dyson expansion, which is what every 'lowest joint order'
-statement consumes.  It has two routes.  The Taylor route rescales the
-gammas by an exact power of two so that the couplings weigh no more than
-the constant block, then scales and squares with a Taylor degree chosen
-from the norm (Higham, SIAM J. Matrix Anal. Appl. 26, 2005), evaluated by
-Paterson-Stockmeyer (SIAM J. Comput. 2, 1973) over one stack of the powers
-Y..Y^q; a generator whose blocks are all exactly Hermitian is squared from
-half the block pairs, since the pairs (a, b) and (b, a) of a square then
-give P and P^H.  The spectral route serves an exactly Hermitian constant
-block with few distinct eigenvalues, such as the thermal -beta H_S (x) 1:
-in the eigenbasis, the Dyson expansion ends after G = sum(caps) factors of
-the nilpotent graded part and is summed with divided differences of exp,
-taken from Opitz matrices.  The routes are chosen by a cost model from the
-shapes alone, with no dimension floor: it counts the fixed costs that do
-not grow like d^3 (Python steps, eigh's set-up, the Opitz exponential), so
-small blocks, such as the 2-dim system side of the thermal check with up
-to four pointers, stay on the Taylor route, while its 32-dim joint space
-of four qubit pointers takes the spectral one; see the docstring of
-jet_matrix_exp.  A result that overflows the double range is refused with
-a DomainError.
+nonzero.  The exponential in this ring has two entries, one per
+algorithm; its multilinear coefficient of prod_{j in a} gamma_j equals the
+permutation-summed simplex integral of the Dyson expansion, which is what
+every 'lowest joint order' statement consumes.  `jet_matrix_exp` takes the
+Taylor route: it rescales the gammas by an exact power of two so that the
+couplings weigh no more than the constant block, then scales and squares
+with a Taylor degree chosen from the norm (Higham, SIAM J. Matrix Anal.
+Appl. 26, 2005), evaluated by Paterson-Stockmeyer (SIAM J. Comput. 2,
+1973) over one stack of the powers Y..Y^q; a generator whose blocks are
+all exactly Hermitian is squared from half the block pairs, since the
+pairs (a, b) and (b, a) of a square then give P and P^H.
+`spectral_jet_matrix_exp` takes the spectral route, for an exactly
+Hermitian constant block such as the thermal -beta H_S (x) 1: in the
+eigenbasis, the Dyson expansion ends after G = sum(caps) factors of the
+nilpotent graded part and is summed with divided differences of exp,
+taken from Opitz matrices, which are exponentiated by the Taylor route in
+one batch per size.  A caller picks the entry by its role, not by cost:
+the thermal check's lhs, the joint-space Boltzmann jet, is the one
+spectral caller, and every other exponential (the system-side partition
+jet of its rhs, the window, the D map) takes the Taylor route, so the two
+sides of the thermal identity never share an exponential algorithm.  Each
+entry refuses, with a DomainError, a result that overflows the double
+range.
 """
 
 from __future__ import annotations
@@ -70,15 +71,6 @@ _THETA = 0.5               # ring-norm bound of the scaled exponential argument
 _UNIT_ROUNDOFF = 2.0 ** -53
 MAX_DENSE_BYTES = 2 ** 28  # largest dense lattice array or pair table built
 _PAIR_BYTES = 72           # per pair: 3 index arrays, 3 complex temporaries
-# Route model of jet_matrix_exp (its docstring, step 7), in complex
-# multiply-adds (madds); fitted to both routes' times on one BLAS thread
-_STEP_MADDS = 2 ** 13      # a Python-level step: a BLAS call or a block pass
-_ENTRY_MADDS = 16          # one entry of a block pass
-_EIGH_PRODUCTS = 8         # eigh, in d x d products
-_OPITZ_PRODUCTS = 12       # the Opitz exponential, in products of its size
-_CALL_STEPS = 20           # a _block_products call's own steps
-_SPECTRAL_STEPS = 512      # the spectral route's set-up, in steps
-_STATE_STEPS = 80          # each middle multiset's own steps
 
 
 class _PairTable(NamedTuple):
@@ -489,20 +481,22 @@ class JetMatrix:
 
 
 def _nonzero(blocks: np.ndarray) -> np.ndarray:
-    """Which blocks of a (lattice, d, d) stack hold a nonzero entry."""
-    return blocks.any(axis=(1, 2))
+    """Which blocks of a (lattice, ..., d, d) stack hold a nonzero entry."""
+    return blocks.any(axis=tuple(range(1, blocks.ndim)))
 
 
 def _adjoint(blocks: np.ndarray) -> np.ndarray:
-    """Blockwise conjugate transpose of a (lattice, d, d) stack."""
-    return np.conj(blocks.transpose(0, 2, 1))
+    """Blockwise conjugate transpose of a (lattice, ..., d, d) stack."""
+    return np.conj(np.swapaxes(blocks, -1, -2))
 
 
 def _block_products(table, a: np.ndarray, b: np.ndarray, out: np.ndarray,
                     hermitian: bool = False) -> None:
     """out += a @ b for block stacks in the lattice order of `table`: one
     BLAS product per pair-table triple whose two blocks are nonzero.  The
-    blocks may be rectangular: (lattice, r, p) times (lattice, p, c).
+    blocks may be rectangular: (lattice, r, p) times (lattice, p, c).  Axes
+    between the lattice axis and the block axes are a batch, which each
+    product broadcasts over.
 
     hermitian: b is a, every block of a is Hermitian and out starts at zero.
     Pairs (i, j) and (j, i) then give a_i a_j and its adjoint, so only the
@@ -513,7 +507,7 @@ def _block_products(table, a: np.ndarray, b: np.ndarray, out: np.ndarray,
         half = ia <= ib
         ia, ib, ic = ia[half], ib[half], ic[half]
     keep = _nonzero(a)[ia] & _nonzero(b)[ib]
-    prod = np.empty((a.shape[1], b.shape[2]), dtype=complex)  # reused
+    prod = np.empty(out.shape[1:], dtype=complex)  # reused
     for i, j, c in zip(ia[keep].tolist(), ib[keep].tolist(),
                        ic[keep].tolist()):
         np.matmul(a[i], b[j], out=prod)
@@ -525,8 +519,9 @@ def _block_products(table, a: np.ndarray, b: np.ndarray, out: np.ndarray,
 
 
 def jet_matrix_exp(m: JetMatrix) -> JetMatrix:
-    """Matrix exponential in the truncated polynomial ring, by one of two
-    routes: Taylor (steps 1-5) or spectral (step 6), picked by step 7.
+    """Matrix exponential in the truncated polynomial ring by the Taylor
+    route (steps 1-5).  `spectral_jet_matrix_exp` is the other route; step
+    6 says which caller takes which.
 
     Write X = sum_a X_a gamma^a, G = sum(caps) for the top grade, |a| for
     the grade of monomial a, and ||.|| for the block 1-norm.  The ring
@@ -571,126 +566,118 @@ def jet_matrix_exp(m: JetMatrix) -> JetMatrix:
        chunk adds its powers one at a time, in a fixed order: the
        postselected values thm4 feeds move by up to 1e-13 relative when
        that sum is reordered (e.g. into one tensordot over the stack).
-    6. Spectral route.  Let the constant block X_0 be exactly Hermitian
-       (one exact test, no tolerance), X_0 = sum_c l_c P_c with spectral
-       projectors P_c, and N = X - X_0.  Expanding exp(X_0 + N) in powers
-       of N (Dyson) and integrating each term over its simplex gives
-           exp(X) = sum_k sum_{c_0..c_k} exp[l_c0, ..., l_ck]
-                        P_c0 N P_c1 N ... N P_ck,
-       with exp[...] the divided differences of exp (Higham, Functions of
-       Matrices, SIAM 2008, sec. 3.2).  N is nilpotent in the ring: every
-       block of N has grade >= 1, so a product of G + 1 of them has grade
-       above G and is truncated away.  The sum therefore ends at k = G and
-       is exact, not a truncated series.  The route:
-       a. X_0 = U diag(w) U^H by eigh, with U made unitary to working
-          precision by one Newton-Schulz step, U <- U (3 - U^H U) / 2:
-          eigh's U is unitary only to about d eps, and U^H stands for its
-          inverse in the changes of basis.
-       b. Consecutive eigenvalues closer than 8 d eps max(1, max|w|), about
-          eigh's own backward error, form one cluster, with their mean as
-          its point l_c.  The bound comes from the input, not a setting;
-          moving each eigenvalue to its cluster point perturbs X_0 by at
-          most the cluster's width, (size - 1) times the bound, the size of
-          eigh's error.  It makes H_S (x) 1 count as its d_s eigenvalues,
-          not d.
-       c. In the eigenbasis (blocks U^H X_a U) a P_c is an index range.
-          Divided differences are symmetric, so every order of the middle
-          clusters c_1..c_(k-1) shares one weight per end pair (c_0, c_k).
-          The sum is a recursion over the multiset M of middle clusters:
-          T(empty) = N, T(M) = sum_{c in M} T(M - c) P_c N, each term a
-          ring product of cluster sub-blocks, (lattice, d, n_c) by
-          (lattice, n_c, d), through `_block_products`.  T(M) has grades
-          above |M| only and holds just those blocks.  It enters the
-          result weighted entrywise by exp[l_a, l_M, l_b], a and b the
-          clusters of row and column.  Divided differences come from
-          Opitz's theorem: for the bidiagonal J with diagonal x_0..x_r and
-          ones above it, exp(J)[0, r] = exp[x_0, ..., x_r], repeated points
-          included.  J is exponentiated by steps 1-4, which scale and
-          square it; McCurdy, Ng & Parlett (Math. Comp. 43, 1984) show that
-          this keeps divided differences at close points accurate, where
-          the quotient formula cancels.
-       d. Back to the input basis, U (.) U^H.  If every block of X is
-          Hermitian the result is averaged with its adjoint, so that it
-          is exactly Hermitian, as on the Taylor route.
-       Work: eigh, 2 products for the Newton-Schulz step, 2 per nonzero
-       graded block and 2 per result block for the changes of basis, and
-       per multiset M and pair-table pair sub-block products worth one
-       d x d product: about 36 products of 128 x 128 blocks at caps
-       (1, 1, 1) with two clusters, against 176-190 on the Taylor route.
-    7. Routing, from what is known before any product: whether X_0 is
-       exactly Hermitian, the block dimension d, the pair table, the
-       Taylor schedule (k, s, q, m) and the clusters.  Any other X_0 (e.g.
-       -i tau H) takes the Taylor route.  Otherwise each route's time is
-       modelled in complex multiply-adds (madds): the madds of its
-       products, plus 2^13 per Python-level step (a BLAS call or a pass
-       over a block) and 16 per entry of each block pass, with eigh as 8
-       products and the Opitz matrix as 12 products of its own size.  The
-       work that does not grow like d^3 is counted in steps too: 20 per
-       `_block_products` call on either route, and on the spectral route
-       a fixed 512 for its set-up (the eigh call, the clusters, the
-       Newton-Schulz step, the Opitz matrix's Taylor exponential) and 80
-       per middle multiset (its Opitz block, weight table and state).
-       There is no dimension floor.  The constants were fitted, by least
-       squares on log time, to both routes' times on the generators of
-       `verify thermal`: the joint-space lhs and the system-side rhs,
-       seeds 1-5, 50 shapes with d = 2-512, 1-6 couplings and 2-16
-       clusters, measured twice (rms error of the fit 24%; one OpenBLAS
-       thread, 2-vCPU Xeon).  The spectral route is taken if it models
-       cheaper and its states fit in MAX_DENSE_BYTES.  So that no eigh
-       is spent where the route loses anyway, its set-up alone is
-       compared first (this rejects the smallest blocks), then its cost
-       with the fewest clusters X_0 can have (two if the spread of its
-       eigenvalues, bounded below by their standard deviation, is wider
-       than one cluster), and only then with the clusters eigh finds.
-       Many clusters lose, as the states and the Opitz matrix grow like
-       multisets of up to G - 1 clusters.  Measured spectral over Taylor
-       time (median over the seeds, both runs) and the model's:
-
-           couplings   d  clusters  measured   model   route
-               1      32     2        1.45      1.31   Taylor
-               2       8     2        1.65      1.84   Taylor
-               3      16     2     1.07-1.24    1.20   Taylor
-               2      32     2     0.97-1.03    0.96   spectral
-               3      32     4     3.46-3.91    2.86   Taylor
-               4      32     2     0.55-0.59    0.54   spectral
-               2      64     4     0.62-0.65    0.55   spectral
-               5      64     2        0.27      0.27   spectral
-               4      64     4     2.67-3.15    3.12   Taylor
-               3     128     2        0.27      0.27   spectral
-             1-4       2     2     1.08-2.14 1.19-2.13 Taylor
-              5, 6     2     2     0.76-1.02 0.76-0.85 spectral
-
-       So with two clusters the crossover lies near d = 32 and falls as
-       couplings are added: at d = 32 four couplings (the thermal lhs of
-       four qubit pointers) take the spectral route, two are a tie and
-       one stays on Taylor; every d <= 16 stays on Taylor.  A 2-dim
-       system side stays on Taylor up to four couplings; at five and six
-       the routes are within the model's error of each other and it picks
-       the spectral one.
-       Each route refuses, before allocating, to hold more than
-       MAX_DENSE_BYTES: the Taylor route q + 2 block stacks, the spectral
-       route N, the sum, the result and two levels of states.  After
-       either route, a result that left the double range (an inf or a nan
-       from an overflow, such as e^(-beta E) at a large beta) is refused
-       with a DomainError.
+    6. Role.  A caller takes the route its role gives it, never the one a
+       cost estimate prefers: the thermal check's lhs, the joint-space
+       Boltzmann jet e^(-beta H), takes the spectral route, and every other
+       caller takes this one: the system-side partition jet of the thermal
+       and multiset right-hand sides, the window e^(-i tau H) and the D
+       map.  Both sides of an identity computed by one algorithm share its
+       defects, and a defect that moves both alike passes the check; a
+       route chosen by modelled cost put both thermal sides on one
+       algorithm at many shapes.  The rule costs only self-checks: where
+       the lhs's spectral states do not fit in MAX_DENSE_BYTES, the thermal
+       check exits 3 rather than run both sides on this route.
+    The route refuses, before allocating, to hold more than MAX_DENSE_BYTES
+    in its q + 2 block stacks.  A result that left the double range (an inf
+    or a nan from an overflow, such as e^(-beta E) at a large beta) is
+    refused with a DomainError.
     """
     table = _pair_table(m.caps)
+    schedule = _taylor_schedule(table, _finite_norms(m))
+    hermitian = np.array_equal(m.blocks, _adjoint(m.blocks))
+    return _in_double_range(m, _taylor_exp, m.blocks, table, schedule,
+                            hermitian)
+
+
+def spectral_jet_matrix_exp(m: JetMatrix) -> JetMatrix:
+    """Matrix exponential in the truncated polynomial ring by the spectral
+    route, for a generator X whose constant block X_0 is exactly Hermitian
+    (notation, and which caller takes this route: the `jet_matrix_exp`
+    docstring).
+
+    Let X_0 = sum_c l_c P_c with spectral projectors P_c, and N = X - X_0.
+    Expanding exp(X_0 + N) in powers of N (Dyson) and integrating each term
+    over its simplex gives
+        exp(X) = sum_k sum_{c_0..c_k} exp[l_c0, ..., l_ck]
+                     P_c0 N P_c1 N ... N P_ck,
+    with exp[...] the divided differences of exp (Higham, Functions of
+    Matrices, SIAM 2008, sec. 3.2).  N is nilpotent in the ring: every block
+    of N has grade >= 1, so a product of G + 1 of them has grade above G and
+    is truncated away.  The sum therefore ends at k = G and is exact, not a
+    truncated series.  The route:
+    a. X_0 = U diag(w) U^H by eigh, with U made unitary to working
+       precision by one Newton-Schulz step, U <- U (3 - U^H U) / 2: eigh's U
+       is unitary only to about d eps, and U^H stands for its inverse in the
+       changes of basis.
+    b. Consecutive eigenvalues closer than 8 d eps max(1, max|w|), about
+       eigh's own backward error, form one cluster, with their mean as its
+       point l_c.  The bound comes from the input, not a setting; moving
+       each eigenvalue to its cluster point perturbs X_0 by at most the
+       cluster's width, (size - 1) times the bound, the size of eigh's
+       error.  It makes H_S (x) 1 count as its d_s eigenvalues, not d.
+    c. In the eigenbasis (blocks U^H X_a U) a P_c is an index range.
+       Divided differences are symmetric, so every order of the middle
+       clusters c_1..c_(k-1) shares one weight per end pair (c_0, c_k).
+       The sum is a recursion over the multiset M of middle clusters:
+       T(empty) = N, T(M) = sum_{c in M} T(M - c) P_c N, each term a ring
+       product of cluster sub-blocks, (lattice, d, n_c) by (lattice, n_c,
+       d), through `_block_products`.  T(M) has grades above |M| only and
+       holds just those blocks.  It enters the result weighted entrywise by
+       exp[l_a, l_M, l_b], a and b the clusters of row and column.  Divided
+       differences come from Opitz's theorem: for the bidiagonal J with
+       diagonal x_0..x_r and ones above it, exp(J)[0, r] = exp[x_0, ...,
+       x_r], repeated points included.  The J of each size are
+       exponentiated as one batch by the Taylor route, steps 1-4, which
+       scale and square them; McCurdy, Ng & Parlett (Math. Comp. 43, 1984)
+       show that this keeps divided differences at close points accurate,
+       where the quotient formula cancels.
+    d. Back to the input basis, U (.) U^H.  If every block of X is
+       Hermitian the result is averaged with its adjoint, so that it is
+       exactly Hermitian, as on the Taylor route.
+    Work: eigh, 2 products for the Newton-Schulz step, 2 per nonzero graded
+    block and 2 per result block for the changes of basis, and per multiset
+    M and pair-table pair sub-block products worth one d x d product: about
+    36 products of 128 x 128 blocks at caps (1, 1, 1) with two clusters,
+    against 176-190 on the Taylor route.
+    A constant block that is not exactly Hermitian (one exact test, no
+    tolerance) is refused with a DomainError, and so, before they are
+    allocated, are states that would not fit in MAX_DENSE_BYTES: N, the
+    sum, the result and two levels of T(M).  Neither falls back to the
+    Taylor route, which would put both sides of the thermal check on one
+    algorithm.  A result that left the double range is refused as by
+    `jet_matrix_exp`.
+    """
+    _finite_norms(m)
+    const = m.constant
+    if not np.array_equal(const, const.conj().T):
+        raise DomainError("the spectral exponential needs an exactly "
+                          "Hermitian constant block")
+    w, u = np.linalg.eigh(const)
+    hermitian = np.array_equal(m.blocks, _adjoint(m.blocks))
+    return _in_double_range(m, _spectral_exp, m.blocks, _pair_table(m.caps),
+                            w, u, _clusters(w), hermitian)
+
+
+def _finite_norms(m: JetMatrix) -> np.ndarray:
+    """The 1-norm of every block of m; a block with an inf or a nan is
+    refused."""
     norms = _block_norms(m.blocks)
     if not np.isfinite(norms).all():
-        raise DomainError("jet_matrix_exp needs finite blocks")
-    schedule = _taylor_schedule(table, norms)
-    hermitian = np.array_equal(m.blocks, _adjoint(m.blocks))
-    eigen = _spectral_pays(table, m.blocks, schedule, hermitian)
-    # an overflow leaves an inf or a nan in the result, which is refused
+        raise DomainError("the jet matrix exponential needs finite blocks")
+    return norms
+
+
+def _in_double_range(m: JetMatrix, route, *args) -> JetMatrix:
+    """route(*args), the blocks of exp(m), as a jet matrix like m.  An
+    overflow leaves an inf or a nan in them, which is refused."""
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _taylor_exp(m, table, schedule, hermitian) if eigen is None \
-            else _spectral_exp(m, table, *eigen, hermitian)
-    if not np.isfinite(out.blocks).all():
+        blocks = route(*args)
+    if not np.isfinite(blocks).all():
         raise DomainError(
-            "jet_matrix_exp overflows: exp of this jet matrix leaves the "
-            f"double range (|x| <= {np.finfo(float).max:.3g}); e.g. a "
-            "Boltzmann factor e^(-beta E) at too large a beta")
-    return out
+            "the jet matrix exponential overflows: exp of this jet matrix "
+            f"leaves the double range (|x| <= {np.finfo(float).max:.3g}); "
+            "e.g. a Boltzmann factor e^(-beta E) at too large a beta")
+    return JetMatrix(m.n, m.caps, blocks)
 
 
 def _block_norms(blocks: np.ndarray) -> np.ndarray:
@@ -728,16 +715,20 @@ def _taylor_schedule(table, norms: np.ndarray) -> _Schedule:
     return _Schedule(k, s, q, q * -(-degree // q))
 
 
-def _taylor_exp(m: JetMatrix, table, schedule: _Schedule,
-                hermitian: bool) -> JetMatrix:
-    """Steps 1-5 of the jet_matrix_exp docstring."""
+def _taylor_exp(blocks: np.ndarray, table, schedule: _Schedule,
+                hermitian: bool) -> np.ndarray:
+    """Steps 1-5 of the jet_matrix_exp docstring on a (lattice, ..., d, d)
+    block stack in the lattice order of `table`.  Axes between the lattice
+    axis and the block axes are a batch of exponentials, all taken with
+    the one schedule."""
     k, s, q, degree = schedule
+    dim = blocks.shape[-1]
+    per_block = (-1,) + (1,) * (blocks.ndim - 1)   # a factor per block
     # Y..Y^q, the Horner accumulator and one product's output
-    _check_size(f"jet-matrix blocks of dimension {m.dim} held by the "
-                f"Taylor exponential", (q + 2) * len(m.blocks),
-                16 * m.dim * m.dim)
-    powers = np.zeros((q, *m.blocks.shape), dtype=complex)    # Y^1..Y^q
-    np.multiply(m.blocks, (2.0 ** -(k * table.grade + s))[:, None, None],
+    _check_size(f"jet-matrix blocks of dimension {dim} held by the "
+                f"Taylor exponential", (q + 2) * len(blocks), blocks[0].nbytes)
+    powers = np.zeros((q, *blocks.shape), dtype=complex)      # Y^1..Y^q
+    np.multiply(blocks, (2.0 ** -(k * table.grade + s)).reshape(per_block),
                 out=powers[0])
     for j in range(2, q + 1):
         if hermitian and j % 2 == 0:                     # (Y^(j/2))^2
@@ -746,11 +737,11 @@ def _taylor_exp(m: JetMatrix, table, schedule: _Schedule,
         else:
             _block_products(table, powers[j - 2], powers[0], powers[j - 1])
 
-    def add_chunk(blocks: np.ndarray, lo: int, hi: int) -> None:
-        """blocks += sum_{j=lo}^{hi} Y^(j-lo) / j!, in place."""
-        blocks[0] += np.eye(m.dim) * (1.0 / math.factorial(lo))
+    def add_chunk(into: np.ndarray, lo: int, hi: int) -> None:
+        """into += sum_{j=lo}^{hi} Y^(j-lo) / j!, in place."""
+        into[0] += np.eye(dim) * (1.0 / math.factorial(lo))
         for j in range(lo + 1, hi + 1):
-            blocks += powers[j - lo - 1] * (1.0 / math.factorial(j))
+            into += powers[j - lo - 1] * (1.0 / math.factorial(j))
 
     def product(a: np.ndarray, b: np.ndarray, hermitian_square=False):
         out = np.zeros_like(a)
@@ -768,108 +759,8 @@ def _taylor_exp(m: JetMatrix, table, schedule: _Schedule,
     for _ in range(s):
         acc = product(acc, acc, hermitian)
     if k:
-        acc *= (2.0 ** (k * table.grade))[:, None, None]
-    return JetMatrix(m.n, m.caps, acc)
-
-
-def _spectral_pays(table, blocks: np.ndarray, schedule: _Schedule,
-                   hermitian: bool):
-    """(w, u, bounds): the eigenvalues, eigenvectors and cluster bounds of
-    the constant block, if it is exactly Hermitian, the spectral route is
-    modelled to cost less than the Taylor route and its states fit in
-    MAX_DENSE_BYTES (docstring of jet_matrix_exp, step 7); else None.  No
-    eigendecomposition is taken when even the route's set-up, or the fewest
-    clusters the constant block can have, would cost more."""
-    dim, const = blocks.shape[1], blocks[0]
-    if not (hermitian or np.array_equal(const, const.conj().T)):
-        return None
-    taylor = _taylor_cost(table, schedule, hermitian, dim)
-    if _route_cost(0, _SPECTRAL_STEPS, 0, dim) >= taylor:
-        return None
-    nil = _nonzero(blocks) & (table.grade > 0)
-    if _spectral_cost(table, nil, _fewest_clusters(const), dim) >= taylor:
-        return None
-    w, u = np.linalg.eigh(const)
-    bounds = _clusters(w)
-    count = len(bounds) - 1
-    if (_spectral_cost(table, nil, count, dim) >= taylor
-            or _spectral_blocks(table, count) * const.nbytes > MAX_DENSE_BYTES):
-        return None
-    return w, u, bounds
-
-
-def _fewest_clusters(const: np.ndarray) -> int:
-    """A lower bound, without eigh, on the clusters `_clusters` finds in the
-    Hermitian `const`: 2 if its eigenvalues spread wider than one cluster
-    can, else 1.  Their standard deviation is ||const - mean 1||_F /
-    sqrt(d), mean = tr(const) / d, and their range is at least twice that
-    (Popoviciu); one cluster spans at most d - 1 gaps of 8 d eps max(1,
-    |w|), and |w| <= ||const||_F.  The factor 2 leaves room for eigh's
-    error."""
-    dim = len(const)
-    centred = const - np.eye(dim) * (const.trace().real / dim)
-    spread = 2 * math.sqrt(np.vdot(centred, centred).real / dim)
-    gap = 16 * dim * _UNIT_ROUNDOFF * max(           # 8 d eps max(1, |w|)
-        1.0, math.sqrt(np.vdot(const, const).real))
-    return 2 if spread > 2 * (dim - 1) * gap else 1
-
-
-def _route_cost(flops: float, steps: int, passes: int, dim: int) -> float:
-    """Modelled time of a route, in complex multiply-adds (madds): `flops`
-    madds of BLAS work, `steps` Python-level steps (a BLAS call or one pass
-    over a block) and `passes` passes over a dim x dim block (an
-    allocation, a weighting, an accumulation)."""
-    return flops + steps * _STEP_MADDS + passes * dim * dim * _ENTRY_MADDS
-
-
-def _taylor_cost(table, schedule: _Schedule, hermitian: bool,
-                 dim: int) -> float:
-    """Modelled time of the Taylor route: its jet-matrix products, one
-    `_block_products` call each, taken over every pair of the table, a
-    Hermitian square over the pairs i <= j."""
-    _, s, q, degree = schedule
-    calls = q + degree // q + s - 2        # powers, Horner steps, squarings
-    squares = s + q // 2 if hermitian else 0
-    products = ((calls - squares) * len(table.ia)
-                + squares * int(np.count_nonzero(table.ia <= table.ib)))
-    allocated = calls + 4
-    passes = products + len(table.grade) * (degree + allocated)
-    return _route_cost(products * dim ** 3,
-                       products + passes + calls * _CALL_STEPS, passes, dim)
-
-
-def _spectral_cost(table, nil: np.ndarray, count: int, dim: int) -> float:
-    """Modelled time of the spectral route with `count` clusters; nil marks
-    the nonzero graded blocks of the generator.  Beside its products it
-    counts the route's set-up, each middle multiset's own steps and each
-    `_block_products` call (docstring of jet_matrix_exp, step 7)."""
-    top = int(table.grade.max())
-    size = len(table.grade)
-
-    def from_grade(grades):             # [g]: how many of grades are >= g
-        return np.cumsum(np.bincount(grades, minlength=top + 2)[::-1])[::-1]
-
-    blocks_from = from_grade(table.grade).tolist()
-    # pairs (a, b) of a state's block a and a nonzero graded block N_b
-    pairs_from = from_grade(table.grade[table.ia[nil[table.ib]]]).tolist()
-    # Newton-Schulz, then the changes of basis
-    products = 2 + 2 * int(np.count_nonzero(nil)) + 2 * size
-    flops = (_EIGH_PRODUCTS + products) * dim ** 3
-    steps, passes, opitz = _SPECTRAL_STEPS + products, products + 3 * size, 0
-    for g in range(1, top + 1):
-        states = math.comb(count + g - 2, g - 1)   # middle multisets, g - 1
-        weighted = states * blocks_from[g]
-        steps += weighted + states * _STATE_STEPS
-        passes += weighted + states                # + each weight table
-        opitz += states * (2 * count + g - 1)
-        if g < top:
-            pairs = states * pairs_from[g]
-            flops += pairs * dim ** 3
-            steps += (pairs + states * _CALL_STEPS) * count
-            passes += (pairs * count
-                       + math.comb(count + g - 1, g) * blocks_from[g + 1])
-    return (_route_cost(flops, steps, passes, dim)
-            + _OPITZ_PRODUCTS * opitz ** 3)
+        acc *= (2.0 ** (k * table.grade)).reshape(per_block)
+    return acc
 
 
 def _clusters(w: np.ndarray) -> np.ndarray:
@@ -880,23 +771,25 @@ def _clusters(w: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], gaps, [len(w)]))
 
 
-def _spectral_exp(m: JetMatrix, table, w: np.ndarray, u: np.ndarray,
-                  bounds: np.ndarray, hermitian: bool) -> JetMatrix:
-    """Step 6 of the jet_matrix_exp docstring: the divided-difference
-    expansion of exp(X) in the eigenbasis u of the constant block, whose
-    ascending eigenvalues w are split into clusters at `bounds`."""
+def _spectral_exp(blocks: np.ndarray, table, w: np.ndarray, u: np.ndarray,
+                  bounds: np.ndarray, hermitian: bool) -> np.ndarray:
+    """The spectral_jet_matrix_exp docstring's route on a (lattice, d, d)
+    block stack: the divided-difference expansion of exp(X) in the
+    eigenbasis u of the constant block, whose ascending eigenvalues w are
+    split into clusters at `bounds`."""
     top = int(table.grade.max())
+    dim = blocks.shape[1]
     sizes = np.diff(bounds)
     clusters = range(len(sizes))
-    _check_size(f"jet-matrix blocks of dimension {m.dim} held by the "
+    _check_size(f"jet-matrix blocks of dimension {dim} held by the "
                 f"spectral exponential", _spectral_blocks(table, len(sizes)),
-                16 * m.dim * m.dim)
+                16 * dim * dim)
     labels = np.repeat(np.arange(len(sizes)), sizes)
     lam = np.add.reduceat(w, bounds[:-1]) / sizes   # one point per cluster
     mids = [mid for g in range(top)
             for mid in itertools.combinations_with_replacement(clusters, g)]
-    dd = _exp_divided_differences(lam, mids) if mids else {}
-    work = np.empty((m.dim, m.dim), dtype=complex)    # reused per block
+    dd = _exp_divided_differences(lam, mids)
+    work = np.empty((dim, dim), dtype=complex)        # reused per block
 
     def change_basis(blocks, left, right, out, first=0):
         """out[i] = left @ blocks[i] @ right for the nonzero blocks i >=
@@ -907,15 +800,15 @@ def _spectral_exp(m: JetMatrix, table, w: np.ndarray, u: np.ndarray,
 
     # one Newton-Schulz step makes u unitary to working precision (eigh's
     # is so only to ~d eps), so that u^H inverts it in the changes of basis
-    u = u @ (1.5 * np.eye(m.dim) - 0.5 * (u.conj().T @ u))
+    u = u @ (1.5 * np.eye(dim) - 0.5 * (u.conj().T @ u))
     uh = u.conj().T
-    nil = np.zeros_like(m.blocks)              # N = X - X_0 in the eigenbasis
-    change_basis(m.blocks, uh, u, nil, first=1)
-    acc = np.zeros_like(m.blocks)
+    nil = np.zeros_like(blocks)                # N = X - X_0 in the eigenbasis
+    change_basis(blocks, uh, u, nil, first=1)
+    acc = np.zeros_like(blocks)
     acc[0] = np.diag(np.exp(lam)[labels])
-    # level: a multiset M of g - 1 middle clusters -> T(M) (docstring, step
-    # 6c); T(M) has grades >= g only, so it holds just the lattice blocks
-    # marked in `held`, in lattice order
+    # level: a multiset M of g - 1 middle clusters -> T(M) (docstring of
+    # spectral_jet_matrix_exp, step c); T(M) has grades >= g only, so it
+    # holds just the lattice blocks marked in `held`, in lattice order
     level, held = {(): nil}, np.ones(len(nil), dtype=bool)
     for g in range(1, top + 1):
         at = np.flatnonzero(held)
@@ -948,7 +841,7 @@ def _spectral_exp(m: JetMatrix, table, w: np.ndarray, u: np.ndarray,
         for block in out:
             block += np.conj(block.T, out=work)
             block *= 0.5
-    return JetMatrix(m.n, m.caps, out)
+    return out
 
 
 def _spectral_blocks(table, count: int) -> int:
@@ -977,43 +870,37 @@ def _exp_divided_differences(lam: np.ndarray, mids: list) -> dict:
     point to each point of the last block (from the first block straight
     to the last if mid is empty).  exp(J)[a, b], b in the last block, sums
     the one path a, mid..., b: the corner entry of that sequence's Opitz
-    matrix.  The J of all mids, shifted by the mid-range mu of lam, are
-    exponentiated at once, as one block-diagonal matrix, by the Taylor
-    route; exp[x + mu] = e^mu exp[x] undoes the shift."""
+    matrix.  The J of all mids of r middle points have one size and one
+    pattern of ones, so they form one (mids, 2 count + r, 2 count + r)
+    stack, set with one assignment per pattern.  Each stack, shifted by
+    the mid-range mu of lam, is exponentiated as one batch by the Taylor
+    route, with the schedule of its largest norm; exp[x + mu] = e^mu
+    exp[x] undoes the shift."""
     count = len(lam)
     mu = (lam.max() + lam.min()) / 2
-    sizes = [2 * count + len(mid) for mid in mids]
-    opitz = np.zeros((sum(sizes), sum(sizes)), dtype=complex)
-    starts = np.cumsum([0] + sizes[:-1])
-    # the J of every mid of r middle points has the same pattern: set the
-    # diagonals and the ones of all of them with one assignment each
     ends = np.arange(count)
-    heads, tails, diag, points = [], [], [], []
+    table = _pair_table(())
+    out = {}
     for r in sorted(set(map(len, mids))):
-        group = [i for i, mid in enumerate(mids) if len(mid) == r]
+        group = [mid for mid in mids if len(mid) == r]
+        size = 2 * count + r
         if r:      # first block -> middle points, in order -> last block
             chain = count + np.arange(r)
-            froms = np.concatenate((ends, chain[:-1],
+            heads = np.concatenate((ends, chain[:-1],
                                     np.full(count, chain[-1])))
-            tos = np.concatenate((np.full(count, count), chain[1:],
-                                  count + r + ends))
+            tails = np.concatenate((np.full(count, count), chain[1:],
+                                    count + r + ends))
         else:      # first block -> last block
-            froms, tos = np.repeat(ends, count), count + np.tile(ends, count)
-        at = starts[group][:, None]
-        heads.append((at + froms).ravel())
-        tails.append((at + tos).ravel())
-        diag.append((at + np.arange(2 * count + r)).ravel())
-        lam_mid = lam[np.array([mids[i] for i in group],
-                               dtype=np.intp).reshape(len(group), r)]
+            heads, tails = np.repeat(ends, count), count + np.tile(ends, count)
+        opitz = np.zeros((len(group), size, size), dtype=complex)
+        opitz[:, heads, tails] = 1.0
         lam_ends = np.broadcast_to(lam, (len(group), count))
-        points.append(np.concatenate((lam_ends, lam_mid, lam_ends),
-                                     axis=1).ravel())
-    opitz[np.concatenate(heads), np.concatenate(tails)] = 1.0
-    diag = np.concatenate(diag)
-    opitz[diag, diag] = np.concatenate(points) - mu
-    table = _pair_table(())
-    gen = JetMatrix(0, (), opitz[None])
-    exp_j = _taylor_exp(gen, table, _taylor_schedule(
-        table, _block_norms(gen.blocks)), False).blocks[0].real * np.exp(mu)
-    return {mid: exp_j[at:at + count, at + size - count:at + size]
-            for mid, size, at in zip(mids, sizes, starts)}
+        lam_mid = lam[np.array(group, dtype=np.intp).reshape(len(group), r)]
+        diag = np.arange(size)
+        opitz[:, diag, diag] = np.concatenate((lam_ends, lam_mid, lam_ends),
+                                              axis=1) - mu
+        largest = _block_norms(opitz).max(keepdims=True)
+        exp_j = _taylor_exp(opitz[None], table, _taylor_schedule(
+            table, largest), False)[0].real * np.exp(mu)
+        out.update(zip(group, exp_j[:, :count, size - count:]))
+    return out

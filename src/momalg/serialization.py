@@ -41,6 +41,12 @@ def load_json(path: str) -> dict:
             return json.load(fh)
     except FileNotFoundError as exc:
         raise InputFormatError(f"{path}: no such file") from exc
+    except OSError as exc:        # a directory, a file it may not read
+        raise InputFormatError(
+            f"{path}: cannot read this path: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputFormatError(f"{path}: not UTF-8 text: byte {exc.start} "
+                               f"({exc.reason})") from exc
     except json.JSONDecodeError as exc:
         raise InputFormatError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "

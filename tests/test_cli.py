@@ -6,11 +6,12 @@ import os
 import resource
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from momalg import cli, jets, quantum
+from momalg import cli, jets, quantum, serialization
 from momalg.cli import build_parser, main
 from momalg.serialization import (
     array_to_dict,
@@ -431,6 +432,31 @@ def test_exit_code_2_on_malformed_fields(tmp_path, capsys, argv, payload,
     assert err.startswith("input error:") and field in err
 
 
+@pytest.mark.parametrize("argv, kind", [
+    (["algebra", "log"], "directory"), (["report"], "directory"),
+    (["algebra", "log"], "not UTF-8"), (["weak-values"], "not UTF-8"),
+    (["verify", "thermal", "--config"], "not UTF-8"),
+    (["algebra", "log"], "no permission")])
+def test_exit_code_2_on_an_unreadable_input(tmp_path, monkeypatch, capsys,
+                                            argv, kind):
+    # an input path that is a directory, a file that starts with a UTF-16
+    # byte-order mark, and one the process may not read are malformed input
+    # naming the path, not a traceback with exit 1
+    path = tmp_path / "in.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+    if kind == "no permission":        # also when run as root
+        def refused(name, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", name)
+        monkeypatch.setattr(serialization, "open", refused, raising=False)
+    out = ["--out", str(tmp_path / "out")] if argv[0] == "verify" else []
+    assert main([*argv, str(path), *out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and str(path) in err
+
+
 # no record can pass a NaN or negative gate, and an infinite one passes all
 BAD_TOLS = ("nan", "inf", "-inf", "-1")
 
@@ -621,15 +647,18 @@ def test_verify_refuses_the_sequential_cumulant_ring_before_any_state(
     assert "lattice pairs" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("scenario", ["thermal", "thm4"])
+@pytest.mark.parametrize("scenario, route", [("thermal", "spectral"),
+                                             ("thm4", "Taylor")],
+                         ids=["thermal", "thm4"])
 def test_verify_refuses_an_oversized_exponential_before_allocating(
-        tmp_path, scenario):
+        tmp_path, scenario, route):
     # 7 pointers of dimension 2 on a qubit: 2^7 blocks of 256 x 256, 128 MiB
-    # per jet matrix, within the limit, but the Taylor exponential holds
-    # q + 2 such stacks (and the spectral route's states would not fit
-    # either).  The child's address space is capped at 768 MiB, below what
-    # the exponential would allocate, so a missing preflight ends in a
-    # MemoryError, not in the host's memory.
+    # per jet matrix, within the limit, but the Taylor exponential of the
+    # window (thm4) holds q + 2 such stacks, and the spectral one of the
+    # thermal Boltzmann jet 937 blocks of states.  The child's address
+    # space is capped at 768 MiB, below what the exponential would
+    # allocate, so a missing preflight ends in a MemoryError, not in the
+    # host's memory.
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (3 * 2 ** 28, 3 * 2 ** 28))
 
@@ -641,7 +670,7 @@ def test_verify_refuses_an_oversized_exponential_before_allocating(
         preexec_fn=cap_memory, timeout=60, env=env)
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.startswith("domain error:")
-    assert "held by the Taylor exponential" in proc.stderr
+    assert f"held by the {route} exponential" in proc.stderr
 
 
 JET_RING = ("--pointers", "4", "--sysdim", "2", "--pointer-dim", "2")
@@ -654,16 +683,20 @@ def verdicts(out):
     return [load_json(str(out / name))["passed"] for name in names]
 
 
-@pytest.mark.parametrize("shape, seeds", [(DENSE_HILBERT, 5), (JET_RING, 25)],
-                         ids=["dense-hilbert", "jet-ring"])
+@pytest.mark.parametrize("shape, seeds", [
+    (DENSE_HILBERT, 5), (JET_RING, 25), (("--pointers", "2"), 100), ((), 100),
+    (("--pointers", "5"), 10), ((*JET_RING, "--beta", "10"), 25)],
+    ids=["dense-hilbert", "jet-ring", "pointers-2", "defaults", "pointers-5",
+         "jet-ring-beta-10"])
 def test_thermal_fails_when_the_taylor_hermitian_square_drops_its_adjoint(
         tmp_path, monkeypatch, shape, seeds):
-    # At these shapes the 128- and 32-dim joint-space Boltzmann jets (lhs)
-    # take the spectral route and the 2-dim system-side jet (rhs and
-    # rhs_alt) the Taylor route.  A Taylor Hermitian square that keeps W
-    # but drops W^H then moves only the right-hand sides, and every seed
-    # fails; with all three on the Taylor route, 22 of 25 such runs passed
-    # at the dense-hilbert shape and 24 of 25 at the jet-ring shape.
+    # The joint-space Boltzmann jet (lhs) takes the spectral route and the
+    # system-side jet (rhs and rhs_alt) the Taylor route.  A Taylor
+    # Hermitian square that keeps W but drops W^H then moves only the
+    # right-hand sides, and every seed fails.  With both sides on one route,
+    # as a cost model chose them, such runs passed 91 of 100 seeds at 2
+    # pointers, 85 of 100 at the defaults, 5 of 10 at 5 pointers and 23 of
+    # 25 at the jet-ring shape with beta 10.
     real = jets._block_products
 
     def without_adjoint(table, a, b, out, hermitian=False):
@@ -680,13 +713,16 @@ def test_thermal_fails_when_the_taylor_hermitian_square_drops_its_adjoint(
     assert verdicts(out) == [False] * seeds
 
 
+@pytest.mark.parametrize("shape", [JET_RING, ("--pointers", "2"), ()],
+                         ids=["jet-ring", "pointers-2", "defaults"])
 def test_thermal_fails_when_a_spectral_divided_difference_is_off(
-        tmp_path, monkeypatch):
-    # The mirror case at the jet-ring shape: a defect of the spectral route
-    # moves only the lhs, since the rhs stays on the Taylor route, and every
-    # seed fails.  The defect scales one divided difference by 1 + 1e-6:
-    # exp[l, l] = e^l at the top cluster l of -beta H_S, the ground state's,
-    # which weighs most in e^(-beta H).
+        tmp_path, monkeypatch, shape):
+    # The mirror case: a defect of the spectral route moves only the lhs,
+    # since the rhs stays on the Taylor route, and every seed fails.  The
+    # defect scales one divided difference by 1 + 1e-6: exp[l, l] = e^l at
+    # the top cluster l of -beta H_S, the ground state's, which weighs most
+    # in e^(-beta H).  At 2 pointers and the defaults both sides took the
+    # Taylor route under a cost model, and every such run passed.
     real = jets._exp_divided_differences
 
     def off(lam, mids):
@@ -696,32 +732,85 @@ def test_thermal_fails_when_a_spectral_divided_difference_is_off(
 
     monkeypatch.setattr(jets, "_exp_divided_differences", off)
     out = tmp_path / "reports"
-    assert main(["verify", "thermal", *JET_RING, "--seeds", "1..25",
+    assert main(["verify", "thermal", *shape, "--seeds", "1..25",
                  "--out", str(out)]) == 1
     assert verdicts(out) == [False] * 25
 
 
-@pytest.mark.parametrize("shape, beta, seeds, code, route", [
-    ((), "500", "1", 3, "_spectral_exp"),
-    (("--sysdim", "4"), "500", "1", 3, "_taylor_exp"),
-    (JET_RING, "300", "2", 3, "_spectral_exp"),
-    (JET_RING, "200", "1..5", 0, None)],
-    ids=["defaults-500", "sysdim4-500", "jet-ring-300", "jet-ring-200"])
-def test_verify_thermal_refuses_a_boltzmann_jet_beyond_double_range(
-        tmp_path, monkeypatch, capsys, shape, beta, seeds, code, route):
-    # e^(-beta H) leaves the double range at these beta: a domain error
-    # naming the overflow, exit 3, from whichever route the exponential
-    # took, not a FloatingPointError traceback; beta 200 still passes
+@pytest.fixture
+def exp_routes(monkeypatch):
+    """(route, block dimension) of every jet exponential taken, in call
+    order; the batched exponentials of the Opitz matrices are left out."""
     taken = []
     for name in ("_taylor_exp", "_spectral_exp"):
-        def spy(m, *args, _real=getattr(jets, name), _name=name):
-            if m.caps:                    # not an Opitz matrix's exponential
-                taken.append(_name)
-            return _real(m, *args)
+        def spy(blocks, *args, _real=getattr(jets, name), _name=name):
+            if blocks.ndim == 3:          # not a batch of Opitz matrices
+                taken.append((_name, blocks.shape[-1]))
+            return _real(blocks, *args)
         monkeypatch.setattr(jets, name, spy)
+    return taken
+
+
+@pytest.mark.parametrize("shape, beta, seeds, code", [
+    ((), "500", "1", 3), (("--sysdim", "4"), "500", "1", 3),
+    (JET_RING, "300", "2", 3), (JET_RING, "200", "1..5", 0)],
+    ids=["defaults-500", "sysdim4-500", "jet-ring-300", "jet-ring-200"])
+def test_verify_thermal_refuses_a_boltzmann_jet_beyond_double_range(
+        tmp_path, exp_routes, capsys, shape, beta, seeds, code):
+    # e^(-beta H) leaves the double range at these beta: a domain error
+    # naming the overflow, exit 3, from the spectral route of the lhs, not
+    # a FloatingPointError traceback; beta 200 still passes
     assert main(["verify", "thermal", *shape, "--beta", beta, "--seeds", seeds,
                  "--out", str(tmp_path)]) == code
     err = capsys.readouterr().err
     assert ("overflows" in err) == (code == 3)
-    if route:
-        assert taken[-1] == route
+    if code:
+        assert exp_routes[-1][0] == "_spectral_exp"
+
+
+@pytest.mark.parametrize("shape, sys_dim, joint_dim", [
+    (("--pointers", "2"), 2, 8), ((), 2, 16), (JET_RING, 2, 32),
+    (DENSE_HILBERT, 2, 128), (("--sysdim", "4"), 4, 32),
+    (("--hs", "zero"), 2, 16)],
+    ids=["pointers-2", "defaults", "jet-ring", "dense-hilbert", "sysdim-4",
+         "hs-zero"])
+def test_thermal_sides_take_the_route_of_their_role(
+        tmp_path, exp_routes, shape, sys_dim, joint_dim):
+    # per seed: the joint-space Boltzmann jet (lhs) on the spectral route,
+    # then the one system-side partition jet (rhs and rhs_alt) on the
+    # Taylor route, at every shape
+    assert main(["verify", "thermal", *shape, "--seeds", "1..3",
+                 "--out", str(tmp_path)]) == 0
+    assert exp_routes == [("_spectral_exp", joint_dim),
+                          ("_taylor_exp", sys_dim)] * 3
+
+
+@pytest.mark.parametrize("scenario", ["thm4", "thm2"])
+def test_window_and_d_map_take_the_taylor_route(tmp_path, exp_routes,
+                                                scenario):
+    # the window's joint-space e^(-i tau H) (lhs) and the system-side D map
+    # (rhs) are both Taylor: no spectral exponential is taken
+    assert main(["verify", scenario, "--seeds", "1..3",
+                 "--out", str(tmp_path)]) == 0
+    assert {route for route, _ in exp_routes} == {"_taylor_exp"}
+    assert {dim for _, dim in exp_routes} >= {2, 16}
+
+
+def test_thermal_refuses_spectral_states_beyond_the_size_limit(
+        tmp_path, capsys):
+    # 6 pointers on a qutrit: the 192-dim Boltzmann jet's three clusters
+    # need 664 blocks of states, about 373 MiB.  It exits 3 naming the
+    # spectral exponential, whose preflight refuses them before any is
+    # allocated, and takes no Taylor route instead.
+    tracemalloc.start()
+    try:
+        code = main(["verify", "thermal", "--pointers", "6", "--sysdim", "3",
+                     "--seeds", "1", "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("domain error:")
+    assert "held by the spectral exponential" in err
+    assert peak < jets.MAX_DENSE_BYTES / 2

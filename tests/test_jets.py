@@ -19,10 +19,8 @@ from momalg.jets import (
     _pair_table,
     _position,
     jet_matrix_exp,
+    spectral_jet_matrix_exp,
 )
-from momalg.experiments import random_config
-from momalg.quantum import coupled_generator
-from momalg.weakvalues import WeakValueContext, _system_generator
 from oracles import expm_mp
 
 M = Multiset
@@ -537,13 +535,6 @@ def test_hermitian_square_matches_the_full_pair_loop(caps):
 # the spectral route of the jet exponential
 
 
-def spectral_exp(m):
-    """jet_matrix_exp's spectral route, called directly at any block size."""
-    w, u = np.linalg.eigh(m.constant)
-    return jets._spectral_exp(m, _pair_table(m.caps), w, u, jets._clusters(w),
-                              is_hermitian(m.blocks))
-
-
 def unitary(rng, d):
     return np.linalg.qr(rng.standard_normal((d, d))
                         + 1j * rng.standard_normal((d, d)))[0]
@@ -603,28 +594,16 @@ def test_spectral_route_matches_regular_representation_oracle(case):
     rng = np.random.default_rng(41)
     terms = spectral_terms(rng, caps, d, constant(rng), *couplings)
     m = JetMatrix.from_terms(terms, d, len(caps), caps)
-    got = spectral_exp(m)
+    got = spectral_jet_matrix_exp(m)
     assert_matches_oracle(got, terms, caps, d, case)
     if is_hermitian(m.blocks):
         assert is_hermitian(got.blocks)
 
 
-@pytest.mark.parametrize("count, top", [(1, 3), (2, 1), (2, 4), (3, 3)])
-def test_opitz_matrix_matches_the_per_mid_loop(monkeypatch, count, top):
-    # the block-diagonal J of all mids, set with one assignment per pattern,
-    # equals the one built block by block, point by point and edge by edge
-    lam = np.sort(np.random.default_rng(45).normal(size=count) * 3)
-    mids = [mid for g in range(top) for mid in
-            itertools.combinations_with_replacement(range(count), g)]
-    seen, real = [], jets._taylor_exp
-
-    def spy(m, *args):
-        seen.append(m.blocks[0])
-        return real(m, *args)
-
-    monkeypatch.setattr(jets, "_taylor_exp", spy)
-    jets._exp_divided_differences(lam, mids)
-    mu = (lam.max() + lam.min()) / 2
+def opitz_blocks(lam, mids):
+    """The block-bidiagonal J of each mid, built point by point and edge by
+    edge, shifted by the mid-range of lam."""
+    count, mu = len(lam), (lam.max() + lam.min()) / 2
     blocks = []
     for mid in mids:
         size = 2 * count + len(mid)
@@ -639,12 +618,77 @@ def test_opitz_matrix_matches_the_per_mid_loop(monkeypatch, count, top):
                 block[i, j] = 1.0
             heads = nxt
         blocks.append(block)
-    want = np.zeros((sum(map(len, blocks)),) * 2, dtype=complex)
+    return blocks
+
+
+def all_mids(count, top):
+    return [mid for g in range(top) for mid in
+            itertools.combinations_with_replacement(range(count), g)]
+
+
+@pytest.mark.parametrize("count, top", [(1, 3), (2, 1), (2, 4), (3, 3)])
+def test_opitz_matrix_matches_the_per_mid_loop(monkeypatch, count, top):
+    # each stack of equal-size J, set with one assignment per pattern,
+    # holds the J of its mids, built block by block, point by point and
+    # edge by edge, in the order of the mids
+    lam = np.sort(np.random.default_rng(45).normal(size=count) * 3)
+    mids = all_mids(count, top)
+    seen, real = [], jets._taylor_exp
+
+    def spy(blocks, *args):
+        seen.append(blocks[0])
+        return real(blocks, *args)
+
+    monkeypatch.setattr(jets, "_taylor_exp", spy)
+    jets._exp_divided_differences(lam, mids)
+    blocks = opitz_blocks(lam, mids)
+    lengths = sorted(set(map(len, mids)))
+    assert len(seen) == len(lengths)
+    for stack, r in zip(seen, lengths):
+        want = np.stack([b for b, mid in zip(blocks, mids) if len(mid) == r])
+        assert np.array_equal(stack, want)
+
+
+@pytest.mark.parametrize("count, top", [(1, 3), (2, 4), (3, 3), (4, 5)])
+def test_batched_divided_differences_match_the_block_diagonal_exponential(
+        count, top):
+    # one Taylor exponential of the block-diagonal matrix of every J
+    # gives the same tables, to 1e-14 of the largest entry of each
+    lam = np.sort(np.random.default_rng(47).normal(size=count) * 3)
+    mids = all_mids(count, top)
+    blocks = opitz_blocks(lam, mids)
+    total = sum(map(len, blocks))
+    dense = np.zeros((total, total), dtype=complex)
     at = 0
     for block in blocks:
-        want[at:at + len(block), at:at + len(block)] = block
+        dense[at:at + len(block), at:at + len(block)] = block
         at += len(block)
-    assert np.array_equal(seen[0], want)
+    exp_dense = jet_matrix_exp(JetMatrix(0, (), dense[None])).constant.real \
+        * np.exp((lam.max() + lam.min()) / 2)
+    got = jets._exp_divided_differences(lam, mids)
+    at = 0
+    for mid, block in zip(mids, blocks):
+        size = len(block)
+        want = exp_dense[at:at + count, at + size - count:at + size]
+        at += size
+        assert np.abs(got[mid] - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_divided_differences_at_five_clusters_and_top_grade_six():
+    # 252 mids: one block-diagonal J would be 3570 x 3570 and above the
+    # dense size limit, while the largest stack is 126 J of 15 x 15.  A
+    # table entry is the corner of the Opitz matrix of its sequence, taken
+    # at 30 digits; every fourth mid is checked, at one pair (a, b) each
+    lam = np.array([-4.0, -1.5, 0.0, 0.7, 2.5])
+    mids = all_mids(5, 6)
+    got = jets._exp_divided_differences(lam, mids)
+    assert len(got) == 252
+    for k, mid in enumerate(mids[::4]):
+        a, b = k % 5, (3 * k + 1) % 5
+        points = [lam[a], *lam[list(mid)], lam[b]]
+        opitz = np.diag(points) + np.diag(np.ones(len(points) - 1), 1)
+        want = expm_mp(opitz)[0, -1].real
+        assert abs(got[mid][a, b] - want) <= 1e-13 * abs(want), mid
 
 
 def test_clusters_split_at_eighs_backward_error():
@@ -653,21 +697,6 @@ def test_clusters_split_at_eighs_backward_error():
     w = np.array([-3.0, -3.0 + 0.5 * tol, 1.0, 1.0 + 2 * tol])
     assert jets._clusters(w).tolist() == [0, 2, 3, 4]
     assert jets._clusters(np.zeros(5)).tolist() == [0, 5]
-
-
-def test_fewest_clusters_bounds_the_clusters_from_below():
-    # the bound that lets routing skip eigh never exceeds the clusters eigh
-    # and _clusters find, and sees the two energies of A (x) 1
-    rng = np.random.default_rng(46)
-    cases = [np.zeros((4, 4)), 3.7 * np.eye(5), clustered(rng, 8, 2),
-             clustered(rng, 6, 3), hermitian(rng, 5, 2.0),
-             *(near_degenerate(rng, 4, gap) for gap in (1e-15, 1e-12, 1e-9))]
-    for const in cases:
-        w = np.linalg.eigh(const)[0]
-        assert jets._fewest_clusters(const) <= len(jets._clusters(w)) - 1
-    assert jets._fewest_clusters(clustered(rng, 16, 2)) == 2
-    near_scalar = np.eye(16) + 1e-16 * hermitian(rng, 16, 1.0)
-    assert jets._fewest_clusters(near_scalar) == 1
 
 
 def boltzmann(rng, d, caps, constant=None):
@@ -681,8 +710,9 @@ def boltzmann(rng, d, caps, constant=None):
 
 @pytest.fixture
 def routes(monkeypatch):
-    """The route of every exponential jet_matrix_exp takes, in call order
-    (the spectral route's divided differences then add one Taylor call)."""
+    """The route of every jet exponential taken, in call order (the spectral
+    route's divided differences then add one Taylor call per size of their
+    Opitz matrices)."""
     taken = []
     for name in ("_taylor_exp", "_spectral_exp"):
         def spy(*args, _real=getattr(jets, name), _name=name):
@@ -692,96 +722,15 @@ def routes(monkeypatch):
     return taken
 
 
-@pytest.mark.parametrize("d, caps, constant, route", [
-    (128, (1, 1, 1), None, "_spectral_exp"),          # dense-hilbert's lhs
-    (32, (1, 1, 1, 1), None, "_spectral_exp"),        # jet-ring's lhs
-    (16, (1, 1, 1), None, "_taylor_exp"),             # thermal defaults
-    (2, (1, 1, 1), None, "_taylor_exp"),              # a system side
-    (128, (1, 1, 1), "anti-Hermitian", "_taylor_exp"),
-    (128, (1, 1, 1), "non-Hermitian", "_taylor_exp"),
-    (128, (1, 1, 1), "128 eigenvalues", "_taylor_exp"),
-    (32, (1,), None, "_taylor_exp"),                  # one coupling
-    (32, (1, 1, 1), "4 clusters", "_taylor_exp"),
-    (8, (1, 1), None, "_taylor_exp"),                 # thermal, 2 pointers
-    (2, (1,), None, "_taylor_exp"),                   # the other system
-    (2, (1, 1), None, "_taylor_exp"),                 # sides of up to four
-    (2, (1, 1, 1, 1), None, "_taylor_exp"),           # pointers
-])
-def test_route_choice(routes, d, caps, constant, route):
-    rng = np.random.default_rng(42)
-    made = {None: None,
-            "anti-Hermitian": 1j * clustered(rng, d, 2),
-            "non-Hermitian": clustered(rng, d, 2) + 0.1 * np.triu(np.ones((d, d)), 1),
-            "128 eigenvalues": hermitian(rng, d, 3.0),
-            "4 clusters": clustered(rng, d, 4)}[constant]
-    jet_matrix_exp(boltzmann(rng, d, caps, made))
-    assert routes[0] == route
-
-
-def thermal_generator(n, sys_dim, pointer_dim, seed):
-    """The generator of `verify thermal`'s Boltzmann jet on the joint space
-    of n pointers of dimension pointer_dim, or with pointer_dim None that of
-    its system-side partition jet."""
-    cfg = random_config("thermal", seed, n_pointers=n, system_dim=sys_dim,
-                        pointer_dim=pointer_dim or 2)
-    if pointer_dim is None:
-        ctx = WeakValueContext.thermal(cfg.hamiltonian, cfg.beta,
-                                       cfg.observables)
-        return _system_generator(ctx, (1,) * n, -ctx.beta, -1)
-    return coupled_generator(cfg.hamiltonian, cfg.observables, cfg.pointers,
-                             -cfg.beta, -1)
-
-
-# (pointers, system dim, pointer dim) -> the route measured faster on the
-# thermal generators of `verify thermal`, seeds 1-5, where the two differ by
-# more than 10% (docstring of jet_matrix_exp, step 7); pointer dim None is
-# the system-side partition jet
-MEASURED_ROUTES = {
-    (1, 2, 16): "_taylor_exp",     # 1.45
-    (2, 2, 2): "_taylor_exp",      # 1.65, seed-sweep
-    (3, 2, 2): "_taylor_exp",      # 1.07-1.24, thermal defaults
-    (3, 4, 2): "_taylor_exp",      # 3.5-3.9
-    (4, 2, 2): "_spectral_exp",    # 0.55-0.59, jet-ring
-    (2, 4, 4): "_spectral_exp",    # 0.62-0.65
-    (5, 2, 2): "_spectral_exp",    # 0.27
-    (4, 4, 2): "_taylor_exp",      # 2.7-3.2
-    (3, 2, 4): "_spectral_exp",    # 0.27, dense-hilbert
-    **{(n, 2, None): "_taylor_exp" for n in (1, 2, 3, 4)},   # 1.1-2.1
-}
-
-
-@pytest.mark.parametrize("shape", MEASURED_ROUTES,
-                         ids=lambda shape: "n{}-s{}-p{}".format(*shape))
-def test_route_model_takes_the_measured_faster_route(routes, shape):
-    for seed in range(1, 6):
-        routes.clear()
-        jet_matrix_exp(thermal_generator(*shape, seed))
-        assert routes[0] == MEASURED_ROUTES[shape], seed
-
-
-@pytest.mark.parametrize("n, pointer_dim", [(3, 2), (2, 2), (3, None),
-                                            (4, None)])
-def test_small_thermal_blocks_take_the_taylor_route_without_eigh(
-        monkeypatch, n, pointer_dim):
-    # the thermal defaults' 16-dim lhs, the 8-dim lhs of two pointers and
-    # the 2-dim system sides lose on the spectral route's set-up alone or
-    # with the two clusters their constant block must have, so routing
-    # spends no eigendecomposition on them
-    def no_eigh(*args):
-        raise AssertionError("eigh taken for a block the model rejects")
-
-    m = thermal_generator(n, 2, pointer_dim, 1)
-    monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-    jet_matrix_exp(m)
-
-
 @pytest.mark.parametrize("shift, route", [(0.1, "_taylor_exp"),
                                           (0.0, "_spectral_exp")])
 def test_exponential_refuses_a_result_beyond_double_range(routes, shift,
                                                           route):
-    # e^800 overflows: on either route a domain error that names it, not an
-    # inf in the result, nor a FloatingPointError where numpy raises (a
-    # constant block that is not Hermitian takes the Taylor route)
+    # e^800 overflows: on either entry a domain error that names it, not an
+    # inf in the result, nor a FloatingPointError where numpy raises (the
+    # Taylor entry takes a constant block that is not Hermitian)
+    entry = {"_taylor_exp": jet_matrix_exp,
+             "_spectral_exp": spectral_jet_matrix_exp}[route]
     rng = np.random.default_rng(44)
     d = 32
     energies = np.kron(np.diag([-800.0, 0.0]), np.eye(d // 2)) \
@@ -791,9 +740,21 @@ def test_exponential_refuses_a_result_beyond_double_range(routes, shift,
         routes.clear()
         with np.errstate(all=errors, under="ignore"), \
                 pytest.raises(DomainError, match="overflows"):
-            jet_matrix_exp(m)
+            entry(m)
         assert routes[0] == route
-    jet_matrix_exp(boltzmann(rng, d, (1, 1, 1, 1), energies / 4))   # e^200
+    entry(boltzmann(rng, d, (1, 1, 1, 1), energies / 4))   # e^200
+
+
+def test_spectral_entry_refuses_a_constant_block_that_is_not_hermitian(
+        routes):
+    # no eigenbasis to expand in, and no fall back to the Taylor route
+    rng = np.random.default_rng(48)
+    d = 8
+    for constant in (clustered(rng, d, 2) + 1e-3 * np.triu(np.ones((d, d)), 1),
+                     1j * clustered(rng, d, 2)):
+        with pytest.raises(DomainError, match="exactly Hermitian"):
+            spectral_jet_matrix_exp(boltzmann(rng, d, (1, 1), constant))
+    assert routes == []
 
 
 def test_spectral_route_preflight_refuses_its_states():
@@ -806,8 +767,8 @@ def test_spectral_route_preflight_refuses_its_states():
     m = JetMatrix(4, caps, np.zeros((16, 512, 512), dtype=complex))
     with pytest.raises(DomainError, match="85 jet-matrix blocks of dimension 512 "
                        "held by the spectral exponential need about 340 MiB"):
-        jets._spectral_exp(m, _pair_table(caps), np.zeros(512), np.eye(512),
-                           np.array([0, 256, 512]), True)
+        jets._spectral_exp(m.blocks, _pair_table(caps), np.zeros(512),
+                           np.eye(512), np.array([0, 256, 512]), True)
 
 
 def test_jet_matrix_preflight_refuses_huge_block_stacks():
