@@ -39,18 +39,20 @@ Appl. 26, 2005), evaluated by Paterson-Stockmeyer (SIAM J. Comput. 2,
 1973) over one stack of the powers Y..Y^q; a generator whose blocks are
 all exactly Hermitian is squared from half the block pairs, since the
 pairs (a, b) and (b, a) of a square then give P and P^H.
-`spectral_jet_matrix_exp` takes the spectral route, for an exactly
-Hermitian constant block such as the thermal -beta H_S (x) 1: in the
-eigenbasis, the Dyson expansion ends after G = sum(caps) factors of the
-nilpotent graded part and is summed with divided differences of exp,
-taken from Opitz matrices, which are exponentiated by the Taylor route in
-one batch per size.  A caller picks the entry by its role, not by cost:
-the thermal check's lhs, the joint-space Boltzmann jet, is the one
-spectral caller, and every other exponential (the system-side partition
-jet of its rhs, the window, the D map) takes the Taylor route, so the two
-sides of the thermal identity never share an exponential algorithm.  Each
-entry refuses, with a DomainError, a result that overflows the double
-range.
+`spectral_jet_matrix_exp` takes the spectral route, for a constant block
+that is already diagonal: real, diagonal and ascending, as the thermal
+-beta H_S (x) 1 is in the eigenbasis of H_S, which its caller takes at the
+system's size.  There, the Dyson expansion ends after G = sum(caps) factors
+of the nilpotent graded part and is summed with divided differences of
+exp, taken from Opitz matrices, which are exponentiated by the Taylor
+route in one batch per size.  No change of basis runs: a trace against
+1 (x) R, the only read of the thermal Boltzmann jet, is the same in any
+basis U (x) 1.  A caller picks the entry by its role, not by cost: the
+thermal check's lhs, the joint-space Boltzmann jet, is the one spectral
+caller, and every other exponential (the system-side partition jet of its
+rhs, the window, the D map) takes the Taylor route, so the two sides of
+the thermal identity never share an exponential algorithm.  Each entry
+refuses, with a DomainError, a result that overflows the double range.
 """
 
 from __future__ import annotations
@@ -591,9 +593,9 @@ def jet_matrix_exp(m: JetMatrix) -> JetMatrix:
 
 def spectral_jet_matrix_exp(m: JetMatrix) -> JetMatrix:
     """Matrix exponential in the truncated polynomial ring by the spectral
-    route, for a generator X whose constant block X_0 is exactly Hermitian
-    (notation, and which caller takes this route: the `jet_matrix_exp`
-    docstring).
+    route, for a generator X whose constant block X_0 = diag(w) is exactly
+    real, diagonal and ascending (notation, and which caller takes this
+    route: the `jet_matrix_exp` docstring).
 
     Let X_0 = sum_c l_c P_c with spectral projectors P_c, and N = X - X_0.
     Expanding exp(X_0 + N) in powers of N (Dyson) and integrating each term
@@ -604,58 +606,54 @@ def spectral_jet_matrix_exp(m: JetMatrix) -> JetMatrix:
     Matrices, SIAM 2008, sec. 3.2).  N is nilpotent in the ring: every block
     of N has grade >= 1, so a product of G + 1 of them has grade above G and
     is truncated away.  The sum therefore ends at k = G and is exact, not a
-    truncated series.  The route:
-    a. X_0 = U diag(w) U^H by eigh, with U made unitary to working
-       precision by one Newton-Schulz step, U <- U (3 - U^H U) / 2: eigh's U
-       is unitary only to about d eps, and U^H stands for its inverse in the
-       changes of basis.
-    b. Consecutive eigenvalues closer than 8 d eps max(1, max|w|), about
-       eigh's own backward error, form one cluster, with their mean as its
-       point l_c.  The bound comes from the input, not a setting; moving
-       each eigenvalue to its cluster point perturbs X_0 by at most the
-       cluster's width, (size - 1) times the bound, the size of eigh's
-       error.  It makes H_S (x) 1 count as its d_s eigenvalues, not d.
-    c. In the eigenbasis (blocks U^H X_a U) a P_c is an index range.
-       Divided differences are symmetric, so every order of the middle
-       clusters c_1..c_(k-1) shares one weight per end pair (c_0, c_k).
-       The sum is a recursion over the multiset M of middle clusters:
-       T(empty) = N, T(M) = sum_{c in M} T(M - c) P_c N, each term a ring
-       product of cluster sub-blocks, (lattice, d, n_c) by (lattice, n_c,
-       d), through `_block_products`.  T(M) has grades above |M| only and
-       holds just those blocks.  It enters the result weighted entrywise by
-       exp[l_a, l_M, l_b], a and b the clusters of row and column.  Divided
-       differences come from Opitz's theorem: for the bidiagonal J with
-       diagonal x_0..x_r and ones above it, exp(J)[0, r] = exp[x_0, ...,
-       x_r], repeated points included.  The J of each size are
-       exponentiated as one batch by the Taylor route, steps 1-4, which
+    truncated series.  The caller supplies the eigenbasis: the thermal lhs
+    diagonalises H_S at the system's size and builds its generator from
+    U^H A_j U, so X_0 = -beta diag(w) (x) 1 with no joint-space eigh, and
+    its reads tr(B (1 (x) R)) are unchanged by U (x) 1, so no change back
+    runs either.  The route:
+    a. Consecutive points of w closer than 8 d eps max(1, max|w|), about
+       the backward error of the eigh that gave them, form one cluster,
+       with their mean as its point l_c.  The bound comes from the input,
+       not a setting; moving each point to its cluster point perturbs X_0
+       by at most the cluster's width, (size - 1) times the bound.  It
+       makes H_S (x) 1 count as its d_s eigenvalues, not d.
+    b. A P_c is an index range.  Divided differences are symmetric, so
+       every order of the middle clusters c_1..c_(k-1) shares one weight
+       per end pair (c_0, c_k).  The sum is a recursion over the multiset M
+       of middle clusters: T(empty) = N, T(M) = sum_{c in M} T(M - c) P_c
+       N, each term a ring product of cluster sub-blocks, (lattice, d, n_c)
+       by (lattice, n_c, d), through `_block_products`.  T(M) has grades
+       above |M| only and holds just those blocks.  It enters the result
+       weighted entrywise by exp[l_a, l_M, l_b], a and b the clusters of row
+       and column.  Divided differences come from Opitz's theorem: for the
+       bidiagonal J with diagonal x_0..x_r and ones above it, exp(J)[0, r]
+       = exp[x_0, ..., x_r], repeated points included.  The J of each size
+       are exponentiated as one batch by the Taylor route, steps 1-4, which
        scale and square them; McCurdy, Ng & Parlett (Math. Comp. 43, 1984)
        show that this keeps divided differences at close points accurate,
        where the quotient formula cancels.
-    d. Back to the input basis, U (.) U^H.  If every block of X is
-       Hermitian the result is averaged with its adjoint, so that it is
-       exactly Hermitian, as on the Taylor route.
-    Work: eigh, 2 products for the Newton-Schulz step, 2 per nonzero graded
-    block and 2 per result block for the changes of basis, and per multiset
-    M and pair-table pair sub-block products worth one d x d product: about
-    36 products of 128 x 128 blocks at caps (1, 1, 1) with two clusters,
-    against 176-190 on the Taylor route.
-    A constant block that is not exactly Hermitian (one exact test, no
-    tolerance) is refused with a DomainError, and so, before they are
-    allocated, are states that would not fit in MAX_DENSE_BYTES: N, the
-    sum, the result and two levels of T(M).  Neither falls back to the
-    Taylor route, which would put both sides of the thermal check on one
+    c. If every block of X is Hermitian the result is averaged with its
+       adjoint, so that it is exactly Hermitian, as on the Taylor route.
+    Work: per multiset M and pair-table pair, sub-block products worth one
+    d x d product: 12 products of 128 x 128 blocks at caps (1, 1, 1) with
+    two clusters, against 176-190 on the Taylor route.
+    A constant block that is not exactly real, diagonal and ascending (one
+    exact test, no tolerance) is refused with a DomainError, and so, before
+    they are allocated, are states that would not fit in MAX_DENSE_BYTES:
+    N, the sum and two levels of T(M).  Neither falls back to the Taylor
+    route, which would put both sides of the thermal check on one
     algorithm.  A result that left the double range is refused as by
     `jet_matrix_exp`.
     """
     _finite_norms(m)
-    const = m.constant
-    if not np.array_equal(const, const.conj().T):
-        raise DomainError("the spectral exponential needs an exactly "
-                          "Hermitian constant block")
-    w, u = np.linalg.eigh(const)
+    w = np.diagonal(m.constant)
+    if not (np.array_equal(m.constant, np.diag(w)) and not w.imag.any()
+            and (np.diff(w.real) >= 0).all()):
+        raise DomainError("the spectral exponential needs a real, diagonal, "
+                          "ascending constant block")
     hermitian = np.array_equal(m.blocks, _adjoint(m.blocks))
     return _in_double_range(m, _spectral_exp, m.blocks, _pair_table(m.caps),
-                            w, u, _clusters(w), hermitian)
+                            w.real, _clusters(w.real), hermitian)
 
 
 def _finite_norms(m: JetMatrix) -> np.ndarray:
@@ -771,12 +769,12 @@ def _clusters(w: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], gaps, [len(w)]))
 
 
-def _spectral_exp(blocks: np.ndarray, table, w: np.ndarray, u: np.ndarray,
+def _spectral_exp(blocks: np.ndarray, table, w: np.ndarray,
                   bounds: np.ndarray, hermitian: bool) -> np.ndarray:
     """The spectral_jet_matrix_exp docstring's route on a (lattice, d, d)
-    block stack: the divided-difference expansion of exp(X) in the
-    eigenbasis u of the constant block, whose ascending eigenvalues w are
-    split into clusters at `bounds`."""
+    block stack: the divided-difference expansion of exp(X) about its
+    constant block diag(w), whose ascending points w are split into
+    clusters at `bounds`."""
     top = int(table.grade.max())
     dim = blocks.shape[1]
     sizes = np.diff(bounds)
@@ -790,24 +788,12 @@ def _spectral_exp(blocks: np.ndarray, table, w: np.ndarray, u: np.ndarray,
             for mid in itertools.combinations_with_replacement(clusters, g)]
     dd = _exp_divided_differences(lam, mids)
     work = np.empty((dim, dim), dtype=complex)        # reused per block
-
-    def change_basis(blocks, left, right, out, first=0):
-        """out[i] = left @ blocks[i] @ right for the nonzero blocks i >=
-        first, one BLAS product at a time."""
-        for i in np.flatnonzero(_nonzero(blocks[first:])).tolist():
-            np.matmul(blocks[first + i], right, out=work)
-            np.matmul(left, work, out=out[first + i])
-
-    # one Newton-Schulz step makes u unitary to working precision (eigh's
-    # is so only to ~d eps), so that u^H inverts it in the changes of basis
-    u = u @ (1.5 * np.eye(dim) - 0.5 * (u.conj().T @ u))
-    uh = u.conj().T
-    nil = np.zeros_like(blocks)                # N = X - X_0 in the eigenbasis
-    change_basis(blocks, uh, u, nil, first=1)
+    nil = blocks.copy()                               # N = X - X_0
+    nil[0] = 0.0
     acc = np.zeros_like(blocks)
     acc[0] = np.diag(np.exp(lam)[labels])
     # level: a multiset M of g - 1 middle clusters -> T(M) (docstring of
-    # spectral_jet_matrix_exp, step c); T(M) has grades >= g only, so it
+    # spectral_jet_matrix_exp, step b); T(M) has grades >= g only, so it
     # holds just the lattice blocks marked in `held`, in lattice order
     level, held = {(): nil}, np.ones(len(nil), dtype=bool)
     for g in range(1, top + 1):
@@ -834,26 +820,22 @@ def _spectral_exp(blocks: np.ndarray, table, w: np.ndarray, u: np.ndarray,
                 _block_products(pairs, level[mid[:i] + mid[i + 1:]][:, :, rows],
                                 nil[:, rows], paths)
         level, held = longer, deeper
-    del level, nil
-    out = np.zeros_like(acc)
-    change_basis(acc, u, uh, out)
-    if hermitian:                              # (out + out^H) / 2, in place
-        for block in out:
+    if hermitian:                              # (acc + acc^H) / 2, in place
+        for block in acc:
             block += np.conj(block.T, out=work)
             block *= 0.5
-    return out
+    return acc
 
 
 def _spectral_blocks(table, count: int) -> int:
     """Blocks of the generator's size the spectral route holds at once with
-    `count` clusters: N, the sum and the result, and two levels of states,
-    one per multiset of g middle clusters, each holding the grades above
-    g."""
+    `count` clusters: N and the sum, and two levels of states, one per
+    multiset of g middle clusters, each holding the grades above g."""
     top = int(table.grade.max())
     states = [0] + [math.comb(count + g - 1, g)
                     * int(np.count_nonzero(table.grade > g))
                     for g in range(1, top)]
-    return 3 * len(table.grade) + max(
+    return 2 * len(table.grade) + max(
         a + b for a, b in zip(states, states[1:] + [0]))
 
 

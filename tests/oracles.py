@@ -3,6 +3,9 @@
 `expm_eigh` exponentiates Hermitian and anti-Hermitian matrices through an
 eigendecomposition; `expm_mp` exponentiates any matrix with mpmath at 30
 significant digits and rounds the result to complex doubles.
+`regular_representation` writes multiplication by a matrix-valued
+truncated polynomial as one block matrix, whose exponential holds the jet
+exponential.
 `postselected_pointer_jet` takes the kick chain's postselected pointer
 state by the joint-density route, in numpy alone.
 `kron_chain` is the tensor product as a left-to-right chain of np.kron.
@@ -29,6 +32,24 @@ def expm_mp(a) -> np.ndarray:
     with mpmath.workdps(30):
         e = mpmath.expm(mpmath.matrix(np.asarray(a, dtype=complex).tolist()))
         return np.array(e.tolist(), dtype=complex)
+
+
+def regular_representation(terms, caps, d):
+    """Left multiplication by sum_a terms[a] gamma^a on the truncated
+    polynomial ring of the caps, as an (L d) x (L d) block matrix.  A
+    monomial is its tuple of multiplicities (m_1, ..., m_n); block (c, b)
+    is terms[a] where a + b = c fits the caps.  Also returns the row-block
+    position of each monomial."""
+    lattice = list(itertools.product(*(range(c + 1) for c in caps)))
+    pos = {a: i for i, a in enumerate(lattice)}
+    rep = np.zeros((len(lattice) * d, len(lattice) * d), dtype=complex)
+    for a, block in terms.items():
+        for b in lattice:
+            c = tuple(x + y for x, y in zip(a, b))
+            if c in pos:
+                rep[pos[c] * d:(pos[c] + 1) * d,
+                    pos[b] * d:(pos[b] + 1) * d] += block
+    return rep, pos
 
 
 def kron_chain(*factors) -> np.ndarray:

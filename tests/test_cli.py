@@ -655,7 +655,7 @@ def test_verify_refuses_an_oversized_exponential_before_allocating(
     # 7 pointers of dimension 2 on a qubit: 2^7 blocks of 256 x 256, 128 MiB
     # per jet matrix, within the limit, but the Taylor exponential of the
     # window (thm4) holds q + 2 such stacks, and the spectral one of the
-    # thermal Boltzmann jet 937 blocks of states.  The child's address
+    # thermal Boltzmann jet 809 blocks of states.  The child's address
     # space is capped at 768 MiB, below what the exponential would
     # allocate, so a missing preflight ends in a MemoryError, not in the
     # host's memory.
@@ -799,7 +799,7 @@ def test_window_and_d_map_take_the_taylor_route(tmp_path, exp_routes,
 def test_thermal_refuses_spectral_states_beyond_the_size_limit(
         tmp_path, capsys):
     # 6 pointers on a qutrit: the 192-dim Boltzmann jet's three clusters
-    # need 664 blocks of states, about 373 MiB.  It exits 3 naming the
+    # need 600 blocks of states, about 337 MiB.  It exits 3 naming the
     # spectral exponential, whose preflight refuses them before any is
     # allocated, and takes no Taylor route instead.
     tracemalloc.start()
@@ -814,3 +814,16 @@ def test_thermal_refuses_spectral_states_beyond_the_size_limit(
     assert err.startswith("domain error:")
     assert "held by the spectral exponential" in err
     assert peak < jets.MAX_DENSE_BYTES / 2
+
+
+def test_thermal_refuses_a_nonpositive_beta_before_any_exponential(
+        tmp_path, exp_routes, capsys):
+    # beta is checked before the lhs is built: at a shape whose spectral
+    # states the size limit refuses, the error names beta, and no jet
+    # exponential is taken at any shape
+    for shape in (("--pointers", "6", "--sysdim", "3"), ()):
+        for beta in ("-1", "0"):
+            assert main(["verify", "thermal", f"--beta={beta}", *shape,
+                         "--out", str(tmp_path)]) == 3
+            assert "beta must be positive" in capsys.readouterr().err
+    assert exp_routes == []

@@ -22,6 +22,7 @@ from momalg.experiments import (
 from momalg.jets import Jet, _monomials
 from momalg.quantum import PointerSpec
 from momalg.serialization import report_rows_from_json
+from oracles import expm_mp, kron_chain, regular_representation
 
 M = Multiset
 
@@ -338,6 +339,67 @@ def test_thermal_gamma_free_moments_are_maximally_mixed():
             p = cfg.pointers[j - 1]
             expected *= np.trace(p.r) / p.dim
         assert abs(jet.coefficient(EMPTY) - expected) < 1e-12
+
+
+def oracle_thermal_moments(cfg):
+    """The moment jets of `thermal_moment_mmap`, {(subset, monomial):
+    coefficient}, both tuples of multiplicities: the Boltzmann jet is the
+    block column at the constant monomial of the 30-digit exponential of
+    the regular representation of -beta H_S (x) 1 - sum_j gamma_j A_j (x)
+    s_j, in the basis the config gives; each moment jet tr(B (1 (x) R_a))
+    is divided by tr B through the regular representation of that scalar
+    jet."""
+    n, d_s = cfg.n_pointers, cfg.system_dim
+    eyes = [np.eye(p.dim) for p in cfg.pointers]
+    unit = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    d = d_s * int(np.prod([p.dim for p in cfg.pointers]))
+    terms = {(0,) * n: -cfg.beta * kron_chain(cfg.hamiltonian, *eyes)}
+    for j, (a, p) in enumerate(zip(cfg.observables, cfg.pointers)):
+        terms[unit[j]] = -kron_chain(a, *[p.s if k == j else e
+                                          for k, e in enumerate(eyes)])
+    rep, pos = regular_representation(terms, (1,) * n, d)
+    at = pos[(0,) * n] * d
+    column = expm_mp(rep)[:, at:at + d]
+    raw = {a: np.array([np.trace(
+        column[pos[b] * d:(pos[b] + 1) * d] @ kron_chain(np.eye(d_s), *[
+            p.r if bit else e for bit, p, e in zip(a, cfg.pointers, eyes)]))
+        for b in pos]) for a in pos}
+    den, _ = regular_representation(
+        {b: [[raw[(0,) * n][i]]] for b, i in pos.items()}, (1,) * n, 1)
+    return {(a, b): value for a in pos
+            for b, value in zip(pos, np.linalg.solve(den, raw[a]))}
+
+
+def gapped(rng, d_s, gap):
+    """A Hermitian H_S with two eigenvalues `gap` apart, in a random
+    basis."""
+    w = rng.uniform(-2, 2, d_s)
+    w[1] = w[0] + gap
+    u = np.linalg.qr(rng.standard_normal((d_s, d_s))
+                     + 1j * rng.standard_normal((d_s, d_s)))[0]
+    h = (u * w) @ u.conj().T
+    return (h + h.conj().T) / 2
+
+
+@pytest.mark.parametrize("d_s", [2, 3])
+@pytest.mark.parametrize("hs", ["random", "zero", "gap 1e-12"])
+def test_thermal_moments_match_the_regular_representation_oracle(d_s, hs):
+    # thermal_moment_mmap builds its generator in the eigenbasis of H_S and
+    # reads the moments off it with no change back; the oracle exponentiates
+    # the generator in the config's basis.  Every moment jet coefficient
+    # agrees to 1e-13 in units of max(1, |value|): with one cluster (H_S =
+    # 0), with two eigenvalues 1e-12 apart, and at random
+    rng = np.random.default_rng(61 + d_s)
+    cfg = random_config("thermal", 5, n_pointers=2, system_dim=d_s)
+    if hs != "random":
+        cfg = replace(cfg, hamiltonian=np.zeros((d_s, d_s)) if hs == "zero"
+                      else gapped(rng, d_s, 1e-12))
+    got = thermal_moment_mmap(cfg)
+    for (a, b), want in oracle_thermal_moments(cfg).items():
+        value = Jet.ensure(got(M.from_counts(dict(enumerate(a, 1)))), 2,
+                           (1, 1)).coefficient(M.from_counts(
+                               dict(enumerate(b, 1))))
+        assert abs(value - want) <= 1e-13 * max(1.0, abs(want)), (a, b)
 
 
 def test_multiset_pair_variance_and_susceptibility():

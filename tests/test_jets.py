@@ -21,7 +21,7 @@ from momalg.jets import (
     jet_matrix_exp,
     spectral_jet_matrix_exp,
 )
-from oracles import expm_mp
+from oracles import expm_mp, regular_representation
 
 M = Multiset
 
@@ -405,21 +405,6 @@ def test_jet_matrix_product_matches_explicit_loop_with_zero_blocks(
 # jet exponential against the regular representation of the jet ring
 
 
-def regular_representation(terms, caps, d):
-    """Left multiplication by sum_a terms[a] gamma^a on the jet ring, as an
-    (L d) x (L d) block matrix: block (c, b) is terms[a] where a + b = c
-    fits the caps.  Also returns the row-block position of each monomial."""
-    lattice = multiset_lattice(len(caps), caps)
-    pos = {a: i for i, a in enumerate(lattice)}
-    rep = np.zeros((len(lattice) * d, len(lattice) * d), dtype=complex)
-    for a, block in terms.items():
-        for b in lattice:
-            c = a + b
-            if c.fits(caps):
-                rep[pos[c] * d:(pos[c] + 1) * d, pos[b] * d:(pos[b] + 1) * d] += block
-    return rep, pos
-
-
 def hermitian(rng, d, norm):
     """Random Hermitian d x d matrix with matrix 1-norm `norm`."""
     a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -461,17 +446,21 @@ def assert_matches_oracle(got, terms, caps, d, case):
     the entrywise-absolute generator, which bounds every term of the series
     (the [t^g] e^P of the jet_matrix_exp docstring).  A grade whose terms
     cancel is then not held to a precision its terms never had."""
-    rep, pos = regular_representation(terms, caps, d)
-    size, _ = regular_representation({a: np.abs(t) for a, t in terms.items()},
-                                     caps, d)
-    unit = pos[EMPTY] * d
+    counts = {a: tuple(a.mult(j) for j in range(1, len(caps) + 1))
+              for a in terms}
+    rep, pos = regular_representation(
+        {counts[a]: t for a, t in terms.items()}, caps, d)
+    size, _ = regular_representation(
+        {counts[a]: np.abs(t) for a, t in terms.items()}, caps, d)
+    unit = pos[(0,) * len(caps)] * d
     column = expm_mp(rep)[:, unit:unit + d]
     scale = expm_mp(size)[:, unit:unit + d].real
-    for g in {a.size for a in pos}:
-        grade = [a for a in pos if a.size == g]
+    for g in {sum(a) for a in pos}:
+        grade = [a for a in pos if sum(a) == g]
         want = np.stack([column[pos[a] * d:(pos[a] + 1) * d] for a in grade])
         bound = np.stack([scale[pos[a] * d:(pos[a] + 1) * d] for a in grade])
-        diff = np.stack([got.blocks[_position(caps, a)] for a in grade]) - want
+        diff = np.stack([got.blocks[_position(caps, M.from_counts(
+            dict(enumerate(a, start=1))))] for a in grade]) - want
         assert np.abs(diff).max() <= 1e-13 * bound.max(), (g, case)
 
 
@@ -535,15 +524,10 @@ def test_hermitian_square_matches_the_full_pair_loop(caps):
 # the spectral route of the jet exponential
 
 
-def unitary(rng, d):
-    return np.linalg.qr(rng.standard_normal((d, d))
-                        + 1j * rng.standard_normal((d, d)))[0]
-
-
 def spectral_terms(rng, caps, d, constant, couplings="hermitian"):
-    """-constant plus coupling blocks on every monomial of grade 1 and, with
-    caps (2, 1), the grade-2 monomial gamma_1^2."""
-    terms = {EMPTY: -constant}
+    """The constant block `constant` plus coupling blocks on every monomial
+    of grade 1 and, with caps (2, 1), the grade-2 monomial gamma_1^2."""
+    terms = {EMPTY: constant}
     for a in multiset_lattice(len(caps), caps):
         if a.size == 1 or a == M([1, 1]):
             if couplings == "hermitian":
@@ -553,18 +537,28 @@ def spectral_terms(rng, caps, d, constant, couplings="hermitian"):
     return terms
 
 
+def ascending(w):
+    """diag(w) with w sorted: a constant block in its own eigenbasis, as the
+    spectral entry takes it."""
+    return np.diag(np.sort(w))
+
+
 def clustered(rng, d, system):
-    """A (x) 1 for a random Hermitian A on `system` dimensions: `system`
-    eigenvalues, each d / system times."""
-    return np.kron(hermitian(rng, system, 3.0), np.eye(d // system))
+    """The spectrum of A (x) 1 for a random Hermitian A on `system`
+    dimensions: `system` eigenvalues, each d / system times."""
+    return ascending(np.repeat(np.linalg.eigvalsh(hermitian(rng, system, 3.0)),
+                               d // system))
+
+
+def spectrum(rng, d):
+    """The spectrum of a random Hermitian d x d matrix."""
+    return ascending(np.linalg.eigvalsh(hermitian(rng, d, 4.0)))
 
 
 def near_degenerate(rng, d, gap):
-    """Eigenvalue pairs `gap` apart, in a random basis (exactly Hermitian)."""
-    w = np.repeat(rng.uniform(-2, 2, d // 2), 2) + np.tile([0.0, gap], d // 2)
-    u = unitary(rng, d)
-    h = (u * w) @ u.conj().T
-    return (h + h.conj().T) / 2
+    """Eigenvalue pairs `gap` apart."""
+    return ascending(np.repeat(rng.uniform(-2, 2, d // 2), 2)
+                     + np.tile([0.0, gap], d // 2))
 
 
 SPECTRAL_CASES = {
@@ -578,9 +572,9 @@ SPECTRAL_CASES = {
     "A (x) 1_3, caps (1, 1, 1)":
         ((1, 1, 1), 3, lambda rng: clustered(rng, 3, 1)),
     "random Hermitian, caps (1, 1, 1)":
-        ((1, 1, 1), 3, lambda rng: hermitian(rng, 3, 4.0)),
+        ((1, 1, 1), 3, lambda rng: spectrum(rng, 3)),
     "random Hermitian, caps (2, 1)":
-        ((2, 1), 4, lambda rng: hermitian(rng, 4, 4.0)),
+        ((2, 1), 4, lambda rng: spectrum(rng, 4)),
     "zero constant, caps (1, 1, 1)": ((1, 1, 1), 3, lambda rng: np.zeros((3, 3))),
     **{f"gaps {gap:g}, caps (1, 1)":
        ((1, 1), 4, lambda rng, gap=gap: near_degenerate(rng, 4, gap))
@@ -699,11 +693,9 @@ def test_clusters_split_at_eighs_backward_error():
     assert jets._clusters(np.zeros(5)).tolist() == [0, 5]
 
 
-def boltzmann(rng, d, caps, constant=None):
-    """The thermal scenario's generator: -beta H_S (x) 1 on a d-dim joint
-    space (a qubit system) and Hermitian couplings."""
-    if constant is None:
-        constant = clustered(rng, d, min(d, 2))
+def boltzmann(rng, d, caps, constant):
+    """The thermal scenario's generator in the eigenbasis of H_S: the
+    constant block -beta H_S (x) 1 and Hermitian couplings."""
     return JetMatrix.from_terms(spectral_terms(rng, caps, d, constant), d,
                                 len(caps), caps)
 
@@ -728,47 +720,54 @@ def test_exponential_refuses_a_result_beyond_double_range(routes, shift,
                                                           route):
     # e^800 overflows: on either entry a domain error that names it, not an
     # inf in the result, nor a FloatingPointError where numpy raises (the
-    # Taylor entry takes a constant block that is not Hermitian)
+    # Taylor entry takes a constant block that is not diagonal)
     entry = {"_taylor_exp": jet_matrix_exp,
              "_spectral_exp": spectral_jet_matrix_exp}[route]
     rng = np.random.default_rng(44)
     d = 32
-    energies = np.kron(np.diag([-800.0, 0.0]), np.eye(d // 2)) \
-        + shift * np.triu(np.ones((d, d)), 1)
-    m = boltzmann(rng, d, (1, 1, 1, 1), energies)
+    constant = np.kron(np.diag([0.0, 800.0]), np.eye(d // 2)) \
+        - shift * np.triu(np.ones((d, d)), 1)
+    m = boltzmann(rng, d, (1, 1, 1, 1), constant)
     for errors in ("ignore", "raise"):
         routes.clear()
         with np.errstate(all=errors, under="ignore"), \
                 pytest.raises(DomainError, match="overflows"):
             entry(m)
         assert routes[0] == route
-    entry(boltzmann(rng, d, (1, 1, 1, 1), energies / 4))   # e^200
+    entry(boltzmann(rng, d, (1, 1, 1, 1), constant / 4))   # e^200
 
 
-def test_spectral_entry_refuses_a_constant_block_that_is_not_hermitian(
+def test_spectral_entry_refuses_a_constant_block_that_is_not_real_diagonal_ascending(
         routes):
-    # no eigenbasis to expand in, and no fall back to the Taylor route
+    # the entry expands about the diagonal it is given, with no eigh of its
+    # own and no fall back to the Taylor route: it refuses a constant block
+    # that is not Hermitian, a Hermitian one that is not diagonal, a complex
+    # diagonal and a diagonal out of order by one swap
     rng = np.random.default_rng(48)
     d = 8
-    for constant in (clustered(rng, d, 2) + 1e-3 * np.triu(np.ones((d, d)), 1),
-                     1j * clustered(rng, d, 2)):
-        with pytest.raises(DomainError, match="exactly Hermitian"):
+    w = np.linalg.eigvalsh(hermitian(rng, d, 3.0))
+    swapped = w.copy()
+    swapped[[3, 4]] = w[[4, 3]]
+    for constant in (np.diag(w) + 1e-3 * np.triu(np.ones((d, d)), 1),
+                     1j * clustered(rng, d, 2), hermitian(rng, d, 3.0),
+                     np.diag(w + 1e-300j), np.diag(swapped)):
+        with pytest.raises(DomainError, match="real, diagonal, ascending"):
             spectral_jet_matrix_exp(boltzmann(rng, d, (1, 1), constant))
     assert routes == []
 
 
 def test_spectral_route_preflight_refuses_its_states():
     # 16 zero blocks of 512 x 512 (64 MiB, pages never touched), two
-    # clusters, caps (1, 1, 1, 1): N, the sum and the result (48 blocks) and
-    # the states of one and two middle clusters (2 x 11 and 3 x 5 blocks of
-    # grades above 1 and 2) come to 85 blocks, 340 MiB, refused before any
-    # is allocated
+    # clusters, caps (1, 1, 1, 1): N and the sum (32 blocks) and the states
+    # of one and two middle clusters (2 x 11 and 3 x 5 blocks of grades
+    # above 1 and 2) come to 69 blocks, 276 MiB, refused before any is
+    # allocated
     caps = (1, 1, 1, 1)
     m = JetMatrix(4, caps, np.zeros((16, 512, 512), dtype=complex))
-    with pytest.raises(DomainError, match="85 jet-matrix blocks of dimension 512 "
-                       "held by the spectral exponential need about 340 MiB"):
+    with pytest.raises(DomainError, match="69 jet-matrix blocks of dimension 512 "
+                       "held by the spectral exponential need about 276 MiB"):
         jets._spectral_exp(m.blocks, _pair_table(caps), np.zeros(512),
-                           np.eye(512), np.array([0, 256, 512]), True)
+                           np.array([0, 256, 512]), True)
 
 
 def test_jet_matrix_preflight_refuses_huge_block_stacks():
