@@ -116,6 +116,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise DomainError(f"unknown scenario {self.scenario!r}")
+        if self.outcome_values and self.probabilities is None:
+            raise DomainError("outcome values without probabilities")
 
     @property
     def n_pointers(self) -> int:
@@ -146,7 +148,9 @@ def random_config(scenario: str, seed: int, n_pointers: int = 3,
                   zero_hamiltonian: bool = False, copies: tuple = (2,),
                   n_vars: int = 3, tolerance: float | None = None,
                   mc_samples: int = 0) -> ExperimentConfig:
-    """Deterministic scenario instance; substreams keyed by (seed, role)."""
+    """Deterministic scenario instance; substreams keyed by (seed, role).
+    zero_hamiltonian sets H_S = 0 in every scenario that has one (window,
+    thermal, multiset)."""
     cfg = ExperimentConfig(scenario=scenario, seed=seed, tolerance=(
         SCENARIOS[scenario].tolerance if tolerance is None else tolerance))
     if scenario == "genfun":
@@ -171,11 +175,12 @@ def random_config(scenario: str, seed: int, n_pointers: int = 3,
     if scenario != "thermal":
         cfg.psi_i = random_state(st, system_dim)
         cfg.psi_f = random_state(st, system_dim)
-    if scenario in ("thermal", "multiset"):
-        cfg.hamiltonian, cfg.beta = random_hermitian(st, system_dim), beta
-    elif scenario == "simultaneous-evolution":
+    if scenario in ("thermal", "multiset", "simultaneous-evolution"):
         cfg.hamiltonian = np.zeros((system_dim, system_dim)) \
             if zero_hamiltonian else random_hermitian(st, system_dim)
+    if scenario in ("thermal", "multiset"):
+        cfg.beta = beta
+    elif scenario == "simultaneous-evolution":
         cfg.tau, cfg.mc_samples = tau, mc_samples
     else:
         un = _stream(seed, _STREAM_UNITARIES)

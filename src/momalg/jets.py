@@ -492,6 +492,13 @@ def _adjoint(blocks: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(blocks, -1, -2))
 
 
+def _hermitian(blocks: np.ndarray) -> bool:
+    """Whether every block of a (lattice, d, d) stack equals its conjugate
+    transpose exactly, compared one nonzero block at a time."""
+    return all(np.array_equal(blocks[i], blocks[i].conj().T)
+               for i in np.flatnonzero(_nonzero(blocks)))
+
+
 def _block_products(table, a: np.ndarray, b: np.ndarray, out: np.ndarray,
                     hermitian: bool = False) -> None:
     """out += a @ b for block stacks in the lattice order of `table`: one
@@ -586,7 +593,7 @@ def jet_matrix_exp(m: JetMatrix) -> JetMatrix:
     """
     table = _pair_table(m.caps)
     schedule = _taylor_schedule(table, _finite_norms(m))
-    hermitian = np.array_equal(m.blocks, _adjoint(m.blocks))
+    hermitian = _hermitian(m.blocks)
     return _in_double_range(m, _taylor_exp, m.blocks, table, schedule,
                             hermitian)
 
@@ -651,7 +658,7 @@ def spectral_jet_matrix_exp(m: JetMatrix) -> JetMatrix:
             and (np.diff(w.real) >= 0).all()):
         raise DomainError("the spectral exponential needs a real, diagonal, "
                           "ascending constant block")
-    hermitian = np.array_equal(m.blocks, _adjoint(m.blocks))
+    hermitian = _hermitian(m.blocks)
     return _in_double_range(m, _spectral_exp, m.blocks, _pair_table(m.caps),
                             w.real, _clusters(w.real), hermitian)
 

@@ -39,51 +39,33 @@ HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-10
 
 
-def _as_array(x) -> np.ndarray:
-    if isinstance(x, (QState, QOperator)):
-        return x.array
-    return np.asarray(x, dtype=complex)
+def unit_vector(vec) -> np.ndarray:
+    """vec as a complex unit vector, divided by its norm.  A vector whose
+    norm is already 1 within (dim + 2) eps, the rounding of a norm taken in
+    floating point, is returned unchanged, so that a state read back from
+    a file is the one written.  The zero vector is refused."""
+    vec = np.asarray(vec, dtype=complex).reshape(-1)
+    norm = np.linalg.norm(vec)
+    if norm == 0:
+        raise DomainError("cannot normalize the zero vector")
+    if abs(norm - 1) <= (len(vec) + 2) * np.finfo(float).eps:
+        return vec
+    return vec / norm
 
 
-class QState:
-    """Normalized complex state vector."""
-
-    __slots__ = ("array",)
-
-    def __init__(self, vec):
-        vec = np.asarray(vec, dtype=complex).reshape(-1)
-        norm = np.linalg.norm(vec)
-        if norm == 0:
-            raise DomainError("cannot normalize the zero vector")
-        self.array = vec / norm
-
-    @property
-    def dim(self) -> int:
-        return self.array.shape[0]
-
-
-class QOperator:
-    """Dense complex matrix with hermitian / unitary flags checked on entry."""
-
-    __slots__ = ("array", "hermitian", "unitary")
-
-    def __init__(self, mat, hermitian: bool = False, unitary: bool = False):
-        mat = np.asarray(mat, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ShapeMismatchError("operators must be square matrices")
-        if hermitian and np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_TOL:
-            raise DomainError("matrix fails the hermitian check")
-        if unitary:
-            gram = mat.conj().T @ mat
-            if np.max(np.abs(gram - np.eye(mat.shape[0]))) > UNITARY_TOL:
-                raise DomainError("matrix fails the unitary check")
-        self.array = mat
-        self.hermitian = hermitian
-        self.unitary = unitary
-
-    @property
-    def dim(self) -> int:
-        return self.array.shape[0]
+def checked_operator(mat, hermitian: bool = False,
+                     unitary: bool = False) -> np.ndarray:
+    """mat as a square complex matrix, checked Hermitian (within
+    HERMITIAN_TOL) and unitary (within UNITARY_TOL) where the flags ask."""
+    mat = np.asarray(mat, dtype=complex)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ShapeMismatchError("operators must be square matrices")
+    if hermitian and np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_TOL:
+        raise DomainError("matrix fails the hermitian check")
+    if unitary and np.max(np.abs(mat.conj().T @ mat - np.eye(len(mat)))) \
+            > UNITARY_TOL:
+        raise DomainError("matrix fails the unitary check")
+    return mat
 
 
 def kron(*factors) -> np.ndarray:
@@ -92,7 +74,7 @@ def kron(*factors) -> np.ndarray:
     One outer-product chain, then one transpose (row axes first) and
     reshape: every entry is the product reduce(np.kron) forms, in the same
     association, without its n - 1 intermediate matrices."""
-    arrays = [_as_array(f) for f in factors]
+    arrays = [np.asarray(f, dtype=complex) for f in factors]
     if not arrays:
         raise DomainError("kron of nothing")
     ndim = arrays[0].ndim
@@ -199,7 +181,7 @@ def embed(op: np.ndarray, dims, site: int, *more) -> np.ndarray:
 def product_state(psi_i, pointers) -> np.ndarray:
     """|psi_i> (x) |phi_1> (x) ... (x) |phi_n> as a (d_sys, d_1, ..., d_n)
     tensor."""
-    return reduce(np.multiply.outer, [_as_array(psi_i)] + [
+    return reduce(np.multiply.outer, [np.asarray(psi_i, dtype=complex)] + [
         np.asarray(p.phi, dtype=complex) for p in pointers])
 
 
@@ -238,7 +220,8 @@ def readout_moments(blocks: np.ndarray, sys_dim: int, readouts) -> np.ndarray:
 
 def _on_axis(op, psi: np.ndarray, axis: int) -> np.ndarray:
     """The matrix `op` applied to tensor axis `axis` of `psi`."""
-    return np.moveaxis(np.tensordot(_as_array(op), psi, axes=(1, axis)), 0, axis)
+    return np.moveaxis(np.tensordot(np.asarray(op, dtype=complex), psi,
+                                    axes=(1, axis)), 0, axis)
 
 
 def evolved_joint_state(psi_i, unitaries, pointers, observables) -> np.ndarray:
@@ -281,7 +264,7 @@ def postselect_pointers(psi: np.ndarray, psi_f, n: int,
     = 0 probability |chi_0|^2 is at or below floor^2.  For normalised
     pointer states |chi_0| = |<psi_f|U|psi_i>|, U the uncoupled system
     evolution, so `floor` bounds the postselection amplitude."""
-    psi_f = _as_array(psi_f)
+    psi_f = np.asarray(psi_f, dtype=complex)
     chi = psi_f.conj() @ psi.reshape(len(psi), psi_f.shape[0], -1)
     probability = np.vdot(chi[0], chi[0]).real
     if probability <= floor ** 2:

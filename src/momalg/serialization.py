@@ -5,6 +5,16 @@ vectors travel as row-major interleaved re/im arrays with a declared
 dimension.  M-map entries are listed per multiset ("m" is the sorted
 expanded element list); omitted multisets are zero.  Floats survive the
 round trip bit-exactly for finite values (json uses shortest repr).
+
+Experiment configs and weak-value contexts share one field table,
+`_FIELDS`: each field's reader and writer, in write order.
+`config_from_dict` and `config_to_dict` go through all of it; a context
+reads the fields its kind requires (`_CONTEXT_KINDS`) through the same
+readers, so a field is parsed, checked and named in errors alike in both
+("config.psi_i", "context.psi_i").  A state is normalised unless its norm
+is already 1 to rounding, so a seeded config written by `config_to_dict`
+reads back bit-exactly and `verify --config` replays it to the report of
+`verify --seeds`.
 """
 
 from __future__ import annotations
@@ -21,7 +31,6 @@ import numpy as np
 from .algebra import MMap
 from .combinatorics import Multiset
 from .errors import (
-    DEFAULT_FLOOR,
     CapExceededError,
     DomainError,
     InputFormatError,
@@ -29,7 +38,7 @@ from .errors import (
 )
 from .experiments import ExperimentConfig
 from .jets import _pair_table, _position
-from .quantum import PointerSpec, QOperator, QState
+from .quantum import PointerSpec, checked_operator, unit_vector
 from .weakvalues import WeakValueContext
 
 SCHEMA = 1
@@ -109,7 +118,7 @@ def _parse(convert, value, field: str):
     `field`."""
     try:
         return convert(value)
-    except (TypeError, ValueError, DomainError) as exc:
+    except (TypeError, ValueError, FloatingPointError, DomainError) as exc:
         raise InputFormatError(f"{field}: {exc}") from exc
 
 
@@ -165,88 +174,35 @@ def mmap_from_dict(payload: dict, where: str = "mmap") -> MMap:
 
 
 # ---------------------------------------------------------------------------
-# vectors and matrices
+# vectors, matrices and pointers
 
 
 def array_to_dict(arr: np.ndarray) -> dict:
-    arr = np.asarray(arr, dtype=complex)
-    data = np.empty(arr.size * 2)
-    flat = arr.reshape(-1)
-    data[0::2] = flat.real
-    data[1::2] = flat.imag
-    return {"dim": arr.shape[0], "data": data.tolist()}
+    arr = np.ascontiguousarray(arr, dtype=complex)
+    return {"dim": arr.shape[0], "data": arr.reshape(-1).view(float).tolist()}
+
+
+def _complex_array(payload: dict, where: str, rank: int) -> np.ndarray:
+    """The complex array with `rank` axes of length "dim" whose entries
+    "data" holds as row-major interleaved re/im reals."""
+    dim = _parse(int, _require(payload, "dim", where), f"{where}.dim")
+    data = _parse(lambda v: np.ascontiguousarray(v, dtype=float),
+                  _require(payload, "data", where), f"{where}.data")
+    if data.shape != (2 * dim ** rank,):
+        raise InputFormatError(f"{where}: expected {2 * dim ** rank} reals, "
+                               f"got {data.size}")
+    return data.view(complex).reshape((dim,) * rank)
 
 
 def vector_from_dict(payload: dict, where: str = "state") -> np.ndarray:
-    dim = _parse(int, _require(payload, "dim", where), f"{where}.dim")
-    data = _parse(lambda v: np.asarray(v, dtype=float),
-                  _require(payload, "data", where), f"{where}.data")
-    if data.shape[0] != 2 * dim:
-        raise InputFormatError(f"{where}: expected {2 * dim} reals, "
-                               f"got {data.shape[0]}")
-    vec = data[0::2] + 1j * data[1::2]
-    try:
-        return QState(vec).array
-    except Exception as exc:
-        raise InputFormatError(f"{where}: {exc}") from exc
+    return _parse(unit_vector, _complex_array(payload, where, 1), where)
 
 
 def matrix_from_dict(payload: dict, where: str = "operator") -> np.ndarray:
-    dim = _parse(int, _require(payload, "dim", where), f"{where}.dim")
-    data = _parse(lambda v: np.asarray(v, dtype=float),
-                  _require(payload, "data", where), f"{where}.data")
-    if data.shape[0] != 2 * dim * dim:
-        raise InputFormatError(f"{where}: expected {2 * dim * dim} reals, "
-                               f"got {data.shape[0]}")
-    mat = (data[0::2] + 1j * data[1::2]).reshape(dim, dim)
-    try:
-        return QOperator(mat, hermitian=bool(payload.get("hermitian", False)),
-                         unitary=bool(payload.get("unitary", False))).array
-    except Exception as exc:
-        raise InputFormatError(f"{where}: {exc}") from exc
-
-
-# ---------------------------------------------------------------------------
-# weak-value query contexts
-
-
-def context_from_dict(payload: dict) -> WeakValueContext:
-    kind = _require(payload, "kind", "context")
-    observables = [matrix_from_dict(o, f"context.observables[{i}]")
-                   for i, o in enumerate(_parse(
-                       list, _require(payload, "observables", "context"),
-                       "context.observables"))]
-    floor = _parse(_finite_tolerance, payload.get("floor", DEFAULT_FLOOR),
-                   "context.floor")
-    if kind == "sequential":
-        return WeakValueContext.sequential(
-            vector_from_dict(_require(payload, "psi_i", "context"), "psi_i"),
-            vector_from_dict(_require(payload, "psi_f", "context"), "psi_f"),
-            [matrix_from_dict(u, f"context.unitaries[{i}]")
-             for i, u in enumerate(_parse(
-                 list, _require(payload, "unitaries", "context"),
-                 "context.unitaries"))],
-            observables, floor=floor)
-    if kind == "evolution":
-        return WeakValueContext.evolution(
-            vector_from_dict(_require(payload, "psi_i", "context"), "psi_i"),
-            vector_from_dict(_require(payload, "psi_f", "context"), "psi_f"),
-            matrix_from_dict(_require(payload, "hamiltonian", "context"),
-                             "hamiltonian"),
-            _parse(_finite, _require(payload, "tau", "context"), "context.tau"),
-            observables, floor=floor)
-    if kind == "thermal":
-        return WeakValueContext.thermal(
-            matrix_from_dict(_require(payload, "hamiltonian", "context"),
-                             "hamiltonian"),
-            _parse(_finite, _require(payload, "beta", "context"),
-                   "context.beta"),
-            observables)
-    raise InputFormatError(f"context: unknown kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
-# pointers and explicit experiment configs
+    return _parse(lambda mat: checked_operator(
+        mat, hermitian=bool(payload.get("hermitian", False)),
+        unitary=bool(payload.get("unitary", False))),
+        _complex_array(payload, where, 2), where)
 
 
 def pointer_from_dict(payload: dict, where: str = "pointer") -> PointerSpec:
@@ -260,6 +216,95 @@ def pointer_from_dict(payload: dict, where: str = "pointer") -> PointerSpec:
 def pointer_to_dict(p: PointerSpec) -> dict:
     return {"phi": array_to_dict(p.phi), "s": array_to_dict(p.s),
             "r": array_to_dict(p.r)}
+
+
+# ---------------------------------------------------------------------------
+# the field table of experiment configs and weak-value contexts
+
+
+def _listed(read, write):
+    """The (reader, writer) of a list field, element by element, each
+    element named by its index."""
+    return (lambda values, at: tuple(read(v, f"{at}[{i}]")
+                                     for i, v in enumerate(values)),
+            lambda values: [write(v) for v in values])
+
+
+def _multiset_elements(t) -> list:
+    return list((t if isinstance(t, Multiset) else Multiset(t)).elements())
+
+
+_MATRIX = (matrix_from_dict, array_to_dict)
+_STATE = (vector_from_dict, array_to_dict)
+_NUMBER = (lambda v, at: _finite(v), float)
+_GATE = (lambda v, at: _finite_tolerance(v), float)
+_INTEGER = (lambda v, at: int(v), int)
+_REALS = (lambda v, at: np.asarray(v, dtype=float),
+          lambda v: np.asarray(v, dtype=float).tolist())
+
+# Every field of a config and of a context: name -> (reader, writer), in
+# write order.  reader(value, at) parses the JSON value of the field named
+# `at` in errors; writer(value) gives it back.
+_FIELDS = {
+    "seed": _INTEGER,
+    "tolerance": _GATE, "mutual_tolerance": _GATE, "floor": _GATE,
+    "psi_i": _STATE, "psi_f": _STATE,
+    "unitaries": _listed(*_MATRIX), "hamiltonian": _MATRIX,
+    "tau": _NUMBER, "beta": _NUMBER,
+    "pointers": _listed(pointer_from_dict, pointer_to_dict),
+    "observables": _listed(*_MATRIX),
+    "copies": (lambda v, at: tuple(int(c) for c in v), list),
+    "targets": _listed(lambda v, at: Multiset(v), _multiset_elements),
+    "outcome_values": _listed(*_REALS), "probabilities": _REALS,
+    "mc_samples": _INTEGER,
+}
+
+# The fields each kind of context requires, as its WeakValueContext
+# constructor names them; "floor" is optional in every kind.
+_CONTEXT_KINDS = {
+    "sequential": ("psi_i", "psi_f", "unitaries", "observables"),
+    "evolution": ("psi_i", "psi_f", "hamiltonian", "tau", "observables"),
+    "thermal": ("hamiltonian", "beta", "observables"),
+}
+
+
+def _read_fields(payload: dict, keys, where: str) -> dict:
+    """Each field of `keys` that `payload` holds, through its reader and
+    named `where.key` in errors."""
+    out = {}
+    for key in keys:
+        if key in payload:
+            at = f"{where}.{key}"
+            out[key] = _parse(lambda v: _FIELDS[key][0](v, at), payload[key],
+                              at)
+    return out
+
+
+def context_from_dict(payload: dict) -> WeakValueContext:
+    kind = _require(payload, "kind", "context")
+    if not isinstance(kind, str) or kind not in _CONTEXT_KINDS:
+        raise InputFormatError(f"context: unknown kind {kind!r}")
+    for key in _CONTEXT_KINDS[kind]:
+        _require(payload, key, "context")
+    return getattr(WeakValueContext, kind)(**_read_fields(
+        payload, (*_CONTEXT_KINDS[kind], "floor"), "context"))
+
+
+def config_to_dict(cfg: ExperimentConfig) -> dict:
+    """Every field of `cfg` that is set (not None, not empty), through its
+    writer."""
+    out = {"schema": SCHEMA, "scenario": cfg.scenario}
+    for key, (_, write) in _FIELDS.items():
+        value = getattr(cfg, key)
+        if value is not None and not (isinstance(value, tuple) and not value):
+            out[key] = write(value)
+    return out
+
+
+def config_from_dict(payload: dict, where: str = "config") -> ExperimentConfig:
+    scenario = _require(payload, "scenario", where)
+    fields = _read_fields(payload, _FIELDS, where)
+    return _parse(lambda f: ExperimentConfig(scenario, **f), fields, where)
 
 
 # ---------------------------------------------------------------------------
@@ -290,81 +335,3 @@ def report_rows_from_json(payload: dict):
     for r in payload.get("records", []):
         yield {"scenario": payload.get("scenario"), "seed": payload.get("seed"),
                **{key: r.get(key) for key in REPORT_CSV_COLUMNS[2:]}}
-
-
-# ---------------------------------------------------------------------------
-# experiment configs (explicit-matrix form; generator form stays on the CLI)
-
-
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    out = {"schema": SCHEMA, "scenario": cfg.scenario,
-           "tolerance": cfg.tolerance, "floor": cfg.floor}
-    if cfg.seed is not None:
-        out["seed"] = cfg.seed
-    if cfg.psi_i is not None:
-        out["psi_i"] = array_to_dict(cfg.psi_i)
-    if cfg.psi_f is not None:
-        out["psi_f"] = array_to_dict(cfg.psi_f)
-    if cfg.unitaries:
-        out["unitaries"] = [array_to_dict(u) for u in cfg.unitaries]
-    if cfg.hamiltonian is not None:
-        out["hamiltonian"] = array_to_dict(cfg.hamiltonian)
-    if cfg.tau is not None:
-        out["tau"] = cfg.tau
-    if cfg.beta is not None:
-        out["beta"] = cfg.beta
-    if cfg.pointers:
-        out["pointers"] = [pointer_to_dict(p) for p in cfg.pointers]
-    if cfg.observables:
-        out["observables"] = [array_to_dict(a) for a in cfg.observables]
-    if cfg.copies:
-        out["copies"] = list(cfg.copies)
-    if cfg.targets:
-        out["targets"] = [list(t.elements()) for t in
-                          (Multiset(t) if not isinstance(t, Multiset) else t
-                           for t in cfg.targets)]
-    if cfg.outcome_values:
-        out["outcome_values"] = [list(map(float, v))
-                                 for v in cfg.outcome_values]
-        out["probabilities"] = [float(p) for p in cfg.probabilities]
-    if cfg.mc_samples:
-        out["mc_samples"] = cfg.mc_samples
-    return out
-
-
-def _listed(parse):
-    """A list field parsed element by element, each named by its index."""
-    return lambda values, at: tuple(parse(v, f"{at}[{i}]")
-                                    for i, v in enumerate(values))
-
-
-_CONFIG_FIELDS = {
-    "psi_i": vector_from_dict, "psi_f": vector_from_dict,
-    "unitaries": _listed(matrix_from_dict), "hamiltonian": matrix_from_dict,
-    "pointers": _listed(pointer_from_dict),
-    "observables": _listed(matrix_from_dict),
-    "outcome_values": _listed(lambda v, at: np.asarray(v, dtype=float)),
-    "probabilities": lambda v, at: np.asarray(v, dtype=float),
-    "targets": _listed(lambda v, at: Multiset(v)),
-    **dict.fromkeys(("tau", "beta"), lambda v, at: _finite(v)),
-    **dict.fromkeys(("tolerance", "mutual_tolerance", "floor"),
-                    lambda v, at: _finite_tolerance(v)),
-    "seed": lambda v, at: int(v), "mc_samples": lambda v, at: int(v),
-    "copies": lambda v, at: tuple(int(c) for c in v),
-}
-
-
-def config_from_dict(payload: dict, where: str = "config") -> ExperimentConfig:
-    kwargs = {"scenario": _require(payload, "scenario", where)}
-    if "outcome_values" in payload:
-        _require(payload, "probabilities", where)
-    for key, parse in _CONFIG_FIELDS.items():
-        if key in payload:
-            at = f"{where}.{key}"
-            kwargs[key] = _parse(lambda v: parse(v, at), payload[key], at)
-    try:
-        return ExperimentConfig(**kwargs)
-    except InputFormatError:
-        raise
-    except Exception as exc:
-        raise InputFormatError(f"{where}: {exc}") from exc

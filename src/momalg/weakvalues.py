@@ -84,13 +84,14 @@ class WeakValueContext:
                    tau=float(tau), floor=floor)
 
     @classmethod
-    def thermal(cls, hamiltonian, beta, observables) -> "WeakValueContext":
+    def thermal(cls, hamiltonian, beta, observables,
+                floor: float = DEFAULT_FLOOR) -> "WeakValueContext":
         if beta <= 0:
             raise DomainError("beta must be positive")
         return cls("thermal",
                    tuple(np.asarray(a, dtype=complex) for a in observables),
                    hamiltonian=np.asarray(hamiltonian, dtype=complex),
-                   beta=float(beta))
+                   beta=float(beta), floor=floor)
 
     @property
     def n(self) -> int:

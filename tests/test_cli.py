@@ -23,6 +23,7 @@ from momalg.serialization import (
 )
 from momalg.algebra import MMap, exp_star, log_star
 from momalg.combinatorics import Multiset
+from momalg.experiments import SCENARIOS
 from momalg.quantum import random_hermitian, random_state, random_unitary
 
 M = Multiset
@@ -289,6 +290,78 @@ def test_verify_accepts_explicit_config_file(tmp_path):
     assert np.allclose(back.observables[0], cfg.observables[0])
 
 
+ALIASES = {name: row.aliases[0] for name, row in SCENARIOS.items()}
+
+
+@pytest.mark.parametrize("scenario", sorted(ALIASES))
+def test_config_json_round_trip_keeps_every_field(scenario):
+    # every ExperimentConfig field, non-defaults included, comes back from
+    # config_to_dict -> json -> config_from_dict exactly
+    import dataclasses
+
+    from momalg.experiments import ExperimentConfig, random_config
+    from momalg.serialization import config_from_dict, config_to_dict
+
+    cfg = dataclasses.replace(
+        random_config(scenario, 5), mutual_tolerance=3e-11, mc_samples=7,
+        targets=(M([1]), M([1, 2])))
+    back = config_from_dict(json.loads(json.dumps(config_to_dict(cfg))))
+
+    def same(x, y):
+        if isinstance(x, quantum.PointerSpec):
+            return all(np.array_equal(getattr(x, k), getattr(y, k))
+                       for k in ("phi", "s", "r"))
+        if isinstance(x, (tuple, list)):
+            return len(x) == len(y) and all(map(same, x, y))
+        if isinstance(x, np.ndarray):
+            return np.array_equal(x, y)
+        return type(x) is type(y) and x == y
+
+    for f in dataclasses.fields(ExperimentConfig):
+        assert same(getattr(cfg, f.name), getattr(back, f.name)), f.name
+
+
+@pytest.mark.parametrize("scenario", sorted(ALIASES))
+def test_config_replay_writes_the_seeded_report(tmp_path, scenario):
+    # verify <alias> --config <the written seeded config> gives the report
+    # of verify <alias> --seeds <seed>, runtime_s apart
+    from momalg.experiments import random_config
+    from momalg.serialization import config_to_dict
+
+    alias = ALIASES[scenario]
+    for seed in (1, 2, 3):
+        config = write(tmp_path / f"cfg{seed}.json",
+                       config_to_dict(random_config(scenario, seed)))
+        reports = []
+        for source in (["--seeds", str(seed)], ["--config", config]):
+            out = tmp_path / f"{source[0][2:]}{seed}"
+            assert main(["verify", alias, *source, "--out", str(out)]) == 0
+            name = load_json(str(out / f"manifest_{alias}.json"))["reports"]
+            reports.append(load_json(str(out / name[0])))
+            reports[-1].pop("runtime_s")
+        assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("alias", ["thermal", "multiset"])
+def test_hs_zero_runs_a_zero_system_hamiltonian(tmp_path, alias):
+    # --hs zero sets H_S = 0 in every scenario that has one, and the
+    # reports differ from those of a random H_S, and pass
+    from momalg.experiments import random_config
+
+    for scenario in ("thermal", "multiset", "simultaneous-evolution"):
+        cfg = random_config(scenario, 1, zero_hamiltonian=True)
+        assert not cfg.hamiltonian.any()
+    reports = []
+    for hs in ("random", "zero"):
+        out = tmp_path / hs
+        assert main(["verify", alias, "--hs", hs, "--seeds", "1..2",
+                     "--out", str(out)]) == 0
+        names = load_json(str(out / f"manifest_{alias}.json"))["reports"]
+        reports.append([load_json(str(out / n))["records"] for n in names])
+    for random_h, zero_h in zip(*reports):
+        assert [r["lhs_re"] for r in random_h] != [r["lhs_re"] for r in zero_h]
+
+
 def test_exit_codes_of_algebra_preconditions(tmp_path):
     zero = write(tmp_path / "zero.json", {
         "schema": 1, "n": 1, "entries": [{"m": [1], "re": 1.0}]})
@@ -374,6 +447,18 @@ def _thermal_query(context=(), **fields):
             "subsets": [[1]], **fields}
 
 
+def _sequential_query(**context):
+    ctx = {"kind": "sequential", "psi_i": array_to_dict([1.0, 0.0]),
+           "psi_f": array_to_dict([0.6, 0.8]),
+           "unitaries": [array_to_dict(np.eye(2))] * 2,
+           "observables": [array_to_dict(np.array([[0.0, 1.0], [1.0, 0.0]]))]}
+    return {"schema": 1, "context": {**ctx, **context}, "subsets": [[1]]}
+
+
+def _flagged(matrix, flag):
+    return {**array_to_dict(matrix), flag: True}
+
+
 SCENARIO_NAMES = {"thm3": "sequential-all-coupled", "thm4":
                   "simultaneous-evolution", "thermal": "thermal"}
 BAD_CONFIG_NUMBERS = [
@@ -416,11 +501,29 @@ BAD_CONFIG_NUMBERS = [
     (["weak-values"], _thermal_query({"beta": math.inf}), "context.beta:"),
     (["weak-values"], _thermal_query({"beta": math.nan}), "context.beta:"),
     (["weak-values"], _thermal_query({"floor": -1.0}), "context.floor:"),
+    # every context field is named as a config's is: context.<field>
+    (["weak-values"], _sequential_query(psi_i=array_to_dict([0.0, 0.0])),
+     "context.psi_i:"),
+    (["weak-values"], _sequential_query(psi_f={"dim": 2, "data": [1.0]}),
+     "context.psi_f:"),
+    (["weak-values"], _thermal_query(
+        {"hamiltonian": _flagged(np.array([[0.0, 1.0], [0.0, 0.0]]),
+                                 "hermitian")}), "context.hamiltonian:"),
+    (["weak-values"], _sequential_query(unitaries=[
+        _flagged(np.array([[1.0, 1.0], [0.0, 1.0]]), "unitary"),
+        array_to_dict(np.eye(2))]), "context.unitaries[0]:"),
+    (["weak-values"], _sequential_query(psi_i=array_to_dict([1e200, 1e200])),
+     "context.psi_i: overflow"),
+    (["verify", "genfun", "--config"], {
+        k: v for k, v in _config_payload("genfun").items()
+        if k != "probabilities"}, "without probabilities"),
 ], ids=["n", "caps", "entries", "entry", "re", "label0", "beta", "seed",
         "targets", "wv-beta", "wv-floor", "wv-observables", "wv-samples",
         "wv-seed", "wv-mode", "wv-subset0", "wv-list",
         *[f"{key}-{value}" for _, key, value in BAD_CONFIG_NUMBERS],
-        "wv-beta-inf", "wv-beta-nan", "wv-floor-neg"])
+        "wv-beta-inf", "wv-beta-nan", "wv-floor-neg", "wv-psi_i-zero",
+        "wv-psi_f-length", "wv-hamiltonian-flag", "wv-unitaries0-flag",
+        "wv-psi_i-overflow", "genfun-no-probabilities"])
 def test_exit_code_2_on_malformed_fields(tmp_path, capsys, argv, payload,
                                          field):
     # a field that cannot be converted is malformed input named in the

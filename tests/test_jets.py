@@ -507,6 +507,25 @@ def test_one_non_hermitian_coupling_block_takes_the_general_path(squarings):
     assert_matches_oracle(got, terms, caps, d, "non-Hermitian coupling")
 
 
+def test_hermitian_test_decides_as_the_whole_stack_comparison():
+    # the exponentials' exact Hermitian test, one nonzero block at a time,
+    # decides as a comparison of the whole stack with its adjoint
+    rng = np.random.default_rng(3)
+    blocks = np.zeros((8, 4, 4), dtype=complex)
+    for i in (0, 1, 5):
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        blocks[i] = g + g.conj().T
+    cases = [blocks, np.zeros_like(blocks)]
+    for i, entry, delta in ((5, (0, 1), 1e-12), (1, (2, 2), 1e-300j),
+                            (7, (3, 0), 1.0)):
+        off = blocks.copy()
+        off[i][entry] += delta
+        cases.append(off)
+    decisions = [jets._hermitian(b) for b in cases]
+    assert decisions == [np.array_equal(b, jets._adjoint(b)) for b in cases]
+    assert decisions == [True, True, False, False, False]
+
+
 @pytest.mark.parametrize("caps", [(1, 1, 1), (2, 1)])
 def test_hermitian_square_matches_the_full_pair_loop(caps):
     rng = np.random.default_rng(33)

@@ -14,8 +14,7 @@ from momalg.errors import (
 from momalg.jets import Jet, JetMatrix, _monomials, _position, jet_matrix_exp
 from momalg.quantum import (
     PointerSpec,
-    QOperator,
-    QState,
+    checked_operator,
     embed,
     kron,
     postselected_pointer_state,
@@ -24,6 +23,7 @@ from momalg.quantum import (
     random_state,
     random_unitary,
     readout_moments,
+    unit_vector,
 )
 from oracles import kron_chain, postselected_pointer_jet
 
@@ -135,21 +135,37 @@ def test_random_instance_is_deterministic_and_flagged():
     for x, y in zip(states + hermitians + unitaries, sum(again, [])):
         assert np.array_equal(x, y)
     for h in hermitians:
-        QOperator(h, hermitian=True)
+        checked_operator(h, hermitian=True)
     for u in unitaries:
-        QOperator(u, unitary=True)
+        checked_operator(u, unitary=True)
     for s in states:
         assert np.linalg.norm(s) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_qstate_and_qoperator_validation():
-    QState([1, 1j])
+def test_unit_vector_and_checked_operator_validation():
+    assert np.allclose(unit_vector([1, 1j]), np.array([1, 1j]) / np.sqrt(2))
     with pytest.raises(DomainError):
-        QState([0, 0])
+        unit_vector([0, 0])
     with pytest.raises(DomainError):
-        QOperator(np.array([[0, 1], [0, 0]]), hermitian=True)
+        checked_operator(np.array([[0, 1], [0, 0]]), hermitian=True)
     with pytest.raises(DomainError):
-        QOperator(np.array([[1, 1], [0, 1]]), unitary=True)
+        checked_operator(np.array([[1, 1], [0, 1]]), unitary=True)
+    with pytest.raises(ShapeMismatchError):
+        checked_operator(np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 16, 128])
+def test_unit_vector_keeps_a_vector_that_is_unit_to_rounding(dim):
+    # a normalised state comes back bit for bit, so that a state read back
+    # from a config is the one written; one a few ulps further off is
+    # normalised again
+    for seed in range(50):
+        v = random_state(np.random.default_rng([seed, dim]), dim)
+        assert np.array_equal(unit_vector(v), v)
+    eps = np.finfo(float).eps
+    off = random_state(np.random.default_rng(dim), dim) * (1 + 4 * dim * eps)
+    assert not np.array_equal(unit_vector(off), off)
+    assert abs(np.linalg.norm(unit_vector(off)) - 1) <= (dim + 2) * eps
 
 
 # ---------------------------------------------------------------------------
