@@ -314,22 +314,20 @@ def thermal_moment_mmap(config: ExperimentConfig) -> MMap:
     built in the eigenbasis of H_S: H_S = U diag(w) U^H by eigh at the
     system's size, U made unitary to working precision by one Newton-Schulz
     step, U <- U (3 - U^H U) / 2, and w ordered so that -beta w ascends
-    (beta > 0, checked first).  The observables become U^H A_j U, averaged
-    with their adjoints so that they stay exactly Hermitian.  The Boltzmann
-    jet is then (U (x) 1)^H e^{-beta H} (U (x) 1), and every moment
-    tr(B (1 (x) R)) is read straight off it: conjugating B by U (x) 1 leaves
-    a trace against 1 (x) R unchanged, so nothing is changed back."""
+    (beta > 0, checked first).  The observables become U^H A_j U, Hermitian
+    to rounding; nothing relies on more, since the Boltzmann jet is only
+    traced against 1 (x) R.  The Boltzmann jet is then
+    (U (x) 1)^H e^{-beta H} (U (x) 1), and every moment tr(B (1 (x) R)) is
+    read straight off it: conjugating B by U (x) 1 leaves a trace against
+    1 (x) R unchanged, so nothing is changed back."""
     if not config.beta > 0:
         raise DomainError("beta must be positive")
     w, u = np.linalg.eigh(config.hamiltonian)
     u = u @ (1.5 * np.eye(len(w)) - 0.5 * (u.conj().T @ u))
     w, u = w[::-1], u[:, ::-1]                 # -beta w ascending
-    observables = []
-    for a in config.observables:
-        a = u.conj().T @ a @ u
-        observables.append((a + a.conj().T) * 0.5)
     boltz = spectral_jet_matrix_exp(coupled_generator(
-        np.diag(w), observables, config.pointers, -config.beta, -1))
+        np.diag(w), [u.conj().T @ a @ u for a in config.observables],
+        config.pointers, -config.beta, -1))
     return _moment_mmap(boltz.blocks, [p.r for p in config.pointers],
                         config.system_dim)
 

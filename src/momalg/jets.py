@@ -36,13 +36,13 @@ Taylor route: it rescales the gammas by an exact power of two so that the
 couplings weigh no more than the constant block, then scales and squares
 with a Taylor degree chosen from the norm (Higham, SIAM J. Matrix Anal.
 Appl. 26, 2005), evaluated by Paterson-Stockmeyer (SIAM J. Comput. 2,
-1973) over one stack of the powers Y..Y^q; a generator whose blocks are
-all exactly Hermitian is squared from half the block pairs, since the
-pairs (a, b) and (b, a) of a square then give P and P^H.
-`spectral_jet_matrix_exp` takes the spectral route, for a constant block
-that is already diagonal: real, diagonal and ascending, as the thermal
--beta H_S (x) 1 is in the eigenbasis of H_S, which its caller takes at the
-system's size.  There, the Dyson expansion ends after G = sum(caps) factors
+1973) over one stack of the powers Y..Y^q.  Both routes multiply through
+the one product loop `_block_products`, whatever the symmetry of the
+generator: a Hermitian one gives a result that is Hermitian to rounding,
+not exactly.  `spectral_jet_matrix_exp` takes the spectral route, for a
+constant block that is already diagonal: real, diagonal and ascending, as
+the thermal -beta H_S (x) 1 is in the eigenbasis of H_S, which its caller
+takes at the system's size.  There, the Dyson expansion ends after G = sum(caps) factors
 of the nilpotent graded part and is summed with divided differences of
 exp, taken from Opitz matrices, which are exponentiated by the Taylor
 route in one batch per size.  No change of basis runs: a trace against
@@ -487,50 +487,24 @@ def _nonzero(blocks: np.ndarray) -> np.ndarray:
     return blocks.any(axis=tuple(range(1, blocks.ndim)))
 
 
-def _adjoint(blocks: np.ndarray) -> np.ndarray:
-    """Blockwise conjugate transpose of a (lattice, ..., d, d) stack."""
-    return np.conj(np.swapaxes(blocks, -1, -2))
-
-
-def _hermitian(blocks: np.ndarray) -> bool:
-    """Whether every block of a (lattice, d, d) stack equals its conjugate
-    transpose exactly, compared one nonzero block at a time."""
-    return all(np.array_equal(blocks[i], blocks[i].conj().T)
-               for i in np.flatnonzero(_nonzero(blocks)))
-
-
-def _block_products(table, a: np.ndarray, b: np.ndarray, out: np.ndarray,
-                    hermitian: bool = False) -> None:
+def _block_products(table, a: np.ndarray, b: np.ndarray,
+                    out: np.ndarray) -> None:
     """out += a @ b for block stacks in the lattice order of `table`: one
-    BLAS product per pair-table triple whose two blocks are nonzero.  The
-    blocks may be rectangular: (lattice, r, p) times (lattice, p, c).  Axes
-    between the lattice axis and the block axes are a batch, which each
-    product broadcasts over.
-
-    hermitian: b is a, every block of a is Hermitian and out starts at zero.
-    Pairs (i, j) and (j, i) then give a_i a_j and its adjoint, so only the
-    pairs i <= j are multiplied into W = sum_{i<j} a_i a_j + sum_i a_i a_i
-    / 2, and out = W + W^H is exactly Hermitian."""
-    ia, ib, ic = table.ia, table.ib, table.ic
-    if hermitian:
-        half = ia <= ib
-        ia, ib, ic = ia[half], ib[half], ic[half]
-    keep = _nonzero(a)[ia] & _nonzero(b)[ib]
+    BLAS product per pair-table triple whose two blocks are nonzero, added
+    in the order of the pair arrays.  The blocks may be rectangular:
+    (lattice, r, p) times (lattice, p, c).  Axes between the lattice axis
+    and the block axes are a batch, which each product broadcasts over."""
+    keep = _nonzero(a)[table.ia] & _nonzero(b)[table.ib]
     prod = np.empty(out.shape[1:], dtype=complex)  # reused
-    for i, j, c in zip(ia[keep].tolist(), ib[keep].tolist(),
-                       ic[keep].tolist()):
-        np.matmul(a[i], b[j], out=prod)
-        if hermitian and i == j:
-            prod *= 0.5
-        out[c] += prod
-    if hermitian:
-        out += _adjoint(out)
+    for i, j, c in zip(table.ia[keep].tolist(), table.ib[keep].tolist(),
+                       table.ic[keep].tolist()):
+        out[c] += np.matmul(a[i], b[j], out=prod)
 
 
 def jet_matrix_exp(m: JetMatrix) -> JetMatrix:
     """Matrix exponential in the truncated polynomial ring by the Taylor
-    route (steps 1-5).  `spectral_jet_matrix_exp` is the other route; step
-    6 says which caller takes which.
+    route (steps 1-4).  `spectral_jet_matrix_exp` is the other route; step
+    5 says which caller takes which.
 
     Write X = sum_a X_a gamma^a, G = sum(caps) for the top grade, |a| for
     the grade of monomial a, and ||.|| for the block 1-norm.  The ring
@@ -562,20 +536,11 @@ def jet_matrix_exp(m: JetMatrix) -> JetMatrix:
        chunks, square s times and multiply block a by 2^(k|a|).  That is
        q - 1 + c - 1 products plus s squarings; q minimises the products
        (ties: fewer stored powers, q ~ sqrt m), and m is raised to c q,
-       which the same products reach.
-    5. Hermitian X.  If every block of X is exactly Hermitian (one exact
-       test on X, no tolerance), so is every block of every real
-       polynomial in Y.  In a square the block pairs (a, b) and (b, a)
-       then give P and P^H, so one product serves both (`_block_products`):
-       multilinear caps need (3^n + 1) / 2 products per square instead of
-       3^n.  This covers the s squarings and the even powers, taken as
-       Y^(2j) = (Y^j)^2.  A square comes out exactly Hermitian, and with
-       no squaring the Horner result is made so, so exp(X) is too.  Any
-       other X (e.g. -i tau H) keeps the full products.  On both paths a
-       chunk adds its powers one at a time, in a fixed order: the
-       postselected values thm4 feeds move by up to 1e-13 relative when
+       which the same products reach.  Each power is Y times the one
+       below, and a chunk adds its powers one at a time, in a fixed order:
+       the postselected values thm4 feeds move by up to 1e-13 relative when
        that sum is reordered (e.g. into one tensordot over the stack).
-    6. Role.  A caller takes the route its role gives it, never the one a
+    5. Role.  A caller takes the route its role gives it, never the one a
        cost estimate prefers: the thermal check's lhs, the joint-space
        Boltzmann jet e^(-beta H), takes the spectral route, and every other
        caller takes this one: the system-side partition jet of the thermal
@@ -592,10 +557,8 @@ def jet_matrix_exp(m: JetMatrix) -> JetMatrix:
     refused with a DomainError.
     """
     table = _pair_table(m.caps)
-    schedule = _taylor_schedule(table, _finite_norms(m))
-    hermitian = _hermitian(m.blocks)
-    return _in_double_range(m, _taylor_exp, m.blocks, table, schedule,
-                            hermitian)
+    return _in_double_range(m, _taylor_exp, m.blocks, table,
+                            _taylor_schedule(table, _finite_norms(m)))
 
 
 def spectral_jet_matrix_exp(m: JetMatrix) -> JetMatrix:
@@ -635,12 +598,10 @@ def spectral_jet_matrix_exp(m: JetMatrix) -> JetMatrix:
        and column.  Divided differences come from Opitz's theorem: for the
        bidiagonal J with diagonal x_0..x_r and ones above it, exp(J)[0, r]
        = exp[x_0, ..., x_r], repeated points included.  The J of each size
-       are exponentiated as one batch by the Taylor route, steps 1-4, which
-       scale and square them; McCurdy, Ng & Parlett (Math. Comp. 43, 1984)
-       show that this keeps divided differences at close points accurate,
-       where the quotient formula cancels.
-    c. If every block of X is Hermitian the result is averaged with its
-       adjoint, so that it is exactly Hermitian, as on the Taylor route.
+       are exponentiated as one batch by the Taylor route, which scales
+       and squares them; McCurdy, Ng & Parlett (Math. Comp. 43, 1984) show
+       that this keeps divided differences at close points accurate, where
+       the quotient formula cancels.
     Work: per multiset M and pair-table pair, sub-block products worth one
     d x d product: 12 products of 128 x 128 blocks at caps (1, 1, 1) with
     two clusters, against 176-190 on the Taylor route.
@@ -658,9 +619,8 @@ def spectral_jet_matrix_exp(m: JetMatrix) -> JetMatrix:
             and (np.diff(w.real) >= 0).all()):
         raise DomainError("the spectral exponential needs a real, diagonal, "
                           "ascending constant block")
-    hermitian = _hermitian(m.blocks)
     return _in_double_range(m, _spectral_exp, m.blocks, _pair_table(m.caps),
-                            w.real, _clusters(w.real), hermitian)
+                            w.real, _clusters(w.real))
 
 
 def _finite_norms(m: JetMatrix) -> np.ndarray:
@@ -720,9 +680,8 @@ def _taylor_schedule(table, norms: np.ndarray) -> _Schedule:
     return _Schedule(k, s, q, q * -(-degree // q))
 
 
-def _taylor_exp(blocks: np.ndarray, table, schedule: _Schedule,
-                hermitian: bool) -> np.ndarray:
-    """Steps 1-5 of the jet_matrix_exp docstring on a (lattice, ..., d, d)
+def _taylor_exp(blocks: np.ndarray, table, schedule: _Schedule) -> np.ndarray:
+    """Steps 1-4 of the jet_matrix_exp docstring on a (lattice, ..., d, d)
     block stack in the lattice order of `table`.  Axes between the lattice
     axis and the block axes are a batch of exponentials, all taken with
     the one schedule."""
@@ -735,12 +694,8 @@ def _taylor_exp(blocks: np.ndarray, table, schedule: _Schedule,
     powers = np.zeros((q, *blocks.shape), dtype=complex)      # Y^1..Y^q
     np.multiply(blocks, (2.0 ** -(k * table.grade + s)).reshape(per_block),
                 out=powers[0])
-    for j in range(2, q + 1):
-        if hermitian and j % 2 == 0:                     # (Y^(j/2))^2
-            i = j // 2 - 1
-            _block_products(table, powers[i], powers[i], powers[j - 1], True)
-        else:
-            _block_products(table, powers[j - 2], powers[0], powers[j - 1])
+    for j in range(1, q):
+        _block_products(table, powers[j - 1], powers[0], powers[j])
 
     def add_chunk(into: np.ndarray, lo: int, hi: int) -> None:
         """into += sum_{j=lo}^{hi} Y^(j-lo) / j!, in place."""
@@ -748,9 +703,9 @@ def _taylor_exp(blocks: np.ndarray, table, schedule: _Schedule,
         for j in range(lo + 1, hi + 1):
             into += powers[j - lo - 1] * (1.0 / math.factorial(j))
 
-    def product(a: np.ndarray, b: np.ndarray, hermitian_square=False):
+    def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         out = np.zeros_like(a)
-        _block_products(table, a, b, out, hermitian_square)
+        _block_products(table, a, b, out)
         return out
 
     acc = np.zeros_like(powers[0])
@@ -759,10 +714,8 @@ def _taylor_exp(blocks: np.ndarray, table, schedule: _Schedule,
         acc = product(acc, powers[-1])
         add_chunk(acc, lo, lo + q - 1)
     del powers                     # the squarings need only acc
-    if hermitian and not s:        # squarings would make it exactly Hermitian
-        acc = (acc + _adjoint(acc)) * 0.5
     for _ in range(s):
-        acc = product(acc, acc, hermitian)
+        acc = product(acc, acc)
     if k:
         acc *= (2.0 ** (k * table.grade)).reshape(per_block)
     return acc
@@ -777,7 +730,7 @@ def _clusters(w: np.ndarray) -> np.ndarray:
 
 
 def _spectral_exp(blocks: np.ndarray, table, w: np.ndarray,
-                  bounds: np.ndarray, hermitian: bool) -> np.ndarray:
+                  bounds: np.ndarray) -> np.ndarray:
     """The spectral_jet_matrix_exp docstring's route on a (lattice, d, d)
     block stack: the divided-difference expansion of exp(X) about its
     constant block diag(w), whose ascending points w are split into
@@ -827,10 +780,6 @@ def _spectral_exp(blocks: np.ndarray, table, w: np.ndarray,
                 _block_products(pairs, level[mid[:i] + mid[i + 1:]][:, :, rows],
                                 nil[:, rows], paths)
         level, held = longer, deeper
-    if hermitian:                              # (acc + acc^H) / 2, in place
-        for block in acc:
-            block += np.conj(block.T, out=work)
-            block *= 0.5
     return acc
 
 
@@ -890,6 +839,6 @@ def _exp_divided_differences(lam: np.ndarray, mids: list) -> dict:
                                               axis=1) - mu
         largest = _block_norms(opitz).max(keepdims=True)
         exp_j = _taylor_exp(opitz[None], table, _taylor_schedule(
-            table, largest), False)[0].real * np.exp(mu)
+            table, largest))[0].real * np.exp(mu)
         out.update(zip(group, exp_j[:, :count, size - count:]))
     return out

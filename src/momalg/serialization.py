@@ -302,9 +302,29 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def config_from_dict(payload: dict, where: str = "config") -> ExperimentConfig:
+    """The config of `payload`, once its lists have the lengths its count n
+    gives (n observables and, in the kick chain, n + 1 unitaries; n counts
+    the pointers, or the copy counts in the multiset scenario) and its
+    system arrays the dimension of the first.  A field that does not is
+    malformed input naming it."""
     scenario = _require(payload, "scenario", where)
-    fields = _read_fields(payload, _FIELDS, where)
-    return _parse(lambda f: ExperimentConfig(scenario, **f), fields, where)
+    cfg = _parse(lambda f: ExperimentConfig(scenario, **f),
+                 _read_fields(payload, _FIELDS, where), where)
+    n = len(cfg.copies or (2,)) if scenario == "multiset" else cfg.n_pointers
+    sizes = {"observables": n,
+             "unitaries": n + 1 if scenario.startswith("sequential") else 0}
+    wrong = [f"{key}: {len(getattr(cfg, key))} given, {size} needed"
+             for key, size in sizes.items() if len(getattr(cfg, key)) != size]
+    arrays = [(f"{key}[{i}]", a) for key in sizes
+              for i, a in enumerate(getattr(cfg, key))] + [
+        (key, getattr(cfg, key)) for key in ("hamiltonian", "psi_i", "psi_f")
+        if getattr(cfg, key) is not None]
+    wrong += [f"{key}: dimension {len(a)}, but {arrays[0][0]} has "
+              f"{len(arrays[0][1])}" for key, a in arrays
+              if len(a) != len(arrays[0][1])]
+    if wrong:
+        raise InputFormatError(f"{where}.{wrong[0]}")
+    return cfg
 
 
 # ---------------------------------------------------------------------------

@@ -439,6 +439,16 @@ def _config_payload(scenario, **fields):
             **fields}
 
 
+def _three_pointers(scenario, key, count):
+    """A 3-pointer config payload that keeps only `count` entries of the
+    list field `key`."""
+    from momalg.experiments import random_config
+    from momalg.serialization import config_to_dict
+
+    payload = config_to_dict(random_config(scenario, 3, n_pointers=3))
+    return {**payload, key: payload[key][:count]}
+
+
 def _thermal_query(context=(), **fields):
     ctx = {"kind": "thermal", "beta": 0.8,
            "hamiltonian": array_to_dict(np.diag([0.0, 1.0])),
@@ -517,13 +527,28 @@ BAD_CONFIG_NUMBERS = [
     (["verify", "genfun", "--config"], {
         k: v for k, v in _config_payload("genfun").items()
         if k != "probabilities"}, "without probabilities"),
+    # a config's arrays must agree with each other: one system dimension,
+    # n observables and, in the kick chain, n + 1 unitaries for n pointers
+    (["verify", "thm3", "--config"], _config_payload(
+        "sequential-all-coupled", psi_i=array_to_dict(np.ones(3) / 3 ** 0.5)),
+     ".psi_i: dimension 3"),
+    (["verify", "thermal", "--config"],
+     _three_pointers("thermal", "observables", 2), ".observables: 2 given"),
+    (["verify", "thm4", "--config"],
+     _three_pointers("simultaneous-evolution", "observables", 2),
+     ".observables: 2 given"),
+    (["verify", "thm1", "--config"],
+     _three_pointers("sequential-per-subset", "unitaries", 2),
+     ".unitaries: 2 given"),
 ], ids=["n", "caps", "entries", "entry", "re", "label0", "beta", "seed",
         "targets", "wv-beta", "wv-floor", "wv-observables", "wv-samples",
         "wv-seed", "wv-mode", "wv-subset0", "wv-list",
         *[f"{key}-{value}" for _, key, value in BAD_CONFIG_NUMBERS],
         "wv-beta-inf", "wv-beta-nan", "wv-floor-neg", "wv-psi_i-zero",
         "wv-psi_f-length", "wv-hamiltonian-flag", "wv-unitaries0-flag",
-        "wv-psi_i-overflow", "genfun-no-probabilities"])
+        "wv-psi_i-overflow", "genfun-no-probabilities", "thm3-psi_i-dim",
+        "thermal-observables-count", "thm4-observables-count",
+        "thm1-unitaries-count"])
 def test_exit_code_2_on_malformed_fields(tmp_path, capsys, argv, payload,
                                          field):
     # a field that cannot be converted is malformed input named in the
@@ -791,25 +816,23 @@ def verdicts(out):
     (("--pointers", "5"), 10), ((*JET_RING, "--beta", "10"), 25)],
     ids=["dense-hilbert", "jet-ring", "pointers-2", "defaults", "pointers-5",
          "jet-ring-beta-10"])
-def test_thermal_fails_when_the_taylor_hermitian_square_drops_its_adjoint(
+def test_thermal_fails_when_the_taylor_ring_exponential_is_off(
         tmp_path, monkeypatch, shape, seeds):
     # The joint-space Boltzmann jet (lhs) takes the spectral route and the
-    # system-side jet (rhs and rhs_alt) the Taylor route.  A Taylor
-    # Hermitian square that keeps W but drops W^H then moves only the
-    # right-hand sides, and every seed fails.  With both sides on one route,
-    # as a cost model chose them, such runs passed 91 of 100 seeds at 2
-    # pointers, 85 of 100 at the defaults, 5 of 10 at 5 pointers and 23 of
-    # 25 at the jet-ring shape with beta 10.
-    real = jets._block_products
+    # system-side jet (rhs and rhs_alt) the Taylor route.  A defect of the
+    # Taylor route on a ring of more than one monomial, every grade >= 1 of
+    # its result scaled by 1 + 1e-6, then moves only the right-hand sides:
+    # the spectral route's own Taylor calls, the Opitz batches, are on the
+    # one-monomial ring and stay untouched.  Every seed fails.
+    real = jets._taylor_exp
 
-    def without_adjoint(table, a, b, out, hermitian=False):
-        if not hermitian:
-            return real(table, a, b, out)
-        for i, j, c in zip(table.ia, table.ib, table.ic):
-            if i <= j:
-                out[c] += a[i] @ b[j] * (0.5 if i == j else 1.0)
+    def off(blocks, table, schedule):
+        out = real(blocks, table, schedule)
+        if len(blocks) > 1:
+            out[table.grade >= 1] *= 1 + 1e-6
+        return out
 
-    monkeypatch.setattr(jets, "_block_products", without_adjoint)
+    monkeypatch.setattr(jets, "_taylor_exp", off)
     out = tmp_path / "reports"
     assert main(["verify", "thermal", *shape, "--seeds", f"1..{seeds}",
                  "--out", str(out)]) == 1
