@@ -65,6 +65,11 @@ from .weakvalues import (
 
 SCENARIO_ALIASES = {alias: name for name, row in SCENARIOS.items()
                     for alias in row.aliases}
+# The weak-value modes that read only fields a context kind has, "auto"'s
+# first.
+KIND_MODES = {"sequential": ("sequential", "simultaneous"),
+              "evolution": ("jet", "simultaneous", "mc"),
+              "thermal": ("thermal",)}
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -203,7 +208,7 @@ def cmd_weak_values(args) -> int:
     payload = load_json(where)
     subsets = _parse(list, _require(payload, "subsets", where),
                      f"{where}.subsets")
-    ctx = context_from_dict(payload.get("context", {}))
+    kind, config = context_from_dict(payload.get("context", {}))
     samples = _parse(int, payload.get("samples", 100_000), f"{where}.samples")
     seed = _parse(int, payload.get("seed", 0), f"{where}.seed")
     weak_value = {
@@ -213,23 +218,25 @@ def cmd_weak_values(args) -> int:
         "thermal": thermal_E,
         "mc": lambda c, a: script_D_monte_carlo(c, a, samples, seed),
     }
-    weak_value["auto"] = weak_value[{"sequential": "sequential",
-                                     "evolution": "jet",
-                                     "thermal": "thermal"}[ctx.kind]]
     mode = payload.get("mode", "auto")
-    if not isinstance(mode, str) or mode not in weak_value:
+    if not isinstance(mode, str) or mode not in (*weak_value, "auto"):
         raise InputFormatError(f"{where}.mode: unknown mode {mode!r}")
+    fits = KIND_MODES[kind]
+    mode = fits[0] if mode == "auto" else mode
+    if mode not in fits:
+        raise InputFormatError(f"{where}.mode: {mode!r} reads fields that "
+                               f"the {kind} context lacks; it takes "
+                               f"{', '.join(fits)} or auto")
     values = []
     for i, raw in enumerate(subsets):
         a = _parse(Multiset, raw, f"{where}.subsets[{i}]")
         entry = {"m": list(a.elements())}
-        v = weak_value[mode](ctx, a)
+        v = weak_value[mode](config, a)
         if mode == "mc":
             v, entry["se"] = v
         entry["re"], entry["im"] = v.real, v.imag
         values.append(entry)
-    _emit({"schema": SCHEMA, "kind": ctx.kind, "values": values},
-          args.output)
+    _emit({"schema": SCHEMA, "kind": kind, "values": values}, args.output)
     return 0
 
 

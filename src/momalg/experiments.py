@@ -76,7 +76,6 @@ from .quantum import (
     readout_moments,
 )
 from .weakvalues import (
-    WeakValueContext,
     free_energy_jet,
     script_D_mmap,
     script_D_monte_carlo,
@@ -91,7 +90,10 @@ M = Multiset
 
 @dataclass
 class ExperimentConfig:
-    """Full description of one verification scenario."""
+    """Full description of one verification scenario.  Without pointers,
+    the same fields describe the weak-value context of a query: the
+    builders of `momalg.weakvalues` read psi_i, psi_f, unitaries,
+    hamiltonian, tau, beta, floor and the observables."""
 
     scenario: str
     pointers: tuple = ()
@@ -480,10 +482,7 @@ def _lowest_order(moments: MMap, config: ExperimentConfig, xi, kappa,
 
 def _sequential_cumulant(config: ExperimentConfig) -> MMap:
     """log* A_w, the weak-value cumulant of both sequential theorems."""
-    ctx = WeakValueContext.sequential(config.psi_i, config.psi_f,
-                                      config.unitaries, config.observables,
-                                      floor=config.floor)
-    return log_star(sequential_weak_value_mmap(ctx))
+    return log_star(sequential_weak_value_mmap(config))
 
 
 def _per_subset_claims(config: ExperimentConfig, meta: dict) -> list:
@@ -529,21 +528,18 @@ def _window_claims(config: ExperimentConfig, meta: dict) -> list:
     """Simultaneous coupling over a window with system evolution (thm4):
     Re{xi log* D(a)}; H_S = 0 reproduces the plain simultaneous theorem
     (thm2) and D collapses to the symmetrized weak value."""
-    ctx = WeakValueContext.evolution(config.psi_i, config.psi_f,
-                                     config.hamiltonian, config.tau,
-                                     config.observables, floor=config.floor)
     moments = sigma_moment_mmap(config)
-    dmap = script_D_mmap(ctx)
+    dmap = script_D_mmap(config)
     zero_h = meta["theorem2_regime"] = \
         bool(np.max(np.abs(config.hamiltonian)) == 0)
 
     def cross_checks(rec, a):
         if zero_h:
-            sym = simultaneous_weak_value(ctx, a)
+            sym = simultaneous_weak_value(config, a)
             rec.extras["symmetrized_weak_value"] = sym
             rec.extras["d_vs_symmetrized"] = abs(dmap(a) - sym)
         if config.mc_samples and a.size <= 2:
-            est, se = script_D_monte_carlo(ctx, a, config.mc_samples,
+            est, se = script_D_monte_carlo(config, a, config.mc_samples,
                                            seed=(config.seed or 0) + 1)
             rec.extras["mc_estimate"] = est
             rec.extras["mc_se"] = se
@@ -587,11 +583,9 @@ def _thermal_routes(config: ExperimentConfig, caps, at) -> tuple:
     """The two routes to the thermal weak-value cumulants, fed by one
     partition jet on `caps`: the reference partition sum log* E at the
     multisets `at`, and the free-energy jet (the jet logarithm)."""
-    ctx = WeakValueContext.thermal(config.hamiltonian, config.beta,
-                                   config.observables)
-    z = thermal_partition_jet(ctx, caps)
+    z = thermal_partition_jet(config, caps)
     return (partition_fstar(log_derivative, thermal_E_mmap(z), at),
-            free_energy_jet(z, ctx.beta))
+            free_energy_jet(z, config.beta))
 
 
 def _multiset_claims(config: ExperimentConfig, meta: dict) -> list:
@@ -608,11 +602,8 @@ def _multiset_claims(config: ExperimentConfig, meta: dict) -> list:
                        hamiltonian=np.zeros((d_sys, d_sys)),
                        tau=config.tau or 1.0)
     moments = sigma_moment_mmap(pair_cfg)
-    wv_ctx = WeakValueContext.sequential(config.psi_i, config.psi_f,
-                                         [np.eye(d_sys)] * 2, [a_op],
-                                         floor=config.floor)
-    kappa2 = simultaneous_weak_value(wv_ctx, M([1, 1])) - \
-        simultaneous_weak_value(wv_ctx, M([1])) ** 2
+    kappa2 = simultaneous_weak_value(config, M([1, 1])) - \
+        simultaneous_weak_value(config, M([1])) ** 2
     pair = [M([1, 2])]
     claims = [
         _lowest_order(moments, pair_cfg, xi_product_of_differences,

@@ -6,15 +6,15 @@ dimension.  M-map entries are listed per multiset ("m" is the sorted
 expanded element list); omitted multisets are zero.  Floats survive the
 round trip bit-exactly for finite values (json uses shortest repr).
 
-Experiment configs and weak-value contexts share one field table,
-`_FIELDS`: each field's reader and writer, in write order.
-`config_from_dict` and `config_to_dict` go through all of it; a context
-reads the fields its kind requires (`_CONTEXT_KINDS`) through the same
-readers, so a field is parsed, checked and named in errors alike in both
-("config.psi_i", "context.psi_i").  A state is normalised unless its norm
-is already 1 to rounding, so a seeded config written by `config_to_dict`
-reads back bit-exactly and `verify --config` replays it to the report of
-`verify --seeds`.
+Experiment configs and weak-value contexts are one type, read by one
+checked reader through one field table, `_FIELDS`: each field's reader and
+writer, in write order.  A config must hold the fields its scenario reads
+(`_REQUIRED`); a weak-value context of a kind is read as the config of the
+kind's scenario without pointers, so a field is parsed, checked and named
+in errors alike in both ("config.psi_i", "context.psi_i").  A state is
+normalised unless its norm is already 1 to rounding, so a seeded config
+written by `config_to_dict` reads back bit-exactly and `verify --config`
+replays it to the report of `verify --seeds`.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .errors import (
 from .experiments import ExperimentConfig
 from .jets import _pair_table, _position
 from .quantum import PointerSpec, checked_operator, unit_vector
-from .weakvalues import WeakValueContext
 
 SCHEMA = 1
 
@@ -109,7 +108,7 @@ def _require(payload: dict, key: str, where: str):
     if not isinstance(payload, dict):
         raise InputFormatError(f"{where}: expected an object")
     if key not in payload:
-        raise InputFormatError(f"{where}: missing required field {key!r}")
+        raise InputFormatError(f"{where}.{key}: missing required field")
     return payload[key]
 
 
@@ -259,35 +258,72 @@ _FIELDS = {
     "mc_samples": _INTEGER,
 }
 
-# The fields each kind of context requires, as its WeakValueContext
-# constructor names them; "floor" is optional in every kind.
-_CONTEXT_KINDS = {
-    "sequential": ("psi_i", "psi_f", "unitaries", "observables"),
-    "evolution": ("psi_i", "psi_f", "hamiltonian", "tau", "observables"),
-    "thermal": ("hamiltonian", "beta", "observables"),
+# The fields each scenario reads that have no default (the README's "read
+# by" column): a config lacks none of them.  A weak-value context of kind k
+# is read as the config of the scenario _CONTEXT_SCENARIOS[k], without
+# pointers.
+_SEQUENTIAL = ("psi_i", "psi_f", "unitaries", "pointers", "observables")
+_REQUIRED = {
+    "sequential-per-subset": _SEQUENTIAL,
+    "sequential-all-coupled": _SEQUENTIAL,
+    "simultaneous-evolution": ("psi_i", "psi_f", "hamiltonian", "tau",
+                               "pointers", "observables"),
+    "thermal": ("hamiltonian", "beta", "pointers", "observables"),
+    "multiset": ("psi_i", "psi_f", "hamiltonian", "pointers", "observables"),
+    "genfun": ("outcome_values", "probabilities"),
 }
+_CONTEXT_SCENARIOS = {"sequential": "sequential-all-coupled",
+                      "evolution": "simultaneous-evolution",
+                      "thermal": "thermal"}
 
 
-def _read_fields(payload: dict, keys, where: str) -> dict:
-    """Each field of `keys` that `payload` holds, through its reader and
-    named `where.key` in errors."""
-    out = {}
-    for key in keys:
-        if key in payload:
-            at = f"{where}.{key}"
-            out[key] = _parse(lambda v: _FIELDS[key][0](v, at), payload[key],
-                              at)
-    return out
+def _read_config(payload: dict, scenario: str, where: str,
+                 pointers: bool) -> ExperimentConfig:
+    """The config of `scenario` that `payload` holds, once it has every
+    field of `_REQUIRED[scenario]` (but "pointers" if `pointers` is false),
+    its lists have the lengths its count n gives (n observables and, in the
+    kick chain, n + 1 unitaries; n counts the pointers, the copy counts in
+    the multiset scenario, or, without pointers, the observables), its
+    system arrays the dimension of the first, and each pointer's s and r
+    the dimension of its phi.  A field that does not is malformed input
+    naming it, `where.field`."""
+    required = _REQUIRED.get(scenario, ()) if isinstance(scenario, str) else ()
+    for key in required:
+        if pointers or key != "pointers":
+            _require(payload, key, where)
+    fields = {key: _parse(lambda v: read(v, f"{where}.{key}"), payload[key],
+                          f"{where}.{key}")
+              for key, (read, _) in _FIELDS.items() if key in payload}
+    cfg = _parse(lambda f: ExperimentConfig(scenario, **f), fields, where)
+    n = (len(cfg.copies or (2,)) if scenario == "multiset" else
+         cfg.n_pointers if pointers else len(cfg.observables))
+    sizes = {"observables": n,
+             "unitaries": n + 1 if scenario.startswith("sequential") else 0}
+    wrong = [f"{key}: {len(getattr(cfg, key))} given, {size} needed"
+             for key, size in sizes.items() if len(getattr(cfg, key)) != size]
+    groups = [[(f"{key}[{i}]", a) for key in sizes
+               for i, a in enumerate(getattr(cfg, key))] + [
+        (key, getattr(cfg, key)) for key in ("hamiltonian", "psi_i", "psi_f")
+        if getattr(cfg, key) is not None]] + [
+        [(f"pointers[{i}].{key}", getattr(p, key)) for key in ("phi", "s", "r")]
+        for i, p in enumerate(cfg.pointers)]
+    wrong += [f"{key}: dimension {len(a)}, but {group[0][0]} has "
+              f"{len(group[0][1])}" for group in groups for key, a in group
+              if len(a) != len(group[0][1])]
+    if wrong:
+        raise InputFormatError(f"{where}.{wrong[0]}")
+    return cfg
 
 
-def context_from_dict(payload: dict) -> WeakValueContext:
+def context_from_dict(payload: dict) -> tuple[str, ExperimentConfig]:
+    """The kind of a weak-value context and the config it is read as: that
+    of its kind's scenario, without pointers, through the checks of
+    `config_from_dict`; errors name `context.<field>`."""
     kind = _require(payload, "kind", "context")
-    if not isinstance(kind, str) or kind not in _CONTEXT_KINDS:
-        raise InputFormatError(f"context: unknown kind {kind!r}")
-    for key in _CONTEXT_KINDS[kind]:
-        _require(payload, key, "context")
-    return getattr(WeakValueContext, kind)(**_read_fields(
-        payload, (*_CONTEXT_KINDS[kind], "floor"), "context"))
+    if not isinstance(kind, str) or kind not in _CONTEXT_SCENARIOS:
+        raise InputFormatError(f"context.kind: unknown kind {kind!r}")
+    return kind, _read_config(payload, _CONTEXT_SCENARIOS[kind], "context",
+                              pointers=False)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -302,29 +338,10 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def config_from_dict(payload: dict, where: str = "config") -> ExperimentConfig:
-    """The config of `payload`, once its lists have the lengths its count n
-    gives (n observables and, in the kick chain, n + 1 unitaries; n counts
-    the pointers, or the copy counts in the multiset scenario) and its
-    system arrays the dimension of the first.  A field that does not is
-    malformed input naming it."""
-    scenario = _require(payload, "scenario", where)
-    cfg = _parse(lambda f: ExperimentConfig(scenario, **f),
-                 _read_fields(payload, _FIELDS, where), where)
-    n = len(cfg.copies or (2,)) if scenario == "multiset" else cfg.n_pointers
-    sizes = {"observables": n,
-             "unitaries": n + 1 if scenario.startswith("sequential") else 0}
-    wrong = [f"{key}: {len(getattr(cfg, key))} given, {size} needed"
-             for key, size in sizes.items() if len(getattr(cfg, key)) != size]
-    arrays = [(f"{key}[{i}]", a) for key in sizes
-              for i, a in enumerate(getattr(cfg, key))] + [
-        (key, getattr(cfg, key)) for key in ("hamiltonian", "psi_i", "psi_f")
-        if getattr(cfg, key) is not None]
-    wrong += [f"{key}: dimension {len(a)}, but {arrays[0][0]} has "
-              f"{len(arrays[0][1])}" for key, a in arrays
-              if len(a) != len(arrays[0][1])]
-    if wrong:
-        raise InputFormatError(f"{where}.{wrong[0]}")
-    return cfg
+    """The config of `payload`, which names its scenario, read and checked
+    by `_read_config`."""
+    return _read_config(payload, _require(payload, "scenario", where), where,
+                        pointers=True)
 
 
 # ---------------------------------------------------------------------------

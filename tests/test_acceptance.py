@@ -22,11 +22,14 @@ from momalg.algebra import (
     log_star,
 )
 from momalg.combinatorics import EMPTY, Multiset, multiset_lattice
-from momalg.experiments import random_config, run_verification
+from momalg.experiments import (
+    ExperimentConfig,
+    random_config,
+    run_verification,
+)
 from momalg.jets import JetMatrix, _position, jet_matrix_exp
 from momalg.quantum import random_hermitian
 from momalg.weakvalues import (
-    WeakValueContext,
     evolution_weak_value,
     script_D,
     script_D_monte_carlo,
@@ -212,10 +215,11 @@ def test_criterion_07_script_d_oracles():
         d = 2 + seed % 2
         psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
         phi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
-        ctx = WeakValueContext.evolution(
-            psi / np.linalg.norm(psi), phi / np.linalg.norm(phi),
-            random_hermitian(rng, d), 0.7 + 0.1 * seed,
-            [random_hermitian(rng, d) for _ in range(2)])
+        ctx = ExperimentConfig(
+            "simultaneous-evolution", psi_i=psi / np.linalg.norm(psi),
+            psi_f=phi / np.linalg.norm(phi),
+            hamiltonian=random_hermitian(rng, d), tau=0.7 + 0.1 * seed,
+            observables=tuple(random_hermitian(rng, d) for _ in range(2)))
         for a in (M([1]), M([1, 2])):
             exact = script_D(ctx, a)
             est, se = script_D_monte_carlo(ctx, a, mc_samples, seed=seed + 1)

@@ -184,6 +184,51 @@ def test_weak_values_thermal_and_mc_modes(tmp_path):
     assert "se" in value
 
 
+PAULI_X = array_to_dict(np.array([[0.0, 1.0], [1.0, 0.0]]))
+CONTEXTS = {
+    "sequential": {"psi_i": array_to_dict([1.0, 0.0]),
+                   "psi_f": array_to_dict([0.6, 0.8]),
+                   "unitaries": [array_to_dict(np.eye(2))] * 2},
+    "evolution": {"psi_i": array_to_dict([1.0, 0.0]),
+                  "psi_f": array_to_dict([0.6, 0.8]),
+                  "hamiltonian": array_to_dict(np.diag([0.0, 1.0])),
+                  "tau": 1.0},
+    "thermal": {"hamiltonian": array_to_dict(np.diag([0.0, 1.0])),
+                "beta": 0.8}}
+# the modes that read only fields of each context kind
+FITTING_MODES = {"sequential": {"auto", "sequential", "simultaneous"},
+                 "evolution": {"auto", "jet", "simultaneous", "mc"},
+                 "thermal": {"auto", "thermal"}}
+
+
+@pytest.mark.parametrize("kind", sorted(CONTEXTS))
+def test_weak_values_refuse_a_mode_that_reads_fields_the_kind_lacks(
+        tmp_path, capsys, kind):
+    # a mode that does not fit the context kind is malformed input naming
+    # <file>.mode, before the first subset; every other mode answers
+    for mode in ("auto", "sequential", "simultaneous", "jet", "thermal", "mc"):
+        src = write(tmp_path / f"{mode}.json", {
+            "schema": 1, "mode": mode, "samples": 50, "subsets": [[1]],
+            "context": {"kind": kind, "observables": [PAULI_X],
+                        **CONTEXTS[kind]}})
+        code = main(["weak-values", src, "-o", str(tmp_path / "out.json")])
+        err = capsys.readouterr().err
+        if mode in FITTING_MODES[kind]:
+            assert code == 0, err
+        else:
+            assert code == 2 and f"{src}.mode: " in err
+
+
+@pytest.mark.parametrize("mode", ["auto", "thermal"])
+def test_weak_values_refuse_a_nonpositive_thermal_beta(tmp_path, capsys, mode):
+    # beta > 0 is a precondition of the thermal maps: exit 3, not 2
+    for beta in (0.0, -1.0):
+        src = write(tmp_path / "q.json",
+                    {**_thermal_query({"beta": beta}), "mode": mode})
+        assert main(["weak-values", src]) == 3
+        assert "beta must be positive" in capsys.readouterr().err
+
+
 def test_verify_batch_writes_reports_and_manifest(tmp_path):
     out = str(tmp_path / "reports")
     rc = main(["verify", "thm3", "--seeds", "1..3", "--pointers", "2",
@@ -449,6 +494,20 @@ def _three_pointers(scenario, key, count):
     return {**payload, key: payload[key][:count]}
 
 
+def _without(scenario, key):
+    """A config payload of `scenario` without its field `key`."""
+    return {k: v for k, v in _config_payload(scenario).items() if k != key}
+
+
+def _pointer_with_s(dim):
+    """A thm3 config payload whose first pointer couples through a
+    `dim` x `dim` s."""
+    payload = _config_payload("sequential-all-coupled")
+    first, *rest = payload["pointers"]
+    return {**payload,
+            "pointers": [{**first, "s": array_to_dict(np.eye(dim))}, *rest]}
+
+
 def _thermal_query(context=(), **fields):
     ctx = {"kind": "thermal", "beta": 0.8,
            "hamiltonian": array_to_dict(np.diag([0.0, 1.0])),
@@ -470,7 +529,11 @@ def _flagged(matrix, flag):
 
 
 SCENARIO_NAMES = {"thm3": "sequential-all-coupled", "thm4":
-                  "simultaneous-evolution", "thermal": "thermal"}
+                  "simultaneous-evolution", "thermal": "thermal",
+                  "multiset": "multiset"}
+MISSING_FIELDS = [("thm3", "psi_i"), ("multiset", "psi_f"),
+                  ("thermal", "hamiltonian"), ("thermal", "beta"),
+                  ("thm4", "tau"), ("thm3", "pointers")]
 BAD_CONFIG_NUMBERS = [
     ("thm3", "tolerance", math.nan), ("thm3", "tolerance", -1.0),
     ("thm3", "tolerance", math.inf), ("thermal", "mutual_tolerance", math.nan),
@@ -524,9 +587,8 @@ BAD_CONFIG_NUMBERS = [
         array_to_dict(np.eye(2))]), "context.unitaries[0]:"),
     (["weak-values"], _sequential_query(psi_i=array_to_dict([1e200, 1e200])),
      "context.psi_i: overflow"),
-    (["verify", "genfun", "--config"], {
-        k: v for k, v in _config_payload("genfun").items()
-        if k != "probabilities"}, "without probabilities"),
+    (["verify", "genfun", "--config"], _without("genfun", "probabilities"),
+     ".probabilities: missing required field"),
     # a config's arrays must agree with each other: one system dimension,
     # n observables and, in the kick chain, n + 1 unitaries for n pointers
     (["verify", "thm3", "--config"], _config_payload(
@@ -540,6 +602,20 @@ BAD_CONFIG_NUMBERS = [
     (["verify", "thm1", "--config"],
      _three_pointers("sequential-per-subset", "unitaries", 2),
      ".unitaries: 2 given"),
+    # a config holds every field its scenario reads, a pointer's s and r
+    # have the dimension of its phi
+    *[(["verify", alias, "--config"], _without(SCENARIO_NAMES[alias], key),
+       f".{key}: missing required field") for alias, key in MISSING_FIELDS],
+    (["verify", "thm3", "--config"], _pointer_with_s(3),
+     ".pointers[0].s: dimension 3"),
+    # a weak-value context is checked as a config is, and a mode reads only
+    # fields its kind has
+    (["weak-values"], {**_sequential_query(), "mode": "jet"}, ".mode:"),
+    (["weak-values"], _sequential_query(observables=[
+        array_to_dict(np.eye(2))] * 3), "context.unitaries: 2 given"),
+    (["weak-values"], _sequential_query(
+        observables=[array_to_dict(np.eye(3))],
+        unitaries=[array_to_dict(np.eye(3))] * 2), "context.psi_i: dimension 2"),
 ], ids=["n", "caps", "entries", "entry", "re", "label0", "beta", "seed",
         "targets", "wv-beta", "wv-floor", "wv-observables", "wv-samples",
         "wv-seed", "wv-mode", "wv-subset0", "wv-list",
@@ -548,7 +624,10 @@ BAD_CONFIG_NUMBERS = [
         "wv-psi_f-length", "wv-hamiltonian-flag", "wv-unitaries0-flag",
         "wv-psi_i-overflow", "genfun-no-probabilities", "thm3-psi_i-dim",
         "thermal-observables-count", "thm4-observables-count",
-        "thm1-unitaries-count"])
+        "thm1-unitaries-count",
+        *[f"{alias}-no-{key}" for alias, key in MISSING_FIELDS],
+        "thm3-pointer-s-dim", "wv-sequential-jet", "wv-unitaries-count",
+        "wv-psi_i-dim"])
 def test_exit_code_2_on_malformed_fields(tmp_path, capsys, argv, payload,
                                          field):
     # a field that cannot be converted is malformed input named in the

@@ -8,8 +8,8 @@ import pytest
 from momalg.combinatorics import EMPTY, Multiset
 from momalg.errors import DomainError, SingularPostselectionError
 from momalg.quantum import random_hermitian, random_state, random_unitary
+from momalg.experiments import ExperimentConfig
 from momalg.weakvalues import (
-    WeakValueContext,
     evolution_weak_value,
     free_energy_jet,
     free_energy_susceptibility,
@@ -32,8 +32,29 @@ from oracles import (
 M = Multiset
 
 
+# The builders read the weak-value fields of an ExperimentConfig: that of a
+# kick-chain, window or thermal scenario, without pointers.
+
+
+def sequential_config(psi_i, psi_f, unitaries, observables):
+    return ExperimentConfig("sequential-all-coupled", psi_i=psi_i,
+                            psi_f=psi_f, unitaries=tuple(unitaries),
+                            observables=tuple(observables))
+
+
+def evolution_config(psi_i, psi_f, hamiltonian, tau, observables):
+    return ExperimentConfig("simultaneous-evolution", psi_i=psi_i,
+                            psi_f=psi_f, hamiltonian=hamiltonian, tau=tau,
+                            observables=tuple(observables))
+
+
+def thermal_config(hamiltonian, beta, observables):
+    return ExperimentConfig("thermal", hamiltonian=hamiltonian, beta=beta,
+                            observables=tuple(observables))
+
+
 def random_sequential_ctx(rng, d=2, n=2):
-    return WeakValueContext.sequential(
+    return sequential_config(
         psi_i=random_state(rng, d),
         psi_f=random_state(rng, d),
         unitaries=[random_unitary(rng, d) for _ in range(n + 1)],
@@ -44,13 +65,14 @@ def random_sequential_ctx(rng, d=2, n=2):
 def oracle_sequential(ctx, a):
     """Independently coded: assemble the full operator chain by reduce."""
     mats = []
-    for j in range(1, ctx.n + 1):
+    n, dim = len(ctx.observables), ctx.system_dim
+    for j in range(1, n + 1):
         mats.append(ctx.unitaries[j - 1])
         if a.mult(j):
             mats.append(ctx.observables[j - 1])
-    mats.append(ctx.unitaries[ctx.n])
-    chain = functools.reduce(lambda acc, m: m @ acc, mats, np.eye(ctx.dim))
-    den = functools.reduce(lambda acc, m: m @ acc, ctx.unitaries, np.eye(ctx.dim))
+    mats.append(ctx.unitaries[n])
+    chain = functools.reduce(lambda acc, m: m @ acc, mats, np.eye(dim))
+    den = functools.reduce(lambda acc, m: m @ acc, ctx.unitaries, np.eye(dim))
     return (ctx.psi_f.conj() @ chain @ ctx.psi_i) / \
         (ctx.psi_f.conj() @ den @ ctx.psi_i)
 
@@ -73,8 +95,7 @@ def test_sequential_eigenstate_gives_one():
     psi_i = random_state(rng, 2)
     psi_f = random_state(rng, 2)
     proj = np.outer(psi_i, psi_i.conj())
-    ctx = WeakValueContext.sequential(psi_i, psi_f,
-                                      [np.eye(2)] * 2, [proj])
+    ctx = sequential_config(psi_i, psi_f, [np.eye(2)] * 2, [proj])
     assert sequential_weak_value(ctx, M([1])) == pytest.approx(1.0)
 
 
@@ -92,7 +113,7 @@ def test_sequential_mmap_and_identity_insertion():
     amap = sequential_weak_value_mmap(ctx)
     assert amap(EMPTY) == pytest.approx(1.0)
     # A_j = identity inserts for free
-    ctx_id = WeakValueContext.sequential(
+    ctx_id = sequential_config(
         ctx.psi_i, ctx.psi_f, ctx.unitaries,
         [ctx.observables[0], np.eye(2), ctx.observables[2]])
     amap_id = sequential_weak_value_mmap(ctx_id)
@@ -105,7 +126,7 @@ def test_sequential_rejects_repeats_and_singular():
     ctx = random_sequential_ctx(rng)
     with pytest.raises(DomainError):
         sequential_weak_value(ctx, M([1, 1]))
-    bad = WeakValueContext.sequential(
+    bad = sequential_config(
         np.array([1, 0]), np.array([0, 1]), [np.eye(2)] * 2,
         [random_hermitian(rng, 2)])
     with pytest.raises(SingularPostselectionError):
@@ -117,7 +138,7 @@ def test_simultaneous_commuting_equals_sequential():
     psi_i, psi_f = random_state(rng, 3), random_state(rng, 3)
     base = random_hermitian(rng, 3)
     obs = [base, base @ base]        # commuting pair
-    ctx = WeakValueContext.sequential(psi_i, psi_f, [np.eye(3)] * 3, obs)
+    ctx = sequential_config(psi_i, psi_f, [np.eye(3)] * 3, obs)
     sim = simultaneous_weak_value(ctx, M([1, 2]))
     seq = sequential_weak_value(ctx, M([1, 2]))
     assert sim == pytest.approx(seq, abs=1e-12)
@@ -127,7 +148,7 @@ def test_simultaneous_singleton_is_plain_weak_value():
     rng = np.random.default_rng(106)
     psi_i, psi_f = random_state(rng, 2), random_state(rng, 2)
     a_op = random_hermitian(rng, 2)
-    ctx = WeakValueContext.sequential(psi_i, psi_f, [np.eye(2)] * 2, [a_op])
+    ctx = sequential_config(psi_i, psi_f, [np.eye(2)] * 2, [a_op])
     expected = (psi_f.conj() @ a_op @ psi_i) / (psi_f.conj() @ psi_i)
     assert simultaneous_weak_value(ctx, M([1])) == pytest.approx(expected)
 
@@ -136,7 +157,7 @@ def test_simultaneous_multiset_gives_power_weak_value():
     rng = np.random.default_rng(107)
     psi_i, psi_f = random_state(rng, 2), random_state(rng, 2)
     a_op = random_hermitian(rng, 2)
-    ctx = WeakValueContext.sequential(psi_i, psi_f, [np.eye(2)] * 2, [a_op])
+    ctx = sequential_config(psi_i, psi_f, [np.eye(2)] * 2, [a_op])
     expected = (psi_f.conj() @ a_op @ a_op @ psi_i) / (psi_f.conj() @ psi_i)
     assert simultaneous_weak_value(ctx, M([1, 1])) == pytest.approx(expected)
 
@@ -146,7 +167,7 @@ def test_simultaneous_multiset_gives_power_weak_value():
 
 
 def random_evolution_ctx(rng, d=2, n=2, tau=1.0):
-    return WeakValueContext.evolution(
+    return evolution_config(
         psi_i=random_state(rng, d),
         psi_f=random_state(rng, d),
         hamiltonian=random_hermitian(rng, d),
@@ -159,9 +180,8 @@ def test_script_d_reduces_to_simultaneous_at_zero_hamiltonian():
     rng = np.random.default_rng(108)
     for a in [M([1]), M([2]), M([1, 2])]:
         ctx = random_evolution_ctx(rng)
-        ctx = WeakValueContext.evolution(ctx.psi_i, ctx.psi_f,
-                                         np.zeros((2, 2)), ctx.tau,
-                                         ctx.observables)
+        ctx = evolution_config(ctx.psi_i, ctx.psi_f, np.zeros((2, 2)),
+                               ctx.tau, ctx.observables)
         got = script_D(ctx, a)
         want = simultaneous_weak_value(ctx, a)
         assert got == pytest.approx(want, abs=1e-10)
@@ -198,8 +218,7 @@ def test_script_d_monte_carlo_zero_hamiltonian_zero_variance():
     rng = np.random.default_rng(111)
     psi_i, psi_f = random_state(rng, 2), random_state(rng, 2)
     a_op = random_hermitian(rng, 2)
-    ctx = WeakValueContext.evolution(psi_i, psi_f, np.zeros((2, 2)), 1.0,
-                                     [a_op])
+    ctx = evolution_config(psi_i, psi_f, np.zeros((2, 2)), 1.0, [a_op])
     est, se = script_D_monte_carlo(ctx, M([1]), samples=500, seed=3)
     assert se < 1e-14
     assert est == pytest.approx(simultaneous_weak_value(ctx, M([1])))
@@ -217,7 +236,7 @@ def test_script_d_monte_carlo_error_shrinks_like_root_n():
 def test_script_d_symmetric_under_relabeling():
     rng = np.random.default_rng(113)
     ctx = random_evolution_ctx(rng, d=2, n=2, tau=1.1)
-    swapped = WeakValueContext.evolution(
+    swapped = evolution_config(
         ctx.psi_i, ctx.psi_f, ctx.hamiltonian, ctx.tau,
         [ctx.observables[1], ctx.observables[0]])
     assert script_D(ctx, M([1, 2])) == pytest.approx(
@@ -227,7 +246,7 @@ def test_script_d_symmetric_under_relabeling():
 def test_script_d_invariant_under_global_phases():
     rng = np.random.default_rng(114)
     ctx = random_evolution_ctx(rng, d=2, n=2, tau=0.8)
-    phased = WeakValueContext.evolution(
+    phased = evolution_config(
         np.exp(0.7j) * ctx.psi_i, np.exp(-1.1j) * ctx.psi_f,
         ctx.hamiltonian, ctx.tau, ctx.observables)
     for a in [M([1]), M([1, 2])]:
@@ -239,7 +258,7 @@ def test_script_d_invariant_under_global_phases():
 
 
 def random_thermal_ctx(rng, d=3, n=2, beta=0.7):
-    return WeakValueContext.thermal(
+    return thermal_config(
         hamiltonian=random_hermitian(rng, d),
         beta=beta,
         observables=[random_hermitian(rng, d) for _ in range(n)],
@@ -252,7 +271,7 @@ def test_thermal_singleton_commuting_closed_form():
     h = random_hermitian(rng, 4)
     a_op = 0.4 * h @ h - 0.2 * h + 0.3 * np.eye(4)
     beta = 1.1
-    ctx = WeakValueContext.thermal(h, beta, [a_op])
+    ctx = thermal_config(h, beta, [a_op])
     evals, vecs = np.linalg.eigh(h)
     a_diag = np.real(np.diag(vecs.conj().T @ a_op @ vecs))
     weights = np.exp(-beta * evals)
@@ -323,5 +342,7 @@ def test_imaginary_time_weak_value_matches_dense():
 
 
 def test_beta_must_be_positive():
-    with pytest.raises(DomainError):
-        WeakValueContext.thermal(np.eye(2), 0.0, [np.eye(2)])
+    # the partition jet checks beta > 0 before its exponential
+    with pytest.raises(DomainError, match="beta must be positive"):
+        thermal_partition_jet(thermal_config(np.eye(2), 0.0, [np.eye(2)]),
+                              (1,))
