@@ -2,17 +2,17 @@
 
 An M-map assigns a complex or jet value to every multiset over 1..n with
 per-label multiplicities bounded by `caps` (plain subsets: caps = 1).  It
-is one dense complex array in the storage order of `jets._pair_table`
-(mixed-radix C order, label 1 slowest), in the
-exponential-generating-function normalisation (row a holds f(a) /
-prod(mult!)), so the binomial-weighted convolution is the plain truncated
-product.  Jet values add a trailing jet-lattice axis; a scalar map has jet
-caps ().  In C order the raveled (lattice, jet lattice) array is the jet
-over caps + jet caps, so every ring operation on a map is the jet ring's
-on `_pair_table(caps + jet_caps)`: a product is one gather over its pairs
-and one scatter by ``np.bincount``, and log*, exp*, the inverse and every
-F* are one Taylor series sum_k F^(k)(c)/k! N^k of the nilpotent part N =
-f - c.  Enumeration (`MMap.domain`) stays by size, in the order of
+is a view of one `Jet`, `f.jet`, over caps + jet caps: the n labels of the
+map, then the labels of its jet values (jet caps () for a scalar map).  The
+jet holds the map in the exponential-generating-function normalisation:
+its coefficient at a + b, a a multiset of map labels and b a jet monomial
+with its labels shifted past n, is the b coefficient of f(a) / prod(mult
+a!).  The binomial-weighted convolution is then the jet product, and the
+cumulant log*, the anticumulant exp* and the convolution inverse are the
+jet's log, exp and inverse (`momalg.jets`): M-maps and jets are one ring
+and one data type.  Every other F* is the same Taylor series
+sum_k F^(k)(c)/k! N^k of the nilpotent part N = f - c.  Enumeration
+(`MMap.domain`) stays by size, in the order of
 `combinatorics.multiset_lattice`.
 
 The paper's partition-sum formulas stay as two reference functions,
@@ -46,18 +46,7 @@ from .errors import (
     SeriesDivergenceError,
     ShapeMismatchError,
 )
-from .jets import (
-    Jet,
-    _check_size,
-    _exp,
-    _inverse,
-    _log,
-    _monomials,
-    _pair_table,
-    _position,
-    _ring_product,
-    _series,
-)
+from .jets import Jet, _monomials, _mult_factorial, _pair_table, _position, _series
 
 DEFAULT_TOL = 1e-10
 
@@ -78,71 +67,61 @@ class MMap:
     every operation returns a new map.
     """
 
-    __slots__ = ("n", "caps", "jet_caps", "_data")
+    __slots__ = ("n", "jet")
 
     def __init__(self, n: int, entries=None, caps: tuple[int, ...] | None = None):
         self.n = int(n)
-        self.caps = tuple(caps) if caps is not None else (1,) * self.n
-        if len(self.caps) != self.n:
+        caps = tuple(caps) if caps is not None else (1,) * self.n
+        if len(caps) != self.n:
             raise ShapeMismatchError("caps length must equal ground size")
         entries = {a if isinstance(a, Multiset) else Multiset(a): v
                    for a, v in dict(entries or {}).items()}
-        self.jet_caps = next((v.caps for v in entries.values()
-                              if isinstance(v, Jet)), ())
-        _check_size("M-map entries",
-                    math.prod(c + 1 for c in self.caps + self.jet_caps), 16)
-        self._data = np.zeros((len(_pair_table(self.caps).grade),
-                               len(_pair_table(self.jet_caps).grade)),
-                              dtype=complex)
+        jet_caps = next((v.caps for v in entries.values()
+                         if isinstance(v, Jet)), ())
+        self.jet = Jet(self.n + len(jet_caps), caps + jet_caps)
         for a, v in entries.items():
             self._set(a, v)
 
+    @classmethod
+    def _over(cls, n: int, jet: Jet) -> "MMap":
+        """The map over the first n labels of `jet`, its jet values over the
+        rest (module docstring); no copy, no checks."""
+        out = cls.__new__(cls)
+        out.n, out.jet = n, jet
+        return out
+
+    @property
+    def caps(self) -> tuple[int, ...]:
+        return self.jet.caps[:self.n]
+
+    @property
+    def jet_caps(self) -> tuple[int, ...]:
+        return self.jet.caps[self.n:]
+
+    def _rows(self) -> np.ndarray:
+        """The jet's vector as (lattice, jet lattice): row a is f(a) / a!."""
+        return self.jet._vec.reshape(math.prod(c + 1 for c in self.caps), -1)
+
     def _set(self, a: Multiset, value) -> None:
-        i = _position(self.caps, a)
-        table = _pair_table(self.caps)
-        self._data[i] = 0.0
+        row = self._rows()[_position(self.caps, a)]
         if isinstance(value, Jet):
             if value.caps != self.jet_caps:
                 raise ShapeMismatchError(
                     f"jet value of caps {value.caps} in a map of jet caps "
                     f"{self.jet_caps}")
-            self._data[i] = value._vec / table.weight[i]
+            row[:] = value._vec / _mult_factorial(a)
         else:
-            self._data[i, 0] = complex(value) / table.weight[i]
-
-    @classmethod
-    def _dense(cls, n: int, caps: tuple[int, ...], jet_caps: tuple[int, ...],
-               data: np.ndarray) -> "MMap":
-        """Wrap a (lattice, jet lattice) array, in the storage order and
-        the normalisation of `_data`; no copy, no checks."""
-        out = cls.__new__(cls)
-        out.n, out.caps, out.jet_caps, out._data = n, caps, jet_caps, data
-        return out
-
-    def _like(self, data: np.ndarray) -> "MMap":
-        """A map of this shape over `data` (any shape of the same size)."""
-        return MMap._dense(self.n, self.caps, self.jet_caps,
-                           data.reshape(self._data.shape))
-
-    def _lift(self, fn) -> "MMap":
-        """fn(pair table, jet, total degree) as a map of this shape, on the
-        jet over caps + jet caps that the raveled array is; powers of the
-        nilpotent part vanish beyond the total degree."""
-        caps = self.caps + self.jet_caps
-        return self._like(fn(_pair_table(caps), self._data.ravel(), sum(caps)))
+            row[:] = 0.0
+            row[0] = complex(value) / _mult_factorial(a)
 
     @classmethod
     def from_function(cls, n, fn: Callable[[Multiset], object], caps=None) -> "MMap":
-        out = cls(n, None, caps)
-        for a in out.domain():
-            out._set(a, fn(a))
-        return out
+        return cls(n, {a: fn(a) for a in cls(n, None, caps).domain()}, caps)
 
     def __call__(self, a: Multiset):
         if not a.fits(self.caps):
             return 0.0
-        i = _position(self.caps, a)
-        row = self._data[i] * _pair_table(self.caps).weight[i]
+        row = self._rows()[_position(self.caps, a)] * _mult_factorial(a)
         if not self.jet_caps:
             return complex(row[0])
         return Jet._dense(len(self.jet_caps), self.jet_caps, row)
@@ -152,7 +131,7 @@ class MMap:
         return multiset_lattice(self.n, self.caps)
 
     def replace(self, a: Multiset, value) -> "MMap":
-        new = self._like(self._data.copy())
+        new = MMap._over(self.n, self.jet._like(self.jet._vec.copy()))
         new._set(a, value)
         return new
 
@@ -160,18 +139,20 @@ class MMap:
         return self.max_abs_diff(other) <= tol
 
     def max_abs_diff(self, other: "MMap") -> float:
+        """The largest |f(a) - g(a)| (for jets, of a coefficient)."""
         _check_shapes(self, other)
-        diff = (self._data - other._data) * _pair_table(self.caps).weight[:, None]
+        diff = (self._rows() - other._rows()) \
+            * _pair_table(self.caps).weight[:, None]
         return float(np.max(np.abs(diff), initial=0.0))
 
     def __repr__(self) -> str:
         body = ", ".join(f"{a}: {self(a)}" for a, row in zip(
-            _monomials(self.caps), self._data) if row.any())
+            _monomials(self.caps), self._rows()) if row.any())
         return f"MMap(n={self.n}, caps={self.caps}, {{{body}}})"
 
 
 def _check_shapes(f: MMap, g: MMap) -> None:
-    if (f.n, f.caps, f.jet_caps) != (g.n, g.caps, g.jet_caps):
+    if (f.n, f.jet.caps) != (g.n, g.jet.caps):
         raise ShapeMismatchError(
             f"shape mismatch: (n={f.n}, caps={f.caps}, jet caps={f.jet_caps})"
             f" vs (n={g.n}, caps={g.caps}, jet caps={g.jet_caps})")
@@ -189,9 +170,9 @@ def scalar_mmap(alpha, n: int, caps=None) -> MMap:
 
 def convolve(f: MMap, g: MMap) -> MMap:
     """Convolution product (f*g)(a) = sum over ordered bipartitions of
-    weight * f(a1) * g(a2): the truncated product of the normalised arrays."""
+    weight * f(a1) * g(a2): the product of the jets."""
     _check_shapes(f, g)
-    return f._lift(lambda table, x, _: _ring_product(table, x, g._data.ravel()))
+    return MMap._over(f.n, f.jet * g.jet)
 
 
 def apply_fstar(derivs: Callable[[int, object], object], f: MMap) -> MMap:
@@ -204,7 +185,7 @@ def apply_fstar(derivs: Callable[[int, object], object], f: MMap) -> MMap:
     size plus, for jet values, the largest jet degree).  Satisfies the
     composition law (FG)* = F* G*.
     """
-    c = complex(f._data[0, 0])
+    c = f.jet.constant
 
     def series(table, vec: np.ndarray, top: int) -> np.ndarray:
         nil = vec.copy()
@@ -212,22 +193,22 @@ def apply_fstar(derivs: Callable[[int, object], object], f: MMap) -> MMap:
         return _series(table, derivs(0, c),
                        lambda k: derivs(k, c) / factorial(k), nil, top)
 
-    return f._lift(series)
+    return MMap._over(f.n, f.jet._lift(series))
 
 
 def log_star(f: MMap) -> MMap:
     """The cumulant, log* f = log c + sum_k (-1)^(k+1) (N/c)^k / k."""
-    return f._lift(_log)
+    return MMap._over(f.n, f.jet.log())
 
 
 def exp_star(f: MMap) -> MMap:
     """The anticumulant, inverse of log_star: e^c sum_k N^k / k!."""
-    return f._lift(_exp)
+    return MMap._over(f.n, f.jet.exp())
 
 
 def inverse_star(f: MMap) -> MMap:
     """Convolution inverse (1/c) sum_k (-N/c)^k."""
-    return f._lift(_inverse)
+    return MMap._over(f.n, f.jet.inverse())
 
 
 def log1p_series(f: MMap, depth: int, with_deltas: bool = False):
@@ -240,27 +221,26 @@ def log1p_series(f: MMap, depth: int, with_deltas: bool = False):
     """
     if depth < 1:
         raise DomainError("depth must be >= 1")
-    if abs(f._data[0, 0]) >= 1.0:
+    if abs(f.jet.constant) >= 1.0:
         raise SeriesDivergenceError(
-            f"series requires |f(empty)| < 1, got {abs(f._data[0, 0]):.6g}")
-    ring, x = _pair_table(f.caps + f.jet_caps), f._data.ravel()
-    acc = power = last = x
+            f"series requires |f(empty)| < 1, got {abs(f.jet.constant):.6g}")
+    acc = power = last = f.jet
     for k in range(2, depth + 1):
-        power = _ring_product(ring, power, x)
+        power = power * f.jet
         last = power * ((-1) ** (k + 1) / k)
         acc = acc + last
-    result = f._like(acc)
     if not with_deltas:
-        return result
-    size = np.abs(last.reshape(f._data.shape)
-                  * _pair_table(f.caps).weight[:, None]).max(axis=1).tolist()
-    return result, {a: size[_position(f.caps, a)] for a in f.domain()}
+        return MMap._over(f.n, acc)
+    size = np.abs(MMap._over(f.n, last)._rows() * _pair_table(
+        f.caps).weight[:, None]).max(axis=1).tolist()
+    return MMap._over(f.n, acc), {a: size[_position(f.caps, a)]
+                                  for a in f.domain()}
 
 
 def raise_label(f: MMap, i: int) -> MMap:
     """Raising operator: (d_i* f)(a) = f(a + {i}).
 
-    On the normalised array, the tensor over (c_1 + 1, ..., c_n + 1), that
+    On the jet, the tensor over (c_1 + 1, ..., c_n + 1, jet caps + 1), that
     is a shift along axis i times the new multiplicity.  Entries at the cap
     boundary (multiplicity of i already at its cap) would need values
     beyond the stored lattice; they read as zero, so the raised map is
@@ -268,27 +248,29 @@ def raise_label(f: MMap, i: int) -> MMap:
     """
     if not (1 <= i <= f.n):
         raise CapExceededError(f"label {i} outside ground set 1..{f.n}")
-    data = np.moveaxis(f._data.reshape(*(c + 1 for c in f.caps), -1), i - 1, 0)
+    data = np.moveaxis(f.jet._vec.reshape([c + 1 for c in f.jet.caps]), i - 1, 0)
     out = np.zeros_like(data)
     out[:-1] = data[1:] * np.arange(1, len(data)).reshape(
         -1, *[1] * (data.ndim - 1))
-    return f._like(np.moveaxis(out, 0, i - 1))
+    return MMap._over(f.n, f.jet._like(np.moveaxis(out, 0, i - 1).ravel()))
 
 
 def is_factorizing(f: MMap, part_a: Iterable[int], part_b: Iterable[int],
                    tol: float = DEFAULT_TOL) -> bool:
     """True iff f(c) = f(c & A) f(c & B) for every c, within tol.
 
-    {A, B} must be a bipartition of the ground set 1..n.
+    {A, B} must be a bipartition of the ground set 1..n.  Setting the
+    labels outside A (and the jet labels kept) to zero is a ring
+    homomorphism, so that is the ring identity f = f|A * f|B: a monomial c
+    of the product splits only as (c & A) + (c & B).
     """
     sa, sb = set(part_a), set(part_b)
     if sa & sb or sa | sb != set(range(1, f.n + 1)):
         raise NotBipartitionError(f"{sorted(sa)} / {sorted(sb)} is not a bipartition")
-    for c in f.domain():
-        prod = f(c.restrict(sa)) * f(c.restrict(sb))
-        if not value_allclose(f(c), prod, tol):
-            return False
-    return True
+    jet_labels = range(f.n + 1, len(f.jet.caps) + 1)
+    on_a, on_b = (f.jet.restrict(Multiset([*side, *jet_labels]))
+                  for side in (sa, sb))
+    return f.max_abs_diff(MMap._over(f.n, on_a * on_b)) <= tol
 
 
 # ---------------------------------------------------------------------------

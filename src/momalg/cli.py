@@ -174,6 +174,18 @@ def _emit(payload: dict, output: str | None) -> None:
 
 
 def cmd_algebra(args) -> int:
+    """One op on M-map files.  A result outside the double range (an
+    overflow, or a nan from inf - inf) is a domain error, not a file."""
+    try:
+        payload = _algebra_payload(args)
+    except (OverflowError, FloatingPointError) as exc:
+        raise DomainError(f"algebra {args.op}: the result leaves the double "
+                          f"range, |x| <= {np.finfo(float).max:.3g} ({exc})")
+    _emit(payload, args.output)
+    return 0
+
+
+def _algebra_payload(args) -> dict:
     op = args.op
     f = _load_mmap(args.inputs[0])
     if op == "convolve" and len(args.inputs) != 2:
@@ -182,15 +194,13 @@ def cmd_algebra(args) -> int:
             "raise": lambda g: raise_label(g, args.label),
             "convolve": lambda g: convolve(g, _load_mmap(args.inputs[1]))}
     if op in maps:
-        _emit(mmap_to_dict(maps[op](f)), args.output)
-        return 0
+        return mmap_to_dict(maps[op](f))
     if op == "series":
         result, deltas = log1p_series(f, args.depth, with_deltas=True)
         payload = mmap_to_dict(result)
         payload["truncation_delta"] = [
             {"m": list(a.elements()), "abs": d} for a, d in deltas.items()]
-        _emit(payload, args.output)
-        return 0
+        return payload
     # factorizing-check
     if not args.cut:
         raise InputFormatError("factorizing-check needs --cut LABELS")
@@ -198,9 +208,8 @@ def cmd_algebra(args) -> int:
     other = set(range(1, f.n + 1)) - side
     tol = _tolerance(args, 1e-10)
     verdict = is_factorizing(f, side, other, tol)
-    _emit({"schema": SCHEMA, "factorizing": bool(verdict),
-           "cut": sorted(side), "tol": tol}, args.output)
-    return 0
+    return {"schema": SCHEMA, "factorizing": bool(verdict),
+            "cut": sorted(side), "tol": tol}
 
 
 def cmd_weak_values(args) -> int:

@@ -246,8 +246,8 @@ def _moment_mmap(blocks: np.ndarray, readouts, sys_dim: int = 1) -> MMap:
     caps = (1,) * n
     table = _pair_table(caps)
     rows = readout_moments(blocks, sys_dim, readouts)
-    return MMap._dense(n, caps, caps, _ring_product(
-        table, rows, _inverse(table, rows[0], n)))
+    return MMap._over(n, Jet._dense(2 * n, caps + caps, _ring_product(
+        table, rows, _inverse(table, rows[0], n)).ravel()))
 
 
 def _per_subset(moments: MMap) -> MMap:
@@ -258,9 +258,11 @@ def _per_subset(moments: MMap) -> MMap:
     subsets and its jets, so a position is the bit set of its labels and
     entry a keeps the monomial b iff pos_b & ~pos_a == 0 (Jet.restrict on
     every entry at once)."""
-    pos = np.arange(len(moments._data))
+    pos = np.arange(2 ** moments.n)
     keep = (pos & ~pos[:, None]) == 0            # [a, b]: b inside a
-    return moments._like(np.where(keep, moments._data, 0))
+    rows = moments.jet._vec.reshape(keep.shape)
+    return MMap._over(moments.n, moments.jet._like(
+        np.where(keep, rows, 0).ravel()))
 
 
 def _sequential_state(config: ExperimentConfig) -> np.ndarray:
@@ -506,14 +508,15 @@ def _all_coupled_claims(config: ExperimentConfig, meta: dict) -> list:
     lc = log_star(_moment_mmap(eta, [
         np.asarray(p.r) - p.expect(p.r) * np.eye(p.dim)
         for p in config.pointers]))
-    pos = np.arange(len(lc._data))
+    pos = np.arange(2 ** lc.n)
+    rows = lc.jet._vec.reshape(len(pos), -1)
 
     def sub_support(rec, a):
         # row a of the multilinear map is the jet lc(a); positions are label
         # bit sets, so the monomials b that miss a label of a are those
         # with pos_a & ~pos_b != 0 (Python abs: numpy's rounds differently)
         at = _position(lc.caps, a)
-        sub = max(map(abs, lc._data[at, (at & ~pos) != 0].tolist()),
+        sub = max(map(abs, rows[at, (at & ~pos) != 0].tolist()),
                   default=0.0)
         meta["max_sub_support_coeff"] = max(meta["max_sub_support_coeff"], sub)
         rec.extras["max_sub_support_coeff"] = sub

@@ -20,10 +20,12 @@ stays within the caps is listed once per caps, by digit arithmetic, in
 position arrays (ia, ib, ic), each output's pairs in increasing ia; a
 table holds no Multiset.  A product is then the gather x[ia] * y[ib]
 scattered onto ic by a bincount, and sums, scalings, exp, log and inverse
-are vector operations.  M-maps (`momalg.algebra`) share the tables: the
-array of a jet-valued M-map over caps with jet caps is the jet over
-caps + jet caps.  `Jet.coeffs` is a read-only view of the nonzero monomial
-coefficients, in storage order.
+are vector operations.  A jet's vector is sized from its caps alone; only
+a product, log, exp or inverse builds (and prices) the pair table.  An
+M-map (`momalg.algebra`) is a view of one jet: a map over caps with jet
+values over jet caps is the jet over caps + jet caps, so the star
+operations are this ring's.  `Jet.coeffs` is a read-only view of the
+nonzero monomial coefficients, in storage order.
 
 JetMatrix holds a square matrix with jet entries as a stack of dense
 complex coefficient blocks in the same lattice order, so matrix products
@@ -153,6 +155,16 @@ def _monomials(caps: tuple[int, ...]) -> tuple[Multiset, ...]:
                                                    for c in caps)))
 
 
+def _lattice_size(n: int, caps: tuple[int, ...]) -> int:
+    """The number of monomials of the caps lattice over n variables; caps
+    of another length than n, or with a negative cap, are refused."""
+    if len(caps) != n:
+        raise DomainError("caps length must equal number of variables")
+    if min(caps, default=0) < 0:
+        raise DomainError(f"caps must be >= 0, got {caps}")
+    return math.prod(c + 1 for c in caps)
+
+
 def _check_size(what: str, count: int, nbytes_each: int) -> None:
     """Refuse, before allocating, `count` items of `nbytes_each` bytes."""
     if count * nbytes_each > MAX_DENSE_BYTES:
@@ -238,9 +250,9 @@ class Jet:
     def __init__(self, n: int, caps: tuple[int, ...], coeffs=None):
         self.n = int(n)
         self.caps = tuple(caps)
-        if len(self.caps) != self.n:
-            raise DomainError("caps length must equal number of variables")
-        self._vec = np.zeros(len(_pair_table(self.caps).grade), dtype=complex)
+        size = _lattice_size(self.n, self.caps)
+        _check_size("jet coefficients", size, 16)
+        self._vec = np.zeros(size, dtype=complex)
         for a, c in dict(coeffs or {}).items():
             self._vec[_position(self.caps, a)] = complex(c)
 
@@ -408,9 +420,9 @@ class JetMatrix:
     def __init__(self, n: int, caps: tuple[int, ...], blocks: np.ndarray):
         self.n = int(n)
         self.caps = tuple(caps)
+        size = _lattice_size(self.n, self.caps)
         blocks = np.asarray(blocks, dtype=complex)
-        if (blocks.ndim != 3
-                or blocks.shape[0] != len(_pair_table(self.caps).grade)):
+        if blocks.ndim != 3 or blocks.shape[0] != size:
             raise DomainError("blocks must have shape (lattice, d, d)")
         if blocks.shape[1] != blocks.shape[2]:
             raise DomainError("jet matrices must be square")
@@ -420,7 +432,7 @@ class JetMatrix:
     def zeros(cls, dim: int, n: int, caps: tuple[int, ...]) -> "JetMatrix":
         """The zero matrix; a block stack above MAX_DENSE_BYTES is refused
         before it is allocated."""
-        size = math.prod(c + 1 for c in caps)
+        size = _lattice_size(n, tuple(caps))
         _check_size(f"jet-matrix blocks of dimension {dim}", size,
                     16 * dim * dim)
         return cls(n, caps, np.zeros((size, dim, dim), dtype=complex))

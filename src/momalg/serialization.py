@@ -129,6 +129,13 @@ def _finite(value) -> float:
     return number
 
 
+def _cap(value) -> int:
+    """A JSON integer >= 0; a bool or a float is not one."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{value!r} is not an integer >= 0")
+    return value
+
+
 def _finite_tolerance(value) -> float:
     """A finite number >= 0: no record passes a NaN or negative gate, and
     every record passes an infinite one."""
@@ -147,7 +154,7 @@ def mmap_to_dict(f: MMap) -> dict:
     maps with jet values have no JSON form."""
     if f.jet_caps:
         raise TypeError("jet-valued M-maps are not serialisable")
-    values = (f._data[:, 0] * _pair_table(f.caps).weight).tolist()
+    values = (f.jet._vec * _pair_table(f.caps).weight).tolist()
     entries = [{"m": list(a.elements()), "re": v.real, "im": v.imag}
                for a in f.domain() if (v := values[_position(f.caps, a)]) != 0]
     return {"schema": SCHEMA, "n": f.n, "caps": list(f.caps),
@@ -156,15 +163,15 @@ def mmap_to_dict(f: MMap) -> dict:
 
 def mmap_from_dict(payload: dict, where: str = "mmap") -> MMap:
     n = _parse(int, _require(payload, "n", where), f"{where}.n")
-    caps = _parse(lambda v: tuple(int(c) for c in v),
-                  payload.get("caps", [1] * n), f"{where}.caps")
+    caps = _parse(lambda v: tuple(map(_cap, v)), payload.get("caps", [1] * n),
+                  f"{where}.caps")
     entries = {}
     items = _parse(list, _require(payload, "entries", where), f"{where}.entries")
     for i, item in enumerate(items):
         at = f"{where}.entries[{i}]"
         m = _parse(Multiset, _require(item, "m", at), f"{at}.m")
-        entries[m] = _parse(lambda it: complex(float(it.get("re", 0.0)),
-                                               float(it.get("im", 0.0))),
+        entries[m] = _parse(lambda it: complex(_finite(it.get("re", 0.0)),
+                                               _finite(it.get("im", 0.0))),
                             item, at)
     try:
         return MMap(n, entries, caps)

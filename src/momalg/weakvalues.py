@@ -164,7 +164,7 @@ def script_D(config, a: Multiset) -> complex:
 def script_D_mmap(config, caps=None) -> MMap:
     """D over the whole lattice from a single jet exponential: the jet of
     the generating matrix element, monomial a scaled by i^|a| and by the
-    free amplitude, is the map's normalised array."""
+    free amplitude, is the map's jet."""
     caps = tuple(caps) if caps is not None else (1,) * len(config.observables)
     gen = _evolution_generating_jet(config, caps)
     den = gen.constant
@@ -172,7 +172,7 @@ def script_D_mmap(config, caps=None) -> MMap:
         raise SingularPostselectionError(
             f"postselection amplitude {abs(den):.3e} below floor")
     phases = _I_POWERS[_pair_table(caps).grade % 4]
-    return MMap._dense(len(caps), caps, (), (phases * gen._vec / den)[:, None])
+    return MMap._over(gen.n, gen._like(phases * gen._vec / den))
 
 
 def _dirichlet_times(rng, total, parts, samples):
@@ -255,9 +255,8 @@ def thermal_E(config, a: Multiset) -> complex:
 
 def thermal_E_mmap(z: Jet) -> MMap:
     """E over the whole lattice of the partition jet `z`
-    (`thermal_partition_jet`): z scaled by its constant is the map's
-    normalised array."""
-    return MMap._dense(z.n, z.caps, (), (z._vec / z.constant)[:, None])
+    (`thermal_partition_jet`): z scaled by its constant is the map's jet."""
+    return MMap._over(z.n, z._like(z._vec / z.constant))
 
 
 def free_energy_jet(z: Jet, beta: float) -> Jet:

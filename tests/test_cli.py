@@ -419,6 +419,25 @@ def test_exit_codes_of_algebra_preconditions(tmp_path):
     assert main(["algebra", "log", over]) == 2         # entry over its cap
 
 
+@pytest.mark.parametrize("op, values", [
+    ("exp", {(): 1e300}),
+    *[(op, {(): 1.0, (1,): 1e300, (2,): 1e300})
+      for op in ("log", "exp", "inverse")],
+    *[(op, {(): 1e-320}) for op in ("log", "inverse")]],
+    ids=["exp-huge-empty", "log-huge-pair", "exp-huge-pair",
+         "inverse-huge-pair", "log-tiny-empty", "inverse-tiny-empty"])
+def test_exit_code_3_on_algebra_results_outside_the_double_range(
+        tmp_path, capsys, op, values):
+    # an overflow, or the nan of inf - inf, is a domain error naming the
+    # double range: never a traceback (exit 1), never a file of NaNs
+    src = write(tmp_path / "f.json", {"schema": 1, "n": 2, "entries": [
+        {"m": list(m), "re": v} for m, v in values.items()]})
+    out = tmp_path / "out.json"
+    assert main(["algebra", op, src, "-o", str(out)]) == 3
+    assert "leaves the double range" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_code_3_on_oversized_mmap_before_allocating(tmp_path, monkeypatch,
                                                          capsys):
     # 2^40 subsets: the size preflight must refuse the map before any
@@ -543,6 +562,10 @@ BAD_CONFIG_NUMBERS = [
     ("thm4", "tau", math.nan)]
 
 
+ONE_LABEL = {"schema": 1, "n": 1, "caps": [1],
+             "entries": [{"m": [], "re": 1.0}, {"m": [1], "re": 0.5}]}
+
+
 @pytest.mark.parametrize("argv, payload, field", [
     (["algebra", "log"], {**LOG_FIXTURE, "n": "x"}, ".n:"),
     (["algebra", "log"], {**LOG_FIXTURE, "caps": "zz"}, ".caps:"),
@@ -616,6 +639,11 @@ BAD_CONFIG_NUMBERS = [
     (["weak-values"], _sequential_query(
         observables=[array_to_dict(np.eye(3))],
         unitaries=[array_to_dict(np.eye(3))] * 2), "context.psi_i: dimension 2"),
+    # an M-map's caps are integers >= 0 and its entries finite numbers
+    *[(["algebra", "log"], {**ONE_LABEL, "caps": caps}, ".caps:")
+      for caps in ([-1], [1.5], [True])],
+    *[(["algebra", "log"], {**ONE_LABEL, "entries": [{"m": [], "re": value}]},
+       ".entries[0]:") for value in (math.nan, float("1e400"))],
 ], ids=["n", "caps", "entries", "entry", "re", "label0", "beta", "seed",
         "targets", "wv-beta", "wv-floor", "wv-observables", "wv-samples",
         "wv-seed", "wv-mode", "wv-subset0", "wv-list",
@@ -627,7 +655,8 @@ BAD_CONFIG_NUMBERS = [
         "thm1-unitaries-count",
         *[f"{alias}-no-{key}" for alias, key in MISSING_FIELDS],
         "thm3-pointer-s-dim", "wv-sequential-jet", "wv-unitaries-count",
-        "wv-psi_i-dim"])
+        "wv-psi_i-dim", "caps-negative", "caps-float", "caps-bool",
+        "entry-nan", "entry-1e400"])
 def test_exit_code_2_on_malformed_fields(tmp_path, capsys, argv, payload,
                                          field):
     # a field that cannot be converted is malformed input named in the

@@ -803,5 +803,35 @@ def test_pair_table_builds_no_multiset(monkeypatch):
 
 
 def test_pair_table_preflight_refuses_huge_caps():
+    # a jet is sized from its caps: Jet(20) holds 16 MiB of coefficients and
+    # is built, and its product prices the pair table (3^20 pairs) and is
+    # refused; Jet(40) would hold 16 TiB and is refused before it allocates
+    big = Jet(20, (1,) * 20)
     with pytest.raises(DomainError, match="MiB"):
-        Jet(20, (1,) * 20)
+        big * big
+    with pytest.raises(DomainError, match="MiB"):
+        Jet(40, (1,) * 40)
+
+
+def test_lattice_storage_is_sized_from_the_caps():
+    # 2^14 monomials, 256 KiB of coefficients: built without the 3^14-pair
+    # table (328 MiB), which only a product, log, exp or inverse prices
+    caps = (1,) * 14
+    assert not Jet(14, caps).coeffs
+    assert JetMatrix(14, caps, np.zeros((2 ** 14, 1, 1))).trace().caps == caps
+    assert JetMatrix.zeros(1, 14, caps).blocks.shape == (2 ** 14, 1, 1)
+    with pytest.raises(DomainError, match="328.4 MiB"):
+        Jet(14, caps).log()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: Jet(1, (-1,)), lambda: Jet(3, (1, 1)),
+    lambda: JetMatrix(1, (-1,), np.zeros((1, 2, 2))),
+    lambda: JetMatrix(3, (1, 1), np.zeros((4, 2, 2))),
+    lambda: JetMatrix.zeros(2, 1, (-1,)), lambda: JetMatrix.zeros(2, 3, (1, 1))],
+    ids=["jet-negative", "jet-length", "matrix-negative", "matrix-length",
+         "zeros-negative", "zeros-length"])
+def test_caps_are_nonnegative_one_per_variable(build):
+    # a jet or jet matrix over n variables has n caps, none negative
+    with pytest.raises(DomainError, match="caps"):
+        build()
