@@ -46,7 +46,8 @@ from .errors import (
     SeriesDivergenceError,
     ShapeMismatchError,
 )
-from .jets import Jet, _monomials, _mult_factorial, _pair_table, _position, _series
+from .jets import (Jet, _monomials, _mult_factorial, _position, _series,
+                   _weights)
 
 DEFAULT_TOL = 1e-10
 
@@ -141,8 +142,7 @@ class MMap:
     def max_abs_diff(self, other: "MMap") -> float:
         """The largest |f(a) - g(a)| (for jets, of a coefficient)."""
         _check_shapes(self, other)
-        diff = (self._rows() - other._rows()) \
-            * _pair_table(self.caps).weight[:, None]
+        diff = (self._rows() - other._rows()) * _weights(self.caps)[:, None]
         return float(np.max(np.abs(diff), initial=0.0))
 
     def __repr__(self) -> str:
@@ -231,8 +231,8 @@ def log1p_series(f: MMap, depth: int, with_deltas: bool = False):
         acc = acc + last
     if not with_deltas:
         return MMap._over(f.n, acc)
-    size = np.abs(MMap._over(f.n, last)._rows() * _pair_table(
-        f.caps).weight[:, None]).max(axis=1).tolist()
+    size = np.abs(MMap._over(f.n, last)._rows()
+                  * _weights(f.caps)[:, None]).max(axis=1).tolist()
     return MMap._over(f.n, acc), {a: size[_position(f.caps, a)]
                                   for a in f.domain()}
 

@@ -169,8 +169,7 @@ def _emit(payload: dict, output: str | None) -> None:
     if output:
         save_json(output, payload)
     else:
-        json.dump(payload, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
 def cmd_algebra(args) -> int:

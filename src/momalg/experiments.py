@@ -22,9 +22,10 @@ joint jet vector (the chain kick by kick, the window as e^X applied to the
 initial vector) and postselect it with `quantum.postselect_pointers`; no
 joint density is formed.  The window and thermal generators come from
 `quantum.coupled_generator`.  Every pipeline reads its pointer moments
-with the one reader `quantum.readout_moments`, off an unnormalised block
-stack: the postselected pointer state of the chain and the window, the
-thermal Boltzmann jet.  `_moment_mmap` then divides every moment by the
+with the one reader `quantum.readout_moments`, off an unnormalised
+pointer-space block stack: the postselected pointer state of the chain and
+the window, the thermal Boltzmann jet traced over the system (the spectral
+exponential returns it so).  `_moment_mmap` then divides every moment by the
 empty-subset one, the trace (the postselection probability or the
 partition function), in the jet ring; scaling by a scalar changes log*
 only at the empty set, so this is the one normalisation.  This module
@@ -235,17 +236,17 @@ def xi_thermal_literal(pointers, a: Multiset) -> complex:
 # finite window, thermal), every pointer coupled
 
 
-def _moment_mmap(blocks: np.ndarray, readouts, sys_dim: int = 1) -> MMap:
-    """a -> tr(B (1_sys (x) prod_{j in a} r_j)) / tr B for every subset a of
-    the pointers, B the unnormalised state held in the (lattice, D, D) block
-    stack `blocks`: an M-map of multilinear jets.  The raw moment rows come
-    from quantum.readout_moments; each is divided by the empty-subset row,
-    tr B, in the jet ring (its inverse, then one truncated product per row),
-    the one place where a state is normalised."""
+def _moment_mmap(blocks: np.ndarray, readouts) -> MMap:
+    """a -> tr(B prod_{j in a} r_j) / tr B for every subset a of the
+    pointers, B the unnormalised pointer state held in the (lattice, D_p,
+    D_p) block stack `blocks`: an M-map of multilinear jets.  The raw moment
+    rows come from quantum.readout_moments; each is divided by the
+    empty-subset row, tr B, in the jet ring (its inverse, then one truncated
+    product per row), the one place where a state is normalised."""
     n = len(readouts)
     caps = (1,) * n
     table = _pair_table(caps)
-    rows = readout_moments(blocks, sys_dim, readouts)
+    rows = readout_moments(blocks, readouts)
     return MMap._over(n, Jet._dense(2 * n, caps + caps, _ring_product(
         table, rows, _inverse(table, rows[0], n)).ravel()))
 
@@ -323,7 +324,11 @@ def thermal_moment_mmap(config: ExperimentConfig) -> MMap:
     traced against 1 (x) R.  The Boltzmann jet is then
     (U (x) 1)^H e^{-beta H} (U (x) 1), and every moment tr(B (1 (x) R)) is
     read straight off it: conjugating B by U (x) 1 leaves a trace against
-    1 (x) R unchanged, so nothing is changed back."""
+    1 (x) R unchanged, so nothing is changed back.  The spectral route is
+    given the system's dimension and returns B traced over the system,
+    tr_S B, a pointer-space block stack, since tr(B (1 (x) R)) =
+    tr(tr_S(B) R): the same reader and normaliser then serve it as serve
+    the postselected pointer states."""
     if not config.beta > 0:
         raise DomainError("beta must be positive")
     w, u = np.linalg.eigh(config.hamiltonian)
@@ -331,9 +336,8 @@ def thermal_moment_mmap(config: ExperimentConfig) -> MMap:
     w, u = w[::-1], u[:, ::-1]                 # -beta w ascending
     boltz = spectral_jet_matrix_exp(coupled_generator(
         np.diag(w), [u.conj().T @ a @ u for a in config.observables],
-        config.pointers, -config.beta, -1))
-    return _moment_mmap(boltz.blocks, [p.r for p in config.pointers],
-                        config.system_dim)
+        config.pointers, -config.beta, -1), config.system_dim)
+    return _moment_mmap(boltz.blocks, [p.r for p in config.pointers])
 
 
 # ---------------------------------------------------------------------------

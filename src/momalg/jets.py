@@ -44,12 +44,19 @@ generator: a Hermitian one gives a result that is Hermitian to rounding,
 not exactly.  `spectral_jet_matrix_exp` takes the spectral route, for a
 constant block that is already diagonal: real, diagonal and ascending, as
 the thermal -beta H_S (x) 1 is in the eigenbasis of H_S, which its caller
-takes at the system's size.  There, the Dyson expansion ends after G = sum(caps) factors
-of the nilpotent graded part and is summed with divided differences of
-exp, taken from Opitz matrices, which are exponentiated by the Taylor
-route in one batch per size.  No change of basis runs: a trace against
-1 (x) R, the only read of the thermal Boltzmann jet, is the same in any
-basis U (x) 1.  A caller picks the entry by its role, not by cost: the
+takes at the system's size.  There, the Dyson expansion ends after
+G = sum(caps) factors of the nilpotent graded part and is summed with
+divided differences of exp, taken from Opitz matrices, which are
+zero-padded to one size and exponentiated by the Taylor route in one
+batch.  Its contract is the traced one: it takes the dimension d_s of the
+first tensor factor and returns the result traced over that factor, as
+(lattice, D / d_s, D / d_s) blocks, which is all that the thermal check
+reads of its Boltzmann jet, tr(B (1 (x) R)) = tr(tr_1(B) R).  Inside, each
+state of the expansion is held only at the grades its products can reach,
+N is read in place, each weighted state enters the sum only through its
+system-diagonal blocks, and the last level is formed on those blocks
+alone.  No change of basis runs: a trace against 1 (x) R is the same in
+any basis U (x) 1.  A caller picks the entry by its role, not by cost: the
 thermal check's lhs, the joint-space Boltzmann jet, is the one spectral
 caller, and every other exponential (the system-side partition jet of its
 rhs, the window, the D map) takes the Taylor route, so the two sides of
@@ -78,12 +85,11 @@ _PAIR_BYTES = 72           # per pair: 3 index arrays, 3 complex temporaries
 
 
 class _PairTable(NamedTuple):
-    """The total degree |a| and prod(mult!) of each monomial of a caps
-    lattice, in storage order, and every pair (ia, ib) -> ic of positions
-    whose monomial sum a + b = c stays within caps."""
+    """The total degree |a| of each monomial of a caps lattice, in storage
+    order, and every pair (ia, ib) -> ic of positions whose monomial sum
+    a + b = c stays within caps."""
 
     grade: np.ndarray
-    weight: np.ndarray
     ia: np.ndarray
     ib: np.ndarray
     ic: np.ndarray
@@ -109,9 +115,7 @@ def _pair_table(caps: tuple[int, ...]) -> _PairTable:
     cap = caps[0] if caps else 0
     ia, ib = (np.array(x, dtype=np.intp) for x in zip(
         *[(d, e) for d in range(cap + 1) for e in range(cap + 1 - d)]))
-    return _frozen(np.arange(cap + 1),
-                   np.array([math.factorial(m) for m in range(cap + 1)],
-                            dtype=float), ia, ib, ia + ib)
+    return _frozen(np.arange(cap + 1), ia, ib, ia + ib)
 
 
 def _joined(left: _PairTable, right: _PairTable) -> _PairTable:
@@ -119,7 +123,6 @@ def _joined(left: _PairTable, right: _PairTable) -> _PairTable:
     width = len(right.grade)
     return _frozen(
         np.add.outer(left.grade, right.grade).ravel(),
-        np.multiply.outer(left.weight, right.weight).ravel(),
         *(np.add.outer(x * width, y).ravel()
           for x, y in ((left.ia, right.ia), (left.ib, right.ib),
                        (left.ic, right.ic))))
@@ -144,6 +147,19 @@ def _position(caps: tuple[int, ...], a) -> int:
     for label, cap in enumerate(caps, start=1):
         pos = pos * (cap + 1) + counts.get(label, 0)
     return pos
+
+
+@lru_cache(maxsize=None)
+def _weights(caps: tuple[int, ...]) -> np.ndarray:
+    """prod(mult!) of each monomial of the caps lattice, in storage order:
+    the outer product of each label's factorials 0!..c!, read-only.  It is
+    sized like a jet over the caps, with no pair table."""
+    out = np.ones(1)
+    for cap in caps:
+        out = np.multiply.outer(out, [math.factorial(m)
+                                      for m in range(cap + 1)]).ravel()
+    out.setflags(write=False)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -499,17 +515,21 @@ def _nonzero(blocks: np.ndarray) -> np.ndarray:
     return blocks.any(axis=tuple(range(1, blocks.ndim)))
 
 
-def _block_products(table, a: np.ndarray, b: np.ndarray,
-                    out: np.ndarray) -> None:
+def _block_products(table, a: np.ndarray, b: np.ndarray, out: np.ndarray,
+                    scan: bool = True) -> None:
     """out += a @ b for block stacks in the lattice order of `table`: one
     BLAS product per pair-table triple whose two blocks are nonzero, added
-    in the order of the pair arrays.  The blocks may be rectangular:
-    (lattice, r, p) times (lattice, p, c).  Axes between the lattice axis
-    and the block axes are a batch, which each product broadcasts over."""
-    keep = _nonzero(a)[table.ia] & _nonzero(b)[table.ib]
+    in the order of the pair arrays.  scan=False takes every triple, for a
+    caller whose table lists only blocks it knows to be nonzero.  The
+    blocks may be rectangular: (lattice, r, p) times (lattice, p, c).  Axes
+    between the lattice axis and the block axes are a batch, which each
+    product broadcasts over."""
+    ia, ib, ic = table.ia, table.ib, table.ic
+    if scan:
+        keep = _nonzero(a)[ia] & _nonzero(b)[ib]
+        ia, ib, ic = ia[keep], ib[keep], ic[keep]
     prod = np.empty(out.shape[1:], dtype=complex)  # reused
-    for i, j, c in zip(table.ia[keep].tolist(), table.ib[keep].tolist(),
-                       table.ic[keep].tolist()):
+    for i, j, c in zip(ia.tolist(), ib.tolist(), ic.tolist()):
         out[c] += np.matmul(a[i], b[j], out=prod)
 
 
@@ -561,7 +581,8 @@ def jet_matrix_exp(m: JetMatrix) -> JetMatrix:
        defects, and a defect that moves both alike passes the check; a
        route chosen by modelled cost put both thermal sides on one
        algorithm at many shapes.  The rule costs only self-checks: where
-       the lhs's spectral states do not fit in MAX_DENSE_BYTES, the thermal
+       the lhs's spectral states do not fit in MAX_DENSE_BYTES (thermal at
+       7 qubit pointers, or 6 pointers on a 4-dim system), the thermal
        check exits 3 rather than run both sides on this route.
     The route refuses, before allocating, to hold more than MAX_DENSE_BYTES
     in its q + 2 block stacks.  A result that left the double range (an inf
@@ -573,11 +594,16 @@ def jet_matrix_exp(m: JetMatrix) -> JetMatrix:
                             _taylor_schedule(table, _finite_norms(m)))
 
 
-def spectral_jet_matrix_exp(m: JetMatrix) -> JetMatrix:
+def spectral_jet_matrix_exp(m: JetMatrix, sys_dim: int) -> JetMatrix:
     """Matrix exponential in the truncated polynomial ring by the spectral
     route, for a generator X whose constant block X_0 = diag(w) is exactly
     real, diagonal and ascending (notation, and which caller takes this
-    route: the `jet_matrix_exp` docstring).
+    route: the `jet_matrix_exp` docstring), returned traced over the first
+    tensor factor of its space, of dimension sys_dim: the D x D blocks of
+    exp(X) become the P x P blocks of tr_1 exp(X), P = D / sys_dim, block
+    (i, j) the sum over s of entry (s P + i, s P + j).  sys_dim = 1 traces
+    nothing.  The thermal lhs passes the system's dimension: it reads the
+    Boltzmann jet B only as tr(B (1 (x) R)) = tr(tr_1(B) R).
 
     Let X_0 = sum_c l_c P_c with spectral projectors P_c, and N = X - X_0.
     Expanding exp(X_0 + N) in powers of N (Dyson) and integrating each term
@@ -603,36 +629,58 @@ def spectral_jet_matrix_exp(m: JetMatrix) -> JetMatrix:
        every order of the middle clusters c_1..c_(k-1) shares one weight
        per end pair (c_0, c_k).  The sum is a recursion over the multiset M
        of middle clusters: T(empty) = N, T(M) = sum_{c in M} T(M - c) P_c
-       N, each term a ring product of cluster sub-blocks, (lattice, d, n_c)
-       by (lattice, n_c, d), through `_block_products`.  T(M) has grades
-       above |M| only and holds just those blocks.  It enters the result
-       weighted entrywise by exp[l_a, l_M, l_b], a and b the clusters of row
-       and column.  Divided differences come from Opitz's theorem: for the
-       bidiagonal J with diagonal x_0..x_r and ones above it, exp(J)[0, r]
-       = exp[x_0, ..., x_r], repeated points included.  The J of each size
-       are exponentiated as one batch by the Taylor route, which scales
-       and squares them; McCurdy, Ng & Parlett (Math. Comp. 43, 1984) show
-       that this keeps divided differences at close points accurate, where
-       the quotient formula cancels.
-    Work: per multiset M and pair-table pair, sub-block products worth one
-    d x d product: 12 products of 128 x 128 blocks at caps (1, 1, 1) with
-    two clusters, against 176-190 on the Taylor route.
+       N, each term a ring product of cluster sub-blocks, (lattice, D, n_c)
+       by (lattice, n_c, D), through `_block_products`.  It enters the
+       result weighted entrywise by exp[l_a, l_M, l_b], a and b the
+       clusters of row and column.  Divided differences come from Opitz's
+       theorem: for the bidiagonal J with diagonal x_0..x_r and ones above
+       it, exp(J)[0, r] = exp[x_0, ..., x_r], repeated points included.
+       The J of every M are zero-padded to one size and exponentiated as
+       one batch by the Taylor route, which scales and squares them;
+       McCurdy, Ng & Parlett (Math. Comp. 43, 1984) show that this keeps
+       divided differences at close points accurate, where the quotient
+       formula cancels.
+    c. What is held.  N is read in place: the blocks of X of grade >= 1
+       that hold a nonzero entry, the grade-1 blocks when X is linear in
+       gamma, as every thermal generator is.  The T(M) of |M| = g - 1 form
+       level g, and hold only the grades their products can reach: exactly
+       grade g when X is linear in gamma, C(n, g) blocks at caps (1,) * n
+       (`_spectral_levels`).  The trace is linear and the weight of an
+       entry depends only on its row and column, so each weighted T(M)
+       enters the (lattice, P, P) sum through its system-diagonal blocks
+       alone.  The last level is only ever summed, so it is formed on
+       those blocks only: one `_block_products` call per (M, c), with the
+       system index as its batch axis, (lattice, sys_dim, P, n_c) by
+       (lattice, sys_dim, n_c, P).  `_spectral_blocks` counts these
+       holdings.
+    Work: per multiset M, cluster c in M and pair-table pair, one product
+    of D x n_c x D, and at the last level of D x n_c x P.  At caps (1, 1, 1)
+    with two clusters on 2 x 64 dimensions that is 12 products of
+    128 x 64 x 128 and 12 of 2 x (64 x 64 x 64): 9 products of 128 x 128
+    blocks' worth, against 12 when the last level was formed in full and
+    176-190 on the Taylor route.
     A constant block that is not exactly real, diagonal and ascending (one
-    exact test, no tolerance) is refused with a DomainError, and so, before
-    they are allocated, are states that would not fit in MAX_DENSE_BYTES:
-    N, the sum and two levels of T(M).  Neither falls back to the Taylor
-    route, which would put both sides of the thermal check on one
+    exact test, no tolerance) is refused with a DomainError, and so is a
+    sys_dim that is not a positive integer dividing D, and so, before they
+    are allocated, are states that would not fit in MAX_DENSE_BYTES: the
+    sum, two levels of T(M) and the work blocks.  Neither falls back to the
+    Taylor route, which would put both sides of the thermal check on one
     algorithm.  A result that left the double range is refused as by
     `jet_matrix_exp`.
     """
-    _finite_norms(m)
+    nonzero = _finite_norms(m) > 0
     w = np.diagonal(m.constant)
     if not (np.array_equal(m.constant, np.diag(w)) and not w.imag.any()
             and (np.diff(w.real) >= 0).all()):
         raise DomainError("the spectral exponential needs a real, diagonal, "
                           "ascending constant block")
+    if not (isinstance(sys_dim, (int, np.integer))
+            and not isinstance(sys_dim, bool) and sys_dim >= 1
+            and m.dim % sys_dim == 0):
+        raise DomainError(f"the system dimension {sys_dim!r} must divide the "
+                          f"generator's dimension {m.dim}")
     return _in_double_range(m, _spectral_exp, m.blocks, _pair_table(m.caps),
-                            w.real, _clusters(w.real))
+                            nonzero, w.real, _clusters(w.real), sys_dim)
 
 
 def _finite_norms(m: JetMatrix) -> np.ndarray:
@@ -741,70 +789,134 @@ def _clusters(w: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], gaps, [len(w)]))
 
 
-def _spectral_exp(blocks: np.ndarray, table, w: np.ndarray,
-                  bounds: np.ndarray) -> np.ndarray:
-    """The spectral_jet_matrix_exp docstring's route on a (lattice, d, d)
-    block stack: the divided-difference expansion of exp(X) about its
-    constant block diag(w), whose ascending points w are split into
-    clusters at `bounds`."""
-    top = int(table.grade.max())
+def _spectral_exp(blocks: np.ndarray, table, nonzero: np.ndarray,
+                  w: np.ndarray, bounds: np.ndarray,
+                  sys_dim: int) -> np.ndarray:
+    """The spectral_jet_matrix_exp docstring's route on a (lattice, D, D)
+    block stack whose blocks hold a nonzero entry where `nonzero` says: the
+    divided-difference expansion of exp(X) about its constant block
+    diag(w), whose ascending points w are split into clusters at `bounds`,
+    traced over the first tensor factor, of dimension sys_dim.  Returns the
+    (lattice, P, P) blocks, P = D / sys_dim."""
     dim = blocks.shape[1]
+    part = dim // sys_dim
     sizes = np.diff(bounds)
-    clusters = range(len(sizes))
-    _check_size(f"jet-matrix blocks of dimension {dim} held by the "
-                f"spectral exponential", _spectral_blocks(table, len(sizes)),
-                16 * dim * dim)
-    labels = np.repeat(np.arange(len(sizes)), sizes)
+    levels = _spectral_levels(table.grade, nonzero)
+    _check_size(f"blocks of dimension {part} held by the spectral "
+                f"exponential", _spectral_blocks(
+                    len(blocks), levels, len(sizes), sys_dim),
+                16 * part * part)
+    # level g: the multisets M of g - 1 middle clusters, in one order
+    mids = [list(itertools.combinations_with_replacement(range(len(sizes)), g))
+            for g in range(len(levels))]
     lam = np.add.reduceat(w, bounds[:-1]) / sizes   # one point per cluster
-    mids = [mid for g in range(top)
-            for mid in itertools.combinations_with_replacement(clusters, g)]
-    dd = _exp_divided_differences(lam, mids)
-    work = np.empty((dim, dim), dtype=complex)        # reused per block
-    nil = blocks.copy()                               # N = X - X_0
-    nil[0] = 0.0
-    acc = np.zeros_like(blocks)
-    acc[0] = np.diag(np.exp(lam)[labels])
-    # level: a multiset M of g - 1 middle clusters -> T(M) (docstring of
-    # spectral_jet_matrix_exp, step b); T(M) has grades >= g only, so it
-    # holds just the lattice blocks marked in `held`, in lattice order
-    level, held = {(): nil}, np.ones(len(nil), dtype=bool)
-    for g in range(1, top + 1):
-        at = np.flatnonzero(held)
-        for mid, paths in level.items():
-            weight = dd[mid][labels[:, None], labels]
-            for i in np.flatnonzero(_nonzero(paths)).tolist():
-                acc[at[i]] += np.multiply(paths[i], weight, out=work)
-        if g == top:
-            break
-        deeper = table.grade > g
-        keep = held[table.ia] & deeper[table.ic]
-        pairs = table._replace(ia=(np.cumsum(held) - 1)[table.ia[keep]],
-                               ib=table.ib[keep],
-                               ic=(np.cumsum(deeper) - 1)[table.ic[keep]])
-        longer = {mid: np.zeros((np.count_nonzero(deeper), *nil.shape[1:]),
-                                dtype=complex)
-                  for mid in itertools.combinations_with_replacement(
-                      clusters, g)}
-        for mid, paths in longer.items():
-            for c in sorted(set(mid)):         # the last middle cluster
+    dd = _exp_divided_differences(lam, [mid for group in mids
+                                        for mid in group])
+    # the cluster of each row and column of the system-diagonal blocks, as
+    # the flat [a, b] position in a divided-difference table
+    labels = np.repeat(np.arange(len(sizes)), sizes).reshape(sys_dim, part)
+    flat = labels[:, :, None] * len(sizes) + labels[:, None, :]
+    acc = np.zeros((len(blocks), part, part), dtype=complex)
+    np.fill_diagonal(acc[0], np.exp(lam)[labels].sum(axis=0))
+
+    def add(group: list, diagonal: np.ndarray, held: np.ndarray) -> None:
+        """acc += the (mids, k, sys_dim, P, P) system-diagonal blocks of the
+        T(M) of the multisets `group`, held at the positions `held`, weighted
+        entrywise by exp[l_a, l_M, l_b] and summed over M and the system."""
+        weights = np.take(np.array([dd[mid] for mid in group]).reshape(
+            len(group), -1), flat, axis=1)
+        np.add.at(acc, np.flatnonzero(held),
+                  np.einsum("mksij,msij->kij", diagonal, weights))
+
+    def system_diagonal(states: np.ndarray) -> np.ndarray:
+        """The (..., k, sys_dim, P, P) system-diagonal blocks of a stack of
+        (k, D, D) states, as a view."""
+        return np.einsum("...sisj->...sij", states.reshape(
+            *states.shape[:-2], sys_dim, part, sys_dim, part))
+
+    cuts = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+    def factors(states: np.ndarray, c: int, last: bool) -> tuple:
+        """T(M - c) P_c and P_c N, views of the (k, D, D) states and of N:
+        (k, D, n_c) and (lattice, n_c, D), or for the last level's
+        system-diagonal blocks, split by the system index of the rows of
+        the one and of the columns of the other, (k, sys_dim, P, n_c) and
+        (lattice, sys_dim, n_c, P)."""
+        left, right = states[:, :, cuts[c]], blocks[:, cuts[c]]
+        if not last:
+            return left, right
+        return (left.reshape(len(left), sys_dim, part, -1),
+                right.reshape(len(right), -1, sys_dim, part).transpose(
+                    0, 2, 1, 3))
+
+    # level 1 is N, the graded blocks of X, read in place at their lattice
+    # positions; a deeper level's states are one (mids, k, ., .) array,
+    # holding its k positions in lattice order, and `where` maps a lattice
+    # position to its row
+    level, where = blocks[None], np.arange(len(blocks))
+    if levels:
+        add(mids[0], system_diagonal(blocks)[levels[0]][None], levels[0])
+    for g in range(1, len(levels)):
+        held, last = levels[g], g == len(levels) - 1
+        keep = levels[g - 1][table.ia] & levels[0][table.ib] & held[table.ic]
+        pairs = table._replace(ia=where[table.ia[keep]], ib=table.ib[keep],
+                               ic=(np.cumsum(held) - 1)[table.ic[keep]])
+        # the last level is formed on its system-diagonal blocks only
+        deeper = np.zeros((len(mids[g]), np.count_nonzero(held), *(
+            (sys_dim, part, part) if last else (dim, dim))), dtype=complex)
+        index = {mid: i for i, mid in enumerate(mids[g - 1])}
+        for out, mid in zip(deeper, mids[g]):
+            # T(M) = sum_{c in M} T(M - c) P_c N, c the last middle cluster
+            for c in sorted(set(mid)):
                 i = mid.index(c)
-                rows = slice(bounds[c], bounds[c + 1])
-                _block_products(pairs, level[mid[:i] + mid[i + 1:]][:, :, rows],
-                                nil[:, rows], paths)
-        level, held = longer, deeper
+                _block_products(pairs, *factors(
+                    level[index[mid[:i] + mid[i + 1:]]], c, last), out,
+                    scan=False)
+        level, where = deeper, np.cumsum(held) - 1
+        add(mids[g], level if last else system_diagonal(level), held)
     return acc
 
 
-def _spectral_blocks(table, count: int) -> int:
-    """Blocks of the generator's size the spectral route holds at once with
-    `count` clusters: N and the sum, and two levels of states, one per
-    multiset of g middle clusters, each holding the grades above g."""
-    top = int(table.grade.max())
-    states = [0] + [math.comb(count + g - 1, g)
-                    * int(np.count_nonzero(table.grade > g))
-                    for g in range(1, top)]
-    return 2 * len(table.grade) + max(
-        a + b for a, b in zip(states, states[1:] + [0]))
+def _spectral_levels(grade: np.ndarray, nonzero: np.ndarray) -> list:
+    """Which lattice positions the states of each level hold, as masks.
+    Level 1, N, holds the blocks of grade >= 1 that hold a nonzero entry;
+    level g + 1 holds every grade x + y <= G of a grade x of level g and a
+    grade y of N, the grades its products can reach.  A generator linear
+    in gamma has levels 1..G, level g holding exactly grade g."""
+    top = int(grade.max())
+    first = nonzero & (grade > 0)
+    steps = set(grade[first].tolist())
+    levels, reach = [first] if steps else [], steps
+    while True:
+        reach = {x + y for x in reach for y in steps if x + y <= top}
+        if not reach:
+            return levels
+        mask = np.zeros(top + 1, dtype=bool)
+        mask[sorted(reach)] = True
+        levels.append(mask[grade])
+
+
+def _spectral_blocks(lattice: int, levels: list, count: int,
+                     sys_dim: int) -> int:
+    """P x P blocks the spectral route holds at once, P = D / sys_dim, with
+    `count` clusters and the held positions `levels` (`_spectral_levels`).
+    The traced sum holds one per lattice position, and two consecutive
+    levels of states are held.  Level 1, N, is read in place; a level g
+    between holds one state per multiset of g - 1 middle clusters, with
+    sys_dim^2 blocks per held position; the last level holds only the
+    sys_dim system-diagonal blocks per held position of each state.  The
+    work adds one product's output, level 1's diagonal blocks, and a
+    level's weights and two sums."""
+    held = [int(np.count_nonzero(h)) for h in levels]
+    mids = [math.comb(count + g - 1, g) for g in range(len(held))]
+    states = [0] + [m * k * sys_dim ** 2
+                    for m, k in zip(mids[1:-1], held[1:-1])]
+    if len(held) > 1:
+        states.append(mids[-1] * held[-1] * sys_dim)
+    work = sys_dim ** 2 + sys_dim * held[0] + max(
+        m * sys_dim + 2 * k for m, k in zip(mids, held)) if held else 0
+    return lattice + max(a + b for a, b in zip(states, states[1:] + [0])) \
+        + work
 
 
 def _exp_divided_differences(lam: np.ndarray, mids: list) -> dict:
@@ -821,19 +933,22 @@ def _exp_divided_differences(lam: np.ndarray, mids: list) -> dict:
     to the last if mid is empty).  exp(J)[a, b], b in the last block, sums
     the one path a, mid..., b: the corner entry of that sequence's Opitz
     matrix.  The J of all mids of r middle points have one size and one
-    pattern of ones, so they form one (mids, 2 count + r, 2 count + r)
-    stack, set with one assignment per pattern.  Each stack, shifted by
-    the mid-range mu of lam, is exponentiated as one batch by the Taylor
-    route, with the schedule of its largest norm; exp[x + mu] = e^mu
-    exp[x] undoes the shift."""
+    pattern of ones, set with one assignment per pattern.  Every J is
+    zero-padded to the largest size, 2 count + max r: the padding is a
+    block of its own, so it leaves exp(J) unchanged on the J.  The one
+    (mids, size, size) stack, shifted by the mid-range mu of lam, is
+    exponentiated as one batch by the Taylor route, with the schedule of
+    its largest norm; exp[x + mu] = e^mu exp[x] undoes the shift."""
+    if not mids:
+        return {}
     count = len(lam)
     mu = (lam.max() + lam.min()) / 2
     ends = np.arange(count)
-    table = _pair_table(())
-    out = {}
-    for r in sorted(set(map(len, mids))):
-        group = [mid for mid in mids if len(mid) == r]
-        size = 2 * count + r
+    size = 2 * count + max(map(len, mids))
+    opitz = np.zeros((len(mids), size, size), dtype=complex)
+    lengths = np.array([len(mid) for mid in mids])
+    for r in sorted(set(lengths.tolist())):
+        group = np.flatnonzero(lengths == r)[:, None]
         if r:      # first block -> middle points, in order -> last block
             chain = count + np.arange(r)
             heads = np.concatenate((ends, chain[:-1],
@@ -842,15 +957,16 @@ def _exp_divided_differences(lam: np.ndarray, mids: list) -> dict:
                                     count + r + ends))
         else:      # first block -> last block
             heads, tails = np.repeat(ends, count), count + np.tile(ends, count)
-        opitz = np.zeros((len(group), size, size), dtype=complex)
-        opitz[:, heads, tails] = 1.0
+        opitz[group, heads, tails] = 1.0
         lam_ends = np.broadcast_to(lam, (len(group), count))
-        lam_mid = lam[np.array(group, dtype=np.intp).reshape(len(group), r)]
-        diag = np.arange(size)
-        opitz[:, diag, diag] = np.concatenate((lam_ends, lam_mid, lam_ends),
-                                              axis=1) - mu
-        largest = _block_norms(opitz).max(keepdims=True)
-        exp_j = _taylor_exp(opitz[None], table, _taylor_schedule(
-            table, largest))[0].real * np.exp(mu)
-        out.update(zip(group, exp_j[:, :count, size - count:]))
-    return out
+        lam_mid = lam[np.array([mids[k] for k in group[:, 0]],
+                               dtype=np.intp).reshape(len(group), r)]
+        diag = np.arange(2 * count + r)
+        opitz[group, diag, diag] = np.concatenate(
+            (lam_ends, lam_mid, lam_ends), axis=1) - mu
+    table = _pair_table(())
+    largest = _block_norms(opitz).max(keepdims=True)
+    exp_j = _taylor_exp(opitz[None], table, _taylor_schedule(
+        table, largest))[0].real * np.exp(mu)
+    return {mid: exp_j[k, :count, count + r:2 * count + r]
+            for k, (mid, r) in enumerate(zip(mids, lengths.tolist()))}

@@ -6,7 +6,9 @@ window and thermal generator), the sequential weak-measurement pipeline,
 the postselection that turns a pure joint state into the pointer state
 (jet-valued in the coupling strengths), and the one reader of pointer
 moments.  The full space is ordered system first, then the pointers in
-label order; this module is the only one that knows that layout.
+label order.  This module builds that layout; the one other place that
+reads it is the thermal Boltzmann jet, which `jets.spectral_jet_matrix_exp`
+returns traced over its first tensor factor, the system.
 
 System and pointers start in a pure product state and every step is a
 unitary that depends on the gammas, so the joint state is a pure jet
@@ -15,9 +17,10 @@ tensors; no joint density is formed.  Postselecting on |psi_f> contracts
 <psi_f| with the system axis, chi = (<psi_f| (x) 1) psi, and the pointer
 state is the block stack of eta = chi chi^dagger, left unnormalised: its
 trace, the postselection probability, is divided out of the moments, not
-out of the state.  `readout_moments` reads tr(rho (1_sys (x) prod_{j in a}
-r_j)) for every subset a off a block stack by contracting the tensor axes
-pointer by pointer, without forming any readout on the full space.
+out of the state.  `readout_moments` reads tr(rho prod_{j in a} r_j) for
+every subset a off a pointer-space block stack (the postselected state, or
+the system-traced Boltzmann jet) by contracting the tensor axes pointer by
+pointer, without forming any readout on the full space.
 """
 
 from __future__ import annotations
@@ -197,21 +200,20 @@ def coupled_generator(hamiltonian, observables, pointers, c: complex,
     return JetMatrix.from_terms(terms, int(np.prod(dims)), n, (1,) * n)
 
 
-def readout_moments(blocks: np.ndarray, sys_dim: int, readouts) -> np.ndarray:
-    """tr(B (1_sys (x) f_1 (x) ... (x) f_n)), f_j = r_j for j in a and 1
-    otherwise, for every block B of the (L, D, D) stack `blocks` (system
-    first, then the pointers of `readouts` = (r_1, ..., r_n), D = sys_dim
+def readout_moments(blocks: np.ndarray, readouts) -> np.ndarray:
+    """tr(B (f_1 (x) ... (x) f_n)), f_j = r_j for j in a and 1 otherwise,
+    for every block B of the (L, D_p, D_p) pointer-space stack `blocks`
+    (the pointers of `readouts` = (r_1, ..., r_n) in label order, D_p =
     d_1 ... d_n) and every subset a.  Returns a (2^n, L) array: row k holds
     the moment jet of the k-th subset in the storage order of caps (1,) * n.
 
-    The stack is viewed as (L, d_s, d_1..d_n, d_s, d_1..d_n) and the system
-    axis pair traced; then each pointer's (row, column) axes are contracted
-    with the stack [1, r_j^T], which appends that pointer's subset bit.  The
-    bits come out with pointer 1 slowest, which is the storage order."""
+    The stack is viewed as (L, d_1..d_n, d_1..d_n); then each pointer's
+    (row, column) axes are contracted with the stack [1, r_j^T], which
+    appends that pointer's subset bit.  The bits come out with pointer 1
+    slowest, which is the storage order."""
     n = len(readouts)
-    dims = [sys_dim] + [np.shape(r)[0] for r in readouts]
-    x = np.trace(blocks.reshape(len(blocks), *dims, *dims),
-                 axis1=1, axis2=n + 2)
+    dims = [np.shape(r)[0] for r in readouts]
+    x = blocks.reshape(len(blocks), *dims, *dims)
     for left, r in zip(range(n, 0, -1), readouts):
         pair = np.stack([np.eye(len(r)), np.transpose(r)])
         x = np.tensordot(x, pair, axes=([1, 1 + left], [1, 2]))

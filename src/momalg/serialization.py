@@ -37,7 +37,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .experiments import ExperimentConfig
-from .jets import _pair_table, _position
+from .jets import _position, _weights
 from .quantum import PointerSpec, checked_operator, unit_vector
 
 SCHEMA = 1
@@ -99,9 +99,11 @@ def _atomic_open(path: str):
 
 
 def save_json(path: str, payload: dict) -> None:
+    """`payload` as indented JSON and a newline, encoded in one piece
+    before the file is opened, then written in one call."""
+    text = json.dumps(payload, indent=2) + "\n"
     with _atomic_open(path) as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _require(payload: dict, key: str, where: str):
@@ -154,7 +156,7 @@ def mmap_to_dict(f: MMap) -> dict:
     maps with jet values have no JSON form."""
     if f.jet_caps:
         raise TypeError("jet-valued M-maps are not serialisable")
-    values = (f.jet._vec * _pair_table(f.caps).weight).tolist()
+    values = (f.jet._vec * _weights(f.caps)).tolist()
     entries = [{"m": list(a.elements()), "re": v.real, "im": v.imag}
                for a in f.domain() if (v := values[_position(f.caps, a)]) != 0]
     return {"schema": SCHEMA, "n": f.n, "caps": list(f.caps),

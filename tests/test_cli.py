@@ -105,6 +105,26 @@ def test_algebra_raise_and_factorizing(tmp_path):
     assert load_json(verdict)["factorizing"] is False
 
 
+def test_algebra_raise_on_a_14_label_subset_map_builds_no_pair_table(
+        tmp_path, monkeypatch):
+    # raise takes no product, and the weights a! that its output is written
+    # with come from the caps alone: an n = 14 subset map (2^14 entries,
+    # whose pair table would be 3^14 pairs, 328 MiB) is raised and written
+    def no_table(*args):
+        raise AssertionError("pair table built for a map with no product")
+
+    monkeypatch.setattr(jets, "_pair_table", no_table)
+    src = write(tmp_path / "n14.json", {"schema": 1, "n": 14, "entries": [
+        {"m": [], "re": 1.0}, {"m": [1], "re": 2.0},
+        {"m": [1, 14], "re": 3.0, "im": -1.0}, {"m": [2, 3], "re": 4.0}]})
+    out = str(tmp_path / "raised.json")
+    assert main(["algebra", "raise", src, "--label", "1", "-o", out]) == 0
+    raised = mmap_from_dict(load_json(out))
+    assert raised(M([])) == 2.0 and raised(M([14])) == 3.0 - 1.0j
+    assert raised.max_abs_diff(raised.replace(M([14]), 0.0)) == abs(3.0 - 1.0j)
+    assert len(load_json(out)["entries"]) == 2
+
+
 def test_exit_code_2_on_malformed_json(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken", encoding="utf-8")
@@ -449,7 +469,7 @@ def test_exit_code_3_on_oversized_mmap_before_allocating(tmp_path, monkeypatch,
         raise AssertionError("lattice enumerated despite the size preflight")
 
     monkeypatch.setattr(algebra, "multiset_lattice", no_lattice)
-    monkeypatch.setattr(algebra, "_pair_table", no_lattice)
+    monkeypatch.setattr(jets, "_pair_table", no_lattice)
     src = write(tmp_path / "n40.json", {
         "schema": 1, "n": 40, "entries": [{"m": [1], "re": 1.0}]})
     start = time.perf_counter()
@@ -1032,13 +1052,14 @@ def test_window_and_d_map_take_the_taylor_route(tmp_path, exp_routes,
 
 def test_thermal_refuses_spectral_states_beyond_the_size_limit(
         tmp_path, capsys):
-    # 6 pointers on a qutrit: the 192-dim Boltzmann jet's three clusters
-    # need 600 blocks of states, about 337 MiB.  It exits 3 naming the
-    # spectral exponential, whose preflight refuses them before any is
-    # allocated, and takes no Taylor route instead.
+    # 6 pointers on a 4-dim system: the 256-dim Boltzmann jet's four
+    # clusters need 8364 blocks of 64 x 64 (states, sum and work), about
+    # 523 MiB.  It exits 3 naming the spectral exponential, whose preflight
+    # refuses them before any is allocated, and takes no Taylor route
+    # instead.
     tracemalloc.start()
     try:
-        code = main(["verify", "thermal", "--pointers", "6", "--sysdim", "3",
+        code = main(["verify", "thermal", "--pointers", "6", "--sysdim", "4",
                      "--seeds", "1", "--out", str(tmp_path)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -1050,12 +1071,23 @@ def test_thermal_refuses_spectral_states_beyond_the_size_limit(
     assert peak < jets.MAX_DENSE_BYTES / 2
 
 
+def test_thermal_runs_at_a_shape_whose_full_spectral_states_did_not_fit(
+        tmp_path, exp_routes):
+    # held at their exact grade and summed through the system trace, the
+    # spectral states of 6 pointers on a qutrit (a 192-dim joint space)
+    # fit; they were refused when every state held every grade above its
+    # level in full.  The lhs still takes the spectral route
+    assert main(["verify", "thermal", "--pointers", "6", "--sysdim", "3",
+                 "--seeds", "1", "--out", str(tmp_path)]) == 0
+    assert exp_routes == [("_spectral_exp", 192), ("_taylor_exp", 3)]
+
+
 def test_thermal_refuses_a_nonpositive_beta_before_any_exponential(
         tmp_path, exp_routes, capsys):
     # beta is checked before the lhs is built: at a shape whose spectral
     # states the size limit refuses, the error names beta, and no jet
     # exponential is taken at any shape
-    for shape in (("--pointers", "6", "--sysdim", "3"), ()):
+    for shape in (("--pointers", "6", "--sysdim", "4"), ()):
         for beta in ("-1", "0"):
             assert main(["verify", "thermal", f"--beta={beta}", *shape,
                          "--out", str(tmp_path)]) == 3

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -440,12 +441,24 @@ def test_jet_matrix_exp_matches_regular_representation_oracle(case):
     assert_matches_oracle(got, terms, caps, d, case)
 
 
+def traced(blocks, sys_dim):
+    """A (k, d, d) stack traced over its first tensor factor, of dimension
+    sys_dim: the (k, d / sys_dim, d / sys_dim) stack of partial traces."""
+    k, d = len(blocks), blocks.shape[-1]
+    part = d // sys_dim
+    return np.trace(blocks.reshape(k, sys_dim, part, sys_dim, part),
+                    axis1=1, axis2=3)
+
+
 def assert_matches_oracle(got, terms, caps, d, case):
     """Each grade of `got` within 1e-13 of the 30-digit oracle, in units of
     the terms that make up that grade: the same grade of the exponential of
     the entrywise-absolute generator, which bounds every term of the series
     (the [t^g] e^P of the jet_matrix_exp docstring).  A grade whose terms
-    cancel is then not held to a precision its terms never had."""
+    cancel is then not held to a precision its terms never had.  `got` is
+    one jet matrix, or {d_s: jet matrix} of results traced over a first
+    tensor factor of dimension d_s, each checked against the oracle traced
+    alike (its bound too, a sum of as many bounded entries)."""
     counts = {a: tuple(a.mult(j) for j in range(1, len(caps) + 1))
               for a in terms}
     rep, pos = regular_representation(
@@ -455,13 +468,17 @@ def assert_matches_oracle(got, terms, caps, d, case):
     unit = pos[(0,) * len(caps)] * d
     column = expm_mp(rep)[:, unit:unit + d]
     scale = expm_mp(size)[:, unit:unit + d].real
-    for g in {sum(a) for a in pos}:
-        grade = [a for a in pos if sum(a) == g]
-        want = np.stack([column[pos[a] * d:(pos[a] + 1) * d] for a in grade])
-        bound = np.stack([scale[pos[a] * d:(pos[a] + 1) * d] for a in grade])
-        diff = np.stack([got.blocks[_position(caps, M.from_counts(
-            dict(enumerate(a, start=1))))] for a in grade]) - want
-        assert np.abs(diff).max() <= 1e-13 * bound.max(), (g, case)
+    results = got if isinstance(got, dict) else {1: got}
+    for sys_dim, result in results.items():
+        for g in {sum(a) for a in pos}:
+            grade = [a for a in pos if sum(a) == g]
+            want, bound = (traced(np.stack(
+                [x[pos[a] * d:(pos[a] + 1) * d] for a in grade]), sys_dim)
+                for x in (column, scale))
+            diff = np.stack([result.blocks[_position(caps, M.from_counts(
+                dict(enumerate(a, start=1))))] for a in grade]) - want
+            assert np.abs(diff).max() <= 1e-13 * bound.max(), (g, sys_dim,
+                                                                case)
 
 
 @pytest.mark.parametrize("caps", [(1, 1, 1), (2, 1)])
@@ -555,11 +572,19 @@ SPECTRAL_CASES = {
 
 @pytest.mark.parametrize("case", SPECTRAL_CASES)
 def test_spectral_route_matches_regular_representation_oracle(case):
+    # traced over a first factor of every dimension d_s that divides d:
+    # d_s = 1 traces nothing; a d_s whose blocks each lie in one cluster
+    # (A (x) 1_3 traced over A's 2 dimensions, the thermal layout), and a
+    # d_s whose blocks straddle clusters (a random spectrum, or A (x) 1_3
+    # traced over 3 dimensions), where the weight of a block is a matrix
     caps, d, constant, *couplings = SPECTRAL_CASES[case]
     rng = np.random.default_rng(41)
     terms = spectral_terms(rng, caps, d, constant(rng), *couplings)
     m = JetMatrix.from_terms(terms, d, len(caps), caps)
-    assert_matches_oracle(spectral_jet_matrix_exp(m), terms, caps, d, case)
+    got = {sys_dim: spectral_jet_matrix_exp(m, sys_dim)
+           for sys_dim in range(1, d + 1) if d % sys_dim == 0}
+    assert got[d].dim == 1
+    assert_matches_oracle(got, terms, caps, d, case)
 
 
 def opitz_blocks(lam, mids):
@@ -590,9 +615,10 @@ def all_mids(count, top):
 
 @pytest.mark.parametrize("count, top", [(1, 3), (2, 1), (2, 4), (3, 3)])
 def test_opitz_matrix_matches_the_per_mid_loop(monkeypatch, count, top):
-    # each stack of equal-size J, set with one assignment per pattern,
-    # holds the J of its mids, built block by block, point by point and
-    # edge by edge, in the order of the mids
+    # the one stack, set with one assignment per pattern and exponentiated
+    # by one Taylor call, holds the J of each mid, built block by block,
+    # point by point and edge by edge, in the order of the mids, zero-padded
+    # to the largest size
     lam = np.sort(np.random.default_rng(45).normal(size=count) * 3)
     mids = all_mids(count, top)
     seen, real = [], jets._taylor_exp
@@ -604,11 +630,13 @@ def test_opitz_matrix_matches_the_per_mid_loop(monkeypatch, count, top):
     monkeypatch.setattr(jets, "_taylor_exp", spy)
     jets._exp_divided_differences(lam, mids)
     blocks = opitz_blocks(lam, mids)
-    lengths = sorted(set(map(len, mids)))
-    assert len(seen) == len(lengths)
-    for stack, r in zip(seen, lengths):
-        want = np.stack([b for b, mid in zip(blocks, mids) if len(mid) == r])
-        assert np.array_equal(stack, want)
+    assert len(seen) == 1
+    stack = seen[0]
+    assert stack.shape == (len(mids), *blocks[-1].shape)
+    for padded, block in zip(stack, blocks):
+        size = len(block)
+        assert np.array_equal(padded[:size, :size], block)
+        assert not padded[size:].any() and not padded[:, size:].any()
 
 
 @pytest.mark.parametrize("count, top", [(1, 3), (2, 4), (3, 3), (4, 5)])
@@ -690,7 +718,7 @@ def test_exponential_refuses_a_result_beyond_double_range(routes, shift,
     # inf in the result, nor a FloatingPointError where numpy raises (the
     # Taylor entry takes a constant block that is not diagonal)
     entry = {"_taylor_exp": jet_matrix_exp,
-             "_spectral_exp": spectral_jet_matrix_exp}[route]
+             "_spectral_exp": lambda m: spectral_jet_matrix_exp(m, 2)}[route]
     rng = np.random.default_rng(44)
     d = 32
     constant = np.kron(np.diag([0.0, 800.0]), np.eye(d // 2)) \
@@ -720,22 +748,70 @@ def test_spectral_entry_refuses_a_constant_block_that_is_not_real_diagonal_ascen
                      1j * clustered(rng, d, 2), hermitian(rng, d, 3.0),
                      np.diag(w + 1e-300j), np.diag(swapped)):
         with pytest.raises(DomainError, match="real, diagonal, ascending"):
-            spectral_jet_matrix_exp(boltzmann(rng, d, (1, 1), constant))
+            spectral_jet_matrix_exp(boltzmann(rng, d, (1, 1), constant), 1)
+    assert routes == []
+
+
+@pytest.mark.parametrize("sys_dim", [0, -2, 3, 16, 2.0, True])
+def test_spectral_entry_refuses_a_system_dimension_that_does_not_divide(
+        routes, sys_dim):
+    # the trace runs over a first tensor factor of sys_dim dimensions, so
+    # sys_dim must be a positive integer dividing the generator's dimension
+    rng = np.random.default_rng(49)
+    m = boltzmann(rng, 8, (1, 1), clustered(rng, 8, 2))
+    with pytest.raises(DomainError, match="system dimension"):
+        spectral_jet_matrix_exp(m, sys_dim)
     assert routes == []
 
 
 def test_spectral_route_preflight_refuses_its_states():
-    # 16 zero blocks of 512 x 512 (64 MiB, pages never touched), two
-    # clusters, caps (1, 1, 1, 1): N and the sum (32 blocks) and the states
-    # of one and two middle clusters (2 x 11 and 3 x 5 blocks of grades
-    # above 1 and 2) come to 69 blocks, 276 MiB, refused before any is
-    # allocated
+    # 16 zero blocks of 512 x 512 (64 MiB, pages never touched), flagged as
+    # a generator linear in gamma over caps (1, 1, 1, 1), three clusters,
+    # traced over a first factor of 1 and of 2 dimensions.  Untraced, in
+    # blocks of 512 x 512: the sum (16), the states of one and two middle
+    # clusters (3 x 6 and 6 x 4 blocks of grades 2 and 3), and the work (a
+    # product's block, level 1's 4 diagonal blocks, and the 3 weights and
+    # 2 x 6 sums of level 2), 16 + 42 + 20 = 78 blocks, 312 MiB, are
+    # refused before any is allocated.  Traced over 2, in blocks of
+    # 256 x 256, the states hold 4 x 42 blocks, and the work 4 + 2 x 4 and
+    # the 10 x 2 weights and 2 x 1 sums of the last level: 16 + 168 + 34 =
+    # 218 blocks, 218 MiB, are let through
     caps = (1, 1, 1, 1)
-    m = JetMatrix(4, caps, np.zeros((16, 512, 512), dtype=complex))
-    with pytest.raises(DomainError, match="69 jet-matrix blocks of dimension 512 "
-                       "held by the spectral exponential need about 276 MiB"):
-        jets._spectral_exp(m.blocks, _pair_table(caps), np.zeros(512),
-                           np.array([0, 256, 512]))
+    table = _pair_table(caps)
+    blocks = np.zeros((16, 512, 512), dtype=complex)
+    linear = table.grade <= 1
+    bounds = np.array([0, 128, 256, 512])
+    with pytest.raises(DomainError, match="78 blocks of dimension 512 "
+                       "held by the spectral exponential need about 312 MiB"):
+        jets._spectral_exp(blocks, table, linear, np.zeros(512), bounds, 1)
+    assert jets._spectral_blocks(16, jets._spectral_levels(
+        table.grade, linear), 3, 2) == 218
+
+
+def test_spectral_route_peak_stays_within_its_block_count():
+    # the traced peak of the route, its result included, at two thermal
+    # layouts: three clusters on a 3 x 32 joint space with caps (1, 1, 1),
+    # and two on 2 x 64 with caps (1, 1, 1, 1), where the states of grades
+    # 2 and 3 are the largest pair of levels
+    for caps, sys_dim, part in (((1, 1, 1), 3, 32), ((1,) * 4, 2, 64)):
+        rng = np.random.default_rng(53)
+        d = sys_dim * part
+        m = boltzmann(rng, d, caps, clustered(rng, d, sys_dim))
+        table = _pair_table(caps)
+        nonzero = jets._block_norms(m.blocks) > 0
+        w = np.diagonal(m.constant).real
+        bounds = jets._clusters(w)
+        args = (m.blocks, table, nonzero, w, bounds, sys_dim)
+        jets._spectral_exp(*args)                  # caches warm
+        tracemalloc.start()
+        try:
+            jets._spectral_exp(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        count = jets._spectral_blocks(len(m.blocks), jets._spectral_levels(
+            table.grade, nonzero), len(bounds) - 1, sys_dim)
+        assert peak <= count * 16 * part * part, (caps, peak, count)
 
 
 def test_jet_matrix_preflight_refuses_huge_block_stacks():
@@ -750,7 +826,8 @@ def test_jet_matrix_preflight_refuses_huge_block_stacks():
                                   (0, 2), (1,) * 5, (1, 2, 0, 1, 1)])
 def test_pair_table_matches_multiset_loop(caps):
     # the lattice is multiset_lattice's, each monomial at its mixed-radix C
-    # position (label 1 slowest); the table lists every pair of the double
+    # position (label 1 slowest), with its grade and, built from the caps
+    # alone, its weight prod(mult!); the table lists every pair of the double
     # loop over Multiset sums exactly once, each output's pairs in
     # increasing ia, the order in which products accumulate
     table = _pair_table(caps)
@@ -761,7 +838,8 @@ def test_pair_table_matches_multiset_loop(caps):
             a.mult(j) * math.prod(c + 1 for c in caps[j:])
             for j in range(1, len(caps) + 1))
         assert table.grade[i] == a.size
-        assert table.weight[i] == math.prod(math.factorial(m) for _, m in a.items)
+        assert jets._weights(caps)[i] == math.prod(
+            math.factorial(m) for _, m in a.items)
     loop = {(i, j, lattice.index(a + b)) for i, a in enumerate(lattice)
             for j, b in enumerate(lattice) if (a + b).fits(caps)}
     got = list(zip(table.ia.tolist(), table.ib.tolist(), table.ic.tolist()))

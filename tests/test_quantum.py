@@ -225,7 +225,7 @@ def test_eta_first_order_reproduces_weak_value_formula():
                                          [a_op])
         # rows: the jets tr(eta) and tr(eta r), then <r> = tr(eta r) / tr(eta)
         trace, raw = (Jet(1, (1,), {(): row[0], (1,): row[1]})
-                      for row in readout_moments(eta, 1, [pointer.r]))
+                      for row in readout_moments(eta, [pointer.r]))
         moment = raw / trace
         a_w = (psi_f.conj() @ a_op @ psi_i) / (psi_f.conj() @ psi_i)
         xi = -2j * pointer.rs_covariance
@@ -291,17 +291,23 @@ def test_postselected_pointer_state_matches_joint_density_oracle(n, d_sys):
 @pytest.mark.parametrize("sys_dim", [1, 2, 3])
 def test_readout_moments_match_kronecker_readouts(sys_dim, pointer_dims):
     # oracle: tr(B (1_sys (x) f_1 (x) ... (x) f_n)), f_j = r_j on the subset
-    # and 1 elsewhere, one Kronecker product per subset; non-Hermitian
-    # blocks and readouts, and 3 blocks, so that no transposition or axis
-    # mix-up cancels
+    # and 1 elsewhere, one Kronecker product per subset, on joint-space
+    # blocks; the reader takes them traced over the system, as the
+    # spectral exponential hands the thermal Boltzmann jet over (its own
+    # trace is checked in tests/test_jets.py).  Non-Hermitian blocks and
+    # readouts, and 3 blocks, so that no transposition or axis mix-up
+    # cancels
     rng = np.random.default_rng(17 * sys_dim + len(pointer_dims))
     n = len(pointer_dims)
-    dim = sys_dim * int(np.prod(pointer_dims))
+    part = int(np.prod(pointer_dims))
+    dim = sys_dim * part
     blocks = rng.standard_normal((3, dim, dim)) + \
         1j * rng.standard_normal((3, dim, dim))
     readouts = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
                 for d in pointer_dims]
-    got = readout_moments(blocks, sys_dim, readouts)
+    pointer_blocks = np.trace(blocks.reshape(3, sys_dim, part, sys_dim, part),
+                              axis1=1, axis2=3)
+    got = readout_moments(pointer_blocks, readouts)
     lattice = _monomials((1,) * n)     # rows in storage order
     assert got.shape == (len(lattice), len(blocks))
     for row, a in zip(got, lattice):
