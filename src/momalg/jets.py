@@ -819,14 +819,14 @@ def _spectral_exp(blocks: np.ndarray, table, nonzero: np.ndarray,
     acc = np.zeros((len(blocks), part, part), dtype=complex)
     np.fill_diagonal(acc[0], np.exp(lam)[labels].sum(axis=0))
 
-    def add(group: list, diagonal: np.ndarray, held: np.ndarray) -> None:
+    def add(group: list, diagonal: np.ndarray, at: np.ndarray) -> None:
         """acc += the (mids, k, sys_dim, P, P) system-diagonal blocks of the
-        T(M) of the multisets `group`, held at the positions `held`, weighted
-        entrywise by exp[l_a, l_M, l_b] and summed over M and the system."""
+        T(M) of the multisets `group`, held at the lattice positions `at`,
+        weighted entrywise by exp[l_a, l_M, l_b] and summed over M and the
+        system."""
         weights = np.take(np.array([dd[mid] for mid in group]).reshape(
             len(group), -1), flat, axis=1)
-        np.add.at(acc, np.flatnonzero(held),
-                  np.einsum("mksij,msij->kij", diagonal, weights))
+        np.add.at(acc, at, np.einsum("mksij,msij->kij", diagonal, weights))
 
     def system_diagonal(states: np.ndarray) -> np.ndarray:
         """The (..., k, sys_dim, P, P) system-diagonal blocks of a stack of
@@ -855,14 +855,16 @@ def _spectral_exp(blocks: np.ndarray, table, nonzero: np.ndarray,
     # position to its row
     level, where = blocks[None], np.arange(len(blocks))
     if levels:
-        add(mids[0], system_diagonal(blocks)[levels[0]][None], levels[0])
+        at = np.flatnonzero(levels[0])
+        add(mids[0], system_diagonal(blocks)[at][None], at)
     for g in range(1, len(levels)):
         held, last = levels[g], g == len(levels) - 1
+        at, rows = np.flatnonzero(held), np.cumsum(held) - 1
         keep = levels[g - 1][table.ia] & levels[0][table.ib] & held[table.ic]
         pairs = table._replace(ia=where[table.ia[keep]], ib=table.ib[keep],
-                               ic=(np.cumsum(held) - 1)[table.ic[keep]])
+                               ic=rows[table.ic[keep]])
         # the last level is formed on its system-diagonal blocks only
-        deeper = np.zeros((len(mids[g]), np.count_nonzero(held), *(
+        deeper = np.zeros((len(mids[g]), len(at), *(
             (sys_dim, part, part) if last else (dim, dim))), dtype=complex)
         index = {mid: i for i, mid in enumerate(mids[g - 1])}
         for out, mid in zip(deeper, mids[g]):
@@ -872,8 +874,8 @@ def _spectral_exp(blocks: np.ndarray, table, nonzero: np.ndarray,
                 _block_products(pairs, *factors(
                     level[index[mid[:i] + mid[i + 1:]]], c, last), out,
                     scan=False)
-        level, where = deeper, np.cumsum(held) - 1
-        add(mids[g], level if last else system_diagonal(level), held)
+        level, where = deeper, rows
+        add(mids[g], level if last else system_diagonal(level), at)
     return acc
 
 
