@@ -515,21 +515,17 @@ def _nonzero(blocks: np.ndarray) -> np.ndarray:
     return blocks.any(axis=tuple(range(1, blocks.ndim)))
 
 
-def _block_products(table, a: np.ndarray, b: np.ndarray, out: np.ndarray,
-                    scan: bool = True) -> None:
+def _block_products(table, a: np.ndarray, b: np.ndarray,
+                    out: np.ndarray) -> None:
     """out += a @ b for block stacks in the lattice order of `table`: one
     BLAS product per pair-table triple whose two blocks are nonzero, added
-    in the order of the pair arrays.  scan=False takes every triple, for a
-    caller whose table lists only blocks it knows to be nonzero.  The
-    blocks may be rectangular: (lattice, r, p) times (lattice, p, c).  Axes
-    between the lattice axis and the block axes are a batch, which each
-    product broadcasts over."""
-    ia, ib, ic = table.ia, table.ib, table.ic
-    if scan:
-        keep = _nonzero(a)[ia] & _nonzero(b)[ib]
-        ia, ib, ic = ia[keep], ib[keep], ic[keep]
+    in the order of the pair arrays.  The blocks may be rectangular:
+    (lattice, r, p) times (lattice, p, c).  Axes between the lattice axis
+    and the block axes are a batch, which each product broadcasts over."""
+    keep = _nonzero(a)[table.ia] & _nonzero(b)[table.ib]
     prod = np.empty(out.shape[1:], dtype=complex)  # reused
-    for i, j, c in zip(ia.tolist(), ib.tolist(), ic.tolist()):
+    for i, j, c in zip(table.ia[keep].tolist(), table.ib[keep].tolist(),
+                       table.ic[keep].tolist()):
         out[c] += np.matmul(a[i], b[j], out=prod)
 
 
@@ -872,8 +868,7 @@ def _spectral_exp(blocks: np.ndarray, table, nonzero: np.ndarray,
             for c in sorted(set(mid)):
                 i = mid.index(c)
                 _block_products(pairs, *factors(
-                    level[index[mid[:i] + mid[i + 1:]]], c, last), out,
-                    scan=False)
+                    level[index[mid[:i] + mid[i + 1:]]], c, last), out)
         level, where = deeper, rows
         add(mids[g], level if last else system_diagonal(level), at)
     return acc
