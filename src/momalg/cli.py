@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
                                     "series", "raise", "factorizing-check"])
     alg.add_argument("inputs", nargs="+", help="input M-map JSON file(s)")
     alg.add_argument("-o", "--output", help="output file (default stdout)")
-    alg.add_argument("--depth", type=int, default=30,
+    alg.add_argument("--depth", type=_at_least(1), default=30,
                      help="series truncation depth")
     alg.add_argument("--label", type=int, default=1,
                      help="label for the raising operator")

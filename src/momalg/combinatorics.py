@@ -82,11 +82,6 @@ class Multiset:
                 return m
         return 0
 
-    def add(self, label: int, k: int = 1) -> "Multiset":
-        counts = dict(self._items)
-        counts[label] = counts.get(label, 0) + k
-        return Multiset.from_counts(counts)
-
     def __add__(self, other: "Multiset") -> "Multiset":
         counts = dict(self._items)
         for lab, m in other._items:

@@ -44,18 +44,19 @@ generator: a Hermitian one gives a result that is Hermitian to rounding,
 not exactly.  `spectral_jet_matrix_exp` takes the spectral route, for a
 constant block that is already diagonal: real, diagonal and ascending, as
 the thermal -beta H_S (x) 1 is in the eigenbasis of H_S, which its caller
-takes at the system's size.  There, the Dyson expansion ends after
+takes at the system's size, and for couplings linear in gamma, as every
+thermal generator's are.  There, the Dyson expansion ends after
 G = sum(caps) factors of the nilpotent graded part and is summed with
-divided differences of exp, taken from Opitz matrices, which are
-zero-padded to one size and exponentiated by the Taylor route in one
-batch.  Its contract is the traced one: it takes the dimension d_s of the
-first tensor factor and returns the result traced over that factor, as
-(lattice, D / d_s, D / d_s) blocks, which is all that the thermal check
-reads of its Boltzmann jet, tr(B (1 (x) R)) = tr(tr_1(B) R).  Inside, each
-state of the expansion is held only at the grades its products can reach,
-N is read in place, each weighted state enters the sum only through its
-system-diagonal blocks, and the last level is formed on those blocks
-alone.  No change of basis runs: a trace against 1 (x) R is the same in
+divided differences of exp at the runs of equal diagonal points, taken
+from Opitz matrices, which are zero-padded to one size and exponentiated
+by the Taylor route in one batch.  Its contract is the traced one: it
+takes the dimension d_s of the first tensor factor and returns the result
+traced over that factor, as (lattice, D / d_s, D / d_s) blocks, which is
+all that the thermal check reads of its Boltzmann jet, tr(B (1 (x) R)) =
+tr(tr_1(B) R).  Inside, each state of the expansion is held only at its
+one grade, N is read in place, each weighted state enters the sum only
+through its system-diagonal blocks, and the last level is formed on those
+blocks alone.  No change of basis runs: a trace against 1 (x) R is the same in
 any basis U (x) 1.  A caller picks the entry by its role, not by cost: the
 thermal check's lhs, the joint-space Boltzmann jet, is the one spectral
 caller, and every other exponential (the system-side partition jet of its
@@ -592,12 +593,13 @@ def jet_matrix_exp(m: JetMatrix) -> JetMatrix:
 
 def spectral_jet_matrix_exp(m: JetMatrix, sys_dim: int) -> JetMatrix:
     """Matrix exponential in the truncated polynomial ring by the spectral
-    route, for a generator X whose constant block X_0 = diag(w) is exactly
-    real, diagonal and ascending (notation, and which caller takes this
-    route: the `jet_matrix_exp` docstring), returned traced over the first
-    tensor factor of its space, of dimension sys_dim: the D x D blocks of
-    exp(X) become the P x P blocks of tr_1 exp(X), P = D / sys_dim, block
-    (i, j) the sum over s of entry (s P + i, s P + j).  sys_dim = 1 traces
+    route, for a generator X linear in gamma whose constant block
+    X_0 = diag(w) is exactly real, diagonal and ascending (notation, and
+    which caller takes this route: the `jet_matrix_exp` docstring),
+    returned traced over the first tensor factor of its space, of
+    dimension sys_dim: the D x D blocks of exp(X) become the P x P blocks
+    of tr_1 exp(X), P = D / sys_dim, block (i, j) the sum over s of entry
+    (s P + i, s P + j).  sys_dim = 1 traces
     nothing.  The thermal lhs passes the system's dimension: it reads the
     Boltzmann jet B only as tr(B (1 (x) R)) = tr(tr_1(B) R).
 
@@ -615,12 +617,11 @@ def spectral_jet_matrix_exp(m: JetMatrix, sys_dim: int) -> JetMatrix:
     U^H A_j U, so X_0 = -beta diag(w) (x) 1 with no joint-space eigh, and
     its reads tr(B (1 (x) R)) are unchanged by U (x) 1, so no change back
     runs either.  The route:
-    a. Consecutive points of w closer than 8 d eps max(1, max|w|), about
-       the backward error of the eigh that gave them, form one cluster,
-       with their mean as its point l_c.  The bound comes from the input,
-       not a setting; moving each point to its cluster point perturbs X_0
-       by at most the cluster's width, (size - 1) times the bound.  It
-       makes H_S (x) 1 count as its d_s eigenvalues, not d.
+    a. A run of equal points of w is one cluster, and its common value is
+       the cluster's point l_c: no tolerance merges close points, since
+       the divided differences of step b stay accurate at them.  The
+       thermal X_0 = -beta diag(w_S) (x) 1 repeats each system eigenvalue
+       exactly P times, so it has at most d_s clusters, not d.
     b. A P_c is an index range.  Divided differences are symmetric, so
        every order of the middle clusters c_1..c_(k-1) shares one weight
        per end pair (c_0, c_k).  The sum is a recursion over the multiset M
@@ -636,19 +637,17 @@ def spectral_jet_matrix_exp(m: JetMatrix, sys_dim: int) -> JetMatrix:
        McCurdy, Ng & Parlett (Math. Comp. 43, 1984) show that this keeps
        divided differences at close points accurate, where the quotient
        formula cancels.
-    c. What is held.  N is read in place: the blocks of X of grade >= 1
-       that hold a nonzero entry, the grade-1 blocks when X is linear in
-       gamma, as every thermal generator is.  The T(M) of |M| = g - 1 form
-       level g, and hold only the grades their products can reach: exactly
-       grade g when X is linear in gamma, C(n, g) blocks at caps (1,) * n
-       (`_spectral_levels`).  The trace is linear and the weight of an
-       entry depends only on its row and column, so each weighted T(M)
-       enters the (lattice, P, P) sum through its system-diagonal blocks
-       alone.  The last level is only ever summed, so it is formed on
-       those blocks only: one `_block_products` call per (M, c), with the
-       system index as its batch axis, (lattice, sys_dim, P, n_c) by
-       (lattice, sys_dim, n_c, P).  `_spectral_blocks` counts these
-       holdings.
+    c. What is held.  X is linear in gamma, as every thermal generator is,
+       so N is its grade-1 blocks, read in place.  The T(M) of |M| = g - 1
+       form level g, and hold only grade g, which their products reach by
+       construction: C(n, g) blocks at caps (1,) * n.  The trace is linear
+       and the weight of an entry depends only on its row and column, so
+       each weighted T(M) enters the (lattice, P, P) sum through its
+       system-diagonal blocks alone.  The last level is only ever summed,
+       so it is formed on those blocks only: one `_block_products` call
+       per (M, c), with the system index as its batch axis,
+       (lattice, sys_dim, P, n_c) by (lattice, sys_dim, n_c, P).
+       `_spectral_blocks` counts these holdings.
     Work: per multiset M, cluster c in M and pair-table pair, one product
     of D x n_c x D, and at the last level of D x n_c x P.  At caps (1, 1, 1)
     with two clusters on 2 x 64 dimensions that is 12 products of
@@ -657,14 +656,14 @@ def spectral_jet_matrix_exp(m: JetMatrix, sys_dim: int) -> JetMatrix:
     176-190 on the Taylor route.
     A constant block that is not exactly real, diagonal and ascending (one
     exact test, no tolerance) is refused with a DomainError, and so is a
-    sys_dim that is not a positive integer dividing D, and so, before they
-    are allocated, are states that would not fit in MAX_DENSE_BYTES: the
-    sum, two levels of T(M) and the work blocks.  Neither falls back to the
-    Taylor route, which would put both sides of the thermal check on one
-    algorithm.  A result that left the double range is refused as by
-    `jet_matrix_exp`.
+    sys_dim that is not a positive integer dividing D, a nonzero block of
+    grade above 1, and, before they are allocated, states that would not
+    fit in MAX_DENSE_BYTES: the sum, two levels of T(M) and the work
+    blocks.  None falls back to the Taylor route, which would put both
+    sides of the thermal check on one algorithm.  A result that left the
+    double range is refused as by `jet_matrix_exp`.
     """
-    nonzero = _finite_norms(m) > 0
+    norms = _finite_norms(m)
     w = np.diagonal(m.constant)
     if not (np.array_equal(m.constant, np.diag(w)) and not w.imag.any()
             and (np.diff(w.real) >= 0).all()):
@@ -675,8 +674,14 @@ def spectral_jet_matrix_exp(m: JetMatrix, sys_dim: int) -> JetMatrix:
             and m.dim % sys_dim == 0):
         raise DomainError(f"the system dimension {sys_dim!r} must divide the "
                           f"generator's dimension {m.dim}")
-    return _in_double_range(m, _spectral_exp, m.blocks, _pair_table(m.caps),
-                            nonzero, w.real, _clusters(w.real), sys_dim)
+    table = _pair_table(m.caps)
+    grade = int(table.grade[norms > 0].max(initial=0))
+    if grade > 1:
+        raise DomainError("the spectral exponential needs a generator linear "
+                          f"in gamma, not one with a nonzero block of grade "
+                          f"{grade}")
+    return _in_double_range(m, _spectral_exp, m.blocks, table, w.real,
+                            _clusters(w.real), sys_dim)
 
 
 def _finite_norms(m: JetMatrix) -> np.ndarray:
@@ -778,34 +783,32 @@ def _taylor_exp(blocks: np.ndarray, table, schedule: _Schedule) -> np.ndarray:
 
 
 def _clusters(w: np.ndarray) -> np.ndarray:
-    """Cluster boundaries of the ascending eigenvalues w: 0, the index of
-    every gap wider than eigh's backward error 8 d eps max(1, |w|), len(w)."""
-    tol = 8 * len(w) * np.finfo(float).eps * max(1.0, float(np.abs(w).max()))
-    gaps = np.flatnonzero(np.diff(w) > tol) + 1
-    return np.concatenate(([0], gaps, [len(w)]))
+    """Cluster boundaries of the ascending points w, which split it into
+    runs of equal points: 0, the start of every run after the first,
+    len(w)."""
+    return np.concatenate(([0], np.flatnonzero(np.diff(w)) + 1, [len(w)]))
 
 
-def _spectral_exp(blocks: np.ndarray, table, nonzero: np.ndarray,
-                  w: np.ndarray, bounds: np.ndarray,
-                  sys_dim: int) -> np.ndarray:
+def _spectral_exp(blocks: np.ndarray, table, w: np.ndarray,
+                  bounds: np.ndarray, sys_dim: int) -> np.ndarray:
     """The spectral_jet_matrix_exp docstring's route on a (lattice, D, D)
-    block stack whose blocks hold a nonzero entry where `nonzero` says: the
-    divided-difference expansion of exp(X) about its constant block
-    diag(w), whose ascending points w are split into clusters at `bounds`,
-    traced over the first tensor factor, of dimension sys_dim.  Returns the
-    (lattice, P, P) blocks, P = D / sys_dim."""
+    block stack linear in gamma: the divided-difference expansion of exp(X)
+    about its constant block diag(w), whose ascending points w are split
+    into runs of equal points at `bounds`, traced over the first tensor
+    factor, of dimension sys_dim.  Returns the (lattice, P, P) blocks,
+    P = D / sys_dim."""
     dim = blocks.shape[1]
     part = dim // sys_dim
     sizes = np.diff(bounds)
-    levels = _spectral_levels(table.grade, nonzero)
+    # level g holds the positions of grade g, g = 1..G
+    levels = [table.grade == g for g in range(1, table.grade.max() + 1)]
     _check_size(f"blocks of dimension {part} held by the spectral "
-                f"exponential", _spectral_blocks(
-                    len(blocks), levels, len(sizes), sys_dim),
-                16 * part * part)
+                f"exponential", _spectral_blocks(table.grade, len(sizes),
+                                                 sys_dim), 16 * part * part)
     # level g: the multisets M of g - 1 middle clusters, in one order
     mids = [list(itertools.combinations_with_replacement(range(len(sizes)), g))
             for g in range(len(levels))]
-    lam = np.add.reduceat(w, bounds[:-1]) / sizes   # one point per cluster
+    lam = w[bounds[:-1]]                            # one point per cluster
     dd = _exp_divided_differences(lam, [mid for group in mids
                                         for mid in group])
     # the cluster of each row and column of the system-diagonal blocks, as
@@ -845,7 +848,7 @@ def _spectral_exp(blocks: np.ndarray, table, nonzero: np.ndarray,
                 right.reshape(len(right), -1, sys_dim, part).transpose(
                     0, 2, 1, 3))
 
-    # level 1 is N, the graded blocks of X, read in place at their lattice
+    # level 1 is N, the grade-1 blocks of X, read in place at their lattice
     # positions; a deeper level's states are one (mids, k, ., .) array,
     # holding its k positions in lattice order, and `where` maps a lattice
     # position to its row
@@ -856,7 +859,7 @@ def _spectral_exp(blocks: np.ndarray, table, nonzero: np.ndarray,
     for g in range(1, len(levels)):
         held, last = levels[g], g == len(levels) - 1
         at, rows = np.flatnonzero(held), np.cumsum(held) - 1
-        keep = levels[g - 1][table.ia] & levels[0][table.ib] & held[table.ic]
+        keep = levels[g - 1][table.ia] & levels[0][table.ib]
         pairs = table._replace(ia=where[table.ia[keep]], ib=table.ib[keep],
                                ic=rows[table.ic[keep]])
         # the last level is formed on its system-diagonal blocks only
@@ -874,37 +877,17 @@ def _spectral_exp(blocks: np.ndarray, table, nonzero: np.ndarray,
     return acc
 
 
-def _spectral_levels(grade: np.ndarray, nonzero: np.ndarray) -> list:
-    """Which lattice positions the states of each level hold, as masks.
-    Level 1, N, holds the blocks of grade >= 1 that hold a nonzero entry;
-    level g + 1 holds every grade x + y <= G of a grade x of level g and a
-    grade y of N, the grades its products can reach.  A generator linear
-    in gamma has levels 1..G, level g holding exactly grade g."""
-    top = int(grade.max())
-    first = nonzero & (grade > 0)
-    steps = set(grade[first].tolist())
-    levels, reach = [first] if steps else [], steps
-    while True:
-        reach = {x + y for x in reach for y in steps if x + y <= top}
-        if not reach:
-            return levels
-        mask = np.zeros(top + 1, dtype=bool)
-        mask[sorted(reach)] = True
-        levels.append(mask[grade])
-
-
-def _spectral_blocks(lattice: int, levels: list, count: int,
-                     sys_dim: int) -> int:
+def _spectral_blocks(grade: np.ndarray, count: int, sys_dim: int) -> int:
     """P x P blocks the spectral route holds at once, P = D / sys_dim, with
-    `count` clusters and the held positions `levels` (`_spectral_levels`).
-    The traced sum holds one per lattice position, and two consecutive
-    levels of states are held.  Level 1, N, is read in place; a level g
-    between holds one state per multiset of g - 1 middle clusters, with
-    sys_dim^2 blocks per held position; the last level holds only the
-    sys_dim system-diagonal blocks per held position of each state.  The
-    work adds one product's output, level 1's diagonal blocks, and a
+    `count` clusters on the lattice whose monomials have the grades
+    `grade`.  The traced sum holds one per lattice position, and two
+    consecutive levels of states are held.  Level 1, N, is read in place; a
+    level g between holds one state per multiset of g - 1 middle clusters,
+    with sys_dim^2 blocks per position of grade g; the last level holds
+    only the sys_dim system-diagonal blocks per position of each state.
+    The work adds one product's output, level 1's diagonal blocks, and a
     level's weights and two sums."""
-    held = [int(np.count_nonzero(h)) for h in levels]
+    held = np.bincount(grade)[1:].tolist()
     mids = [math.comb(count + g - 1, g) for g in range(len(held))]
     states = [0] + [m * k * sys_dim ** 2
                     for m, k in zip(mids[1:-1], held[1:-1])]
@@ -912,7 +895,7 @@ def _spectral_blocks(lattice: int, levels: list, count: int,
         states.append(mids[-1] * held[-1] * sys_dim)
     work = sys_dim ** 2 + sys_dim * held[0] + max(
         m * sys_dim + 2 * k for m, k in zip(mids, held)) if held else 0
-    return lattice + max(a + b for a, b in zip(states, states[1:] + [0])) \
+    return len(grade) + max(a + b for a, b in zip(states, states[1:] + [0])) \
         + work
 
 

@@ -728,6 +728,8 @@ BAD_TOLS = ("nan", "inf", "-inf", "-1")
     (["verify", "thermal", "--seeds", "3..1"], {}, "--seeds"),
     (["verify", "thermal"], {"MOMALG_TOL": "abc"}, "MOMALG_TOL"),
     (["algebra", "factorizing-check", "{fixture}", "--cut", "x"], {}, "--cut"),
+    *[(["algebra", "series", "{fixture}", "--depth", v], {}, "--depth")
+      for v in ("0", "-3")],
     *[(["verify", "thermal", f"--tol={v}"], {}, "--tol") for v in BAD_TOLS],
     *[(["algebra", "factorizing-check", "{fixture}", "--cut", "1",
         f"--tol={v}"], {}, "--tol") for v in BAD_TOLS],
@@ -742,6 +744,7 @@ BAD_TOLS = ("nan", "inf", "-inf", "-1")
       for scenario in ("thm4", "thm1")],
 ], ids=["pointers0", "pointers-neg", "sysdim0", "pointer-dim0", "vars0",
         "copies0", "seeds-text", "seeds-empty", "env-tol", "cut-text",
+        "depth0", "depth-neg",
         *[f"{where}-tol-{v}" for where in ("verify", "algebra", "env")
           for v in BAD_TOLS],
         *[f"algebra-log-tol-{v}" for v in ("nan", "-1", "abc")],

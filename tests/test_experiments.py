@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from momalg import experiments
+from momalg import experiments, jets
 from momalg.algebra import MMap, convolve, log_star, scalar_mmap, value_allclose
 from momalg.combinatorics import EMPTY, Multiset, multiset_lattice
 from momalg.errors import DomainError
@@ -500,3 +500,28 @@ def test_report_json_projection_roundtrip():
     rows = list(report_rows_from_json(payload))
     assert len(rows) == len(rep.records)
     assert all(set(r) >= {"scenario", "subset", "abs_error"} for r in rows)
+
+
+def test_thermal_passes_with_a_double_system_eigenvalue(monkeypatch):
+    # H_S = U diag(1, 1, 2.5) U^H on 3 dimensions, 3 pointers: eigh returns
+    # the double eigenvalue as two points a few ulps apart, which the
+    # spectral route keeps as two clusters, with no tolerance to join
+    # them.  Every seed passes
+    real, counts = jets._clusters, []
+
+    def spy(w):
+        bounds = real(w)
+        counts.append(len(bounds) - 1)
+        return bounds
+
+    monkeypatch.setattr(jets, "_clusters", spy)
+    for seed in range(1, 21):
+        rng = np.random.default_rng(seed)
+        u = np.linalg.qr(rng.standard_normal((3, 3))
+                         + 1j * rng.standard_normal((3, 3)))[0]
+        h = (u * [1.0, 1.0, 2.5]) @ u.conj().T
+        cfg = replace(random_config("thermal", seed, n_pointers=3,
+                                    system_dim=3),
+                      hamiltonian=(h + h.conj().T) / 2)
+        assert run_verification(cfg).passed, seed
+    assert len(counts) == 20 and 3 in counts

@@ -514,12 +514,13 @@ def test_one_non_hermitian_coupling_block_takes_the_general_path():
 
 def spectral_terms(rng, caps, d, constant, couplings="hermitian"):
     """The constant block `constant` plus coupling blocks on every monomial
-    of grade 1 and, with caps (2, 1), the grade-2 monomial gamma_1^2."""
+    of grade 1: a generator linear in gamma, as the spectral entry takes
+    it."""
     terms = {EMPTY: constant}
     for a in multiset_lattice(len(caps), caps):
-        if a.size == 1 or a == M([1, 1]):
+        if a.size == 1:
             if couplings == "hermitian":
-                terms[a] = -hermitian(rng, d, 1.5 / a.size)
+                terms[a] = -hermitian(rng, d, 1.5)
             else:
                 terms[a] = random_complex_matrix(rng, d, 0.4)
     return terms
@@ -555,7 +556,7 @@ SPECTRAL_CASES = {
         ((1, 1), 6, lambda rng: clustered(rng, 6, 3)),
     "A (x) 1_3, caps (1, 1), non-Hermitian couplings":
         ((1, 1), 6, lambda rng: clustered(rng, 6, 2), "complex"),
-    "A (x) 1_2, caps (2, 1), grade-2 block":
+    "A (x) 1_2, caps (2, 1), grades above 1 by products":
         ((2, 1), 4, lambda rng: clustered(rng, 4, 2)),
     "A (x) 1_3, caps (1, 1, 1)":
         ((1, 1, 1), 3, lambda rng: clustered(rng, 3, 1)),
@@ -681,11 +682,11 @@ def test_divided_differences_at_five_clusters_and_top_grade_six():
         assert abs(got[mid][a, b] - want) <= 1e-13 * abs(want), mid
 
 
-def test_clusters_split_at_eighs_backward_error():
-    # gaps below 8 d eps max(1, |w|) join a cluster, wider ones split it
-    tol = 8 * 4 * np.finfo(float).eps * 3.0
-    w = np.array([-3.0, -3.0 + 0.5 * tol, 1.0, 1.0 + 2 * tol])
-    assert jets._clusters(w).tolist() == [0, 2, 3, 4]
+def test_clusters_are_runs_of_equal_points():
+    # equal points form one cluster, and points one ulp apart two
+    w = np.array([-3.0, -3.0, np.nextafter(-3.0, 0), 1.0, 1.0, 1.0,
+                  np.nextafter(1.0, 2)])
+    assert jets._clusters(w).tolist() == [0, 2, 3, 6, 7]
     assert jets._clusters(np.zeros(5)).tolist() == [0, 5]
 
 
@@ -764,12 +765,31 @@ def test_spectral_entry_refuses_a_system_dimension_that_does_not_divide(
     assert routes == []
 
 
+@pytest.mark.parametrize("monomial", [[1, 1], [1, 2]])
+def test_spectral_entry_refuses_a_block_above_grade_1(routes, monomial):
+    # level g of the expansion holds grade g alone, which needs a generator
+    # linear in gamma: a nonzero grade-2 block is refused by its grade, and
+    # no route is taken; a zero one is let through
+    rng = np.random.default_rng(50)
+    d, caps = 4, (2, 1)
+    terms = spectral_terms(rng, caps, d, clustered(rng, d, 2))
+    terms[M(monomial)] = np.zeros((d, d))
+    spectral_jet_matrix_exp(JetMatrix.from_terms(terms, d, 2, caps), 2)
+    assert routes[0] == "_spectral_exp"
+    routes.clear()
+    terms[M(monomial)] = 1e-300 * np.eye(d)
+    with pytest.raises(DomainError, match="linear in gamma, not one with a "
+                       "nonzero block of grade 2"):
+        spectral_jet_matrix_exp(JetMatrix.from_terms(terms, d, 2, caps), 2)
+    assert routes == []
+
+
 def test_spectral_route_preflight_refuses_its_states():
-    # 16 zero blocks of 512 x 512 (64 MiB, pages never touched), flagged as
-    # a generator linear in gamma over caps (1, 1, 1, 1), three clusters,
-    # traced over a first factor of 1 and of 2 dimensions.  Untraced, in
-    # blocks of 512 x 512: the sum (16), the states of one and two middle
-    # clusters (3 x 6 and 6 x 4 blocks of grades 2 and 3), and the work (a
+    # 16 zero blocks of 512 x 512 (64 MiB, pages never touched), a
+    # generator over caps (1, 1, 1, 1), three clusters, traced over a first
+    # factor of 1 and of 2 dimensions.  Untraced, in blocks of 512 x 512:
+    # the sum (16), the states of one and two middle clusters (3 x 6 and
+    # 6 x 4 blocks of grades 2 and 3), and the work (a
     # product's block, level 1's 4 diagonal blocks, and the 3 weights and
     # 2 x 6 sums of level 2), 16 + 42 + 20 = 78 blocks, 312 MiB, are
     # refused before any is allocated.  Traced over 2, in blocks of
@@ -779,13 +799,11 @@ def test_spectral_route_preflight_refuses_its_states():
     caps = (1, 1, 1, 1)
     table = _pair_table(caps)
     blocks = np.zeros((16, 512, 512), dtype=complex)
-    linear = table.grade <= 1
     bounds = np.array([0, 128, 256, 512])
     with pytest.raises(DomainError, match="78 blocks of dimension 512 "
                        "held by the spectral exponential need about 312 MiB"):
-        jets._spectral_exp(blocks, table, linear, np.zeros(512), bounds, 1)
-    assert jets._spectral_blocks(16, jets._spectral_levels(
-        table.grade, linear), 3, 2) == 218
+        jets._spectral_exp(blocks, table, np.zeros(512), bounds, 1)
+    assert jets._spectral_blocks(table.grade, 3, 2) == 218
 
 
 def test_spectral_route_peak_stays_within_its_block_count():
@@ -798,10 +816,9 @@ def test_spectral_route_peak_stays_within_its_block_count():
         d = sys_dim * part
         m = boltzmann(rng, d, caps, clustered(rng, d, sys_dim))
         table = _pair_table(caps)
-        nonzero = jets._block_norms(m.blocks) > 0
         w = np.diagonal(m.constant).real
         bounds = jets._clusters(w)
-        args = (m.blocks, table, nonzero, w, bounds, sys_dim)
+        args = (m.blocks, table, w, bounds, sys_dim)
         jets._spectral_exp(*args)                  # caches warm
         tracemalloc.start()
         try:
@@ -809,8 +826,7 @@ def test_spectral_route_peak_stays_within_its_block_count():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        count = jets._spectral_blocks(len(m.blocks), jets._spectral_levels(
-            table.grade, nonzero), len(bounds) - 1, sys_dim)
+        count = jets._spectral_blocks(table.grade, len(bounds) - 1, sys_dim)
         assert peak <= count * 16 * part * part, (caps, peak, count)
 
 
