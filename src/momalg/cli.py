@@ -265,8 +265,10 @@ def _verify_configs(args):
     tol = _tolerance(args, SCENARIOS[scenario].tolerance)
     zero_h = args.hs == "zero" or args.scenario == "thm2"
     axis = SCENARIOS[scenario].sweep
-    for seed in _parse(_parse_seeds, args.seeds, "--seeds"):
-        for value in getattr(args, axis) if axis else [None]:
+    seeds = _once(_parse(_parse_seeds, args.seeds, "--seeds"), "--seeds")
+    values = _once(getattr(args, axis), f"--{axis}") if axis else [None]
+    for seed in seeds:
+        for value in values:
             swept = {axis: value} if axis else {}
             yield swept, random_config(
                 scenario, seed, n_pointers=args.pointers,
@@ -276,6 +278,23 @@ def _verify_configs(args):
                 n_vars=args.vars, tolerance=tol, mc_samples=args.samples)
 
 
+def _once(values: list, flag: str) -> list:
+    """`values`, each of which names its own report; one given twice is
+    malformed input naming `flag`."""
+    twice = [v for i, v in enumerate(values) if v in values[:i]]
+    if twice:
+        raise InputFormatError(f"{flag}: {twice[0]!r} is given twice")
+    return values
+
+
+def _tag(value: float) -> str:
+    """A swept value in a report name: its :g form when that reads back as
+    the same float, else its repr, so distinct values name distinct
+    reports."""
+    text = f"{value:g}"
+    return text if float(text) == value else repr(value)
+
+
 def cmd_verify(args, argv: list) -> int:
     make_directory(args.out)
     reports = []
@@ -283,7 +302,7 @@ def cmd_verify(args, argv: list) -> int:
     for extras, cfg in _verify_configs(args):
         reports.append(run_verification(cfg).to_json_dict())
         tag = "_".join([f"seed{cfg.seed}"] +
-                       [f"{k}{v:g}" for k, v in extras.items()])
+                       [f"{k}{_tag(v)}" for k, v in extras.items()])
         path = os.path.join(args.out, f"report_{args.scenario}_{tag}.json")
         save_json(path, reports[-1])
         paths.append(path)

@@ -30,7 +30,12 @@ nonzero monomial coefficients, in storage order.
 JetMatrix holds a square matrix with jet entries as a stack of dense
 complex coefficient blocks in the same lattice order, so matrix products
 reduce to one BLAS product per pair-table triple whose blocks are both
-nonzero.  The exponential in this ring has two entries, one per
+nonzero.  `_block_products` runs them on one of two paths with the same
+bits: a loop of one product and one add per triple, or, for many
+products of small blocks (at least 8 triples of at most 8^3 complex
+multiply-adds), one stacked product of the gathered blocks added into
+place by one np.add.at, where the loop's interpreter cost per triple
+would dominate.  The exponential in this ring has two entries, one per
 algorithm; its multilinear coefficient of prod_{j in a} gamma_j equals the
 permutation-summed simplex integral of the Dyson expansion, which is what
 every 'lowest joint order' statement consumes.  `jet_matrix_exp` takes the
@@ -39,7 +44,7 @@ couplings weigh no more than the constant block, then scales and squares
 with a Taylor degree chosen from the norm (Higham, SIAM J. Matrix Anal.
 Appl. 26, 2005), evaluated by Paterson-Stockmeyer (SIAM J. Comput. 2,
 1973) over one stack of the powers Y..Y^q.  Both routes multiply through
-the one product loop `_block_products`, whatever the symmetry of the
+the one product function `_block_products`, whatever the symmetry of the
 generator: a Hermitian one gives a result that is Hermitian to rounding,
 not exactly.  `spectral_jet_matrix_exp` takes the spectral route, for a
 constant block that is already diagonal: real, diagonal and ascending, as
@@ -83,6 +88,12 @@ _THETA = 0.5               # ring-norm bound of the scaled exponential argument
 _UNIT_ROUNDOFF = 2.0 ** -53
 MAX_DENSE_BYTES = 2 ** 28  # largest dense lattice array or pair table built
 _PAIR_BYTES = 72           # per pair: 3 index arrays, 3 complex temporaries
+# the batched block products (`_block_products`): at least this many kept
+# triples, each of at most this many complex multiply-adds, in chunks of at
+# most this many bytes
+_BATCH_COUNT = 8
+_BATCH_WORK = 8 ** 3
+_BATCH_BYTES = 2 ** 20
 
 
 class _PairTable(NamedTuple):
@@ -522,12 +533,46 @@ def _block_products(table, a: np.ndarray, b: np.ndarray,
     BLAS product per pair-table triple whose two blocks are nonzero, added
     in the order of the pair arrays.  The blocks may be rectangular:
     (lattice, r, p) times (lattice, p, c).  Axes between the lattice axis
-    and the block axes are a batch, which each product broadcasts over."""
+    and the block axes are a batch, which each product broadcasts over.
+
+    Two paths give the same bits.  The loop runs one np.matmul and one
+    in-place add per kept triple, a few us of interpreter time each.  Many
+    products of small blocks (at least _BATCH_COUNT kept triples, each of
+    at most _BATCH_WORK complex multiply-adds, r p c times the batch, into
+    a C-contiguous out) take the batched path instead: gather the kept
+    blocks, take one np.matmul over the stack, which runs the same BLAS
+    product per triple, and add the products into out with one np.add.at
+    over flat positions.  np.add.at adds unbuffered in index order, so each
+    entry sums in the loop's order; triples go in chunks of at most
+    _BATCH_BYTES, in pair order.  The batched path costs 5-10 us more per
+    call, so a call of few triples keeps the loop; blocks of 16^3
+    multiply-adds break even, and from 32^3 up the gather and the stacked
+    product are slower than the loop (the per-call table in CHANGES.md)."""
     keep = _nonzero(a)[table.ia] & _nonzero(b)[table.ib]
+    ia, ib, ic = table.ia[keep], table.ib[keep], table.ic[keep]
+    if len(ic) >= _BATCH_COUNT and out.flags.c_contiguous and \
+            math.prod(a.shape[1:]) * b.shape[-1] <= _BATCH_WORK:
+        _batched_products(ia, ib, ic, a, b, out)
+        return
     prod = np.empty(out.shape[1:], dtype=complex)  # reused
-    for i, j, c in zip(table.ia[keep].tolist(), table.ib[keep].tolist(),
-                       table.ic[keep].tolist()):
+    for i, j, c in zip(ia.tolist(), ib.tolist(), ic.tolist()):
         out[c] += np.matmul(a[i], b[j], out=prod)
+
+
+def _batched_products(ia, ib, ic, a: np.ndarray, b: np.ndarray,
+                      out: np.ndarray) -> None:
+    """The batched path of `_block_products` over the kept triples
+    (ia, ib, ic): per chunk, the gathered blocks, their products and the
+    products' flat positions in out."""
+    size = math.prod(out.shape[1:])
+    per_triple = 16 * (math.prod(a.shape[1:]) + math.prod(b.shape[1:])
+                       + size) + 8 * size
+    step = max(1, _BATCH_BYTES // per_triple)
+    flat, entries = out.reshape(-1), np.arange(size)
+    for lo in range(0, len(ic), step):
+        chunk = slice(lo, lo + step)
+        np.add.at(flat, (ic[chunk, None] * size + entries).ravel(),
+                  np.matmul(a[ia[chunk]], b[ib[chunk]]).ravel())
 
 
 def jet_matrix_exp(m: JetMatrix) -> JetMatrix:

@@ -42,7 +42,7 @@ from .errors import (
     ShapeMismatchError,
     SingularPostselectionError,
 )
-from .jets import Jet, JetMatrix, _pair_table, jet_matrix_exp
+from .jets import Jet, JetMatrix, _check_size, _pair_table, jet_matrix_exp
 
 _I_POWERS = np.array([1, 1j, -1, -1j])    # i^k at k mod 4, exactly
 
@@ -189,7 +189,11 @@ def script_D_monte_carlo(config, a: Multiset, samples: int,
     Dirichlet splits of the window; the 1/tau^k prefactor cancels the
     simplex volume tau^k/k! against the k! permutations, so the estimator
     is the plain sample mean of evolution-weighted weak values.  Returns
-    (estimate, standard error).
+    (estimate, standard error).  A sample count whose arrays would not fit
+    in MAX_DENSE_BYTES is refused with a DomainError before any is drawn:
+    per sample, the times and their spacings and one order's copy of them
+    (k + 1 doubles each), an order index, a value, a mask byte, and four
+    system-dimension complex rows of one order's states.
     """
     if samples < 1:
         raise DomainError("samples must be >= 1")
@@ -203,6 +207,8 @@ def script_D_monte_carlo(config, a: Multiset, samples: int,
         raise SingularPostselectionError("postselection amplitude below floor")
     if k == 0:
         return 1.0, 0.0
+    _check_size("Monte-Carlo samples", samples,
+                24 * (k + 1) + 25 + 64 * config.system_dim)
 
     rng = np.random.default_rng(seed)
     times = _dirichlet_times(rng, config.tau, k + 1, samples)

@@ -221,6 +221,24 @@ FITTING_MODES = {"sequential": {"auto", "sequential", "simultaneous"},
                  "thermal": {"auto", "thermal"}}
 
 
+@pytest.mark.parametrize("surface", ["verify", "weak-values"])
+def test_monte_carlo_sample_count_is_refused_before_drawing(tmp_path, capsys,
+                                                           surface):
+    # 10^15 samples need petabytes: a domain error naming the count (exit
+    # 3), not a memory error
+    samples = 10 ** 15
+    if surface == "verify":
+        argv = ["verify", "thm4", "--samples", str(samples), "--seeds", "1",
+                "--out", str(tmp_path / "out")]
+    else:
+        argv = ["weak-values", write(tmp_path / "q.json", {
+            "schema": 1, "mode": "mc", "samples": samples, "subsets": [[1]],
+            "context": {"kind": "evolution", "observables": [PAULI_X],
+                        **CONTEXTS["evolution"]}})]
+    assert main(argv) == 3
+    assert f"{samples} Monte-Carlo samples" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kind", sorted(CONTEXTS))
 def test_weak_values_refuse_a_mode_that_reads_fields_the_kind_lacks(
         tmp_path, capsys, kind):
@@ -295,6 +313,27 @@ def test_verify_runs_are_reproducible(tmp_path):
     rep1.pop("runtime_s")
     rep2.pop("runtime_s")
     assert json.dumps(rep1, sort_keys=True) == json.dumps(rep2, sort_keys=True)
+
+
+def test_verify_names_close_sweep_values_apart(tmp_path):
+    # 1.0000001 and 1.0000002 print alike with :g; each keeps its report,
+    # named once in the manifest, while the :g names stay where they read
+    # back as the same float
+    out = tmp_path / "out"
+    assert main(["verify", "thermal", "--pointers", "2", "--seeds", "1",
+                 "--beta", "1.0000001", "1.0000002", "0.5",
+                 "--out", str(out)]) == 0
+    names = ["report_thermal_seed1_beta1.0000001.json",
+             "report_thermal_seed1_beta1.0000002.json",
+             "report_thermal_seed1_beta0.5.json"]
+    assert load_json(str(out / "manifest_thermal.json"))["reports"] == names
+    assert sorted(os.listdir(out)) == sorted(
+        names + ["manifest_thermal.json", "report_thermal.csv"])
+    betas = [load_json(str(out / name))["metadata"]["beta"] for name in names]
+    assert betas == [1.0000001, 1.0000002, 0.5]
+    rows = (out / "report_thermal.csv").read_text().strip().splitlines()
+    assert len(rows) == 1 + sum(len(load_json(str(out / name))["records"])
+                                for name in names)
 
 
 def test_mmap_json_roundtrip_is_bit_exact():
@@ -742,6 +781,11 @@ BAD_TOLS = ("nan", "inf", "-inf", "-1")
       for v in ("nan", "inf", "-inf")],
     *[(["verify", scenario, "--samples=-3"], {}, "--samples")
       for scenario in ("thm4", "thm1")],
+    # each seed and swept value names a report of its own
+    (["verify", "thermal", "--seeds", "1,2,1"], {}, "--seeds"),
+    (["verify", "thermal", "--seeds", "1..2", "--beta", "1", "1.0"], {},
+     "--beta"),
+    (["verify", "thm4", "--tau", "0.5", "2", "0.5"], {}, "--tau"),
 ], ids=["pointers0", "pointers-neg", "sysdim0", "pointer-dim0", "vars0",
         "copies0", "seeds-text", "seeds-empty", "env-tol", "cut-text",
         "depth0", "depth-neg",
@@ -750,7 +794,8 @@ BAD_TOLS = ("nan", "inf", "-inf", "-1")
         *[f"algebra-log-tol-{v}" for v in ("nan", "-1", "abc")],
         *[f"{flag}-{v}" for flag in ("beta", "tau")
           for v in ("nan", "inf", "-inf")],
-        "thm4-samples-neg", "thm1-samples-neg"])
+        "thm4-samples-neg", "thm1-samples-neg", "seeds-twice", "beta-twice",
+        "tau-twice"])
 def test_malformed_arguments_exit_2_naming_the_flag(tmp_path, monkeypatch,
                                                     capsys, argv, env, flag):
     # argparse refuses a bad flag with SystemExit(2); a value parsed later

@@ -358,11 +358,13 @@ def test_coeffs_is_a_read_only_view_of_nonzero_monomials():
         j.coeffs[EMPTY] = 1.0
 
 
-def explicit_matmul(x, y, caps):
+def explicit_matmul(x, y, caps, out=None):
     """Per-pair block products of two block stacks over every lattice pair,
-    zero blocks included, at the storage positions of the lattice."""
+    zero blocks included, at the storage positions of the lattice, added
+    to a copy of `out` (to zeros if None)."""
     lattice = multiset_lattice(len(caps), caps)
-    out = np.zeros((len(lattice), x.shape[1], y.shape[2]), dtype=complex)
+    out = np.zeros((len(lattice), *np.matmul(x[0], y[0]).shape),
+                   dtype=complex) if out is None else out.copy()
     for a in sorted(lattice, key=lambda a: _position(caps, a)):
         for b in lattice:
             s = a + b
@@ -386,10 +388,12 @@ def random_jet_matrix(rng, d, caps, zero_frac=0.4):
 
 
 @property_settings
-@given(caps=caps_strategy, d=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+@given(caps=caps_strategy, d=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
        rows=st.integers(1, 4), cols=st.integers(1, 4))
 def test_jet_matrix_product_matches_explicit_loop_with_zero_blocks(
         caps, d, seed, rows, cols):
+    # d up to 9 puts square blocks on both sides of the batched path's work
+    # bound, 8^3; zero blocks move the kept-triple count across its bound
     rng = np.random.default_rng(seed)
     x, y = random_jet_matrix(rng, d, caps), random_jet_matrix(rng, d, caps)
     assert np.array_equal((x @ y).blocks, explicit_matmul(x.blocks, y.blocks, caps))
@@ -400,6 +404,65 @@ def test_jet_matrix_product_matches_explicit_loop_with_zero_blocks(
     out = np.zeros((len(a), rows, cols), dtype=complex)
     _block_products(_pair_table(caps), a, b, out)
     assert np.array_equal(out, explicit_matmul(a, b, caps))
+
+
+# caps, the block shapes of a and b, the lattice positions of a and of b
+# whose blocks are zero, and the path `_block_products` takes
+BLOCK_PRODUCT_CASES = {
+    "81 triples of 2 x 2": ((1, 1, 1, 1), (2, 2), (2, 2), (), (), "batched"),
+    "at the work bound": ((2, 2), (8, 8), (8, 8), (), (), "batched"),
+    "above the work bound": ((2, 2), (9, 8), (8, 8), (), (), "loop"),
+    "6 triples": ((2,), (2, 2), (2, 2), (), (), "loop"),
+    # at caps (1, 1), position 3 is gamma_1 gamma_2: one triple reads it
+    "8 kept of 9 triples": ((1, 1), (2, 2), (2, 2), (3,), (), "batched"),
+    "7 kept of 9 triples": ((1, 1), (2, 2), (2, 2), (3,), (3,), "loop"),
+    # the spectral route's last level, (lattice, sys_dim, P, n_c) by
+    # (lattice, sys_dim, n_c, P)
+    "a batch axis": ((1, 1, 1), (2, 3, 2), (2, 2, 3), (), (), "batched"),
+    "a batch axis above the work bound":
+        ((1, 1, 1), (2, 8, 5), (2, 5, 8), (), (), "loop"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_PRODUCT_CASES))
+def test_block_products_paths_match_explicit_loop(monkeypatch, case):
+    # a nonzero out accumulated over two calls, as the spectral route's
+    # levels accumulate, on the path the shapes and kept triples pick
+    caps, a_shape, b_shape, a_zero, b_zero, path = BLOCK_PRODUCT_CASES[case]
+    batched = []
+    real = jets._batched_products
+    monkeypatch.setattr(jets, "_batched_products",
+                        lambda *args: batched.append(1) or real(*args))
+    rng = np.random.default_rng(61)
+    table = _pair_table(caps)
+    out = random_blocks(rng, np.matmul(np.ones(a_shape), np.ones(b_shape)
+                                       ).shape, caps, zero_frac=0.0)
+    want = out.copy()
+    for _ in range(2):
+        a = random_blocks(rng, a_shape, caps, zero_frac=0.0)
+        b = random_blocks(rng, b_shape, caps, zero_frac=0.0)
+        a[list(a_zero)] = 0.0
+        b[list(b_zero)] = 0.0
+        _block_products(table, a, b, out)
+        want = explicit_matmul(a, b, caps, want)
+    assert np.array_equal(out, want)
+    assert len(batched) == (2 if path == "batched" else 0)
+
+
+@pytest.mark.parametrize("triples", [1, 5])
+def test_batched_block_products_match_explicit_loop_across_chunks(
+        monkeypatch, triples):
+    # a budget of one or five triples per chunk splits the 81 triples of
+    # 2 x 2 blocks into chunks, the last one short
+    per_triple = 16 * (4 + 4 + 4) + 8 * 4
+    monkeypatch.setattr(jets, "_BATCH_BYTES", triples * per_triple + 1)
+    rng = np.random.default_rng(62)
+    caps = (1, 1, 1, 1)
+    a, b, out = (random_blocks(rng, (2, 2), caps, zero_frac=0.0)
+                 for _ in range(3))
+    want = explicit_matmul(a, b, caps, out)
+    _block_products(_pair_table(caps), a, b, out)
+    assert np.array_equal(out, want)
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +561,8 @@ def test_exp_of_a_hermitian_generator_has_exactly_hermitian_blocks(
 
 
 def test_one_non_hermitian_coupling_block_takes_the_general_path():
-    # Hermitian blocks but one, against the oracle: every generator takes
-    # the one product loop, whatever its symmetry
+    # Hermitian blocks but one, against the oracle: every generator's
+    # products run through `_block_products`, whatever its symmetry
     rng = np.random.default_rng(32)
     d, caps = 3, (1, 1)
     terms = {EMPTY: -hermitian(rng, d, 2.0), M([1]): -hermitian(rng, d, 1.0),
