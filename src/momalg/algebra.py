@@ -35,6 +35,7 @@ import numpy as np
 from .combinatorics import (
     EMPTY,
     Multiset,
+    _monomials,
     multiset_lattice,
     ordered_bipartitions_of,
     partitions_of,
@@ -46,8 +47,7 @@ from .errors import (
     SeriesDivergenceError,
     ShapeMismatchError,
 )
-from .jets import (Jet, _monomials, _mult_factorial, _position, _series,
-                   _weights)
+from .jets import Jet, _position, _series, _weights
 
 DEFAULT_TOL = 1e-10
 
@@ -104,16 +104,17 @@ class MMap:
         return self.jet._vec.reshape(math.prod(c + 1 for c in self.caps), -1)
 
     def _set(self, a: Multiset, value) -> None:
-        row = self._rows()[_position(self.caps, a)]
+        pos = _position(self.caps, a)
+        row, weight = self._rows()[pos], _weights(self.caps)[pos]
         if isinstance(value, Jet):
             if value.caps != self.jet_caps:
                 raise ShapeMismatchError(
                     f"jet value of caps {value.caps} in a map of jet caps "
                     f"{self.jet_caps}")
-            row[:] = value._vec / _mult_factorial(a)
+            row[:] = value._vec / weight
         else:
             row[:] = 0.0
-            row[0] = complex(value) / _mult_factorial(a)
+            row[0] = complex(value) / weight
 
     @classmethod
     def from_function(cls, n, fn: Callable[[Multiset], object], caps=None) -> "MMap":
@@ -122,7 +123,8 @@ class MMap:
     def __call__(self, a: Multiset):
         if not a.fits(self.caps):
             return 0.0
-        row = self._rows()[_position(self.caps, a)] * _mult_factorial(a)
+        pos = _position(self.caps, a)
+        row = self._rows()[pos] * _weights(self.caps)[pos]
         if not self.jet_caps:
             return complex(row[0])
         return Jet._dense(len(self.jet_caps), self.jet_caps, row)

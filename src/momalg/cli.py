@@ -43,6 +43,7 @@ from .serialization import (
     SCHEMA,
     _finite,
     _finite_tolerance,
+    _integer,
     _parse,
     _require,
     config_from_dict,
@@ -217,8 +218,9 @@ def cmd_weak_values(args) -> int:
     subsets = _parse(list, _require(payload, "subsets", where),
                      f"{where}.subsets")
     kind, config = context_from_dict(payload.get("context", {}))
-    samples = _parse(int, payload.get("samples", 100_000), f"{where}.samples")
-    seed = _parse(int, payload.get("seed", 0), f"{where}.seed")
+    samples = _parse(lambda v: _integer(v, 1), payload.get("samples", 100_000),
+                     f"{where}.samples")
+    seed = _parse(_integer, payload.get("seed", 0), f"{where}.seed")
     weak_value = {
         "sequential": sequential_weak_value,
         "simultaneous": simultaneous_weak_value,

@@ -1,12 +1,13 @@
 """Multisets over a finite ground set and the partition-style enumerations.
 
 `multiset_lattice` is the common domain of M-maps and jets, enumerated by
-size; the dense lattice ring (`momalg.jets`, `momalg.algebra`) stores it in
-its own digit order and takes only `Multiset` from here.  Multiset partitions with integer coefficients and ordered
-bipartitions with binomial weights serve the reference partition sums that
-check that ring (`algebra.partition_fstar`, `algebra.bipartition_convolve`).
-Ground-set labels are positive integers 1..n; a plain subset is the
-multiplicity-1 special case.
+size: the storage order of the dense lattice ring (`momalg.jets`,
+`momalg.algebra`), which `_monomials` enumerates, sorted by size.  Multiset
+partitions with integer coefficients and ordered bipartitions with binomial
+weights serve the reference partition sums that check that ring
+(`algebra.partition_fstar`, `algebra.bipartition_convolve`).  Ground-set
+labels are positive integers 1..n; a plain subset is the multiplicity-1
+special case.
 
 All enumerations are deterministic: identical inputs yield identical
 orderings (canonical order sorts by total size, then by the expanded
@@ -223,23 +224,22 @@ def ordered_bipartitions_of(a: Multiset) -> Iterator[OrderedBipartition]:
 
 
 @lru_cache(maxsize=None)
-def _sub_multisets_cached(a: Multiset) -> tuple[Multiset, ...]:
-    items = a.items
-    out = [
-        Multiset.from_counts({lab: j for (lab, _), j in zip(items, choice) if j})
-        for choice in itertools.product(*(range(m + 1) for _, m in items))
-    ]
-    out.sort(key=lambda b: b.sort_key)
-    return tuple(out)
+def _monomials(caps: tuple[int, ...]) -> tuple[Multiset, ...]:
+    """All multisets over labels 1..len(caps) with per-label multiplicity
+    <= cap, in the storage order of the dense lattice ring (`momalg.jets`):
+    mixed-radix C order of the multiplicities, label 1 slowest."""
+    return tuple(Multiset.from_counts(dict(enumerate(digits, start=1)))
+                 for digits in itertools.product(*(range(c + 1)
+                                                   for c in caps)))
 
 
 @lru_cache(maxsize=None)
 def multiset_lattice(n: int, caps: tuple[int, ...]) -> tuple[Multiset, ...]:
     """All multisets over labels 1..n with per-label multiplicity <= cap.
 
-    This is the common domain of M-maps and jets; size prod(cap_i + 1).
+    This is the common domain of M-maps and jets, size prod(cap_i + 1),
+    enumerated by size: the storage order `_monomials` sorted by sort_key.
     """
     if len(caps) != n:
         raise DomainError(f"caps has length {len(caps)}, expected {n}")
-    full = Multiset.from_counts({i + 1: c for i, c in enumerate(caps) if c > 0})
-    return _sub_multisets_cached(full)
+    return tuple(sorted(_monomials(caps), key=lambda a: a.sort_key))

@@ -39,11 +39,11 @@ would dominate.  The exponential in this ring has two entries, one per
 algorithm; its multilinear coefficient of prod_{j in a} gamma_j equals the
 permutation-summed simplex integral of the Dyson expansion, which is what
 every 'lowest joint order' statement consumes.  `jet_matrix_exp` takes the
-Taylor route: it rescales the gammas by an exact power of two so that the
-couplings weigh no more than the constant block, then scales and squares
-with a Taylor degree chosen from the norm (Higham, SIAM J. Matrix Anal.
-Appl. 26, 2005), evaluated by Paterson-Stockmeyer (SIAM J. Comput. 2,
-1973) over one stack of the powers Y..Y^q.  Both routes multiply through
+Taylor route: it scales and squares, with the squaring count and the
+Taylor degree chosen from the norm of the constant block alone, since the
+couplings are nilpotent in the ring (Higham, SIAM J. Matrix Anal. Appl.
+26, 2005), evaluated by Paterson-Stockmeyer (SIAM J. Comput. 2, 1973)
+over one stack of the powers Y..Y^q.  Both routes multiply through
 the one product function `_block_products`, whatever the symmetry of the
 generator: a Hermitian one gives a result that is Hermitian to rounding,
 not exactly.  `spectral_jet_matrix_exp` takes the spectral route, for a
@@ -81,10 +81,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .combinatorics import EMPTY, Multiset
+from .combinatorics import EMPTY, Multiset, _monomials
 from .errors import CapExceededError, DomainError, NonInvertibleError
 
-_THETA = 0.5               # ring-norm bound of the scaled exponential argument
+_THETA = 0.5               # 1-norm bound of the scaled constant block
 _UNIT_ROUNDOFF = 2.0 ** -53
 MAX_DENSE_BYTES = 2 ** 28  # largest dense lattice array or pair table built
 _PAIR_BYTES = 72           # per pair: 3 index arrays, 3 complex temporaries
@@ -174,15 +174,6 @@ def _weights(caps: tuple[int, ...]) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def _monomials(caps: tuple[int, ...]) -> tuple[Multiset, ...]:
-    """The monomials of the caps lattice in storage order, for the readers
-    that hand out Multiset keys."""
-    return tuple(Multiset.from_counts(dict(enumerate(digits, start=1)))
-                 for digits in itertools.product(*(range(c + 1)
-                                                   for c in caps)))
-
-
 def _lattice_size(n: int, caps: tuple[int, ...]) -> int:
     """The number of monomials of the caps lattice over n variables; caps
     of another length than n, or with a negative cap, are refused."""
@@ -260,10 +251,6 @@ def _invertible(vec: np.ndarray) -> complex:
     return complex(vec[0])
 
 
-def _mult_factorial(a: Multiset) -> int:
-    return math.prod(math.factorial(m) for _, m in a.items)
-
-
 def _unit(size: int, value=1.0) -> np.ndarray:
     vec = np.zeros(size, dtype=complex)
     vec[0] = value
@@ -331,7 +318,8 @@ class Jet:
 
     def derivative(self, a: Multiset) -> complex:
         """Mixed partial at gamma = 0: coefficient times prod(mult!)."""
-        return self.coefficient(a) * _mult_factorial(a)
+        pos = _position(self.caps, a)
+        return complex(self._vec[pos]) * _weights(self.caps)[pos]
 
     def restrict(self, a: Multiset) -> "Jet":
         """This jet at gamma_j = 0 for every label j outside `a`: monomials
@@ -577,44 +565,42 @@ def _batched_products(ia, ib, ic, a: np.ndarray, b: np.ndarray,
 
 def jet_matrix_exp(m: JetMatrix) -> JetMatrix:
     """Matrix exponential in the truncated polynomial ring by the Taylor
-    route (steps 1-4).  `spectral_jet_matrix_exp` is the other route; step
-    5 says which caller takes which.
+    route (steps 1-3).  `spectral_jet_matrix_exp` is the other route; step
+    4 says which caller takes which.
 
     Write X = sum_a X_a gamma^a, G = sum(caps) for the top grade, |a| for
-    the grade of monomial a, and ||.|| for the block 1-norm.  The ring
-    norm sum_a ||X_a|| is submultiplicative under the truncated product.
+    the grade of monomial a, and ||.|| for the block 1-norm.
 
-    1. Grade rescaling.  gamma -> 2^-k gamma multiplies block a by
-       2^(-k|a|).  It is a ring automorphism, so it commutes with exp, and
-       powers of two make it exact in floating point.  k is the smallest
-       integer with sum_{a != 0} 2^(-k|a|) ||X_a|| <= max(||X_0||, theta),
-       theta = 0.5: the couplings stop driving the squarings.
-    2. Scaling.  With nu the ring norm of the rescaled X', s = max(0,
-       ceil(log2(nu / theta))) and Y = X' / 2^s has ring norm <= theta.
-    3. Degree.  Let P(t) = sum_g (sum_{|a|=g} ||Y_a||) t^g = mu + Q(t),
-       mu = ||Y_0||.  The grade-g part of Y^j is bounded by [t^g] P^j, and
-       since Q starts at t^1,
+    1. Scaling.  s = max(0, ceil(log2(||X_0|| / theta))), theta = 0.5, and
+       Y = X / 2^s, so mu = ||Y_0|| <= theta.  The couplings do not enter
+       s: every block of grade >= 1 is nilpotent in the ring, so the bound
+       of step 2 holds grade by grade whatever their size.  A rescaling
+       gamma -> 2^-k gamma multiplies block a by 2^(-k|a|); it is a ring
+       automorphism that powers of two make exact in floating point, so at
+       a fixed s it commutes bit for bit with every operation of the
+       route, and the result commutes exactly with it.
+    2. Degree.  Let P(t) = sum_g (sum_{|a|=g} ||Y_a||) t^g = mu + Q(t).
+       The grade-g part of Y^j is bounded by [t^g] P^j, and since Q starts
+       at t^1,
            [t^g] sum_{j>m} P^j / j!  <=  mu^(m-g+1) / (m-g+1)! * [t^g] e^P,
        where [t^g] e^P bounds the grade-g part of e^Y.  Remainder and e^Y
        commute, so s squarings leave the grade-g error at most
        (1 + eps)^(2^s) - 1 ~ 2^s eps, eps = mu^(m-G+1) / (m-G+1)!, of the
-       grade-g bound [t^g] e^(2^s P) on exp(X').  Undoing the rescaling
-       multiplies the grade-g parts of the error and of that bound alike by
-       2^(k g), so the same relative bound holds for every grade of exp(X).
-       m is the smallest degree with 2^s eps <= 2^-53.  A zero constant
-       block (mu = 0) makes X nilpotent and m = G exact.
-    4. Evaluation (Paterson-Stockmeyer).  Split the Taylor polynomial into
+       grade-g bound [t^g] e^(2^s P) on exp(X), for every grade.  m is the
+       smallest degree with 2^s eps <= 2^-53.  A zero constant block
+       (mu = 0) makes X nilpotent and m = G exact.
+    3. Evaluation (Paterson-Stockmeyer).  Split the Taylor polynomial into
        c chunks of q coefficients, the top chunk taking q + 1, so that
        T_m(Y) = sum_i Y^(iq) C_i with C_i = sum_j Y^j / (iq + j)!.  Form
        Y..Y^q in one (q, lattice, d, d) stack, run Horner in Y^q over the
-       chunks, square s times and multiply block a by 2^(k|a|).  That is
-       q - 1 + c - 1 products plus s squarings; q minimises the products
-       (ties: fewer stored powers, q ~ sqrt m), and m is raised to c q,
-       which the same products reach.  Each power is Y times the one
-       below, and a chunk adds its powers one at a time, in a fixed order:
-       the postselected values thm4 feeds move by up to 1e-13 relative when
-       that sum is reordered (e.g. into one tensordot over the stack).
-    5. Role.  A caller takes the route its role gives it, never the one a
+       chunks and square s times.  That is q - 1 + c - 1 products plus s
+       squarings; q minimises the products (ties: fewer stored powers,
+       q ~ sqrt m), and m is raised to c q, which the same products reach.
+       Each power is Y times the one below, and a chunk adds its powers
+       one at a time, in a fixed order: the postselected values thm4 feeds
+       move by up to 1e-13 relative when that sum is reordered (e.g. into
+       one tensordot over the stack).
+    4. Role.  A caller takes the route its role gives it, never the one a
        cost estimate prefers: the thermal check's lhs, the joint-space
        Boltzmann jet e^(-beta H), takes the spectral route, and every other
        caller takes this one: the system-side partition jet of the thermal
@@ -632,8 +618,8 @@ def jet_matrix_exp(m: JetMatrix) -> JetMatrix:
     refused with a DomainError.
     """
     table = _pair_table(m.caps)
-    return _in_double_range(m, _taylor_exp, m.blocks, table,
-                            _taylor_schedule(table, _finite_norms(m)))
+    return _in_double_range(m, _taylor_exp, m.blocks, table, _taylor_schedule(
+        int(table.grade.max()), _finite_norms(m)[0]))
 
 
 def spectral_jet_matrix_exp(m: JetMatrix, sys_dim: int) -> JetMatrix:
@@ -757,49 +743,40 @@ def _block_norms(blocks: np.ndarray) -> np.ndarray:
 
 
 class _Schedule(NamedTuple):
-    """Taylor route parameters (docstring of jet_matrix_exp, steps 1-4)."""
+    """Taylor route parameters (docstring of jet_matrix_exp, steps 1-3)."""
 
-    k: int        # couplings rescaled by 2^-k
-    s: int        # squarings
+    s: int        # squarings, from the constant block alone
     q: int        # powers Y..Y^q held
     degree: int   # Taylor degree, a multiple of q
 
 
-def _taylor_schedule(table, norms: np.ndarray) -> _Schedule:
-    top = int(table.grade.max())
-    by_grade = np.bincount(table.grade, norms, minlength=top + 1)
-    const, graded = by_grade[0], by_grade[1:]
-    grades = np.arange(1, top + 1)
-    k = 0
-    while graded @ 2.0 ** (-k * grades) > max(const, _THETA):
-        k += 1
-    ring_norm = const + graded @ 2.0 ** (-k * grades)
-    s = max(0, math.ceil(math.log2(ring_norm / _THETA))) if ring_norm else 0
+def _taylor_schedule(top: int, const: float) -> _Schedule:
+    """The schedule for a generator of top grade `top` whose constant block
+    has the 1-norm `const`."""
+    s = max(0, math.ceil(math.log2(const / _THETA))) if const else 0
     mu = const * 2.0 ** -s
-    tail = 1                       # m - G + 1 in the bound above
+    tail = 1                       # m - G + 1 in the bound of step 2
     while 2 ** s * mu ** tail / math.factorial(tail) > _UNIT_ROUNDOFF:
         tail += 1
     degree = max(top + tail - 1, 1)
     # fewest products (q - 1 powers, then one per chunk after the first),
     # then fewest stored powers; the last chunk is filled up to q terms
     q = min(range(1, degree + 1), key=lambda p: (p + -(-degree // p), p))
-    return _Schedule(k, s, q, q * -(-degree // q))
+    return _Schedule(s, q, q * -(-degree // q))
 
 
 def _taylor_exp(blocks: np.ndarray, table, schedule: _Schedule) -> np.ndarray:
-    """Steps 1-4 of the jet_matrix_exp docstring on a (lattice, ..., d, d)
+    """Steps 1-3 of the jet_matrix_exp docstring on a (lattice, ..., d, d)
     block stack in the lattice order of `table`.  Axes between the lattice
     axis and the block axes are a batch of exponentials, all taken with
     the one schedule."""
-    k, s, q, degree = schedule
+    s, q, degree = schedule
     dim = blocks.shape[-1]
-    per_block = (-1,) + (1,) * (blocks.ndim - 1)   # a factor per block
     # Y..Y^q, the Horner accumulator and one product's output
     _check_size(f"jet-matrix blocks of dimension {dim} held by the "
                 f"Taylor exponential", (q + 2) * len(blocks), blocks[0].nbytes)
     powers = np.zeros((q, *blocks.shape), dtype=complex)      # Y^1..Y^q
-    np.multiply(blocks, (2.0 ** -(k * table.grade + s)).reshape(per_block),
-                out=powers[0])
+    np.multiply(blocks, 2.0 ** -s, out=powers[0])
     for j in range(1, q):
         _block_products(table, powers[j - 1], powers[0], powers[j])
 
@@ -822,8 +799,6 @@ def _taylor_exp(blocks: np.ndarray, table, schedule: _Schedule) -> np.ndarray:
     del powers                     # the squarings need only acc
     for _ in range(s):
         acc = product(acc, acc)
-    if k:
-        acc *= (2.0 ** (k * table.grade)).reshape(per_block)
     return acc
 
 
@@ -989,9 +964,7 @@ def _exp_divided_differences(lam: np.ndarray, mids: list) -> dict:
         diag = np.arange(2 * count + r)
         opitz[group, diag, diag] = np.concatenate(
             (lam_ends, lam_mid, lam_ends), axis=1) - mu
-    table = _pair_table(())
-    largest = _block_norms(opitz).max(keepdims=True)
-    exp_j = _taylor_exp(opitz[None], table, _taylor_schedule(
-        table, largest))[0].real * np.exp(mu)
+    exp_j = _taylor_exp(opitz[None], _pair_table(()), _taylor_schedule(
+        0, _block_norms(opitz).max()))[0].real * np.exp(mu)
     return {mid: exp_j[k, :count, count + r:2 * count + r]
             for k, (mid, r) in enumerate(zip(mids, lengths.tolist()))}

@@ -37,7 +37,7 @@ from .errors import (
     ShapeMismatchError,
 )
 from .experiments import ExperimentConfig
-from .jets import _position, _weights
+from .jets import MAX_DENSE_BYTES, _position, _weights
 from .quantum import PointerSpec, checked_operator, unit_vector
 
 SCHEMA = 1
@@ -131,10 +131,10 @@ def _finite(value) -> float:
     return number
 
 
-def _cap(value) -> int:
-    """A JSON integer >= 0; a bool or a float is not one."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"{value!r} is not an integer >= 0")
+def _integer(value, low: int = 0) -> int:
+    """A JSON integer >= low; a bool, a float or a string is not one."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        raise ValueError(f"{value!r} is not an integer >= {low}")
     return value
 
 
@@ -164,9 +164,20 @@ def mmap_to_dict(f: MMap) -> dict:
 
 
 def mmap_from_dict(payload: dict, where: str = "mmap") -> MMap:
-    n = _parse(int, _require(payload, "n", where), f"{where}.n")
-    caps = _parse(lambda v: tuple(map(_cap, v)), payload.get("caps", [1] * n),
-                  f"{where}.caps")
+    """The M-map of `payload`.  Its caps default to 1 per label, priced
+    from n alone (2^n entries of 16 bytes) before they are formed."""
+    n = _parse(_integer, _require(payload, "n", where), f"{where}.n")
+    if "caps" in payload:
+        caps = _parse(lambda v: tuple(map(_integer, v)), payload["caps"],
+                      f"{where}.caps")
+        if len(caps) != n:
+            raise InputFormatError(
+                f"{where}.caps: {len(caps)} given, {n} needed")
+    elif n >= MAX_DENSE_BYTES.bit_length() or 16 * 2 ** n > MAX_DENSE_BYTES:
+        raise DomainError(f"{where}.n: 2^{n} subsets are above the "
+                          f"{MAX_DENSE_BYTES / 2 ** 20:.0f} MiB size limit")
+    else:
+        caps = (1,) * n
     entries = {}
     items = _parse(list, _require(payload, "entries", where), f"{where}.entries")
     for i, item in enumerate(items):
@@ -246,7 +257,7 @@ _MATRIX = (matrix_from_dict, array_to_dict)
 _STATE = (vector_from_dict, array_to_dict)
 _NUMBER = (lambda v, at: _finite(v), float)
 _GATE = (lambda v, at: _finite_tolerance(v), float)
-_INTEGER = (lambda v, at: int(v), int)
+_INTEGER = (lambda v, at: _integer(v), int)
 _REALS = (lambda v, at: np.asarray(v, dtype=float),
           lambda v: np.asarray(v, dtype=float).tolist())
 
@@ -261,8 +272,10 @@ _FIELDS = {
     "tau": _NUMBER, "beta": _NUMBER,
     "pointers": _listed(pointer_from_dict, pointer_to_dict),
     "observables": _listed(*_MATRIX),
-    "copies": (lambda v, at: tuple(int(c) for c in v), list),
-    "targets": _listed(lambda v, at: Multiset(v), _multiset_elements),
+    "copies": _listed(lambda v, at: _parse(lambda c: _integer(c, 1), v, at),
+                      int),
+    "targets": _listed(lambda v, at: _parse(Multiset, v, at),
+                       _multiset_elements),
     "outcome_values": _listed(*_REALS), "probabilities": _REALS,
     "mc_samples": _INTEGER,
 }
@@ -294,8 +307,11 @@ def _read_config(payload: dict, scenario: str, where: str,
     kick chain, n + 1 unitaries; n counts the pointers, the copy counts in
     the multiset scenario, or, without pointers, the observables), its
     system arrays the dimension of the first, and each pointer's s and r
-    the dimension of its phi.  A field that does not is malformed input
-    naming it, `where.field`."""
+    the dimension of its phi.  Each target is a nonempty multiset on the
+    lattice its scenario's claims read: labels 1..n at multiplicity 1, or
+    in genfun the caps its copies give (2 per variable by default, else
+    one copy count per variable); the multiset scenario reads no targets.
+    A field that does not is malformed input naming it, `where.field`."""
     required = _REQUIRED.get(scenario, ()) if isinstance(scenario, str) else ()
     for key in required:
         if pointers or key != "pointers":
@@ -319,6 +335,14 @@ def _read_config(payload: dict, scenario: str, where: str,
     wrong += [f"{key}: dimension {len(a)}, but {group[0][0]} has "
               f"{len(group[0][1])}" for group in groups for key, a in group
               if len(a) != len(group[0][1])]
+    variables = len(cfg.outcome_values)
+    caps = (1,) * n if scenario != "genfun" else cfg.copies or (2,) * variables
+    if scenario == "genfun" and len(caps) != variables:
+        wrong.append(f"copies: {len(caps)} given, {variables} needed")
+    if scenario != "multiset":
+        wrong += [f"targets[{i}]: {t} is not a nonempty multiset on the "
+                  f"caps {caps}" for i, t in enumerate(cfg.targets)
+                  if t.is_empty or not t.fits(caps)]
     if wrong:
         raise InputFormatError(f"{where}.{wrong[0]}")
     return cfg

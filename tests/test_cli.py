@@ -517,6 +517,22 @@ def test_exit_code_3_on_oversized_mmap_before_allocating(tmp_path, monkeypatch,
     assert "MiB" in capsys.readouterr().err
 
 
+def test_exit_code_3_on_a_huge_default_caps_mmap_before_forming_its_caps(
+        tmp_path, capsys):
+    # n = 10^12 labels and no caps: the default caps, one per label, are
+    # priced from n (2^n subsets) before any tuple of n caps or 2**n is
+    # formed
+    import time
+
+    src = write(tmp_path / "huge.json", {
+        "schema": 1, "n": 10 ** 12, "entries": [{"m": [], "re": 1.0}]})
+    start = time.perf_counter()
+    assert main(["algebra", "log", src]) == 3
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert "huge.json.n: 2^1000000000000 subsets" in err and "MiB" in err
+
+
 SUBSETS3 = ["[1]", "[2]", "[3]", "[1,2]", "[1,3]", "[2,3]", "[1,2,3]"]
 
 
@@ -621,6 +637,22 @@ BAD_CONFIG_NUMBERS = [
     ("thm4", "tau", math.nan)]
 
 
+MALFORMED_CONFIG_FIELDS = [
+    ("thm3", "targets", [[9]], ".targets[0]:"),
+    ("thermal", "targets", [[1], [1, 1]], ".targets[1]:"),
+    ("thermal", "targets", [[]], ".targets[0]:"),
+    ("genfun", "targets", [[7]], ".targets[0]:"),
+    ("genfun", "copies", [2], ".copies:"),
+    ("genfun", "copies", [2, 0, 2], ".copies[1]:"),
+    ("multiset", "copies", [0], ".copies[0]:"),
+    ("multiset", "copies", [-1], ".copies[0]:"),
+    ("multiset", "copies", [2.5], ".copies[0]:"),
+    ("multiset", "seed", 2.5, ".seed:"),
+    ("thermal", "seed", "1", ".seed:"),
+    ("thm4", "mc_samples", 2.5, ".mc_samples:"),
+    ("thm4", "mc_samples", True, ".mc_samples:")]
+
+
 ONE_LABEL = {"schema": 1, "n": 1, "caps": [1],
              "entries": [{"m": [], "re": 1.0}, {"m": [1], "re": 0.5}]}
 
@@ -639,7 +671,7 @@ ONE_LABEL = {"schema": 1, "n": 1, "caps": [1],
     (["verify", "genfun", "--config"], _config_payload("genfun", seed="s"),
      ".seed:"),
     (["verify", "thm3", "--config"],
-     _config_payload("sequential-all-coupled", targets=[[0]]), ".targets:"),
+     _config_payload("sequential-all-coupled", targets=[[0]]), ".targets[0]:"),
     (["weak-values"], _thermal_query({"beta": "hot"}), "context.beta:"),
     (["weak-values"], _thermal_query({"floor": "low"}), "context.floor:"),
     (["weak-values"], _thermal_query({"observables": 5}),
@@ -703,6 +735,18 @@ ONE_LABEL = {"schema": 1, "n": 1, "caps": [1],
       for caps in ([-1], [1.5], [True])],
     *[(["algebra", "log"], {**ONE_LABEL, "entries": [{"m": [], "re": value}]},
        ".entries[0]:") for value in (math.nan, float("1e400"))],
+    # a target is a nonempty multiset on its scenario's lattice, a copy
+    # count an integer >= 1, one per genfun variable, and every integer
+    # field a JSON integer in range, never a float, a bool or a string
+    *[(["verify", alias, "--config"],
+       _config_payload(SCENARIO_NAMES.get(alias, alias), **{key: value}),
+       field) for alias, key, value, field in MALFORMED_CONFIG_FIELDS],
+    *[(["weak-values"], _thermal_query(**{key: value}), f".{key}:")
+      for key, value in (("samples", 2.5), ("samples", 0), ("seed", 2.5),
+                         ("seed", -1), ("seed", True))],
+    *[(["algebra", "log"], {**ONE_LABEL, "n": n}, ".n:")
+      for n in (2.7, True, "1")],
+    (["algebra", "log"], {**ONE_LABEL, "n": 10 ** 12}, ".caps:"),
 ], ids=["n", "caps", "entries", "entry", "re", "label0", "beta", "seed",
         "targets", "wv-beta", "wv-floor", "wv-observables", "wv-samples",
         "wv-seed", "wv-mode", "wv-subset0", "wv-list",
@@ -715,7 +759,11 @@ ONE_LABEL = {"schema": 1, "n": 1, "caps": [1],
         *[f"{alias}-no-{key}" for alias, key in MISSING_FIELDS],
         "thm3-pointer-s-dim", "wv-sequential-jet", "wv-unitaries-count",
         "wv-psi_i-dim", "caps-negative", "caps-float", "caps-bool",
-        "entry-nan", "entry-1e400"])
+        "entry-nan", "entry-1e400",
+        *[f"{alias}-{key}-{value}"
+          for alias, key, value, _ in MALFORMED_CONFIG_FIELDS],
+        "wv-samples-2.5", "wv-samples-0", "wv-seed-2.5", "wv-seed-neg",
+        "wv-seed-bool", "n-2.7", "n-bool", "n-string", "n-huge-caps"])
 def test_exit_code_2_on_malformed_fields(tmp_path, capsys, argv, payload,
                                          field):
     # a field that cannot be converted is malformed input named in the

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from momalg.algebra import MMap, convolve
@@ -489,9 +489,13 @@ def exponential_cases(draw):
 
 @settings(max_examples=30, deadline=None)
 @given(case=exponential_cases())
+@example(case=((2, 1), 2, "thermal", 0.3, 60.0, True, 11))
+@example(case=((1, 1, 1), 1, "evolution", 0.3, 60.0, True, 12))
 def test_jet_matrix_exp_matches_regular_representation_oracle(case):
     # exp of the regular representation, taken by mpmath at 30 digits; its
-    # block column at the constant monomial holds the jet exponential
+    # block column at the constant monomial holds the jet exponential.  The
+    # two fixed cases put couplings of 1-norm 60 on a constant block of 0.3,
+    # below theta: no squaring, however large the couplings
     caps, d, kind, const_norm, coupling_norm, every_monomial, seed = case
     rng = np.random.default_rng(seed)
     n = len(caps)
@@ -569,6 +573,29 @@ def test_one_non_hermitian_coupling_block_takes_the_general_path():
              M([2]): random_complex_matrix(rng, d, 0.3)}
     got = jet_matrix_exp(JetMatrix.from_terms(terms, d, 2, caps))
     assert_matches_oracle(got, terms, caps, d, "non-Hermitian coupling")
+
+
+def test_jet_matrix_exp_commutes_exactly_with_power_of_two_coupling_scaling():
+    # gamma -> 2^j gamma multiplies each grade-g block by 2^(j g), exactly in
+    # floating point; the squaring count reads the constant block alone, so
+    # the exponential of the scaled generator is the scaled exponential, bit
+    # for bit, over constant blocks of 1-norm 0..4 and coupling blocks of
+    # standard normal entries scaled by 1e-2..60
+    rng = np.random.default_rng(71)
+    for _ in range(60):
+        caps = tuple(int(c) for c in rng.integers(0, 3, rng.integers(1, 4)))
+        d = int(rng.integers(1, 5))
+        blocks = random_blocks(rng, (d, d), caps, zero_frac=0.2)
+        blocks[0] = random_complex_matrix(rng, d)
+        blocks[0] *= rng.uniform(0, 4) / np.linalg.norm(blocks[0], 1)
+        blocks[1:] *= 10 ** rng.uniform(-2, 1.8)
+        grade = _pair_table(caps).grade[:, None, None]
+        got = jet_matrix_exp(JetMatrix(len(caps), caps, blocks)).blocks
+        for j in (-2, 1, 3):
+            scaled = jet_matrix_exp(JetMatrix(len(caps), caps,
+                                              blocks * 2.0 ** (j * grade)))
+            assert np.array_equal(scaled.blocks, got * 2.0 ** (j * grade)), \
+                (caps, d, j)
 
 
 # ---------------------------------------------------------------------------
