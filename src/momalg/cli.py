@@ -36,7 +36,6 @@ from .algebra import (
     log_star,
     raise_label,
 )
-from .combinatorics import Multiset
 from .errors import DomainError, InputFormatError, MomalgError
 from .experiments import SCENARIOS, random_config, run_verification
 from .serialization import (
@@ -44,6 +43,7 @@ from .serialization import (
     _finite,
     _finite_tolerance,
     _integer,
+    _labels,
     _parse,
     _require,
     config_from_dict,
@@ -239,7 +239,7 @@ def cmd_weak_values(args) -> int:
                                f"{', '.join(fits)} or auto")
     values = []
     for i, raw in enumerate(subsets):
-        a = _parse(Multiset, raw, f"{where}.subsets[{i}]")
+        a = _parse(_labels, raw, f"{where}.subsets[{i}]")
         entry = {"m": list(a.elements())}
         v = weak_value[mode](config, a)
         if mode == "mc":

@@ -21,7 +21,10 @@ and the window start from a pure product state, so both carry the pure
 joint jet vector (the chain kick by kick, the window as e^X applied to the
 initial vector) and postselect it with `quantum.postselect_pointers`; no
 joint density is formed.  The window and thermal generators come from
-`quantum.coupled_generator`.  Every pipeline reads its pointer moments
+`quantum.coupled_generator` as their n + 1 dense blocks: the window places
+them in the lattice stack its Taylor exponential takes, and the thermal
+lhs takes only the n couplings, its constant being a diagonal it passes
+as points.  Every pipeline reads its pointer moments
 with the one reader `quantum.readout_moments`, off an unnormalised
 pointer-space block stack: the postselected pointer state of the chain and
 the window, the thermal Boltzmann jet traced over the system (the spectral
@@ -58,6 +61,7 @@ from .combinatorics import Multiset, multiset_lattice
 from .errors import DEFAULT_FLOOR, DomainError, SingularPostselectionError
 from .jets import (
     Jet,
+    JetMatrix,
     _inverse,
     _pair_table,
     _position,
@@ -296,12 +300,15 @@ def _sigma_state(config: ExperimentConfig) -> np.ndarray:
     finite-window coupling H = H_S (x) 1 + sum gamma_k A_k (x) (s_k / tau)
     over a window tau: the pure joint jet vector e^{-i tau H} |psi_i,
     phi_1, ..., phi_n>, postselected on psi_f."""
-    evol = jet_matrix_exp(coupled_generator(
-        config.hamiltonian, config.observables, config.pointers,
-        -1j * config.tau, -1j))
+    n = config.n_pointers
+    blocks = coupled_generator(config.hamiltonian, config.observables,
+                               config.pointers, -1j * config.tau, -1j)
+    evol = jet_matrix_exp(JetMatrix.from_terms(
+        {(j,) if j else (): block for j, block in enumerate(blocks)},
+        blocks.shape[1], n, (1,) * n))
     psi0 = product_state(config.psi_i, config.pointers).reshape(-1)
     return postselect_pointers(evol.blocks @ psi0, config.psi_f,
-                               config.n_pointers, config.floor)
+                               n, config.floor)
 
 
 def sigma_moment_mmap(config: ExperimentConfig) -> MMap:
@@ -319,24 +326,28 @@ def thermal_moment_mmap(config: ExperimentConfig) -> MMap:
     built in the eigenbasis of H_S: H_S = U diag(w) U^H by eigh at the
     system's size, U made unitary to working precision by one Newton-Schulz
     step, U <- U (3 - U^H U) / 2, and w ordered so that -beta w ascends
-    (beta > 0, checked first).  The observables become U^H A_j U, Hermitian
-    to rounding; nothing relies on more, since the Boltzmann jet is only
-    traced against 1 (x) R.  The Boltzmann jet is then
-    (U (x) 1)^H e^{-beta H} (U (x) 1), and every moment tr(B (1 (x) R)) is
-    read straight off it: conjugating B by U (x) 1 leaves a trace against
-    1 (x) R unchanged, so nothing is changed back.  The spectral route is
-    given the system's dimension and returns B traced over the system,
-    tr_S B, a pointer-space block stack, since tr(B (1 (x) R)) =
-    tr(tr_S(B) R): the same reader and normaliser then serve it as serve
-    the postselected pointer states."""
+    (beta > 0, checked first).  The constant block -beta diag(w) (x) 1 is
+    passed as its points, each -beta w_s repeated once per pointer-space
+    dimension, and is never built; only the couplings are, from the
+    observables U^H A_j U, Hermitian to rounding; nothing relies on more,
+    since the Boltzmann jet is only traced against 1 (x) R.  The Boltzmann
+    jet is then (U (x) 1)^H e^{-beta H} (U (x) 1), and every moment
+    tr(B (1 (x) R)) is read straight off it: conjugating B by U (x) 1
+    leaves a trace against 1 (x) R unchanged, so nothing is changed back.
+    The spectral route is given the system's dimension and returns B traced
+    over the system, tr_S B, a pointer-space block stack, since
+    tr(B (1 (x) R)) = tr(tr_S(B) R): the same reader and normaliser then
+    serve it as serve the postselected pointer states."""
     if not config.beta > 0:
         raise DomainError("beta must be positive")
     w, u = np.linalg.eigh(config.hamiltonian)
     u = u @ (1.5 * np.eye(len(w)) - 0.5 * (u.conj().T @ u))
     w, u = w[::-1], u[:, ::-1]                 # -beta w ascending
-    boltz = spectral_jet_matrix_exp(coupled_generator(
-        np.diag(w), [u.conj().T @ a @ u for a in config.observables],
-        config.pointers, -config.beta, -1), config.system_dim)
+    couplings = coupled_generator(
+        config.hamiltonian, [u.conj().T @ a @ u for a in config.observables],
+        config.pointers, None, -1)
+    points = np.repeat(-config.beta * w, couplings.shape[1] // len(w))
+    boltz = spectral_jet_matrix_exp(points, couplings, config.system_dim)
     return _moment_mmap(boltz.blocks, [p.r for p in config.pointers])
 
 

@@ -47,21 +47,22 @@ over one stack of the powers Y..Y^q.  Both routes multiply through
 the one product function `_block_products`, whatever the symmetry of the
 generator: a Hermitian one gives a result that is Hermitian to rounding,
 not exactly.  `spectral_jet_matrix_exp` takes the spectral route, for a
-constant block that is already diagonal: real, diagonal and ascending, as
-the thermal -beta H_S (x) 1 is in the eigenbasis of H_S, which its caller
-takes at the system's size, and for couplings linear in gamma, as every
-thermal generator's are.  There, the Dyson expansion ends after
-G = sum(caps) factors of the nilpotent graded part and is summed with
-divided differences of exp at the runs of equal diagonal points, taken
-from Opitz matrices, which are zero-padded to one size and exponentiated
-by the Taylor route in one batch.  Its contract is the traced one: it
-takes the dimension d_s of the first tensor factor and returns the result
-traced over that factor, as (lattice, D / d_s, D / d_s) blocks, which is
-all that the thermal check reads of its Boltzmann jet, tr(B (1 (x) R)) =
+multilinear generator linear in gamma whose constant block is already
+diagonal, as the thermal -beta H_S (x) 1 is in the eigenbasis of H_S,
+which its caller takes at the system's size.  It is given only what such
+a generator holds: the real ascending points w of that diagonal and the
+n dense coupling blocks N_j of gamma_j.  There, the Dyson expansion ends
+after n factors of the couplings and is summed with divided differences
+of exp at the runs of equal diagonal points, taken from Opitz matrices,
+which are zero-padded to one size and exponentiated by the Taylor route
+in one batch.  Its contract is the traced one: it takes the dimension d_s
+of the first tensor factor and returns the result traced over that
+factor, as (lattice, D / d_s, D / d_s) blocks, which is all that the
+thermal check reads of its Boltzmann jet, tr(B (1 (x) R)) =
 tr(tr_1(B) R).  Inside, each state of the expansion is held only at its
-one grade, N is read in place, each weighted state enters the sum only
-through its system-diagonal blocks, and the last level is formed on those
-blocks alone.  No change of basis runs: a trace against 1 (x) R is the same in
+one grade, each weighted state enters the sum only through its
+system-diagonal blocks, and the last level is formed on those blocks
+alone.  No change of basis runs: a trace against 1 (x) R is the same in
 any basis U (x) 1.  A caller picks the entry by its role, not by cost: the
 thermal check's lhs, the joint-space Boltzmann jet, is the one spectral
 caller, and every other exponential (the system-side partition jet of its
@@ -467,38 +468,11 @@ class JetMatrix:
         return _monomials(self.caps)
 
     @property
-    def dim(self) -> int:
-        return self.blocks.shape[1]
-
-    @property
     def constant(self) -> np.ndarray:
         return self.blocks[0]
 
-    def _check(self, other: "JetMatrix") -> None:
-        if self.caps != other.caps or self.dim != other.dim:
-            raise DomainError("jet matrix shape mismatch")
-
     def _jet(self, vec: np.ndarray) -> Jet:
         return Jet._dense(self.n, self.caps, vec)
-
-    def __add__(self, other: "JetMatrix") -> "JetMatrix":
-        self._check(other)
-        return JetMatrix(self.n, self.caps, self.blocks + other.blocks)
-
-    def __sub__(self, other: "JetMatrix") -> "JetMatrix":
-        self._check(other)
-        return JetMatrix(self.n, self.caps, self.blocks - other.blocks)
-
-    def __mul__(self, scalar) -> "JetMatrix":
-        return JetMatrix(self.n, self.caps, self.blocks * complex(scalar))
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "JetMatrix") -> "JetMatrix":
-        self._check(other)
-        out = np.zeros(self.blocks.shape, dtype=complex)
-        _block_products(_pair_table(self.caps), self.blocks, other.blocks, out)
-        return JetMatrix(self.n, self.caps, out)
 
     def trace(self) -> Jet:
         return self._jet(np.trace(self.blocks, axis1=1, axis2=2))
@@ -617,48 +591,54 @@ def jet_matrix_exp(m: JetMatrix) -> JetMatrix:
     or a nan from an overflow, such as e^(-beta E) at a large beta) is
     refused with a DomainError.
     """
+    norms = _block_norms(m.blocks)
+    _finite(norms)
     table = _pair_table(m.caps)
-    return _in_double_range(m, _taylor_exp, m.blocks, table, _taylor_schedule(
-        int(table.grade.max()), _finite_norms(m)[0]))
+    return JetMatrix(m.n, m.caps, _in_double_range(
+        _taylor_exp, m.blocks, table,
+        _taylor_schedule(int(table.grade.max()), norms[0])))
 
 
-def spectral_jet_matrix_exp(m: JetMatrix, sys_dim: int) -> JetMatrix:
+def spectral_jet_matrix_exp(w, couplings, sys_dim: int) -> JetMatrix:
     """Matrix exponential in the truncated polynomial ring by the spectral
-    route, for a generator X linear in gamma whose constant block
-    X_0 = diag(w) is exactly real, diagonal and ascending (notation, and
-    which caller takes this route: the `jet_matrix_exp` docstring),
-    returned traced over the first tensor factor of its space, of
-    dimension sys_dim: the D x D blocks of exp(X) become the P x P blocks
-    of tr_1 exp(X), P = D / sys_dim, block (i, j) the sum over s of entry
-    (s P + i, s P + j).  sys_dim = 1 traces
-    nothing.  The thermal lhs passes the system's dimension: it reads the
-    Boltzmann jet B only as tr(B (1 (x) R)) = tr(tr_1(B) R).
+    route (notation, and which caller takes this route: the
+    `jet_matrix_exp` docstring), for the multilinear generator
+    X = diag(w) + sum_j gamma_j N_j that is linear in gamma, given as what
+    it holds: the D real ascending points w of its constant block and its
+    (n, D, D) coupling blocks, N_j = couplings[j - 1].  The result, at caps
+    (1,) * n, is returned traced over the first tensor factor of its space,
+    of dimension sys_dim: the D x D blocks of exp(X) become the P x P
+    blocks of tr_1 exp(X), P = D / sys_dim, block (i, j) the sum over s of
+    entry (s P + i, s P + j).  sys_dim = 1 traces nothing.  The thermal
+    lhs passes the system's dimension: it reads the Boltzmann jet B only as
+    tr(B (1 (x) R)) = tr(tr_1(B) R).
 
-    Let X_0 = sum_c l_c P_c with spectral projectors P_c, and N = X - X_0.
-    Expanding exp(X_0 + N) in powers of N (Dyson) and integrating each term
-    over its simplex gives
+    Let diag(w) = sum_c l_c P_c with spectral projectors P_c, and
+    N = sum_j gamma_j N_j.  Expanding exp(diag(w) + N) in powers of N
+    (Dyson) and integrating each term over its simplex gives
         exp(X) = sum_k sum_{c_0..c_k} exp[l_c0, ..., l_ck]
                      P_c0 N P_c1 N ... N P_ck,
     with exp[...] the divided differences of exp (Higham, Functions of
-    Matrices, SIAM 2008, sec. 3.2).  N is nilpotent in the ring: every block
-    of N has grade >= 1, so a product of G + 1 of them has grade above G and
-    is truncated away.  The sum therefore ends at k = G and is exact, not a
-    truncated series.  The caller supplies the eigenbasis: the thermal lhs
-    diagonalises H_S at the system's size and builds its generator from
-    U^H A_j U, so X_0 = -beta diag(w) (x) 1 with no joint-space eigh, and
-    its reads tr(B (1 (x) R)) are unchanged by U (x) 1, so no change back
-    runs either.  The route:
+    Matrices, SIAM 2008, sec. 3.2).  N is nilpotent in the ring: a product
+    of n + 1 couplings has grade above the top grade n and is truncated
+    away.  The sum therefore ends at k = n and is exact, not a truncated
+    series.  The caller supplies the eigenbasis: the thermal lhs
+    diagonalises H_S at the system's size and builds its couplings from
+    U^H A_j U, so its points are those of -beta diag(w_S) (x) 1, with no
+    joint-space eigh and no joint-space constant block, and its reads
+    tr(B (1 (x) R)) are unchanged by U (x) 1, so no change back runs
+    either.  The route:
     a. A run of equal points of w is one cluster, and its common value is
        the cluster's point l_c: no tolerance merges close points, since
        the divided differences of step b stay accurate at them.  The
-       thermal X_0 = -beta diag(w_S) (x) 1 repeats each system eigenvalue
-       exactly P times, so it has at most d_s clusters, not d.
+       thermal points -beta w_S (x) 1 repeat each system eigenvalue
+       exactly P times, so they have at most d_s clusters, not D.
     b. A P_c is an index range.  Divided differences are symmetric, so
        every order of the middle clusters c_1..c_(k-1) shares one weight
        per end pair (c_0, c_k).  The sum is a recursion over the multiset M
        of middle clusters: T(empty) = N, T(M) = sum_{c in M} T(M - c) P_c
        N, each term a ring product of cluster sub-blocks, (lattice, D, n_c)
-       by (lattice, n_c, D), through `_block_products`.  It enters the
+       by (n, n_c, D), through `_block_products`.  It enters the
        result weighted entrywise by exp[l_a, l_M, l_b], a and b the
        clusters of row and column.  Divided differences come from Opitz's
        theorem: for the bidiagonal J with diagonal x_0..x_r and ones above
@@ -668,65 +648,58 @@ def spectral_jet_matrix_exp(m: JetMatrix, sys_dim: int) -> JetMatrix:
        McCurdy, Ng & Parlett (Math. Comp. 43, 1984) show that this keeps
        divided differences at close points accurate, where the quotient
        formula cancels.
-    c. What is held.  X is linear in gamma, as every thermal generator is,
-       so N is its grade-1 blocks, read in place.  The T(M) of |M| = g - 1
-       form level g, and hold only grade g, which their products reach by
-       construction: C(n, g) blocks at caps (1,) * n.  The trace is linear
-       and the weight of an entry depends only on its row and column, so
-       each weighted T(M) enters the (lattice, P, P) sum through its
-       system-diagonal blocks alone.  The last level is only ever summed,
-       so it is formed on those blocks only: one `_block_products` call
-       per (M, c), with the system index as its batch axis,
-       (lattice, sys_dim, P, n_c) by (lattice, sys_dim, n_c, P).
-       `_spectral_blocks` counts these holdings.
+    c. What is held.  N is read in place from the coupling blocks, the n
+       grade-1 blocks of X.  The T(M) of |M| = g - 1 form level g, and
+       hold only grade g, which their products reach by construction:
+       C(n, g) blocks.  The trace is linear and the weight of an entry
+       depends only on its row and column, so each weighted T(M) enters
+       the (lattice, P, P) sum through its system-diagonal blocks alone.
+       The last level is only ever summed, so it is formed on those blocks
+       only: one `_block_products` call per (M, c), with the system index
+       as its batch axis, (lattice, sys_dim, P, n_c) by
+       (n, sys_dim, n_c, P).  `_spectral_blocks` counts these holdings.
     Work: per multiset M, cluster c in M and pair-table pair, one product
-    of D x n_c x D, and at the last level of D x n_c x P.  At caps (1, 1, 1)
-    with two clusters on 2 x 64 dimensions that is 12 products of
+    of D x n_c x D, and at the last level of D x n_c x P.  At n = 3 with
+    two clusters on 2 x 64 dimensions that is 12 products of
     128 x 64 x 128 and 12 of 2 x (64 x 64 x 64): 9 products of 128 x 128
     blocks' worth, against 12 when the last level was formed in full and
     176-190 on the Taylor route.
-    A constant block that is not exactly real, diagonal and ascending (one
-    exact test, no tolerance) is refused with a DomainError, and so is a
-    sys_dim that is not a positive integer dividing D, a nonzero block of
-    grade above 1, and, before they are allocated, states that would not
-    fit in MAX_DENSE_BYTES: the sum, two levels of T(M) and the work
-    blocks.  None falls back to the Taylor route, which would put both
-    sides of the thermal check on one algorithm.  A result that left the
-    double range is refused as by `jet_matrix_exp`.
+    Points that are not real and ascending, coupling blocks that are not
+    (n, D, D), either with an inf or a nan, a sys_dim that is not a
+    positive integer dividing D and, before they are allocated, states
+    that would not fit in MAX_DENSE_BYTES (the sum, two levels of T(M) and
+    the work blocks) are refused with a DomainError.  None falls back to
+    the Taylor route, which would put both sides of the thermal check on
+    one algorithm.  A result that left the double range is refused as by
+    `jet_matrix_exp`.
     """
-    norms = _finite_norms(m)
-    w = np.diagonal(m.constant)
-    if not (np.array_equal(m.constant, np.diag(w)) and not w.imag.any()
-            and (np.diff(w.real) >= 0).all()):
-        raise DomainError("the spectral exponential needs a real, diagonal, "
-                          "ascending constant block")
+    w, couplings = np.asarray(w), np.asarray(couplings, dtype=complex)
+    if couplings.ndim != 3 or couplings.shape[1:] != w.shape * 2:
+        raise DomainError("the spectral exponential takes D points and "
+                          "(n, D, D) coupling blocks")
+    _finite(w, couplings)
+    if w.imag.any() or (np.diff(w.real) < 0).any():
+        raise DomainError("the spectral exponential needs real, ascending "
+                          "points")
     if not (isinstance(sys_dim, (int, np.integer))
             and not isinstance(sys_dim, bool) and sys_dim >= 1
-            and m.dim % sys_dim == 0):
+            and len(w) % sys_dim == 0):
         raise DomainError(f"the system dimension {sys_dim!r} must divide the "
-                          f"generator's dimension {m.dim}")
-    table = _pair_table(m.caps)
-    grade = int(table.grade[norms > 0].max(initial=0))
-    if grade > 1:
-        raise DomainError("the spectral exponential needs a generator linear "
-                          f"in gamma, not one with a nonzero block of grade "
-                          f"{grade}")
-    return _in_double_range(m, _spectral_exp, m.blocks, table, w.real,
-                            _clusters(w.real), sys_dim)
+                          f"generator's dimension {len(w)}")
+    n = len(couplings)
+    return JetMatrix(n, (1,) * n, _in_double_range(
+        _spectral_exp, couplings, w.real, sys_dim))
 
 
-def _finite_norms(m: JetMatrix) -> np.ndarray:
-    """The 1-norm of every block of m; a block with an inf or a nan is
-    refused."""
-    norms = _block_norms(m.blocks)
-    if not np.isfinite(norms).all():
+def _finite(*arrays) -> None:
+    """Refuse an inf or a nan in any of the arrays."""
+    if not all(np.isfinite(a).all() for a in arrays):
         raise DomainError("the jet matrix exponential needs finite blocks")
-    return norms
 
 
-def _in_double_range(m: JetMatrix, route, *args) -> JetMatrix:
-    """route(*args), the blocks of exp(m), as a jet matrix like m.  An
-    overflow leaves an inf or a nan in them, which is refused."""
+def _in_double_range(route, *args) -> np.ndarray:
+    """route(*args), the blocks of an exponential.  An overflow leaves an
+    inf or a nan in them, which is refused."""
     with np.errstate(over="ignore", invalid="ignore"):
         blocks = route(*args)
     if not np.isfinite(blocks).all():
@@ -734,7 +707,7 @@ def _in_double_range(m: JetMatrix, route, *args) -> JetMatrix:
             "the jet matrix exponential overflows: exp of this jet matrix "
             f"leaves the double range (|x| <= {np.finfo(float).max:.3g}); "
             "e.g. a Boltzmann factor e^(-beta E) at too large a beta")
-    return JetMatrix(m.n, m.caps, blocks)
+    return blocks
 
 
 def _block_norms(blocks: np.ndarray) -> np.ndarray:
@@ -809,22 +782,27 @@ def _clusters(w: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.flatnonzero(np.diff(w)) + 1, [len(w)]))
 
 
-def _spectral_exp(blocks: np.ndarray, table, w: np.ndarray,
-                  bounds: np.ndarray, sys_dim: int) -> np.ndarray:
-    """The spectral_jet_matrix_exp docstring's route on a (lattice, D, D)
-    block stack linear in gamma: the divided-difference expansion of exp(X)
-    about its constant block diag(w), whose ascending points w are split
-    into runs of equal points at `bounds`, traced over the first tensor
-    factor, of dimension sys_dim.  Returns the (lattice, P, P) blocks,
-    P = D / sys_dim."""
-    dim = blocks.shape[1]
+def _spectral_exp(couplings: np.ndarray, w: np.ndarray,
+                  sys_dim: int) -> np.ndarray:
+    """The spectral_jet_matrix_exp docstring's route for the generator
+    diag(w) + sum_j gamma_j couplings[j - 1], w real and ascending: the
+    divided-difference expansion of exp(X) about diag(w), traced over the
+    first tensor factor, of dimension sys_dim.  Returns the (lattice, P, P)
+    blocks of caps (1,) * n, P = D / sys_dim."""
+    n, dim = len(couplings), len(w)
+    table = _pair_table((1,) * n)
     part = dim // sys_dim
+    bounds = _clusters(w)
     sizes = np.diff(bounds)
-    # level g holds the positions of grade g, g = 1..G
-    levels = [table.grade == g for g in range(1, table.grade.max() + 1)]
+    # level g holds the positions of grade g, g = 1..n
+    levels = [table.grade == g for g in range(1, n + 1)]
     _check_size(f"blocks of dimension {part} held by the spectral "
                 f"exponential", _spectral_blocks(table.grade, len(sizes),
                                                  sys_dim), 16 * part * part)
+    # the coupling row of each grade-1 position: label 1 is slowest, so the
+    # ascending positions 1, 2, 4, ... hold labels n, ..., 1
+    coupling_row = np.zeros(len(table.grade), dtype=np.intp)
+    coupling_row[table.grade == 1] = np.arange(n - 1, -1, -1)
     # level g: the multisets M of g - 1 middle clusters, in one order
     mids = [list(itertools.combinations_with_replacement(range(len(sizes)), g))
             for g in range(len(levels))]
@@ -835,7 +813,7 @@ def _spectral_exp(blocks: np.ndarray, table, w: np.ndarray,
     # the flat [a, b] position in a divided-difference table
     labels = np.repeat(np.arange(len(sizes)), sizes).reshape(sys_dim, part)
     flat = labels[:, :, None] * len(sizes) + labels[:, None, :]
-    acc = np.zeros((len(blocks), part, part), dtype=complex)
+    acc = np.zeros((len(table.grade), part, part), dtype=complex)
     np.fill_diagonal(acc[0], np.exp(lam)[labels].sum(axis=0))
 
     def add(group: list, diagonal: np.ndarray, at: np.ndarray) -> None:
@@ -856,31 +834,30 @@ def _spectral_exp(blocks: np.ndarray, table, w: np.ndarray,
     cuts = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     def factors(states: np.ndarray, c: int, last: bool) -> tuple:
-        """T(M - c) P_c and P_c N, views of the (k, D, D) states and of N:
-        (k, D, n_c) and (lattice, n_c, D), or for the last level's
+        """T(M - c) P_c and P_c N, views of the (k, D, D) states and of the
+        couplings: (k, D, n_c) and (n, n_c, D), or for the last level's
         system-diagonal blocks, split by the system index of the rows of
         the one and of the columns of the other, (k, sys_dim, P, n_c) and
-        (lattice, sys_dim, n_c, P)."""
-        left, right = states[:, :, cuts[c]], blocks[:, cuts[c]]
+        (n, sys_dim, n_c, P)."""
+        left, right = states[:, :, cuts[c]], couplings[:, cuts[c]]
         if not last:
             return left, right
         return (left.reshape(len(left), sys_dim, part, -1),
-                right.reshape(len(right), -1, sys_dim, part).transpose(
-                    0, 2, 1, 3))
+                right.reshape(n, -1, sys_dim, part).transpose(0, 2, 1, 3))
 
-    # level 1 is N, the grade-1 blocks of X, read in place at their lattice
-    # positions; a deeper level's states are one (mids, k, ., .) array,
-    # holding its k positions in lattice order, and `where` maps a lattice
-    # position to its row
-    level, where = blocks[None], np.arange(len(blocks))
+    # level 1 is N, read in place from the couplings; a deeper level's
+    # states are one (mids, k, ., .) array, holding its k positions in
+    # lattice order, and `where` maps a lattice position to its row
+    level, where = couplings[None], coupling_row
     if levels:
         at = np.flatnonzero(levels[0])
-        add(mids[0], system_diagonal(blocks)[at][None], at)
+        add(mids[0], system_diagonal(couplings)[coupling_row[at]][None], at)
     for g in range(1, len(levels)):
         held, last = levels[g], g == len(levels) - 1
         at, rows = np.flatnonzero(held), np.cumsum(held) - 1
         keep = levels[g - 1][table.ia] & levels[0][table.ib]
-        pairs = table._replace(ia=where[table.ia[keep]], ib=table.ib[keep],
+        pairs = table._replace(ia=where[table.ia[keep]],
+                               ib=coupling_row[table.ib[keep]],
                                ic=rows[table.ic[keep]])
         # the last level is formed on its system-diagonal blocks only
         deeper = np.zeros((len(mids[g]), len(at), *(

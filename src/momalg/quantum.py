@@ -2,7 +2,8 @@
 
 States, observables, tensor products, random states and operators, the
 joint-space pieces every pipeline starts from (the product state and the
-window and thermal generator), the sequential weak-measurement pipeline,
+window and thermal generator, as the n + 1 dense blocks it holds, priced
+before any kron runs), the sequential weak-measurement pipeline,
 the postselection that turns a pure joint state into the pointer state
 (jet-valued in the coupling strengths), and the one reader of pointer
 moments.  The full space is ordered system first, then the pointers in
@@ -25,6 +26,7 @@ pointer, without forming any readout on the full space.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
@@ -36,7 +38,8 @@ from .errors import (
     ShapeMismatchError,
     SingularPostselectionError,
 )
-from .jets import JetMatrix, _block_products, _pair_table, _position
+from .jets import (JetMatrix, _block_products, _check_size, _pair_table,
+                   _position)
 
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-10
@@ -188,16 +191,28 @@ def product_state(psi_i, pointers) -> np.ndarray:
         np.asarray(p.phi, dtype=complex) for p in pointers])
 
 
-def coupled_generator(hamiltonian, observables, pointers, c: complex,
-                      k: complex) -> JetMatrix:
-    """The joint-space jet {(): c H_S (x) 1, (j,): k A_j (x) s_j}, A_j =
-    observables[j-1]: the generator of the window and thermal states."""
-    n = len(pointers)
+def coupled_generator(hamiltonian, observables, pointers, c: complex | None,
+                      k: complex) -> np.ndarray:
+    """The joint-space generator c H_S (x) 1 + sum_j gamma_j k A_j (x) s_j,
+    A_j = observables[j-1], of the window and thermal states, as the n + 1
+    dense blocks it holds: an (n + 1, D, D) array, the constant c H_S (x) 1
+    first, then the coupling k A_j (x) s_j of each gamma_j in label order.
+    Every other block of its multilinear lattice is zero and is not
+    stored.  A c of None leaves the constant out, (n, D, D), for a caller
+    that holds it in another form: the thermal lhs, as its diagonal.  The
+    blocks are priced against MAX_DENSE_BYTES before any kron runs."""
     dims = [np.shape(hamiltonian)[0]] + [p.dim for p in pointers]
-    terms = {(j,): k * embed(observables[j - 1], dims, 0, (p.s, j))
-             for j, p in enumerate(pointers, start=1)}
-    terms[()] = c * embed(hamiltonian, dims, 0)
-    return JetMatrix.from_terms(terms, int(np.prod(dims)), n, (1,) * n)
+    terms = [(k, observables[j - 1], (p.s, j))
+             for j, p in enumerate(pointers, start=1)]
+    if c is not None:
+        terms.insert(0, (c, hamiltonian))
+    dim = math.prod(dims)
+    _check_size(f"generator blocks of dimension {dim}", len(terms),
+                16 * dim * dim)
+    blocks = np.empty((len(terms), dim, dim), dtype=complex)
+    for out, (scale, op, *more) in zip(blocks, terms):
+        out[...] = scale * embed(op, dims, 0, *more)
+    return blocks
 
 
 def readout_moments(blocks: np.ndarray, readouts) -> np.ndarray:

@@ -138,6 +138,11 @@ def _integer(value, low: int = 0) -> int:
     return value
 
 
+def _labels(value) -> Multiset:
+    """The multiset of a JSON list of labels, each an integer >= 1."""
+    return Multiset(_integer(label, 1) for label in value)
+
+
 def _finite_tolerance(value) -> float:
     """A finite number >= 0: no record passes a NaN or negative gate, and
     every record passes an infinite one."""
@@ -182,7 +187,7 @@ def mmap_from_dict(payload: dict, where: str = "mmap") -> MMap:
     items = _parse(list, _require(payload, "entries", where), f"{where}.entries")
     for i, item in enumerate(items):
         at = f"{where}.entries[{i}]"
-        m = _parse(Multiset, _require(item, "m", at), f"{at}.m")
+        m = _parse(_labels, _require(item, "m", at), f"{at}.m")
         entries[m] = _parse(lambda it: complex(_finite(it.get("re", 0.0)),
                                                _finite(it.get("im", 0.0))),
                             item, at)
@@ -274,7 +279,7 @@ _FIELDS = {
     "observables": _listed(*_MATRIX),
     "copies": _listed(lambda v, at: _parse(lambda c: _integer(c, 1), v, at),
                       int),
-    "targets": _listed(lambda v, at: _parse(Multiset, v, at),
+    "targets": _listed(lambda v, at: _parse(_labels, v, at),
                        _multiset_elements),
     "outcome_values": _listed(*_REALS), "probabilities": _REALS,
     "mc_samples": _INTEGER,

@@ -466,6 +466,9 @@ def test_hs_zero_runs_a_zero_system_hamiltonian(tmp_path, alias):
         assert [r["lhs_re"] for r in random_h] != [r["lhs_re"] for r in zero_h]
 
 
+BAD_LABELS = (1.7, True, "1")
+
+
 def test_exit_codes_of_algebra_preconditions(tmp_path):
     zero = write(tmp_path / "zero.json", {
         "schema": 1, "n": 1, "entries": [{"m": [1], "re": 1.0}]})
@@ -476,6 +479,10 @@ def test_exit_codes_of_algebra_preconditions(tmp_path):
     over = write(tmp_path / "over.json", {
         "schema": 1, "n": 2, "entries": [{"m": [1, 1], "re": 1.0}]})
     assert main(["algebra", "log", over]) == 2         # entry over its cap
+    for label in BAD_LABELS:                           # a label not an int
+        bad = write(tmp_path / "label.json", {
+            "schema": 1, "n": 1, "entries": [{"m": [label], "re": 1.0}]})
+        assert main(["algebra", "log", bad]) == 2
 
 
 @pytest.mark.parametrize("op, values", [
@@ -747,6 +754,15 @@ ONE_LABEL = {"schema": 1, "n": 1, "caps": [1],
     *[(["algebra", "log"], {**ONE_LABEL, "n": n}, ".n:")
       for n in (2.7, True, "1")],
     (["algebra", "log"], {**ONE_LABEL, "n": 10 ** 12}, ".caps:"),
+    # a label is a JSON integer >= 1, never read through int()
+    *[case for label in BAD_LABELS for case in (
+        (["algebra", "log"], {**ONE_LABEL, "entries": [{"m": [label],
+                                                        "re": 1.0}]},
+         ".entries[0].m:"),
+        (["verify", "thm3", "--config"], _config_payload(
+            "sequential-all-coupled", targets=[[1], [label]]), ".targets[1]:"),
+        (["weak-values"], _thermal_query(subsets=[[label]]),
+         ".subsets[0]:"))],
 ], ids=["n", "caps", "entries", "entry", "re", "label0", "beta", "seed",
         "targets", "wv-beta", "wv-floor", "wv-observables", "wv-samples",
         "wv-seed", "wv-mode", "wv-subset0", "wv-list",
@@ -763,7 +779,9 @@ ONE_LABEL = {"schema": 1, "n": 1, "caps": [1],
         *[f"{alias}-{key}-{value}"
           for alias, key, value, _ in MALFORMED_CONFIG_FIELDS],
         "wv-samples-2.5", "wv-samples-0", "wv-seed-2.5", "wv-seed-neg",
-        "wv-seed-bool", "n-2.7", "n-bool", "n-string", "n-huge-caps"])
+        "wv-seed-bool", "n-2.7", "n-bool", "n-string", "n-huge-caps",
+        *[f"{field}-label-{label!r}" for label in BAD_LABELS
+          for field in ("m", "targets", "wv-subsets")]])
 def test_exit_code_2_on_malformed_fields(tmp_path, capsys, argv, payload,
                                          field):
     # a field that cannot be converted is malformed input named in the
@@ -964,13 +982,14 @@ def test_manifest_records_the_argv_main_parsed(tmp_path, monkeypatch):
 @pytest.mark.parametrize("scenario", ["thermal", "thm1"])
 def test_verify_refuses_an_oversized_simulation_before_allocating(
         tmp_path, scenario):
-    # 8 pointers of dimension 2 on a qubit: 2^8 blocks of 512 x 512, 1 GiB
-    # per jet matrix for thermal; thm1 carries a pure jet vector, and the
+    # 8 pointers of dimension 2 on a qubit: thermal's spectral states would
+    # be 2664 blocks of 256 x 256 (its generator, 8 coupling blocks of
+    # 512 x 512, is 32 MiB); thm1 carries a pure jet vector, and the
     # jet-valued cumulant ring of its moments (3^16 pairs) is refused first.
     # Run in a child whose address space is capped, so that a missing
     # preflight ends in a MemoryError, not in the host's memory (one BLAS
     # thread keeps the child's own buffers well under the cap).
-    figure = {"thermal": "1024 MiB", "thm1": "2956 MiB"}[scenario]
+    figure = {"thermal": "2664 MiB", "thm1": "2956 MiB"}[scenario]
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))
 
@@ -1149,8 +1168,8 @@ def test_window_and_d_map_take_the_taylor_route(tmp_path, exp_routes,
 def test_thermal_refuses_spectral_states_beyond_the_size_limit(
         tmp_path, capsys):
     # 6 pointers on a 4-dim system: the 256-dim Boltzmann jet's four
-    # clusters need 8364 blocks of 64 x 64 (states, sum and work), about
-    # 523 MiB.  It exits 3 naming the spectral exponential, whose preflight
+    # clusters need 8490 blocks of 64 x 64 (states, sum and work), about
+    # 530.6 MiB.  It exits 3 naming the spectral exponential, whose preflight
     # refuses them before any is allocated, and takes no Taylor route
     # instead.
     tracemalloc.start()
@@ -1165,6 +1184,29 @@ def test_thermal_refuses_spectral_states_beyond_the_size_limit(
     assert err.startswith("domain error:")
     assert "held by the spectral exponential" in err
     assert peak < jets.MAX_DENSE_BYTES / 2
+
+
+@pytest.mark.parametrize("argv, count", [
+    (("multiset", "--copies", "30"), 30),
+    (("thermal", "--pointers", "30"), 30),
+    (("thm4", "--pointers", "30"), 31)], ids=["multiset", "thermal", "thm4"])
+def test_verify_prices_the_generator_blocks_before_any_kron(
+        tmp_path, capsys, argv, count):
+    # 30 qubit pointers on a qubit: the generator's n + 1 blocks (n for the
+    # thermal lhs, which holds its constant as a diagonal) are 2^31 x 2^31
+    # each, about 2.1e15 MiB.  Each is refused, exit 3, naming the blocks
+    # and their size, before any joint-space kron is built
+    tracemalloc.start()
+    try:
+        code = main(["verify", *argv, "--seeds", "1", "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("domain error:")
+    assert f"{count} generator blocks of dimension 2147483648" in err
+    assert peak < jets.MAX_DENSE_BYTES / 16
 
 
 def test_thermal_runs_at_a_shape_whose_full_spectral_states_did_not_fit(

@@ -383,10 +383,6 @@ def random_blocks(rng, shape, caps, zero_frac=0.4):
     return blocks
 
 
-def random_jet_matrix(rng, d, caps, zero_frac=0.4):
-    return JetMatrix(len(caps), caps, random_blocks(rng, (d, d), caps, zero_frac))
-
-
 @property_settings
 @given(caps=caps_strategy, d=st.integers(1, 9), seed=st.integers(0, 2**32 - 1),
        rows=st.integers(1, 4), cols=st.integers(1, 4))
@@ -395,8 +391,10 @@ def test_jet_matrix_product_matches_explicit_loop_with_zero_blocks(
     # d up to 9 puts square blocks on both sides of the batched path's work
     # bound, 8^3; zero blocks move the kept-triple count across its bound
     rng = np.random.default_rng(seed)
-    x, y = random_jet_matrix(rng, d, caps), random_jet_matrix(rng, d, caps)
-    assert np.array_equal((x @ y).blocks, explicit_matmul(x.blocks, y.blocks, caps))
+    x, y = (random_blocks(rng, (d, d), caps) for _ in range(2))
+    out = np.zeros_like(x)
+    _block_products(_pair_table(caps), x, y, out)
+    assert np.array_equal(out, explicit_matmul(x, y, caps))
     # rectangular blocks, (lattice, rows, d) by (lattice, d, cols), as the
     # spectral exponential multiplies cluster sub-blocks
     a = random_blocks(rng, (rows, d), caps)
@@ -604,8 +602,7 @@ def test_jet_matrix_exp_commutes_exactly_with_power_of_two_coupling_scaling():
 
 def spectral_terms(rng, caps, d, constant, couplings="hermitian"):
     """The constant block `constant` plus coupling blocks on every monomial
-    of grade 1: a generator linear in gamma, as the spectral entry takes
-    it."""
+    of grade 1: a generator linear in gamma."""
     terms = {EMPTY: constant}
     for a in multiset_lattice(len(caps), caps):
         if a.size == 1:
@@ -617,9 +614,20 @@ def spectral_terms(rng, caps, d, constant, couplings="hermitian"):
 
 
 def ascending(w):
-    """diag(w) with w sorted: a constant block in its own eigenbasis, as the
-    spectral entry takes it."""
+    """diag(w) with w sorted: a constant block in its own eigenbasis."""
     return np.diag(np.sort(w))
+
+
+def coupling_blocks(m):
+    """The grade-1 blocks of a multilinear jet matrix, label 1 first."""
+    return m.blocks[[_position(m.caps, [j]) for j in range(1, m.n + 1)]]
+
+
+def spectral_exp(m, sys_dim):
+    """The spectral entry on a multilinear jet matrix linear in gamma whose
+    constant block is diag(w): its points w and its couplings."""
+    return spectral_jet_matrix_exp(np.diagonal(m.constant).real,
+                                   coupling_blocks(m), sys_dim)
 
 
 def clustered(rng, d, system):
@@ -646,14 +654,10 @@ SPECTRAL_CASES = {
         ((1, 1), 6, lambda rng: clustered(rng, 6, 3)),
     "A (x) 1_3, caps (1, 1), non-Hermitian couplings":
         ((1, 1), 6, lambda rng: clustered(rng, 6, 2), "complex"),
-    "A (x) 1_2, caps (2, 1), grades above 1 by products":
-        ((2, 1), 4, lambda rng: clustered(rng, 4, 2)),
     "A (x) 1_3, caps (1, 1, 1)":
         ((1, 1, 1), 3, lambda rng: clustered(rng, 3, 1)),
     "random Hermitian, caps (1, 1, 1)":
         ((1, 1, 1), 3, lambda rng: spectrum(rng, 3)),
-    "random Hermitian, caps (2, 1)":
-        ((2, 1), 4, lambda rng: spectrum(rng, 4)),
     "zero constant, caps (1, 1, 1)": ((1, 1, 1), 3, lambda rng: np.zeros((3, 3))),
     **{f"gaps {gap:g}, caps (1, 1)":
        ((1, 1), 4, lambda rng, gap=gap: near_degenerate(rng, 4, gap))
@@ -667,14 +671,15 @@ def test_spectral_route_matches_regular_representation_oracle(case):
     # d_s = 1 traces nothing; a d_s whose blocks each lie in one cluster
     # (A (x) 1_3 traced over A's 2 dimensions, the thermal layout), and a
     # d_s whose blocks straddle clusters (a random spectrum, or A (x) 1_3
-    # traced over 3 dimensions), where the weight of a block is a matrix
+    # traced over 3 dimensions), where the weight of a block is a matrix.
+    # At caps (1, 1, 1) grades 2 and 3 come from products of the couplings
     caps, d, constant, *couplings = SPECTRAL_CASES[case]
     rng = np.random.default_rng(41)
     terms = spectral_terms(rng, caps, d, constant(rng), *couplings)
     m = JetMatrix.from_terms(terms, d, len(caps), caps)
-    got = {sys_dim: spectral_jet_matrix_exp(m, sys_dim)
+    got = {sys_dim: spectral_exp(m, sys_dim)
            for sys_dim in range(1, d + 1) if d % sys_dim == 0}
-    assert got[d].dim == 1
+    assert got[d].blocks.shape[1:] == (1, 1)
     assert_matches_oracle(got, terms, caps, d, case)
 
 
@@ -809,7 +814,7 @@ def test_exponential_refuses_a_result_beyond_double_range(routes, shift,
     # inf in the result, nor a FloatingPointError where numpy raises (the
     # Taylor entry takes a constant block that is not diagonal)
     entry = {"_taylor_exp": jet_matrix_exp,
-             "_spectral_exp": lambda m: spectral_jet_matrix_exp(m, 2)}[route]
+             "_spectral_exp": lambda m: spectral_exp(m, 2)}[route]
     rng = np.random.default_rng(44)
     d = 32
     constant = np.kron(np.diag([0.0, 800.0]), np.eye(d // 2)) \
@@ -826,20 +831,19 @@ def test_exponential_refuses_a_result_beyond_double_range(routes, shift,
 
 def test_spectral_entry_refuses_a_constant_block_that_is_not_real_diagonal_ascending(
         routes):
-    # the entry expands about the diagonal it is given, with no eigh of its
-    # own and no fall back to the Taylor route: it refuses a constant block
-    # that is not Hermitian, a Hermitian one that is not diagonal, a complex
-    # diagonal and a diagonal out of order by one swap
+    # the entry expands about the diagonal whose points it is given, with no
+    # eigh of its own and no fall back to the Taylor route: it refuses
+    # complex points, points one 1e-300j off the real axis and points out
+    # of order by one swap
     rng = np.random.default_rng(48)
     d = 8
     w = np.linalg.eigvalsh(hermitian(rng, d, 3.0))
     swapped = w.copy()
     swapped[[3, 4]] = w[[4, 3]]
-    for constant in (np.diag(w) + 1e-3 * np.triu(np.ones((d, d)), 1),
-                     1j * clustered(rng, d, 2), hermitian(rng, d, 3.0),
-                     np.diag(w + 1e-300j), np.diag(swapped)):
-        with pytest.raises(DomainError, match="real, diagonal, ascending"):
-            spectral_jet_matrix_exp(boltzmann(rng, d, (1, 1), constant), 1)
+    couplings = np.stack([hermitian(rng, d, 1.5) for _ in range(2)])
+    for points in (1j * w, w + 1e-300j, swapped):
+        with pytest.raises(DomainError, match="real, ascending points"):
+            spectral_jet_matrix_exp(points, couplings, 1)
     assert routes == []
 
 
@@ -851,33 +855,30 @@ def test_spectral_entry_refuses_a_system_dimension_that_does_not_divide(
     rng = np.random.default_rng(49)
     m = boltzmann(rng, 8, (1, 1), clustered(rng, 8, 2))
     with pytest.raises(DomainError, match="system dimension"):
-        spectral_jet_matrix_exp(m, sys_dim)
+        spectral_exp(m, sys_dim)
     assert routes == []
 
 
-@pytest.mark.parametrize("monomial", [[1, 1], [1, 2]])
-def test_spectral_entry_refuses_a_block_above_grade_1(routes, monomial):
-    # level g of the expansion holds grade g alone, which needs a generator
-    # linear in gamma: a nonzero grade-2 block is refused by its grade, and
-    # no route is taken; a zero one is let through
-    rng = np.random.default_rng(50)
-    d, caps = 4, (2, 1)
-    terms = spectral_terms(rng, caps, d, clustered(rng, d, 2))
-    terms[M(monomial)] = np.zeros((d, d))
-    spectral_jet_matrix_exp(JetMatrix.from_terms(terms, d, 2, caps), 2)
-    assert routes[0] == "_spectral_exp"
-    routes.clear()
-    terms[M(monomial)] = 1e-300 * np.eye(d)
-    with pytest.raises(DomainError, match="linear in gamma, not one with a "
-                       "nonzero block of grade 2"):
-        spectral_jet_matrix_exp(JetMatrix.from_terms(terms, d, 2, caps), 2)
+@pytest.mark.parametrize("w, couplings, match", [
+    (np.zeros((8, 1)), np.zeros((2, 8, 8)), "D points and"),
+    (np.zeros(8), np.zeros((2, 8, 7)), "D points and"),
+    (np.zeros(8), np.zeros((8, 8)), "D points and"),
+    (np.r_[np.nan, np.zeros(7)], np.zeros((2, 8, 8)), "finite"),
+    (np.zeros(8), np.full((2, 8, 8), np.inf), "finite")],
+    ids=["points-2d", "couplings-not-square", "couplings-2d", "points-nan",
+         "couplings-inf"])
+def test_spectral_entry_refuses_couplings_of_another_shape_or_not_finite(
+        routes, w, couplings, match):
+    # the generator is D points and n coupling blocks of D x D, all finite
+    with pytest.raises(DomainError, match=match):
+        spectral_jet_matrix_exp(w, couplings, 1)
     assert routes == []
 
 
 def test_spectral_route_preflight_refuses_its_states():
-    # 16 zero blocks of 512 x 512 (64 MiB, pages never touched), a
-    # generator over caps (1, 1, 1, 1), three clusters, traced over a first
-    # factor of 1 and of 2 dimensions.  Untraced, in blocks of 512 x 512:
+    # 4 zero coupling blocks of 512 x 512 (16 MiB, pages never touched),
+    # a generator over caps (1, 1, 1, 1), three clusters, traced over a
+    # first factor of 1 and of 2 dimensions.  Untraced, in blocks of 512 x 512:
     # the sum (16), the states of one and two middle clusters (3 x 6 and
     # 6 x 4 blocks of grades 2 and 3), and the work (a
     # product's block, level 1's 4 diagonal blocks, and the 3 weights and
@@ -886,14 +887,12 @@ def test_spectral_route_preflight_refuses_its_states():
     # 256 x 256, the states hold 4 x 42 blocks, and the work 4 + 2 x 4 and
     # the 10 x 2 weights and 2 x 1 sums of the last level: 16 + 168 + 34 =
     # 218 blocks, 218 MiB, are let through
-    caps = (1, 1, 1, 1)
-    table = _pair_table(caps)
-    blocks = np.zeros((16, 512, 512), dtype=complex)
-    bounds = np.array([0, 128, 256, 512])
+    couplings = np.zeros((4, 512, 512), dtype=complex)
+    w = np.repeat([0.0, 1.0, 2.0], [128, 128, 256])
     with pytest.raises(DomainError, match="78 blocks of dimension 512 "
                        "held by the spectral exponential need about 312 MiB"):
-        jets._spectral_exp(blocks, table, np.zeros(512), bounds, 1)
-    assert jets._spectral_blocks(table.grade, 3, 2) == 218
+        jets._spectral_exp(couplings, w, 1)
+    assert jets._spectral_blocks(_pair_table((1,) * 4).grade, 3, 2) == 218
 
 
 def test_spectral_route_peak_stays_within_its_block_count():
@@ -905,10 +904,8 @@ def test_spectral_route_peak_stays_within_its_block_count():
         rng = np.random.default_rng(53)
         d = sys_dim * part
         m = boltzmann(rng, d, caps, clustered(rng, d, sys_dim))
-        table = _pair_table(caps)
         w = np.diagonal(m.constant).real
-        bounds = jets._clusters(w)
-        args = (m.blocks, table, w, bounds, sys_dim)
+        args = (coupling_blocks(m), w, sys_dim)
         jets._spectral_exp(*args)                  # caches warm
         tracemalloc.start()
         try:
@@ -916,7 +913,8 @@ def test_spectral_route_peak_stays_within_its_block_count():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        count = jets._spectral_blocks(table.grade, len(bounds) - 1, sys_dim)
+        count = jets._spectral_blocks(_pair_table(caps).grade,
+                                      len(jets._clusters(w)) - 1, sys_dim)
         assert peak <= count * 16 * part * part, (caps, peak, count)
 
 
