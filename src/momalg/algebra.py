@@ -18,8 +18,8 @@ sum_k F^(k)(c)/k! N^k of the nilpotent part N = f - c.  Enumeration
 The paper's partition-sum formulas stay as two reference functions,
 `partition_fstar` and `bipartition_convolve`, in plain arithmetic on any
 values (Fraction included).  They are independent oracles, used by tests
-and by the partition-sum sides of the thermal, multiset and
-generating-function verifiers only.
+and, `partition_fstar`, for the right-hand weak-value cumulant of every
+verifier in `momalg.experiments`.
 """
 
 from __future__ import annotations

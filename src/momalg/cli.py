@@ -237,9 +237,18 @@ def cmd_weak_values(args) -> int:
         raise InputFormatError(f"{where}.mode: {mode!r} reads fields that "
                                f"the {kind} context lacks; it takes "
                                f"{', '.join(fits)} or auto")
+    n = len(config.observables)
+
+    def subset(raw):
+        a = _labels(raw)
+        if a.support and a.support[-1] > n:
+            raise ValueError(f"label {a.support[-1]} names no observable "
+                             f"of the context, which has {n}")
+        return a
+
     values = []
-    for i, raw in enumerate(subsets):
-        a = _parse(_labels, raw, f"{where}.subsets[{i}]")
+    for a in [_parse(subset, raw, f"{where}.subsets[{i}]")
+              for i, raw in enumerate(subsets)]:
         entry = {"m": list(a.elements())}
         v = weak_value[mode](config, a)
         if mode == "mc":

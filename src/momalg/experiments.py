@@ -8,10 +8,13 @@ it builds the scenario's claims, walks their targets and records each
 comparison.  What differs between scenarios is one row of the table
 `SCENARIOS`: the CLI aliases, the default tolerance, the claims builder
 (moment map, weak-value cumulant, xi, whether the real part is taken,
-side checks and report metadata) and the CLI sweep axis.  Where a
-right-hand side is itself a cumulant map (thermal E, the multiset copies,
-the generating function), it is taken by the reference partition sum, so
-the two sides share no ring code.  No small-coupling limit is ever taken
+side checks and report metadata) and the CLI sweep axis.  Every
+right-hand weak-value cumulant (log* A_w of thm1 and thm3, log* D of thm4,
+log* E of thermal and the multiset copies, the generating function's) is
+taken by the reference partition sum `algebra.partition_fstar`, so the two
+sides share no ring code: the ring log* reads only moment maps, apart from
+the free-energy jet logarithm, the paper's second statement of the thermal
+identity.  No small-coupling limit is ever taken
 numerically: the theorems are statements about a single Taylor
 coefficient and jets produce that coefficient exactly.
 
@@ -49,6 +52,7 @@ skipped.
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
@@ -60,8 +64,10 @@ from .algebra import MMap, log_derivative, log_star, partition_fstar
 from .combinatorics import Multiset, multiset_lattice
 from .errors import DEFAULT_FLOOR, DomainError, SingularPostselectionError
 from .jets import (
+    _PAIR_BYTES,
     Jet,
     JetMatrix,
+    _check_size,
     _inverse,
     _pair_table,
     _position,
@@ -163,8 +169,11 @@ def random_config(scenario: str, seed: int, n_pointers: int = 3,
     if scenario == "genfun":
         rng = _stream(seed, _STREAM_DISTRIBUTION)
         sizes = [int(rng.integers(2, 4)) for _ in range(n_vars)]
+        # the caps-(2,)*n pair table of the run's jets, 6^n pairs, costs more
+        # than the joint pmf (at most 3^n doubles): priced before either
+        _check_size("lattice pairs", 6 ** n_vars, _PAIR_BYTES)
         cfg.outcome_values = tuple(rng.uniform(-1, 1, s) for s in sizes)
-        cfg.probabilities = rng.dirichlet(np.ones(int(np.prod(sizes))))
+        cfg.probabilities = rng.dirichlet(np.ones(math.prod(sizes)))
         return cfg
 
     st = _stream(seed, _STREAM_STATES)
@@ -497,16 +506,19 @@ def _lowest_order(moments: MMap, config: ExperimentConfig, xi, kappa,
                  lambda a: xi(config.pointers, a), **kw)
 
 
-def _sequential_cumulant(config: ExperimentConfig) -> MMap:
-    """log* A_w, the weak-value cumulant of both sequential theorems."""
-    return log_star(sequential_weak_value_mmap(config))
+def _cumulant(weak: MMap, config: ExperimentConfig) -> Callable:
+    """a -> log* weak(a) on the claim targets, by the reference partition
+    sum: the weak-value cumulant of a right-hand side, taken without the
+    ring log* of its left-hand side."""
+    return partition_fstar(log_derivative, weak, _targets(config)).__getitem__
 
 
 def _per_subset_claims(config: ExperimentConfig, meta: dict) -> list:
     """Per-subset coupling (thm1): Re{xi log* A_w(a)} with the
     difference-of-products xi."""
-    return [_lowest_order(per_subset_moment_mmap(config), config,
-                          xi_difference_of_products, _sequential_cumulant(config))]
+    moments = per_subset_moment_mmap(config)
+    return [_lowest_order(moments, config, xi_difference_of_products, _cumulant(
+        sequential_weak_value_mmap(config), config))]
 
 
 def _all_coupled_claims(config: ExperimentConfig, meta: dict) -> list:
@@ -536,8 +548,8 @@ def _all_coupled_claims(config: ExperimentConfig, meta: dict) -> list:
         meta["max_sub_support_coeff"] = max(meta["max_sub_support_coeff"], sub)
         rec.extras["max_sub_support_coeff"] = sub
 
-    claim = _lowest_order(moments, config, xi_product_of_differences,
-                          _sequential_cumulant(config), extras=sub_support)
+    claim = _lowest_order(moments, config, xi_product_of_differences, _cumulant(
+        sequential_weak_value_mmap(config), config), extras=sub_support)
     meta["max_sub_support_coeff"] = 0.0
     return [claim]
 
@@ -564,7 +576,7 @@ def _window_claims(config: ExperimentConfig, meta: dict) -> list:
             rec.extras["mc_within_3se"] = bool(abs(dmap(a) - est) <= 3 * se + 1e-12)
 
     return [_lowest_order(moments, config, xi_product_of_differences,
-                          log_star(dmap), extras=cross_checks)]
+                          _cumulant(dmap, config), extras=cross_checks)]
 
 
 def _thermal_claims(config: ExperimentConfig, meta: dict) -> list:
@@ -664,7 +676,7 @@ def _genfun_claims(config: ExperimentConfig, meta: dict) -> list:
     values = config.outcome_values
     probs = np.asarray(config.probabilities, dtype=float).reshape(-1)
     n = len(values)
-    if probs.shape[0] != int(np.prod([len(v) for v in values])):
+    if probs.shape[0] != math.prod(len(v) for v in values):
         raise DomainError("probability table does not match outcome grid")
     if abs(probs.sum() - 1.0) > 1e-12:
         raise DomainError("probabilities must sum to 1 within 1e-12")

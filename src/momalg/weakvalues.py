@@ -189,11 +189,13 @@ def script_D_monte_carlo(config, a: Multiset, samples: int,
     Dirichlet splits of the window; the 1/tau^k prefactor cancels the
     simplex volume tau^k/k! against the k! permutations, so the estimator
     is the plain sample mean of evolution-weighted weak values.  Returns
-    (estimate, standard error).  A sample count whose arrays would not fit
-    in MAX_DENSE_BYTES is refused with a DomainError before any is drawn:
-    per sample, the times and their spacings and one order's copy of them
-    (k + 1 doubles each), an order index, a value, a mask byte, and four
-    system-dimension complex rows of one order's states.
+    (estimate, standard error).  A sample count whose arrays, together with
+    the list of the k! orderings, would not fit in MAX_DENSE_BYTES is
+    refused with a DomainError before any ordering is listed or sample
+    drawn: per sample, the times and their spacings and one order's copy
+    of them (k + 1 doubles each), an order index, a value, a mask byte, and
+    four system-dimension complex rows of one order's states; per ordering,
+    a tuple of k labels and its list slot.
     """
     if samples < 1:
         raise DomainError("samples must be >= 1")
@@ -207,8 +209,11 @@ def script_D_monte_carlo(config, a: Multiset, samples: int,
         raise SingularPostselectionError("postselection amplitude below floor")
     if k == 0:
         return 1.0, 0.0
-    _check_size("Monte-Carlo samples", samples,
-                24 * (k + 1) + 25 + 64 * config.system_dim)
+    orderings = math.factorial(k)
+    listed = orderings * (48 + 8 * k)      # bytes, spread over the samples
+    _check_size(f"Monte-Carlo samples over {orderings} orderings", samples,
+                24 * (k + 1) + 25 + 64 * config.system_dim
+                + -(-listed // samples))
 
     rng = np.random.default_rng(seed)
     times = _dirichlet_times(rng, config.tau, k + 1, samples)

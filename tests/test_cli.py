@@ -257,6 +257,54 @@ def test_weak_values_refuse_a_mode_that_reads_fields_the_kind_lacks(
             assert code == 2 and f"{src}.mode: " in err
 
 
+@pytest.mark.parametrize("kind, mode", [
+    ("sequential", "sequential"), ("sequential", "simultaneous"),
+    ("evolution", "jet"), ("evolution", "mc"), ("thermal", "thermal")])
+def test_weak_values_refuse_a_label_above_the_observables(
+        tmp_path, monkeypatch, capsys, kind, mode):
+    # one observable: subsets[1] = [2] names none, which is malformed input
+    # naming it, before any value is computed (it was a value of 0 or 1,
+    # an IndexError or a domain error, by mode)
+    def computed(*args):
+        raise AssertionError("a weak value was computed")
+
+    for name in ("sequential_weak_value", "simultaneous_weak_value",
+                 "script_D", "thermal_E", "script_D_monte_carlo"):
+        monkeypatch.setattr(cli, name, computed)
+    out = tmp_path / "out.json"
+    src = write(tmp_path / "q.json", {
+        "schema": 1, "mode": mode, "samples": 50, "subsets": [[1], [2]],
+        "context": {"kind": kind, "observables": [PAULI_X],
+                    **CONTEXTS[kind]}})
+    assert main(["weak-values", src, "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and f"{src}.subsets[1]: " in err
+    assert not out.exists()
+
+
+def test_weak_values_price_the_orderings_of_a_monte_carlo_subset(
+        tmp_path, monkeypatch, capsys):
+    # a 10-label subset has 3628800 orderings, about 0.5 GiB as a list: a
+    # domain error naming them (exit 3) before any is listed or any sample
+    # drawn, whatever the sample count
+    from momalg import weakvalues
+
+    def listed(*args):
+        raise AssertionError("the orderings were listed")
+
+    monkeypatch.setattr(weakvalues.itertools, "permutations", listed)
+    for samples in (1, 100_000):
+        src = write(tmp_path / "q.json", {
+            "schema": 1, "mode": "mc", "samples": samples,
+            "subsets": [[1] * 10],
+            "context": {"kind": "evolution", "observables": [PAULI_X],
+                        **CONTEXTS["evolution"]}})
+        assert main(["weak-values", src]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("domain error:")
+        assert f"{samples} Monte-Carlo samples over 3628800 orderings" in err
+
+
 @pytest.mark.parametrize("mode", ["auto", "thermal"])
 def test_weak_values_refuse_a_nonpositive_thermal_beta(tmp_path, capsys, mode):
     # beta > 0 is a precondition of the thermal maps: exit 3, not 2
@@ -979,24 +1027,29 @@ def test_manifest_records_the_argv_main_parsed(tmp_path, monkeypatch):
         "argv"] == argv
 
 
-@pytest.mark.parametrize("scenario", ["thermal", "thm1"])
+@pytest.mark.parametrize("scenario", ["thermal", "thm1", "genfun"])
 def test_verify_refuses_an_oversized_simulation_before_allocating(
         tmp_path, scenario):
     # 8 pointers of dimension 2 on a qubit: thermal's spectral states would
     # be 2664 blocks of 256 x 256 (its generator, 8 coupling blocks of
     # 512 x 512, is 32 MiB); thm1 carries a pure jet vector, and the
     # jet-valued cumulant ring of its moments (3^16 pairs) is refused first.
+    # genfun with 40 variables: the pair table of its jets (6^40 pairs) is
+    # refused before the joint pmf (39 PiB at seed 1) is drawn.
     # Run in a child whose address space is capped, so that a missing
     # preflight ends in a MemoryError, not in the host's memory (one BLAS
     # thread keeps the child's own buffers well under the cap).
-    figure = {"thermal": "2664 MiB", "thm1": "2956 MiB"}[scenario]
+    figure = {"thermal": "2664 MiB", "thm1": "2956 MiB",
+              "genfun": "13367494538843734067838845976576 lattice pairs"}[
+                  scenario]
+    size = ["--vars", "40"] if scenario == "genfun" else ["--pointers", "8"]
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))
 
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
     proc = subprocess.run(
-        [sys.executable, "-m", "momalg", "verify", scenario, "--pointers", "8",
+        [sys.executable, "-m", "momalg", "verify", scenario, *size,
          "--out", str(tmp_path)], capture_output=True, text=True,
         preexec_fn=cap_memory, timeout=60, env=env)
     assert proc.returncode == 3, proc.stderr
