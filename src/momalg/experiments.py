@@ -72,11 +72,13 @@ from .jets import (
     _pair_table,
     _position,
     _ring_product,
+    _workspace,
     jet_matrix_exp,
     spectral_jet_matrix_exp,
 )
 from .quantum import (
     coupled_generator,
+    generator_shape,
     postselect_pointers,
     postselected_pointer_state,
     product_state,
@@ -339,7 +341,9 @@ def thermal_moment_mmap(config: ExperimentConfig) -> MMap:
     passed as its points, each -beta w_s repeated once per pointer-space
     dimension, and is never built; only the couplings are, from the
     observables U^H A_j U, Hermitian to rounding; nothing relies on more,
-    since the Boltzmann jet is only traced against 1 (x) R.  The Boltzmann
+    since the Boltzmann jet is only traced against 1 (x) R.  They are
+    written into this thread's workspace array for them (`jets`), which
+    the next run at the same shape reuses.  The Boltzmann
     jet is then (U (x) 1)^H e^{-beta H} (U (x) 1), and every moment
     tr(B (1 (x) R)) is read straight off it: conjugating B by U (x) 1
     leaves a trace against 1 (x) R unchanged, so nothing is changed back.
@@ -352,9 +356,11 @@ def thermal_moment_mmap(config: ExperimentConfig) -> MMap:
     w, u = np.linalg.eigh(config.hamiltonian)
     u = u @ (1.5 * np.eye(len(w)) - 0.5 * (u.conj().T @ u))
     w, u = w[::-1], u[:, ::-1]                 # -beta w ascending
+    observables = [u.conj().T @ a @ u for a in config.observables]
     couplings = coupled_generator(
-        config.hamiltonian, [u.conj().T @ a @ u for a in config.observables],
-        config.pointers, None, -1)
+        config.hamiltonian, observables, config.pointers, None, -1,
+        out=_workspace("thermal couplings", generator_shape(
+            config.hamiltonian, config.pointers, None)))
     points = np.repeat(-config.beta * w, couplings.shape[1] // len(w))
     boltz = spectral_jet_matrix_exp(points, couplings, config.system_dim)
     return _moment_mmap(boltz.blocks, [p.r for p in config.pointers])

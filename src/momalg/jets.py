@@ -43,10 +43,11 @@ Taylor route: it scales and squares, with the squaring count and the
 Taylor degree chosen from the norm of the constant block alone, since the
 couplings are nilpotent in the ring (Higham, SIAM J. Matrix Anal. Appl.
 26, 2005), evaluated by Paterson-Stockmeyer (SIAM J. Comput. 2, 1973)
-over one stack of the powers Y..Y^q.  Both routes multiply through
-the one product function `_block_products`, whatever the symmetry of the
-generator: a Hermitian one gives a result that is Hermitian to rounding,
-not exactly.  `spectral_jet_matrix_exp` takes the spectral route, for a
+over one stack of the powers Y..Y^q.  Its products run through
+`_block_products`, whatever the symmetry of the generator: a Hermitian one
+gives a result that is Hermitian to rounding, not exactly.  On a lattice
+of one monomial, a plain batch of matrices, they are plain np.matmul
+calls.  `spectral_jet_matrix_exp` takes the spectral route, for a
 multilinear generator linear in gamma whose constant block is already
 diagonal, as the thermal -beta H_S (x) 1 is in the eigenbasis of H_S,
 which its caller takes at the system's size.  It is given only what such
@@ -62,13 +63,26 @@ thermal check reads of its Boltzmann jet, tr(B (1 (x) R)) =
 tr(tr_1(B) R).  Inside, each state of the expansion is held only at its
 one grade, each weighted state enters the sum only through its
 system-diagonal blocks, and the last level is formed on those blocks
-alone.  No change of basis runs: a trace against 1 (x) R is the same in
-any basis U (x) 1.  A caller picks the entry by its role, not by cost: the
-thermal check's lhs, the joint-space Boltzmann jet, is the one spectral
-caller, and every other exponential (the system-side partition jet of its
-rhs, the window, the D map) takes the Taylor route, so the two sides of
-the thermal identity never share an exponential algorithm.  Each entry
-refuses, with a DomainError, a result that overflows the double range.
+alone.  Its products are its own loop of one BLAS product per pair of a
+list built once per level, not `_block_products`.  No change of basis
+runs: a trace against 1 (x) R is the same in any basis U (x) 1.  A caller
+picks the entry by its role, not by cost: the thermal check's lhs, the
+joint-space Boltzmann jet, is the one spectral caller, and every other
+exponential (the system-side partition jet of its rhs, the window, the D
+map) takes the Taylor route, so the two sides of the thermal identity
+share neither an exponential algorithm nor a product function.  Each
+entry refuses, with a DomainError, a result that overflows the double
+range.
+
+The thermal lhs's large work arrays, which a run at one shape would
+otherwise allocate, fault in page by page and hand back to the system
+every time, are kept in a private per-thread workspace (`_workspace`):
+the spectral route's states, its product buffer and its weights and
+sums, the lhs's coupling blocks, and the copy that the moment readout
+contracts.  A thread holds one array per role and reuses it while the
+shape repeats; a call at another shape replaces it, and the arrays stay
+held between calls.  No function returns a workspace array or a view of
+one: every result, the spectral route's included, is a new array.
 """
 
 from __future__ import annotations
@@ -76,7 +90,8 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from functools import lru_cache
+import threading
+from functools import lru_cache, partial
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -484,6 +499,30 @@ class JetMatrix:
         return self._jet(np.einsum("i,kij,j->k", bra, self.blocks, ket))
 
 
+class _Workspace(threading.local):
+    """This thread's work arrays, one per role (`_workspace`)."""
+
+    def __init__(self):
+        self.arrays = {}
+
+
+_WORKSPACE = _Workspace()
+
+
+def _workspace(role: str, shape: tuple[int, ...]) -> np.ndarray:
+    """This thread's complex work array for `role`, of `shape`, holding
+    whatever its last user left.  A thread holds one array per role and
+    hands it out again while the shape repeats, so a run of same-shape
+    calls writes to pages that are already mapped; a call at another shape
+    frees the array and allocates its successor.  The caller prices the
+    array before asking for it, and returns neither it nor a view of it."""
+    arrays = _WORKSPACE.arrays
+    if role not in arrays or arrays[role].shape != shape:
+        arrays.pop(role, None)
+        arrays[role] = np.empty(shape, dtype=complex)
+    return arrays[role]
+
+
 def _nonzero(blocks: np.ndarray) -> np.ndarray:
     """Which blocks of a (lattice, ..., d, d) stack hold a nonzero entry."""
     return blocks.any(axis=tuple(range(1, blocks.ndim)))
@@ -595,8 +634,16 @@ def jet_matrix_exp(m: JetMatrix) -> JetMatrix:
     _finite(norms)
     table = _pair_table(m.caps)
     return JetMatrix(m.n, m.caps, _in_double_range(
-        _taylor_exp, m.blocks, table,
+        _taylor_exp, m.blocks, partial(_ring_matmul, table),
         _taylor_schedule(int(table.grade.max()), norms[0])))
+
+
+def _ring_matmul(table, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for two block stacks in the lattice order of `table`, as a
+    new stack."""
+    out = np.zeros_like(a)
+    _block_products(table, a, b, out)
+    return out
 
 
 def spectral_jet_matrix_exp(w, couplings, sys_dim: int) -> JetMatrix:
@@ -638,7 +685,11 @@ def spectral_jet_matrix_exp(w, couplings, sys_dim: int) -> JetMatrix:
        per end pair (c_0, c_k).  The sum is a recursion over the multiset M
        of middle clusters: T(empty) = N, T(M) = sum_{c in M} T(M - c) P_c
        N, each term a ring product of cluster sub-blocks, (lattice, D, n_c)
-       by (n, n_c, D), through `_block_products`.  It enters the
+       by (n, n_c, D).  The products of a level are one BLAS product per
+       pair of its (state row, coupling row, output row) list, built once
+       per level from the pair table and added into place in its order,
+       with no scan for zero blocks; the route shares no product function
+       with the Taylor route.  It enters the
        result weighted entrywise by exp[l_a, l_M, l_b], a and b the
        clusters of row and column.  Divided differences come from Opitz's
        theorem: for the bidiagonal J with diagonal x_0..x_r and ones above
@@ -655,9 +706,13 @@ def spectral_jet_matrix_exp(w, couplings, sys_dim: int) -> JetMatrix:
        depends only on its row and column, so each weighted T(M) enters
        the (lattice, P, P) sum through its system-diagonal blocks alone.
        The last level is only ever summed, so it is formed on those blocks
-       only: one `_block_products` call per (M, c), with the system index
-       as its batch axis, (lattice, sys_dim, P, n_c) by
-       (n, sys_dim, n_c, P).  `_spectral_blocks` counts these holdings.
+       only, with the system index as a batch axis of each product,
+       (sys_dim, P, n_c) by (sys_dim, n_c, P).  The states, one product's
+       output, and the weights and sums of a level are views of this
+       thread's workspace arrays (module docstring), reused by the next
+       call at the same shape; each level's states are zero-filled first,
+       and the levels of each parity share one array.  `_spectral_blocks`
+       counts these holdings.
     Work: per multiset M, cluster c in M and pair-table pair, one product
     of D x n_c x D, and at the last level of D x n_c x P.  At n = 3 with
     two clusters on 2 x 64 dimensions that is 12 products of
@@ -668,7 +723,9 @@ def spectral_jet_matrix_exp(w, couplings, sys_dim: int) -> JetMatrix:
     (n, D, D), either with an inf or a nan, a sys_dim that is not a
     positive integer dividing D and, before they are allocated, states
     that would not fit in MAX_DENSE_BYTES (the sum, two levels of T(M) and
-    the work blocks) are refused with a DomainError.  None falls back to
+    the work blocks) are refused with a DomainError.  The result is a new
+    array, never a workspace one, so a result held across later calls
+    keeps its values.  None falls back to
     the Taylor route, which would put both sides of the thermal check on
     one algorithm.  A result that left the double range is refused as by
     `jet_matrix_exp`.
@@ -738,31 +795,27 @@ def _taylor_schedule(top: int, const: float) -> _Schedule:
     return _Schedule(s, q, q * -(-degree // q))
 
 
-def _taylor_exp(blocks: np.ndarray, table, schedule: _Schedule) -> np.ndarray:
+def _taylor_exp(blocks: np.ndarray, product, schedule: _Schedule) -> np.ndarray:
     """Steps 1-3 of the jet_matrix_exp docstring on a (lattice, ..., d, d)
-    block stack in the lattice order of `table`.  Axes between the lattice
-    axis and the block axes are a batch of exponentials, all taken with
-    the one schedule."""
+    block stack, whose ring product product(a, b) returns a new stack:
+    `_ring_matmul` over the stack's pair table, or np.matmul on a lattice
+    of one monomial.  Axes between the lattice axis and the block axes are
+    a batch of exponentials, all taken with the one schedule."""
     s, q, degree = schedule
     dim = blocks.shape[-1]
     # Y..Y^q, the Horner accumulator and one product's output
     _check_size(f"jet-matrix blocks of dimension {dim} held by the "
                 f"Taylor exponential", (q + 2) * len(blocks), blocks[0].nbytes)
-    powers = np.zeros((q, *blocks.shape), dtype=complex)      # Y^1..Y^q
+    powers = np.empty((q, *blocks.shape), dtype=complex)      # Y^1..Y^q
     np.multiply(blocks, 2.0 ** -s, out=powers[0])
     for j in range(1, q):
-        _block_products(table, powers[j - 1], powers[0], powers[j])
+        powers[j] = product(powers[j - 1], powers[0])
 
     def add_chunk(into: np.ndarray, lo: int, hi: int) -> None:
         """into += sum_{j=lo}^{hi} Y^(j-lo) / j!, in place."""
         into[0] += np.eye(dim) * (1.0 / math.factorial(lo))
         for j in range(lo + 1, hi + 1):
             into += powers[j - lo - 1] * (1.0 / math.factorial(j))
-
-    def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(a)
-        _block_products(table, a, b, out)
-        return out
 
     acc = np.zeros_like(powers[0])
     add_chunk(acc, degree - q, degree)
@@ -815,15 +868,40 @@ def _spectral_exp(couplings: np.ndarray, w: np.ndarray,
     flat = labels[:, :, None] * len(sizes) + labels[:, None, :]
     acc = np.zeros((len(table.grade), part, part), dtype=complex)
     np.fill_diagonal(acc[0], np.exp(lam)[labels].sum(axis=0))
+    # the work arrays are views of this thread's workspace (module
+    # docstring).  `work` holds one product's output while a level is
+    # formed, and its weights and sums while it is added, with level 1's
+    # system-diagonal blocks at the end.  The states of each level g > 1
+    # are (mids, k, D, D), the last level's (mids, k, sys_dim, P, P), and
+    # the levels of each parity share one array, so that two consecutive
+    # levels are held, as priced
+    need = [len(group) * sys_dim + int(held.sum())
+            for group, held in zip(mids, levels)]
+    if need:
+        need[0] += n * sys_dim
+    work = _workspace("spectral work", (
+        part * part * max(need + [sys_dim * sys_dim]),))
+    shapes = {g: (len(mids[g]), int(levels[g].sum()), *(
+        (sys_dim, part, part) if g == len(levels) - 1 else (dim, dim)))
+        for g in range(1, len(levels))}
+    pools = [_workspace(f"spectral states {parity}", (max(
+        (math.prod(x) for g, x in shapes.items() if g % 2 == parity),
+        default=0),)) for parity in (0, 1)]
 
     def add(group: list, diagonal: np.ndarray, at: np.ndarray) -> None:
         """acc += the (mids, k, sys_dim, P, P) system-diagonal blocks of the
         T(M) of the multisets `group`, held at the lattice positions `at`,
         weighted entrywise by exp[l_a, l_M, l_b] and summed over M and the
-        system."""
-        weights = np.take(np.array([dd[mid] for mid in group]).reshape(
-            len(group), -1), flat, axis=1)
-        np.add.at(acc, at, np.einsum("mksij,msij->kij", diagonal, weights))
+        system, with the weights and the sums held in `work`.  np.take
+        writes into its `out` without a buffer only in a mode other than
+        "raise"; the indices are in range, so "clip" changes nothing."""
+        cut = len(group) * flat.size
+        weights = np.take(
+            np.array([dd[mid] for mid in group], dtype=complex).reshape(
+                len(group), -1), flat, axis=1, mode="clip",
+            out=work[:cut].reshape(len(group), *flat.shape))
+        acc[at] += np.einsum("mksij,msij->kij", diagonal, weights, out=work[
+            cut:cut + len(at) * part * part].reshape(len(at), part, part))
 
     def system_diagonal(states: np.ndarray) -> np.ndarray:
         """The (..., k, sys_dim, P, P) system-diagonal blocks of a stack of
@@ -851,24 +929,32 @@ def _spectral_exp(couplings: np.ndarray, w: np.ndarray,
     level, where = couplings[None], coupling_row
     if levels:
         at = np.flatnonzero(levels[0])
-        add(mids[0], system_diagonal(couplings)[coupling_row[at]][None], at)
+        add(mids[0], np.take(
+            system_diagonal(couplings), coupling_row[at], axis=0, mode="clip",
+            out=work[len(work) - n * sys_dim * part * part:].reshape(
+                n, sys_dim, part, part))[None], at)
     for g in range(1, len(levels)):
         held, last = levels[g], g == len(levels) - 1
         at, rows = np.flatnonzero(held), np.cumsum(held) - 1
+        # (state row, coupling row, output row) of every product of a
+        # level g - 1 position by a grade-1 one, in pair order
         keep = levels[g - 1][table.ia] & levels[0][table.ib]
-        pairs = table._replace(ia=where[table.ia[keep]],
-                               ib=coupling_row[table.ib[keep]],
-                               ic=rows[table.ic[keep]])
+        triples = list(zip(where[table.ia[keep]].tolist(),
+                           coupling_row[table.ib[keep]].tolist(),
+                           rows[table.ic[keep]].tolist()))
         # the last level is formed on its system-diagonal blocks only
-        deeper = np.zeros((len(mids[g]), len(at), *(
-            (sys_dim, part, part) if last else (dim, dim))), dtype=complex)
+        deeper = pools[g % 2][:math.prod(shapes[g])].reshape(shapes[g])
+        deeper.fill(0)
+        prod = work[:math.prod(shapes[g][2:])].reshape(shapes[g][2:])
         index = {mid: i for i, mid in enumerate(mids[g - 1])}
         for out, mid in zip(deeper, mids[g]):
             # T(M) = sum_{c in M} T(M - c) P_c N, c the last middle cluster
             for c in sorted(set(mid)):
                 i = mid.index(c)
-                _block_products(pairs, *factors(
-                    level[index[mid[:i] + mid[i + 1:]]], c, last), out)
+                left, right = factors(level[index[mid[:i] + mid[i + 1:]]],
+                                      c, last)
+                for a, b, k in triples:
+                    out[k] += np.matmul(left[a], right[b], out=prod)
         level, where = deeper, rows
         add(mids[g], level if last else system_diagonal(level), at)
     return acc
@@ -877,23 +963,24 @@ def _spectral_exp(couplings: np.ndarray, w: np.ndarray,
 def _spectral_blocks(grade: np.ndarray, count: int, sys_dim: int) -> int:
     """P x P blocks the spectral route holds at once, P = D / sys_dim, with
     `count` clusters on the lattice whose monomials have the grades
-    `grade`.  The traced sum holds one per lattice position, and two
-    consecutive levels of states are held.  Level 1, N, is read in place; a
-    level g between holds one state per multiset of g - 1 middle clusters,
-    with sys_dim^2 blocks per position of grade g; the last level holds
-    only the sys_dim system-diagonal blocks per position of each state.
-    The work adds one product's output, level 1's diagonal blocks, and a
-    level's weights and two sums."""
+    `grade`.  The traced sum holds one per lattice position.  Level 1, N,
+    is read in place; a level g between holds one state per multiset of
+    g - 1 middle clusters, with sys_dim^2 blocks per position of grade g;
+    the last level holds only the sys_dim system-diagonal blocks per
+    position of each state.  The levels of each parity share one array,
+    sized to the largest of them, so the states take the largest even
+    level plus the largest odd one: two consecutive levels, since the level
+    sizes rise and then fall.  The work adds one product's output, level
+    1's diagonal blocks, and a level's weights and two sums."""
     held = np.bincount(grade)[1:].tolist()
     mids = [math.comb(count + g - 1, g) for g in range(len(held))]
-    states = [0] + [m * k * sys_dim ** 2
-                    for m, k in zip(mids[1:-1], held[1:-1])]
+    states = [m * k * sys_dim ** 2 for m, k in zip(mids[1:-1], held[1:-1])]
     if len(held) > 1:
         states.append(mids[-1] * held[-1] * sys_dim)
     work = sys_dim ** 2 + sys_dim * held[0] + max(
         m * sys_dim + 2 * k for m, k in zip(mids, held)) if held else 0
-    return len(grade) + max(a + b for a, b in zip(states, states[1:] + [0])) \
-        + work
+    return len(grade) + max(states[::2], default=0) \
+        + max(states[1::2], default=0) + work
 
 
 def _exp_divided_differences(lam: np.ndarray, mids: list) -> dict:
@@ -915,7 +1002,9 @@ def _exp_divided_differences(lam: np.ndarray, mids: list) -> dict:
     block of its own, so it leaves exp(J) unchanged on the J.  The one
     (mids, size, size) stack, shifted by the mid-range mu of lam, is
     exponentiated as one batch by the Taylor route, with the schedule of
-    its largest norm; exp[x + mu] = e^mu exp[x] undoes the shift."""
+    its largest norm and np.matmul over the stack as its product (a lattice
+    of one monomial needs no pair table); exp[x + mu] = e^mu exp[x] undoes
+    the shift."""
     if not mids:
         return {}
     count = len(lam)
@@ -941,7 +1030,7 @@ def _exp_divided_differences(lam: np.ndarray, mids: list) -> dict:
         diag = np.arange(2 * count + r)
         opitz[group, diag, diag] = np.concatenate(
             (lam_ends, lam_mid, lam_ends), axis=1) - mu
-    exp_j = _taylor_exp(opitz[None], _pair_table(()), _taylor_schedule(
+    exp_j = _taylor_exp(opitz[None], np.matmul, _taylor_schedule(
         0, _block_norms(opitz).max()))[0].real * np.exp(mu)
     return {mid: exp_j[k, :count, count + r:2 * count + r]
             for k, (mid, r) in enumerate(zip(mids, lengths.tolist()))}

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -907,6 +909,7 @@ def test_spectral_route_peak_stays_within_its_block_count():
         w = np.diagonal(m.constant).real
         args = (coupling_blocks(m), w, sys_dim)
         jets._spectral_exp(*args)                  # caches warm
+        jets._WORKSPACE.arrays.clear()             # the work arrays counted
         tracemalloc.start()
         try:
             jets._spectral_exp(*args)
@@ -916,6 +919,74 @@ def test_spectral_route_peak_stays_within_its_block_count():
         count = jets._spectral_blocks(_pair_table(caps).grade,
                                       len(jets._clusters(w)) - 1, sys_dim)
         assert peak <= count * 16 * part * part, (caps, peak, count)
+
+
+def test_workspace_holds_one_array_per_role_and_thread():
+    # an array is handed out again while its shape repeats, and replaced,
+    # not joined, at another shape; another thread has its own
+    first = jets._workspace("test", (3, 4))
+    assert first.dtype == complex and jets._workspace("test", (3, 4)) is first
+    second = jets._workspace("test", (5,))
+    assert second.shape == (5,) and jets._WORKSPACE.arrays["test"] is second
+    seen = []
+    thread = threading.Thread(
+        target=lambda: seen.append(jets._workspace("test", (5,))))
+    thread.start()
+    thread.join()
+    assert seen[0] is not second and jets._WORKSPACE.arrays["test"] is second
+    del jets._WORKSPACE.arrays["test"]
+
+
+def spectral_args(rng, caps, sys_dim, part):
+    """Points, couplings and sys_dim of a thermal-layout generator."""
+    d = sys_dim * part
+    m = boltzmann(rng, d, caps, clustered(rng, d, sys_dim))
+    return np.diagonal(m.constant).real, coupling_blocks(m), sys_dim
+
+
+def test_held_spectral_results_survive_a_later_call_at_their_shape():
+    # the route's states and products live in the workspace, its result
+    # does not: two results held across a third call at the same shape
+    # keep the values their own calls returned
+    rng = np.random.default_rng(54)
+    args = [spectral_args(rng, (1, 1, 1), 2, 8) for _ in range(3)]
+    serial = [spectral_jet_matrix_exp(*a).blocks.copy() for a in args[:2]]
+    held = [spectral_jet_matrix_exp(*a) for a in args[:2]]
+    spectral_jet_matrix_exp(*args[2])
+    assert not np.shares_memory(held[0].blocks, held[1].blocks)
+    for got, want in zip(held, serial):
+        assert np.array_equal(got.blocks, want)
+
+
+def test_spectral_route_in_threads_at_two_shapes_matches_serial_calls():
+    # each thread holds its own work arrays: four threads, two at each of
+    # two shapes, started together with a short switch interval and run
+    # 10 times each, return what one call at a time returns, bit for bit
+    rng = np.random.default_rng(55)
+    args = [spectral_args(rng, (1, 1, 1), 2, 16),
+            spectral_args(rng, (1,) * 4, 3, 4)]
+    serial = [spectral_jet_matrix_exp(*a).blocks for a in args]
+    start, got = threading.Barrier(4), [[] for _ in range(4)]
+
+    def run(k):
+        start.wait()
+        for _ in range(10):
+            got[k].append(spectral_jet_matrix_exp(*args[k % 2]).blocks)
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for k, results in enumerate(got):
+        assert len(results) == 10
+        assert all(np.array_equal(blocks, serial[k % 2]) for blocks in results)
 
 
 def test_jet_matrix_preflight_refuses_huge_block_stacks():

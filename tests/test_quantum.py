@@ -15,6 +15,7 @@ from momalg.jets import Jet, JetMatrix, _monomials, _position, jet_matrix_exp
 from momalg.quantum import (
     PointerSpec,
     checked_operator,
+    coupled_generator,
     embed,
     kron,
     postselected_pointer_state,
@@ -316,3 +317,23 @@ def test_readout_moments_match_kronecker_readouts(sys_dim, pointer_dims):
                          np.eye(sys_dim))
         want = np.trace(blocks @ readout, axis1=1, axis2=2)
         assert np.max(np.abs(row - want)) <= 1e-12 * max(1, np.max(np.abs(want)))
+
+
+def test_coupled_generator_fills_out_or_returns_a_fresh_array():
+    # without out, every call returns a new array; with out, the blocks
+    # are written into it and it is returned; an out of another shape (the
+    # n + 1 blocks of a constant c against n) is refused
+    rng = np.random.default_rng(61)
+    pointers = [random_pointer(rng, 2) for _ in range(2)]
+    h = random_hermitian(rng, 2)
+    observables = [random_hermitian(rng, 2) for _ in range(2)]
+    first = coupled_generator(h, observables, pointers, None, -1)
+    second = coupled_generator(h, observables, pointers, None, -1)
+    assert first.shape == (2, 8, 8) and not np.shares_memory(first, second)
+    assert np.array_equal(first, second)
+    out = np.full((2, 8, 8), np.nan, dtype=complex)
+    assert coupled_generator(h, observables, pointers, None, -1, out=out) \
+        is out
+    assert np.array_equal(out, first)
+    with pytest.raises(ShapeMismatchError, match="shape"):
+        coupled_generator(h, observables, pointers, 1.0, -1, out=out)
