@@ -78,7 +78,6 @@ from .jets import (
 )
 from .quantum import (
     coupled_generator,
-    generator_shape,
     postselect_pointers,
     postselected_pointer_state,
     product_state,
@@ -357,10 +356,11 @@ def thermal_moment_mmap(config: ExperimentConfig) -> MMap:
     u = u @ (1.5 * np.eye(len(w)) - 0.5 * (u.conj().T @ u))
     w, u = w[::-1], u[:, ::-1]                 # -beta w ascending
     observables = [u.conj().T @ a @ u for a in config.observables]
+    dim = len(w) * math.prod(p.dim for p in config.pointers)
     couplings = coupled_generator(
         config.hamiltonian, observables, config.pointers, None, -1,
-        out=_workspace("thermal couplings", generator_shape(
-            config.hamiltonian, config.pointers, None)))
+        out=_workspace("thermal couplings", (config.n_pointers, dim, dim),
+                       f"generator blocks of dimension {dim}"))
     points = np.repeat(-config.beta * w, couplings.shape[1] // len(w))
     boltz = spectral_jet_matrix_exp(points, couplings, config.system_dim)
     return _moment_mmap(boltz.blocks, [p.r for p in config.pointers])

@@ -78,11 +78,11 @@ The thermal lhs's large work arrays, which a run at one shape would
 otherwise allocate, fault in page by page and hand back to the system
 every time, are kept in a private per-thread workspace (`_workspace`):
 the spectral route's states, its product buffer and its weights and
-sums, the lhs's coupling blocks, and the copy that the moment readout
-contracts.  A thread holds one array per role and reuses it while the
-shape repeats; a call at another shape replaces it, and the arrays stay
-held between calls.  No function returns a workspace array or a view of
-one: every result, the spectral route's included, is a new array.
+sums, and the lhs's coupling blocks.  A thread holds one array per role
+and reuses it while the shape repeats; a call at another shape prices
+and allocates its replacement, and the arrays stay held between calls.
+No function returns a workspace array or a view of one: every result,
+the spectral route's included, is a new array.
 """
 
 from __future__ import annotations
@@ -509,16 +509,18 @@ class _Workspace(threading.local):
 _WORKSPACE = _Workspace()
 
 
-def _workspace(role: str, shape: tuple[int, ...]) -> np.ndarray:
+def _workspace(role: str, shape: tuple[int, ...], what: str) -> np.ndarray:
     """This thread's complex work array for `role`, of `shape`, holding
     whatever its last user left.  A thread holds one array per role and
     hands it out again while the shape repeats, so a run of same-shape
     calls writes to pages that are already mapped; a call at another shape
-    frees the array and allocates its successor.  The caller prices the
-    array before asking for it, and returns neither it nor a view of it."""
+    frees the array and, once the shape[0] `what` are priced against
+    MAX_DENSE_BYTES, allocates its successor.  The caller returns neither
+    the array nor a view of it."""
     arrays = _WORKSPACE.arrays
     if role not in arrays or arrays[role].shape != shape:
         arrays.pop(role, None)
+        _check_size(what, shape[0], 16 * math.prod(shape[1:]))
         arrays[role] = np.empty(shape, dtype=complex)
     return arrays[role]
 
@@ -851,7 +853,8 @@ def _spectral_exp(couplings: np.ndarray, w: np.ndarray,
     levels = [table.grade == g for g in range(1, n + 1)]
     _check_size(f"blocks of dimension {part} held by the spectral "
                 f"exponential", _spectral_blocks(table.grade, len(sizes),
-                                                 sys_dim), 16 * part * part)
+                                                 sys_dim, part),
+                16 * part * part)
     # the coupling row of each grade-1 position: label 1 is slowest, so the
     # ascending positions 1, 2, 4, ... hold labels n, ..., 1
     coupling_row = np.zeros(len(table.grade), dtype=np.intp)
@@ -880,13 +883,14 @@ def _spectral_exp(couplings: np.ndarray, w: np.ndarray,
     if need:
         need[0] += n * sys_dim
     work = _workspace("spectral work", (
-        part * part * max(need + [sys_dim * sys_dim]),))
+        part * part * max(need + [sys_dim * sys_dim]),),
+        "entries of spectral work")
     shapes = {g: (len(mids[g]), int(levels[g].sum()), *(
         (sys_dim, part, part) if g == len(levels) - 1 else (dim, dim)))
         for g in range(1, len(levels))}
     pools = [_workspace(f"spectral states {parity}", (max(
         (math.prod(x) for g, x in shapes.items() if g % 2 == parity),
-        default=0),)) for parity in (0, 1)]
+        default=0),), "entries of spectral states") for parity in (0, 1)]
 
     def add(group: list, diagonal: np.ndarray, at: np.ndarray) -> None:
         """acc += the (mids, k, sys_dim, P, P) system-diagonal blocks of the
@@ -960,7 +964,8 @@ def _spectral_exp(couplings: np.ndarray, w: np.ndarray,
     return acc
 
 
-def _spectral_blocks(grade: np.ndarray, count: int, sys_dim: int) -> int:
+def _spectral_blocks(grade: np.ndarray, count: int, sys_dim: int,
+                     part: int) -> int:
     """P x P blocks the spectral route holds at once, P = D / sys_dim, with
     `count` clusters on the lattice whose monomials have the grades
     `grade`.  The traced sum holds one per lattice position.  Level 1, N,
@@ -971,14 +976,17 @@ def _spectral_blocks(grade: np.ndarray, count: int, sys_dim: int) -> int:
     sized to the largest of them, so the states take the largest even
     level plus the largest odd one: two consecutive levels, since the level
     sizes rise and then fall.  The work adds one product's output, level
-    1's diagonal blocks, and a level's weights and two sums."""
+    1's diagonal blocks, a level's weights and two sums, and the iteration
+    buffers of the np.einsum that sums a level: np.getbufsize() entries
+    for each of its three operands, rounded up to whole blocks."""
     held = np.bincount(grade)[1:].tolist()
     mids = [math.comb(count + g - 1, g) for g in range(len(held))]
     states = [m * k * sys_dim ** 2 for m, k in zip(mids[1:-1], held[1:-1])]
     if len(held) > 1:
         states.append(mids[-1] * held[-1] * sys_dim)
     work = sys_dim ** 2 + sys_dim * held[0] + max(
-        m * sys_dim + 2 * k for m, k in zip(mids, held)) if held else 0
+        m * sys_dim + 2 * k for m, k in zip(mids, held)) \
+        + -(-3 * np.getbufsize() // (part * part)) if held else 0
     return len(grade) + max(states[::2], default=0) \
         + max(states[1::2], default=0) + work
 

@@ -39,7 +39,7 @@ from .errors import (
     SingularPostselectionError,
 )
 from .jets import (JetMatrix, _block_products, _check_size, _pair_table,
-                   _position, _workspace)
+                   _position)
 
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-10
@@ -191,17 +191,6 @@ def product_state(psi_i, pointers) -> np.ndarray:
         np.asarray(p.phi, dtype=complex) for p in pointers])
 
 
-def generator_shape(hamiltonian, pointers,
-                    c: complex | None) -> tuple[int, int, int]:
-    """The shape of coupled_generator(hamiltonian, _, pointers, c, _),
-    (n + 1, D, D), or (n, D, D) for a c of None, priced against
-    MAX_DENSE_BYTES in Python integers."""
-    count = len(pointers) + (c is not None)
-    dim = np.shape(hamiltonian)[0] * math.prod(p.dim for p in pointers)
-    _check_size(f"generator blocks of dimension {dim}", count, 16 * dim * dim)
-    return count, dim, dim
-
-
 def coupled_generator(hamiltonian, observables, pointers, c: complex | None,
                       k: complex, out: np.ndarray | None = None) -> np.ndarray:
     """The joint-space generator c H_S (x) 1 + sum_j gamma_j k A_j (x) s_j,
@@ -211,20 +200,22 @@ def coupled_generator(hamiltonian, observables, pointers, c: complex | None,
     Every other block of its multilinear lattice is zero and is not
     stored.  A c of None leaves the constant out, (n, D, D), for a caller
     that holds it in another form: the thermal lhs, as its diagonal.  The
-    blocks are priced against MAX_DENSE_BYTES (`generator_shape`) before
-    any kron runs.  They are written into `out`, a complex array of that
-    shape, and returned, or without `out` into a new array."""
-    shape = generator_shape(hamiltonian, pointers, c)
-    if out is None:
-        out = np.empty(shape, dtype=complex)
-    elif out.shape != shape or out.dtype != complex:
-        raise ShapeMismatchError(f"the generator blocks need a complex "
-                                 f"array of shape {shape}")
+    blocks are priced against MAX_DENSE_BYTES before any kron runs.  They
+    are written into `out`, a complex array of that shape, and returned,
+    or without `out` into a new array."""
     dims = [np.shape(hamiltonian)[0]] + [p.dim for p in pointers]
     terms = [(k, observables[j - 1], (p.s, j))
              for j, p in enumerate(pointers, start=1)]
     if c is not None:
         terms.insert(0, (c, hamiltonian))
+    dim = math.prod(dims)
+    _check_size(f"generator blocks of dimension {dim}", len(terms),
+                16 * dim * dim)
+    if out is None:
+        out = np.empty((len(terms), dim, dim), dtype=complex)
+    elif out.shape != (len(terms), dim, dim) or out.dtype != complex:
+        raise ShapeMismatchError(f"the generator blocks need a complex "
+                                 f"array of shape {(len(terms), dim, dim)}")
     for block, (scale, op, *more) in zip(out, terms):
         np.multiply(scale, embed(op, dims, 0, *more), out=block)
     return out
@@ -240,24 +231,13 @@ def readout_moments(blocks: np.ndarray, readouts) -> np.ndarray:
     The stack is viewed as (L, d_1..d_n, d_1..d_n); then each pointer's
     (row, column) axes are contracted with the stack [1, r_j^T], which
     appends that pointer's subset bit.  The bits come out with pointer 1
-    slowest, which is the storage order.  Each contraction is
-    np.tensordot's, one np.dot of the stack's copy with the contracted axes
-    last, made in this thread's workspace array for it (`jets._workspace`)
-    rather than in a new one; the result is a new array."""
+    slowest, which is the storage order."""
     n = len(readouts)
     dims = [np.shape(r)[0] for r in readouts]
     x = blocks.reshape(len(blocks), *dims, *dims)
-    work = _workspace("readout", (x.size,))
     for left, r in zip(range(n, 0, -1), readouts):
         pair = np.stack([np.eye(len(r)), np.transpose(r)])
-        # np.tensordot(x, pair, axes=([1, 1 + left], [1, 2])), with its
-        # contiguous copy of x, contracted axes last, in the workspace
-        kept = [k for k in range(x.ndim) if k not in (1, 1 + left)]
-        moved = x.transpose(kept + [1, 1 + left])
-        np.copyto(work[:x.size].reshape(moved.shape), moved)
-        x = np.dot(work[:x.size].reshape(-1, pair[0].size),
-                   pair.transpose(1, 2, 0).reshape(-1, len(pair))).reshape(
-                       *moved.shape[:-2], len(pair))
+        x = np.tensordot(x, pair, axes=([1, 1 + left], [1, 2]))
     return x.reshape(len(blocks), -1).T
 
 

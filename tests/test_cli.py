@@ -1031,7 +1031,7 @@ def test_manifest_records_the_argv_main_parsed(tmp_path, monkeypatch):
 def test_verify_refuses_an_oversized_simulation_before_allocating(
         tmp_path, scenario):
     # 8 pointers of dimension 2 on a qubit: thermal's spectral states would
-    # be 2664 blocks of 256 x 256 (its generator, 8 coupling blocks of
+    # be 2665 blocks of 256 x 256 (its generator, 8 coupling blocks of
     # 512 x 512, is 32 MiB); thm1 carries a pure jet vector, and the
     # jet-valued cumulant ring of its moments (3^16 pairs) is refused first.
     # genfun with 40 variables: the pair table of its jets (6^40 pairs) is
@@ -1039,7 +1039,7 @@ def test_verify_refuses_an_oversized_simulation_before_allocating(
     # Run in a child whose address space is capped, so that a missing
     # preflight ends in a MemoryError, not in the host's memory (one BLAS
     # thread keeps the child's own buffers well under the cap).
-    figure = {"thermal": "2664 MiB", "thm1": "2956 MiB",
+    figure = {"thermal": "2665 MiB", "thm1": "2956 MiB",
               "genfun": "13367494538843734067838845976576 lattice pairs"}[
                   scenario]
     size = ["--vars", "40"] if scenario == "genfun" else ["--pointers", "8"]
@@ -1130,6 +1130,18 @@ def test_same_shape_thermal_runs_fault_in_few_fresh_pages(tmp_path):
         capture_output=True, text=True, timeout=120, env=env)
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout) <= 100
+
+
+@pytest.mark.parametrize("scenario", ["thermal", "thm1"])
+def test_pointers_of_one_dimension_run_through_the_moment_reader(
+        tmp_path, scenario):
+    # each one-dimensional pointer's contraction doubles the moment stack
+    # instead of shrinking it; every seed runs and passes
+    assert main(["verify", scenario, "--pointers", "2", "--pointer-dim", "1",
+                 "--seeds", "1..3", "--out", str(tmp_path)]) == 0
+    names = load_json(str(tmp_path / f"manifest_{scenario}.json"))["reports"]
+    assert len(names) == 3
+    assert all(load_json(str(tmp_path / name))["passed"] for name in names)
 
 
 def verdicts(out):
@@ -1252,8 +1264,8 @@ def test_window_and_d_map_take_the_taylor_route(tmp_path, exp_routes,
 def test_thermal_refuses_spectral_states_beyond_the_size_limit(
         tmp_path, capsys):
     # 6 pointers on a 4-dim system: the 256-dim Boltzmann jet's four
-    # clusters need 8490 blocks of 64 x 64 (states, sum and work), about
-    # 530.6 MiB.  It exits 3 naming the spectral exponential, whose preflight
+    # clusters need 8496 blocks of 64 x 64 (states, sum and work), about
+    # 531.0 MiB.  It exits 3 naming the spectral exponential, whose preflight
     # refuses them before any is allocated, and takes no Taylor route
     # instead.
     tracemalloc.start()

@@ -884,17 +884,19 @@ def test_spectral_route_preflight_refuses_its_states():
     # the sum (16), the states of one and two middle clusters (3 x 6 and
     # 6 x 4 blocks of grades 2 and 3), and the work (a
     # product's block, level 1's 4 diagonal blocks, and the 3 weights and
-    # 2 x 6 sums of level 2), 16 + 42 + 20 = 78 blocks, 312 MiB, are
-    # refused before any is allocated.  Traced over 2, in blocks of
-    # 256 x 256, the states hold 4 x 42 blocks, and the work 4 + 2 x 4 and
-    # the 10 x 2 weights and 2 x 1 sums of the last level: 16 + 168 + 34 =
-    # 218 blocks, 218 MiB, are let through
+    # 2 x 6 sums of level 2, and one block for the 3 x 8192 entries of
+    # np.einsum's buffers), 16 + 42 + 21 = 79 blocks, 316 MiB, are refused
+    # before any is allocated.  Traced over 2, in blocks of 256 x 256, the
+    # states hold 4 x 42 blocks, and the work 4 + 2 x 4, the 10 x 2
+    # weights and 2 x 1 sums of the last level and one block of buffers:
+    # 16 + 168 + 35 = 219 blocks, 219 MiB, are let through
     couplings = np.zeros((4, 512, 512), dtype=complex)
     w = np.repeat([0.0, 1.0, 2.0], [128, 128, 256])
-    with pytest.raises(DomainError, match="78 blocks of dimension 512 "
-                       "held by the spectral exponential need about 312 MiB"):
+    with pytest.raises(DomainError, match="79 blocks of dimension 512 "
+                       "held by the spectral exponential need about 316 MiB"):
         jets._spectral_exp(couplings, w, 1)
-    assert jets._spectral_blocks(_pair_table((1,) * 4).grade, 3, 2) == 218
+    assert jets._spectral_blocks(_pair_table((1,) * 4).grade, 3, 2,
+                                 256) == 219
 
 
 def test_spectral_route_peak_stays_within_its_block_count():
@@ -917,24 +919,29 @@ def test_spectral_route_peak_stays_within_its_block_count():
         finally:
             tracemalloc.stop()
         count = jets._spectral_blocks(_pair_table(caps).grade,
-                                      len(jets._clusters(w)) - 1, sys_dim)
+                                      len(jets._clusters(w)) - 1, sys_dim,
+                                      part)
         assert peak <= count * 16 * part * part, (caps, peak, count)
 
 
 def test_workspace_holds_one_array_per_role_and_thread():
     # an array is handed out again while its shape repeats, and replaced,
-    # not joined, at another shape; another thread has its own
-    first = jets._workspace("test", (3, 4))
-    assert first.dtype == complex and jets._workspace("test", (3, 4)) is first
-    second = jets._workspace("test", (5,))
+    # not joined, at another shape; another thread has its own; one above
+    # the size limit is refused before it is allocated
+    first = jets._workspace("test", (3, 4), "rows")
+    assert first.dtype == complex \
+        and jets._workspace("test", (3, 4), "rows") is first
+    second = jets._workspace("test", (5,), "rows")
     assert second.shape == (5,) and jets._WORKSPACE.arrays["test"] is second
     seen = []
     thread = threading.Thread(
-        target=lambda: seen.append(jets._workspace("test", (5,))))
+        target=lambda: seen.append(jets._workspace("test", (5,), "rows")))
     thread.start()
     thread.join()
     assert seen[0] is not second and jets._WORKSPACE.arrays["test"] is second
-    del jets._WORKSPACE.arrays["test"]
+    with pytest.raises(DomainError, match="1024 rows need about 4096 MiB"):
+        jets._workspace("test", (1024, 512, 512), "rows")
+    assert "test" not in jets._WORKSPACE.arrays
 
 
 def spectral_args(rng, caps, sys_dim, part):

@@ -288,7 +288,8 @@ def test_postselected_pointer_state_matches_joint_density_oracle(n, d_sys):
         assert np.max(np.abs(got - block)) <= 1e-12 * max(1.0, np.max(np.abs(block)))
 
 
-@pytest.mark.parametrize("pointer_dims", [(), (3,), (2, 3), (2, 3, 2)])
+@pytest.mark.parametrize("pointer_dims", [(), (3,), (2, 3), (2, 3, 2), (1,),
+                                          (1, 1), (1, 2)])
 @pytest.mark.parametrize("sys_dim", [1, 2, 3])
 def test_readout_moments_match_kronecker_readouts(sys_dim, pointer_dims):
     # oracle: tr(B (1_sys (x) f_1 (x) ... (x) f_n)), f_j = r_j on the subset
@@ -297,7 +298,8 @@ def test_readout_moments_match_kronecker_readouts(sys_dim, pointer_dims):
     # spectral exponential hands the thermal Boltzmann jet over (its own
     # trace is checked in tests/test_jets.py).  Non-Hermitian blocks and
     # readouts, and 3 blocks, so that no transposition or axis mix-up
-    # cancels
+    # cancels; pointers of one dimension, whose contraction doubles the
+    # stack, too
     rng = np.random.default_rng(17 * sys_dim + len(pointer_dims))
     n = len(pointer_dims)
     part = int(np.prod(pointer_dims))
