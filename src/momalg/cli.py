@@ -52,6 +52,7 @@ from .serialization import (
     make_directory,
     mmap_from_dict,
     mmap_to_dict,
+    report_from_dict,
     reports_to_csv,
     save_json,
     write_report_rows,
@@ -355,7 +356,7 @@ def cmd_verify(args, argv: list) -> int:
 
 
 def cmd_report(args) -> int:
-    payload = load_json(args.report)
+    payload = report_from_dict(load_json(args.report), where=args.report)
     if args.csv:
         reports_to_csv([payload], args.csv)
     else:

@@ -342,7 +342,11 @@ def thermal_moment_mmap(config: ExperimentConfig) -> MMap:
     observables U^H A_j U, Hermitian to rounding; nothing relies on more,
     since the Boltzmann jet is only traced against 1 (x) R.  They are
     written into this thread's workspace array for them (`jets`), which
-    the next run at the same shape reuses.  The Boltzmann
+    the next run at the same shape reuses, and so is the Boltzmann jet,
+    which the spectral route is asked to hold (`held`), since it is read
+    before the next run: a fresh 2^n P^2 result beside the readout's own
+    copy of it came to glibc's heap-trim threshold at the dense-hilbert
+    shape, and each op then faulted about 1 MiB in afresh.  The Boltzmann
     jet is then (U (x) 1)^H e^{-beta H} (U (x) 1), and every moment
     tr(B (1 (x) R)) is read straight off it: conjugating B by U (x) 1
     leaves a trace against 1 (x) R unchanged, so nothing is changed back.
@@ -362,7 +366,8 @@ def thermal_moment_mmap(config: ExperimentConfig) -> MMap:
         out=_workspace("thermal couplings", (config.n_pointers, dim, dim),
                        f"generator blocks of dimension {dim}"))
     points = np.repeat(-config.beta * w, couplings.shape[1] // len(w))
-    boltz = spectral_jet_matrix_exp(points, couplings, config.system_dim)
+    boltz = spectral_jet_matrix_exp(points, couplings, config.system_dim,
+                                    held=True)
     return _moment_mmap(boltz.blocks, [p.r for p in config.pointers])
 
 
@@ -676,6 +681,22 @@ def _multiset_claims(config: ExperimentConfig, meta: dict) -> list:
     return claims
 
 
+def _generating_jet(values, probs: np.ndarray, caps: tuple) -> Jet:
+    """E[exp(sum_j gamma_j x_j)] for the joint pmf `probs` (C order) on the
+    grid of the outcome values `values`, truncated at the caps.  Each
+    factor exp(gamma_j x_j) is sum_{m <= c_j} x_j^m gamma_j^m / m!, so the
+    coefficient tensor is the pmf contracted along each variable's axis
+    with its table x^m / m!, which appends that variable's multiplicity
+    axis: the storage order, label 1 slowest.  The jet's coefficients are
+    priced before the first contraction."""
+    _check_size("jet coefficients", math.prod(c + 1 for c in caps), 16)
+    h = probs.reshape([len(v) for v in values])
+    for v, cap in zip(values, caps):
+        h = np.tensordot(h, np.power.outer(v, np.arange(cap + 1)) / [
+            math.factorial(m) for m in range(cap + 1)], axes=(0, 0))
+    return Jet._dense(len(values), caps, h.ravel().astype(complex))
+
+
 def _genfun_claims(config: ExperimentConfig, meta: dict) -> list:
     """Partition-sum cumulants of a finite discrete joint distribution
     against jet differentiation of the log moment generating function."""
@@ -698,11 +719,7 @@ def _genfun_claims(config: ExperimentConfig, meta: dict) -> list:
         return float(np.sum(probs * prod))
 
     # independent route: jet-log of the moment generating function
-    h = Jet(n, caps)
-    for idx in range(probs.shape[0]):
-        lin = Jet(n, caps, {M([j]): grid[j - 1][idx] for j in range(1, n + 1)})
-        h = h + lin.exp() * probs[idx]
-    lh = h.log()
+    lh = _generating_jet(values, probs, caps).log()
 
     targets = _targets(config) if config.targets else \
         [a for a in multiset_lattice(n, caps) if not a.is_empty and a.size <= 4]

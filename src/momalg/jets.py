@@ -77,12 +77,15 @@ range.
 The thermal lhs's large work arrays, which a run at one shape would
 otherwise allocate, fault in page by page and hand back to the system
 every time, are kept in a private per-thread workspace (`_workspace`):
-the spectral route's states, its product buffer and its weights and
-sums, and the lhs's coupling blocks.  A thread holds one array per role
-and reuses it while the shape repeats; a call at another shape prices
-and allocates its replacement, and the arrays stay held between calls.
-No function returns a workspace array or a view of one: every result,
-the spectral route's included, is a new array.
+the spectral route's one work array, which `_spectral_layout` sizes,
+prices and cuts into its states, one product's output and a level's
+weights and sums; the lhs's Boltzmann jet, the route's result, which
+the lhs asks to be held; and the lhs's coupling blocks.  A thread holds
+one array per role and reuses it while the shape repeats; a call at
+another shape prices and allocates its replacement, and the arrays stay
+held between calls.  No function returns a workspace array or a view of
+one unless its caller asks for it (the spectral route's `held`): every
+other result is a new array.
 """
 
 from __future__ import annotations
@@ -648,7 +651,8 @@ def _ring_matmul(table, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def spectral_jet_matrix_exp(w, couplings, sys_dim: int) -> JetMatrix:
+def spectral_jet_matrix_exp(w, couplings, sys_dim: int,
+                            held: bool = False) -> JetMatrix:
     """Matrix exponential in the truncated polynomial ring by the spectral
     route (notation, and which caller takes this route: the
     `jet_matrix_exp` docstring), for the multilinear generator
@@ -710,11 +714,13 @@ def spectral_jet_matrix_exp(w, couplings, sys_dim: int) -> JetMatrix:
        The last level is only ever summed, so it is formed on those blocks
        only, with the system index as a batch axis of each product,
        (sys_dim, P, n_c) by (sys_dim, n_c, P).  The states, one product's
-       output, and the weights and sums of a level are views of this
-       thread's workspace arrays (module docstring), reused by the next
-       call at the same shape; each level's states are zero-filled first,
-       and the levels of each parity share one array.  `_spectral_blocks`
-       counts these holdings.
+       output, and the weights and sums of a level are the parts of one
+       array of this thread's workspace (module docstring), reused by the
+       next call at the same shape; each level's states are zero-filled
+       first, and the levels of each parity share one part.  One function,
+       `_spectral_layout`, gives the shape of each level's states, the
+       size of each part and the blocks priced, so the size limit counts
+       what the route holds.
     Work: per multiset M, cluster c in M and pair-table pair, one product
     of D x n_c x D, and at the last level of D x n_c x P.  At n = 3 with
     two clusters on 2 x 64 dimensions that is 12 products of
@@ -726,8 +732,11 @@ def spectral_jet_matrix_exp(w, couplings, sys_dim: int) -> JetMatrix:
     positive integer dividing D and, before they are allocated, states
     that would not fit in MAX_DENSE_BYTES (the sum, two levels of T(M) and
     the work blocks) are refused with a DomainError.  The result is a new
-    array, never a workspace one, so a result held across later calls
-    keeps its values.  None falls back to
+    array, so a result kept across later calls keeps its values, unless
+    `held` asks for it in this thread's workspace array for the route's
+    result (module docstring), which the next held call at the same shape
+    overwrites: for a caller that reads it before it calls again, as the
+    thermal lhs does.  None falls back to
     the Taylor route, which would put both sides of the thermal check on
     one algorithm.  A result that left the double range is refused as by
     `jet_matrix_exp`.
@@ -747,7 +756,7 @@ def spectral_jet_matrix_exp(w, couplings, sys_dim: int) -> JetMatrix:
                           f"generator's dimension {len(w)}")
     n = len(couplings)
     return JetMatrix(n, (1,) * n, _in_double_range(
-        _spectral_exp, couplings, w.real, sys_dim))
+        _spectral_exp, couplings, w.real, sys_dim, held))
 
 
 def _finite(*arrays) -> None:
@@ -837,24 +846,58 @@ def _clusters(w: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.flatnonzero(np.diff(w)) + 1, [len(w)]))
 
 
-def _spectral_exp(couplings: np.ndarray, w: np.ndarray,
-                  sys_dim: int) -> np.ndarray:
+def _spectral_layout(n: int, count: int, sys_dim: int, part: int) -> tuple:
+    """What the spectral route holds for n couplings whose points form
+    `count` clusters, traced over a first factor of sys_dim dimensions,
+    P = part and D = sys_dim P: (shapes, parts, blocks).
+
+    shapes[g] is the shape of the states of level g + 1, the T(M) of the
+    multisets M of g middle clusters at the C(n, g + 1) positions of grade
+    g + 1: (mids, k, D, D), and at the last level only their
+    system-diagonal blocks, (mids, k, sys_dim, P, P).  Level 1, N, is read
+    in place from the couplings, so shapes[0] is never allocated.  parts
+    are the entries of the parts that the route's one workspace array is
+    cut into, in order: the states of the odd levels and those of the even
+    levels, each part sized to the largest level of its parity, so that
+    the two hold two consecutive levels, since the level sizes rise and
+    then fall; one product's output, sys_dim^2 blocks; and a level's
+    weights, its sums and the sums of the result that it adds them to,
+    sized to the largest level.  blocks counts the P x P blocks priced:
+    those parts, the (lattice, P, P) result, level 1's n sys_dim
+    system-diagonal blocks, a fresh array while level 1 is added, and the
+    iteration buffers of the np.einsum that sums a level: np.getbufsize()
+    entries for each of its three operands, rounded up to whole blocks."""
+    if not n:       # the result, exp(diag(w)) traced, is all that is held
+        return [], (0,) * 4, 1
+    dim, block = sys_dim * part, part * part
+    shapes = [(math.comb(count + g - 1, g), math.comb(n, g + 1), *(
+        (dim, dim) if g < n - 1 else (sys_dim, part, part))) for g in range(n)]
+    sizes = [math.prod(shape) for shape in shapes]
+    parts = (max(sizes[2::2], default=0), max(sizes[1::2], default=0),
+             dim * dim, max((m * sys_dim + 2 * k) * block
+                            for m, k, *_ in shapes))
+    return shapes, parts, 2 ** n + sum(parts) // block + n * sys_dim \
+        - (-3 * np.getbufsize() // block)
+
+
+def _spectral_exp(couplings: np.ndarray, w: np.ndarray, sys_dim: int,
+                  held: bool = False) -> np.ndarray:
     """The spectral_jet_matrix_exp docstring's route for the generator
     diag(w) + sum_j gamma_j couplings[j - 1], w real and ascending: the
     divided-difference expansion of exp(X) about diag(w), traced over the
     first tensor factor, of dimension sys_dim.  Returns the (lattice, P, P)
-    blocks of caps (1,) * n, P = D / sys_dim."""
+    blocks of caps (1,) * n, P = D / sys_dim, in this thread's workspace
+    array for them if `held`."""
     n, dim = len(couplings), len(w)
     table = _pair_table((1,) * n)
     part = dim // sys_dim
     bounds = _clusters(w)
     sizes = np.diff(bounds)
+    shapes, parts, blocks = _spectral_layout(n, len(sizes), sys_dim, part)
+    _check_size(f"blocks of dimension {part} held by the spectral "
+                f"exponential", blocks, 16 * part * part)
     # level g holds the positions of grade g, g = 1..n
     levels = [table.grade == g for g in range(1, n + 1)]
-    _check_size(f"blocks of dimension {part} held by the spectral "
-                f"exponential", _spectral_blocks(table.grade, len(sizes),
-                                                 sys_dim, part),
-                16 * part * part)
     # the coupling row of each grade-1 position: label 1 is slowest, so the
     # ascending positions 1, 2, 4, ... hold labels n, ..., 1
     coupling_row = np.zeros(len(table.grade), dtype=np.intp)
@@ -869,43 +912,35 @@ def _spectral_exp(couplings: np.ndarray, w: np.ndarray,
     # the flat [a, b] position in a divided-difference table
     labels = np.repeat(np.arange(len(sizes)), sizes).reshape(sys_dim, part)
     flat = labels[:, :, None] * len(sizes) + labels[:, None, :]
-    acc = np.zeros((len(table.grade), part, part), dtype=complex)
+    shape = (len(table.grade), part, part)
+    acc = _workspace("spectral result", shape, f"result blocks of dimension "
+                     f"{part}") if held else np.empty(shape, dtype=complex)
+    acc.fill(0)
     np.fill_diagonal(acc[0], np.exp(lam)[labels].sum(axis=0))
-    # the work arrays are views of this thread's workspace (module
-    # docstring).  `work` holds one product's output while a level is
-    # formed, and its weights and sums while it is added, with level 1's
-    # system-diagonal blocks at the end.  The states of each level g > 1
-    # are (mids, k, D, D), the last level's (mids, k, sys_dim, P, P), and
-    # the levels of each parity share one array, so that two consecutive
-    # levels are held, as priced
-    need = [len(group) * sys_dim + int(held.sum())
-            for group, held in zip(mids, levels)]
-    if need:
-        need[0] += n * sys_dim
-    work = _workspace("spectral work", (
-        part * part * max(need + [sys_dim * sys_dim]),),
-        "entries of spectral work")
-    shapes = {g: (len(mids[g]), int(levels[g].sum()), *(
-        (sys_dim, part, part) if g == len(levels) - 1 else (dim, dim)))
-        for g in range(1, len(levels))}
-    pools = [_workspace(f"spectral states {parity}", (max(
-        (math.prod(x) for g, x in shapes.items() if g % 2 == parity),
-        default=0),), "entries of spectral states") for parity in (0, 1)]
+    # the work arrays are the parts of one array of this thread's workspace
+    # (module docstring), cut as the layout says
+    *pools, product, work = np.split(_workspace(
+        "spectral work", (sum(parts),), "entries of spectral work"),
+        np.cumsum(parts)[:-1])
 
     def add(group: list, diagonal: np.ndarray, at: np.ndarray) -> None:
         """acc += the (mids, k, sys_dim, P, P) system-diagonal blocks of the
         T(M) of the multisets `group`, held at the lattice positions `at`,
         weighted entrywise by exp[l_a, l_M, l_b] and summed over M and the
-        system, with the weights and the sums held in `work`.  np.take
-        writes into its `out` without a buffer only in a mode other than
-        "raise"; the indices are in range, so "clip" changes nothing."""
-        cut = len(group) * flat.size
+        system, with the weights, acc[at] and the sums held in `work`.
+        np.take writes into its `out` without a buffer only in a mode other
+        than "raise"; the indices are in range, so "clip" changes
+        nothing."""
+        cut, size = len(group) * flat.size, len(at) * part * part
         weights = np.take(
             np.array([dd[mid] for mid in group], dtype=complex).reshape(
                 len(group), -1), flat, axis=1, mode="clip",
             out=work[:cut].reshape(len(group), *flat.shape))
-        acc[at] += np.einsum("mksij,msij->kij", diagonal, weights, out=work[
-            cut:cut + len(at) * part * part].reshape(len(at), part, part))
+        sums = np.take(acc, at, axis=0, mode="clip", out=work[
+            cut:cut + size].reshape(len(at), part, part))
+        sums += np.einsum("mksij,msij->kij", diagonal, weights, out=work[
+            cut + size:cut + 2 * size].reshape(len(at), part, part))
+        acc[at] = sums
 
     def system_diagonal(states: np.ndarray) -> np.ndarray:
         """The (..., k, sys_dim, P, P) system-diagonal blocks of a stack of
@@ -932,14 +967,12 @@ def _spectral_exp(couplings: np.ndarray, w: np.ndarray,
     # lattice order, and `where` maps a lattice position to its row
     level, where = couplings[None], coupling_row
     if levels:
-        at = np.flatnonzero(levels[0])
-        add(mids[0], np.take(
-            system_diagonal(couplings), coupling_row[at], axis=0, mode="clip",
-            out=work[len(work) - n * sys_dim * part * part:].reshape(
-                n, sys_dim, part, part))[None], at)
+        # its system-diagonal blocks, copied in lattice order, labels n..1
+        add(mids[0], np.ascontiguousarray(system_diagonal(
+            couplings[::-1]))[None], np.flatnonzero(levels[0]))
     for g in range(1, len(levels)):
-        held, last = levels[g], g == len(levels) - 1
-        at, rows = np.flatnonzero(held), np.cumsum(held) - 1
+        mask, last = levels[g], g == len(levels) - 1
+        at, rows = np.flatnonzero(mask), np.cumsum(mask) - 1
         # (state row, coupling row, output row) of every product of a
         # level g - 1 position by a grade-1 one, in pair order
         keep = levels[g - 1][table.ia] & levels[0][table.ib]
@@ -947,9 +980,10 @@ def _spectral_exp(couplings: np.ndarray, w: np.ndarray,
                            coupling_row[table.ib[keep]].tolist(),
                            rows[table.ic[keep]].tolist()))
         # the last level is formed on its system-diagonal blocks only
-        deeper = pools[g % 2][:math.prod(shapes[g])].reshape(shapes[g])
+        shape = shapes[g]
+        deeper = pools[g % 2][:math.prod(shape)].reshape(shape)
         deeper.fill(0)
-        prod = work[:math.prod(shapes[g][2:])].reshape(shapes[g][2:])
+        prod = product[:math.prod(shape[2:])].reshape(shape[2:])
         index = {mid: i for i, mid in enumerate(mids[g - 1])}
         for out, mid in zip(deeper, mids[g]):
             # T(M) = sum_{c in M} T(M - c) P_c N, c the last middle cluster
@@ -962,33 +996,6 @@ def _spectral_exp(couplings: np.ndarray, w: np.ndarray,
         level, where = deeper, rows
         add(mids[g], level if last else system_diagonal(level), at)
     return acc
-
-
-def _spectral_blocks(grade: np.ndarray, count: int, sys_dim: int,
-                     part: int) -> int:
-    """P x P blocks the spectral route holds at once, P = D / sys_dim, with
-    `count` clusters on the lattice whose monomials have the grades
-    `grade`.  The traced sum holds one per lattice position.  Level 1, N,
-    is read in place; a level g between holds one state per multiset of
-    g - 1 middle clusters, with sys_dim^2 blocks per position of grade g;
-    the last level holds only the sys_dim system-diagonal blocks per
-    position of each state.  The levels of each parity share one array,
-    sized to the largest of them, so the states take the largest even
-    level plus the largest odd one: two consecutive levels, since the level
-    sizes rise and then fall.  The work adds one product's output, level
-    1's diagonal blocks, a level's weights and two sums, and the iteration
-    buffers of the np.einsum that sums a level: np.getbufsize() entries
-    for each of its three operands, rounded up to whole blocks."""
-    held = np.bincount(grade)[1:].tolist()
-    mids = [math.comb(count + g - 1, g) for g in range(len(held))]
-    states = [m * k * sys_dim ** 2 for m, k in zip(mids[1:-1], held[1:-1])]
-    if len(held) > 1:
-        states.append(mids[-1] * held[-1] * sys_dim)
-    work = sys_dim ** 2 + sys_dim * held[0] + max(
-        m * sys_dim + 2 * k for m, k in zip(mids, held)) \
-        + -(-3 * np.getbufsize() // (part * part)) if held else 0
-    return len(grade) + max(states[::2], default=0) \
-        + max(states[1::2], default=0) + work
 
 
 def _exp_divided_differences(lam: np.ndarray, mids: list) -> dict:

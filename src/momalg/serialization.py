@@ -106,10 +106,15 @@ def save_json(path: str, payload: dict) -> None:
         fh.write(text)
 
 
-def _require(payload: dict, key: str, where: str):
-    if not isinstance(payload, dict):
+def _object(value, where: str) -> dict:
+    """`value`, which must be a JSON object; `where` names it in errors."""
+    if not isinstance(value, dict):
         raise InputFormatError(f"{where}: expected an object")
-    if key not in payload:
+    return value
+
+
+def _require(payload: dict, key: str, where: str):
+    if key not in _object(payload, where):
         raise InputFormatError(f"{where}.{key}: missing required field")
     return payload[key]
 
@@ -402,6 +407,18 @@ def write_report_rows(fh, payloads) -> None:
 def reports_to_csv(payloads, path: str) -> None:
     with _atomic_open(path) as fh:
         write_report_rows(fh, payloads)
+
+
+def report_from_dict(payload, where: str) -> dict:
+    """`payload`, a serialized report: an object whose "records", if it has
+    any, are a list of objects.  Anything else is malformed input naming
+    `where`, `where.records` or `where.records[i]`."""
+    records = _object(payload, where).get("records", [])
+    if not isinstance(records, list):
+        raise InputFormatError(f"{where}.records: expected a list")
+    for i, record in enumerate(records):
+        _object(record, f"{where}.records[{i}]")
+    return payload
 
 
 def report_rows_from_json(payload: dict):

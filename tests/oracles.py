@@ -12,6 +12,9 @@ state by the joint-density route, in numpy alone.
 `imaginary_time_weak_value` evaluates one imaginary-time ordered trace by
 eigendecomposition, and `thermal_E_monte_carlo` samples the thermal
 E(a) from its imaginary-time simplex expansion.
+`outcome_generating_jet` is the one oracle that calls momalg: it sums the
+moment generating function as one `Jet.exp` per joint outcome, against
+which the contraction of `experiments._generating_jet` is checked.
 """
 
 import itertools
@@ -19,6 +22,9 @@ import math
 
 import mpmath
 import numpy as np
+
+from momalg.combinatorics import Multiset
+from momalg.jets import Jet
 
 
 def expm_eigh(h, t=1.0) -> np.ndarray:
@@ -58,6 +64,21 @@ def kron_chain(*factors) -> np.ndarray:
     for f in factors[1:]:
         out = np.kron(out, np.asarray(f, dtype=complex))
     return out
+
+
+def outcome_generating_jet(values, probs, caps) -> Jet:
+    """E[exp(sum_j gamma_j x_j)] over the joint pmf `probs` (C order) on the
+    grid of the outcome values `values`, truncated at the caps: the jet
+    exponential of sum_j x_j gamma_j at each outcome, weighted by its
+    probability and summed."""
+    n = len(values)
+    grid = np.array(np.meshgrid(*values, indexing="ij")).reshape(n, -1)
+    h = Jet(n, caps)
+    for idx, p in enumerate(np.asarray(probs).reshape(-1)):
+        lin = Jet(n, caps, {Multiset([j]): grid[j - 1][idx]
+                            for j in range(1, n + 1)})
+        h = h + lin.exp() * p
+    return h
 
 
 def postselected_pointer_jet(psi_i, psi_f, unitaries, pointers,

@@ -14,6 +14,7 @@ import pytest
 from momalg import cli, jets, quantum, serialization
 from momalg.cli import build_parser, main
 from momalg.serialization import (
+    REPORT_CSV_COLUMNS,
     array_to_dict,
     load_json,
     mmap_from_dict,
@@ -348,6 +349,32 @@ def test_verify_genfun_and_report_projection(tmp_path):
     assert main(["report", report_path, "--csv", csv_out]) == 0
     lines = (tmp_path / "proj.csv").read_text().strip().splitlines()
     assert len(lines) == len(load_json(report_path)["records"]) + 1
+
+
+@pytest.mark.parametrize("payload, field", [
+    ([1, 2], ""), ("report", ""), ({"records": 5}, ".records"),
+    ({"records": [1]}, ".records[0]")],
+    ids=["list", "string", "records-number", "record-number"])
+@pytest.mark.parametrize("to_csv", [False, True], ids=["stdout", "csv"])
+def test_report_refuses_a_malformed_report(tmp_path, capsys, payload, field,
+                                           to_csv):
+    # a report that is not an object, records that are not a list and a
+    # record that is not an object are malformed input naming the field
+    # (exit 2), to stdout and to a CSV file alike; no CSV is written
+    path = str(tmp_path / "bad.json")
+    save_json(path, payload)
+    csv_out = tmp_path / "out.csv"
+    assert main(["report", path, *(["--csv", str(csv_out)] if to_csv
+                                   else [])]) == 2
+    assert f"{path}{field}: expected" in capsys.readouterr().err
+    assert not csv_out.exists()
+
+
+def test_report_without_records_is_an_empty_csv(tmp_path, capsys):
+    path = str(tmp_path / "empty.json")
+    save_json(path, {"scenario": "genfun"})
+    assert main(["report", path]) == 0
+    assert capsys.readouterr().out.strip() == ",".join(REPORT_CSV_COLUMNS)
 
 
 def test_verify_runs_are_reproducible(tmp_path):

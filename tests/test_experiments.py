@@ -22,7 +22,12 @@ from momalg.experiments import (
 from momalg.jets import Jet, _monomials
 from momalg.quantum import PointerSpec
 from momalg.serialization import report_rows_from_json
-from oracles import expm_mp, kron_chain, regular_representation
+from oracles import (
+    expm_mp,
+    kron_chain,
+    outcome_generating_jet,
+    regular_representation,
+)
 
 M = Multiset
 
@@ -472,6 +477,24 @@ def test_genfun_random_batch_with_multisets():
         assert "[1,1,2]" in subsets
 
 
+@pytest.mark.parametrize("seed, n_vars, copies", [
+    (seed, n_vars, copies) for seed in (1, 2, 3) for n_vars in (1, 2, 3)
+    for copies in (None, (3, 1, 2)[:n_vars])])
+def test_generating_jet_matches_one_jet_exponential_per_outcome(
+        seed, n_vars, copies):
+    # the pmf contracted with x^m / m! along each variable's axis against
+    # the sum of one Jet.exp per joint outcome, at the default caps (2 per
+    # variable) and at mixed caps, to a few units of rounding of the
+    # coefficients, which are at most 1 in modulus
+    cfg = random_config("genfun", seed, n_vars=n_vars)
+    caps = copies or (2,) * n_vars
+    got = experiments._generating_jet(cfg.outcome_values,
+                                      cfg.probabilities, caps)
+    want = outcome_generating_jet(cfg.outcome_values, cfg.probabilities,
+                                  caps)
+    assert got.caps == caps and got.max_abs_diff(want) <= 8 * 2.0 ** -52
+
+
 def test_genfun_rejects_bad_probabilities():
     cfg = ExperimentConfig(scenario="genfun",
                            outcome_values=(np.array([0.0, 1.0]),),
@@ -575,9 +598,9 @@ def _taylor_times_generator(real, blocks, product, schedule):
     return out + 1e-6 * product(out, blocks.astype(complex))
 
 
-def _spectral_couplings(real, couplings, w, sys_dim):
+def _spectral_couplings(real, *args):
     # every block of grade >= 1 of the traced Boltzmann jet
-    out = real(couplings, w, sys_dim)
+    out = real(*args)
     out[1:] *= 1 + 1e-6
     return out
 

@@ -883,20 +883,20 @@ def test_spectral_route_preflight_refuses_its_states():
     # first factor of 1 and of 2 dimensions.  Untraced, in blocks of 512 x 512:
     # the sum (16), the states of one and two middle clusters (3 x 6 and
     # 6 x 4 blocks of grades 2 and 3), and the work (a
-    # product's block, level 1's 4 diagonal blocks, and the 3 weights and
-    # 2 x 6 sums of level 2, and one block for the 3 x 8192 entries of
-    # np.einsum's buffers), 16 + 42 + 21 = 79 blocks, 316 MiB, are refused
-    # before any is allocated.  Traced over 2, in blocks of 256 x 256, the
-    # states hold 4 x 42 blocks, and the work 4 + 2 x 4, the 10 x 2
-    # weights and 2 x 1 sums of the last level and one block of buffers:
-    # 16 + 168 + 35 = 219 blocks, 219 MiB, are let through
+    # product's block, level 1's 4 diagonal blocks, the 3 weights, 6 sums
+    # and 6 gathered result blocks of level 2, and one block for the
+    # 3 x 8192 entries of np.einsum's buffers), 16 + 42 + 21 = 79 blocks,
+    # 316 MiB, are refused before any is allocated.  Traced over 2, in
+    # blocks of 256 x 256, the states hold 4 x 42 blocks, and the work
+    # 4 + 2 x 4, the 10 x 2 weights, 1 sum and 1 gathered result block of
+    # the last level and one block of buffers: 16 + 168 + 35 = 219 blocks,
+    # 219 MiB, are let through
     couplings = np.zeros((4, 512, 512), dtype=complex)
     w = np.repeat([0.0, 1.0, 2.0], [128, 128, 256])
     with pytest.raises(DomainError, match="79 blocks of dimension 512 "
                        "held by the spectral exponential need about 316 MiB"):
         jets._spectral_exp(couplings, w, 1)
-    assert jets._spectral_blocks(_pair_table((1,) * 4).grade, 3, 2,
-                                 256) == 219
+    assert jets._spectral_layout(4, 3, 2, 256)[2] == 219
 
 
 def test_spectral_route_peak_stays_within_its_block_count():
@@ -918,10 +918,31 @@ def test_spectral_route_peak_stays_within_its_block_count():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        count = jets._spectral_blocks(_pair_table(caps).grade,
-                                      len(jets._clusters(w)) - 1, sys_dim,
-                                      part)
+        *_, count = jets._spectral_layout(
+            len(caps), len(jets._clusters(w)) - 1, sys_dim, part)
         assert peak <= count * 16 * part * part, (caps, peak, count)
+
+
+def test_spectral_route_takes_one_workspace_array_of_its_layout(
+        monkeypatch):
+    # every work array of the route is a part of one workspace array, of
+    # the size its layout gives, so the preflight counts what is held
+    calls, workspace = [], jets._workspace
+
+    def spy(role, shape, what):
+        calls.append((role, shape))
+        return workspace(role, shape, what)
+
+    monkeypatch.setattr(jets, "_workspace", spy)
+    for caps, sys_dim, part in (((1,), 1, 4), ((1, 1), 2, 3),
+                                ((1, 1, 1), 3, 4), ((1,) * 4, 2, 8)):
+        rng = np.random.default_rng(55)
+        w, couplings, _ = spectral_args(rng, caps, sys_dim, part)
+        calls.clear()
+        jets._spectral_exp(couplings, w, sys_dim)
+        _, parts, _ = jets._spectral_layout(
+            len(caps), len(jets._clusters(w)) - 1, sys_dim, part)
+        assert calls == [("spectral work", (sum(parts),))], caps
 
 
 def test_workspace_holds_one_array_per_role_and_thread():
@@ -963,6 +984,20 @@ def test_held_spectral_results_survive_a_later_call_at_their_shape():
     assert not np.shares_memory(held[0].blocks, held[1].blocks)
     for got, want in zip(held, serial):
         assert np.array_equal(got.blocks, want)
+
+
+def test_held_spectral_result_is_the_workspace_array_of_its_shape():
+    # a held result is this thread's workspace array for the route's
+    # result, handed out again and overwritten by the next held call at its
+    # shape, bit for bit the fresh result of each call
+    rng = np.random.default_rng(56)
+    args = [spectral_args(rng, (1, 1, 1), 2, 8) for _ in range(2)]
+    fresh = [spectral_jet_matrix_exp(*a).blocks for a in args]
+    first = spectral_jet_matrix_exp(*args[0], held=True).blocks
+    assert np.array_equal(first, fresh[0])
+    second = spectral_jet_matrix_exp(*args[1], held=True).blocks
+    assert second is first and np.array_equal(second, fresh[1])
+    assert jets._WORKSPACE.arrays["spectral result"] is first
 
 
 def test_spectral_route_in_threads_at_two_shapes_matches_serial_calls():
