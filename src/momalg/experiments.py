@@ -342,11 +342,7 @@ def thermal_moment_mmap(config: ExperimentConfig) -> MMap:
     observables U^H A_j U, Hermitian to rounding; nothing relies on more,
     since the Boltzmann jet is only traced against 1 (x) R.  They are
     written into this thread's workspace array for them (`jets`), which
-    the next run at the same shape reuses, and so is the Boltzmann jet,
-    which the spectral route is asked to hold (`held`), since it is read
-    before the next run: a fresh 2^n P^2 result beside the readout's own
-    copy of it came to glibc's heap-trim threshold at the dense-hilbert
-    shape, and each op then faulted about 1 MiB in afresh.  The Boltzmann
+    the next run at the same shape reuses.  The Boltzmann
     jet is then (U (x) 1)^H e^{-beta H} (U (x) 1), and every moment
     tr(B (1 (x) R)) is read straight off it: conjugating B by U (x) 1
     leaves a trace against 1 (x) R unchanged, so nothing is changed back.
@@ -366,8 +362,7 @@ def thermal_moment_mmap(config: ExperimentConfig) -> MMap:
         out=_workspace("thermal couplings", (config.n_pointers, dim, dim),
                        f"generator blocks of dimension {dim}"))
     points = np.repeat(-config.beta * w, couplings.shape[1] // len(w))
-    boltz = spectral_jet_matrix_exp(points, couplings, config.system_dim,
-                                    held=True)
+    boltz = spectral_jet_matrix_exp(points, couplings, config.system_dim)
     return _moment_mmap(boltz.blocks, [p.r for p in config.pointers])
 
 

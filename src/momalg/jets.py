@@ -78,14 +78,17 @@ The thermal lhs's large work arrays, which a run at one shape would
 otherwise allocate, fault in page by page and hand back to the system
 every time, are kept in a private per-thread workspace (`_workspace`):
 the spectral route's one work array, which `_spectral_layout` sizes,
-prices and cuts into its states, one product's output and a level's
-weights and sums; the lhs's Boltzmann jet, the route's result, which
-the lhs asks to be held; and the lhs's coupling blocks.  A thread holds
-one array per role and reuses it while the shape repeats; a call at
-another shape prices and allocates its replacement, and the arrays stay
-held between calls.  No function returns a workspace array or a view of
-one unless its caller asks for it (the spectral route's `held`): every
-other result is a new array.
+prices and cuts into its states, one product's output, level 1's
+system-diagonal blocks and a level's weights and sums; the lhs's
+coupling blocks; and the moment reader's copy of the stack that it reads
+(`quantum.readout_moments`).  That copy, the size of the route's fresh
+result, would otherwise sit on the heap beside it, and the two with the
+allocator's top padding came above its trim threshold, so that the heap
+was cut back and faulted in afresh at each run.  A thread holds one
+array per role and reuses it while the shape repeats; a call at another
+shape prices and allocates its replacement, and the arrays stay held
+between calls.  No function returns a workspace array or a view of one:
+every result, the spectral route's included, is a new array.
 """
 
 from __future__ import annotations
@@ -651,8 +654,7 @@ def _ring_matmul(table, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def spectral_jet_matrix_exp(w, couplings, sys_dim: int,
-                            held: bool = False) -> JetMatrix:
+def spectral_jet_matrix_exp(w, couplings, sys_dim: int) -> JetMatrix:
     """Matrix exponential in the truncated polynomial ring by the spectral
     route (notation, and which caller takes this route: the
     `jet_matrix_exp` docstring), for the multilinear generator
@@ -714,13 +716,13 @@ def spectral_jet_matrix_exp(w, couplings, sys_dim: int,
        The last level is only ever summed, so it is formed on those blocks
        only, with the system index as a batch axis of each product,
        (sys_dim, P, n_c) by (sys_dim, n_c, P).  The states, one product's
-       output, and the weights and sums of a level are the parts of one
-       array of this thread's workspace (module docstring), reused by the
-       next call at the same shape; each level's states are zero-filled
-       first, and the levels of each parity share one part.  One function,
-       `_spectral_layout`, gives the shape of each level's states, the
-       size of each part and the blocks priced, so the size limit counts
-       what the route holds.
+       output, level 1's system-diagonal blocks, and the weights and sums
+       of a level are the parts of one array of this thread's workspace
+       (module docstring), reused by the next call at the same shape;
+       each level's states are zero-filled first, and the levels of each
+       parity share one part.  One function, `_spectral_layout`, gives the
+       shape of each level's states, the size of each part and the blocks
+       priced, so the size limit counts what the route holds.
     Work: per multiset M, cluster c in M and pair-table pair, one product
     of D x n_c x D, and at the last level of D x n_c x P.  At n = 3 with
     two clusters on 2 x 64 dimensions that is 12 products of
@@ -732,11 +734,8 @@ def spectral_jet_matrix_exp(w, couplings, sys_dim: int,
     positive integer dividing D and, before they are allocated, states
     that would not fit in MAX_DENSE_BYTES (the sum, two levels of T(M) and
     the work blocks) are refused with a DomainError.  The result is a new
-    array, so a result kept across later calls keeps its values, unless
-    `held` asks for it in this thread's workspace array for the route's
-    result (module docstring), which the next held call at the same shape
-    overwrites: for a caller that reads it before it calls again, as the
-    thermal lhs does.  None falls back to
+    array, never a workspace one, so a result held across later calls
+    keeps its values.  None falls back to
     the Taylor route, which would put both sides of the thermal check on
     one algorithm.  A result that left the double range is refused as by
     `jet_matrix_exp`.
@@ -756,7 +755,7 @@ def spectral_jet_matrix_exp(w, couplings, sys_dim: int,
                           f"generator's dimension {len(w)}")
     n = len(couplings)
     return JetMatrix(n, (1,) * n, _in_double_range(
-        _spectral_exp, couplings, w.real, sys_dim, held))
+        _spectral_exp, couplings, w.real, sys_dim))
 
 
 def _finite(*arrays) -> None:
@@ -860,34 +859,33 @@ def _spectral_layout(n: int, count: int, sys_dim: int, part: int) -> tuple:
     cut into, in order: the states of the odd levels and those of the even
     levels, each part sized to the largest level of its parity, so that
     the two hold two consecutive levels, since the level sizes rise and
-    then fall; one product's output, sys_dim^2 blocks; and a level's
-    weights, its sums and the sums of the result that it adds them to,
-    sized to the largest level.  blocks counts the P x P blocks priced:
-    those parts, the (lattice, P, P) result, level 1's n sys_dim
-    system-diagonal blocks, a fresh array while level 1 is added, and the
-    iteration buffers of the np.einsum that sums a level: np.getbufsize()
-    entries for each of its three operands, rounded up to whole blocks."""
+    then fall; one product's output, sys_dim^2 blocks; level 1's n sys_dim
+    system-diagonal blocks; and a level's weights, its sums and the sums of
+    the result that it adds them to, sized to the largest level.  blocks
+    counts the P x P blocks priced: those parts, the (lattice, P, P)
+    result, and the iteration buffers of the np.einsum that sums a level:
+    np.getbufsize() entries for each of its three operands, rounded up to
+    whole blocks."""
     if not n:       # the result, exp(diag(w)) traced, is all that is held
-        return [], (0,) * 4, 1
+        return [], (0,) * 5, 1
     dim, block = sys_dim * part, part * part
     shapes = [(math.comb(count + g - 1, g), math.comb(n, g + 1), *(
         (dim, dim) if g < n - 1 else (sys_dim, part, part))) for g in range(n)]
     sizes = [math.prod(shape) for shape in shapes]
     parts = (max(sizes[2::2], default=0), max(sizes[1::2], default=0),
-             dim * dim, max((m * sys_dim + 2 * k) * block
-                            for m, k, *_ in shapes))
-    return shapes, parts, 2 ** n + sum(parts) // block + n * sys_dim \
+             dim * dim, n * sys_dim * block,
+             max((m * sys_dim + 2 * k) * block for m, k, *_ in shapes))
+    return shapes, parts, 2 ** n + sum(parts) // block \
         - (-3 * np.getbufsize() // block)
 
 
-def _spectral_exp(couplings: np.ndarray, w: np.ndarray, sys_dim: int,
-                  held: bool = False) -> np.ndarray:
+def _spectral_exp(couplings: np.ndarray, w: np.ndarray,
+                  sys_dim: int) -> np.ndarray:
     """The spectral_jet_matrix_exp docstring's route for the generator
     diag(w) + sum_j gamma_j couplings[j - 1], w real and ascending: the
     divided-difference expansion of exp(X) about diag(w), traced over the
     first tensor factor, of dimension sys_dim.  Returns the (lattice, P, P)
-    blocks of caps (1,) * n, P = D / sys_dim, in this thread's workspace
-    array for them if `held`."""
+    blocks of caps (1,) * n, P = D / sys_dim."""
     n, dim = len(couplings), len(w)
     table = _pair_table((1,) * n)
     part = dim // sys_dim
@@ -912,14 +910,11 @@ def _spectral_exp(couplings: np.ndarray, w: np.ndarray, sys_dim: int,
     # the flat [a, b] position in a divided-difference table
     labels = np.repeat(np.arange(len(sizes)), sizes).reshape(sys_dim, part)
     flat = labels[:, :, None] * len(sizes) + labels[:, None, :]
-    shape = (len(table.grade), part, part)
-    acc = _workspace("spectral result", shape, f"result blocks of dimension "
-                     f"{part}") if held else np.empty(shape, dtype=complex)
-    acc.fill(0)
+    acc = np.zeros((len(table.grade), part, part), dtype=complex)
     np.fill_diagonal(acc[0], np.exp(lam)[labels].sum(axis=0))
     # the work arrays are the parts of one array of this thread's workspace
     # (module docstring), cut as the layout says
-    *pools, product, work = np.split(_workspace(
+    *pools, product, firsts, work = np.split(_workspace(
         "spectral work", (sum(parts),), "entries of spectral work"),
         np.cumsum(parts)[:-1])
 
@@ -968,8 +963,9 @@ def _spectral_exp(couplings: np.ndarray, w: np.ndarray, sys_dim: int,
     level, where = couplings[None], coupling_row
     if levels:
         # its system-diagonal blocks, copied in lattice order, labels n..1
-        add(mids[0], np.ascontiguousarray(system_diagonal(
-            couplings[::-1]))[None], np.flatnonzero(levels[0]))
+        diagonal = firsts.reshape(n, sys_dim, part, part)
+        np.copyto(diagonal, system_diagonal(couplings[::-1]))
+        add(mids[0], diagonal[None], np.flatnonzero(levels[0]))
     for g in range(1, len(levels)):
         mask, last = levels[g], g == len(levels) - 1
         at, rows = np.flatnonzero(mask), np.cumsum(mask) - 1

@@ -39,7 +39,7 @@ from .errors import (
     SingularPostselectionError,
 )
 from .jets import (JetMatrix, _block_products, _check_size, _pair_table,
-                   _position)
+                   _position, _workspace)
 
 HERMITIAN_TOL = 1e-12
 UNITARY_TOL = 1e-10
@@ -231,13 +231,24 @@ def readout_moments(blocks: np.ndarray, readouts) -> np.ndarray:
     The stack is viewed as (L, d_1..d_n, d_1..d_n); then each pointer's
     (row, column) axes are contracted with the stack [1, r_j^T], which
     appends that pointer's subset bit.  The bits come out with pointer 1
-    slowest, which is the storage order."""
+    slowest, which is the storage order.  np.tensordot copies its operand
+    with the contracted axes last; the first operand, as large as the
+    stack, is copied so instead into this thread's workspace array for it
+    (`jets._workspace`), and np.tensordot runs the same np.dot on it
+    without a copy of its own.  The result is a new array."""
     n = len(readouts)
     dims = [np.shape(r)[0] for r in readouts]
     x = blocks.reshape(len(blocks), *dims, *dims)
     for left, r in zip(range(n, 0, -1), readouts):
         pair = np.stack([np.eye(len(r)), np.transpose(r)])
-        x = np.tensordot(x, pair, axes=([1, 1 + left], [1, 2]))
+        axes = [1, 1 + left]
+        if left == n:
+            moved = np.moveaxis(x, axes, (-2, -1))
+            x = _workspace("readout", (x.size,), "entries read out").reshape(
+                moved.shape)
+            np.copyto(x, moved)
+            axes = [x.ndim - 2, x.ndim - 1]
+        x = np.tensordot(x, pair, axes=(axes, [1, 2]))
     return x.reshape(len(blocks), -1).T
 
 

@@ -598,9 +598,9 @@ def _taylor_times_generator(real, blocks, product, schedule):
     return out + 1e-6 * product(out, blocks.astype(complex))
 
 
-def _spectral_couplings(real, *args):
+def _spectral_couplings(real, couplings, w, sys_dim):
     # every block of grade >= 1 of the traced Boltzmann jet
-    out = real(*args)
+    out = real(couplings, w, sys_dim)
     out[1:] *= 1 + 1e-6
     return out
 

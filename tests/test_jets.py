@@ -986,20 +986,6 @@ def test_held_spectral_results_survive_a_later_call_at_their_shape():
         assert np.array_equal(got.blocks, want)
 
 
-def test_held_spectral_result_is_the_workspace_array_of_its_shape():
-    # a held result is this thread's workspace array for the route's
-    # result, handed out again and overwritten by the next held call at its
-    # shape, bit for bit the fresh result of each call
-    rng = np.random.default_rng(56)
-    args = [spectral_args(rng, (1, 1, 1), 2, 8) for _ in range(2)]
-    fresh = [spectral_jet_matrix_exp(*a).blocks for a in args]
-    first = spectral_jet_matrix_exp(*args[0], held=True).blocks
-    assert np.array_equal(first, fresh[0])
-    second = spectral_jet_matrix_exp(*args[1], held=True).blocks
-    assert second is first and np.array_equal(second, fresh[1])
-    assert jets._WORKSPACE.arrays["spectral result"] is first
-
-
 def test_spectral_route_in_threads_at_two_shapes_matches_serial_calls():
     # each thread holds its own work arrays: four threads, two at each of
     # two shapes, started together with a short switch interval and run

@@ -5,6 +5,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from momalg import jets
 from momalg.combinatorics import EMPTY, Multiset
 from momalg.errors import (
     DomainError,
@@ -319,6 +320,34 @@ def test_readout_moments_match_kronecker_readouts(sys_dim, pointer_dims):
                          np.eye(sys_dim))
         want = np.trace(blocks @ readout, axis1=1, axis2=2)
         assert np.max(np.abs(row - want)) <= 1e-12 * max(1, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("pointer_dims", [(3,), (2, 3), (4, 4, 4), (1,),
+                                          (1, 2), (2, 1, 2)])
+def test_readout_moments_are_plain_tensordots_in_a_fresh_array(pointer_dims):
+    # the first operand is copied into the workspace instead of by
+    # np.tensordot, which then runs the same np.dot: bit for bit the plain
+    # pointer-by-pointer np.tensordot.  The result shares no memory with
+    # the workspace, and a later call at the same shape leaves it as it was
+    rng = np.random.default_rng(29 + len(pointer_dims))
+    n, part = len(pointer_dims), int(np.prod(pointer_dims))
+    stacks = [rng.standard_normal((2 ** n, part, part))
+              + 1j * rng.standard_normal((2 ** n, part, part))
+              for _ in range(2)]
+    readouts = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+                for d in pointer_dims]
+    want = []
+    for blocks in stacks:
+        x = blocks.reshape(len(blocks), *pointer_dims, *pointer_dims)
+        for left, r in zip(range(n, 0, -1), readouts):
+            pair = np.stack([np.eye(len(r)), np.transpose(r)])
+            x = np.tensordot(x, pair, axes=([1, 1 + left], [1, 2]))
+        want.append(x.reshape(len(blocks), -1).T)
+    first = readout_moments(stacks[0], readouts)
+    assert np.array_equal(first, want[0])
+    assert not np.shares_memory(first, jets._WORKSPACE.arrays["readout"])
+    assert np.array_equal(readout_moments(stacks[1], readouts), want[1])
+    assert np.array_equal(first, want[0])
 
 
 def test_coupled_generator_fills_out_or_returns_a_fresh_array():
