@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -48,14 +47,15 @@ from .serialization import (
     _require,
     config_from_dict,
     context_from_dict,
+    json_text,
     load_json,
     make_directory,
     mmap_from_dict,
     mmap_to_dict,
+    report_csv,
     report_from_dict,
     reports_to_csv,
     save_json,
-    write_report_rows,
 )
 from .weakvalues import (
     script_D,
@@ -171,7 +171,7 @@ def _emit(payload: dict, output: str | None) -> None:
     if output:
         save_json(output, payload)
     else:
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        sys.stdout.write(json_text(payload))
 
 
 def cmd_algebra(args) -> int:
@@ -360,7 +360,7 @@ def cmd_report(args) -> int:
     if args.csv:
         reports_to_csv([payload], args.csv)
     else:
-        write_report_rows(sys.stdout, [payload])
+        sys.stdout.write(report_csv([payload]))
     return 0
 
 

@@ -15,16 +15,25 @@ in errors alike in both ("config.psi_i", "context.psi_i").  A state is
 normalised unless its norm is already 1 to rounding, so a seeded config
 written by `config_to_dict` reads back bit-exactly and `verify --config`
 replays it to the report of `verify --seeds`.
+
+Every file and JSON stdout that momalg writes goes through one writer.  A
+JSON text is the bytes of `json.dumps(payload, indent=2)` and a newline,
+from a small encoder of plain JSON values (`json_text`) that hands any
+other payload whole to `json.dumps`; a CSV is `csv.writer` rows.  A file is
+encoded in full before it is opened, written to a new file in the target
+directory and moved over the target by one `os.replace`, so a reader sees
+the old file or the new one, never part of one; it gets the mode
+`open(path, "w")` would give it, 0o666 less the umask.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
+import io
 import json
 import math
 import os
-import tempfile
+from json.encoder import encode_basestring_ascii as _escape
 
 import numpy as np
 
@@ -76,19 +85,88 @@ def make_directory(path: str) -> None:
         raise _unwritable(path, exc) from exc
 
 
-@contextlib.contextmanager
-def _atomic_open(path: str):
-    """A text stream for `path` on a temp file in the target directory: it
-    replaces `path` when the block ends and is removed if the block raises.
-    A path that cannot be written (a directory, or under a file) is
-    malformed input naming it."""
+class _NotPlain(Exception):
+    """A value that `_json` leaves to `json.dumps`."""
+
+
+_INF = float("inf")
+
+
+def _json(value, indent: str) -> str:
+    """`json.dumps(value, indent=2)` for a value built of dicts with str
+    keys, lists, strs, ints, floats, bools and None, those exact types, at
+    the nesting that `indent` (a newline and two spaces per level) gives;
+    any other value raises `_NotPlain`."""
+    kind = type(value)
+    if kind is float:
+        if value != value:
+            return "NaN"
+        if value == _INF:
+            return "Infinity"
+        if value == -_INF:
+            return "-Infinity"
+        return float.__repr__(value)
+    if kind is str:
+        return _escape(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = []
+        for key, item in value.items():
+            if type(key) is not str:
+                raise _NotPlain
+            items.append(_escape(key) + ": " + _json(item, inner))
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        return ("[" + inner + ("," + inner).join([_json(item, inner)
+                                                  for item in value])
+                + indent + "]")
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    raise _NotPlain
+
+
+def json_text(payload) -> str:
+    """`json.dumps(payload, indent=2)` and a newline, the text of every
+    JSON file and JSON stdout of momalg.  A payload holding any other type
+    than `_json` encodes (a tuple, a numpy scalar, an int subclass, a
+    non-str key), or nested past the recursion limit, goes whole to
+    `json.dumps`, whose text or error it gets."""
+    try:
+        return _json(payload, "\n") + "\n"
+    except (_NotPlain, RecursionError):
+        return json.dumps(payload, indent=2) + "\n"
+
+
+def _atomic_write(path: str, data: bytes) -> None:
+    """`data` as the file `path`: written to a new file of a random name in
+    the target directory, created with mode 0o666 less the umask as
+    `open(path, "w")` would, which then replaces `path`; the new file is
+    removed if any step fails.  A path that cannot be written (a
+    directory, or under a file) is malformed input naming it."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
         os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            yield fh
+        name = os.path.join(directory, f".{os.urandom(8).hex()}.tmp")
+        fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        tmp = name
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):
@@ -99,11 +177,12 @@ def _atomic_open(path: str):
 
 
 def save_json(path: str, payload: dict) -> None:
-    """`payload` as indented JSON and a newline, encoded in one piece
-    before the file is opened, then written in one call."""
-    text = json.dumps(payload, indent=2) + "\n"
-    with _atomic_open(path) as fh:
-        fh.write(text)
+    """`payload` as the file `path`: the bytes of
+    `json.dumps(payload, indent=2)` and a newline (`json_text`), encoded in
+    full before any file is opened, then written atomically
+    (`_atomic_write`) with the umask's mode.  A payload json cannot encode
+    raises json's error and leaves no file."""
+    _atomic_write(path, json_text(payload).encode())
 
 
 def _object(value, where: str) -> dict:
@@ -396,17 +475,22 @@ REPORT_CSV_COLUMNS = ("scenario", "seed", "label", "subset", "lhs_re",
                       "passed")
 
 
-def write_report_rows(fh, payloads) -> None:
-    """The CSV projection of serialized reports to the stream `fh`."""
-    writer = csv.DictWriter(fh, fieldnames=REPORT_CSV_COLUMNS)
-    writer.writeheader()
+def report_csv(payloads) -> str:
+    """The CSV projection of serialized reports: a header of
+    `REPORT_CSV_COLUMNS`, then one row per record, lines ending in CRLF."""
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(REPORT_CSV_COLUMNS)
     for payload in payloads:
         writer.writerows(report_rows_from_json(payload))
+    return text.getvalue()
 
 
 def reports_to_csv(payloads, path: str) -> None:
-    with _atomic_open(path) as fh:
-        write_report_rows(fh, payloads)
+    """`report_csv(payloads)` as the file `path`, UTF-8, encoded in full
+    before any file is opened, then written atomically (`_atomic_write`)
+    with the umask's mode."""
+    _atomic_write(path, report_csv(payloads).encode())
 
 
 def report_from_dict(payload, where: str) -> dict:
@@ -422,8 +506,8 @@ def report_from_dict(payload, where: str) -> dict:
 
 
 def report_rows_from_json(payload: dict):
-    """CSV rows of a serialized report, one per record; a missing field is
-    written empty."""
+    """CSV rows of a serialized report, one list of the values of
+    `REPORT_CSV_COLUMNS` per record; a missing field is written empty."""
+    head = [payload.get("scenario"), payload.get("seed")]
     for r in payload.get("records", []):
-        yield {"scenario": payload.get("scenario"), "seed": payload.get("seed"),
-               **{key: r.get(key) for key in REPORT_CSV_COLUMNS[2:]}}
+        yield head + [r.get(key) for key in REPORT_CSV_COLUMNS[2:]]

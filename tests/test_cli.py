@@ -1,5 +1,7 @@
 """CLI surface: file round trips, exit codes, batch verification runs."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -10,6 +12,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from momalg import cli, jets, quantum, serialization
 from momalg.cli import build_parser, main
@@ -998,6 +1002,153 @@ def test_unwritable_output_paths_exit_2_naming_the_path(tmp_path, monkeypatch,
     assert err.startswith("input error:") and argv[-1] in err
     assert (tmp_path / "file").read_text() == "keep"
     assert os.listdir(tmp_path / "dir") == []
+
+
+JSON_SCALARS = (st.none() | st.booleans()
+                | st.integers(-2 ** 70, 2 ** 70)
+                | st.floats(allow_nan=True, allow_infinity=True)
+                | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e16,
+                                   5e-324, 2 ** 63, -2 ** 63 - 1, 2 ** 64])
+                | st.text(st.characters(exclude_categories=())))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(st.characters(
+                          exclude_categories=()), max_size=4), children,
+                          max_size=4)),
+    max_leaves=20)
+
+
+@pytest.fixture(scope="module")
+def json_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("json")
+
+
+@given(value=JSON_VALUES)
+@settings(max_examples=300, deadline=None)
+@example(value={"nested": {"empty": {}, "list": [[], {}, [None, True, False]]},
+                "floats": [math.nan, math.inf, -math.inf, -0.0, 1e16, 5e-324],
+                "ints": [2 ** 63, -2 ** 64], "é\x00\n\"": "\x1f \ud800"})
+def test_save_json_writes_the_text_of_json_dumps(json_dir, value):
+    # the writer's own encoder gives json.dumps(indent=2)'s bytes for every
+    # plain JSON value, the newline after it, and leaves no temp file
+    path = json_dir / "value.json"
+    save_json(str(path), value)
+    assert path.read_bytes() == (json.dumps(value, indent=2) + "\n").encode()
+    assert os.listdir(json_dir) == ["value.json"]
+
+
+@pytest.mark.parametrize("value", [
+    (1.5, "a", [2, (3,)]), {"x": np.float64(0.1)}, [np.float64("nan")],
+    {1: "int key", None: 2.5, 0.5: True},
+], ids=["tuple", "np-float64", "np-nan", "non-str-keys"])
+def test_save_json_hands_other_types_to_json(tmp_path, value):
+    # a payload holding a type outside plain JSON goes whole to json.dumps
+    # and gets its text
+    path = tmp_path / "value.json"
+    save_json(str(path), value)
+    assert path.read_text() == json.dumps(value, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [
+    {"value": object()}, [np.int64(1)], {"deep": [1.0, {"x": {1, 2}}]}],
+    ids=["object", "np-int64", "set"])
+def test_save_json_raises_the_error_of_json(tmp_path, value):
+    # a value json cannot encode raises json's TypeError, with its message,
+    # before any file is created
+    with pytest.raises(TypeError) as ours:
+        save_json(str(tmp_path / "value.json"), value)
+    with pytest.raises(TypeError) as theirs:
+        json.dumps(value, indent=2)
+    assert str(ours.value) == str(theirs.value)
+    assert os.listdir(tmp_path) == []
+
+
+def test_output_files_take_the_umask_mode(tmp_path):
+    # every file the writer makes is created 0o666 less the umask, as
+    # open(path, "w") would create it, not mkstemp's 0o600
+    fixture = write(tmp_path / "f.json", LOG_FIXTURE)
+    old = os.umask(0o022)
+    try:
+        assert main(["verify", "genfun", "--seeds", "1..2",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert main(["algebra", "log", fixture, "-o",
+                     str(tmp_path / "log.json")]) == 0
+    finally:
+        os.umask(old)
+    files = [tmp_path / "log.json", *(tmp_path / "out").iterdir()]
+    assert sorted(p.name for p in files) == [
+        "log.json", "manifest_genfun.json", "report_genfun.csv",
+        "report_genfun_seed1.json", "report_genfun_seed2.json"]
+    assert {oct(p.stat().st_mode & 0o777) for p in files} == {"0o644"}
+
+
+def _dict_writer_csv(payloads) -> str:
+    # the CSV projection of loaded reports, through the stdlib's DictWriter
+    out = io.StringIO(newline="")
+    writer = csv.DictWriter(out, fieldnames=REPORT_CSV_COLUMNS)
+    writer.writeheader()
+    for payload in payloads:
+        for r in payload.get("records", []):
+            writer.writerow({"scenario": payload.get("scenario"),
+                             "seed": payload.get("seed"),
+                             **{key: r.get(key)
+                                for key in REPORT_CSV_COLUMNS[2:]}})
+    return out.getvalue()
+
+
+def _json_oracle(text: str) -> str:
+    return json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def test_every_output_is_the_text_of_the_stdlib(tmp_path, capsys):
+    # each JSON file and JSON stdout of the commands below is the text
+    # json.dumps(indent=2) gives its own value, and each CSV the DictWriter
+    # projection of the reports it was made from; the stdlib shares no code
+    # with the writer
+    fixture = write(tmp_path / "f.json", LOG_FIXTURE)
+    series = write(tmp_path / "s.json", {
+        "schema": 1, "n": 2, "caps": [2, 1],
+        "entries": [{"m": [], "re": 0.25}, {"m": [1], "re": -0.5, "im": 0.1},
+                    {"m": [1, 1], "re": 0.3}, {"m": [1, 2], "re": 1e-17}]})
+    query = write(tmp_path / "q.json", {
+        "schema": 1, "subsets": [[1], [1, 2]],
+        "context": {"kind": "evolution", **CONTEXTS["evolution"],
+                    "observables": [PAULI_X, PAULI_X]}})
+
+    def run(argv, code=0):
+        assert main(argv) == code
+        return capsys.readouterr().out
+
+    runs = [(alias, ["--seeds", "1"], 0) for alias in cli.SCENARIO_ALIASES] + [
+        ("thm1", ["--pointers", "4", "--seeds", "117"], 1)]
+    for alias, flags, code in runs:
+        out = tmp_path / f"verify-{alias}-{code}"
+        run(["verify", alias, *flags, "--out", str(out)], code)
+        manifest = (out / f"manifest_{alias}.json").read_text()
+        assert manifest == _json_oracle(manifest)
+        paths = [out / name for name in json.loads(manifest)["reports"]]
+        texts = [path.read_text() for path in paths]
+        assert texts == [_json_oracle(text) for text in texts]
+        reports = [json.loads(text) for text in texts]
+        assert all(r["passed"] for r in reports) == (code == 0)
+        assert (out / f"report_{alias}.csv").read_bytes() == \
+            _dict_writer_csv(reports).encode()
+        for path, report in zip(paths, reports):
+            assert run(["report", str(path)]) == _dict_writer_csv([report])
+            target = tmp_path / "one.csv"
+            run(["report", str(path), "--csv", str(target)])
+            assert target.read_bytes() == _dict_writer_csv([report]).encode()
+
+    for argv in (["algebra", "log", fixture],
+                 ["algebra", "series", series, "--depth", "3"],
+                 ["algebra", "factorizing-check", fixture, "--cut", "1"],
+                 ["weak-values", query]):
+        stdout = run(argv)
+        assert stdout == _json_oracle(stdout)
+        target = tmp_path / "out.json"
+        run([*argv, "-o", str(target)])
+        assert target.read_text() == stdout
 
 
 def test_in_process_calls_share_no_state(tmp_path):

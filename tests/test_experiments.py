@@ -21,7 +21,7 @@ from momalg.experiments import (
 )
 from momalg.jets import Jet, _monomials
 from momalg.quantum import PointerSpec
-from momalg.serialization import report_rows_from_json
+from momalg.serialization import REPORT_CSV_COLUMNS, report_rows_from_json
 from oracles import (
     expm_mp,
     kron_chain,
@@ -538,7 +538,8 @@ def test_report_json_projection_roundtrip():
     assert payload["schema"] == 1
     assert payload["passed"] is True
     assert len(payload["records"]) == len(rep.records)
-    rows = list(report_rows_from_json(payload))
+    rows = [dict(zip(REPORT_CSV_COLUMNS, r))
+            for r in report_rows_from_json(payload)]
     assert len(rows) == len(rep.records)
     assert all(set(r) >= {"scenario", "subset", "abs_error"} for r in rows)
 
