@@ -7,10 +7,8 @@ measurement to machine precision."""
 from .combinatorics import (
     EMPTY,
     Multiset,
-    OrderedBipartition,
     Partition,
     multiset_lattice,
-    ordered_bipartitions_of,
     partitions_of,
 )
 from .algebra import (
@@ -36,7 +34,6 @@ __all__ = [
     "JetMatrix",
     "MMap",
     "Multiset",
-    "OrderedBipartition",
     "Partition",
     "apply_fstar",
     "convolve",
@@ -48,7 +45,6 @@ __all__ = [
     "log1p_series",
     "log_star",
     "multiset_lattice",
-    "ordered_bipartitions_of",
     "partitions_of",
     "raise_label",
     "scalar_mmap",

@@ -10,16 +10,16 @@ with its labels shifted past n, is the b coefficient of f(a) / prod(mult
 a!).  The binomial-weighted convolution is then the jet product, and the
 cumulant log*, the anticumulant exp* and the convolution inverse are the
 jet's log, exp and inverse (`momalg.jets`): M-maps and jets are one ring
-and one data type.  Every other F* is the same Taylor series
-sum_k F^(k)(c)/k! N^k of the nilpotent part N = f - c.  Enumeration
-(`MMap.domain`) stays by size, in the order of
-`combinatorics.multiset_lattice`.
+and one data type.  Those three and every other F* (`apply_fstar`) are one
+construction, the lift F*(f) = sum_k F^(k)(c)/k! N^k of the nilpotent
+part N = f - c, which the jet ring takes one label at a time from a table
+of the derivatives F^(k)(c) (`jets._fstar`).  Enumeration (`MMap.domain`)
+stays by size, in the order of `combinatorics.multiset_lattice`.
 
-The paper's partition-sum formulas stay as two reference functions,
-`partition_fstar` and `bipartition_convolve`, in plain arithmetic on any
-values (Fraction included).  They are independent oracles, used by tests
-and, `partition_fstar`, for the right-hand weak-value cumulant of every
-verifier in `momalg.experiments`.
+The paper's partition-sum formula for F* stays as one reference function,
+`partition_fstar`, in plain arithmetic on any values (Fraction included).
+It is an independent oracle, used by tests and for the right-hand
+weak-value cumulant of every verifier in `momalg.experiments`.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .combinatorics import (
     Multiset,
     _monomials,
     multiset_lattice,
-    ordered_bipartitions_of,
     partitions_of,
 )
 from .errors import (
@@ -47,7 +46,7 @@ from .errors import (
     SeriesDivergenceError,
     ShapeMismatchError,
 )
-from .jets import Jet, _position, _series, _weights
+from .jets import Jet, _position, _weights
 
 DEFAULT_TOL = 1e-10
 
@@ -179,7 +178,8 @@ def convolve(f: MMap, g: MMap) -> MMap:
 
 def apply_fstar(derivs: Callable[[int, object], object], f: MMap) -> MMap:
     """Lift a scalar function F to the algebra: F*(f) = sum_k F^(k)(c)/k! N^k
-    with c the scalar constant of f and N = f - c nilpotent.
+    with c the scalar constant of f and N = f - c nilpotent, one label at a
+    time (`jets._fstar`).
 
     On scalar maps this is the partition sum of F^(|p|)(f(empty)) times the
     block product.  `derivs(k, x)` must return the k-th derivative of F at
@@ -188,14 +188,7 @@ def apply_fstar(derivs: Callable[[int, object], object], f: MMap) -> MMap:
     composition law (FG)* = F* G*.
     """
     c = f.jet.constant
-
-    def series(table, vec: np.ndarray, top: int) -> np.ndarray:
-        nil = vec.copy()
-        nil[0] = 0.0
-        return _series(table, derivs(0, c),
-                       lambda k: derivs(k, c) / factorial(k), nil, top)
-
-    return MMap._over(f.n, f.jet._lift(series))
+    return MMap._over(f.n, f.jet._lift(lambda k: derivs(k, c)))
 
 
 def log_star(f: MMap) -> MMap:
@@ -302,11 +295,3 @@ def partition_fstar(derivs: Callable[[int, object], object], f: Callable,
                 for part, coeff in partitions_of(a))
             for a in at}
 
-
-def bipartition_convolve(f: Callable, g: Callable,
-                         at: Iterable[Multiset]) -> dict:
-    """Reference convolution: (f*g)(a) = sum over ordered bipartitions
-    (a1, a2) of a of the binomial weight times f(a1) g(a2)."""
-    return {a: sum(bp.weight * f(bp.first) * g(bp.second)
-                   for bp in ordered_bipartitions_of(a))
-            for a in at}

@@ -3,11 +3,10 @@
 `multiset_lattice` is the common domain of M-maps and jets, enumerated by
 size: the storage order of the dense lattice ring (`momalg.jets`,
 `momalg.algebra`), which `_monomials` enumerates, sorted by size.  Multiset
-partitions with integer coefficients and ordered bipartitions with binomial
-weights serve the reference partition sums that check that ring
-(`algebra.partition_fstar`, `algebra.bipartition_convolve`).  Ground-set
-labels are positive integers 1..n; a plain subset is the multiplicity-1
-special case.
+partitions with integer coefficients serve the reference partition sum
+that checks that ring (`algebra.partition_fstar`).  Ground-set labels are
+positive integers 1..n; a plain subset is the multiplicity-1 special
+case.
 
 All enumerations are deterministic: identical inputs yield identical
 orderings (canonical order sorts by total size, then by the expanded
@@ -18,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import comb
 from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, EmptyMultisetError
@@ -137,14 +135,6 @@ class Partition(NamedTuple):
         return cls(tuple(sorted(blocks, key=lambda b: (-b.size, b.elements()))))
 
 
-class OrderedBipartition(NamedTuple):
-    """Ordered split a = first + second with the per-label binomial weight."""
-
-    first: Multiset
-    second: Multiset
-    weight: int
-
-
 def _rgs_strings(k: int) -> Iterator[tuple[int, ...]]:
     """Restricted-growth strings of length k, lexicographically."""
     if k == 0:
@@ -191,36 +181,6 @@ def partitions_of(a: Multiset) -> Iterator[tuple[Partition, int]]:
     if a.is_empty:
         raise EmptyMultisetError("partitions_of requires a nonempty multiset")
     yield from _partitions_cached(a)
-
-
-@lru_cache(maxsize=None)
-def _bipartitions_cached(a: Multiset) -> tuple[OrderedBipartition, ...]:
-    items = a.items
-    out = []
-    for choice in itertools.product(*(range(m + 1) for _, m in items)):
-        first = Multiset.from_counts(
-            {lab: j for (lab, _), j in zip(items, choice) if j}
-        )
-        second = Multiset.from_counts(
-            {lab: m - j for (lab, m), j in zip(items, choice) if m - j}
-        )
-        weight = 1
-        for (_, m), j in zip(items, choice):
-            weight *= comb(m, j)
-        out.append(OrderedBipartition(first, second, weight))
-    out.sort(key=lambda bp: bp.first.sort_key)
-    return tuple(out)
-
-
-def ordered_bipartitions_of(a: Multiset) -> Iterator[OrderedBipartition]:
-    """All ordered splits (a1, a2) of `a`, including (empty, a) and
-    (a, empty) as distinct entries.
-
-    The weight is the product over labels of binomial(m, m1); it is 1
-    whenever all multiplicities are 1, and is exactly the coefficient the
-    formal product rule assigns to repeated variables.
-    """
-    yield from _bipartitions_cached(a)
 
 
 @lru_cache(maxsize=None)

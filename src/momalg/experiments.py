@@ -36,14 +36,15 @@ empty-subset one, the trace (the postselection probability or the
 partition function), in the jet ring; scaling by a scalar changes log*
 only at the empty set, so this is the one normalisation.  This module
 never sees the joint-space tensor layout.  Before the kick chain builds
-its state, the pair table of the jet-valued ring that takes the cumulant
-of its moments, `_pair_table(caps + caps)`, is checked against the dense
-size limit.  Per-subset coupling (the moment of a measured with only the
-pointers in a coupled) is not a separate pipeline: "pointer j uncoupled"
-is gamma_j = 0, a ring homomorphism, so that moment is the all-coupled
-one restricted to the monomials inside a.  On multilinear caps a storage
-position is the bit set of its labels, so that restriction is one mask
-over (subset, monomial) positions, as is the sub-support read of thm3.
+its state, the largest pair table that the cumulant of its moments takes,
+over all but the first label of the jet-valued ring (`jets._fstar`), is
+checked against the dense size limit.  Per-subset coupling (the moment of
+a measured with only the pointers in a coupled) is not a separate
+pipeline: "pointer j uncoupled" is gamma_j = 0, a ring homomorphism, so
+that moment is the all-coupled one restricted to the monomials inside a.
+On multilinear caps a storage position is the bit set of its labels, so
+that restriction is one mask over (subset, monomial) positions, as is the
+sub-support read of thm3.
 
 A tolerance miss never raises; misses land in the report.
 Singular-postselection instances are reported with a distinct status and
@@ -68,7 +69,6 @@ from .jets import (
     Jet,
     JetMatrix,
     _check_size,
-    _inverse,
     _pair_table,
     _position,
     _ring_product,
@@ -170,9 +170,10 @@ def random_config(scenario: str, seed: int, n_pointers: int = 3,
     if scenario == "genfun":
         rng = _stream(seed, _STREAM_DISTRIBUTION)
         sizes = [int(rng.integers(2, 4)) for _ in range(n_vars)]
-        # the caps-(2,)*n pair table of the run's jets, 6^n pairs, costs more
-        # than the joint pmf (at most 3^n doubles): priced before either
-        _check_size("lattice pairs", 6 ** n_vars, _PAIR_BYTES)
+        # the largest pair table of the jet log (`jets._fstar`), caps
+        # (2,)*(n - 1), 6^(n - 1) pairs, costs more than the joint pmf (at
+        # most 3^n doubles): priced before either
+        _check_size("lattice pairs", 6 ** (n_vars - 1), _PAIR_BYTES)
         cfg.outcome_values = tuple(rng.uniform(-1, 1, s) for s in sizes)
         cfg.probabilities = rng.dirichlet(np.ones(math.prod(sizes)))
         return cfg
@@ -259,10 +260,10 @@ def _moment_mmap(blocks: np.ndarray, readouts) -> MMap:
     product per row), the one place where a state is normalised."""
     n = len(readouts)
     caps = (1,) * n
-    table = _pair_table(caps)
     rows = readout_moments(blocks, readouts)
     return MMap._over(n, Jet._dense(2 * n, caps + caps, _ring_product(
-        table, rows, _inverse(table, rows[0], n)).ravel()))
+        _pair_table(caps), rows, Jet._dense(n, caps, rows[0]).inverse()._vec
+    ).ravel()))
 
 
 def _per_subset(moments: MMap) -> MMap:
@@ -283,10 +284,11 @@ def _per_subset(moments: MMap) -> MMap:
 def _sequential_state(config: ExperimentConfig) -> np.ndarray:
     """The unnormalised postselected pointer state of the kick chain, every
     pointer coupled, as a block stack.  First, before any state is built,
-    the pair table of the jet-valued ring that takes the cumulant of its
-    moments is refused if it would not fit in MAX_DENSE_BYTES
-    (jets._pair_table raises DomainError)."""
-    _pair_table((1,) * (2 * config.n_pointers))
+    the largest pair table that the cumulant of its moments takes, over
+    all but one of the 2n labels of the jet-valued ring (`jets._fstar`),
+    is refused if it would not fit in MAX_DENSE_BYTES (jets._pair_table
+    raises DomainError)."""
+    _pair_table((1,) * (2 * config.n_pointers - 1))
     return postselected_pointer_state(
         config.psi_i, config.psi_f, config.unitaries, config.pointers,
         config.observables, floor=config.floor)

@@ -19,13 +19,18 @@ the readers that hand out Multiset keys (`Jet.coeffs`, the reprs,
 stays within the caps is listed once per caps, by digit arithmetic, in
 position arrays (ia, ib, ic), each output's pairs in increasing ia; a
 table holds no Multiset.  A product is then the gather x[ia] * y[ib]
-scattered onto ic by a bincount, and sums, scalings, exp, log and inverse
-are vector operations.  A jet's vector is sized from its caps alone; only
-a product, log, exp or inverse builds (and prices) the pair table.  An
-M-map (`momalg.algebra`) is a view of one jet: a map over caps with jet
-values over jet caps is the jet over caps + jet caps, so the star
-operations are this ring's.  `Jet.coeffs` is a read-only view of the
-nonzero monomial coefficients, in storage order.
+scattered onto ic in that order, and sums and scalings are vector
+operations.  exp, log and inverse are one construction, the lift F*(P) =
+sum_k F^(k)(c)/k! (P - c)^k from a table of F's derivatives at the
+constant c (`_fstar`), which `momalg.algebra.apply_fstar` also takes: it
+splits off one label at a time, so each of its products is over all
+labels but the first at most, and it never builds the pair table of all
+the labels.  A jet's vector is sized from its caps alone; only a product,
+log, exp or inverse builds (and prices) a pair table.  An M-map
+(`momalg.algebra`) is a view of one jet: a map over caps with jet values
+over jet caps is the jet over caps + jet caps, so the star operations are
+this ring's.  `Jet.coeffs` is a read-only view of the nonzero monomial
+coefficients, in storage order.
 
 JetMatrix holds a square matrix with jet entries as a stack of dense
 complex coefficient blocks in the same lattice order, so matrix products
@@ -110,6 +115,7 @@ _THETA = 0.5               # 1-norm bound of the scaled constant block
 _UNIT_ROUNDOFF = 2.0 ** -53
 MAX_DENSE_BYTES = 2 ** 28  # largest dense lattice array or pair table built
 _PAIR_BYTES = 72           # per pair: 3 index arrays, 3 complex temporaries
+_SCATTER_PAIRS = 256       # `_ring_product`: np.add.at below, bincounts above
 # the batched block products (`_block_products`): at least this many kept
 # triples, each of at most this many complex multiply-adds, in chunks of at
 # most this many bytes
@@ -218,52 +224,65 @@ def _ring_product(table, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Truncated product of two coefficient vectors ordered like the
     (ia, ib, ic) pair arrays of `table`; a (k, size) stack x gives the k
     products of its rows with y.  Each coefficient sums its pair products
-    in the order of the pair arrays."""
-    prod = (x[..., table.ia] * y[table.ib]).ravel()
-    bins = table.ic if x.ndim == 1 else \
-        (table.ic + x.shape[1] * np.arange(len(x))[:, None]).ravel()
-    out = np.empty(x.size, dtype=complex)
-    out.real = np.bincount(bins, prod.real, x.size)
-    out.imag = np.bincount(bins, prod.imag, x.size)
-    return out.reshape(x.shape)
+    in the order of the pair arrays, so a row of a stack has the bits of
+    its own product.  A stack over fewer than _SCATTER_PAIRS pairs is
+    scattered by one np.add.at, whose cost per call is lower; a larger one
+    by one bincount per row, whose cost per pair is lower.  Over no labels
+    the product is that of scalars."""
+    if len(y) == 1:
+        return x * y
+    prod = x[..., table.ia]
+    prod *= y[table.ib]
+    if x.ndim == 2 and len(table.ic) < _SCATTER_PAIRS:
+        out = np.zeros((x.shape[1], len(x)), dtype=complex)
+        np.add.at(out, table.ic, prod.T)
+        return out.T
+    out = np.empty(x.shape, dtype=complex)
+    for row, terms in zip(out.reshape(-1, len(y)),
+                          prod.reshape(-1, len(table.ic))):
+        row.real = np.bincount(table.ic, terms.real, len(y))
+        row.imag = np.bincount(table.ic, terms.imag, len(y))
+    return out
 
 
-def _series(table, start, coeff, u: np.ndarray, top: int) -> np.ndarray:
-    """start + sum_{k>=1} coeff(k) u^k for nilpotent u; the sum stops at the
-    first power that vanishes, at the latest at total degree `top`."""
-    acc = _unit(len(u), start)
-    term = u
-    for k in range(1, top + 1):
-        if k > 1:
-            term = _ring_product(table, term, u)
-        if not term.any():
-            break
-        acc = acc + term * coeff(k)
-    return acc
+def _fstar(caps: tuple[int, ...], vec: np.ndarray, derivs) -> np.ndarray:
+    """F*(P) = sum_k F^(k)(c) / k! (P - c)^k for the coefficient vector P
+    over caps, c its constant, with F^(k)(c) = derivs(k) for k up to
+    sum(caps); P's constant itself is never read.
 
-
-def _exp(table, vec: np.ndarray, top: int) -> np.ndarray:
-    """exp(c + N) = e^c sum_k N^k / k!, the sum finite by nilpotency."""
-    nil = vec.copy()
-    nil[0] = 0.0
-    return _series(table, 1.0, lambda k: 1.0 / math.factorial(k), nil, top) \
-        * cmath.exp(vec[0])
-
-
-def _log(table, vec: np.ndarray, top: int) -> np.ndarray:
-    """log(c + N) = log c + sum_k (-1)^(k+1) (N/c)^k / k."""
-    c = _invertible(vec)
-    u = vec * (1.0 / c)
-    u[0] -= 1.0
-    return _series(table, cmath.log(c), lambda k: (-1.0) ** (k + 1) / k, u, top)
-
-
-def _inverse(table, vec: np.ndarray, top: int) -> np.ndarray:
-    """1/(c + N) = (1/c) sum_k (-N/c)^k."""
-    c = _invertible(vec)
-    u = vec * (-1.0 / c)
-    u[0] += 1.0
-    return _series(table, 1.0, lambda k: 1.0, u, top) * (1.0 / c)
+    One label at a time, the last first.  With every earlier label at
+    multiplicity 0, P over labels l..N is the head of the vector; split off
+    label l, of cap c_l, as P = P_0 + D, D = sum_{1 <= m <= c_l} x^m P_m,
+    each P_m over labels l+1..N (row m of that head).  Then F^(k)*(P) =
+    sum_{j <= c_l} F^(k+j)*(P_0) D^j / j!, so the stack F^(0..K)* over
+    labels l+1..N gives the stack F^(0..K-c_l)* over labels l..N, its
+    row at x^m sum_j F^(k+j)*(P_0) [x^m] D^j / j!.  The chain starts from
+    the scalars F^(k)(c), k <= sum(caps), and ends at F* over every label.
+    Each product is over labels l+1..N, at most N - 1 of them; their
+    suffix tables are fetched, and priced, first and largest first."""
+    tables = [_pair_table(caps[at + 1:]) for at in range(len(caps))]
+    stack = np.array([[derivs(k)] for k in range(sum(caps) + 1)],
+                     dtype=complex)
+    size = 1
+    for cap, table in zip(reversed(caps), reversed(tables)):
+        rows = vec[:size * (cap + 1)].reshape(cap + 1, size)
+        height = len(stack) - cap
+        out = np.empty((height, cap + 1, size), dtype=complex)
+        out[:, 0] = stack[:height]
+        powers = [rows[1:]]      # powers[j - 1][m - j] = [x^m] D^j / j!
+        for j in range(2, cap + 1):
+            powers.append([sum(_ring_product(table, powers[-1][i],
+                                             rows[m + 1 - j - i])
+                               for i in range(m + 1 - j)) / j
+                           for m in range(j, cap + 1)])
+        for m in range(1, cap + 1):
+            out[:, m] = _ring_product(table, stack[1:1 + height], rows[m])
+            for j in range(2, m + 1):
+                out[:, m] += _ring_product(table, stack[j:j + height],
+                                           powers[j - 1][m - j])
+        stack = out.reshape(height, -1)
+        size *= cap + 1
+    return stack[0]
 
 
 def _invertible(vec: np.ndarray) -> complex:
@@ -417,17 +436,29 @@ class Jet:
 
     # -- transcendental ----------------------------------------------------
 
-    def _lift(self, fn) -> "Jet":
-        return self._like(fn(_pair_table(self.caps), self._vec, sum(self.caps)))
+    def _lift(self, derivs, over: complex = 1.0) -> "Jet":
+        """F* of this jet scaled by `over` (`_fstar`), derivs(k) = F^(k)
+        at the scaled constant.  log and inverse scale by 1/c, so that no
+        table holds c^-k."""
+        return self._like(_fstar(self.caps, self._vec * over, derivs))
 
     def exp(self) -> "Jet":
-        return self._lift(_exp)
+        """exp(c + N) = e^c sum_k N^k / k!: e^c at every order."""
+        scale = cmath.exp(self._vec[0])
+        return self._lift(lambda k: scale)
 
     def log(self) -> "Jet":
-        return self._lift(_log)
+        """log(c + N) = log c + log(1 + N/c): log's derivatives at 1."""
+        c = _invertible(self._vec)
+        log_c = cmath.log(c)
+        return self._lift(lambda k: (-1.0) ** (k + 1) * math.factorial(k - 1)
+                          if k else log_c, 1.0 / c)
 
     def inverse(self) -> "Jet":
-        return self._lift(_inverse)
+        """1/(c + N) = (1/c) / (1 + N/c): 1/x's derivatives at 1, over c."""
+        c = _invertible(self._vec)
+        return self._lift(lambda k: (-1.0) ** k * math.factorial(k) / c,
+                          1.0 / c)
 
     # -- comparisons -------------------------------------------------------
 

@@ -37,11 +37,7 @@ import numpy as np
 
 from .algebra import MMap
 from .combinatorics import EMPTY, Multiset
-from .errors import (
-    DomainError,
-    ShapeMismatchError,
-    SingularPostselectionError,
-)
+from .errors import DomainError, SingularPostselectionError
 from .jets import Jet, JetMatrix, _check_size, _pair_table, jet_matrix_exp
 
 _I_POWERS = np.array([1, 1j, -1, -1j])    # i^k at k mod 4, exactly
@@ -110,29 +106,7 @@ def simultaneous_weak_value(config, a: Multiset) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# evolution-weighted weak values (jets + oracles)
-
-
-def evolution_weak_value(config, order, taus) -> complex:
-    """(A_{o_k}, ..., A_{o_1})_w[tau_{k+1}, ..., tau_1]: alternate
-    e^{-i H tau} episodes with observable insertions; o_1 acts first."""
-    taus = list(taus)
-    order = list(order)
-    if len(taus) != len(order) + 1:
-        raise ShapeMismatchError("need k+1 episode lengths for k insertions")
-    w, vecs = np.linalg.eigh(config.hamiltonian)
-
-    def evolve(v, t):
-        return vecs @ (np.exp(-1j * w * t) * (vecs.conj().T @ v))
-
-    v = evolve(config.psi_i, taus[0])
-    for lab, t in zip(order, taus[1:]):
-        v = config.observables[lab - 1] @ v
-        v = evolve(v, t)
-    den = complex(np.vdot(config.psi_f, evolve(config.psi_i, sum(taus))))
-    if abs(den) <= config.floor:
-        raise SingularPostselectionError("postselection amplitude below floor")
-    return complex(np.vdot(config.psi_f, v)) / den
+# evolution-weighted weak values (jets)
 
 
 def _system_generator(config, caps, c: complex,
@@ -278,9 +252,3 @@ def free_energy_jet(z: Jet, beta: float) -> Jet:
     coefficients do not depend on the caps."""
     return z.log() * (-1.0 / beta)
 
-
-def free_energy_susceptibility(config, a: Multiset) -> complex:
-    """d^gamma_a F at gamma = 0, read from `free_energy_jet` on the caps
-    of `a`."""
-    z = thermal_partition_jet(config, _caps(config, a))
-    return free_energy_jet(z, config.beta).derivative(a)

@@ -12,19 +12,30 @@ state by the joint-density route, in numpy alone.
 `imaginary_time_weak_value` evaluates one imaginary-time ordered trace by
 eigendecomposition, and `thermal_E_monte_carlo` samples the thermal
 E(a) from its imaginary-time simplex expansion.
-`outcome_generating_jet` is the one oracle that calls momalg: it sums the
-moment generating function as one `Jet.exp` per joint outcome, against
-which the contraction of `experiments._generating_jet` is checked.
+`ordered_bipartitions_of` lists the ordered splits of a multiset with
+their binomial weights, and `bipartition_convolve` sums the convolution
+over them, against which the jet product of `momalg.algebra.convolve` is
+checked.  `evolution_weak_value` evaluates one time-ordered weak value by
+eigendecomposition.
+Two oracles call momalg: `outcome_generating_jet` sums the moment
+generating function as one `Jet.exp` per joint outcome, against which the
+contraction of `experiments._generating_jet` is checked, and
+`free_energy_susceptibility` reads one derivative of the free-energy jet
+on the caps of its multiset alone.
 """
 
 import itertools
 import math
+from functools import lru_cache
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import mpmath
 import numpy as np
 
 from momalg.combinatorics import Multiset
+from momalg.errors import ShapeMismatchError, SingularPostselectionError
 from momalg.jets import Jet
+from momalg.weakvalues import _caps, free_energy_jet, thermal_partition_jet
 
 
 def expm_eigh(h, t=1.0) -> np.ndarray:
@@ -199,3 +210,79 @@ def thermal_E_monte_carlo(hamiltonian, beta, observables, elements,
         return est, 0.0
     var = vals.real.var(ddof=1) + vals.imag.var(ddof=1)
     return est, math.sqrt(var / samples)
+
+
+class OrderedBipartition(NamedTuple):
+    """Ordered split a = first + second with the per-label binomial weight."""
+
+    first: Multiset
+    second: Multiset
+    weight: int
+
+
+@lru_cache(maxsize=None)
+def _bipartitions_cached(a: Multiset) -> tuple[OrderedBipartition, ...]:
+    items = a.items
+    out = []
+    for choice in itertools.product(*(range(m + 1) for _, m in items)):
+        first = Multiset.from_counts(
+            {lab: j for (lab, _), j in zip(items, choice) if j}
+        )
+        second = Multiset.from_counts(
+            {lab: m - j for (lab, m), j in zip(items, choice) if m - j}
+        )
+        weight = 1
+        for (_, m), j in zip(items, choice):
+            weight *= math.comb(m, j)
+        out.append(OrderedBipartition(first, second, weight))
+    out.sort(key=lambda bp: bp.first.sort_key)
+    return tuple(out)
+
+
+def ordered_bipartitions_of(a: Multiset) -> Iterator[OrderedBipartition]:
+    """All ordered splits (a1, a2) of `a`, including (empty, a) and
+    (a, empty) as distinct entries.
+
+    The weight is the product over labels of binomial(m, m1); it is 1
+    whenever all multiplicities are 1, and is exactly the coefficient the
+    formal product rule assigns to repeated variables.
+    """
+    yield from _bipartitions_cached(a)
+
+
+def bipartition_convolve(f: Callable, g: Callable,
+                         at: Iterable[Multiset]) -> dict:
+    """Reference convolution: (f*g)(a) = sum over ordered bipartitions
+    (a1, a2) of a of the binomial weight times f(a1) g(a2)."""
+    return {a: sum(bp.weight * f(bp.first) * g(bp.second)
+                   for bp in ordered_bipartitions_of(a))
+            for a in at}
+
+
+def evolution_weak_value(config, order, taus) -> complex:
+    """(A_{o_k}, ..., A_{o_1})_w[tau_{k+1}, ..., tau_1]: alternate
+    e^{-i H tau} episodes with observable insertions; o_1 acts first."""
+    taus = list(taus)
+    order = list(order)
+    if len(taus) != len(order) + 1:
+        raise ShapeMismatchError("need k+1 episode lengths for k insertions")
+    w, vecs = np.linalg.eigh(config.hamiltonian)
+
+    def evolve(v, t):
+        return vecs @ (np.exp(-1j * w * t) * (vecs.conj().T @ v))
+
+    v = evolve(config.psi_i, taus[0])
+    for lab, t in zip(order, taus[1:]):
+        v = config.observables[lab - 1] @ v
+        v = evolve(v, t)
+    den = complex(np.vdot(config.psi_f, evolve(config.psi_i, sum(taus))))
+    if abs(den) <= config.floor:
+        raise SingularPostselectionError("postselection amplitude below floor")
+    return complex(np.vdot(config.psi_f, v)) / den
+
+
+def free_energy_susceptibility(config, a: Multiset) -> complex:
+    """d^gamma_a F at gamma = 0, read from `free_energy_jet` on the caps
+    of `a`."""
+    z = thermal_partition_jet(config, _caps(config, a))
+    return free_energy_jet(z, config.beta).derivative(a)

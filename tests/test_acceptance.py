@@ -30,11 +30,10 @@ from momalg.experiments import (
 from momalg.jets import JetMatrix, _position, jet_matrix_exp
 from momalg.quantum import random_hermitian
 from momalg.weakvalues import (
-    evolution_weak_value,
     script_D,
     script_D_monte_carlo,
 )
-from oracles import expm_mp
+from oracles import evolution_weak_value, expm_mp
 
 M = Multiset
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from momalg.algebra import (
     MMap,
     apply_fstar,
-    bipartition_convolve,
     convolve,
     exp_star,
     identity_mmap,
@@ -33,6 +32,7 @@ from momalg.errors import (
     ShapeMismatchError,
 )
 from momalg.jets import Jet
+from oracles import bipartition_convolve
 
 M = Multiset
 
@@ -549,6 +549,52 @@ def test_star_operations_match_exact_rational_partition_sums(n, caps):
                     continue
                 err = abs(Fraction(got(a).real) - want[a]) + abs(got(a).imag)
                 assert err <= Fraction(bound) * scale[a], (name, str(a))
+
+
+# F^(k) at f(empty), for exact rational or complex x; log's k = 0 term is
+# checked apart, and exp is taken at f(empty) = 0.  The geometric series
+# 1/(1 - x) stands for a generic derivative table
+FSTAR_TABLES = {
+    "exp": lambda k, x: 1,
+    "log": lambda k, x: 0 if k == 0 else
+    (-1) ** (k - 1) * math.factorial(k - 1) / x ** k,
+    "inverse": lambda k, x: (-1) ** k * math.factorial(k) / x ** (k + 1),
+    "geometric": lambda k, x: math.factorial(k) / (1 - x) ** (k + 1),
+}
+
+
+@given(caps=st.lists(st.integers(1, 3), max_size=2).flatmap(
+           lambda c: st.permutations([3, *c])).map(tuple).filter(
+           lambda c: sum(c) <= 7),
+       name=st.sampled_from(sorted(FSTAR_TABLES)),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_label_split_fstar_matches_the_exact_partition_sum(caps, name, seed):
+    # jets._fstar forms [x^m] N^j for j >= 2 only at a label of cap >= 2,
+    # so every caps holds a cap-3 label.  apply_fstar passes the table
+    # through; exp*, log* and inverse* take their own normalised tables.
+    # Both stay within the bound of the exact-rational test above,
+    # 2 (G + 2) eps M(a); about 7 eps M(a) was measured
+    rng = np.random.default_rng(seed)
+    n, derivs = len(caps), FSTAR_TABLES[name]
+    values = {a: float(np.round(rng.uniform(-1, 1), 6))
+              for a in multiset_lattice(n, caps)}
+    shift = float(np.round(rng.uniform(-0.5, 0.5), 6))
+    values[EMPTY] = {"exp": 0.0, "geometric": shift}.get(name, 1.0 + shift)
+    f = MMap(n, values, caps)
+    exact = {a: Fraction(v) for a, v in values.items()}
+    want = partition_fstar(derivs, exact.get, f.domain())
+    scale = partition_fstar(lambda k, x: abs(derivs(k, x)),
+                            lambda a: abs(exact[a]), f.domain())
+    bound = Fraction(2 * (sum(caps) + 2) * EPS)
+    star = {"exp": exp_star, "log": log_star, "inverse": inverse_star}
+    for got in [apply_fstar(derivs, f)] + (
+            [star[name](f)] if name in star else []):
+        for a in f.domain():
+            if a.is_empty and name == "log":
+                continue
+            err = abs(Fraction(got(a).real) - want[a]) + abs(got(a).imag)
+            assert err <= bound * scale[a], str(a)
 
 
 def test_convolution_matches_bipartition_reference():

@@ -1211,14 +1211,16 @@ def test_verify_refuses_an_oversized_simulation_before_allocating(
     # 8 pointers of dimension 2 on a qubit: thermal's spectral states would
     # be 2665 blocks of 256 x 256 (its generator, 8 coupling blocks of
     # 512 x 512, is 32 MiB); thm1 carries a pure jet vector, and the
-    # jet-valued cumulant ring of its moments (3^16 pairs) is refused first.
-    # genfun with 40 variables: the pair table of its jets (6^40 pairs) is
-    # refused before the joint pmf (39 PiB at seed 1) is drawn.
+    # largest pair table of the cumulant of its moments, over 15 of the 16
+    # labels of the jet-valued ring (3^15 pairs), is refused first.
+    # genfun with 40 variables: the largest pair table of its jet log
+    # (6^39 pairs) is refused before the joint pmf (39 PiB at seed 1) is
+    # drawn.
     # Run in a child whose address space is capped, so that a missing
     # preflight ends in a MemoryError, not in the host's memory (one BLAS
     # thread keeps the child's own buffers well under the cap).
-    figure = {"thermal": "2665 MiB", "thm1": "2956 MiB",
-              "genfun": "13367494538843734067838845976576 lattice pairs"}[
+    figure = {"thermal": "2665 MiB", "thm1": "985.3 MiB",
+              "genfun": "2227915756473955677973140996096 lattice pairs"}[
                   scenario]
     size = ["--vars", "40"] if scenario == "genfun" else ["--pointers", "8"]
     def cap_memory():
@@ -1237,14 +1239,15 @@ def test_verify_refuses_an_oversized_simulation_before_allocating(
 @pytest.mark.parametrize("scenario", ["thm1", "thm3"])
 def test_verify_refuses_the_sequential_cumulant_ring_before_any_state(
         tmp_path, monkeypatch, capsys, scenario):
-    # 7 pointers: the jet-valued cumulant ring of the moments would hold
-    # 3^14 lattice pairs (328 MiB), so the run is refused before the kick
-    # chain is evolved
+    # 8 pointers: the cumulant of the moments, over the 16 labels of the
+    # jet-valued ring, would take a pair table of the last 15 labels, 3^15
+    # lattice pairs (985 MiB), so the run is refused before the kick chain
+    # is evolved
     def no_state(*args):
         raise AssertionError("joint state built despite the ring preflight")
 
     monkeypatch.setattr(quantum, "evolved_joint_state", no_state)
-    assert main(["verify", scenario, "--pointers", "7",
+    assert main(["verify", scenario, "--pointers", "8",
                  "--out", str(tmp_path)]) == 3
     assert "lattice pairs" in capsys.readouterr().err
 

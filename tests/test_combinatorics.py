@@ -8,10 +8,10 @@ from momalg.combinatorics import (
     EMPTY,
     Multiset,
     multiset_lattice,
-    ordered_bipartitions_of,
     partitions_of,
 )
 from momalg.errors import DomainError, EmptyMultisetError
+from oracles import ordered_bipartitions_of
 
 
 def bell_numbers(top):

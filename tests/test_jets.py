@@ -1095,14 +1095,15 @@ def test_pair_table_preflight_refuses_huge_caps():
 
 
 def test_lattice_storage_is_sized_from_the_caps():
-    # 2^14 monomials, 256 KiB of coefficients: built without the 3^14-pair
-    # table (328 MiB), which only a product, log, exp or inverse prices
-    caps = (1,) * 14
-    assert not Jet(14, caps).coeffs
-    assert JetMatrix(14, caps, np.zeros((2 ** 14, 1, 1))).trace().caps == caps
-    assert JetMatrix.zeros(1, 14, caps).blocks.shape == (2 ** 14, 1, 1)
+    # 2^15 monomials, 512 KiB of coefficients: built without a pair table.
+    # A log, exp or inverse prices the table of all labels but the first
+    # (3^14 pairs, 328 MiB), the first that does not fit
+    caps = (1,) * 15
+    assert not Jet(15, caps).coeffs
+    assert JetMatrix(15, caps, np.zeros((2 ** 15, 1, 1))).trace().caps == caps
+    assert JetMatrix.zeros(1, 15, caps).blocks.shape == (2 ** 15, 1, 1)
     with pytest.raises(DomainError, match="328.4 MiB"):
-        Jet(14, caps).log()
+        Jet.scalar(1.0, 15, caps).log()
 
 
 @pytest.mark.parametrize("build", [

@@ -10,9 +10,7 @@ from momalg.errors import DomainError, SingularPostselectionError
 from momalg.quantum import random_hermitian, random_state, random_unitary
 from momalg.experiments import ExperimentConfig
 from momalg.weakvalues import (
-    evolution_weak_value,
     free_energy_jet,
-    free_energy_susceptibility,
     script_D,
     script_D_monte_carlo,
     sequential_weak_value,
@@ -24,7 +22,9 @@ from momalg.weakvalues import (
 )
 from momalg.algebra import log_star
 from oracles import (
+    evolution_weak_value,
     expm_eigh,
+    free_energy_susceptibility,
     imaginary_time_weak_value,
     thermal_E_monte_carlo,
 )
