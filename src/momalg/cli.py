@@ -75,13 +75,18 @@ KIND_MODES = {"sequential": ("sequential", "simultaneous"),
 
 
 def _parse_seeds(text: str) -> list[int]:
+    """A seed list A,B,... or a range A..B; a seed is an integer >= 0, the
+    range that the instance generator takes."""
     if ".." in text:
         lo, hi = text.split("..", 1)
         seeds = list(range(int(lo), int(hi) + 1))
         if not seeds:
             raise ValueError(f"empty seed range {text!r}")
-        return seeds
-    return [int(t) for t in text.split(",")]
+    else:
+        seeds = [int(t) for t in text.split(",")]
+    if min(seeds) < 0:
+        raise ValueError(f"seed {min(seeds)} is negative")
+    return seeds
 
 
 def _at_least(low: int):

@@ -69,7 +69,13 @@ tr(tr_1(B) R).  Inside, each state of the expansion is held only at its
 one grade, each weighted state enters the sum only through its
 system-diagonal blocks, and the last level is formed on those blocks
 alone.  Its products are its own loop of one BLAS product per pair of a
-list built once per level, not `_block_products`.  No change of basis
+level's product list, not `_block_products`.  What depends only on the
+shape, (n, the cluster sizes, sys_dim), is planned once per shape and
+cached (`_spectral_plan`, like `_pair_table`: read-only, shared by
+threads): the layout and its pricing, each level's positions, multisets
+and product list, and the Opitz matrices' pattern, so a run of same-shape
+calls does only the data's work: the products, the weighted sums and one
+Taylor batch of Opitz matrices.  No change of basis
 runs: a trace against 1 (x) R is the same in any basis U (x) 1.  A caller
 picks the entry by its role, not by cost: the thermal check's lhs, the
 joint-space Boltzmann jet, is the one spectral caller, and every other
@@ -725,19 +731,25 @@ def spectral_jet_matrix_exp(w, couplings, sys_dim: int) -> JetMatrix:
        of middle clusters: T(empty) = N, T(M) = sum_{c in M} T(M - c) P_c
        N, each term a ring product of cluster sub-blocks, (lattice, D, n_c)
        by (n, n_c, D).  The products of a level are one BLAS product per
-       pair of its (state row, coupling row, output row) list, built once
-       per level from the pair table and added into place in its order,
-       with no scan for zero blocks; the route shares no product function
-       with the Taylor route.  It enters the
-       result weighted entrywise by exp[l_a, l_M, l_b], a and b the
-       clusters of row and column.  Divided differences come from Opitz's
-       theorem: for the bidiagonal J with diagonal x_0..x_r and ones above
-       it, exp(J)[0, r] = exp[x_0, ..., x_r], repeated points included.
-       The J of every M are zero-padded to one size and exponentiated as
-       one batch by the Taylor route, which scales and squares them;
+       pair of its (state row, coupling row, output row) list, taken from
+       the pair table in its order, with no scan for zero blocks; the
+       first product of each output row is written in place and the rest
+       are added into place in that order.  The route shares no product
+       function with the Taylor route.  It enters the result weighted
+       entrywise by exp[l_a, l_M, l_b], a and b the clusters of row and
+       column.  Divided differences come from Opitz's theorem: for the
+       bidiagonal J with diagonal x_0..x_r and ones above it,
+       exp(J)[0, r] = exp[x_0, ..., x_r], repeated points included.  The
+       J of every M are zero-padded to one size and exponentiated as one
+       batch by the Taylor route, which scales and squares them;
        McCurdy, Ng & Parlett (Math. Comp. 43, 1984) show that this keeps
        divided differences at close points accurate, where the quotient
-       formula cancels.
+       formula cancels.  All that does not depend on the points' values
+       is planned once per shape, keyed by (n, the cluster sizes,
+       sys_dim), and cached (`_spectral_plan`): the multisets M of each
+       level and the row of each T(M - c), the product lists with each
+       output row's first product marked, and the Opitz matrices' ones,
+       diagonal and corners, whose diagonal a call fills from the points.
     c. What is held.  N is read in place from the coupling blocks, the n
        grade-1 blocks of X.  The T(M) of |M| = g - 1 form level g, and
        hold only grade g, which their products reach by construction:
@@ -750,10 +762,12 @@ def spectral_jet_matrix_exp(w, couplings, sys_dim: int) -> JetMatrix:
        output, level 1's system-diagonal blocks, and the weights and sums
        of a level are the parts of one array of this thread's workspace
        (module docstring), reused by the next call at the same shape;
-       each level's states are zero-filled first, and the levels of each
-       parity share one part.  One function, `_spectral_layout`, gives the
-       shape of each level's states, the size of each part and the blocks
-       priced, so the size limit counts what the route holds.
+       no level is zero-filled, since every block of a level is first
+       written by its first product, and the levels of each parity share
+       one part.  One function, `_spectral_layout`, gives the shape of
+       each level's states, the size of each part and the blocks priced,
+       so the size limit counts what the route holds; the plan takes it
+       from there, and prices it before it builds anything else.
     Work: per multiset M, cluster c in M and pair-table pair, one product
     of D x n_c x D, and at the last level of D x n_c x P.  At n = 3 with
     two clusters on 2 x 64 dimensions that is 12 products of
@@ -910,58 +924,169 @@ def _spectral_layout(n: int, count: int, sys_dim: int, part: int) -> tuple:
         - (-3 * np.getbufsize() // block)
 
 
+class _SpectralLevel(NamedTuple):
+    """Level g of the spectral route, the T(M) of the multisets M of g - 1
+    middle clusters, as `_spectral_plan` lays it out."""
+
+    at: np.ndarray   # its lattice positions, those of grade g, ascending
+    mids: slice      # its multisets M, a run of the plan's Opitz stack
+    # per M, in that order: (c, the row of T(M - c) in level g - 1) for
+    # each distinct cluster c of M, ascending
+    steps: tuple
+    # (state row, coupling row, output row, first) of every product of a
+    # level g - 1 position by a grade-1 one, in pair order; `first` marks
+    # the first product of each output row
+    triples: tuple
+
+
+class _SpectralPlan(NamedTuple):
+    """What the spectral route does at one shape that does not depend on
+    the data (`_spectral_plan`)."""
+
+    shapes: tuple    # `_spectral_layout`'s
+    parts: tuple     # `_spectral_layout`'s
+    levels: tuple    # a _SpectralLevel per level 1..n
+    cuts: tuple      # each cluster's index range
+    labels: np.ndarray  # the cluster of each (system, pointer) index
+    flat: np.ndarray    # each system-diagonal entry's [a, b], a count + b
+    opitz: np.ndarray | None  # the Opitz stack's ones, one J per multiset
+    diagonal: tuple | None    # (J, position, cluster) of its diagonal entries
+    corner: tuple | None      # the [a, b] corner of each J, as an index
+
+
+@lru_cache(maxsize=None)
+def _spectral_plan(n: int, sizes: tuple[int, ...],
+                   sys_dim: int) -> _SpectralPlan:
+    """The spectral route's plan for n couplings whose points form clusters
+    of `sizes` points, traced over a first factor of sys_dim dimensions:
+    its layout (`_spectral_layout`, which prices it first), each level's
+    positions, multisets and product list, and the pattern of the Opitz
+    stack of `_exp_divided_differences`.  It depends on the shape alone,
+    so a run of same-shape calls builds it once; its arrays are read-only
+    and shared by every thread."""
+    count, part = len(sizes), sum(sizes) // sys_dim
+    shapes, parts, blocks = _spectral_layout(n, count, sys_dim, part)
+    _check_size(f"blocks of dimension {part} held by the spectral "
+                f"exponential", blocks, 16 * part * part)
+    table = _pair_table((1,) * n)
+    # level g holds the positions of grade g, g = 1..n
+    masks = [table.grade == g for g in range(1, n + 1)]
+    # the coupling row of each grade-1 position: label 1 is slowest, so the
+    # ascending positions 1, 2, 4, ... hold labels n, ..., 1
+    coupling_row = np.zeros(len(table.grade), dtype=np.intp)
+    coupling_row[table.grade == 1] = np.arange(n - 1, -1, -1)
+    # level g: the multisets M of g - 1 middle clusters, in one order
+    mids = [list(itertools.combinations_with_replacement(range(count), g))
+            for g in range(n)]
+
+    def less(mid: tuple, c: int) -> tuple:
+        """M - c: the sorted multiset `mid` with one c removed."""
+        i = mid.index(c)
+        return mid[:i] + mid[i + 1:]
+
+    levels, where, lo = [], coupling_row, 0
+    for g, mask in enumerate(masks):
+        rows, steps, triples = np.cumsum(mask) - 1, (), ()
+        if g:
+            keep = masks[g - 1][table.ia] & masks[0][table.ib]
+            out = rows[table.ic[keep]]
+            first = np.zeros(len(out), dtype=bool)
+            first[np.unique(out, return_index=True)[1]] = True
+            triples = tuple(zip(where[table.ia[keep]].tolist(),
+                                coupling_row[table.ib[keep]].tolist(),
+                                out.tolist(), first.tolist()))
+            # T(M) = sum_{c in M} T(M - c) P_c N
+            index = {mid: i for i, mid in enumerate(mids[g - 1])}
+            steps = tuple(tuple((c, index[less(mid, c)])
+                                for c in sorted(set(mid))) for mid in mids[g])
+            where = rows
+        levels.append(_SpectralLevel(np.flatnonzero(mask),
+                                     slice(lo, lo + len(mids[g])),
+                                     steps, triples))
+        lo += len(mids[g])
+    bounds = np.cumsum((0, *sizes)).tolist()
+    # the cluster of each row and column of the system-diagonal blocks, as
+    # the flat [a, b] position in a divided-difference table
+    labels = np.repeat(np.arange(count), sizes).reshape(sys_dim, part)
+    flat = labels[:, :, None] * count + labels[:, None, :]
+    for arr in (labels, flat, *(level.at for level in levels)):
+        arr.setflags(write=False)
+    return _SpectralPlan(tuple(shapes), parts, tuple(levels),
+                         tuple(map(slice, bounds[:-1], bounds[1:])),
+                         labels, flat, *_opitz_pattern(count, mids))
+
+
+def _opitz_pattern(count: int, mids: list) -> tuple:
+    """The Opitz stack of `_exp_divided_differences` for the multisets
+    `mids[g]` of g middle clusters, g = 0, 1, ...: its ones, and the
+    (J, position, cluster) index of its diagonal entries and the [a, b]
+    corner of each J, both as index arrays, or three Nones for no
+    multiset, all read-only.  The J of one level have one size and one
+    pattern of ones, set with one assignment per level."""
+    flat = [mid for group in mids for mid in group]
+    if not flat:
+        return None, None, None
+    ends = np.arange(count)
+    size = 2 * count + len(mids) - 1
+    opitz = np.zeros((len(flat), size, size), dtype=complex)
+    lo = 0
+    for r, group in enumerate(mids):
+        if r:      # first block -> middle points, in order -> last block
+            chain = count + np.arange(r)
+            heads = np.concatenate((ends, chain[:-1],
+                                    np.full(count, chain[-1])))
+            tails = np.concatenate((np.full(count, count), chain[1:],
+                                    count + r + ends))
+        else:      # first block -> last block
+            heads, tails = np.repeat(ends, count), count + np.tile(ends, count)
+        opitz[lo:lo + len(group), heads, tails] = 1.0
+        lo += len(group)
+    lengths = np.array([len(mid) for mid in flat])
+    diagonal = (np.repeat(np.arange(len(flat)), 2 * count + lengths),
+                np.concatenate([np.arange(2 * count + r) for r in lengths]),
+                np.concatenate([(*ends, *mid, *ends) for mid in flat]))
+    corner = (np.arange(len(flat))[:, None, None], ends[:, None],
+              (count + lengths)[:, None, None] + ends)
+    for arr in (opitz, *diagonal, *corner):
+        arr.setflags(write=False)
+    return opitz, diagonal, corner
+
+
 def _spectral_exp(couplings: np.ndarray, w: np.ndarray,
                   sys_dim: int) -> np.ndarray:
     """The spectral_jet_matrix_exp docstring's route for the generator
     diag(w) + sum_j gamma_j couplings[j - 1], w real and ascending: the
     divided-difference expansion of exp(X) about diag(w), traced over the
     first tensor factor, of dimension sys_dim.  Returns the (lattice, P, P)
-    blocks of caps (1,) * n, P = D / sys_dim."""
+    blocks of caps (1,) * n, P = D / sys_dim.  Everything that depends on
+    the shape alone comes from its plan (`_spectral_plan`)."""
     n, dim = len(couplings), len(w)
-    table = _pair_table((1,) * n)
     part = dim // sys_dim
     bounds = _clusters(w)
-    sizes = np.diff(bounds)
-    shapes, parts, blocks = _spectral_layout(n, len(sizes), sys_dim, part)
-    _check_size(f"blocks of dimension {part} held by the spectral "
-                f"exponential", blocks, 16 * part * part)
-    # level g holds the positions of grade g, g = 1..n
-    levels = [table.grade == g for g in range(1, n + 1)]
-    # the coupling row of each grade-1 position: label 1 is slowest, so the
-    # ascending positions 1, 2, 4, ... hold labels n, ..., 1
-    coupling_row = np.zeros(len(table.grade), dtype=np.intp)
-    coupling_row[table.grade == 1] = np.arange(n - 1, -1, -1)
-    # level g: the multisets M of g - 1 middle clusters, in one order
-    mids = [list(itertools.combinations_with_replacement(range(len(sizes)), g))
-            for g in range(len(levels))]
+    plan = _spectral_plan(n, tuple(np.diff(bounds).tolist()), sys_dim)
+    flat, cuts = plan.flat, plan.cuts
     lam = w[bounds[:-1]]                            # one point per cluster
-    dd = _exp_divided_differences(lam, [mid for group in mids
-                                        for mid in group])
-    # the cluster of each row and column of the system-diagonal blocks, as
-    # the flat [a, b] position in a divided-difference table
-    labels = np.repeat(np.arange(len(sizes)), sizes).reshape(sys_dim, part)
-    flat = labels[:, :, None] * len(sizes) + labels[:, None, :]
-    acc = np.zeros((len(table.grade), part, part), dtype=complex)
-    np.fill_diagonal(acc[0], np.exp(lam)[labels].sum(axis=0))
+    tables = _exp_divided_differences(lam, plan) if n else None
+    acc = np.zeros((2 ** n, part, part), dtype=complex)
+    np.fill_diagonal(acc[0], np.exp(lam)[plan.labels].sum(axis=0))
     # the work arrays are the parts of one array of this thread's workspace
     # (module docstring), cut as the layout says
     *pools, product, firsts, work = np.split(_workspace(
-        "spectral work", (sum(parts),), "entries of spectral work"),
-        np.cumsum(parts)[:-1])
+        "spectral work", (sum(plan.parts),), "entries of spectral work"),
+        np.cumsum(plan.parts)[:-1])
 
-    def add(group: list, diagonal: np.ndarray, at: np.ndarray) -> None:
+    def add(level: _SpectralLevel, diagonal: np.ndarray) -> None:
         """acc += the (mids, k, sys_dim, P, P) system-diagonal blocks of the
-        T(M) of the multisets `group`, held at the lattice positions `at`,
-        weighted entrywise by exp[l_a, l_M, l_b] and summed over M and the
-        system, with the weights, acc[at] and the sums held in `work`.
-        np.take writes into its `out` without a buffer only in a mode other
-        than "raise"; the indices are in range, so "clip" changes
-        nothing."""
+        T(M) of `level`, held at its lattice positions, weighted entrywise
+        by exp[l_a, l_M, l_b] and summed over M and the system, with the
+        weights, acc[at] and the sums held in `work`.  np.take writes into
+        its `out` without a buffer only in a mode other than "raise"; the
+        indices are in range, so "clip" changes nothing."""
+        group, at = tables[level.mids], level.at
         cut, size = len(group) * flat.size, len(at) * part * part
-        weights = np.take(
-            np.array([dd[mid] for mid in group], dtype=complex).reshape(
-                len(group), -1), flat, axis=1, mode="clip",
-            out=work[:cut].reshape(len(group), *flat.shape))
+        weights = np.take(group.reshape(len(group), -1), flat, axis=1,
+                          mode="clip", out=work[:cut].reshape(
+                              len(group), *flat.shape))
         sums = np.take(acc, at, axis=0, mode="clip", out=work[
             cut:cut + size].reshape(len(at), part, part))
         sums += np.einsum("mksij,msij->kij", diagonal, weights, out=work[
@@ -973,8 +1098,6 @@ def _spectral_exp(couplings: np.ndarray, w: np.ndarray,
         (k, D, D) states, as a view."""
         return np.einsum("...sisj->...sij", states.reshape(
             *states.shape[:-2], sys_dim, part, sys_dim, part))
-
-    cuts = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     def factors(states: np.ndarray, c: int, last: bool) -> tuple:
         """T(M - c) P_c and P_c N, views of the (k, D, D) states and of the
@@ -990,45 +1113,39 @@ def _spectral_exp(couplings: np.ndarray, w: np.ndarray,
 
     # level 1 is N, read in place from the couplings; a deeper level's
     # states are one (mids, k, ., .) array, holding its k positions in
-    # lattice order, and `where` maps a lattice position to its row
-    level, where = couplings[None], coupling_row
-    if levels:
+    # lattice order
+    states = couplings[None]
+    if n:
         # its system-diagonal blocks, copied in lattice order, labels n..1
         diagonal = firsts.reshape(n, sys_dim, part, part)
         np.copyto(diagonal, system_diagonal(couplings[::-1]))
-        add(mids[0], diagonal[None], np.flatnonzero(levels[0]))
-    for g in range(1, len(levels)):
-        mask, last = levels[g], g == len(levels) - 1
-        at, rows = np.flatnonzero(mask), np.cumsum(mask) - 1
-        # (state row, coupling row, output row) of every product of a
-        # level g - 1 position by a grade-1 one, in pair order
-        keep = levels[g - 1][table.ia] & levels[0][table.ib]
-        triples = list(zip(where[table.ia[keep]].tolist(),
-                           coupling_row[table.ib[keep]].tolist(),
-                           rows[table.ic[keep]].tolist()))
+        add(plan.levels[0], diagonal[None])
+    for g, level in enumerate(plan.levels[1:], start=1):
         # the last level is formed on its system-diagonal blocks only
-        shape = shapes[g]
+        shape, last = plan.shapes[g], g == n - 1
         deeper = pools[g % 2][:math.prod(shape)].reshape(shape)
-        deeper.fill(0)
         prod = product[:math.prod(shape[2:])].reshape(shape[2:])
-        index = {mid: i for i, mid in enumerate(mids[g - 1])}
-        for out, mid in zip(deeper, mids[g]):
-            # T(M) = sum_{c in M} T(M - c) P_c N, c the last middle cluster
-            for c in sorted(set(mid)):
-                i = mid.index(c)
-                left, right = factors(level[index[mid[:i] + mid[i + 1:]]],
-                                      c, last)
-                for a, b, k in triples:
-                    out[k] += np.matmul(left[a], right[b], out=prod)
-        level, where = deeper, rows
-        add(mids[g], level if last else system_diagonal(level), at)
+        for out, steps in zip(deeper, level.steps):
+            # T(M) = sum_{c in M} T(M - c) P_c N; the first product of an
+            # output row is written in place, so no level is zero-filled
+            for j, (c, row) in enumerate(steps):
+                left, right = factors(states[row], c, last)
+                for a, b, k, first in level.triples:
+                    if first and not j:
+                        np.matmul(left[a], right[b], out=out[k])
+                    else:
+                        out[k] += np.matmul(left[a], right[b], out=prod)
+        states = deeper
+        add(level, states if last else system_diagonal(states))
     return acc
 
 
-def _exp_divided_differences(lam: np.ndarray, mids: list) -> dict:
-    """For each tuple `mid` of cluster indices, the table exp[lam_a,
-    lam_mid[0], ..., lam_mid[-1], lam_b] over all pairs (a, b) of clusters,
-    as an array indexed [a, b].
+def _exp_divided_differences(lam: np.ndarray,
+                             plan: _SpectralPlan) -> np.ndarray:
+    """For each multiset `mid` of middle clusters of the plan, in its
+    order, the table exp[lam_a, lam_mid[0], ..., lam_mid[-1], lam_b] over
+    all pairs (a, b) of clusters: a complex (mids, count, count) stack,
+    indexed [mid, a, b].
 
     Opitz: for the bidiagonal J with diagonal x_0..x_r and ones above it,
     exp(J)[0, r] = exp[x_0, ..., x_r], repeated points included.  One
@@ -1038,41 +1155,19 @@ def _exp_divided_differences(lam: np.ndarray, mids: list) -> dict:
     point to each point of the last block (from the first block straight
     to the last if mid is empty).  exp(J)[a, b], b in the last block, sums
     the one path a, mid..., b: the corner entry of that sequence's Opitz
-    matrix.  The J of all mids of r middle points have one size and one
-    pattern of ones, set with one assignment per pattern.  Every J is
-    zero-padded to the largest size, 2 count + max r: the padding is a
-    block of its own, so it leaves exp(J) unchanged on the J.  The one
-    (mids, size, size) stack, shifted by the mid-range mu of lam, is
-    exponentiated as one batch by the Taylor route, with the schedule of
-    its largest norm and np.matmul over the stack as its product (a lattice
-    of one monomial needs no pair table); exp[x + mu] = e^mu exp[x] undoes
-    the shift."""
-    if not mids:
-        return {}
-    count = len(lam)
+    matrix.  Every J is zero-padded to the largest size, 2 count + max r:
+    the padding is a block of its own, so it leaves exp(J) unchanged on
+    the J.  The plan holds the stack's ones and where its diagonal and
+    corners lie (`_opitz_pattern`); a call fills the diagonal from lam.
+    The one (mids, size, size) stack, shifted by the mid-range mu of lam,
+    is exponentiated as one batch by the Taylor route, with the schedule
+    of its largest norm and np.matmul over the stack as its product (a
+    lattice of one monomial needs no pair table); exp[x + mu] = e^mu
+    exp[x] undoes the shift."""
     mu = (lam.max() + lam.min()) / 2
-    ends = np.arange(count)
-    size = 2 * count + max(map(len, mids))
-    opitz = np.zeros((len(mids), size, size), dtype=complex)
-    lengths = np.array([len(mid) for mid in mids])
-    for r in sorted(set(lengths.tolist())):
-        group = np.flatnonzero(lengths == r)[:, None]
-        if r:      # first block -> middle points, in order -> last block
-            chain = count + np.arange(r)
-            heads = np.concatenate((ends, chain[:-1],
-                                    np.full(count, chain[-1])))
-            tails = np.concatenate((np.full(count, count), chain[1:],
-                                    count + r + ends))
-        else:      # first block -> last block
-            heads, tails = np.repeat(ends, count), count + np.tile(ends, count)
-        opitz[group, heads, tails] = 1.0
-        lam_ends = np.broadcast_to(lam, (len(group), count))
-        lam_mid = lam[np.array([mids[k] for k in group[:, 0]],
-                               dtype=np.intp).reshape(len(group), r)]
-        diag = np.arange(2 * count + r)
-        opitz[group, diag, diag] = np.concatenate(
-            (lam_ends, lam_mid, lam_ends), axis=1) - mu
+    opitz = plan.opitz.copy()
+    at, pos, cluster = plan.diagonal
+    opitz[at, pos, pos] = lam[cluster] - mu
     exp_j = _taylor_exp(opitz[None], np.matmul, _taylor_schedule(
-        0, _block_norms(opitz).max()))[0].real * np.exp(mu)
-    return {mid: exp_j[k, :count, count + r:2 * count + r]
-            for k, (mid, r) in enumerate(zip(mids, lengths.tolist()))}
+        0, _block_norms(opitz).max()))[0]
+    return (exp_j.real[plan.corner] * np.exp(mu)).astype(complex)

@@ -249,6 +249,14 @@ def free_energy_jet(z: Jet, beta: float) -> Jet:
     logarithm of the partition jet `z` (`thermal_partition_jet`).  Every
     susceptibility whose multiset fits the caps of `z` is one derivative
     read of it: truncating to smaller caps is a ring homomorphism, so the
-    coefficients do not depend on the caps."""
-    return z.log() * (-1.0 / beta)
+    coefficients do not depend on the caps.  A beta so small that F
+    leaves the double range is refused with a DomainError."""
+    log = z.log()
+    with np.errstate(over="ignore", invalid="ignore"):
+        f = log * (-1.0 / beta)
+    if not np.isfinite(f._vec).all():
+        raise DomainError(
+            f"beta {beta!r} is too small: the free energy -log Z / beta "
+            f"leaves the double range (|x| <= {np.finfo(float).max:.3g})")
+    return f
 

@@ -1371,9 +1371,9 @@ def test_thermal_fails_when_a_spectral_divided_difference_is_off(
     # Taylor route under a cost model, and every such run passed.
     real = jets._exp_divided_differences
 
-    def off(lam, mids):
-        table = real(lam, mids)
-        table[()][-1, -1] *= 1 + 1e-6
+    def off(lam, plan):
+        table = real(lam, plan)
+        table[0][-1, -1] *= 1 + 1e-6      # mid (), the first
         return table
 
     monkeypatch.setattr(jets, "_exp_divided_differences", off)
@@ -1412,6 +1412,36 @@ def test_verify_thermal_refuses_a_boltzmann_jet_beyond_double_range(
     assert ("overflows" in err) == (code == 3)
     if code:
         assert exp_routes[-1][0] == "_spectral_exp"
+
+
+@pytest.mark.parametrize("scenario, beta", [
+    ("thermal", "1e-308"), ("thermal", "6e-309"), ("thermal", "5e-324"),
+    ("multiset", "1e-320")])
+def test_verify_refuses_a_beta_whose_free_energy_leaves_double_range(
+        tmp_path, capsys, scenario, beta):
+    # F = -log Z / beta overflows (or is inf * 0) at these beta: one domain
+    # error line naming beta, exit 3, not a FloatingPointError traceback
+    assert main(["verify", scenario, "--beta", beta, "--seeds", "1",
+                 "--out", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"domain error: beta {float(beta)!r} is too small")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("seeds", [["--seeds", "-1"], ["--seeds", "1,-2"],
+                                   ["--seeds=-3..2"]],
+                         ids=["one", "list", "range"])
+def test_verify_refuses_negative_seeds_before_any_run(tmp_path, monkeypatch,
+                                                      capsys, seeds):
+    # the instance generator takes seeds >= 0: a negative one is malformed
+    # input naming --seeds (exit 2), before any verification writes a file
+    def refused(cfg):
+        raise AssertionError("a verification ran before --seeds was checked")
+    monkeypatch.setattr(cli, "run_verification", refused)
+    out = tmp_path / "out"
+    assert main(["verify", "thermal", *seeds, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("input error: --seeds: ")
+    assert not any(out.iterdir())
 
 
 @pytest.mark.parametrize("shape, sys_dim, joint_dim", [

@@ -711,6 +711,13 @@ def all_mids(count, top):
             itertools.combinations_with_replacement(range(count), g)]
 
 
+def divided_differences(lam, top):
+    """The route's tables for every mid of all_mids(len(lam), top), in that
+    order: those of top couplings over one-point clusters, untraced."""
+    return jets._exp_divided_differences(
+        lam, jets._spectral_plan(top, (1,) * len(lam), 1))
+
+
 @pytest.mark.parametrize("count, top", [(1, 3), (2, 1), (2, 4), (3, 3)])
 def test_opitz_matrix_matches_the_per_mid_loop(monkeypatch, count, top):
     # the one stack, set with one assignment per pattern and exponentiated
@@ -726,7 +733,7 @@ def test_opitz_matrix_matches_the_per_mid_loop(monkeypatch, count, top):
         return real(blocks, *args)
 
     monkeypatch.setattr(jets, "_taylor_exp", spy)
-    jets._exp_divided_differences(lam, mids)
+    divided_differences(lam, top)
     blocks = opitz_blocks(lam, mids)
     assert len(seen) == 1
     stack = seen[0]
@@ -753,13 +760,13 @@ def test_batched_divided_differences_match_the_block_diagonal_exponential(
         at += len(block)
     exp_dense = jet_matrix_exp(JetMatrix(0, (), dense[None])).constant.real \
         * np.exp((lam.max() + lam.min()) / 2)
-    got = jets._exp_divided_differences(lam, mids)
+    got = divided_differences(lam, top)
     at = 0
-    for mid, block in zip(mids, blocks):
+    for k, block in enumerate(blocks):
         size = len(block)
         want = exp_dense[at:at + count, at + size - count:at + size]
         at += size
-        assert np.abs(got[mid] - want).max() <= 1e-14 * np.abs(want).max()
+        assert np.abs(got[k] - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_divided_differences_at_five_clusters_and_top_grade_six():
@@ -769,14 +776,14 @@ def test_divided_differences_at_five_clusters_and_top_grade_six():
     # at 30 digits; every fourth mid is checked, at one pair (a, b) each
     lam = np.array([-4.0, -1.5, 0.0, 0.7, 2.5])
     mids = all_mids(5, 6)
-    got = jets._exp_divided_differences(lam, mids)
+    got = divided_differences(lam, 6)
     assert len(got) == 252
     for k, mid in enumerate(mids[::4]):
         a, b = k % 5, (3 * k + 1) % 5
         points = [lam[a], *lam[list(mid)], lam[b]]
         opitz = np.diag(points) + np.diag(np.ones(len(points) - 1), 1)
         want = expm_mp(opitz)[0, -1].real
-        assert abs(got[mid][a, b] - want) <= 1e-13 * abs(want), mid
+        assert abs(got[4 * k][a, b] - want) <= 1e-13 * abs(want), mid
 
 
 def test_clusters_are_runs_of_equal_points():
@@ -970,6 +977,45 @@ def spectral_args(rng, caps, sys_dim, part):
     d = sys_dim * part
     m = boltzmann(rng, d, caps, clustered(rng, d, sys_dim))
     return np.diagonal(m.constant).real, coupling_blocks(m), sys_dim
+
+
+def test_spectral_plan_is_keyed_by_the_cluster_sizes():
+    # one plan per (n, cluster sizes, sys_dim): shapes that share n, D and
+    # sys_dim but not their clusters (two against one merged, as with
+    # --hs zero; at sys_dim 1, (2, 4) against (4, 2)), run interleaved and
+    # back to each earlier shape, each return what the same call returns
+    # on a cleared plan cache, bit for bit; the plans' arrays are read-only
+    rng = np.random.default_rng(57)
+    cases = {"two": ((-1.0, 0.5), (3, 3), 2), "merged": ((0.0,), (6,), 2),
+             "three": ((-1.0, 0.0, 1.0), (2, 2, 2), 3),
+             "sys1-2-4": ((-0.3, 0.7), (2, 4), 1),
+             "sys1-4-2": ((-0.3, 0.7), (4, 2), 1)}
+    args = {name: (np.repeat(points, sizes),
+                   np.array([-hermitian(rng, 6, 1.5) for _ in range(3)]),
+                   sys_dim)
+            for name, (points, sizes, sys_dim) in cases.items()}
+    fresh = {}
+    for name, a in args.items():
+        jets._spectral_plan.cache_clear()
+        fresh[name] = spectral_jet_matrix_exp(*a).blocks.tobytes()
+    jets._spectral_plan.cache_clear()
+    for name in ("two", "merged", "two", "three", "merged", "sys1-2-4",
+                 "three", "sys1-4-2", "two", "sys1-2-4", "merged",
+                 "sys1-4-2"):
+        assert spectral_jet_matrix_exp(*args[name]).blocks.tobytes() \
+            == fresh[name], name
+    assert jets._spectral_plan.cache_info().currsize == len(cases)
+
+    def arrays(x):
+        if isinstance(x, np.ndarray):
+            yield x
+        elif isinstance(x, (tuple, list)):
+            for y in x:
+                yield from arrays(y)
+
+    for _, sizes, sys_dim in cases.values():
+        held = list(arrays(jets._spectral_plan(3, sizes, sys_dim)))
+        assert held and not any(arr.flags.writeable for arr in held)
 
 
 def test_held_spectral_results_survive_a_later_call_at_their_shape():
