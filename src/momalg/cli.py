@@ -193,9 +193,11 @@ def cmd_algebra(args) -> int:
 
 def _algebra_payload(args) -> dict:
     op = args.op
-    f = _load_mmap(args.inputs[0])
     if op == "convolve" and len(args.inputs) != 2:
         raise InputFormatError("convolve needs exactly two inputs")
+    if op != "convolve" and len(args.inputs) != 1:
+        raise InputFormatError(f"{op} takes exactly one input")
+    f = _load_mmap(args.inputs[0])
     maps = {"log": log_star, "exp": exp_star, "inverse": inverse_star,
             "raise": lambda g: raise_label(g, args.label),
             "convolve": lambda g: convolve(g, _load_mmap(args.inputs[1]))}
@@ -267,7 +269,9 @@ def cmd_weak_values(args) -> int:
 
 def _verify_configs(args):
     """(swept values, config) for each report: the --config file, or one
-    generated instance per seed and value of the scenario's sweep axis."""
+    generated instance per seed and value of the scenario's sweep axis.
+    The flags and the config file are read and checked when it is called;
+    the generated instances are made one at a time as they are read."""
     scenario = SCENARIO_ALIASES[args.scenario]
     if args.config:
         cfg = config_from_dict(load_json(args.config), where=args.config)
@@ -277,22 +281,24 @@ def _verify_configs(args):
                 f"requested {scenario!r}")
         if args.tol is not None:
             cfg.tolerance = args.tol
-        yield {}, cfg
-        return
+        return [({}, cfg)]
     tol = _tolerance(args, SCENARIOS[scenario].tolerance)
     zero_h = args.hs == "zero" or args.scenario == "thm2"
     axis = SCENARIOS[scenario].sweep
     seeds = _once(_parse(_parse_seeds, args.seeds, "--seeds"), "--seeds")
     values = _once(getattr(args, axis), f"--{axis}") if axis else [None]
-    for seed in seeds:
-        for value in values:
-            swept = {axis: value} if axis else {}
-            yield swept, random_config(
-                scenario, seed, n_pointers=args.pointers,
-                system_dim=args.sysdim, pointer_dim=args.pointer_dim,
-                **{"tau": args.tau[0], "beta": args.beta[0], **swept},
-                zero_hamiltonian=zero_h, copies=(args.copies,),
-                n_vars=args.vars, tolerance=tol, mc_samples=args.samples)
+
+    def generated():
+        for seed in seeds:
+            for value in values:
+                swept = {axis: value} if axis else {}
+                yield swept, random_config(
+                    scenario, seed, n_pointers=args.pointers,
+                    system_dim=args.sysdim, pointer_dim=args.pointer_dim,
+                    **{"tau": args.tau[0], "beta": args.beta[0], **swept},
+                    zero_hamiltonian=zero_h, copies=(args.copies,),
+                    n_vars=args.vars, tolerance=tol, mc_samples=args.samples)
+    return generated()
 
 
 def _once(values: list, flag: str) -> list:
@@ -313,10 +319,11 @@ def _tag(value: float) -> str:
 
 
 def cmd_verify(args, argv: list) -> int:
+    configs = _verify_configs(args)    # refuses bad flags before --out exists
     make_directory(args.out)
     reports = []
     paths = []
-    for extras, cfg in _verify_configs(args):
+    for extras, cfg in configs:
         reports.append(run_verification(cfg).to_json_dict())
         tag = "_".join([f"seed{cfg.seed}"] +
                        [f"{k}{_tag(v)}" for k, v in extras.items()])

@@ -67,15 +67,18 @@ factor, as (lattice, D / d_s, D / d_s) blocks, which is all that the
 thermal check reads of its Boltzmann jet, tr(B (1 (x) R)) =
 tr(tr_1(B) R).  Inside, each state of the expansion is held only at its
 one grade, each weighted state enters the sum only through its
-system-diagonal blocks, and the last level is formed on those blocks
-alone.  Its products are its own loop of one BLAS product per pair of a
-level's product list, not `_block_products`.  What depends only on the
-shape, (n, the cluster sizes, sys_dim), is planned once per shape and
-cached (`_spectral_plan`, like `_pair_table`: read-only, shared by
+system-diagonal blocks, and the last level is never formed: its weights
+are folded into the left factors of its products, which then write the
+traced top block directly (`_spectral_fold`).  Its products are its own
+loop of one BLAS product per pair of a level's product list, and one
+batch per label for the fold, not `_block_products`.  What depends only
+on the shape, (n, the cluster sizes, sys_dim), is planned once per shape
+and cached (`_spectral_plan`, like `_pair_table`: read-only, shared by
 threads): the layout and its pricing, each level's positions, multisets
-and product list, and the Opitz matrices' pattern, so a run of same-shape
-calls does only the data's work: the products, the weighted sums and one
-Taylor batch of Opitz matrices.  No change of basis
+and product list, the fold's regions and weight offsets, and the
+Opitz matrices' pattern, so a run of same-shape calls does only the
+data's work: the products, the weighted sums and one Taylor batch of
+Opitz matrices.  No change of basis
 runs: a trace against 1 (x) R is the same in any basis U (x) 1.  A caller
 picks the entry by its role, not by cost: the thermal check's lhs, the
 joint-space Boltzmann jet, is the one spectral caller, and every other
@@ -89,9 +92,12 @@ The thermal lhs's large work arrays, which a run at one shape would
 otherwise allocate, fault in page by page and hand back to the system
 every time, are kept in a private per-thread workspace (`_workspace`):
 the spectral route's one work array, which `_spectral_layout` sizes,
-prices and cuts into its states, one product's output, level 1's
-system-diagonal blocks and a level's weights and sums; the lhs's
-coupling blocks; and the moment reader's copy of the stack that it reads
+prices and cuts into its states, the fold's left factors and weights in
+place of the last level's, one product's output, level 1's
+system-diagonal blocks, whose part the fold's products take over, and a
+level's weights and sums; the lhs's coupling blocks, which
+`quantum.coupled_generator` writes in place; and the moment reader's copy
+of the stack that it reads
 (`quantum.readout_moments`).  That copy, the size of the route's fresh
 result, would otherwise sit on the heap beside it, and the two with the
 allocator's top padding came above its trim threshold, so that the heap
@@ -756,24 +762,40 @@ def spectral_jet_matrix_exp(w, couplings, sys_dim: int) -> JetMatrix:
        C(n, g) blocks.  The trace is linear and the weight of an entry
        depends only on its row and column, so each weighted T(M) enters
        the (lattice, P, P) sum through its system-diagonal blocks alone.
-       The last level is only ever summed, so it is formed on those blocks
-       only, with the system index as a batch axis of each product,
-       (sys_dim, P, n_c) by (sys_dim, n_c, P).  The states, one product's
-       output, level 1's system-diagonal blocks, and the weights and sums
+       The last level, grade n at one position, is only ever summed with
+       its weights, so it is never formed (`_spectral_fold`): its sum,
+       sum_M W_M o T(M) with T(M) = sum_{c in M} T(M - c) P_c N, is taken
+       by c instead of M.  Where the clusters of row and column are fixed,
+       in the thermal layout on each system block, the weight is one
+       number per row, so it moves onto the left factor: the weighted sum
+       over M of the T(M - c) restricted to the columns of c.  Those left
+       factors, for every c side by side, then take one product per label
+       by the matching N, (sys_dim, P, D) by (sys_dim, D, P), summed over
+       the labels and the system into the top block.  Where a cluster
+       boundary falls inside a system block, as sys_dim 1 with arbitrary
+       points allows, the block is cut at every such boundary, taken at
+       its offset in the block, into regions on which that holds, and the
+       fold runs once per region.  The plan holds, per multiset of level
+       n - 1 and cluster c, the Opitz row of m + c, and per region the
+       index of every weight.  The states, the fold's left factors and
+       weights, one product's output, level 1's system-diagonal blocks,
+       whose part the fold's products take over, and the weights and sums
        of a level are the parts of one array of this thread's workspace
        (module docstring), reused by the next call at the same shape;
        no level is zero-filled, since every block of a level is first
        written by its first product, and the levels of each parity share
-       one part.  One function, `_spectral_layout`, gives the shape of
-       each level's states, the size of each part and the blocks priced,
-       so the size limit counts what the route holds; the plan takes it
-       from there, and prices it before it builds anything else.
-    Work: per multiset M, cluster c in M and pair-table pair, one product
-    of D x n_c x D, and at the last level of D x n_c x P.  At n = 3 with
-    two clusters on 2 x 64 dimensions that is 12 products of
-    128 x 64 x 128 and 12 of 2 x (64 x 64 x 64): 9 products of 128 x 128
-    blocks' worth, against 12 when the last level was formed in full and
-    176-190 on the Taylor route.
+       one part, the fold's arrays that of the last level.  One function,
+       `_spectral_layout`, gives the shape of each level's states and of
+       the fold's arrays, the size of each part and the blocks priced, so
+       the size limit counts what the route holds; the plan takes it from
+       there, and prices it before it builds anything else.
+    Work: per multiset M below the last level, cluster c in M and
+    pair-table pair, one product of D x n_c x D; for the last level, per
+    label, one product of sys_dim x (P x D x P), after one pass over the
+    states of level n - 1 that weights and sums them.  At n = 3 with two
+    clusters on 2 x 64 dimensions that is 12 products of 128 x 64 x 128
+    and 3 of 2 x (64 x 128 x 64): 7.5 products of 128 x 128 blocks'
+    worth, against 176-190 on the Taylor route.
     Points that are not real and ascending, coupling blocks that are not
     (n, D, D), either with an inf or a nan, a sys_dim that is not a
     positive integer dividing D and, before they are allocated, states
@@ -785,7 +807,8 @@ def spectral_jet_matrix_exp(w, couplings, sys_dim: int) -> JetMatrix:
     one algorithm.  A result that left the double range is refused as by
     `jet_matrix_exp`.
     """
-    w, couplings = np.asarray(w), np.asarray(couplings, dtype=complex)
+    w = np.asarray(w)
+    couplings = np.ascontiguousarray(couplings, dtype=complex)
     if couplings.ndim != 3 or couplings.shape[1:] != w.shape * 2:
         raise DomainError("the spectral exponential takes D points and "
                           "(n, D, D) coupling blocks")
@@ -897,30 +920,39 @@ def _spectral_layout(n: int, count: int, sys_dim: int, part: int) -> tuple:
 
     shapes[g] is the shape of the states of level g + 1, the T(M) of the
     multisets M of g middle clusters at the C(n, g + 1) positions of grade
-    g + 1: (mids, k, D, D), and at the last level only their
-    system-diagonal blocks, (mids, k, sys_dim, P, P).  Level 1, N, is read
-    in place from the couplings, so shapes[0] is never allocated.  parts
-    are the entries of the parts that the route's one workspace array is
-    cut into, in order: the states of the odd levels and those of the even
-    levels, each part sized to the largest level of its parity, so that
-    the two hold two consecutive levels, since the level sizes rise and
-    then fall; one product's output, sys_dim^2 blocks; level 1's n sys_dim
-    system-diagonal blocks; and a level's weights, its sums and the sums of
-    the result that it adds them to, sized to the largest level.  blocks
-    counts the P x P blocks priced: those parts, the (lattice, P, P)
-    result, and the iteration buffers of the np.einsum that sums a level:
-    np.getbufsize() entries for each of its three operands, rounded up to
-    whole blocks."""
+    g + 1, (mids, k, D, D), for every level formed: all but the last at
+    n >= 2, level 1 alone at n = 1.  Level 1, N, is read in place from the
+    couplings, so shapes[0] is never allocated.  At n >= 2 the last level
+    is folded into its weights (`_spectral_fold`), and shapes[n - 1] holds,
+    in place of its states, the shapes of the fold's left factors
+    (sys_dim, P, D) and of its weights (mids of level n - 1, sys_dim, D),
+    held as twice as many reals.  parts are the entries of the parts that
+    the route's one workspace array is cut into, in order: the states of
+    the odd levels and those of the even levels, each part sized to the
+    largest level of its parity, the fold counted as the last level, so
+    that the two hold two consecutive levels, since the level sizes rise
+    and then fall; one product's output, D^2, when a level is formed by
+    products (n >= 3); n sys_dim blocks of P x P, level 1's system-diagonal
+    blocks and then the fold's products; and a level's weights, its sums
+    and the sums of the result that it adds them to, sized to the largest
+    level that is summed so.  blocks counts the P x P blocks priced: those
+    parts, the (lattice, P, P) result, and the iteration buffers of the
+    np.einsum that sums a level: np.getbufsize() entries for each of its
+    three operands, both rounded up to whole blocks."""
     if not n:       # the result, exp(diag(w)) traced, is all that is held
         return [], (0,) * 5, 1
     dim, block = sys_dim * part, part * part
-    shapes = [(math.comb(count + g - 1, g), math.comb(n, g + 1), *(
-        (dim, dim) if g < n - 1 else (sys_dim, part, part))) for g in range(n)]
+    shapes = [(math.comb(count + g - 1, g), math.comb(n, g + 1), dim, dim)
+              for g in range(max(n - 1, 1))]
     sizes = [math.prod(shape) for shape in shapes]
+    summed = shapes[:]
+    if n > 1:
+        shapes.append(((sys_dim, part, dim), (shapes[-1][0], sys_dim, dim)))
+        sizes.append(sum(map(math.prod, shapes[-1])))
     parts = (max(sizes[2::2], default=0), max(sizes[1::2], default=0),
-             dim * dim, n * sys_dim * block,
-             max((m * sys_dim + 2 * k) * block for m, k, *_ in shapes))
-    return shapes, parts, 2 ** n + sum(parts) // block \
+             dim * dim if n > 2 else 0, n * sys_dim * block,
+             max((m * sys_dim + 2 * k) * block for m, k, *_ in summed))
+    return shapes, parts, 2 ** n - (-sum(parts) // block) \
         - (-3 * np.getbufsize() // block)
 
 
@@ -945,7 +977,9 @@ class _SpectralPlan(NamedTuple):
 
     shapes: tuple    # `_spectral_layout`'s
     parts: tuple     # `_spectral_layout`'s
-    levels: tuple    # a _SpectralLevel per level 1..n
+    levels: tuple    # a _SpectralLevel per level formed: 1..n - 1, or 1
+    # the fold of the last level at n >= 2 (`_fold_regions`), else None
+    fold: tuple | None
     cuts: tuple      # each cluster's index range
     labels: np.ndarray  # the cluster of each (system, pointer) index
     flat: np.ndarray    # each system-diagonal entry's [a, b], a count + b
@@ -959,11 +993,12 @@ def _spectral_plan(n: int, sizes: tuple[int, ...],
                    sys_dim: int) -> _SpectralPlan:
     """The spectral route's plan for n couplings whose points form clusters
     of `sizes` points, traced over a first factor of sys_dim dimensions:
-    its layout (`_spectral_layout`, which prices it first), each level's
-    positions, multisets and product list, and the pattern of the Opitz
-    stack of `_exp_divided_differences`.  It depends on the shape alone,
-    so a run of same-shape calls builds it once; its arrays are read-only
-    and shared by every thread."""
+    its layout (`_spectral_layout`, which prices it first), each formed
+    level's positions, multisets and product list, the fold of the last
+    level, and the pattern of the Opitz stack of
+    `_exp_divided_differences`.  It depends on the shape alone, so a run of
+    same-shape calls builds it once; its arrays are read-only and shared by
+    every thread."""
     count, part = len(sizes), sum(sizes) // sys_dim
     shapes, parts, blocks = _spectral_layout(n, count, sys_dim, part)
     _check_size(f"blocks of dimension {part} held by the spectral "
@@ -978,14 +1013,17 @@ def _spectral_plan(n: int, sizes: tuple[int, ...],
     # level g: the multisets M of g - 1 middle clusters, in one order
     mids = [list(itertools.combinations_with_replacement(range(count), g))
             for g in range(n)]
+    index = [{mid: i for i, mid in enumerate(group)} for group in mids]
 
     def less(mid: tuple, c: int) -> tuple:
         """M - c: the sorted multiset `mid` with one c removed."""
         i = mid.index(c)
         return mid[:i] + mid[i + 1:]
 
-    levels, where, lo = [], coupling_row, 0
-    for g, mask in enumerate(masks):
+    # every level but the last at n >= 2 is formed; each holds its rows in
+    # lattice order, level 1 too, as the reversed couplings
+    levels, lo = [], 0
+    for g, mask in enumerate(masks[:max(n - 1, 1)]):
         rows, steps, triples = np.cumsum(mask) - 1, (), ()
         if g:
             keep = masks[g - 1][table.ia] & masks[0][table.ib]
@@ -996,10 +1034,9 @@ def _spectral_plan(n: int, sizes: tuple[int, ...],
                                 coupling_row[table.ib[keep]].tolist(),
                                 out.tolist(), first.tolist()))
             # T(M) = sum_{c in M} T(M - c) P_c N
-            index = {mid: i for i, mid in enumerate(mids[g - 1])}
-            steps = tuple(tuple((c, index[less(mid, c)])
+            steps = tuple(tuple((c, index[g - 1][less(mid, c)])
                                 for c in sorted(set(mid))) for mid in mids[g])
-            where = rows
+        where = rows
         levels.append(_SpectralLevel(np.flatnonzero(mask),
                                      slice(lo, lo + len(mids[g])),
                                      steps, triples))
@@ -1009,11 +1046,44 @@ def _spectral_plan(n: int, sizes: tuple[int, ...],
     # the flat [a, b] position in a divided-difference table
     labels = np.repeat(np.arange(count), sizes).reshape(sys_dim, part)
     flat = labels[:, :, None] * count + labels[:, None, :]
+    fold = _fold_regions(labels, [
+        [lo + index[-1][tuple(sorted((*mid, c)))] for c in range(count)]
+        for mid in mids[-2]]) if n > 1 else None
     for arr in (labels, flat, *(level.at for level in levels)):
         arr.setflags(write=False)
-    return _SpectralPlan(tuple(shapes), parts, tuple(levels),
+    return _SpectralPlan(tuple(shapes), parts, tuple(levels), fold,
                          tuple(map(slice, bounds[:-1], bounds[1:])),
                          labels, flat, *_opitz_pattern(count, mids))
+
+
+def _fold_regions(labels: np.ndarray, top: list) -> tuple:
+    """The fold of the last level (`_spectral_fold`), given the plan's
+    cluster grid `labels` and top[m][c], the Opitz row of the last level's
+    multiset m + c, m a multiset of level n - 1 in its order: (offsets,
+    regions).  The weight of column y of the left factor at [m, s] is the
+    entry [a, b] of the table of m + c(y), a and b the clusters of its
+    rows and columns at the system index s; seen as reals, the tables hold
+    it at offsets[m, y] + corner[s].  offsets holds each offset twice, for
+    the real and imaginary part of the entry that the weight scales: a
+    (mids, 2 D) array.  The P x P block is cut, along rows and columns
+    alike, at every offset where the cluster changes inside some system
+    block; on each region a and b are fixed at each s, and a region is
+    (rows, cols, corner): its slices and the (sys_dim, 1) offsets of its
+    [a, b].  In the thermal layout every system block lies in one
+    cluster, and the one region is the whole block."""
+    part, count = labels.shape[1], labels.max() + 1
+    offsets = np.repeat(2 * count * count * np.array(top)[
+        :, labels.reshape(-1)], 2, axis=-1)
+    cuts = [0, *np.flatnonzero((np.diff(labels) != 0).any(axis=0)) + 1, part]
+    runs = list(map(slice, cuts[:-1], cuts[1:]))
+    regions = []
+    for rows, cols in itertools.product(runs, runs):
+        corner = 2 * (labels[:, rows.start, None] * count
+                      + labels[:, cols.start, None])
+        corner.setflags(write=False)
+        regions.append((rows, cols, corner))
+    offsets.setflags(write=False)
+    return offsets, tuple(regions)
 
 
 def _opitz_pattern(count: int, mids: list) -> tuple:
@@ -1099,45 +1169,84 @@ def _spectral_exp(couplings: np.ndarray, w: np.ndarray,
         return np.einsum("...sisj->...sij", states.reshape(
             *states.shape[:-2], sys_dim, part, sys_dim, part))
 
-    def factors(states: np.ndarray, c: int, last: bool) -> tuple:
-        """T(M - c) P_c and P_c N, views of the (k, D, D) states and of the
-        couplings: (k, D, n_c) and (n, n_c, D), or for the last level's
-        system-diagonal blocks, split by the system index of the rows of
-        the one and of the columns of the other, (k, sys_dim, P, n_c) and
-        (n, sys_dim, n_c, P)."""
-        left, right = states[:, :, cuts[c]], couplings[:, cuts[c]]
-        if not last:
-            return left, right
-        return (left.reshape(len(left), sys_dim, part, -1),
-                right.reshape(n, -1, sys_dim, part).transpose(0, 2, 1, 3))
-
-    # level 1 is N, read in place from the couplings; a deeper level's
-    # states are one (mids, k, ., .) array, holding its k positions in
-    # lattice order
-    states = couplings[None]
+    # level 1 is N, read in place from the couplings, its rows in lattice
+    # order (labels n..1); a deeper level's states are one (mids, k, D, D)
+    # array, holding its k positions in lattice order
+    states = couplings[None, ::-1]
     if n:
-        # its system-diagonal blocks, copied in lattice order, labels n..1
         diagonal = firsts.reshape(n, sys_dim, part, part)
-        np.copyto(diagonal, system_diagonal(couplings[::-1]))
+        np.copyto(diagonal, system_diagonal(states[0]))
         add(plan.levels[0], diagonal[None])
     for g, level in enumerate(plan.levels[1:], start=1):
-        # the last level is formed on its system-diagonal blocks only
-        shape, last = plan.shapes[g], g == n - 1
+        shape = plan.shapes[g]
         deeper = pools[g % 2][:math.prod(shape)].reshape(shape)
-        prod = product[:math.prod(shape[2:])].reshape(shape[2:])
+        prod = product[:dim * dim].reshape(dim, dim)
         for out, steps in zip(deeper, level.steps):
             # T(M) = sum_{c in M} T(M - c) P_c N; the first product of an
             # output row is written in place, so no level is zero-filled
             for j, (c, row) in enumerate(steps):
-                left, right = factors(states[row], c, last)
+                left, right = states[row][:, :, cuts[c]], couplings[:, cuts[c]]
                 for a, b, k, first in level.triples:
                     if first and not j:
                         np.matmul(left[a], right[b], out=out[k])
                     else:
                         out[k] += np.matmul(left[a], right[b], out=prod)
         states = deeper
-        add(level, states if last else system_diagonal(states))
+        add(level, system_diagonal(states))
+    if plan.fold:
+        _spectral_fold(states, couplings, tables, plan, pools[(n - 1) % 2],
+                       firsts, acc[-1])
     return acc
+
+
+def _spectral_fold(states: np.ndarray, couplings: np.ndarray,
+                   tables: np.ndarray, plan: _SpectralPlan, pool: np.ndarray,
+                   products: np.ndarray, out: np.ndarray) -> None:
+    """Step c of the spectral_jet_matrix_exp docstring: the last level,
+    grade n at its one position, written to `out`, the P x P top block of
+    the traced result, without forming it.  `states` are the (mids, n, D,
+    D) states of level n - 1, whose row r is the position without label
+    r + 1, the couplings the n blocks N_j, `tables` the divided
+    differences; the fold's left factors and weights are cut from `pool`
+    and its products from `products`, as `_spectral_layout` sizes them.
+
+    The last level enters the result only as sum_M W_M o T(M), the trace
+    taken, T(M) = sum_{c in M} T(M - c) P_c N.  Summed by c instead of M,
+    M = m + c runs over every multiset m of level n - 1 once per cluster
+    c.  In a region (`_fold_regions`) the weight of entry (row, column) of
+    system block s depends only on s, on m + c, and on the row, through
+    its cluster, so it moves onto the left factor before the product:
+        out[region] = sum_r sum_s L[r, s] @ N_(r+1)[:, cols of block s],
+        L[r, s][i, y] = sum_m W_(m + c(y))[a, b] T(m)_r[s P + i, y],
+    with c(y) the cluster of y, and a and b those of the region's rows and
+    columns in block s.  Per r, one np.einsum forms every L[r, s] of a
+    region, with the weights, which are real, applied to the real and
+    imaginary parts as two reals, and one batch of sys_dim products of
+    P x D x P multiplies them; one sum over r and s writes the region.  In
+    the thermal layout the region is the whole block."""
+    mids, n, dim = len(states), len(couplings), couplings.shape[-1]
+    shapes = plan.shapes[-1]
+    sys_dim, part = shapes[0][:2]
+    left, weights = np.split(pool[:sum(map(math.prod, shapes))],
+                             [math.prod(shapes[0])])
+    reals = tables.view(float).reshape(-1)
+    below = states.reshape(mids, n, sys_dim, part, dim).view(float)
+    right = couplings.reshape(n, dim, sys_dim, part).transpose(0, 2, 1, 3)
+    offsets, regions = plan.fold
+    for rows, cols, corner in regions:
+        height, width = rows.stop - rows.start, cols.stop - cols.start
+        factors = left[:sys_dim * height * dim].reshape(sys_dim, height, dim)
+        blocks = products[:n * sys_dim * height * width].reshape(
+            n, sys_dim, height, width)
+        # np.take writes into its `out` without a buffer only in a mode
+        # other than "raise"; the indices are in range
+        scale = np.take(reals, offsets[:, None] + corner, mode="clip",
+                        out=weights.view(float).reshape(mids, sys_dim, -1))
+        for r in range(n):
+            np.einsum("mspy,msy->spy", below[:, r, :, rows], scale,
+                      out=factors.view(float))
+            np.matmul(factors, right[r, ..., cols], out=blocks[r])
+        np.sum(blocks, axis=(0, 1), out=out[rows, cols])
 
 
 def _exp_divided_differences(lam: np.ndarray,

@@ -1,12 +1,12 @@
 """Dense finite-dimensional Hilbert-space machinery.
 
-States, observables, tensor products, random states and operators, the
-joint-space pieces every pipeline starts from (the product state and the
-window and thermal generator, as the n + 1 dense blocks it holds, priced
-before any kron runs), the sequential weak-measurement pipeline,
-the postselection that turns a pure joint state into the pointer state
-(jet-valued in the coupling strengths), and the one reader of pointer
-moments.  The full space is ordered system first, then the pointers in
+States, observables, random states and operators, the joint-space pieces
+every pipeline starts from (the product state and the window and thermal
+generator, as the n + 1 dense blocks it holds, priced before any is
+written and each written in place), the sequential weak-measurement
+pipeline, the postselection that turns a pure joint state into the
+pointer state (jet-valued in the coupling strengths), and the one reader
+of pointer moments.  The full space is ordered system first, then the pointers in
 label order.  This module builds that layout; the one other place that
 reads it is the thermal Boltzmann jet, which `jets.spectral_jet_matrix_exp`
 returns traced over its first tensor factor, the system.
@@ -72,36 +72,6 @@ def checked_operator(mat, hermitian: bool = False,
             > UNITARY_TOL:
         raise DomainError("matrix fails the unitary check")
     return mat
-
-
-def kron(*factors) -> np.ndarray:
-    """Tensor product of operators or of state vectors, left to right.
-
-    One outer-product chain, then one transpose (row axes first) and
-    reshape: every entry is the product reduce(np.kron) forms, in the same
-    association, without its n - 1 intermediate matrices."""
-    arrays = [np.asarray(f, dtype=complex) for f in factors]
-    if not arrays:
-        raise DomainError("kron of nothing")
-    ndim = arrays[0].ndim
-    if ndim not in (1, 2) or any(a.ndim != ndim for a in arrays):
-        raise ShapeMismatchError("kron takes all state vectors or all "
-                                 "operators")
-    out = reduce(_outer, arrays)
-    if ndim == 1:
-        return out.reshape(-1)
-    rows = [a.shape[0] for a in arrays]
-    out = out.transpose([*range(0, out.ndim, 2), *range(1, out.ndim, 2)])
-    return out.reshape(int(np.prod(rows)), -1)
-
-
-def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.multiply.outer(a, b) with both operands at the result's rank, as
-    np.kron multiplies them: numpy then picks np.kron's multiply loop, which
-    rounds a product of two 1-entry factors differently from the mixed-rank
-    broadcast of np.multiply.outer."""
-    return (a.reshape(a.shape + (1,) * b.ndim)
-            * b.reshape((1,) * a.ndim + b.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -175,15 +145,6 @@ def random_pointer(rng: np.random.Generator, dim: int = 2) -> PointerSpec:
     )
 
 
-def embed(op: np.ndarray, dims, site: int, *more) -> np.ndarray:
-    """Place `op` at tensor slot `site`, and each further (op, site) pair of
-    `more` at its slot, identity elsewhere."""
-    factors = [np.eye(d, dtype=complex) for d in dims]
-    for factor, slot in ((op, site), *more):
-        factors[slot] = np.asarray(factor, dtype=complex)
-    return kron(*factors)
-
-
 def product_state(psi_i, pointers) -> np.ndarray:
     """|psi_i> (x) |phi_1> (x) ... (x) |phi_n> as a (d_sys, d_1, ..., d_n)
     tensor."""
@@ -200,14 +161,15 @@ def coupled_generator(hamiltonian, observables, pointers, c: complex | None,
     Every other block of its multilinear lattice is zero and is not
     stored.  A c of None leaves the constant out, (n, D, D), for a caller
     that holds it in another form: the thermal lhs, as its diagonal.  The
-    blocks are priced against MAX_DENSE_BYTES before any kron runs.  They
+    blocks are priced against MAX_DENSE_BYTES before any is written.  They
     are written into `out`, a complex array of that shape, and returned,
-    or without `out` into a new array."""
+    or without `out` into a new array.  Each block is written in place by
+    `_place`, with no joint-space temporary."""
     dims = [np.shape(hamiltonian)[0]] + [p.dim for p in pointers]
-    terms = [(k, observables[j - 1], (p.s, j))
+    terms = [(k, (observables[j - 1], 0), (p.s, j))
              for j, p in enumerate(pointers, start=1)]
     if c is not None:
-        terms.insert(0, (c, hamiltonian))
+        terms.insert(0, (c, (hamiltonian, 0)))
     dim = math.prod(dims)
     _check_size(f"generator blocks of dimension {dim}", len(terms),
                 16 * dim * dim)
@@ -216,9 +178,44 @@ def coupled_generator(hamiltonian, observables, pointers, c: complex | None,
     elif out.shape != (len(terms), dim, dim) or out.dtype != complex:
         raise ShapeMismatchError(f"the generator blocks need a complex "
                                  f"array of shape {(len(terms), dim, dim)}")
-    for block, (scale, op, *more) in zip(out, terms):
-        np.multiply(scale, embed(op, dims, 0, *more), out=block)
+    for block, (scale, *ops) in zip(out, terms):
+        _place(block, dims, scale, *ops)
     return out
+
+
+def _place(block: np.ndarray, dims: list, scale: complex, *ops) -> None:
+    """Write scale (f_0 (x) f_1 (x) ... (x) f_n) into the contiguous
+    complex (D, D) `block`, D = prod(dims), f_t the operator of the
+    (operator, slot t) pairs of `ops`, in ascending slots, and the identity
+    at every other slot.  The block is zeroed; then the products of the
+    placed operators' entries, times scale, d_s^2 d_j^2 of them for a
+    coupling, are assigned through one strided view of the block, which
+    has a row and a column axis per placed slot and one axis per identity
+    slot, running along its diagonal: the only entries that the identity
+    leaves nonzero.  Each product is formed as the Kronecker chain forms
+    it, times each identity entry 1 aside, so the values are those of the
+    chain; only a zero may differ from it in sign."""
+    block.fill(0)
+    rows, cols = block.strides
+    placed = {slot for _, slot in ops}
+    shape, strides, free = [], [], []
+    for slot, d in enumerate(dims):
+        unit = math.prod(dims[slot + 1:])
+        if slot in placed:
+            shape += [d, d]
+            strides += [unit * rows, unit * cols]
+        else:
+            free.append((d, unit * (rows + cols)))
+    products = np.asarray(ops[0][0], dtype=complex)
+    for op, _ in ops[1:]:
+        op = np.asarray(op, dtype=complex)
+        products = products.reshape(products.shape + (1,) * op.ndim) \
+            * op.reshape((1,) * products.ndim + op.shape)
+    view = np.lib.stride_tricks.as_strided(
+        block, (*shape, *(d for d, _ in free)),
+        (*strides, *(s for _, s in free)))
+    view[...] = np.multiply(scale, products).reshape(
+        products.shape + (1,) * len(free))
 
 
 def readout_moments(blocks: np.ndarray, readouts) -> np.ndarray:

@@ -8,7 +8,11 @@ truncated polynomial as one block matrix, whose exponential holds the jet
 exponential.
 `postselected_pointer_jet` takes the kick chain's postselected pointer
 state by the joint-density route, in numpy alone.
-`kron_chain` is the tensor product as a left-to-right chain of np.kron.
+`kron_chain` is the tensor product as a left-to-right chain of np.kron;
+`kron` forms the same entries from one outer-product chain, and `embed`
+places operators at tensor slots with the identity elsewhere, the
+construction that `quantum.coupled_generator`'s in-place writer is
+checked against.
 `imaginary_time_weak_value` evaluates one imaginary-time ordered trace by
 eigendecomposition, and `thermal_E_monte_carlo` samples the thermal
 E(a) from its imaginary-time simplex expansion.
@@ -26,14 +30,15 @@ on the caps of its multiset alone.
 
 import itertools
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import mpmath
 import numpy as np
 
 from momalg.combinatorics import Multiset
-from momalg.errors import ShapeMismatchError, SingularPostselectionError
+from momalg.errors import (DomainError, ShapeMismatchError,
+                           SingularPostselectionError)
 from momalg.jets import Jet
 from momalg.weakvalues import _caps, free_energy_jet, thermal_partition_jet
 
@@ -75,6 +80,45 @@ def kron_chain(*factors) -> np.ndarray:
     for f in factors[1:]:
         out = np.kron(out, np.asarray(f, dtype=complex))
     return out
+
+
+def kron(*factors) -> np.ndarray:
+    """Tensor product of operators or of state vectors, left to right.
+
+    One outer-product chain, then one transpose (row axes first) and
+    reshape: every entry is the product reduce(np.kron) forms, in the same
+    association, without its n - 1 intermediate matrices."""
+    arrays = [np.asarray(f, dtype=complex) for f in factors]
+    if not arrays:
+        raise DomainError("kron of nothing")
+    ndim = arrays[0].ndim
+    if ndim not in (1, 2) or any(a.ndim != ndim for a in arrays):
+        raise ShapeMismatchError("kron takes all state vectors or all "
+                                 "operators")
+    out = reduce(_outer, arrays)
+    if ndim == 1:
+        return out.reshape(-1)
+    rows = [a.shape[0] for a in arrays]
+    out = out.transpose([*range(0, out.ndim, 2), *range(1, out.ndim, 2)])
+    return out.reshape(int(np.prod(rows)), -1)
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.multiply.outer(a, b) with both operands at the result's rank, as
+    np.kron multiplies them: numpy then picks np.kron's multiply loop, which
+    rounds a product of two 1-entry factors differently from the mixed-rank
+    broadcast of np.multiply.outer."""
+    return (a.reshape(a.shape + (1,) * b.ndim)
+            * b.reshape((1,) * a.ndim + b.shape))
+
+
+def embed(op: np.ndarray, dims, site: int, *more) -> np.ndarray:
+    """Place `op` at tensor slot `site`, and each further (op, site) pair of
+    `more` at its slot, identity elsewhere."""
+    factors = [np.eye(d, dtype=complex) for d in dims]
+    for factor, slot in ((op, site), *more):
+        factors[slot] = np.asarray(factor, dtype=complex)
+    return kron(*factors)
 
 
 def outcome_generating_jet(values, probs, caps) -> Jet:

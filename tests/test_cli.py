@@ -1435,13 +1435,46 @@ def test_verify_refuses_negative_seeds_before_any_run(tmp_path, monkeypatch,
                                                       capsys, seeds):
     # the instance generator takes seeds >= 0: a negative one is malformed
     # input naming --seeds (exit 2), before any verification writes a file
+    # and before the output directory is made
     def refused(cfg):
         raise AssertionError("a verification ran before --seeds was checked")
     monkeypatch.setattr(cli, "run_verification", refused)
     out = tmp_path / "out"
     assert main(["verify", "thermal", *seeds, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("input error: --seeds: ")
-    assert not any(out.iterdir())
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--seeds", "-1"], "--seeds: seed -1 is negative"),
+    (["--seeds", "3..1"], "--seeds: empty seed range '3..1'"),
+    (["--seeds", "1,1"], "--seeds: 1 is given twice"),
+    (["--beta", "1", "1"], "--beta: 1.0 is given twice")],
+    ids=["negative", "empty-range", "seed-twice", "beta-twice"])
+def test_refused_verify_flags_leave_no_output_directory(tmp_path, capsys,
+                                                        flags, message):
+    # a seed list or sweep that is refused (exit 2) is refused before --out
+    # is made: neither the directory nor its missing parent is left behind
+    out = tmp_path / "parent" / "out"
+    assert main(["verify", "thermal", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"
+    assert not (tmp_path / "parent").exists()
+
+
+@pytest.mark.parametrize("op", ["log", "exp", "inverse", "series", "raise",
+                                "factorizing-check"])
+def test_one_input_algebra_ops_refuse_a_second_input(tmp_path, capsys, op):
+    # every op but convolve reads one M-map: a second input is malformed
+    # input (exit 2), not silently dropped, and no output is written
+    src = write(tmp_path / "f.json", {
+        "schema": 1, "n": 2, "entries": [{"m": [], "re": 0.5},
+                                         {"m": [1, 2], "re": 0.25}]})
+    out = tmp_path / "out.json"
+    assert main(["algebra", op, src, src, "--cut", "1", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        f"input error: {op} takes exactly one input\n"
+    assert not out.exists()
+    assert main(["algebra", op, src, "--cut", "1", "-o", str(out)]) == 0
 
 
 @pytest.mark.parametrize("shape, sys_dim, joint_dim", [
@@ -1475,8 +1508,8 @@ def test_window_and_d_map_take_the_taylor_route(tmp_path, exp_routes,
 def test_thermal_refuses_spectral_states_beyond_the_size_limit(
         tmp_path, capsys):
     # 6 pointers on a 4-dim system: the 256-dim Boltzmann jet's four
-    # clusters need 8496 blocks of 64 x 64 (states, sum and work), about
-    # 531.0 MiB.  It exits 3 naming the spectral exponential, whose preflight
+    # clusters need 8422 blocks of 64 x 64 (states, sum and work), about
+    # 526.4 MiB.  It exits 3 naming the spectral exponential, whose preflight
     # refuses them before any is allocated, and takes no Taylor route
     # instead.
     tracemalloc.start()

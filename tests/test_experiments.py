@@ -621,7 +621,8 @@ def test_a_decoupled_pointer_has_no_joint_cumulant(seed, j):
 
 
 # ---------------------------------------------------------------------------
-# a 1e-6 relative defect in any numeric kernel FAILs every scenario that runs
+# a 1e-6 relative defect in any numeric kernel (1e-3 in the spectral fold,
+# whose one block enters only the top record) FAILs every scenario that runs
 # it, so no kernel is shared by both sides of a claim unchecked
 
 
@@ -658,6 +659,22 @@ def _spectral_couplings(real, couplings, w, sys_dim):
     return out
 
 
+def _folded_top(real, states, couplings, tables, plan, pool, products, out):
+    # the top-grade block of the traced Boltzmann jet, the one block that
+    # the fold writes, off by 1e-3 of itself.  It reaches the lhs divided
+    # by the partition function, only in the top record, where at n = 4 a
+    # defect of 1e-4 of the block moves thermal seed 3's lhs by 8e-9, under
+    # the 1e-8 gate, and one of 1e-6 passes three seeds of five
+    real(states, couplings, tables, plan, pool, products, out)
+    out *= 1 + 1e-3
+
+
+def _generator_block(real, block, dims, scale, *ops):
+    # every block that the generator writer places, constant or coupling
+    real(block, dims, scale, *ops)
+    block *= 1 + 1e-6
+
+
 def _nonconstant_block_products(real, table, a, b, out):
     # the products added into every lattice position but the constant one
     before = out[1:].copy()
@@ -676,6 +693,8 @@ KERNEL_DEFECTS = {
     "readout_moments": (quantum, _nonempty_moments),
     "_taylor_exp": (jets, _taylor_times_generator),
     "_spectral_exp": (jets, _spectral_couplings),
+    "_spectral_fold": (jets, _folded_top),
+    "_place": (quantum, _generator_block),
     "_block_products": (jets, _nonconstant_block_products),
     "partition_fstar": (algebra, _nonempty_partition_sums),
 }
@@ -706,6 +725,8 @@ KERNEL_SCENARIOS = {
     "readout_moments": ["thm1", "thm3", "thm4", "thermal", "multiset"],
     "_taylor_exp": ["thermal", "multiset"],
     "_spectral_exp": ["thermal", "multiset"],
+    "_spectral_fold": ["thermal", "multiset"],
+    "_place": ["thm4", "thermal", "multiset"],
     "_block_products": ["thm1", "thm3", "thm4", "thermal", "multiset"],
     "partition_fstar": list(DEFECT_SCENARIOS),
 }

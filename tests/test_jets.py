@@ -650,6 +650,13 @@ def near_degenerate(rng, d, gap):
                      + np.tile([0.0, gap], d // 2))
 
 
+def points(rng, sizes):
+    """diag(w) for clusters of `sizes` equal points at ascending random
+    values, which may cut the system blocks of a trace."""
+    return ascending(np.repeat(np.sort(rng.uniform(-3, 3, len(sizes))),
+                               sizes))
+
+
 SPECTRAL_CASES = {
     "A (x) 1_3, caps (1, 1)": ((1, 1), 6, lambda rng: clustered(rng, 6, 2)),
     "A (x) 1_2, A 3 x 3, caps (1, 1)":
@@ -664,6 +671,20 @@ SPECTRAL_CASES = {
     **{f"gaps {gap:g}, caps (1, 1)":
        ((1, 1), 4, lambda rng, gap=gap: near_degenerate(rng, 4, gap))
        for gap in (1e-15, 1e-13, 1e-11, 1e-9, 1e-7, 1e-4)},
+    # the last level, folded into its weights, at n = 1..4, d kept small by
+    # the oracle's cost (2^n d rows): clusters (1, 4, 1) cut the blocks of
+    # a trace over 2 at another offset in each block, and those over 3 in
+    # the first and the last; (1, 3) cut the first block over 2 only; one
+    # merged cluster, and one cluster per point
+    **{f"clusters 1-4-1, caps {(1,) * n}":
+       ((1,) * n, 6, lambda rng: points(rng, (1, 4, 1)), "complex")
+       for n in (1, 2)},
+    "clusters 1-3, caps (1, 1, 1)":
+        ((1, 1, 1), 4, lambda rng: points(rng, (1, 3)), "complex"),
+    **{f"{name}, caps {(1,) * n}":
+       ((1,) * n, d, lambda rng, sizes=sizes: points(rng, sizes), "complex")
+       for n, d in ((1, 6), (2, 6), (3, 4), (4, 2))
+       for name, sizes in (("merged", (d,)), ("distinct", (1,) * d))},
 }
 
 
@@ -674,7 +695,8 @@ def test_spectral_route_matches_regular_representation_oracle(case):
     # (A (x) 1_3 traced over A's 2 dimensions, the thermal layout), and a
     # d_s whose blocks straddle clusters (a random spectrum, or A (x) 1_3
     # traced over 3 dimensions), where the weight of a block is a matrix.
-    # At caps (1, 1, 1) grades 2 and 3 come from products of the couplings
+    # At caps (1, 1, 1) grades 2 and 3 come from products of the couplings;
+    # at every n >= 2 the top grade comes from the fold of the last level
     caps, d, constant, *couplings = SPECTRAL_CASES[case]
     rng = np.random.default_rng(41)
     terms = spectral_terms(rng, caps, d, constant(rng), *couplings)
@@ -683,6 +705,28 @@ def test_spectral_route_matches_regular_representation_oracle(case):
            for sys_dim in range(1, d + 1) if d % sys_dim == 0}
     assert got[d].blocks.shape[1:] == (1, 1)
     assert_matches_oracle(got, terms, caps, d, case)
+
+
+@pytest.mark.parametrize("sizes, sys_dim", [((1, 4, 1), 2), ((1, 4, 1), 3),
+                                            ((2, 1, 3), 2), ((6,), 3)])
+def test_spectral_fold_at_four_couplings_matches_the_taylor_route(sizes,
+                                                                  sys_dim):
+    # at n = 4 the fold reads states of two middle clusters; where the
+    # clusters cut the system blocks (or merge them) its traced top grade,
+    # and every other grade, agree with the Taylor route's, traced, within
+    # 1e-13 of the grade's largest entry
+    rng = np.random.default_rng(60)
+    caps = (1,) * 4
+    const = points(rng, sizes)
+    d = len(const)
+    m = JetMatrix.from_terms(spectral_terms(rng, caps, d, const, "complex"),
+                             d, 4, caps)
+    got, want = spectral_exp(m, sys_dim).blocks, traced(
+        jet_matrix_exp(m).blocks, sys_dim)
+    for grade in range(5):
+        at = [k for k, a in enumerate(m.lattice) if a.size == grade]
+        scale = np.abs(want[at]).max()
+        assert np.abs(got[at] - want[at]).max() <= 1e-13 * scale, grade
 
 
 def opitz_blocks(lam, mids):
@@ -885,33 +929,38 @@ def test_spectral_entry_refuses_couplings_of_another_shape_or_not_finite(
 
 
 def test_spectral_route_preflight_refuses_its_states():
-    # 4 zero coupling blocks of 512 x 512 (16 MiB, pages never touched),
-    # a generator over caps (1, 1, 1, 1), three clusters, traced over a
-    # first factor of 1 and of 2 dimensions.  Untraced, in blocks of 512 x 512:
-    # the sum (16), the states of one and two middle clusters (3 x 6 and
-    # 6 x 4 blocks of grades 2 and 3), and the work (a
-    # product's block, level 1's 4 diagonal blocks, the 3 weights, 6 sums
-    # and 6 gathered result blocks of level 2, and one block for the
-    # 3 x 8192 entries of np.einsum's buffers), 16 + 42 + 21 = 79 blocks,
-    # 316 MiB, are refused before any is allocated.  Traced over 2, in
-    # blocks of 256 x 256, the states hold 4 x 42 blocks, and the work
-    # 4 + 2 x 4, the 10 x 2 weights, 1 sum and 1 gathered result block of
-    # the last level and one block of buffers: 16 + 168 + 35 = 219 blocks,
-    # 219 MiB, are let through
+    # 4 zero coupling blocks of 512 x 512 (16 MiB, pages never touched), a
+    # generator over caps (1, 1, 1, 1), three clusters, traced over a
+    # first factor of 1 and of 2 dimensions.  Untraced, in blocks of 512 x
+    # 512: the sum (16), the states of one and two middle clusters (3 x 6
+    # and 6 x 4 blocks of grades 2 and 3; the fold of grade 4, one block
+    # of left factors and 6 x 512 weights, fits in the part of grade 2,
+    # and its 4 products in level 1's), and the work (a product's block,
+    # level 1's 4 diagonal blocks, the 3 weights, 6 sums and 6 gathered
+    # result blocks of level 2, and one block for the 3 x 8192 entries of
+    # np.einsum's buffers), 16 + 42 + 21 = 79 blocks, 316 MiB, are refused
+    # before any is allocated.  Traced over 2, in blocks of 256 x 256, the
+    # states hold 4 x 42 blocks, and the work 4 + 2 x 4, the 6 x 2
+    # weights, 4 sums and 4 gathered result blocks of level 3 and one
+    # block of buffers: 16 + 168 + 33 = 217 blocks, 217 MiB, are let
+    # through
     couplings = np.zeros((4, 512, 512), dtype=complex)
     w = np.repeat([0.0, 1.0, 2.0], [128, 128, 256])
     with pytest.raises(DomainError, match="79 blocks of dimension 512 "
                        "held by the spectral exponential need about 316 MiB"):
         jets._spectral_exp(couplings, w, 1)
-    assert jets._spectral_layout(4, 3, 2, 256)[2] == 219
+    assert jets._spectral_layout(4, 3, 2, 256)[2] == 217
 
 
 def test_spectral_route_peak_stays_within_its_block_count():
-    # the traced peak of the route, its result included, at two thermal
+    # the traced peak of the route, its result included, at three thermal
     # layouts: three clusters on a 3 x 32 joint space with caps (1, 1, 1),
-    # and two on 2 x 64 with caps (1, 1, 1, 1), where the states of grades
-    # 2 and 3 are the largest pair of levels
-    for caps, sys_dim, part in (((1, 1, 1), 3, 32), ((1,) * 4, 2, 64)):
+    # two on 2 x 64 with caps (1, 1, 1, 1), where the states of grades 2
+    # and 3 are the largest pair of levels, and dense-hilbert's two on
+    # 2 x 64 with caps (1, 1, 1), where the fold of grade 3 sits beside
+    # the states of grade 2
+    for caps, sys_dim, part in (((1, 1, 1), 3, 32), ((1,) * 4, 2, 64),
+                                ((1, 1, 1), 2, 64)):
         rng = np.random.default_rng(53)
         d = sys_dim * part
         m = boltzmann(rng, d, caps, clustered(rng, d, sys_dim))

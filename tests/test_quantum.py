@@ -17,8 +17,6 @@ from momalg.quantum import (
     PointerSpec,
     checked_operator,
     coupled_generator,
-    embed,
-    kron,
     postselected_pointer_state,
     random_hermitian,
     random_pointer,
@@ -27,7 +25,7 @@ from momalg.quantum import (
     readout_moments,
     unit_vector,
 )
-from oracles import kron_chain, postselected_pointer_jet
+from oracles import embed, kron, kron_chain, postselected_pointer_jet
 
 M = Multiset
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -368,3 +366,30 @@ def test_coupled_generator_fills_out_or_returns_a_fresh_array():
     assert np.array_equal(out, first)
     with pytest.raises(ShapeMismatchError, match="shape"):
         coupled_generator(h, observables, pointers, 1.0, -1, out=out)
+
+
+@pytest.mark.parametrize("sys_dim", [1, 3])
+@pytest.mark.parametrize("pointer_dim", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_coupled_generator_writes_the_blocks_of_the_kronecker_chain(
+        sys_dim, pointer_dim, n):
+    # each block, written in place through a strided view, holds the values
+    # of scale * embed(...), the chain of np.kron over every tensor slot:
+    # the window's constant c H_S (x) 1 and couplings, and the thermal
+    # couplings without a constant.  An out full of NaN is overwritten in
+    # every entry, the zeros of the identity slots included
+    rng = np.random.default_rng(62 + 10 * sys_dim + pointer_dim + 100 * n)
+    pointers = [random_pointer(rng, pointer_dim) for _ in range(n)]
+    h = random_hermitian(rng, sys_dim)
+    observables = [random_hermitian(rng, sys_dim) for _ in range(n)]
+    dims = [sys_dim] + [pointer_dim] * n
+    couplings = [embed(a, dims, 0, (p.s, j))
+                 for j, (a, p) in enumerate(zip(observables, pointers), 1)]
+    for c, k in ((-0.7j, -1j), (None, -1), (1.5 - 0.5j, 0.25 + 2j)):
+        want = [np.multiply(k, block) for block in couplings]
+        if c is not None:
+            want.insert(0, np.multiply(c, embed(h, dims, 0)))
+        dim = sys_dim * pointer_dim ** n
+        out = np.full((len(want), dim, dim), np.nan, dtype=complex)
+        got = coupled_generator(h, observables, pointers, c, k, out=out)
+        assert got is out and np.array_equal(out, np.array(want)), c
