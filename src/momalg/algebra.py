@@ -28,7 +28,7 @@ import cmath
 import math
 from functools import lru_cache
 from math import factorial
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -46,7 +46,7 @@ from .errors import (
     SeriesDivergenceError,
     ShapeMismatchError,
 )
-from .jets import Jet, _position, _weights
+from .jets import Jet, _lattice_position, _position, _weights
 
 DEFAULT_TOL = 1e-10
 
@@ -120,10 +120,11 @@ class MMap:
         return cls(n, {a: fn(a) for a in cls(n, None, caps).domain()}, caps)
 
     def __call__(self, a: Multiset):
-        if not a.fits(self.caps):
+        caps = self.caps
+        pos = _lattice_position(caps, a)
+        if pos < 0:
             return 0.0
-        pos = _position(self.caps, a)
-        row = self._rows()[pos] * _weights(self.caps)[pos]
+        row = self._rows()[pos] * _weights(caps)[pos]
         if not self.jet_caps:
             return complex(row[0])
         return Jet._dense(len(self.jet_caps), self.jet_caps, row)
@@ -286,12 +287,50 @@ def partition_fstar(derivs: Callable[[int, object], object], f: Callable,
 
     `f` is any callable on multisets (an MMap, or a dict's ``get``); values
     may be complex, Fraction or jets, with `derivs` evaluated at f(empty).
-    With `log_derivative` this is the cumulant.
+    With `log_derivative` this is the cumulant.  Which partitions, blocks
+    and part counts the targets take depends on the targets alone, so it
+    is planned once per tuple of targets (`_partition_plan`); a call reads
+    f once per distinct block, takes derivs(k, f(empty)) once per part
+    count k, and sums each target's terms in `partitions_of` order.
     """
-    f = lru_cache(maxsize=None)(f)     # each block value is read once
+    at = tuple(at)
+    plan = _partition_plan(at)
     c = f(EMPTY)
-    return {a: derivs(0, c) if a.is_empty else
-            sum(coeff * derivs(part.part_count, c) * math.prod(map(f, part.blocks))
-                for part, coeff in partitions_of(a))
-            for a in at}
+    dv = {k: derivs(k, c) for k in plan.counts}
+    values = [f(b) for b in plan.blocks]
+    return {a: dv[0] if terms is None else
+            sum(coeff * dv[k] * math.prod([values[i] for i in blocks])
+                for coeff, k, blocks in terms)
+            for a, terms in zip(at, plan.terms)}
 
+
+class _PartitionPlan(NamedTuple):
+    """What `partition_fstar` reads and sums for one tuple of targets."""
+
+    blocks: tuple   # the distinct blocks, in the order the terms read them
+    counts: tuple   # the distinct part counts, in first-use order (0: empty)
+    # per target, None for the empty multiset, else its (coeff, part count,
+    # block indices) for each partition, in `partitions_of` order
+    terms: tuple
+
+
+@lru_cache(maxsize=64)
+def _partition_plan(at: tuple) -> _PartitionPlan:
+    """The plan of `partition_fstar` for the targets `at`, built from
+    `partitions_of`.  It holds multisets and integers only, shape facts
+    and no values, in tuples that every thread shares."""
+    index: dict = {}
+    counts: dict = {}
+    terms = []
+    for a in at:
+        if a.is_empty:
+            counts.setdefault(0)
+            terms.append(None)
+            continue
+        row = []
+        for part, coeff in partitions_of(a):
+            counts.setdefault(part.part_count)
+            row.append((coeff, part.part_count, tuple(
+                index.setdefault(b, len(index)) for b in part.blocks)))
+        terms.append(tuple(row))
+    return _PartitionPlan(tuple(index), tuple(counts), tuple(terms))

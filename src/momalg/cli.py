@@ -99,6 +99,18 @@ def _at_least(low: int):
     return integer
 
 
+def _flag(convert):
+    """The argparse type of a flag read by `convert`, a reader of config
+    fields: the message of the ValueError it raises is the error line,
+    where argparse would name the function instead."""
+    def read(text: str):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+    return read
+
+
 def _tolerance(args, default: float) -> float:
     """--tol (already checked by `_finite_tolerance`), else MOMALG_TOL from
     the environment, else `default`; a NaN, infinite or negative MOMALG_TOL
@@ -131,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     alg.add_argument("--cut", default="",
                      help="comma-separated labels of one side of the "
                           "bipartition for factorizing-check")
-    alg.add_argument("--tol", type=_finite_tolerance, default=None)
+    alg.add_argument("--tol", type=_flag(_finite_tolerance), default=None)
 
     wv = sub.add_parser("weak-values", help="evaluate weak-value queries")
     wv.add_argument("query", help="query JSON file")
@@ -143,8 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--pointers", type=_at_least(1), default=3)
     ver.add_argument("--sysdim", type=_at_least(1), default=2)
     ver.add_argument("--pointer-dim", type=_at_least(1), default=2)
-    ver.add_argument("--tau", type=_finite, nargs="+", default=[1.0])
-    ver.add_argument("--beta", type=_finite, nargs="+", default=[1.0])
+    ver.add_argument("--tau", type=_flag(_finite), nargs="+", default=[1.0])
+    ver.add_argument("--beta", type=_flag(_finite), nargs="+", default=[1.0])
     ver.add_argument("--hs", choices=["random", "zero"], default="random")
     ver.add_argument("--copies", type=_at_least(1), default=2,
                      help="pointer copies per observable (multiset)")
@@ -152,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="number of variables (genfun)")
     ver.add_argument("--samples", type=_at_least(0), default=0,
                      help="Monte-Carlo cross-check samples (thm4)")
-    ver.add_argument("--tol", type=_finite_tolerance, default=None)
+    ver.add_argument("--tol", type=_flag(_finite_tolerance), default=None)
     ver.add_argument("--config", default=None,
                      help="explicit config JSON (matrices instead of "
                           "generator seeds); other instance flags ignored")
@@ -281,12 +293,14 @@ def _verify_configs(args):
                 f"requested {scenario!r}")
         if args.tol is not None:
             cfg.tolerance = args.tol
+        _check_beta(scenario, [cfg.beta])
         return [({}, cfg)]
     tol = _tolerance(args, SCENARIOS[scenario].tolerance)
     zero_h = args.hs == "zero" or args.scenario == "thm2"
     axis = SCENARIOS[scenario].sweep
     seeds = _once(_parse(_parse_seeds, args.seeds, "--seeds"), "--seeds")
     values = _once(getattr(args, axis), f"--{axis}") if axis else [None]
+    _check_beta(scenario, values if axis == "beta" else args.beta[:1])
 
     def generated():
         for seed in seeds:
@@ -299,6 +313,18 @@ def _verify_configs(args):
                     zero_hamiltonian=zero_h, copies=(args.copies,),
                     n_vars=args.vars, tolerance=tol, mc_samples=args.samples)
     return generated()
+
+
+def _check_beta(scenario: str, betas: list) -> None:
+    """Refuse, before --out is made, a beta that the thermal state would
+    refuse: one that is not positive, in thermal, or in multiset, whose
+    thermal copies run unless its beta is 0 or unset."""
+    if scenario == "multiset":
+        betas = [b for b in betas if b]
+    elif scenario != "thermal":
+        return
+    if any(not b > 0 for b in betas):
+        raise DomainError("beta must be positive")
 
 
 def _once(values: list, flag: str) -> list:

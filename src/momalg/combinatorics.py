@@ -156,14 +156,23 @@ def _rgs_strings(k: int) -> Iterator[tuple[int, ...]]:
 
 @lru_cache(maxsize=None)
 def _partitions_cached(a: Multiset) -> tuple[tuple[Partition, int], ...]:
+    """The blocks come out as sorted label lists, so each partition is
+    sorted as `Partition.of` sorts it, by (-size, elements), on the lists,
+    and a block's Multiset is built once per distinct list."""
     labels = a.elements()
+    made: dict[tuple[int, ...], Multiset] = {}
     merged: dict[Partition, int] = {}
     for rgs in _rgs_strings(len(labels)):
         nblocks = max(rgs) + 1
         blocks: list[list[int]] = [[] for _ in range(nblocks)]
         for lab, b in zip(labels, rgs):
             blocks[b].append(lab)
-        part = Partition.of(Multiset(b) for b in blocks)
+        blocks.sort(key=lambda b: (-len(b), b))
+        keys = [tuple(b) for b in blocks]
+        for key in keys:
+            if key not in made:
+                made[key] = Multiset(key)
+        part = Partition(tuple(map(made.__getitem__, keys)))
         merged[part] = merged.get(part, 0) + 1
     return tuple(merged.items())
 

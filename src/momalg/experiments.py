@@ -77,14 +77,15 @@ from .jets import (
     spectral_jet_matrix_exp,
 )
 from .quantum import (
+    _draw,
+    _hermitian,
+    _pointer,
+    _state,
+    _unitary,
     coupled_generator,
     postselect_pointers,
     postselected_pointer_state,
     product_state,
-    random_hermitian,
-    random_pointer,
-    random_state,
-    random_unitary,
     readout_moments,
 )
 from .weakvalues import (
@@ -178,32 +179,34 @@ def random_config(scenario: str, seed: int, n_pointers: int = 3,
         cfg.probabilities = rng.dirichlet(np.ones(math.prod(sizes)))
         return cfg
 
+    # each stream's objects from one draw of its normals (`quantum._draw`)
     st = _stream(seed, _STREAM_STATES)
     ob = _stream(seed, _STREAM_OBSERVABLES)
     pt = _stream(seed, _STREAM_POINTERS)
     if scenario == "multiset":
         # one pointer, copied m_j times for observable j
-        cfg.pointers = (random_pointer(pt, pointer_dim),) * sum(copies)
+        cfg.pointers = tuple(_draw(pt, [_pointer], pointer_dim)) * sum(copies)
         cfg.copies, cfg.tau, n_pointers = tuple(copies), tau, len(copies)
     else:
-        cfg.pointers = tuple(random_pointer(pt, pointer_dim)
-                             for _ in range(n_pointers))
-    cfg.observables = tuple(random_hermitian(ob, system_dim)
-                            for _ in range(n_pointers))
+        cfg.pointers = tuple(_draw(pt, [_pointer] * n_pointers, pointer_dim))
+    cfg.observables = tuple(_draw(ob, [_hermitian] * n_pointers, system_dim))
+    kinds = [] if scenario == "thermal" else [_state, _state]
+    has_h = scenario in ("thermal", "multiset", "simultaneous-evolution")
+    if has_h and not zero_hamiltonian:
+        kinds.append(_hermitian)
+    drawn = _draw(st, kinds, system_dim)
     if scenario != "thermal":
-        cfg.psi_i = random_state(st, system_dim)
-        cfg.psi_f = random_state(st, system_dim)
-    if scenario in ("thermal", "multiset", "simultaneous-evolution"):
+        cfg.psi_i, cfg.psi_f = drawn[:2]
+    if has_h:
         cfg.hamiltonian = np.zeros((system_dim, system_dim)) \
-            if zero_hamiltonian else random_hermitian(st, system_dim)
+            if zero_hamiltonian else drawn[-1]
     if scenario in ("thermal", "multiset"):
         cfg.beta = beta
     elif scenario == "simultaneous-evolution":
         cfg.tau, cfg.mc_samples = tau, mc_samples
     else:
-        un = _stream(seed, _STREAM_UNITARIES)
-        cfg.unitaries = tuple(random_unitary(un, system_dim)
-                              for _ in range(n_pointers + 1))
+        cfg.unitaries = tuple(_draw(_stream(seed, _STREAM_UNITARIES),
+                                    [_unitary] * (n_pointers + 1), system_dim))
     return cfg
 
 

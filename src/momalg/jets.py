@@ -40,10 +40,12 @@ bits: a loop of one product and one add per triple, or, for many
 products of small blocks (at least 8 triples of at most 8^3 complex
 multiply-adds), one stacked product of the gathered blocks added into
 place by one np.add.at, where the loop's interpreter cost per triple
-would dominate.  The exponential in this ring has two entries, one per
-algorithm; its multilinear coefficient of prod_{j in a} gamma_j equals the
-permutation-summed simplex integral of the Dyson expansion, which is what
-every 'lowest joint order' statement consumes.  `jet_matrix_exp` takes the
+would dominate; the triples each pair of zero-block patterns keeps, and
+their chunks, are cached per shape (`_kept_triples`).  The exponential in
+this ring has two entries, one per algorithm; its multilinear coefficient
+of prod_{j in a} gamma_j equals the permutation-summed simplex integral of
+the Dyson expansion, which is what every 'lowest joint order' statement
+consumes.  `jet_matrix_exp` takes the
 Taylor route: it scales and squares, with the squaring count and the
 Taylor degree chosen from the norm of the constant block alone, since the
 couplings are nilpotent in the ring (Higham, SIAM J. Matrix Anal. Appl.
@@ -134,6 +136,7 @@ _SCATTER_PAIRS = 256       # `_ring_product`: np.add.at below, bincounts above
 _BATCH_COUNT = 8
 _BATCH_WORK = 8 ** 3
 _BATCH_BYTES = 2 ** 20
+_KEPT_INDICES = 2 ** 15    # the most indices one `_kept_triples` entry holds
 
 
 class _PairTable(NamedTuple):
@@ -145,6 +148,7 @@ class _PairTable(NamedTuple):
     ia: np.ndarray
     ib: np.ndarray
     ic: np.ndarray
+    caps: tuple
 
 
 @lru_cache(maxsize=None)
@@ -167,38 +171,59 @@ def _pair_table(caps: tuple[int, ...]) -> _PairTable:
     cap = caps[0] if caps else 0
     ia, ib = (np.array(x, dtype=np.intp) for x in zip(
         *[(d, e) for d in range(cap + 1) for e in range(cap + 1 - d)]))
-    return _frozen(np.arange(cap + 1), ia, ib, ia + ib)
+    return _frozen(caps, np.arange(cap + 1), ia, ib, ia + ib)
 
 
 def _joined(left: _PairTable, right: _PairTable) -> _PairTable:
     """The table of the labels of `left` followed by those of `right`."""
     width = len(right.grade)
     return _frozen(
-        np.add.outer(left.grade, right.grade).ravel(),
+        left.caps + right.caps, np.add.outer(left.grade, right.grade).ravel(),
         *(np.add.outer(x * width, y).ravel()
           for x, y in ((left.ia, right.ia), (left.ib, right.ib),
                        (left.ic, right.ic))))
 
 
-def _frozen(*arrays) -> _PairTable:
+def _frozen(caps: tuple[int, ...], *arrays) -> _PairTable:
     # shared by every caller through the cache; ic stays writeable, because
     # np.bincount copies a read-only index array on every call
     for arr in arrays[:-1]:
         arr.setflags(write=False)
-    return _PairTable(*arrays)
+    return _PairTable(*arrays, caps)
 
 
 def _position(caps: tuple[int, ...], a) -> int:
     """The storage position of the monomial `a` (a Multiset or its labels):
     its multiplicities read as the digits of a mixed-radix number, label 1
-    slowest.  A multiset that does not fit the caps is refused."""
+    slowest (`_lattice_position`).  A multiset that does not fit the caps
+    is refused."""
     a = a if isinstance(a, Multiset) else Multiset(a)
-    if not a.fits(caps):
+    pos = _lattice_position(caps, a)
+    if pos < 0:
         raise CapExceededError(f"multiset {a} exceeds caps {caps}")
-    counts, pos = dict(a.items), 0
-    for label, cap in enumerate(caps, start=1):
-        pos = pos * (cap + 1) + counts.get(label, 0)
     return pos
+
+
+@lru_cache(maxsize=2 ** 14)
+def _lattice_position(caps: tuple[int, ...], a: Multiset) -> int:
+    """The position of `_position`, or -1 for a multiset that does not fit
+    the caps, memoized per (caps, multiset): every read of a map or a jet
+    by multiset (`MMap.__call__`, `Jet.coefficient`, `Jet.derivative`)
+    takes it, and a run of same-shape calls reads the same ones."""
+    strides, pos = _strides(caps), 0
+    for label, mult in a.items:
+        if label > len(caps) or mult > caps[label - 1]:
+            return -1
+        pos += mult * strides[label - 1]
+    return pos
+
+
+@lru_cache(maxsize=64)
+def _strides(caps: tuple[int, ...]) -> tuple[int, ...]:
+    """The position step of one more of each label: the product of (c + 1)
+    over the caps of the labels after it."""
+    return tuple(math.prod(c + 1 for c in caps[j:])
+                 for j in range(1, len(caps) + 1))
 
 
 @lru_cache(maxsize=None)
@@ -599,32 +624,77 @@ def _block_products(table, a: np.ndarray, b: np.ndarray,
     _BATCH_BYTES, in pair order.  The batched path costs 5-10 us more per
     call, so a call of few triples keeps the loop; blocks of 16^3
     multiply-adds break even, and from 32^3 up the gather and the stacked
-    product are slower than the loop (the per-call table in CHANGES.md)."""
-    keep = _nonzero(a)[table.ia] & _nonzero(b)[table.ib]
-    ia, ib, ic = table.ia[keep], table.ib[keep], table.ic[keep]
-    if len(ic) >= _BATCH_COUNT and out.flags.c_contiguous and \
+    product are slower than the loop (the per-call table in CHANGES.md).
+    Which triples are kept, and the batched path's chunks and flat
+    positions, depend only on the caps, the two stacks' zero-block patterns
+    and the block shapes (`_kept_triples`); the patterns are scanned on
+    every call, so a block that is zero in one call and nonzero in the next
+    gets the triples of its own pattern."""
+    size = math.prod(out.shape[1:])
+    step = 0                       # triples per chunk; 0: the loop
+    if out.flags.c_contiguous and \
             math.prod(a.shape[1:]) * b.shape[-1] <= _BATCH_WORK:
-        _batched_products(ia, ib, ic, a, b, out)
+        step = max(1, _BATCH_BYTES // (16 * (math.prod(a.shape[1:])
+                                             + math.prod(b.shape[1:]) + size)
+                                       + 8 * size))
+    nonzero_a, nonzero_b = _nonzero(a), _nonzero(b)
+    chunks, *triples = _kept_triples(
+        table.caps, nonzero_a.tobytes(), nonzero_b.tobytes(), size, step) \
+        or _select_triples(table, nonzero_a, nonzero_b, size, step)
+    if chunks is not None:
+        _batched_products(chunks, a, b, out)
         return
     prod = np.empty(out.shape[1:], dtype=complex)  # reused
-    for i, j, c in zip(ia.tolist(), ib.tolist(), ic.tolist()):
+    for i, j, c in zip(*(x.tolist() for x in triples)):
         out[c] += np.matmul(a[i], b[j], out=prod)
 
 
-def _batched_products(ia, ib, ic, a: np.ndarray, b: np.ndarray,
+@lru_cache(maxsize=64)
+def _kept_triples(caps: tuple[int, ...], pattern_a: bytes, pattern_b: bytes,
+                  size: int, step: int) -> tuple | None:
+    """`_select_triples` on the pair table of `caps` for the zero-block
+    patterns `pattern_a` and `pattern_b` (bytes of bools), its chunks
+    listed, or None where it would hold more than _KEPT_INDICES indices;
+    `_block_products` then selects afresh on each call, one chunk at a
+    time.  The arrays are read-only and shared by every thread."""
+    table = _pair_table(caps)
+    nonzero = [np.frombuffer(p, dtype=bool) for p in (pattern_a, pattern_b)]
+    count = np.count_nonzero(nonzero[0][table.ia] & nonzero[1][table.ib])
+    batched = step and count >= _BATCH_COUNT
+    if count * (3 + size if batched else 3) > _KEPT_INDICES:
+        return None
+    chunks, *triples = _select_triples(table, *nonzero, size, step)
+    chunks = tuple(chunks) if batched else None
+    for arr in [*triples, *itertools.chain.from_iterable(chunks or ())]:
+        arr.setflags(write=False)
+    return chunks, *triples
+
+
+def _select_triples(table, nonzero_a: np.ndarray, nonzero_b: np.ndarray,
+                    size: int, step: int) -> tuple:
+    """The triples (ia, ib, ic) of `table` whose a and b blocks are both
+    nonzero, for output blocks of `size` entries, after their chunks: with
+    a step and at least _BATCH_COUNT triples, the batched path's (ia, ib,
+    flat positions in out) per `step` triples, in pair order, made as they
+    are read; else None, for the loop."""
+    keep = nonzero_a[table.ia] & nonzero_b[table.ib]
+    ia, ib, ic = table.ia[keep], table.ib[keep], table.ic[keep]
+    if not step or len(ic) < _BATCH_COUNT:
+        return None, ia, ib, ic
+    entries = np.arange(size)
+    return ((ia[lo:lo + step], ib[lo:lo + step],
+             (ic[lo:lo + step, None] * size + entries).ravel())
+            for lo in range(0, len(ic), step)), ia, ib, ic
+
+
+def _batched_products(chunks, a: np.ndarray, b: np.ndarray,
                       out: np.ndarray) -> None:
-    """The batched path of `_block_products` over the kept triples
-    (ia, ib, ic): per chunk, the gathered blocks, their products and the
-    products' flat positions in out."""
-    size = math.prod(out.shape[1:])
-    per_triple = 16 * (math.prod(a.shape[1:]) + math.prod(b.shape[1:])
-                       + size) + 8 * size
-    step = max(1, _BATCH_BYTES // per_triple)
-    flat, entries = out.reshape(-1), np.arange(size)
-    for lo in range(0, len(ic), step):
-        chunk = slice(lo, lo + step)
-        np.add.at(flat, (ic[chunk, None] * size + entries).ravel(),
-                  np.matmul(a[ia[chunk]], b[ib[chunk]]).ravel())
+    """The batched path of `_block_products` over the chunks of the kept
+    triples (`_select_triples`): per chunk, the gathered blocks, their
+    products, added at their flat positions in out."""
+    flat = out.reshape(-1)
+    for ia, ib, at in chunks:
+        np.add.at(flat, at, np.matmul(a[ia], b[ib]).ravel())
 
 
 def jet_matrix_exp(m: JetMatrix) -> JetMatrix:
@@ -1003,6 +1073,14 @@ def _spectral_plan(n: int, sizes: tuple[int, ...],
     shapes, parts, blocks = _spectral_layout(n, count, sys_dim, part)
     _check_size(f"blocks of dimension {part} held by the spectral "
                 f"exponential", blocks, 16 * part * part)
+    # the Opitz stack, one J of 2 count + n - 1 points per multiset of at
+    # most n - 1 middle clusters, and its Taylor batch, at least one power,
+    # the accumulator and one product (`_taylor_exp`): priced before any is
+    # built, so a refused shape leaves no plan behind
+    size = 2 * count + n - 1
+    _check_size(f"Opitz matrices of dimension {size} held by the spectral "
+                f"exponential", 4 * sum(math.comb(count + g - 1, g)
+                                        for g in range(n)), 16 * size * size)
     table = _pair_table((1,) * n)
     # level g holds the positions of grade g, g = 1..n
     masks = [table.grade == g for g in range(1, n + 1)]

@@ -76,22 +76,64 @@ def checked_operator(mat, hermitian: bool = False,
 
 # ---------------------------------------------------------------------------
 # seeded random instances
+#
+# Each kind of random object has one construction, from its standard
+# normals: `_state`, `_hermitian`, `_unitary` and `_pointer`.  `_draw` builds
+# a list of objects from one standard_normal call, sliced in the order of
+# the list: a Generator's normals do not depend on how they are batched (k
+# normals and then m more are the k + m of one call), so that is the same
+# as drawing object by object, one or two calls per object.
 
-def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+def _state(g: np.ndarray, dim: int) -> np.ndarray:
+    v = g[:dim] + 1j * g[dim:]
     return v / np.linalg.norm(v)
 
 
-def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def _hermitian(g: np.ndarray, dim: int, scale: float = 1.0) -> np.ndarray:
+    g = g[:dim * dim].reshape(dim, dim) + 1j * g[dim * dim:].reshape(dim, dim)
     return scale * (g + g.conj().T) / 2.0
 
 
-def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def _unitary(g: np.ndarray, dim: int) -> np.ndarray:
+    g = g[:dim * dim].reshape(dim, dim) + 1j * g[dim * dim:].reshape(dim, dim)
     q, r = np.linalg.qr(g)
     d = np.diag(r)
     return q * (d / np.abs(d))
+
+
+def _pointer(g: np.ndarray, dim: int) -> "PointerSpec":
+    """phi, then s, then r, from 2 dim + 4 dim^2 normals."""
+    return PointerSpec(phi=_state(g[:2 * dim], dim),
+                       s=_hermitian(g[2 * dim:2 * dim * (1 + dim)], dim),
+                       r=_hermitian(g[2 * dim * (1 + dim):], dim))
+
+
+_NORMALS = {_state: lambda d: 2 * d, _hermitian: lambda d: 2 * d * d,
+            _unitary: lambda d: 2 * d * d,
+            _pointer: lambda d: 2 * d + 4 * d * d}
+
+
+def _draw(rng: np.random.Generator, kinds, dim: int) -> list:
+    """One object of each kind in `kinds`, of dimension `dim`, in order,
+    from one draw of rng's standard normals."""
+    sizes = [_NORMALS[kind](dim) for kind in kinds]
+    g, lo, out = rng.standard_normal(sum(sizes)), 0, []
+    for kind, size in zip(kinds, sizes):
+        out.append(kind(g[lo:lo + size], dim))
+        lo += size
+    return out
+
+
+def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
+    return _draw(rng, [_state], dim)[0]
+
+
+def random_hermitian(rng: np.random.Generator, dim: int, scale: float = 1.0) -> np.ndarray:
+    return _hermitian(rng.standard_normal(2 * dim * dim), dim, scale)
+
+
+def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+    return _draw(rng, [_unitary], dim)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -138,11 +180,7 @@ class PointerSpec:
 
 
 def random_pointer(rng: np.random.Generator, dim: int = 2) -> PointerSpec:
-    return PointerSpec(
-        phi=random_state(rng, dim),
-        s=random_hermitian(rng, dim),
-        r=random_hermitian(rng, dim),
-    )
+    return _draw(rng, [_pointer], dim)[0]
 
 
 def product_state(psi_i, pointers) -> np.ndarray:

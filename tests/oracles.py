@@ -21,11 +21,17 @@ their binomial weights, and `bipartition_convolve` sums the convolution
 over them, against which the jet product of `momalg.algebra.convolve` is
 checked.  `evolution_weak_value` evaluates one time-ordered weak value by
 eigendecomposition.
-Two oracles call momalg: `outcome_generating_jet` sums the moment
+Three oracles call momalg: `outcome_generating_jet` sums the moment
 generating function as one `Jet.exp` per joint outcome, against which the
-contraction of `experiments._generating_jet` is checked, and
+contraction of `experiments._generating_jet` is checked,
 `free_energy_susceptibility` reads one derivative of the free-energy jet
-on the caps of its multiset alone.
+on the caps of its multiset alone, and `partition_fstar_loop` walks
+`combinatorics.partitions_of` once per call and target, reading f through
+a memo, the loop that the planned `algebra.partition_fstar` must match bit
+for bit.
+`per_draw_instance` draws a seeded verify instance object by object, one
+standard_normal call per real or imaginary part, as the instance
+generator `experiments.random_config` must match.
 """
 
 import itertools
@@ -36,7 +42,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 import mpmath
 import numpy as np
 
-from momalg.combinatorics import Multiset
+from momalg.combinatorics import EMPTY, Multiset, partitions_of
 from momalg.errors import (DomainError, ShapeMismatchError,
                            SingularPostselectionError)
 from momalg.jets import Jet
@@ -330,3 +336,59 @@ def free_energy_susceptibility(config, a: Multiset) -> complex:
     of `a`."""
     z = thermal_partition_jet(config, _caps(config, a))
     return free_energy_jet(z, config.beta).derivative(a)
+
+
+def partition_fstar_loop(derivs: Callable, f: Callable,
+                         at: Iterable[Multiset]) -> dict:
+    """(F*f)(a) = sum over partitions p of a of coeff(p) F^(|p|)(f(empty))
+    prod_{b in p} f(b), one pass over the partitions of each target, each
+    block read once through a memo."""
+    f = lru_cache(maxsize=None)(f)
+    c = f(EMPTY)
+    return {a: derivs(0, c) if a.is_empty else
+            sum(coeff * derivs(part.part_count, c) * math.prod(map(f, part.blocks))
+                for part, coeff in partitions_of(a))
+            for a in at}
+
+
+def per_draw_instance(scenario: str, seed: int, n_pointers: int,
+                      system_dim: int, pointer_dim: int,
+                      zero_hamiltonian: bool = False, copies=(2,)) -> dict:
+    """The random fields of a verify instance (all but genfun), drawn from
+    the substreams default_rng([seed, role]) of `random_config` object by
+    object: a state as real then imaginary normals, a Hermitian or a
+    unitary as a real then an imaginary normal matrix, a pointer as phi,
+    s, r."""
+    def state(rng, d):
+        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        return v / np.linalg.norm(v)
+
+    def hermitian(rng, d):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        return (g + g.conj().T) / 2.0
+
+    def unitary(rng, d):
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        q, r = np.linalg.qr(g)
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+
+    def pointer(rng, d):
+        return state(rng, d), hermitian(rng, d), hermitian(rng, d)
+
+    st, un, ob, pt = (np.random.default_rng([seed, k]) for k in range(4))
+    out = {}
+    if scenario == "multiset":
+        out["pointers"] = [pointer(pt, pointer_dim)] * sum(copies)
+        n_pointers = len(copies)
+    else:
+        out["pointers"] = [pointer(pt, pointer_dim) for _ in range(n_pointers)]
+    out["observables"] = [hermitian(ob, system_dim) for _ in range(n_pointers)]
+    if scenario != "thermal":
+        out["psi_i"], out["psi_f"] = state(st, system_dim), state(st, system_dim)
+    if scenario in ("thermal", "multiset", "simultaneous-evolution"):
+        out["hamiltonian"] = np.zeros((system_dim, system_dim)) \
+            if zero_hamiltonian else hermitian(st, system_dim)
+    if scenario in ("sequential-per-subset", "sequential-all-coupled"):
+        out["unitaries"] = [unitary(un, system_dim)
+                            for _ in range(n_pointers + 1)]
+    return out

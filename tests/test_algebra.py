@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from momalg import algebra
 from momalg.algebra import (
     MMap,
     apply_fstar,
@@ -18,6 +19,7 @@ from momalg.algebra import (
     inverse_star,
     is_factorizing,
     log1p_series,
+    log_derivative,
     log_star,
     partition_fstar,
     raise_label,
@@ -32,7 +34,7 @@ from momalg.errors import (
     ShapeMismatchError,
 )
 from momalg.jets import Jet
-from oracles import bipartition_convolve
+from oracles import bipartition_convolve, partition_fstar_loop
 
 M = Multiset
 
@@ -630,6 +632,53 @@ def test_jet_valued_maps_match_reference():
         for a in f.domain():
             assert got(a).max_abs_diff(want[a]) < 1e-11
             assert fg(a).max_abs_diff(conv[a]) < 1e-12
+
+
+def _values(kind: str, rng, caps):
+    """A value per multiset of the caps lattice: complex, exact rational or
+    a multilinear jet in two variables, f(empty) away from 0."""
+    def one():
+        if kind == "complex":
+            return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+        if kind == "fraction":
+            return Fraction(int(rng.integers(-64, 65)), 64)
+        return Jet(2, (1, 1), {a: complex(rng.uniform(-1, 1),
+                                          rng.uniform(-1, 1))
+                               for a in multiset_lattice(2, (1, 1))})
+    values = {a: one() for a in multiset_lattice(len(caps), caps)}
+    values[EMPTY] = values[EMPTY] + 2
+    return values
+
+
+PARTITION_DERIVS = {"complex": log_derivative, "fraction": log_derivative,
+                    "jet": jet_log_derivs}
+
+
+@given(caps=st.lists(st.integers(1, 3), min_size=1, max_size=3).map(
+           tuple).filter(lambda c: sum(c) <= 6),
+       kind=st.sampled_from(sorted(PARTITION_DERIVS)), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_planned_partition_sum_matches_the_loop_bit_for_bit(caps, kind, data):
+    # the plan of a tuple of targets reads each distinct block once and
+    # each part count's derivative once, then sums every target's terms in
+    # partitions_of order: the loop's values, bit for bit, on complex,
+    # rational and jet values, caps 1-3 (repeated labels), targets in any
+    # order, repeats and the empty multiset included, planned cold and warm
+    lattice = multiset_lattice(len(caps), caps)
+    targets = data.draw(st.lists(st.sampled_from(lattice), max_size=10))
+    values = _values(kind, np.random.default_rng(
+        data.draw(st.integers(0, 2 ** 32 - 1))), caps)
+    derivs = PARTITION_DERIVS[kind]
+    want = partition_fstar_loop(derivs, values.get, targets)
+    for _ in range(2):
+        got = partition_fstar(derivs, values.get, targets)
+        assert list(got) == list(want)
+        for a, v in want.items():
+            if kind == "jet":
+                assert np.array_equal(got[a]._vec, v._vec), str(a)
+            else:
+                assert type(got[a]) is type(v) and got[a] == v, str(a)
+    assert algebra._partition_plan.cache_info().currsize <= 64
 
 
 @given(caps=st.lists(st.integers(1, 2), min_size=1, max_size=3).map(tuple),

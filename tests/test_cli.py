@@ -1461,6 +1461,54 @@ def test_refused_verify_flags_leave_no_output_directory(tmp_path, capsys,
     assert not (tmp_path / "parent").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "thermal", "--beta", "-1", "--seeds", "1..3"],
+    ["verify", "thermal", "--beta", "1", "0"],
+    ["verify", "multiset", "--beta", "-1"]],
+    ids=["thermal", "thermal-sweep", "multiset"])
+def test_a_refused_beta_leaves_no_output_directory(tmp_path, monkeypatch,
+                                                   capsys, argv):
+    # a beta that the thermal state refuses is a domain error (exit 3)
+    # raised before --out is made or any run starts, one line naming beta
+    def refused(cfg):
+        raise AssertionError("a verification ran before beta was checked")
+    monkeypatch.setattr(cli, "run_verification", refused)
+    out = tmp_path / "parent" / "out"
+    assert main([*argv, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "domain error: beta must be positive\n"
+    assert not (tmp_path / "parent").exists()
+
+
+def test_multiset_at_beta_zero_runs_without_its_thermal_copies(tmp_path):
+    # multiset's thermal copies run only with a nonzero beta: 0 is not
+    # refused, and its report holds the two pair-variance records alone
+    assert main(["verify", "multiset", "--beta", "0",
+                 "--out", str(tmp_path)]) == 0
+    rep = load_json(str(tmp_path / "report_multiset_seed1.json"))
+    assert [r["label"] for r in rep["records"]] == [
+        "pair-variance", "pair-variance-per-subset"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "thermal", "--beta", "nan"],
+     "argument --beta: 'nan' is not a finite number"),
+    (["verify", "thm4", "--tau", "inf"],
+     "argument --tau: 'inf' is not a finite number"),
+    (["verify", "thermal", "--tol", "-1"],
+     "argument --tol: '-1' is not a finite non-negative number"),
+    (["algebra", "log", "f.json", "--tol", "nan"],
+     "argument --tol: 'nan' is not a finite number")],
+    ids=["beta", "tau", "verify-tol", "algebra-tol"])
+def test_a_refused_number_flag_names_its_fault(capsys, argv, message):
+    # argparse prints the flag reader's own message (exit 2), not the name
+    # of the function behind it
+    with pytest.raises(SystemExit) as refused:
+        main(argv)
+    assert refused.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"error: {message}\n") and "_finite" not in err
+
+
 @pytest.mark.parametrize("op", ["log", "exp", "inverse", "series", "raise",
                                 "factorizing-check"])
 def test_one_input_algebra_ops_refuse_a_second_input(tmp_path, capsys, op):

@@ -1,5 +1,7 @@
 """Scenario verifiers: structure checks, invariances, edge constructions."""
 
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -12,6 +14,7 @@ from momalg.algebra import MMap, convolve, log_star, scalar_mmap, value_allclose
 from momalg.combinatorics import EMPTY, Multiset, multiset_lattice
 from momalg.errors import DomainError
 from momalg.experiments import (
+    SCENARIOS,
     ExperimentConfig,
     all_coupled_moment_mmap,
     per_subset_moment_mmap,
@@ -28,6 +31,7 @@ from oracles import (
     expm_mp,
     kron_chain,
     outcome_generating_jet,
+    per_draw_instance,
     regular_representation,
 )
 
@@ -521,6 +525,80 @@ def test_genfun_config_is_priced_before_its_pmf_is_drawn():
         assert np.array_equal(got, rng.uniform(-1, 1, size))
     assert np.array_equal(cfg.probabilities,
                           rng.dirichlet(np.ones(int(np.prod(sizes)))))
+
+
+@pytest.mark.parametrize("scenario", sorted(set(SCENARIOS) - {"genfun"}))
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_random_config_draws_each_stream_as_the_per_draw_instance(
+        scenario, dim):
+    # one standard_normal call per stream, sliced in order, gives every
+    # field of the object-by-object draw exactly, at every dimension and
+    # with H_S = 0 (no Hamiltonian drawn); genfun draws no normals
+    for seed, zero_h in ((1, False), (2, False), (3, True)):
+        cfg = random_config(scenario, seed, n_pointers=3, system_dim=dim,
+                            pointer_dim=dim, zero_hamiltonian=zero_h)
+        want = per_draw_instance(scenario, seed, 3, dim, dim, zero_h)
+        assert len(cfg.pointers) == len(want["pointers"]) > 0
+        for p, (phi, s, r) in zip(cfg.pointers, want.pop("pointers")):
+            for got, exp in ((p.phi, phi), (p.s, s), (p.r, r)):
+                assert np.array_equal(got, exp)
+        for name, exp in want.items():
+            got = getattr(cfg, name)
+            assert len(got) == len(exp) and all(
+                np.array_equal(x, y) for x, y in zip(got, exp)), name
+        assert not [name for name in ("psi_i", "psi_f", "hamiltonian")
+                    if name not in want and getattr(cfg, name) is not None]
+        assert bool(cfg.unitaries) == ("unitaries" in want)
+
+
+def test_same_shape_caches_in_threads_match_serial_calls():
+    # the per-shape caches (partition plans, lattice positions, kept
+    # triples, spectral plans) filled by four threads at once, two at each
+    # of two sets of shapes, with a short switch interval, hold what serial
+    # calls on cleared caches compute: every report is the serial one, bit
+    # for bit
+    runs = {"a": [random_config("thermal", s, n_pointers=3) for s in (1, 2)]
+            + [random_config("genfun", 1, n_vars=2)],
+            "b": [random_config("thermal", s, n_pointers=4) for s in (1, 2)]
+            + [random_config("multiset", 1)]}
+    caches = (algebra._partition_plan, jets._lattice_position,
+              jets._kept_triples, jets._spectral_plan)
+
+    def reports(configs):
+        out = []
+        for cfg in configs * 2:
+            rep = run_verification(cfg).to_json_dict()
+            rep.pop("runtime_s")
+            out.append(rep)
+        return out
+
+    serial = {}
+    for name, configs in runs.items():
+        for cache in caches:
+            cache.cache_clear()
+        serial[name] = reports(configs)
+    for cache in caches:
+        cache.cache_clear()
+    names = [*runs, *runs]
+    got, start = [None] * len(names), threading.Barrier(len(names))
+
+    def work(k):
+        start.wait()
+        got[k] = reports(runs[names[k]])
+
+    threads = [threading.Thread(target=work, args=(k,))
+               for k in range(len(names))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [serial[name] for name in names]
 
 
 def test_reports_are_deterministic_in_the_seed():

@@ -465,6 +465,46 @@ def test_batched_block_products_match_explicit_loop_across_chunks(
     assert np.array_equal(out, want)
 
 
+@pytest.mark.parametrize("limit", [2 ** 15, 0], ids=["kept", "afresh"])
+@pytest.mark.parametrize("block, path", [(2, "batched"), (9, "loop")])
+def test_block_products_keep_the_triples_of_each_zero_pattern(
+        monkeypatch, block, path, limit):
+    # one shape, a zero-block pattern that changes from call to call: a
+    # block zero in one call and nonzero in the next gets the triples of
+    # its own pattern, and a pattern seen before its kept triples again;
+    # every call matches the explicit loop, and the kept arrays are
+    # read-only.  Under a limit of 0 indices nothing is kept, and every
+    # call selects its triples afresh, chunk by chunk
+    monkeypatch.setattr(jets, "_KEPT_INDICES", limit)
+    rng = np.random.default_rng(63)
+    caps = (1, 1, 1, 1)
+    table = _pair_table(caps)
+    jets._kept_triples.cache_clear()
+    patterns = [((), ()), ((3,), ()), ((), ()), ((3,), (5, 9)),
+                ((), (5, 9)), ((3,), ())]
+    for a_zero, b_zero in patterns:
+        a, b, out = (random_blocks(rng, (block, block), caps, zero_frac=0.0)
+                     for _ in range(3))
+        a[list(a_zero)] = 0.0
+        b[list(b_zero)] = 0.0
+        want = explicit_matmul(a, b, caps, out)
+        _block_products(table, a, b, out)
+        assert np.array_equal(out, want), (a_zero, b_zero)
+    info = jets._kept_triples.cache_info()
+    assert (info.currsize, info.hits) == (4, 2)
+    full = np.ones(16, dtype=bool).tobytes()
+    kept = jets._kept_triples(caps, full, full, block * block,
+                              4 if path == "batched" else 0)
+    jets._kept_triples.cache_clear()
+    if not limit:
+        assert kept is None
+        return
+    chunks, *arrays = kept
+    assert (chunks is not None) == (path == "batched")
+    held = [*arrays, *(x for chunk in chunks or () for x in chunk)]
+    assert held and not any(arr.flags.writeable for arr in held)
+
+
 # ---------------------------------------------------------------------------
 # jet exponential against the regular representation of the jet ring
 
@@ -1026,6 +1066,28 @@ def spectral_args(rng, caps, sys_dim, part):
     d = sys_dim * part
     m = boltzmann(rng, d, caps, clustered(rng, d, sys_dim))
     return np.diagonal(m.constant).real, coupling_blocks(m), sys_dim
+
+
+def test_spectral_plan_prices_its_opitz_stack_before_building_it():
+    # 48 distinct points at sys_dim 1 and n = 3 make 1225 Opitz matrices of
+    # dimension 98, 180 MiB, and with the fewest powers its Taylor batch
+    # holds three more: refused before the plan allocates any of it, and
+    # not cached, so the next call prices it again
+    rng = np.random.default_rng(64)
+    w = np.sort(rng.standard_normal(48))
+    couplings = np.array([hermitian(rng, 48, 1.0) for _ in range(3)])
+    before = jets._spectral_plan.cache_info().currsize
+    tracemalloc.start()
+    try:
+        for _ in range(2):
+            with pytest.raises(DomainError, match="4900 Opitz matrices of "
+                               "dimension 98 .* need about 718.1 MiB"):
+                spectral_jet_matrix_exp(w, couplings, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert jets._spectral_plan.cache_info().currsize == before
 
 
 def test_spectral_plan_is_keyed_by_the_cluster_sizes():
